@@ -77,7 +77,7 @@ func GradientsOf(model *nn.Sequential, x *tensor.Tensor, label int) (gradW, grad
 	batch := x.Reshape(append([]int{1}, x.Shape()...)...)
 	logits := model.Forward(batch)
 	_, d := nn.CrossEntropy(logits, []int{label})
-	model.Backward(d)
+	nn.BackwardParams(model, d)
 	return last.Weight.Grad, last.Bias.Grad, nil
 }
 

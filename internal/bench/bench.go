@@ -362,15 +362,12 @@ func probeKernel(o Options, r *Report) error {
 }
 
 // probeCodec measures wire-codec encode and decode of a dim-sized dense
-// LocalUpdate with full buffer reuse — the steady-state (zero-allocation)
-// path the wire tests pin.
+// LocalUpdate the way a connection does them in steady state: through
+// Encoder.Encode on an encoder it keeps, and into a message it recycles.
 func probeCodec(o Options, r *Report) error {
 	u := &wire.LocalUpdate{ClientID: 1, Round: 1, NumSamples: 64, Primal: randVec(o.Dim, 31)}
-	e := wire.NewEncoder(make([]byte, 0, 8*o.Dim+64))
-	encSec := measure(o.MinProbeTime, func() {
-		e.Reset()
-		u.Marshal(e)
-	})
+	var e wire.Encoder
+	encSec := measure(o.MinProbeTime, func() { e.Encode(u) })
 	bytes := float64(e.Len())
 
 	var out wire.LocalUpdate

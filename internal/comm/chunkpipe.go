@@ -57,11 +57,11 @@ func (p *ChunkPipe) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 		return nil, fmt.Errorf("comm: chunk receive from unknown client %d", client)
 	}
 	b := <-p.chunks[client]
-	var mc wire.ModelChunk
+	mc := NewChunk()
 	if err := mc.Unmarshal(wire.NewDecoder(b)); err != nil {
 		return nil, err
 	}
-	return &mc, nil
+	return mc, nil
 }
 
 // SendChunkAck acknowledges one chunk, subject to the DropAck script.
@@ -78,9 +78,8 @@ func (p *ChunkPipe) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if drop {
 		return nil
 	}
-	e := wire.NewEncoder(nil)
-	a.Marshal(e)
-	p.acks[client] <- e.Bytes()
+	var e wire.Encoder
+	p.acks[client] <- e.Encode(a)
 	return nil
 }
 
@@ -101,9 +100,8 @@ func (c *ChunkPipeClient) SendChunk(mc *wire.ModelChunk) error {
 	if drop {
 		return nil
 	}
-	e := wire.NewEncoder(nil)
-	mc.Marshal(e)
-	c.p.chunks[c.id] <- e.Bytes()
+	var e wire.Encoder
+	c.p.chunks[c.id] <- e.Encode(mc)
 	return nil
 }
 

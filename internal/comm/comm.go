@@ -39,10 +39,13 @@ var ErrRoundTimeout = errors.New("comm: round deadline exceeded")
 type ServerTransport interface {
 	// Broadcast delivers the global model to every client.
 	Broadcast(m *wire.GlobalModel) error
-	// SendTo delivers the global model to the listed clients only.
+	// SendTo delivers the global model to the listed clients only. The
+	// model is serialized before SendTo returns.
 	SendTo(clients []int, m *wire.GlobalModel) error
 	// Gather collects exactly one local update from every client, in client
-	// order.
+	// order. Updates returned by any Gather* form belong to the caller
+	// until it passes them to ReleaseUpdates; never releasing them is
+	// merely slower (see recycle.go).
 	Gather() ([]*wire.LocalUpdate, error)
 	// GatherFrom collects exactly one local update from each listed client
 	// and returns them ordered as listed. An update from a client not in
@@ -100,9 +103,13 @@ type Unreachables interface {
 
 // ClientTransport is a client's side of the protocol.
 type ClientTransport interface {
-	// RecvGlobal blocks until the next global model arrives.
+	// RecvGlobal blocks until the next global model arrives. The model may
+	// be decoded into storage the transport reuses: it is valid until the
+	// next RecvGlobal.
 	RecvGlobal() (*wire.GlobalModel, error)
-	// SendUpdate uploads this client's local update.
+	// SendUpdate uploads this client's local update. The update is
+	// serialized (or dropped) before SendUpdate returns, so the caller may
+	// reuse its storage.
 	SendUpdate(m *wire.LocalUpdate) error
 	// Stats returns a snapshot of traffic counters.
 	Stats() Snapshot

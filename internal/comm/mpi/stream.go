@@ -41,9 +41,8 @@ func unpackWireBytes(buf []float64) ([]byte, error) {
 
 // SendChunk uploads one model chunk to the server rank.
 func (t *ClientTransport) SendChunk(c *wire.ModelChunk) error {
-	e := wire.NewEncoder(nil)
-	c.Marshal(e)
-	buf := packWireBytes(e.Bytes())
+	var e wire.Encoder
+	buf := packWireBytes(e.Encode(c))
 	t.c.Send(0, tagChunk, buf)
 	t.stats.AddSent(8 * len(buf))
 	return nil
@@ -82,11 +81,11 @@ func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mc wire.ModelChunk
+	mc := comm.NewChunk()
 	if err := mc.Unmarshal(wire.NewDecoder(b)); err != nil {
 		return nil, err
 	}
-	return &mc, nil
+	return mc, nil
 }
 
 // SendChunkAck acknowledges one folded chunk back to its sender's rank.
@@ -94,9 +93,8 @@ func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.c.Size()-1 {
 		return fmt.Errorf("mpi: chunk ack to unknown client %d", client)
 	}
-	e := wire.NewEncoder(nil)
-	a.Marshal(e)
-	buf := packWireBytes(e.Bytes())
+	var e wire.Encoder
+	buf := packWireBytes(e.Encode(a))
 	s.c.Send(client+1, tagChunkAck, buf)
 	s.stats.AddSent(8 * len(buf))
 	return nil

@@ -115,9 +115,8 @@ func marshalPayload(p *wire.Payload) []byte {
 	if p == nil {
 		return nil
 	}
-	e := wire.NewEncoder(nil)
-	p.Marshal(e)
-	return e.Bytes()
+	var e wire.Encoder
+	return e.Encode(p)
 }
 
 // unmarshalPayload decodes and validates codec bytes back to a Payload.

@@ -215,6 +215,7 @@ type ClientTransport struct {
 	global *Subscription
 	acks   *Subscription // per-client chunk-ack topic
 	stats  comm.Stats
+	model  wire.GlobalModel // what RecvGlobal returns; recycled per call
 }
 
 // NewFLBroker wires a broker for one server and numClients clients and
@@ -301,8 +302,10 @@ func (s *ServerTransport) Broadcast(m *wire.GlobalModel) error {
 
 // SendTo publishes the global model to the listed clients' topics only.
 func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
-	e := wire.NewEncoder(nil)
-	m.Marshal(e)
+	// Encoded once into a buffer of its own: the subscribers' queues share
+	// the bytes and may hold them past this call.
+	var e wire.Encoder
+	e.Encode(m)
 	for _, c := range clients {
 		if c < 0 || c >= s.numClients {
 			return fmt.Errorf("pubsub: send to unknown client %d", c)
@@ -337,7 +340,7 @@ func (s *ServerTransport) collect(n int, timer <-chan time.Time) ([]*wire.LocalU
 			return nil, ErrClosed
 		}
 		s.stats.AddRecv(len(msg.Payload))
-		var u wire.LocalUpdate
+		u := comm.NewUpdate()
 		if err := u.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
 			return nil, err
 		}
@@ -349,9 +352,11 @@ func (s *ServerTransport) collect(n int, timer <-chan time.Time) ([]*wire.LocalU
 				u.ClientID, u.TenantID, s.tenant)
 		}
 		if !s.ledger.Admit(int(u.ClientID), u.Round) {
-			continue // late publish for a forgiven round: discard
+			// Late publish for a forgiven round: discard.
+			comm.ReleaseUpdate(u)
+			continue
 		}
-		out = append(out, &u)
+		out = append(out, u)
 	}
 	return out, nil
 }
@@ -409,27 +414,26 @@ func (s *ServerTransport) Close() error {
 	return nil
 }
 
-// RecvGlobal blocks for the next published global model.
+// RecvGlobal blocks for the next published global model, decoded into
+// storage the transport keeps: it is valid until the next RecvGlobal.
 func (c *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	msg, ok := c.global.Recv()
 	if !ok {
 		return nil, ErrClosed
 	}
 	c.stats.AddRecv(len(msg.Payload))
-	var m wire.GlobalModel
-	if err := m.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
+	if err := c.model.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return &c.model, nil
 }
 
 // SendUpdate publishes the client's update to its tenant's update topic,
 // stamped with the tenant id.
 func (c *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	m.TenantID = uint32(c.tenant)
-	e := wire.NewEncoder(nil)
-	m.Marshal(e)
-	if err := c.broker.Publish(TenantUpdateTopic(c.tenant), e.Bytes()); err != nil {
+	var e wire.Encoder
+	if err := c.broker.Publish(TenantUpdateTopic(c.tenant), e.Encode(m)); err != nil {
 		return err
 	}
 	c.stats.AddSent(e.Len())

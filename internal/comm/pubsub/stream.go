@@ -37,11 +37,11 @@ func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 		return nil, ErrClosed
 	}
 	s.stats.AddRecv(len(msg.Payload))
-	var mc wire.ModelChunk
+	mc := comm.NewChunk()
 	if err := mc.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
 		return nil, fmt.Errorf("pubsub: chunk decode from client %d: %w", client, err)
 	}
-	return &mc, nil
+	return mc, nil
 }
 
 // SendChunkAck publishes one chunk ack to its sender's ack topic.
@@ -49,9 +49,8 @@ func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.numClients {
 		return fmt.Errorf("pubsub: chunk ack to unknown client %d", client)
 	}
-	e := wire.NewEncoder(nil)
-	a.Marshal(e)
-	if err := s.broker.Publish(TenantPrefix(s.tenant)+ChunkAckTopic(client), e.Bytes()); err != nil {
+	var e wire.Encoder
+	if err := s.broker.Publish(TenantPrefix(s.tenant)+ChunkAckTopic(client), e.Encode(a)); err != nil {
 		return err
 	}
 	s.stats.AddSent(e.Len())
@@ -60,9 +59,8 @@ func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 
 // SendChunk publishes one model chunk to this client's chunk topic.
 func (c *ClientTransport) SendChunk(mc *wire.ModelChunk) error {
-	e := wire.NewEncoder(nil)
-	mc.Marshal(e)
-	if err := c.broker.Publish(TenantPrefix(c.tenant)+ChunkTopic(c.id), e.Bytes()); err != nil {
+	var e wire.Encoder
+	if err := c.broker.Publish(TenantPrefix(c.tenant)+ChunkTopic(c.id), e.Encode(mc)); err != nil {
 		return err
 	}
 	c.stats.AddSent(e.Len())

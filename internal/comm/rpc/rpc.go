@@ -36,43 +36,81 @@ import (
 	"repro/internal/wire"
 )
 
-// maxFrame bounds a frame payload to guard against corrupt length headers.
+// maxFrame bounds a frame payload when no model size was negotiated.
 const maxFrame = 1 << 30
 
-// ErrFrameTooLarge is returned when a frame header announces an
-// implausible payload size.
+// maxJoinFrame bounds the frames of the Join handshake, the only ones read
+// before a peer has identified itself: a Join is a few integers and a
+// name, a JoinAck three integers.
+const maxJoinFrame = 4 << 10
+
+// ErrFrameTooLarge is returned when a frame header announces a payload
+// beyond what the connection may carry.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
-// writeFrame sends one framed message.
-func writeFrame(w io.Writer, kind wire.Kind, payload []byte) error {
-	if len(payload) > maxFrame {
+// frameLimit bounds the frames of a joined connection by the negotiated
+// model size: the largest legitimate message is an update carrying a
+// dense primal and a dense dual (sparse and subset payloads spend 12
+// bytes a coordinate, a global model 8), plus headers. A server that
+// negotiated no model size keeps the loose maxFrame.
+func frameLimit(modelSize int) int {
+	if modelSize <= 0 || modelSize > (maxFrame-maxJoinFrame)/16 {
+		return maxFrame
+	}
+	return 16*modelSize + maxJoinFrame
+}
+
+// writeFrame sends one framed message — header and payload, which may
+// come in several slices (wire.Encoder.EncodeVectored) — in a single
+// vectored write. The slices themselves are left as they are, so the same
+// payload can go to several connections.
+func writeFrame(w io.Writer, kind wire.Kind, size int, payload ...[]byte) error {
+	if size > maxFrame {
 		return ErrFrameTooLarge
 	}
 	var hdr [5]byte
 	hdr[0] = byte(kind)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(hdr[1:], uint32(size))
+	bufs := make(net.Buffers, 0, 1+len(payload))
+	bufs = append(append(bufs, hdr[:]), payload...)
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame receives one framed message.
-func readFrame(r io.Reader) (wire.Kind, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// frameHeader is the scratch a connection's reader keeps for the 5 header
+// bytes of each frame.
+type frameHeader [5]byte
+
+// read receives the next frame's header and returns its kind and payload
+// size, which may not exceed limit bytes. The header is checked before
+// anything is allocated or read on its word, so a hostile length costs
+// its sender an error and the receiver nothing. The payload is then
+// decoded straight off the connection (wire.Decoder.ResetStream): there
+// is no frame buffer.
+func (h *frameHeader) read(r io.Reader, limit int) (wire.Kind, int, error) {
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return 0, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, ErrFrameTooLarge
+	n := int(binary.BigEndian.Uint32(h[1:]))
+	if n > limit {
+		return 0, 0, fmt.Errorf("%w: header announces %d bytes, this connection may carry %d", ErrFrameTooLarge, n, limit)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	return wire.Kind(h[0]), n, nil
+}
+
+// recvMessage decodes one n-byte frame payload off r into m. A transport
+// failure is returned as such; a payload that arrived whole but is
+// malformed is skipped, so the connection stays in step, and reported
+// through bad.
+func recvMessage(d *wire.Decoder, r io.Reader, n int, m interface{ Unmarshal(*wire.Decoder) error }) (bad, err error) {
+	d.ResetStream(r, n)
+	if bad = m.Unmarshal(d); bad == nil {
+		return nil, nil
 	}
-	return wire.Kind(hdr[0]), payload, nil
+	if err := d.ReadErr(); err != nil {
+		return nil, err
+	}
+	return bad, d.Drain()
 }
 
 // TenantSpec is one tenant's slice of a multi-tenant server: its roster
@@ -132,8 +170,11 @@ type Server struct {
 	stats comm.Stats
 
 	views  []*TenantView
-	chunks []chan []byte // per-global-slot streamed ModelChunk frames
+	chunks []chan chunkArrival // per-global-slot streamed ModelChunks
 	done   chan struct{}
+
+	ackMu  sync.Mutex
+	ackEnc wire.Encoder // chunk acks; under ackMu
 
 	mu       sync.Mutex
 	conns    []net.Conn    // indexed by global slot, swapped on resume
@@ -154,15 +195,29 @@ type TenantView struct {
 	n        int // roster size
 	arrivals chan arrival
 	ledger   *comm.Ledger
+
+	sendMu sync.Mutex   // one dispatch at a time: its encoded model is shared by the writers
+	enc    wire.Encoder // the dispatch's model, encoded once; under sendMu
+	segs   [][]byte     // that encoding's slices; under sendMu
 }
 
-// arrival is one incoming update frame, or a connection event, tagged by
-// global client slot and connection generation.
+// arrival is one incoming update, decoded by its connection's reader, or
+// a connection event, tagged by global client slot and connection
+// generation.
 type arrival struct {
-	client  int // global slot
-	gen     int
-	payload []byte
-	err     error // connection-level failure (read error, bad frame kind)
+	client int // global slot
+	gen    int
+	update *wire.LocalUpdate
+	size   int   // frame payload bytes, for the traffic counters
+	err    error // connection-level failure (read error, bad frame kind)
+	bad    error // the frame arrived whole but did not decode
+}
+
+// chunkArrival is one streamed chunk, decoded by its connection's reader.
+type chunkArrival struct {
+	chunk *wire.ModelChunk
+	size  int
+	bad   error
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0") and returns it
@@ -197,11 +252,11 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	for i := range deadGen {
 		deadGen[i] = -1
 	}
-	chunks := make([]chan []byte, total)
+	chunks := make([]chan chunkArrival, total)
 	for i := range chunks {
 		// Capacity 4 holds the window-1 steady state plus a retransmit
 		// racing its late ack, matching comm.ChunkPipe.
-		chunks[i] = make(chan []byte, 4)
+		chunks[i] = make(chan chunkArrival, 4)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -296,18 +351,20 @@ func (s *Server) Accept() error {
 // client ID against the tenant table and returning the global slot. An
 // unknown tenant or out-of-range client id is an error, never a panic.
 func (s *Server) readJoin(conn net.Conn) (*wire.Join, int, error) {
-	kind, payload, err := readFrame(conn)
+	var hdr frameHeader
+	kind, n, err := hdr.read(conn, maxJoinFrame)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rpc: join read: %w", err)
 	}
-	s.stats.AddRecv(len(payload))
 	if kind != wire.KindJoin {
 		return nil, 0, fmt.Errorf("rpc: expected Join, got %v", kind)
 	}
 	var join wire.Join
-	if err := join.Unmarshal(wire.NewDecoder(payload)); err != nil {
-		return nil, 0, fmt.Errorf("rpc: join decode: %w", err)
+	var dec wire.Decoder
+	if bad, err := recvMessage(&dec, conn, n, &join); err != nil || bad != nil {
+		return nil, 0, fmt.Errorf("rpc: join decode: %w", errors.Join(bad, err))
 	}
+	s.stats.AddRecv(n)
 	slot, err := s.table.Route(join.TenantID, join.ClientID)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rpc: join rejected: %w", err)
@@ -325,9 +382,8 @@ func (s *Server) ackJoin(conn net.Conn, slot int) error {
 		Rounds:     uint32(spec.Rounds),
 		ModelSize:  uint64(spec.ModelSize),
 	}
-	e := wire.NewEncoder(nil)
-	ack.Marshal(e)
-	if err := writeFrame(conn, wire.KindJoinAck, e.Bytes()); err != nil {
+	var e wire.Encoder
+	if err := writeFrame(conn, wire.KindJoinAck, len(e.Encode(&ack)), e.Bytes()); err != nil {
 		return fmt.Errorf("rpc: join ack: %w", err)
 	}
 	s.stats.AddSent(e.Len())
@@ -377,34 +433,46 @@ func (s *Server) acceptResumes() {
 	}
 }
 
-// readLoop pumps every frame from one client connection into the owning
-// tenant's arrival channel. On a connection error it posts one tagged
-// failure event and exits; collect decides whether that event matters (an
-// open obligation on the current connection) or is ordinary teardown
-// noise.
+// readLoop pumps every frame from one client connection, decoded, into
+// the owning tenant's arrival channel. Each connection's reader decodes
+// its own frames straight off the socket into recycled messages (see
+// comm.NewUpdate), so a cohort's uploads deserialize side by side and a
+// dense vector is written exactly once, where the fold will read it. On
+// a connection error it posts one tagged failure event and exits; collect
+// decides whether that event matters (an open obligation on the current
+// connection) or is ordinary teardown noise.
 func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 	t, _ := s.table.Owner(slot)
 	view := s.views[t]
+	limit := frameLimit(s.specs[t].ModelSize)
+	var hdr frameHeader
+	var dec wire.Decoder
 	for {
-		kind, payload, err := readFrame(conn)
+		kind, n, err := hdr.read(conn, limit)
 		if err == nil && kind == wire.KindModelChunk {
 			// Streamed chunks bypass the arrival channel (and the
 			// obligation ledger): StreamGather drains them per client.
-			select {
-			case s.chunks[slot] <- payload:
-			case <-s.done:
-				return
+			ca := chunkArrival{chunk: comm.NewChunk(), size: n}
+			if ca.bad, err = recvMessage(&dec, conn, n, ca.chunk); err == nil {
+				select {
+				case s.chunks[slot] <- ca:
+				case <-s.done:
+					return
+				}
+				continue
 			}
-			continue
 		}
-		var a arrival
+		a := arrival{client: slot, gen: gen}
 		switch {
 		case err != nil:
-			a = arrival{client: slot, gen: gen, err: fmt.Errorf("rpc: gather from client %d: %w", slot, err)}
+			a.err = fmt.Errorf("rpc: gather from client %d: %w", slot, err)
 		case kind != wire.KindLocalUpdate:
-			a = arrival{client: slot, gen: gen, err: fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", slot, kind)}
+			a.err = fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", slot, kind)
 		default:
-			a = arrival{client: slot, gen: gen, payload: payload}
+			a.update, a.size = comm.NewUpdate(), n
+			if a.bad, err = recvMessage(&dec, conn, n, a.update); err != nil {
+				a.err = fmt.Errorf("rpc: gather from client %d: %w", slot, err)
+			}
 		}
 		select {
 		case view.arrivals <- a:
@@ -467,15 +535,15 @@ func (v *TenantView) Unreachable() []int {
 }
 
 // Broadcast sends the global model to every client of this tenant
-// concurrently. Per-client serialization happens independently, as gRPC
-// marshals per call.
+// concurrently.
 func (v *TenantView) Broadcast(m *wire.GlobalModel) error {
 	return v.SendTo(comm.AllClients(v.n), m)
 }
 
 // SendTo sends the global model to the listed clients (tenant-local ids)
 // concurrently. Each non-final model opens an obligation for the client's
-// reply.
+// reply. The model is serialized before SendTo returns, so the caller may
+// reuse its storage.
 func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 	const kind = wire.KindGlobalModel
 	s := v.s
@@ -502,17 +570,22 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 			return fmt.Errorf("rpc: %w", err)
 		}
 	}
+	// The model is serialized once, its weights left where they are; every
+	// per-client writer sends the same slices, which stay untouched until
+	// the last writer has returned.
+	v.sendMu.Lock()
+	defer v.sendMu.Unlock()
+	v.segs = v.enc.EncodeVectored(m, v.segs)
+	payload, size := v.segs, v.enc.Len()
 	errs := make([]error, len(clients))
 	var wg sync.WaitGroup
 	for i, c := range clients {
 		wg.Add(1)
 		go func(i, c int) {
 			defer wg.Done()
-			e := wire.NewEncoder(nil)
-			m.Marshal(e)
 			g := v.off + c
 			conn := s.conn(g)
-			err := writeFrame(conn, kind, e.Bytes())
+			err := writeFrame(conn, kind, size, payload...)
 			if err != nil {
 				// The write may have raced a session resume (the client
 				// dropped this connection as it spliced in a new one).
@@ -520,7 +593,7 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 				// once on the fresh connection; a client that never
 				// resumes keeps the original error.
 				if fresh := s.awaitFresh(g, conn); fresh != nil {
-					err = writeFrame(fresh, kind, e.Bytes())
+					err = writeFrame(fresh, kind, size, payload...)
 				}
 			}
 			if err != nil {
@@ -533,7 +606,7 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 				}
 				return
 			}
-			s.stats.AddSent(e.Len())
+			s.stats.AddSent(size)
 		}(i, c)
 	}
 	wg.Wait()
@@ -575,19 +648,21 @@ func (v *TenantView) collect(n int, timer <-chan time.Time) ([]*wire.LocalUpdate
 			}
 			continue
 		}
-		s.stats.AddRecv(len(a.payload))
-		var u wire.LocalUpdate
-		if err := u.Unmarshal(wire.NewDecoder(a.payload)); err != nil {
-			return nil, fmt.Errorf("rpc: update decode from client %d: %w", local, err)
+		s.stats.AddRecv(a.size)
+		u := a.update
+		if a.bad != nil {
+			return nil, fmt.Errorf("rpc: update decode from client %d: %w", local, a.bad)
 		}
 		if int(u.TenantID) != v.tenant {
 			return nil, fmt.Errorf("rpc: update from client %d carries tenant %d, connection belongs to tenant %d",
 				local, u.TenantID, v.tenant)
 		}
 		if !v.ledger.Admit(local, u.Round) {
-			continue // late update for a forgiven round: discard
+			// Late update for a forgiven round: discard.
+			comm.ReleaseUpdate(u)
+			continue
 		}
-		out = append(out, &u)
+		out = append(out, u)
 	}
 	return out, nil
 }
@@ -702,6 +777,12 @@ func (s *Server) Close() error {
 }
 
 // Client is the comm.ClientTransport over TCP.
+//
+// The client keeps its encoder, its decoder and the GlobalModel it decodes
+// into across rounds, so a steady run does not allocate per message; a
+// dense vector goes from its []float64 to the socket and from the socket
+// to its []float64 without a frame-sized buffer in between. One goroutine
+// sends and one receives at a time (the client loop does both).
 type Client struct {
 	id     uint32
 	tenant uint32
@@ -709,6 +790,13 @@ type Client struct {
 	addr   string
 	ack    wire.JoinAck
 	stats  comm.Stats
+
+	enc    wire.Encoder     // uplink messages
+	segs   [][]byte         // the current uplink message's slices
+	hdr    frameHeader      // downlink frame headers
+	dec    wire.Decoder     // downlink payloads, off the connection
+	global wire.GlobalModel // what RecvGlobal returns; recycled per call
+	limit  int              // downlink frame bound, from the JoinAck
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -740,14 +828,14 @@ func (c *Client) dial(resume bool) error {
 		return err
 	}
 	join := wire.Join{ClientID: c.id, Name: c.name, Resume: resume, TenantID: c.tenant}
-	e := wire.NewEncoder(nil)
-	join.Marshal(e)
-	if err := writeFrame(conn, wire.KindJoin, e.Bytes()); err != nil {
+	var e wire.Encoder
+	if err := writeFrame(conn, wire.KindJoin, len(e.Encode(&join)), e.Bytes()); err != nil {
 		conn.Close()
 		return fmt.Errorf("rpc: join send: %w", err)
 	}
 	c.stats.AddSent(e.Len())
-	kind, payload, err := readFrame(conn)
+	var hdr frameHeader
+	kind, n, err := hdr.read(conn, maxJoinFrame)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("rpc: join ack read: %w", err)
@@ -756,13 +844,15 @@ func (c *Client) dial(resume bool) error {
 		conn.Close()
 		return fmt.Errorf("rpc: expected JoinAck, got %v", kind)
 	}
-	c.stats.AddRecv(len(payload))
-	if err := c.ack.Unmarshal(wire.NewDecoder(payload)); err != nil {
+	var dec wire.Decoder
+	if bad, err := recvMessage(&dec, conn, n, &c.ack); err != nil || bad != nil {
 		conn.Close()
-		return fmt.Errorf("rpc: join ack decode: %w", err)
+		return fmt.Errorf("rpc: join ack decode: %w", errors.Join(bad, err))
 	}
+	c.stats.AddRecv(n)
 	c.mu.Lock()
 	c.conn = conn
+	c.limit = frameLimit(int(c.ack.ModelSize))
 	c.mu.Unlock()
 	return nil
 }
@@ -805,9 +895,29 @@ func (c *Client) current() net.Conn {
 // Config returns the run configuration received at join time.
 func (c *Client) Config() wire.JoinAck { return c.ack }
 
-// RecvGlobal blocks for the next global model.
+// recv reads the next downlink frame off conn: its kind, and — when the
+// kind is the one the caller waits for — its payload decoded into m.
+func (c *Client) recv(conn net.Conn, want wire.Kind, m interface{ Unmarshal(*wire.Decoder) error }) (wire.Kind, error) {
+	c.mu.Lock()
+	limit := c.limit
+	c.mu.Unlock()
+	kind, n, err := c.hdr.read(conn, limit)
+	if err != nil || kind != want {
+		return kind, err
+	}
+	bad, err := recvMessage(&c.dec, conn, n, m)
+	if err != nil || bad != nil {
+		return kind, errors.Join(bad, err)
+	}
+	c.stats.AddRecv(n)
+	return kind, nil
+}
+
+// RecvGlobal blocks for the next global model. The returned model is
+// decoded into storage the client keeps, and is valid until the next
+// RecvGlobal.
 func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
-	kind, payload, err := readFrame(c.current())
+	kind, err := c.recv(c.current(), wire.KindGlobalModel, &c.global)
 	if err != nil {
 		return nil, err
 	}
@@ -817,24 +927,25 @@ func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
 	if kind != wire.KindGlobalModel {
 		return nil, fmt.Errorf("rpc: expected GlobalModel, got %v", kind)
 	}
-	c.stats.AddRecv(len(payload))
-	var m wire.GlobalModel
-	if err := m.Unmarshal(wire.NewDecoder(payload)); err != nil {
-		return nil, err
+	return &c.global, nil
+}
+
+// send frames m and writes it in one vectored call, its large vectors
+// straight from where they are.
+func (c *Client) send(kind wire.Kind, m wire.Marshaler) error {
+	c.segs = c.enc.EncodeVectored(m, c.segs)
+	if err := writeFrame(c.current(), kind, c.enc.Len(), c.segs...); err != nil {
+		return err
 	}
-	return &m, nil
+	c.stats.AddSent(c.enc.Len())
+	return nil
 }
 
 // SendUpdate uploads the local update, stamped with this client's tenant.
+// The update is on the wire when SendUpdate returns.
 func (c *Client) SendUpdate(m *wire.LocalUpdate) error {
 	m.TenantID = c.tenant
-	e := wire.NewEncoder(nil)
-	m.Marshal(e)
-	if err := writeFrame(c.current(), wire.KindLocalUpdate, e.Bytes()); err != nil {
-		return err
-	}
-	c.stats.AddSent(e.Len())
-	return nil
+	return c.send(wire.KindLocalUpdate, m)
 }
 
 // Stats returns the traffic snapshot.

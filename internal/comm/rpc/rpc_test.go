@@ -2,6 +2,8 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -11,10 +13,22 @@ import (
 	"repro/internal/wire"
 )
 
+// readFrame reads one frame at the loose bound, payload and all.
+func readFrame(r io.Reader) (wire.Kind, []byte, error) {
+	var hdr frameHeader
+	kind, n, err := hdr.read(r, maxFrame)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, n)
+	_, err = io.ReadFull(r, payload)
+	return kind, payload, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, wire.KindLocalUpdate, payload); err != nil {
+	if err := writeFrame(&buf, wire.KindLocalUpdate, len(payload), payload); err != nil {
 		t.Fatal(err)
 	}
 	kind, got, err := readFrame(&buf)
@@ -28,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, wire.KindShutdown, nil); err != nil {
+	if err := writeFrame(&buf, wire.KindShutdown, 0); err != nil {
 		t.Fatal(err)
 	}
 	kind, got, err := readFrame(&buf)
@@ -46,7 +60,7 @@ func TestFrameTruncatedHeader(t *testing.T) {
 
 func TestFrameTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, wire.KindJoin, []byte{1, 2, 3}); err != nil {
+	if err := writeFrame(&buf, wire.KindJoin, 3, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()[:6] // header(5) + 1 of 3 payload bytes
@@ -58,7 +72,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 func TestFrameOversizedRejected(t *testing.T) {
 	// Hand-craft a header announcing 2 GiB.
 	hdr := []byte{1, 0x80, 0, 0, 0}
-	if _, _, err := readFrame(bytes.NewBuffer(hdr)); err != ErrFrameTooLarge {
+	if _, _, err := readFrame(bytes.NewBuffer(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame error = %v", err)
 	}
 }
@@ -66,46 +80,7 @@ func TestFrameOversizedRejected(t *testing.T) {
 // startCluster brings up a server with n clients over loopback TCP.
 func startCluster(t *testing.T, n int) (*Server, []*Client) {
 	t.Helper()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{NumClients: n, Rounds: 5, ModelSize: 10, AcceptTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acceptDone := make(chan error, 1)
-	go func() { acceptDone <- srv.Accept() }()
-	clients := make([]*Client, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var dialErr error
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(srv.Addr(), uint32(i), "test-client")
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				dialErr = err
-				return
-			}
-			clients[i] = c
-		}(i)
-	}
-	wg.Wait()
-	if dialErr != nil {
-		t.Fatal(dialErr)
-	}
-	if err := <-acceptDone; err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	})
-	return srv, clients
+	return dialCluster(t, n, 10)
 }
 
 func TestJoinHandshakeDeliversConfig(t *testing.T) {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -20,18 +21,17 @@ func (s *Server) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	if client < 0 || client >= s.cfg.NumClients {
 		return nil, fmt.Errorf("rpc: chunk receive from unknown client %d", client)
 	}
-	var payload []byte
+	var ca chunkArrival
 	select {
-	case payload = <-s.chunks[client]:
+	case ca = <-s.chunks[client]:
 	case <-s.done:
 		return nil, fmt.Errorf("rpc: server closed while awaiting chunk from client %d", client)
 	}
-	s.stats.AddRecv(len(payload))
-	var mc wire.ModelChunk
-	if err := mc.Unmarshal(wire.NewDecoder(payload)); err != nil {
-		return nil, fmt.Errorf("rpc: chunk decode from client %d: %w", client, err)
+	s.stats.AddRecv(ca.size)
+	if ca.bad != nil {
+		return nil, fmt.Errorf("rpc: chunk decode from client %d: %w", client, ca.bad)
 	}
-	return &mc, nil
+	return ca.chunk, nil
 }
 
 // SendChunkAck acknowledges one folded chunk back to its sender.
@@ -39,24 +39,18 @@ func (s *Server) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.cfg.NumClients {
 		return fmt.Errorf("rpc: chunk ack to unknown client %d", client)
 	}
-	e := wire.NewEncoder(nil)
-	a.Marshal(e)
-	if err := writeFrame(s.conn(client), wire.KindChunkAck, e.Bytes()); err != nil {
+	s.ackMu.Lock()
+	defer s.ackMu.Unlock()
+	if err := writeFrame(s.conn(client), wire.KindChunkAck, len(s.ackEnc.Encode(a)), s.ackEnc.Bytes()); err != nil {
 		return fmt.Errorf("rpc: chunk ack to client %d: %w", client, err)
 	}
-	s.stats.AddSent(e.Len())
+	s.stats.AddSent(s.ackEnc.Len())
 	return nil
 }
 
 // SendChunk uploads one model chunk.
 func (c *Client) SendChunk(mc *wire.ModelChunk) error {
-	e := wire.NewEncoder(nil)
-	mc.Marshal(e)
-	if err := writeFrame(c.current(), wire.KindModelChunk, e.Bytes()); err != nil {
-		return err
-	}
-	c.stats.AddSent(e.Len())
-	return nil
+	return c.send(wire.KindModelChunk, mc)
 }
 
 // RecvChunkAck blocks for the next chunk ack; a positive timeout is
@@ -70,20 +64,17 @@ func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 		}
 		defer conn.SetReadDeadline(time.Time{})
 	}
-	kind, payload, err := readFrame(conn)
+	var a wire.ChunkAck
+	kind, err := c.recv(conn, wire.KindChunkAck, &a)
 	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
 			return nil, comm.ErrAckTimeout
 		}
 		return nil, err
 	}
 	if kind != wire.KindChunkAck {
 		return nil, fmt.Errorf("rpc: expected ChunkAck, got %v", kind)
-	}
-	c.stats.AddRecv(len(payload))
-	var a wire.ChunkAck
-	if err := a.Unmarshal(wire.NewDecoder(payload)); err != nil {
-		return nil, err
 	}
 	return &a, nil
 }

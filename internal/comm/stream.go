@@ -34,7 +34,8 @@ type ChunkSender interface {
 
 // ChunkGatherer is a server transport that can receive chunked uploads.
 type ChunkGatherer interface {
-	// RecvChunkFrom blocks for the next chunk from one client.
+	// RecvChunkFrom blocks for the next chunk from one client. The chunk
+	// is the caller's until it hands it to ReleaseChunk (see recycle.go).
 	RecvChunkFrom(client int) (*wire.ModelChunk, error)
 	// SendChunkAck acknowledges one folded chunk back to its sender.
 	SendChunkAck(client int, a *wire.ChunkAck) error
@@ -172,6 +173,7 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 
 	count := wire.ChunkPlan(dim, chunkSize)
 	st := &StreamStats{Samples: make([]uint64, len(clients))}
+	window := make([]*wire.ModelChunk, len(clients))
 	payloads := make([]*wire.Payload, len(clients))
 	resident := 0
 	for c := 0; c < count; c++ {
@@ -187,7 +189,7 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 				return st, fmt.Errorf("comm: client %d chunk %d changed NumSamples %d -> %d mid-stream",
 					client, c, st.Samples[i], mc.NumSamples)
 			}
-			payloads[i] = mc.Payload
+			window[i], payloads[i] = mc, mc.Payload
 			resident += mc.Payload.EncodedLen()
 		}
 		if resident > st.PeakBytes {
@@ -208,7 +210,10 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 				return st, err
 			}
 			resident -= payloads[i].EncodedLen()
-			payloads[i] = nil // release: the window rotates
+			// Folded and acked: the window rotates, and the chunk's storage
+			// goes back for the next one.
+			ReleaseChunk(window[i])
+			window[i], payloads[i] = nil, nil
 		}
 	}
 	return st, nil
@@ -235,6 +240,7 @@ func recvExpected(g ChunkGatherer, client int, round uint32, c, count, dim, lo, 
 			// lost. Re-ack so the sender advances; never fold twice.
 			st.Duplicates++
 			ack := wire.ChunkAck{ClientID: uint32(client), Round: round, Index: mc.Index}
+			ReleaseChunk(mc)
 			if err := g.SendChunkAck(client, &ack); err != nil {
 				return nil, err
 			}

@@ -16,6 +16,12 @@ import (
 // global model it performs local training on private data and produces the
 // update to upload. User-defined algorithms implement LocalUpdate the same
 // way APPFL users override BaseClient.update().
+//
+// The returned update may alias the client's own state (FedAvg releases
+// its working vector in place), so it is valid until the next LocalUpdate:
+// upload or copy it before training again. Every transport has serialized
+// an update by the time SendUpdate returns, which is what lets the round
+// loops skip a per-round copy of the model.
 type ClientAlgorithm interface {
 	LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error)
 }
@@ -91,7 +97,7 @@ func (c *BaseClient) gradAt(z []float64, b dataset.Batch) []float64 {
 	nn.ZeroGrad(c.Model)
 	logits := c.Model.Forward(b.X)
 	_, d := nn.CrossEntropy(logits, b.Labels)
-	c.Model.Backward(d)
+	nn.BackwardParams(c.Model, d)
 	c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
 	c.Pipe.GradHook(c.gradBuf)
 	return c.gradBuf
@@ -115,7 +121,7 @@ func (c *BaseClient) fullGrad(z []float64) []float64 {
 		nn.ZeroGrad(c.Model)
 		logits := c.Model.Forward(b.X)
 		_, d := nn.CrossEntropy(logits, b.Labels)
-		c.Model.Backward(d)
+		nn.BackwardParams(c.Model, d)
 		c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
 		for i, g := range c.gradBuf {
 			sum[i] += g * float64(bs)
@@ -207,7 +213,8 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	if err := c.releasePrimal(append([]float64(nil), c.z...), m); err != nil {
+	// z restarts from w every round, so it is released in place: no copy.
+	if err := c.releasePrimal(c.z, m); err != nil {
 		return nil, err
 	}
 	m.ComputeSec = time.Since(start).Seconds()

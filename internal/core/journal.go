@@ -162,8 +162,11 @@ func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip ma
 		rec.ClientID = u.ClientID
 		rec.NumSamples = u.NumSamples
 		rec.BaseVersion = u.BaseVersion
-		rec.Primal = append(rec.Primal, u.Primal...)
+		// Borrowed for the append, which encodes before it returns: an
+		// 8 MB admit is serialized straight from the update.
+		rec.Primal = u.Primal
 		jw.append(rec)
+		rec.Primal = nil
 	}
 }
 

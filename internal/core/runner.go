@@ -675,6 +675,9 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 			return err
 		}
 		rs := RoundStats{Round: t, ComputeSec: maxCompute, CohortSize: len(data)}
+		// Folded and committed: nothing reads the batch again, so its
+		// storage goes back to the transports for the next round's decode.
+		comm.ReleaseUpdates(data)
 		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, wbuf, progress)
 	}
 	return nil
@@ -766,6 +769,7 @@ func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipel
 		return err
 	}
 	rs := RoundStats{Round: p.Round, ComputeSec: maxCompute, CohortSize: len(data)}
+	comm.ReleaseUpdates(fresh)
 	recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, nil, progress)
 	return nil
 }
@@ -1077,6 +1081,7 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 			}
 		}
 		rs := RoundStats{Round: rel, ComputeSec: maxCompute, CohortSize: len(data)}
+		comm.ReleaseUpdates(data) // folded, committed, re-dispatched from: see runBarrierRounds
 		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, wbuf, progress)
 		// The after-dispatch window sits at the end of the iteration so the
 		// committed release's stats are recorded before the kill lands —

@@ -68,19 +68,19 @@ type Fig4Result struct {
 	SerializeBps float64
 }
 
-// measureCodecThroughput encodes+decodes one paper-scale update and
-// returns the achieved bytes/second (counting the payload once).
+// measureCodecThroughput encodes+decodes one paper-scale update the way
+// the rpc transport does — Encoder.Encode on a kept encoder, Unmarshal
+// into a recycled message — and returns the achieved bytes/second
+// (counting the payload once). The first repetition sizes the buffers, as
+// a connection's first round does.
 func measureCodecThroughput(dim int) float64 {
 	u := wire.LocalUpdate{Primal: make([]float64, dim)}
-	e := wire.NewEncoder(make([]byte, 0, dim*8+64))
-	// Warm-up + measure over a few repetitions using the wall clock.
+	var e wire.Encoder
+	var out wire.LocalUpdate
 	reps := 3
 	start := nowSec()
 	for i := 0; i < reps; i++ {
-		e = wire.NewEncoder(e.Bytes())
-		u.Marshal(e)
-		var out wire.LocalUpdate
-		if err := out.Unmarshal(wire.NewDecoder(e.Bytes())); err != nil {
+		if err := out.Unmarshal(wire.NewDecoder(e.Encode(&u))); err != nil {
 			panic(err)
 		}
 	}

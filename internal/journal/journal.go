@@ -69,7 +69,7 @@ type Journal struct {
 	wal       *os.File
 	seq       uint64 // last assigned sequence number
 	recovered *Recovered
-	enc       *wire.Encoder
+	enc       wire.Encoder
 	hdr       [8]byte
 }
 
@@ -80,7 +80,7 @@ func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
 	}
-	j := &Journal{dir: dir, enc: wire.NewEncoder(nil)}
+	j := &Journal{dir: dir}
 	rec := &Recovered{}
 	cp, err := loadCheckpoint(filepath.Join(dir, checkpointName))
 	if err != nil {
@@ -192,9 +192,7 @@ func (j *Journal) Append(rec *wire.JournalRecord) error {
 		return fmt.Errorf("journal: append on a closed journal")
 	}
 	rec.Seq = j.seq + 1
-	j.enc.Reset()
-	rec.Marshal(j.enc)
-	payload := j.enc.Bytes()
+	payload := j.enc.Encode(rec)
 	if len(payload) > maxFrame {
 		return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", len(payload))
 	}
@@ -225,9 +223,7 @@ func (j *Journal) Checkpoint(cp *wire.JournalCheckpoint) error {
 		return fmt.Errorf("journal: checkpoint on a closed journal")
 	}
 	cp.Seq = j.seq
-	j.enc.Reset()
-	cp.Marshal(j.enc)
-	payload := j.enc.Bytes()
+	payload := j.enc.Encode(cp)
 	buf := make([]byte, 0, len(checkpointMagic)+8+len(payload))
 	buf = append(buf, checkpointMagic...)
 	var frame [8]byte

@@ -57,15 +57,20 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward accumulates dW = dyᵀ·x, db = Σ dy and returns dx = dy·W.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(dy)
+	return tensor.MatMul(dy, l.Weight.Value)
+}
+
+// backwardParams is Backward without the dy·W product.
+func (l *Linear) backwardParams(dy *tensor.Tensor) {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	l.Weight.Grad.AddInPlace(tensor.MatMulTransA(dy, l.lastInput))
+	l.Weight.Grad.AddMatMulTransA(dy, l.lastInput)
 	n := dy.Dim(0)
 	for i := 0; i < n; i++ {
 		l.Bias.Grad.AddInPlace(dy.Row(i))
 	}
-	return tensor.MatMul(dy, l.Weight.Value)
 }
 
 // Params returns the layer's weight and bias.
@@ -121,11 +126,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward accumulates weight/bias gradients and returns dx.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
+
+// backwardParams is Backward without the col2im scatter that forms dx.
+func (c *Conv2D) backwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
+
+func (c *Conv2D) backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if c.lastInput == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	dx, dw, db := tensor.Conv2DBackward(dy, c.lastInput, c.Weight.Value, c.lastCols, true, c.Stride, c.Pad)
+	dx, dw, db := tensor.Conv2DBackward(dy, c.lastInput, c.Weight.Value, c.lastCols, true, needDx, c.Stride, c.Pad)
 	c.Weight.Grad.AddInPlace(dw)
 	c.Bias.Grad.AddInPlace(db)
 	return dx
@@ -254,6 +264,36 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		dy = s.Layers[i].Backward(dy)
 	}
 	return dy
+}
+
+// BackwardParams is m.Backward(dy) for callers that read only the
+// parameter gradients (training steps, the gradient-inversion attack):
+// every Parameter.Grad ends bit-identical to Backward's, but in a
+// Sequential the gradient with respect to the model input — which nobody
+// below the first parameterised layer consumes — is never formed. That
+// skips the first Linear's dy·W product or the first Conv2D's col2im, and
+// the parameter-free layers beneath them.
+func BackwardParams(m Module, dy *tensor.Tensor) {
+	s, ok := m.(*Sequential)
+	if !ok {
+		m.Backward(dy)
+		return
+	}
+	first := 0
+	for first < len(s.Layers) && len(s.Layers[first].Params()) == 0 {
+		first++
+	}
+	for i := len(s.Layers) - 1; i > first; i-- {
+		dy = s.Layers[i].Backward(dy)
+	}
+	if first == len(s.Layers) {
+		return
+	}
+	if l, ok := s.Layers[first].(interface{ backwardParams(*tensor.Tensor) }); ok {
+		l.backwardParams(dy)
+	} else {
+		s.Layers[first].Backward(dy)
+	}
 }
 
 // Params concatenates all layer parameters in order.

@@ -335,3 +335,42 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 		m.Backward(d)
 	}
 }
+
+// TestBackwardParamsBitIdentical: skipping the input gradient nobody reads
+// leaves every parameter gradient exactly as Backward computes it — for a
+// model that opens with a Conv2D, one that opens with Flatten→Linear, and
+// a non-Sequential module (which falls back to Backward).
+func TestBackwardParamsBitIdentical(t *testing.T) {
+	r := rng.New(11)
+	cases := []struct {
+		name   string
+		m      Module
+		x      *tensor.Tensor
+		labels []int
+	}{
+		{"cnn", NewCNN(CNNConfig{InChannels: 1, Height: 8, Width: 8, Classes: 3, Conv1: 2, Conv2: 3, Kernel: 3, Hidden: 8}, r),
+			randT(r, 4, 1, 8, 8), []int{0, 2, 1, 1}},
+		{"mlp", NewMLP(10, []int{6, 5}, 4, r), randT(r, 3, 10), []int{1, 0, 3}},
+		{"bare-linear", NewLinear(10, 4, r), randT(r, 3, 10), []int{1, 0, 3}},
+	}
+	for _, c := range cases {
+		grads := func(backward func(dy *tensor.Tensor)) []float64 {
+			ZeroGrad(c.m)
+			_, d := CrossEntropy(c.m.Forward(c.x), c.labels)
+			backward(d)
+			return FlattenGrads(c.m, nil)
+		}
+		want := grads(func(dy *tensor.Tensor) { c.m.Backward(dy) })
+		got := grads(func(dy *tensor.Tensor) { BackwardParams(c.m, dy) })
+		nonzero := false
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: gradient %d is %v via BackwardParams, %v via Backward", c.name, i, got[i], want[i])
+			}
+			nonzero = nonzero || want[i] != 0
+		}
+		if !nonzero {
+			t.Fatalf("%s: all-zero gradient proves nothing", c.name)
+		}
+	}
+}

@@ -133,15 +133,18 @@ func Conv2DForward(x, weight, bias *Tensor, stride, pad int) (y *Tensor, cols []
 // Conv2DBackward computes gradients for the batched convolution given the
 // upstream gradient dy [N, Cout, OH, OW] and the im2col matrices from the
 // forward pass. It returns dx [N, Cin, H, W], dWeight, and dBias; dBias is
-// nil when bias was nil.
-func Conv2DBackward(dy, x, weight *Tensor, cols []*Tensor, hasBias bool, stride, pad int) (dx, dWeight, dBias *Tensor) {
+// nil when bias was nil, and dx is nil (its wᵀ·dy product and col2im
+// scatter skipped) when needDx is false.
+func Conv2DBackward(dy, x, weight *Tensor, cols []*Tensor, hasBias, needDx bool, stride, pad int) (dx, dWeight, dBias *Tensor) {
 	n, cin, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	cout, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
 	oh := ConvOut(h, kh, stride, pad)
 	ow := ConvOut(w, kw, stride, pad)
 	plane := oh * ow
 
-	dx = New(n, cin, h, w)
+	if needDx {
+		dx = New(n, cin, h, w)
+	}
 	dWeight = New(weight.shape...)
 	if hasBias {
 		dBias = New(cout)
@@ -193,6 +196,9 @@ func Conv2DBackward(dy, x, weight *Tensor, cols []*Tensor, hasBias bool, stride,
 						}
 						partialB[wk].data[co] += s
 					}
+				}
+				if !needDx {
+					continue
 				}
 				// dcols = wᵀ · dy, then scatter back to image space.
 				dcols := MatMulTransA(wMat, dyMat)

@@ -84,20 +84,48 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	}
 	n := b.shape[1]
 	out := New(m, n)
+	matMulTransAInto(out.data, a.data, b.data, k, m, n)
+	return out
+}
+
+// matMulTransAInto accumulates Aᵀ·B into out [m,n], which the caller has
+// zeroed, for A [k,m] and B [k,n].
+func matMulTransAInto(out, a, b []float64, k, m, n int) {
 	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n]
+		ap := a[p*m : (p+1)*m]
+		bp := b[p*n : (p+1)*n]
 		for i, av := range ap {
 			if av == 0 {
 				continue
 			}
-			ci := out.data[i*n : (i+1)*n]
+			ci := out[i*n : (i+1)*n]
 			for j, bv := range bp {
 				ci[j] += av * bv
 			}
 		}
 	}
-	return out
+}
+
+// AddMatMulTransA adds Aᵀ·B to t — bit for bit t.AddInPlace(MatMulTransA(a,
+// b)), with the product formed in pooled scratch instead of a fresh tensor.
+// A Linear layer's weight gradient is as large as the layer, so a training
+// step would otherwise allocate (and fault in) a model-sized temporary per
+// layer per batch.
+func (t *Tensor) AddMatMulTransA(a, b *Tensor) {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic("tensor: AddMatMulTransA requires rank-2 operands")
+	}
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	if b.shape[0] != k || t.Rank() != 2 || t.shape[0] != m || t.shape[1] != n {
+		panic(fmt.Sprintf("tensor: AddMatMulTransA dimension mismatch %v += %vᵀ x %v", t.shape, a.shape, b.shape))
+	}
+	prod := GetF64(m * n)
+	clear(prod)
+	matMulTransAInto(prod, a.data, b.data, k, m, n)
+	for i, v := range prod {
+		t.data[i] += v
+	}
+	PutF64(prod)
 }
 
 // MatMulTransB returns A·Bᵀ for A [m,k], B [n,k] without materializing the

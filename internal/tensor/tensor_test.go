@@ -261,6 +261,27 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 5))
 }
 
+// TestAddMatMulTransABitIdentical: accumulating through pooled scratch is
+// exactly AddInPlace of the fresh product — into a non-zero accumulator,
+// with zeros in A (which the kernel skips), and twice in a row so the
+// second call runs on recycled, dirty scratch.
+func TestAddMatMulTransABitIdentical(t *testing.T) {
+	r := rng.New(17)
+	a, b := randTensor(r, 5, 7), randTensor(r, 5, 9)
+	a.Data()[3], a.Data()[20] = 0, 0
+	want, got := randTensor(r, 7, 9), New(7, 9)
+	copy(got.Data(), want.Data())
+	for rep := 0; rep < 2; rep++ {
+		want.AddInPlace(MatMulTransA(a, b))
+		got.AddMatMulTransA(a, b)
+		for i := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("rep %d element %d: %v via scratch, %v via a fresh product", rep, i, got.Data()[i], want.Data()[i])
+			}
+		}
+	}
+}
+
 func TestMatMulTransA(t *testing.T) {
 	r := rng.New(7)
 	a := randTensor(r, 6, 4) // Aᵀ is [4,6]
@@ -401,7 +422,7 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 		return y.Dot(coef)
 	}
 	_, cols := Conv2DForward(x, w, b, stride, pad)
-	dx, dw, db := Conv2DBackward(coef, x, w, cols, true, stride, pad)
+	dx, dw, db := Conv2DBackward(coef, x, w, cols, true, true, stride, pad)
 
 	const eps = 1e-6
 	checkGrad := func(name string, param *Tensor, grad *Tensor, samples int) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"testing/iotest"
 )
 
 // The fuzz targets pin the codec's central robustness contract: no input,
@@ -406,4 +407,40 @@ func TestTruncatedKnownMessagesReturnTypedErrors(t *testing.T) {
 	if _, _, err := d.Tag(); !errors.Is(err, ErrBadTag) {
 		t.Fatalf("wire type 7: %v", err)
 	}
+}
+
+// FuzzStreamDecode: decoding a LocalUpdate while its bytes are still
+// arriving (a byte per read, a 64-byte window would not matter — the
+// decoder refills as it goes) agrees with decoding the buffered bytes on
+// every input: both fail or both succeed, and a success re-encodes to the
+// same bytes. Arbitrary input must never panic the refill logic or read
+// past the announced message.
+func FuzzStreamDecode(f *testing.F) {
+	for _, b := range seedMessages() {
+		f.Add(b)
+	}
+	f.Add([]byte{0x22, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buffered, streamed LocalUpdate
+		errB := buffered.Unmarshal(NewDecoder(data))
+		src := bytes.NewReader(append(append([]byte(nil), data...), 0xee))
+		var d Decoder
+		d.ResetStream(iotest.OneByteReader(src), len(data))
+		errS := streamed.Unmarshal(&d)
+		if (errB == nil) != (errS == nil) {
+			t.Fatalf("buffered decode: %v, streamed decode: %v", errB, errS)
+		}
+		if d.ReadErr() != nil {
+			t.Fatalf("an intact stream reported %v", d.ReadErr())
+		}
+		if err := d.Drain(); err != nil || src.Len() != 1 {
+			t.Fatalf("after decode+drain %d bytes remain (err %v), want the next frame's 1", src.Len(), err)
+		}
+		if errB == nil {
+			var e1, e2 Encoder
+			if !bytes.Equal(e1.Encode(&buffered), e2.Encode(&streamed)) {
+				t.Fatal("streamed decode differs from buffered decode")
+			}
+		}
+	})
 }

@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Encoding discriminates the vector representations a Payload can carry.
@@ -405,8 +405,12 @@ func Float16ToFloat64(h uint16) float64 {
 func (e *Encoder) Uint32s(field int, v []uint32) {
 	e.tag(field, typeBytes)
 	e.varint(uint64(4 * len(v)))
-	for _, x := range v {
-		e.buf = append(e.buf, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+	b := e.extend(4 * len(v))
+	if b == nil {
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], x)
 	}
 }
 
@@ -429,22 +433,17 @@ func (d *Decoder) Uint32sInto(dst []uint32) ([]uint32, error) {
 	}
 	dst = dst[:n]
 	for i := range dst {
-		dst[i] = uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24
+		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return dst, nil
 }
 
-// subEncoders recycles the scratch encoders behind Encoder.Message so
-// nesting a message costs a copy, not an O(size) allocation per call.
-var subEncoders = sync.Pool{New: func() any { return new(Encoder) }}
-
-// Message encodes m as a length-delimited nested message. Types that know
-// their encoded size ahead of time (Payload) should prefer EncodeInto,
-// which writes the length prefix directly and skips the copy too.
-func (e *Encoder) Message(field int, m interface{ Marshal(*Encoder) }) {
-	sub := subEncoders.Get().(*Encoder)
-	sub.Reset()
-	m.Marshal(sub)
-	e.BytesField(field, sub.Bytes())
-	subEncoders.Put(sub)
+// Message encodes m as a length-delimited nested message: a measuring
+// pass yields the length prefix and m is then written in place, so
+// nesting costs neither a scratch encoder nor a copy.
+func (e *Encoder) Message(field int, m Marshaler) {
+	e.tag(field, typeBytes)
+	total, _ := e.measure(m)
+	e.varint(uint64(total))
+	m.Marshal(e)
 }
