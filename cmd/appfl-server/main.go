@@ -1,257 +1,192 @@
 // Command appfl-server runs the federated-learning server of a real
-// cross-silo deployment over TCP RPC (the gRPC-substitute transport).
-// Start it first, then launch one appfl-client per silo with matching
-// -dataset/-algorithm/-seed flags; the shared seed is how all parties
-// agree on the initial model, exactly as APPFL distributes a common
-// starting checkpoint.
+// cross-silo deployment over TCP RPC (the gRPC-substitute transport). It
+// is flag parsing around core.Serve — the round engine the simulator and
+// every test run — so scheduling, quorum, journaling and recovery here
+// are the tested ones. Start it first, then launch one appfl-client per
+// silo: clients take the federation's plan (algorithm, hyperparameters,
+// seed, pipeline) from the server's JoinAck, so they need only an address
+// and an id. The plan's seed is how all parties agree on the initial
+// model, exactly as APPFL distributes a common starting checkpoint.
 //
 // Example (server plus two local clients):
 //
 //	appfl-server -addr :9000 -clients 2 -rounds 5 &
-//	appfl-client -addr localhost:9000 -id 0 -clients 2 &
-//	appfl-client -addr localhost:9000 -id 1 -clients 2
+//	appfl-client -addr localhost:9000 -id 0 &
+//	appfl-client -addr localhost:9000 -id 1
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	appfl "repro"
-	"repro/internal/comm"
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/journal"
 	"repro/internal/nn"
 	"repro/internal/wire"
 )
 
-func main() {
-	addr := flag.String("addr", ":9000", "listen address")
-	clients := flag.Int("clients", 2, "number of clients to wait for")
-	rounds := flag.Int("rounds", 5, "communication rounds")
-	algorithm := flag.String("algorithm", "iiadmm", "fedavg | iceadmm | iiadmm")
-	rho := flag.Float64("rho", 2, "IADMM penalty rho")
-	zeta := flag.Float64("zeta", 14, "IADMM proximity zeta")
-	train := flag.Int("train", 960, "total training samples (for validation-set seed parity)")
-	test := flag.Int("test", 240, "server-side validation samples")
-	seed := flag.Uint64("seed", 1, "shared seed (must match clients)")
-	pipe := flag.String("pipeline", "", "update-pipeline spec (must match the clients)")
-	downF16 := flag.Bool("downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
-	timeout := flag.Duration("accept-timeout", 2*time.Minute, "join deadline")
-	aggWorkers := flag.Int("agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial)")
-	aggPrecision := flag.String("agg-precision", appfl.AggF64, "aggregation accumulator precision: f64 (bit-identical default) or f32 (FedAvg family only)")
-	aggShards := flag.Int("shards", 0, "hierarchical aggregation tier width (0/1 = single aggregator; FedAvg family only, bit-identical at any width)")
-	chunk := flag.Int("chunk", 0, "gather uplinks as streamed chunks of this many coordinates (0 = monolithic; clients must pass the same -chunk)")
-	subset := flag.Float64("subset", 0, "accept LoRA-style partial uploads covering this coordinate fraction (0 = dense; clients must pass the same -subset)")
-	journalDir := flag.String("journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset/-shards)")
-	checkpointEvery := flag.Int("checkpoint-every", 10, "compact the journal every k committed rounds (0 = never)")
-	savePath := flag.String("save", "", "write the final model checkpoint here (atomic tmp+fsync+rename)")
-	tenantsPath := flag.String("tenants", "", "multi-tenant host mode: JSON config listing the federations to serve (see docs/operations.md); incompatible with per-federation flags")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	addr            string
+	acceptTimeout   time.Duration
+	journalDir      string
+	checkpointEvery int
+	save            string
+	tenantsPath     string
 
-	if *tenantsPath != "" {
-		// Tenant mode: every per-federation knob comes from the config file;
-		// only host-level flags apply. Reject silently-ignored flags loudly.
-		allowed := map[string]bool{"tenants": true, "addr": true, "accept-timeout": true, "journal": true, "checkpoint-every": true}
-		flag.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				fatal(fmt.Errorf("-%s does not apply in -tenants mode; set per-tenant options in %s", f.Name, *tenantsPath))
-			}
-		})
-		runTenantHost(*tenantsPath, *addr, *timeout, *journalDir, *checkpointEvery)
-		return
-	}
-
-	cfg := appfl.Config{Algorithm: *algorithm, Rounds: *rounds, Rho: *rho, Zeta: *zeta, Seed: *seed, Pipeline: *pipe, AggWorkers: *aggWorkers, AggPrecision: *aggPrecision, AggShards: *aggShards, StreamChunk: *chunk, SubsetFrac: *subset}.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	if *journalDir != "" && (cfg.Algorithm != appfl.AlgoFedAvg || cfg.StreamChunk > 0 || cfg.SubsetFrac > 0 || cfg.AggShards > 1) {
-		fatal(fmt.Errorf("-journal requires -algorithm fedavg without -chunk, -subset, or -shards (recovery refolds journaled dense admits)"))
-	}
-	serverPipe, err := core.NewServerPipeline(cfg)
-	if err != nil {
-		fatal(err)
-	}
-
-	// The validation set and the initial model derive from the shared seed.
-	fed := appfl.MNISTFederation(*clients, *train, *test, *seed)
-	factory := appfl.CNNFactory(appfl.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, *seed)
-	model := factory()
-	w0 := nn.FlattenParams(model, nil)
-
-	server, err := core.NewServer(cfg, w0, *clients)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Durable state: open (or re-open) the write-ahead journal and replay
-	// it. A non-empty journal means this process is a restart — the model
-	// is restored from the last commit, and an in-flight round is finished
-	// by re-dispatching it with dedup against the journaled admits.
-	var rj *roundJournal
-	var pending *core.PendingRound
-	startRound := 1
-	if *journalDir != "" {
-		jnl, err := journal.Open(*journalDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer jnl.Close()
-		rj = &roundJournal{j: jnl, every: *checkpointEvery}
-		recovered, err := core.RecoverServer(jnl.Recovered(), *clients, true)
-		if err != nil {
-			fatal(err)
-		}
-		if !recovered.Fresh {
-			agg, ok := server.(core.Aggregator)
-			if !ok {
-				fatal(fmt.Errorf("algorithm %s is not journal-recoverable", cfg.Algorithm))
-			}
-			if err := recovered.Apply(agg); err != nil {
-				fatal(err)
-			}
-			startRound = recovered.NextRound
-			pending = recovered.Pending
-			if pending != nil {
-				// The crashed process left this round in flight: redo it
-				// first, deduplicating against its journaled admits.
-				startRound = pending.Round
-			}
-			fmt.Printf("appfl-server: journal replayed %d records; resuming at round %d\n",
-				recovered.Replayed, startRound)
-		}
-	}
-	// Streamed gathers fold chunk-by-chunk through a StreamSession; the
-	// slim settling updates still flow through the ordinary Gather so the
-	// obligation ledger is untouched (the runner's exact flow).
-	var stream *core.StreamSession
-	if cfg.StreamChunk > 0 {
-		agg, ok := server.(core.Aggregator)
-		if !ok {
-			fatal(fmt.Errorf("algorithm %s cannot stream chunked uploads", cfg.Algorithm))
-		}
-		stream, err = core.NewStreamSession(agg)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	srv, err := rpc.Listen(*addr, rpc.ServerConfig{
-		NumClients:    *clients,
-		Rounds:        cfg.Rounds,
-		ModelSize:     len(w0),
-		AcceptTimeout: *timeout,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	fmt.Printf("appfl-server: listening on %s for %d clients (%s, T=%d, dim=%d)\n",
-		srv.Addr(), *clients, cfg.Algorithm, cfg.Rounds, len(w0))
-	if err := srv.Accept(); err != nil {
-		fatal(err)
-	}
-	fmt.Println("appfl-server: all clients joined")
-
-	versioner, _ := server.(interface{ Version() int })
-	version := func() uint64 {
-		if versioner == nil {
-			return 0
-		}
-		return uint64(versioner.Version())
-	}
-	for t := startRound; t <= cfg.Rounds; t++ {
-		// A redone round (crash recovery) keeps its original journal
-		// entries: its RoundStart is already on disk and the admits
-		// journaled before the crash win over their recomputations.
-		var skip map[int]bool
-		var journaled []*wire.LocalUpdate
-		if pending != nil && t == pending.Round {
-			skip = pending.AdmittedSet()
-			journaled = pending.Admitted
-			pending = nil
-		} else if err := rj.roundStart(t, *clients, version()); err != nil {
-			fatal(err)
-		}
-		gm := &wire.GlobalModel{Round: uint32(t), Weights: server.GlobalWeights()}
-		if *downF16 {
-			if err := core.EncodeDownlinkF16(gm); err != nil {
-				fatal(err)
-			}
-		}
-		if err := srv.Broadcast(gm); err != nil {
-			fatal(err)
-		}
-		if stream != nil {
-			cohort := make([]int, *clients)
-			for i := range cohort {
-				cohort[i] = i
-			}
-			if _, err := comm.StreamGather(srv, cohort, uint32(t), len(w0), cfg.StreamChunk,
-				stream.Begin, stream.FoldPayloads); err != nil {
-				fatal(err)
-			}
-			if _, err := srv.Gather(); err != nil { // slim updates settle the round
-				fatal(err)
-			}
-			if err := stream.Finish(); err != nil {
-				fatal(err)
-			}
-		} else {
-			updates, err := srv.Gather()
-			if err != nil {
-				fatal(err)
-			}
-			if err := core.DecodeUpdates(updates, serverPipe, len(w0), cfg.AggWorkers); err != nil {
-				fatal(err)
-			}
-			// Journal-before-effect: every update folds only after its dense
-			// primal is durable. On a redone round the journaled admits win
-			// over their recomputations (dedup by client x round).
-			if err := rj.admits(t, updates, skip); err != nil {
-				fatal(err)
-			}
-			if len(skip) > 0 {
-				merged := journaled
-				for _, u := range updates {
-					if !skip[int(u.ClientID)] {
-						merged = append(merged, u)
-					}
-				}
-				updates = merged
-			}
-			if err := server.Update(updates); err != nil {
-				fatal(err)
-			}
-			if err := rj.commit(t, server.GlobalWeights(), version()); err != nil {
-				fatal(err)
-			}
-		}
-		loss, acc := core.EvaluateWeights(model, server.GlobalWeights(), fed.Test, 128)
-		fmt.Printf("round %3d  acc %.4f  loss %.4f\n", t, acc, loss)
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		fatal(err)
-	}
-	if *savePath != "" {
-		nn.SetParams(model, server.GlobalWeights())
-		var buf bytes.Buffer
-		if err := nn.SaveParams(&buf, model); err != nil {
-			fatal(err)
-		}
-		if err := journal.AtomicWriteFile(*savePath, buf.Bytes(), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("appfl-server: model checkpoint saved to %s\n", *savePath)
-	}
-	snap := srv.Stats()
-	fmt.Printf("appfl-server: done; sent %d B, received %d B\n", snap.BytesSent, snap.BytesRecv)
+	// The single federation of the flag-configured mode.
+	clients, train, test int
+	cfg                  appfl.Config
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "appfl-server:", err)
-	os.Exit(1)
+// plan is what the flag-configured federation hands its clients.
+func (o *options) plan() wire.Plan { return deploy.PlanOf(o.cfg, o.train, o.test) }
+
+// hostFlags are the flags that apply in -tenants mode; every other one
+// configures the single federation and belongs in the tenants file there.
+var hostFlags = map[string]bool{"tenants": true, "addr": true, "accept-timeout": true,
+	"journal": true, "checkpoint-every": true, "save": true}
+
+// flagSet declares every flag, bound to the field of o it configures.
+func flagSet(o *options) *flag.FlagSet {
+	c := &o.cfg
+	fs := flag.NewFlagSet("appfl-server", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":9000", "listen address")
+	fs.IntVar(&o.clients, "clients", 2, "number of clients to wait for")
+	fs.IntVar(&c.Rounds, "rounds", 5, "communication rounds")
+	fs.StringVar(&c.Algorithm, "algorithm", "iiadmm", "fedavg | iceadmm | iiadmm")
+	fs.Float64Var(&c.Rho, "rho", 2, "IADMM penalty rho")
+	fs.Float64Var(&c.Zeta, "zeta", 14, "IADMM proximity zeta")
+	fs.IntVar(&o.train, "train", 960, "total training samples of the shared corpus")
+	fs.IntVar(&o.test, "test", 240, "server-side validation samples")
+	fs.Uint64Var(&c.Seed, "seed", 1, "federation seed: data split and initial model (handed to the clients)")
+	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (handed to the clients)")
+	fs.BoolVar(&c.DownlinkF16, "downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
+	fs.DurationVar(&o.acceptTimeout, "accept-timeout", 2*time.Minute, "join deadline")
+	fs.IntVar(&c.AggWorkers, "agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&c.AggPrecision, "agg-precision", appfl.AggF64, "aggregation accumulator precision: f64 (bit-identical default) or f32 (FedAvg family only)")
+	fs.IntVar(&c.AggShards, "shards", 0, "hierarchical aggregation tier width (0/1 = single aggregator; FedAvg family only, bit-identical at any width)")
+	fs.IntVar(&c.StreamChunk, "chunk", 0, "gather uplinks as streamed chunks of this many coordinates (0 = monolithic; handed to the clients)")
+	fs.Float64Var(&c.SubsetFrac, "subset", 0, "accept LoRA-style partial uploads covering this coordinate fraction (0 = dense; handed to the clients)")
+	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset/-shards)")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 10, "compact the journal every k committed rounds (0 = never)")
+	fs.StringVar(&o.save, "save", "", "write the final model checkpoint here (atomic tmp+fsync+rename; <path>.tenant-<t> per tenant in -tenants mode)")
+	fs.StringVar(&o.tenantsPath, "tenants", "", "multi-tenant host mode: JSON config listing the federations to serve (see docs/operations.md); incompatible with per-federation flags")
+	return fs
+}
+
+// parseFlags turns the command line into validated options.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.tenantsPath != "" {
+		// Tenant mode: every per-federation knob comes from the config file.
+		// Reject silently-ignored flags loudly.
+		var stray error
+		fs.Visit(func(f *flag.Flag) {
+			if !hostFlags[f.Name] && stray == nil {
+				stray = fmt.Errorf("-%s does not apply in -tenants mode; set per-tenant options in %s", f.Name, o.tenantsPath)
+			}
+		})
+		return o, stray
+	}
+	o.cfg = o.cfg.WithDefaults()
+	if err := o.cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if o.journalDir != "" {
+		if err := core.ValidateJournalConfig(o.cfg); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(2)
+	}
+	if err == nil {
+		if o.tenantsPath != "" {
+			err = serveTenants(o, os.Stdout)
+		} else {
+			err = serveOne(o, os.Stdout)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "appfl-server:", err)
+		os.Exit(1)
+	}
+}
+
+// serveOne hosts the single federation the flags describe.
+func serveOne(o *options, out io.Writer) error {
+	plan := o.plan()
+	fed, factory := deploy.Workload(o.clients, plan)
+	ropts := core.RunOptions{Progress: out, CheckpointEvery: o.checkpointEvery}
+	if o.journalDir != "" {
+		// Durable state: a non-empty journal means this process is a
+		// restart, and Serve resumes the run where the last one died.
+		jnl, err := journal.Open(o.journalDir)
+		if err != nil {
+			return err
+		}
+		defer jnl.Close()
+		ropts.Journal = jnl
+	}
+	dim := len(nn.FlattenParams(factory(), nil))
+	srv, err := rpc.Listen(o.addr, rpc.ServerConfig{
+		NumClients:    o.clients,
+		Rounds:        o.cfg.Rounds,
+		ModelSize:     dim,
+		Plan:          plan,
+		AcceptTimeout: o.acceptTimeout,
+	})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	fmt.Fprintf(out, "appfl-server: listening on %s for %d clients (%s, T=%d, dim=%d)\n",
+		srv.Addr(), o.clients, o.cfg.Algorithm, o.cfg.Rounds, dim)
+	if err := srv.Accept(); err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "appfl-server: all clients joined")
+	res, weights, err := core.Serve(o.cfg, fed, factory, ropts, srv)
+	if err != nil {
+		return err
+	}
+	if o.save != "" {
+		if err := saveModel(o.save, factory, weights, out); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(out, "appfl-server: done; sent %d B, received %d B\n", res.DownloadsB, res.UploadsB)
+	return nil
+}
+
+// saveModel writes the final global weights as a model checkpoint.
+func saveModel(path string, factory appfl.Factory, weights []float64, out io.Writer) error {
+	model := factory()
+	nn.SetParams(model, weights)
+	var buf bytes.Buffer
+	if err := nn.SaveParams(&buf, model); err != nil {
+		return err
+	}
+	if err := journal.AtomicWriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "appfl-server: model checkpoint saved to %s\n", path)
+	return nil
 }

@@ -3,20 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sync"
-	"time"
 
 	appfl "repro"
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
-	"repro/internal/journal"
-	"repro/internal/nn"
-	"repro/internal/pipeline"
+	"repro/internal/deploy"
 	"repro/internal/tenant"
-	"repro/internal/wire"
 )
 
 // tenantSpecJSON is one tenant's entry in the -tenants config file. Zero
@@ -46,7 +41,23 @@ type tenantsFileJSON struct {
 	Tenants []tenantSpecJSON `json:"tenants"`
 }
 
-func (s tenantSpecJSON) withDefaults(i int) tenantSpecJSON {
+// parseTenants decodes a tenants file, rejecting unknown fields.
+func parseTenants(raw []byte) (*tenantsFileJSON, error) {
+	var file tenantsFileJSON
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&file); err != nil {
+		return nil, err
+	}
+	if len(file.Tenants) == 0 {
+		return nil, fmt.Errorf("no tenants listed")
+	}
+	return &file, nil
+}
+
+// spec builds tenant i's host entry: its validated Config, its workload,
+// and the plan its clients will be handed.
+func (s tenantSpecJSON) spec(i int, journaled bool) (tenant.Spec, error) {
 	if s.Name == "" {
 		s.Name = fmt.Sprintf("tenant-%d", i)
 	}
@@ -56,224 +67,82 @@ func (s tenantSpecJSON) withDefaults(i int) tenantSpecJSON {
 	if s.Rounds == 0 {
 		s.Rounds = 5
 	}
-	if s.Algorithm == "" {
-		s.Algorithm = "iiadmm"
-	}
-	if s.Rho == 0 {
-		s.Rho = 2
-	}
-	if s.Zeta == 0 {
-		s.Zeta = 14
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	if s.Train == 0 {
 		s.Train = 960
 	}
 	if s.Test == 0 {
 		s.Test = 240
 	}
-	return s
+	cfg := appfl.Config{
+		Algorithm: s.Algorithm, Rounds: s.Rounds, Rho: s.Rho,
+		Zeta: s.Zeta, Seed: s.Seed, Pipeline: s.Pipeline,
+	}.WithDefaults()
+	err := cfg.Validate()
+	if err == nil && journaled {
+		err = core.ValidateJournalConfig(cfg)
+	}
+	if err != nil {
+		return tenant.Spec{}, fmt.Errorf("tenant %s: %w", s.Name, err)
+	}
+	plan := deploy.PlanOf(cfg, s.Train, s.Test)
+	fed, factory := deploy.Workload(s.Clients, plan)
+	return tenant.Spec{Name: s.Name, Config: cfg, Fed: fed, Factory: factory, Weight: s.Weight, Plan: plan}, nil
 }
 
-// hostTenant is one tenant's fully constructed server-side state.
-type hostTenant struct {
-	spec       tenantSpecJSON
-	cfg        appfl.Config
-	fed        *appfl.Federated
-	model      nn.Module
-	w0         []float64
-	server     core.ServerAlgorithm
-	serverPipe *pipeline.Pipeline
-	rj         *roundJournal
-	jnl        *journal.Journal
-	pending    *core.PendingRound
-	startRound int
-}
-
-// runTenantHost is appfl-server's -tenants mode: one process, one
-// listening socket, N independent federations. Each tenant gets its own
-// round loop, journal directory (under -journal, when set), and slice of
-// the shared fold capacity; clients address their tenant with
-// appfl-client -tenant.
-func runTenantHost(path, addr string, timeout time.Duration, journalRoot string, checkpointEvery int) {
-	raw, err := os.ReadFile(path)
+// serveTenants is appfl-server's -tenants mode: one process, one
+// listening socket, N independent federations, each running core.Serve
+// over its view of the shared server (tenant.Host.Serve) with its own
+// journal directory under -journal and its slice of the shared fold
+// capacity; clients address their tenant with appfl-client -tenant.
+func serveTenants(o *options, out io.Writer) error {
+	raw, err := os.ReadFile(o.tenantsPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	var file tenantsFileJSON
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&file); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", path, err))
-	}
-	if len(file.Tenants) == 0 {
-		fatal(fmt.Errorf("%s lists no tenants", path))
-	}
-
-	tenants := make([]*hostTenant, len(file.Tenants))
-	tspecs := make([]rpc.TenantSpec, len(file.Tenants))
-	weights := make([]int, len(file.Tenants))
-	for i, spec := range file.Tenants {
-		spec = spec.withDefaults(i)
-		cfg := appfl.Config{
-			Algorithm: spec.Algorithm, Rounds: spec.Rounds, Rho: spec.Rho,
-			Zeta: spec.Zeta, Seed: spec.Seed, Pipeline: spec.Pipeline,
-		}.WithDefaults()
-		if err := cfg.Validate(); err != nil {
-			fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-		}
-		if journalRoot != "" && cfg.Algorithm != appfl.AlgoFedAvg {
-			fatal(fmt.Errorf("tenant %s: -journal requires algorithm fedavg", spec.Name))
-		}
-		pipe, err := core.NewServerPipeline(cfg)
-		if err != nil {
-			fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-		}
-		fed := appfl.MNISTFederation(spec.Clients, spec.Train, spec.Test, spec.Seed)
-		factory := appfl.CNNFactory(appfl.CNNConfig{InChannels: 1, Height: 28, Width: 28,
-			Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, spec.Seed)
-		model := factory()
-		w0 := nn.FlattenParams(model, nil)
-		server, err := core.NewServer(cfg, w0, spec.Clients)
-		if err != nil {
-			fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-		}
-		ht := &hostTenant{
-			spec: spec, cfg: cfg, fed: fed, model: model, w0: w0,
-			server: server, serverPipe: pipe, startRound: 1,
-		}
-		if journalRoot != "" {
-			jnl, err := journal.Open(tenant.JournalDir(journalRoot, i))
-			if err != nil {
-				fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-			}
-			ht.jnl = jnl
-			ht.rj = &roundJournal{j: jnl, every: checkpointEvery}
-			recovered, err := core.RecoverServer(jnl.Recovered(), spec.Clients, true)
-			if err != nil {
-				fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-			}
-			if !recovered.Fresh {
-				agg, ok := server.(core.Aggregator)
-				if !ok {
-					fatal(fmt.Errorf("tenant %s: algorithm %s is not journal-recoverable", spec.Name, cfg.Algorithm))
-				}
-				if err := recovered.Apply(agg); err != nil {
-					fatal(fmt.Errorf("tenant %s: %w", spec.Name, err))
-				}
-				ht.startRound = recovered.NextRound
-				ht.pending = recovered.Pending
-				if ht.pending != nil {
-					ht.startRound = ht.pending.Round
-				}
-				fmt.Printf("appfl-server: tenant %s: journal replayed %d records; resuming at round %d\n",
-					spec.Name, recovered.Replayed, ht.startRound)
-			}
-		}
-		tenants[i] = ht
-		tspecs[i] = rpc.TenantSpec{NumClients: spec.Clients, Rounds: cfg.Rounds, ModelSize: len(w0)}
-		weights[i] = spec.Weight
-	}
-
-	srv, err := rpc.Listen(addr, rpc.ServerConfig{Tenants: tspecs, AcceptTimeout: timeout})
+	file, err := parseTenants(raw)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("parsing %s: %w", o.tenantsPath, err)
+	}
+	specs := make([]tenant.Spec, len(file.Tenants))
+	total := 0
+	for i, s := range file.Tenants {
+		if specs[i], err = s.spec(i, o.journalDir != ""); err != nil {
+			return err
+		}
+		total += specs[i].Fed.NumClients()
+	}
+	host, err := tenant.NewHost(specs, tenant.Options{
+		Transport:       core.TransportRPC,
+		JournalRoot:     o.journalDir,
+		CheckpointEvery: o.checkpointEvery,
+		Slots:           file.Slots,
+		Progress:        out,
+	})
+	if err != nil {
+		return err
+	}
+	srv, err := rpc.Listen(o.addr, rpc.ServerConfig{Tenants: host.RPCSpecs(), AcceptTimeout: o.acceptTimeout})
+	if err != nil {
+		return err
 	}
 	defer srv.Close()
-	total := 0
-	for _, ht := range tenants {
-		total += ht.spec.Clients
-	}
-	fmt.Printf("appfl-server: listening on %s for %d tenants (%d clients total)\n",
-		srv.Addr(), len(tenants), total)
+	fmt.Fprintf(out, "appfl-server: listening on %s for %d tenants (%d clients total)\n", srv.Addr(), len(specs), total)
 	if err := srv.Accept(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("appfl-server: all clients of all tenants joined")
-
-	arb := tenant.NewArbiter(file.Slots, weights)
-	errs := make([]error, len(tenants))
-	var wg sync.WaitGroup
-	for i, ht := range tenants {
-		wg.Add(1)
-		go func(i int, ht *hostTenant) {
-			defer wg.Done()
-			if ht.jnl != nil {
-				defer ht.jnl.Close()
-			}
-			if err := ht.runRounds(srv.Tenant(i), arb.Gate(i)); err != nil {
-				errs[i] = fmt.Errorf("tenant %s: %w", ht.spec.Name, err)
-			}
-		}(i, ht)
+	fmt.Fprintln(out, "appfl-server: all clients of all tenants joined")
+	_, weights, err := host.Serve(srv)
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		fatal(err)
+	if o.save != "" {
+		for t, w := range weights {
+			if err := saveModel(fmt.Sprintf("%s.tenant-%d", o.save, t), specs[t].Factory, w, out); err != nil {
+				return err
+			}
+		}
 	}
 	snap := srv.Stats()
-	fmt.Printf("appfl-server: done; sent %d B, received %d B\n", snap.BytesSent, snap.BytesRecv)
-}
-
-// runRounds drives one tenant's synchronous round loop over its view of
-// the shared server — the single-tenant main loop, scoped to the view's
-// clients, with the decode+fold gated by the shared arbiter.
-func (ht *hostTenant) runRounds(view *rpc.TenantView, gate core.AdmissionGate) error {
-	versioner, _ := ht.server.(interface{ Version() int })
-	version := func() uint64 {
-		if versioner == nil {
-			return 0
-		}
-		return uint64(versioner.Version())
-	}
-	pending := ht.pending
-	for t := ht.startRound; t <= ht.cfg.Rounds; t++ {
-		var skip map[int]bool
-		var journaled []*wire.LocalUpdate
-		if pending != nil && t == pending.Round {
-			skip = pending.AdmittedSet()
-			journaled = pending.Admitted
-			pending = nil
-		} else if err := ht.rj.roundStart(t, ht.spec.Clients, version()); err != nil {
-			return err
-		}
-		gm := &wire.GlobalModel{Round: uint32(t), Weights: ht.server.GlobalWeights()}
-		if err := view.Broadcast(gm); err != nil {
-			return err
-		}
-		updates, err := view.Gather()
-		if err != nil {
-			return err
-		}
-		release := gate.Acquire(len(updates))
-		err = func() error {
-			if err := core.DecodeUpdates(updates, ht.serverPipe, len(ht.w0), ht.cfg.AggWorkers); err != nil {
-				return err
-			}
-			if err := ht.rj.admits(t, updates, skip); err != nil {
-				return err
-			}
-			if len(skip) > 0 {
-				merged := journaled
-				for _, u := range updates {
-					if !skip[int(u.ClientID)] {
-						merged = append(merged, u)
-					}
-				}
-				updates = merged
-			}
-			if err := ht.server.Update(updates); err != nil {
-				return err
-			}
-			return ht.rj.commit(t, ht.server.GlobalWeights(), version())
-		}()
-		release()
-		if err != nil {
-			return err
-		}
-		loss, acc := core.EvaluateWeights(ht.model, ht.server.GlobalWeights(), ht.fed.Test, 128)
-		fmt.Printf("tenant %s  round %3d  acc %.4f  loss %.4f\n", ht.spec.Name, t, acc, loss)
-	}
-	return view.Broadcast(&wire.GlobalModel{Final: true})
+	fmt.Fprintf(out, "appfl-server: done; sent %d B, received %d B\n", snap.BytesSent, snap.BytesRecv)
+	return nil
 }

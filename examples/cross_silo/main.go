@@ -1,8 +1,9 @@
 // Cross-silo federated learning over real TCP: a server and three clients
 // exchange models through the gRPC-substitute RPC transport (length-
 // prefixed frames, protobuf-style codec), all within this process so the
-// example is self-contained. The same code paths power cmd/appfl-server
-// and cmd/appfl-client across machines.
+// example is self-contained. It is cmd/appfl-server and cmd/appfl-client
+// in miniature: the server side is core.Serve over a listening rpc.Server,
+// each silo is core.RunClient over its own dialed connection.
 //
 //	go run ./examples/cross_silo
 package main
@@ -10,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -17,29 +19,22 @@ import (
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/rng"
-	"repro/internal/wire"
 )
 
-const (
-	numClients = 3
-	rounds     = 4
-)
+const numClients = 3
 
 func main() {
-	cfg := appfl.Config{Algorithm: appfl.AlgoIIADMM, Rounds: rounds, LocalSteps: 2, Epsilon: 10, Seed: 2}.WithDefaults()
+	cfg := appfl.Config{Algorithm: appfl.AlgoIIADMM, Rounds: 4, LocalSteps: 2, Epsilon: 10, Seed: 2}
 	fed := appfl.MNISTFederation(numClients, 480, 120, cfg.Seed)
 	factory := appfl.CNNFactory(appfl.CNNConfig{
 		InChannels: 1, Height: 28, Width: 28, Classes: 10,
 		Conv1: 4, Conv2: 8, Hidden: 32,
 	}, cfg.Seed)
-	evalModel := factory()
-	w0 := nn.FlattenParams(evalModel, nil)
 
 	srv, err := rpc.Listen("127.0.0.1:0", rpc.ServerConfig{
 		NumClients:    numClients,
-		Rounds:        rounds,
-		ModelSize:     len(w0),
+		Rounds:        cfg.Rounds,
+		ModelSize:     len(nn.FlattenParams(factory(), nil)),
 		AcceptTimeout: 10 * time.Second,
 	})
 	if err != nil {
@@ -48,75 +43,32 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("server listening on %s\n", srv.Addr())
 
-	// Silo processes: dial in, then answer every broadcast with a local
-	// update until the final frame arrives.
+	// Silo processes: dial in, then train on every model the server sends
+	// until its final frame arrives.
 	var wg sync.WaitGroup
-	master := rng.New(cfg.Seed)
 	for i := 0; i < numClients; i++ {
-		cr := master.Split()
 		wg.Add(1)
-		go func(i int, cr *rng.RNG) {
+		go func(i int) {
 			defer wg.Done()
-			model := factory()
-			nn.SetParams(model, w0)
-			pipe, err := core.NewClientPipeline(cfg, cr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			algo, err := core.NewClient(cfg, i, model, fed.Clients[i], w0, pipe, cr)
-			if err != nil {
-				log.Fatal(err)
-			}
 			conn, err := rpc.Dial(srv.Addr(), uint32(i), fmt.Sprintf("silo-%d", i))
 			if err != nil {
 				log.Fatal(err)
 			}
 			defer conn.Close()
-			for {
-				gm, err := conn.RecvGlobal()
-				if err != nil {
-					log.Fatal(err)
-				}
-				if gm.Final {
-					return
-				}
-				up, err := algo.LocalUpdate(int(gm.Round), gm.Weights)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := conn.SendUpdate(up); err != nil {
-					log.Fatal(err)
-				}
+			if err := core.RunClient(cfg, i, fed.Clients[i], factory, conn, core.ClientOptions{}); err != nil {
+				log.Fatal(err)
 			}
-		}(i, cr)
+		}(i)
 	}
 
 	if err := srv.Accept(); err != nil {
 		log.Fatal(err)
 	}
-	server, err := core.NewServer(cfg, w0, numClients)
+	res, _, err := core.Serve(cfg, fed, factory, core.RunOptions{Progress: os.Stdout}, srv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for t := 1; t <= rounds; t++ {
-		if err := srv.Broadcast(&wire.GlobalModel{Round: uint32(t), Weights: server.GlobalWeights()}); err != nil {
-			log.Fatal(err)
-		}
-		updates, err := srv.Gather()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := server.Update(updates); err != nil {
-			log.Fatal(err)
-		}
-		loss, acc := core.EvaluateWeights(evalModel, server.GlobalWeights(), fed.Test, 128)
-		fmt.Printf("round %d  acc %.4f  loss %.4f\n", t, acc, loss)
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		log.Fatal(err)
-	}
 	wg.Wait()
-	snap := srv.Stats()
 	fmt.Printf("TCP traffic at server: sent %d B, received %d B over %d messages\n",
-		snap.BytesSent, snap.BytesRecv, snap.MsgsSent+snap.MsgsRecv)
+		res.DownloadsB, res.UploadsB, res.Server.MsgsSent+res.Server.MsgsRecv)
 }

@@ -113,3 +113,51 @@ func TestResumeRacingServerRestart(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestResumeKeepsADispatchAlreadyOnItsWay: the server sends a model on the
+// connection it knows while the client is already redialing. The model
+// must not die with the old connection — the resumed client receives it,
+// answers on the new connection, and the round's obligation settles.
+// (Losing it costs the round a full timeout on a client that was there all
+// along; under CPU starvation that is what made the rejoin scenarios of
+// core's TestScenarioDeterminism flake.)
+func TestResumeKeepsADispatchAlreadyOnItsWay(t *testing.T) {
+	srv, clients := startCluster(t, 1)
+	c := clients[0]
+	if err := srv.SendTo([]int{0}, &wire.GlobalModel{Round: 4, Version: 3, Weights: []float64{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *wire.GlobalModel, 1)
+	go func() {
+		if gm, err := c.RecvGlobal(); err == nil {
+			got <- gm
+		}
+	}()
+	select {
+	case gm := <-got:
+		if gm.Round != 4 || gm.Version != 3 || len(gm.Weights) != 3 || gm.Weights[2] != 3 {
+			t.Fatalf("salvaged model %+v", gm)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the dispatch written before the resume was lost with the old connection")
+	}
+	if err := c.SendUpdate(&wire.LocalUpdate{ClientID: 0, Round: 4, NumSamples: 1, Primal: []float64{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if ups, err := srv.GatherUntil(1, 5*time.Second); err != nil || len(ups) != 1 {
+		t.Fatalf("gather after resume: %d updates, err %v", len(ups), err)
+	}
+	// Nothing on its way: Resume costs its short look and nothing else.
+	if err := c.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SendTo([]int{0}, &wire.GlobalModel{Round: 5, Version: 4, Weights: []float64{0, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if gm, err := c.RecvGlobal(); err != nil || gm.Round != 5 {
+		t.Fatalf("round after an empty-handed resume: %+v, err %v", gm, err)
+	}
+}

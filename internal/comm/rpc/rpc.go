@@ -41,8 +41,16 @@ const maxFrame = 1 << 30
 
 // maxJoinFrame bounds the frames of the Join handshake, the only ones read
 // before a peer has identified itself: a Join is a few integers and a
-// name, a JoinAck three integers.
+// name, a JoinAck three integers and the federation's plan.
 const maxJoinFrame = 4 << 10
+
+// salvageWait is how long a resuming client looks at its old connection
+// for a dispatch that was already on its way.
+const salvageWait = 10 * time.Millisecond
+
+// joinTimeout bounds one Join handshake, so a peer that connects and then
+// says nothing cannot hold the accept loop past it.
+const joinTimeout = 5 * time.Second
 
 // ErrFrameTooLarge is returned when a frame header announces a payload
 // beyond what the connection may carry.
@@ -114,11 +122,14 @@ func recvMessage(d *wire.Decoder, r io.Reader, n int, m interface{ Unmarshal(*wi
 }
 
 // TenantSpec is one tenant's slice of a multi-tenant server: its roster
-// size and the run configuration its JoinAck advertises.
+// size and the run configuration its JoinAck advertises. Plan is the
+// federation's shared experiment plan, handed to every joining client
+// (zero = none: the ack is then the pre-plan encoding).
 type TenantSpec struct {
 	NumClients int
 	Rounds     int
 	ModelSize  int
+	Plan       wire.Plan
 }
 
 // ServerConfig parameterizes a listening FL server.
@@ -126,11 +137,12 @@ type ServerConfig struct {
 	NumClients int
 	Rounds     int
 	ModelSize  int
+	Plan       wire.Plan
 	// Tenants, when non-empty, makes the server multi-tenant: tenant t
 	// serves Tenants[t].NumClients clients whose Joins must carry
 	// TenantID t (zero routes to tenant 0, so pre-tenancy clients land in
-	// the default tenant). The top-level NumClients/Rounds/ModelSize are
-	// ignored in favor of the per-tenant specs. Empty means one default
+	// the default tenant). The top-level NumClients/Rounds/ModelSize/Plan
+	// are ignored in favor of the per-tenant specs. Empty means one default
 	// tenant described by the top-level fields.
 	Tenants []TenantSpec
 	// AcceptTimeout bounds the wait for all clients to join (0 = 30 s).
@@ -147,7 +159,7 @@ func (c ServerConfig) tenants() []TenantSpec {
 	if len(c.Tenants) > 0 {
 		return c.Tenants
 	}
-	return []TenantSpec{{NumClients: c.NumClients, Rounds: c.Rounds, ModelSize: c.ModelSize}}
+	return []TenantSpec{{NumClients: c.NumClients, Rounds: c.Rounds, ModelSize: c.ModelSize, Plan: c.Plan}}
 }
 
 // Server is the comm.ServerTransport over TCP. It accepts one connection
@@ -298,11 +310,15 @@ func (s *Server) Tenants() int { return len(s.views) }
 // Accept blocks until every client of every tenant has connected and
 // completed the Join handshake, then starts one reader per connection and
 // a background acceptor for Resume joins. Each tenant's client IDs must be
-// unique within the tenant and in [0, its NumClients).
+// unique within the tenant and in [0, its NumClients). A join that is
+// malformed, names an unknown tenant or an out-of-range id, or repeats a
+// taken id costs its own connection and nothing else: it is closed before
+// any JoinAck is written (the stray Dial fails) and Accept keeps waiting
+// for the legitimate clients until AcceptTimeout.
 func (s *Server) Accept() error {
 	deadline := time.Now().Add(s.cfg.AcceptTimeout)
-	joined := 0
-	for joined < s.total {
+	var rejected error // the last join turned away, for the timeout's error
+	for joined := 0; joined < s.total; {
 		if tl, ok := s.ln.(*net.TCPListener); ok {
 			if err := tl.SetDeadline(deadline); err != nil {
 				return err
@@ -310,27 +326,13 @@ func (s *Server) Accept() error {
 		}
 		conn, err := s.ln.Accept()
 		if err != nil {
-			return fmt.Errorf("rpc: accept after %d/%d joins: %w", joined, s.total, err)
+			return errors.Join(fmt.Errorf("rpc: accept after %d/%d joins: %w", joined, s.total, err), rejected)
 		}
-		_, slot, err := s.readJoin(conn)
-		if err != nil {
+		if err := s.join(conn, deadline); err != nil {
 			conn.Close()
-			return err
+			rejected = err
+			continue
 		}
-		s.mu.Lock()
-		dup := s.conns[slot] != nil
-		s.mu.Unlock()
-		if dup {
-			conn.Close()
-			return fmt.Errorf("rpc: invalid or duplicate client id %d", slot)
-		}
-		if err := s.ackJoin(conn, slot); err != nil {
-			conn.Close()
-			return err
-		}
-		s.mu.Lock()
-		s.conns[slot] = conn
-		s.mu.Unlock()
 		joined++
 	}
 	if tl, ok := s.ln.(*net.TCPListener); ok {
@@ -344,6 +346,37 @@ func (s *Server) Accept() error {
 	}
 	s.mu.Unlock()
 	go s.acceptResumes()
+	return nil
+}
+
+// join runs one initial Join handshake on conn, under a deadline no later
+// than the accept deadline, and seats the client in its slot.
+func (s *Server) join(conn net.Conn, deadline time.Time) error {
+	if d := time.Now().Add(joinTimeout); d.Before(deadline) {
+		deadline = d
+	}
+	if err := conn.SetDeadline(deadline); err != nil {
+		return err
+	}
+	_, slot, err := s.readJoin(conn)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	dup := s.conns[slot] != nil
+	s.mu.Unlock()
+	if dup {
+		return fmt.Errorf("rpc: duplicate join for client slot %d", slot)
+	}
+	if err := s.ackJoin(conn, slot); err != nil {
+		return err
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.conns[slot] = conn
+	s.mu.Unlock()
 	return nil
 }
 
@@ -381,6 +414,7 @@ func (s *Server) ackJoin(conn net.Conn, slot int) error {
 		NumClients: uint32(spec.NumClients),
 		Rounds:     uint32(spec.Rounds),
 		ModelSize:  uint64(spec.ModelSize),
+		Plan:       spec.Plan,
 	}
 	var e wire.Encoder
 	if err := writeFrame(conn, wire.KindJoinAck, len(e.Encode(&ack)), e.Bytes()); err != nil {
@@ -402,6 +436,9 @@ func (s *Server) acceptResumes() {
 		if err != nil {
 			return // listener closed
 		}
+		// A dead conn fails the handshake's first read, so the deadline
+		// calls' own errors add nothing.
+		_ = conn.SetDeadline(time.Now().Add(joinTimeout))
 		join, slot, err := s.readJoin(conn)
 		if err != nil || !join.Resume {
 			conn.Close()
@@ -411,6 +448,7 @@ func (s *Server) acceptResumes() {
 			conn.Close()
 			continue
 		}
+		_ = conn.SetDeadline(time.Time{})
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -797,10 +835,20 @@ type Client struct {
 	dec    wire.Decoder     // downlink payloads, off the connection
 	global wire.GlobalModel // what RecvGlobal returns; recycled per call
 	limit  int              // downlink frame bound, from the JoinAck
+	// salvaged marks global as holding a model Resume read off the old
+	// connection, which the next RecvGlobal hands out. torn marks the
+	// current connection as having failed a read, possibly mid-frame:
+	// nothing further on it can be trusted to start at a frame boundary.
+	salvaged, torn bool
 
-	mu   sync.Mutex
-	conn net.Conn
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
 }
+
+// errClientClosed is what Resume reports once Close has been called: the
+// session is over, not interrupted, and must not be retried.
+var errClientClosed = errors.New("rpc: client closed")
 
 // Dial connects to the server, performs the Join handshake, and returns
 // the client transport joined to the default tenant.
@@ -851,9 +899,14 @@ func (c *Client) dial(resume bool) error {
 	}
 	c.stats.AddRecv(n)
 	c.mu.Lock()
-	c.conn = conn
+	defer c.mu.Unlock()
+	if c.closed {
+		// Close raced this redial: do not resurrect the session.
+		conn.Close()
+		return errClientClosed
+	}
+	c.conn, c.torn = conn, false
 	c.limit = frameLimit(int(c.ack.ModelSize))
-	c.mu.Unlock()
 	return nil
 }
 
@@ -875,14 +928,38 @@ var ErrResumeRetryable = errors.New("rpc: resume did not splice (server restarti
 // races a server restart fails with ErrResumeRetryable and changes
 // nothing: retry once the server is back.
 func (c *Client) Resume() error {
-	old := c.current()
+	old, torn := c.current(), c.torn
 	if err := c.dial(true); err != nil {
+		if errors.Is(err, errClientClosed) {
+			return err
+		}
 		return fmt.Errorf("%w: %v", ErrResumeRetryable, err)
 	}
 	if old != nil {
+		if !torn {
+			c.salvage(old)
+		}
 		old.Close()
 	}
 	return nil
+}
+
+// salvage rescues a model the server dispatched on the old connection
+// while the redial was still in flight (it could not know yet): whatever
+// had already arrived there is read before the connection is dropped, and
+// the next RecvGlobal returns it. Without this the dispatch is lost and the
+// round waits out its timeout on a client that was there all along.
+func (c *Client) salvage(old net.Conn) {
+	_ = old.SetReadDeadline(time.Now().Add(salvageWait))
+	kind, n, err := c.hdr.read(old, c.limit)
+	if err != nil || kind != wire.KindGlobalModel {
+		return
+	}
+	_ = old.SetReadDeadline(time.Now().Add(joinTimeout))
+	if bad, err := recvMessage(&c.dec, old, n, &c.global); bad == nil && err == nil {
+		c.stats.AddRecv(n)
+		c.salvaged = true
+	}
 }
 
 // current returns the live connection.
@@ -903,10 +980,12 @@ func (c *Client) recv(conn net.Conn, want wire.Kind, m interface{ Unmarshal(*wir
 	c.mu.Unlock()
 	kind, n, err := c.hdr.read(conn, limit)
 	if err != nil || kind != want {
+		c.torn = c.torn || err != nil
 		return kind, err
 	}
 	bad, err := recvMessage(&c.dec, conn, n, m)
 	if err != nil || bad != nil {
+		c.torn = c.torn || err != nil
 		return kind, errors.Join(bad, err)
 	}
 	c.stats.AddRecv(n)
@@ -917,6 +996,10 @@ func (c *Client) recv(conn net.Conn, want wire.Kind, m interface{ Unmarshal(*wir
 // decoded into storage the client keeps, and is valid until the next
 // RecvGlobal.
 func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
+	if c.salvaged {
+		c.salvaged = false
+		return &c.global, nil
+	}
 	kind, err := c.recv(c.current(), wire.KindGlobalModel, &c.global)
 	if err != nil {
 		return nil, err
@@ -951,8 +1034,15 @@ func (c *Client) SendUpdate(m *wire.LocalUpdate) error {
 // Stats returns the traffic snapshot.
 func (c *Client) Stats() comm.Snapshot { return c.stats.Snapshot() }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.current().Close() }
+// Close closes the connection and ends the session: a later Resume fails
+// for good instead of redialing.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	conn := c.conn
+	c.mu.Unlock()
+	return conn.Close()
+}
 
 // Interface conformance checks.
 var (

@@ -214,7 +214,7 @@ func TestListenValidation(t *testing.T) {
 }
 
 func TestDuplicateClientIDRejected(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", ServerConfig{NumClients: 2, AcceptTimeout: 2 * time.Second})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{NumClients: 2, AcceptTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +226,68 @@ func TestDuplicateClientIDRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	// Second client reuses ID 0: the server must fail Accept.
-	c2, err := Dial(srv.Addr(), 0, "b")
-	if err == nil {
-		defer c2.Close()
+	// Second client reuses ID 0: its Dial must fail before any JoinAck, and
+	// the stray must cost the host nothing — Accept keeps waiting.
+	if c2, err := Dial(srv.Addr(), 0, "b"); err == nil {
+		c2.Close()
+		t.Fatal("duplicate client id joined")
 	}
-	if err := <-acceptDone; err == nil {
-		t.Fatal("duplicate client id accepted")
+	c3, err := Dial(srv.Addr(), 1, "c")
+	if err != nil {
+		t.Fatalf("legitimate client after a duplicate join: %v", err)
+	}
+	defer c3.Close()
+	if err := <-acceptDone; err != nil {
+		t.Fatalf("Accept after a duplicate join: %v", err)
+	}
+}
+
+// TestHostileJoinLeavesAcceptRunning: garbage instead of a Join frame, a
+// wrong first frame kind, and a peer that connects and says nothing each
+// cost their own connection only; the federation still assembles and runs.
+func TestHostileJoinLeavesAcceptRunning(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{NumClients: 1, AcceptTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	acceptDone := make(chan error, 1)
+	go func() { acceptDone <- srv.Accept() }()
+	for _, hostile := range [][]byte{
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xde, 0xad},    // oversized header, then junk
+		{byte(wire.KindLocalUpdate), 0, 0, 0, 1, 0},   // a frame, but not a Join
+		{byte(wire.KindJoin), 0, 0, 0, 3, 0x07, 0, 0}, // a Join that does not decode
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(hostile)
+		// The server hangs up without writing anything.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || n > 0 {
+			t.Fatalf("hostile join %x was answered", hostile)
+		}
+		conn.Close()
+	}
+	c, err := Dial(srv.Addr(), 0, "legit")
+	if err != nil {
+		t.Fatalf("legitimate client after hostile joins: %v", err)
+	}
+	defer c.Close()
+	if err := <-acceptDone; err != nil {
+		t.Fatalf("Accept after hostile joins: %v", err)
+	}
+	go func() {
+		if gm, err := c.RecvGlobal(); err == nil {
+			c.SendUpdate(&wire.LocalUpdate{Round: gm.Round, NumSamples: 1, Primal: []float64{2}})
+		}
+	}()
+	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if ups, err := srv.Gather(); err != nil || len(ups) != 1 {
+		t.Fatalf("round after hostile joins: %d updates, err %v", len(ups), err)
 	}
 }
 

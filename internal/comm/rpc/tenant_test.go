@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/wire"
@@ -118,7 +119,9 @@ func TestTenantDemux(t *testing.T) {
 }
 
 // TestTenantJoinValidation rejects joins carrying an unknown tenant or an
-// out-of-range tenant-local client id before any JoinAck is written.
+// out-of-range tenant-local client id before any JoinAck is written — and
+// the stray join costs only its own connection: the legitimate client
+// still joins and Accept completes.
 func TestTenantJoinValidation(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
 		Tenants: []TenantSpec{{NumClients: 1, Rounds: 1, ModelSize: 1}},
@@ -134,12 +137,100 @@ func TestTenantJoinValidation(t *testing.T) {
 	if _, err := DialTenant(srv.Addr(), 7, 0, "stray"); err == nil {
 		t.Fatal("join with unknown tenant succeeded")
 	}
-	err = <-acceptDone
-	if err == nil || !strings.Contains(err.Error(), "join rejected") {
-		t.Fatalf("Accept err = %v, want join-rejected", err)
+	if _, err := DialTenant(srv.Addr(), 0, 5, "stray"); err == nil {
+		t.Fatal("join with out-of-range client id succeeded")
 	}
-	if !errors.Is(err, comm.ErrUnknownTenant) {
-		t.Fatalf("Accept err = %v, want ErrUnknownTenant in chain", err)
+	c, err := DialTenant(srv.Addr(), 0, 0, "legit")
+	if err != nil {
+		t.Fatalf("legitimate client after stray joins: %v", err)
+	}
+	defer c.Close()
+	if err := <-acceptDone; err != nil {
+		t.Fatalf("Accept after stray joins: %v", err)
+	}
+}
+
+// TestAcceptTimeoutNamesTheRejectedJoin: when the roster never fills, the
+// timeout error carries the last join that was turned away, so an operator
+// sees why (a client dialing the wrong tenant) rather than just a deadline.
+func TestAcceptTimeoutNamesTheRejectedJoin(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Tenants:       []TenantSpec{{NumClients: 1, Rounds: 1, ModelSize: 1}},
+		AcceptTimeout: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+	acceptDone := make(chan error, 1)
+	go func() { acceptDone <- srv.Accept() }()
+	if _, err := DialTenant(srv.Addr(), 7, 0, "stray"); err == nil {
+		t.Fatal("join with unknown tenant succeeded")
+	}
+	err = <-acceptDone
+	if err == nil || !strings.Contains(err.Error(), "join rejected") || !errors.Is(err, comm.ErrUnknownTenant) {
+		t.Fatalf("Accept err = %v, want a timeout naming the rejected join (ErrUnknownTenant)", err)
+	}
+}
+
+// TestJoinAckCarriesThePlan: each tenant's clients are handed that tenant's
+// plan — on the initial join and again on a resume — and a server without
+// one sends the pre-plan ack, byte for byte.
+func TestJoinAckCarriesThePlan(t *testing.T) {
+	plans := []wire.Plan{
+		{Algorithm: "fedavg", Rho: 2, Zeta: 14, Seed: 3, Pipeline: "clip:1,laplace:5", Train: 96, Test: 24},
+		{Algorithm: "iiadmm", Rho: 3, Zeta: 9, Seed: 7, Chunk: 64, Subset: 0.5, Train: 48, Test: 12},
+	}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Tenants: []TenantSpec{
+		{NumClients: 1, Rounds: 2, ModelSize: 4, Plan: plans[0]},
+		{NumClients: 1, Rounds: 2, ModelSize: 4, Plan: plans[1]},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	acceptDone := make(chan error, 1)
+	go func() { acceptDone <- srv.Accept() }()
+	var clients []*Client
+	for tenant, want := range plans {
+		c, err := DialTenant(srv.Addr(), uint32(tenant), 0, "planned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if got := c.Config().Plan; got != want {
+			t.Fatalf("tenant %d was handed plan %+v, want %+v", tenant, got, want)
+		}
+		clients = append(clients, c)
+	}
+	if err := <-acceptDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := clients[1].Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got := clients[1].Config().Plan; got != plans[1] {
+		t.Fatalf("resume was handed plan %+v, want %+v", got, plans[1])
+	}
+
+	// No plan configured: the traffic counters see the pre-plan ack.
+	bare, err := Listen("127.0.0.1:0", ServerConfig{NumClients: 1, Rounds: 17, ModelSize: 1017610})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	go func() { acceptDone <- bare.Accept() }()
+	c, err := Dial(bare.Addr(), 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := <-acceptDone; err != nil {
+		t.Fatal(err)
+	}
+	var e wire.Encoder
+	if sent, want := bare.Stats().BytesSent, uint64(len(e.Encode(&wire.JoinAck{NumClients: 1, Rounds: 17, ModelSize: 1017610}))); sent != want || c.Config().Plan != (wire.Plan{}) {
+		t.Fatalf("plan-less server sent a %d-byte ack (want %d) with plan %+v", sent, want, c.Config().Plan)
 	}
 }
 

@@ -84,17 +84,9 @@ type Weights32Provider interface {
 
 // StalenessWeight is the FedAsync mixing rate α_s = α·(1+staleness)^(−γ):
 // the staler the contribution, the smaller its influence on the global
-// model. It is the shared rule behind AsyncServer and BufferedAggregator.
+// model. It is the rule BufferedAggregator folds with.
 func StalenessWeight(alpha, gamma, staleness float64) float64 {
 	return alpha * math.Pow(1+staleness, -gamma)
-}
-
-// foldScaled applies w ← (1−a)·w + a·z. It is the serial kernel of the
-// staleness-weighted rule; the sharded path runs it per chunk.
-func foldScaled(w, z []float64, a float64) {
-	for i, v := range z {
-		w[i] = (1-a)*w[i] + a*v
-	}
 }
 
 // BufferedAggregator implements the FedBuff-style semi-asynchronous rule:

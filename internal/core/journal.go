@@ -221,7 +221,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 	return nil
 }
 
-// validateJournalConfig rejects configurations the journal cannot make
+// ValidateJournalConfig rejects configurations the journal cannot make
 // crash-recoverable. Journaling needs every admitted update's dense primal
 // in hand at admit time (so a refold needs no client cooperation), which
 // pins the FedAvg family on the flat accumulator: the ADMM servers carry
@@ -229,7 +229,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 // folds without ever materializing a primal, subset uploads admit partial
 // vectors, and the shard tier distributes the accumulator across worker
 // state that a weights-only commit cannot reseed.
-func validateJournalConfig(cfg Config) error {
+func ValidateJournalConfig(cfg Config) error {
 	if cfg.Algorithm != AlgoFedAvg {
 		return fmt.Errorf("core: journaling requires FedAvg (ADMM dual state is not journaled)")
 	}

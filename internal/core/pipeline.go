@@ -52,20 +52,15 @@ func NewServerPipeline(cfg Config) (*pipeline.Pipeline, error) {
 	return specs.Build(nil)
 }
 
-// EncodeDownlinkF16 replaces gm's dense weights with a float16 payload —
-// the Config.DownlinkF16 broadcast compression. The dense slice is left
-// untouched (the caller may be reusing it); gm carries only the payload.
-func EncodeDownlinkF16(gm *wire.GlobalModel) error {
-	_, err := EncodeDownlinkF16Into(gm, nil)
-	return err
-}
-
-// EncodeDownlinkF16Into is EncodeDownlinkF16 with a caller-owned code
-// buffer: codes is reused when its capacity suffices and the (possibly
-// grown) buffer is returned, so a steady-state broadcast loop encodes the
-// downlink without an O(dim) allocation per round. The returned buffer is
-// aliased by gm.WeightsP — the caller may recycle it only once the
-// transport has serialized gm (every transport serializes inside SendTo).
+// EncodeDownlinkF16Into replaces gm's dense weights with a float16 payload
+// — the Config.DownlinkF16 broadcast compression — in a caller-owned code
+// buffer. The dense slice is left untouched (the caller may be reusing
+// it); gm carries only the payload. codes is reused when its capacity
+// suffices and the (possibly grown) buffer is returned, so a steady-state
+// broadcast loop encodes the downlink without an O(dim) allocation per
+// round. The returned buffer is aliased by gm.WeightsP — the caller may
+// recycle it only once the transport has serialized gm (every transport
+// serializes inside SendTo).
 func EncodeDownlinkF16Into(gm *wire.GlobalModel, codes []byte) ([]byte, error) {
 	codes, err := pipeline.EncodeFloat16(gm.Weights, codes)
 	if err != nil {
@@ -93,9 +88,9 @@ func EncodeDownlinkF16From32(gm *wire.GlobalModel, w32 []float32, codes []byte) 
 
 // DecodeGlobal is the client half of the downlink path: when a received
 // GlobalModel carries a compressed weights payload, it is densified back
-// into Weights. Dense broadcasts pass through untouched. Every receiver —
-// the simulator's client loop and the standalone appfl-client — must call
-// this before training on gm.Weights.
+// into Weights. Dense broadcasts pass through untouched. Every receiver
+// must call this (or DecodeGlobalInto, as the client loop does) before
+// training on gm.Weights.
 func DecodeGlobal(gm *wire.GlobalModel) error {
 	_, err := DecodeGlobalInto(gm, nil)
 	return err

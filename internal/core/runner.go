@@ -93,7 +93,7 @@ type RunOptions struct {
 	// journal resumes exactly where the crashed one died — completing its
 	// in-flight round from the journaled admits — instead of starting over.
 	// FedAvg-family flat-accumulator configurations only; see
-	// validateJournalConfig.
+	// ValidateJournalConfig.
 	Journal *journal.Journal
 	// CheckpointEvery compacts the journal into a checkpoint every k
 	// commits (0 = never; the WAL then grows for the whole run).
@@ -201,10 +201,12 @@ func Run(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions
 }
 
 // RunWithTransport is Run over caller-supplied transports: st serves the
-// run's server side and cts[i] client i. The caller keeps ownership of st
-// (it is NOT closed here — a multi-tenant host passes per-tenant views of
-// one shared server and closes that server itself); client transports are
-// closed as their goroutines exit, as in Run. opts.Transport is ignored.
+// run's server side and cts[i] client i. It is Serve plus one RunClient
+// loop per client, in one process. The caller keeps ownership of st (it is
+// NOT closed here — a multi-tenant host passes per-tenant views of one
+// shared server and closes that server itself); client transports are
+// closed as their goroutines exit, or all at once when the server half
+// fails. opts.Transport is ignored.
 func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions,
 	st comm.ServerTransport, cts []comm.ClientTransport) (*Result, error) {
 	cfg = cfg.WithDefaults()
@@ -219,62 +221,31 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		return nil, fmt.Errorf("core: %d client transports for %d clients", len(cts), P)
 	}
 
-	// Shared initial model: one replica defines w0 for everyone.
+	// Shared initial model: one replica defines w0 for everyone. The
+	// aggregator takes its copy before the P client replicas exist: made
+	// after them, a 1M-parameter model's allocation lands in a collection
+	// cycle and costs tens of milliseconds of set-up.
 	refModel := factory()
 	w0 := nn.FlattenParams(refModel, nil)
-	dim := len(w0)
-
-	master := rng.New(cfg.Seed)
-	sched, err := NewScheduler(cfg, P)
-	if err != nil {
-		return nil, err
-	}
 	agg, err := NewAggregator(cfg, w0, P)
-	if err != nil {
-		return nil, err
-	}
-	// The closure closes whatever aggregator is current at exit — recovery
-	// replaces agg, and the discarded one is closed at the kill site.
-	defer func() { closeAggregator(agg) }()
-
-	// The fault layer wraps both ends of every link; the wrappers execute
-	// the injector's deterministic script and the unwrapped path is
-	// untouched when no injector is configured.
-	if opts.Faults != nil {
-		st = opts.Faults.WrapServer(st)
-		for i := range cts {
-			cts[i] = opts.Faults.WrapClient(i, cts[i])
-		}
-	}
-
-	// The server's inverse-only pipeline undoes the compression stages of
-	// every received payload before a batch reaches the Aggregator.
-	serverPipe, err := NewServerPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	// Clients: own replica, own RNG stream, own update pipeline.
+	master := rng.New(cfg.Seed)
 	clients := make([]ClientAlgorithm, P)
-	for i := 0; i < P; i++ {
-		cr := master.Split()
-		pipe, err := NewClientPipeline(cfg, cr)
+	for i := range clients {
+		c, err := newRunClient(cfg, i, master.Split(), factory(), w0, fed.Clients[i])
 		if err != nil {
-			return nil, err
-		}
-		model := factory()
-		nn.SetParams(model, w0)
-		c, err := NewClient(cfg, i, model, fed.Clients[i], w0, pipe, cr)
-		if err != nil {
+			closeAggregator(agg)
 			return nil, err
 		}
 		clients[i] = c
 	}
 
 	// Client loop goroutines. A semaphore bounds concurrent training to the
-	// machine's parallelism so 203-client runs don't thrash. Each received
-	// non-final model obliges exactly one uploaded update, stamped with the
-	// model version it was trained from.
+	// machine's parallelism so 203-client runs don't thrash.
 	maxPar := opts.MaxParallel
 	if maxPar <= 0 {
 		maxPar = runtime.GOMAXPROCS(0)
@@ -282,80 +253,95 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	sem := make(chan struct{}, maxPar)
 	var wg sync.WaitGroup
 	clientErrs := make([]error, P)
-	for i := 0; i < P; i++ {
+	live := make([]comm.ClientTransport, P)
+	for i := range clients {
+		// The fault layer wraps both ends of every link (Serve wraps the
+		// server's); the unwrapped path is untouched without an injector.
+		live[i] = cts[i]
+		if opts.Faults != nil {
+			live[i] = opts.Faults.WrapClient(i, cts[i])
+		}
+		copts := ClientOptions{sem: sem}
+		if opts.ClientDelay != nil {
+			copts.Delay = func(round int) time.Duration { return opts.ClientDelay(i, round) }
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ct := cts[i]
-			defer ct.Close()
-			// wscratch recycles the downlink densify buffer across rounds
-			// (gm is dropped at the end of each iteration, so the weights
-			// it aliases are dead by the next receive) and across runs via
-			// the shared scratch pool — clients copy w before returning
-			// from LocalUpdate, so nothing aliases it at goroutine exit.
-			wscratch := tensor.GetF64(0)
-			defer func() { tensor.PutF64(wscratch) }()
-			for {
-				gm, err := ct.RecvGlobal()
-				if err != nil {
-					clientErrs[i] = err
-					return
-				}
-				if gm.Final {
-					return
-				}
-				var derr error
-				if wscratch, derr = DecodeGlobalInto(gm, wscratch); derr != nil {
-					clientErrs[i] = derr
-					return
-				}
-				if gm.Rho > 0 {
-					if rs, ok := clients[i].(interface{ SetRho(float64) }); ok {
-						rs.SetRho(gm.Rho)
-					}
-				}
-				sem <- struct{}{}
-				up, err := clients[i].LocalUpdate(int(gm.Round), gm.Weights)
-				<-sem
-				if err != nil {
-					clientErrs[i] = err
-					return
-				}
-				up.BaseVersion = gm.Version
-				if opts.ClientDelay != nil {
-					if d := opts.ClientDelay(i, int(gm.Round)); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				if cfg.SubsetFrac > 0 && len(up.Primal) > 0 {
-					// LoRA-style partial upload: only the leading subset of
-					// the trained vector leaves the client.
-					up.PrimalP = BuildSubsetPayload(up.Primal, cfg.SubsetFrac)
-					up.Primal = nil
-				}
-				if cfg.StreamChunk > 0 {
-					cs, ok := ct.(comm.ChunkSender)
-					if !ok {
-						clientErrs[i] = fmt.Errorf("core: transport %T cannot stream chunked uploads", ct)
-						return
-					}
-					if err := comm.StreamUpload(cs, up, cfg.StreamChunk, comm.UploadOptions{}); err != nil {
-						clientErrs[i] = err
-						return
-					}
-					// The chunks carried the vector; a slim update settles
-					// the round's obligation through the ordinary gather.
-					up.Primal, up.PrimalP = nil, nil
-				}
-				if err := ct.SendUpdate(up); err != nil {
-					clientErrs[i] = err
-					return
-				}
-			}
+			defer live[i].Close()
+			clientErrs[i] = runClient(cfg, clients[i], live[i], copts)
 		}(i)
 	}
 
-	res := &Result{Config: cfg, ModelDim: dim}
+	res, _, err := serve(cfg, fed, refModel, w0, agg, opts, st, false)
+	if err != nil {
+		// Nobody will send these clients a Final: end their sessions so the
+		// loops exit instead of waiting on (or redialing) a dead run.
+		for _, ct := range live {
+			ct.Close()
+		}
+		return nil, err
+	}
+	wg.Wait()
+	for i, err := range clientErrs {
+		if err != nil {
+			return nil, fmt.Errorf("core: client %d: %w", i, err)
+		}
+	}
+	return res, nil
+}
+
+// Serve runs the server half of a federation — scheduler, aggregator,
+// membership, journal and recovery, stream session, admission gate — over
+// st, a transport whose P = fed.NumClients() clients have already joined,
+// and returns the run's Result plus a copy of the final global weights.
+// The clients are whoever sits at the other end of st running RunClient:
+// goroutines (RunWithTransport) or separate processes (appfl-server ↔
+// appfl-client); the trajectory is the same. fed supplies the roster size
+// and the validation set only; st stays the caller's to close.
+func Serve(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions,
+	st comm.ServerTransport) (*Result, []float64, error) {
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if fed.NumClients() == 0 {
+		return nil, nil, fmt.Errorf("core: no clients in federated dataset")
+	}
+	refModel := factory()
+	w0 := nn.FlattenParams(refModel, nil)
+	agg, err := NewAggregator(cfg, w0, fed.NumClients())
+	if err != nil {
+		return nil, nil, err
+	}
+	return serve(cfg, fed, refModel, w0, agg, opts, st, true)
+}
+
+// serve is Serve over a validated cfg, the shared initial model w0 =
+// params(refModel) and a fresh aggregator holding it, which serve owns
+// from here on; refModel doubles as the evaluation replica.
+func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64, agg Aggregator, opts RunOptions,
+	st comm.ServerTransport, wantWeights bool) (*Result, []float64, error) {
+	// The closure closes whatever aggregator is current at exit — recovery
+	// replaces agg, and the discarded one is closed at the kill site.
+	defer func() { closeAggregator(agg) }()
+	P := fed.NumClients()
+	sched, err := NewScheduler(cfg, P)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Faults != nil {
+		st = opts.Faults.WrapServer(st)
+	}
+
+	// The server's inverse-only pipeline undoes the compression stages of
+	// every received payload before a batch reaches the Aggregator.
+	serverPipe, err := NewServerPipeline(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	res := &Result{Config: cfg, ModelDim: len(w0)}
 	validateEvery := opts.ValidateEvery
 	if validateEvery <= 0 {
 		validateEvery = 1
@@ -365,8 +351,8 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	var jw *journalWriter
 	var resume *RecoveredServer
 	if opts.Journal != nil {
-		if err := validateJournalConfig(cfg); err != nil {
-			return nil, err
+		if err := ValidateJournalConfig(cfg); err != nil {
+			return nil, nil, err
 		}
 		kills := append([]ServerKill(nil), opts.Kills...)
 		if opts.Faults != nil {
@@ -380,20 +366,23 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		res.Soak = &SoakStats{}
 		resume, err = RecoverServer(opts.Journal.Recovered(), P, sched.Barrier())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := resume.Apply(agg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !resume.Fresh {
 			// Cold-start resume: the journal Run opened already held state.
 			res.Soak.Recoveries++
 			res.Soak.ReplayedRecords += resume.Replayed
+			if opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "journal replayed %d records; resuming at round %d\n", resume.Replayed, resume.NextRound)
+			}
 		}
 		mem = resume.mem
 		mem.onLedger = jw.ledger
 	} else if len(opts.Kills) > 0 {
-		return nil, fmt.Errorf("core: RunOptions.Kills requires a Journal (an unjournaled kill is just a lost run)")
+		return nil, nil, fmt.Errorf("core: RunOptions.Kills requires a Journal (an unjournaled kill is just a lost run)")
 	}
 	loop := runBarrierRounds
 	if !sched.Barrier() {
@@ -416,16 +405,16 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		closeAggregator(agg)
 		recd, rerr := opts.Journal.Recover()
 		if rerr != nil {
-			return nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, rerr)
+			return nil, nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, rerr)
 		}
 		if agg, err = NewAggregator(cfg, w0, P); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if resume, err = RecoverServer(recd, P, sched.Barrier()); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := resume.Apply(agg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		mem = resume.mem
 		mem.onLedger = jw.ledger
@@ -437,20 +426,13 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	res.TimedOut = mem.timedOut
 	res.Crashed = mem.presumedDead()
 	if runErr != nil {
-		return nil, runErr
+		return nil, nil, runErr
 	}
 
-	// Shut clients down and surface any client error.
+	// Shut the clients down.
 	if err := st.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		return nil, fmt.Errorf("core: final broadcast: %w", err)
+		return nil, nil, fmt.Errorf("core: final broadcast: %w", err)
 	}
-	wg.Wait()
-	for i, err := range clientErrs {
-		if err != nil {
-			return nil, fmt.Errorf("core: client %d: %w", i, err)
-		}
-	}
-
 	snap := st.Stats()
 	res.Server = snap
 	res.UploadsB = snap.BytesRecv
@@ -459,7 +441,11 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 		res.FinalAcc = res.Rounds[n-1].TestAcc
 		res.FinalLoss = res.Rounds[n-1].TestLoss
 	}
-	return res, nil
+	var final []float64
+	if wantWeights {
+		final = agg.Weights()
+	}
+	return res, final, nil
 }
 
 // recordRound finalizes one round's statistics, validating on cadence.
@@ -474,6 +460,109 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 		fmt.Fprintf(progress, "round %3d  cohort %3d  acc %.4f  loss %.4f  compute %.3fs  wall %.3fs\n",
 			rs.Round, rs.CohortSize, rs.TestAcc, rs.TestLoss, rs.ComputeSec, rs.WallSec)
 	}
+}
+
+// dispatcher sends the aggregator's current model to a set of clients: the
+// one place a GlobalModel is built, shared by the barrier rounds, the
+// buffered releases and the re-dispatch of a resumed round. It feeds the
+// f16 downlink straight from the f32 accumulator when one exists (the same
+// bits as the widening path) and recycles the weight and code buffers —
+// every transport serializes inside SendTo, so one of each serves all
+// rounds.
+type dispatcher struct {
+	cfg    Config
+	agg    Aggregator
+	st     comm.ServerTransport
+	w32agg Weights32Provider
+	rho    interface{ CurrentRho() float64 }
+	wbuf   []float64
+	f16buf []byte
+}
+
+func newDispatcher(cfg Config, agg Aggregator, st comm.ServerTransport) *dispatcher {
+	d := &dispatcher{cfg: cfg, agg: agg, st: st}
+	d.w32agg, _ = agg.(Weights32Provider)
+	if cfg.AdaptiveRho {
+		d.rho, _ = agg.(interface{ CurrentRho() float64 })
+	}
+	if cfg.DownlinkF16 {
+		d.f16buf = tensor.GetBytes(2 * agg.Dim())
+	}
+	return d
+}
+
+// release returns the pooled downlink scratch.
+func (d *dispatcher) release() {
+	if d.cfg.DownlinkF16 {
+		tensor.PutBytes(d.f16buf)
+	}
+}
+
+// send delivers the current model to ids as the given round and returns
+// the model version it carried. cohortSize is the size of the cohort the
+// round opened with, which a re-dispatch to the rest of it keeps.
+func (d *dispatcher) send(ids []int, round, cohortSize int) (uint64, error) {
+	var w32 []float32
+	if d.cfg.DownlinkF16 && d.w32agg != nil {
+		w32 = d.w32agg.Weights32()
+	}
+	gm := &wire.GlobalModel{
+		Round:      uint32(round),
+		Version:    uint64(d.agg.Version()),
+		CohortSize: uint32(cohortSize),
+	}
+	if w32 == nil {
+		d.wbuf = d.agg.WeightsInto(d.wbuf)
+		gm.Weights = d.wbuf
+	}
+	if d.rho != nil {
+		gm.Rho = d.rho.CurrentRho()
+	}
+	if d.cfg.DownlinkF16 {
+		var err error
+		if w32 != nil {
+			d.f16buf, err = EncodeDownlinkF16From32(gm, w32, d.f16buf)
+		} else {
+			d.f16buf, err = EncodeDownlinkF16Into(gm, d.f16buf)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("core: downlink round %d: %w", round, err)
+		}
+	}
+	if err := d.st.SendTo(ids, gm); err != nil {
+		return 0, fmt.Errorf("core: send round %d: %w", round, err)
+	}
+	return gm.Version, nil
+}
+
+// gatherCohort collects the round's update from each listed client, in
+// list order, with goodbyes split off into the roster. Without a
+// RoundTimeout it blocks for all of them; with one it takes whoever
+// reports by the deadline, and the silent clients are forgiven and benched
+// — the survivors carry the round.
+func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []int, round int) ([]*wire.LocalUpdate, error) {
+	var updates []*wire.LocalUpdate
+	var err error
+	if cfg.RoundTimeout > 0 {
+		got, gerr := st.GatherUntil(len(ids), cfg.RoundTimeout)
+		if gerr != nil && !errors.Is(gerr, comm.ErrRoundTimeout) {
+			return nil, fmt.Errorf("core: gather round %d: %w", round, gerr)
+		}
+		if gerr != nil {
+			missing := comm.Missing(ids, got)
+			st.Forgive(missing)
+			for _, c := range missing {
+				mem.strike(c, round)
+			}
+		}
+		updates, err = comm.OrderSubset(ids, got)
+	} else {
+		updates, err = st.GatherFrom(ids)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: gather round %d: %w", round, err)
+	}
+	return splitControl(updates, mem), nil
 }
 
 // runBarrierRounds drives the classic synchronous structure: each round
@@ -491,19 +580,16 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
 	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int, progress io.Writer,
 	jw *journalWriter, resume *RecoveredServer, gate AdmissionGate) error {
-	rhoReporter, _ := agg.(interface{ CurrentRho() float64 })
-	// Fast paths of the kernel layer: fold still-encoded payloads when the
-	// stack's inverse fuses, and feed the f16 downlink straight from the
-	// f32 accumulator when one exists. Both are bit-identical to the
-	// two-pass/widening paths they replace. Journaled runs skip the fused
-	// fold: an admit record needs the dense decoded primal in hand before
-	// anything folds, so the inverse must run as its own pass.
+	// Fast path of the kernel layer: fold still-encoded payloads when the
+	// stack's inverse fuses — bit-identical to the two-pass path it
+	// replaces. Journaled runs skip the fused fold: an admit record needs
+	// the dense decoded primal in hand before anything folds, so the
+	// inverse must run as its own pass.
 	var fusedStage pipeline.FusedStage
 	fused := false
 	if jw == nil {
 		fusedStage, fused = EnableFusedFold(agg, serverPipe)
 	}
-	w32agg, _ := agg.(Weights32Provider)
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
@@ -525,14 +611,8 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 	if minCohort <= 0 {
 		minCohort = 1
 	}
-	var wbuf []float64
-	var f16buf []byte
-	if cfg.DownlinkF16 {
-		// Pooled downlink scratch: every transport serializes inside
-		// SendTo, so one code buffer serves all rounds.
-		f16buf = tensor.GetBytes(2 * agg.Dim())
-		defer func() { tensor.PutBytes(f16buf) }()
-	}
+	dispatch := newDispatcher(cfg, agg, st)
+	defer dispatch.release()
 	start := 1
 	if resume != nil {
 		start = resume.NextRound
@@ -540,7 +620,7 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 			// The crashed process died with this round in flight: finish it
 			// from the journaled admits (plus a re-gather of whatever the
 			// journal missed) before any new round is scheduled.
-			if err := completeBarrierRound(cfg, agg, serverPipe, st, evalModel, fed, res, mem, validateEvery, progress, jw, p); err != nil {
+			if err := completeBarrierRound(cfg, agg, serverPipe, st, dispatch, evalModel, fed, res, mem, validateEvery, progress, jw, p); err != nil {
 				return err
 			}
 			start = p.Round + 1
@@ -559,37 +639,15 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 			return fmt.Errorf("core: round %d cohort has %d schedulable clients, quorum is %d: %w",
 				t, len(cohort), minCohort, ErrQuorum)
 		}
-		var w32 []float32
-		if cfg.DownlinkF16 && w32agg != nil {
-			w32 = w32agg.Weights32()
+		// Dispatch, then journal the round start: a crash between the two
+		// leaves a dispatched round the journal never heard of, which the
+		// restarted server simply opens again — clients answer a repeated
+		// dispatch by re-sending the update they already trained.
+		version, err := dispatch.send(cohort, t, len(cohort))
+		if err != nil {
+			return err
 		}
-		gm := &wire.GlobalModel{
-			Round:      uint32(t),
-			Version:    uint64(agg.Version()),
-			CohortSize: uint32(len(cohort)),
-		}
-		if w32 == nil {
-			wbuf = agg.WeightsInto(wbuf)
-			gm.Weights = wbuf
-		}
-		if cfg.AdaptiveRho && rhoReporter != nil {
-			gm.Rho = rhoReporter.CurrentRho()
-		}
-		if cfg.DownlinkF16 {
-			var err error
-			if w32 != nil {
-				f16buf, err = EncodeDownlinkF16From32(gm, w32, f16buf)
-			} else {
-				f16buf, err = EncodeDownlinkF16Into(gm, f16buf)
-			}
-			if err != nil {
-				return fmt.Errorf("core: downlink round %d: %w", t, err)
-			}
-		}
-		if err := st.SendTo(cohort, gm); err != nil {
-			return fmt.Errorf("core: send round %d: %w", t, err)
-		}
-		jw.roundStart(t, cohort, gm.Version)
+		jw.roundStart(t, cohort, version)
 		if jw.shouldKill(KillAfterDispatch, t) {
 			return errServerKilled
 		}
@@ -605,30 +663,10 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 				return fmt.Errorf("core: stream round %d: %w", t, err)
 			}
 		}
-		var updates []*wire.LocalUpdate
-		var err error
-		if cfg.RoundTimeout > 0 {
-			got, gerr := st.GatherUntil(len(cohort), cfg.RoundTimeout)
-			if gerr != nil && !errors.Is(gerr, comm.ErrRoundTimeout) {
-				return fmt.Errorf("core: gather round %d: %w", t, gerr)
-			}
-			if gerr != nil {
-				// Deadline cut the gather: forgive and bench the silent
-				// clients; the survivors carry the round.
-				missing := comm.Missing(cohort, got)
-				st.Forgive(missing)
-				for _, c := range missing {
-					mem.strike(c, t)
-				}
-			}
-			updates, err = comm.OrderSubset(cohort, got)
-		} else {
-			updates, err = st.GatherFrom(cohort)
-		}
+		data, err := gatherCohort(cfg, st, mem, cohort, t)
 		if err != nil {
-			return fmt.Errorf("core: gather round %d: %w", t, err)
+			return err
 		}
-		data := splitControl(updates, mem)
 		if len(data) < minCohort {
 			return fmt.Errorf("core: round %d completed with %d of %d clients, quorum is %d: %w",
 				t, len(data), len(cohort), minCohort, ErrQuorum)
@@ -678,19 +716,24 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 		// Folded and committed: nothing reads the batch again, so its
 		// storage goes back to the transports for the next round's decode.
 		comm.ReleaseUpdates(data)
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, wbuf, progress)
+		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, dispatch.wbuf, progress)
 	}
 	return nil
 }
 
 // completeBarrierRound finishes the round a crashed server left in flight:
 // the journaled admits are taken as-is (their primals were written before
-// the crash), the rest of the cohort is re-gathered from the surviving
-// transport, and the merged batch folds in cohort order — the order the
-// uncrashed gather would have produced — so the refold is bit-identical to
-// the fold the crash interrupted.
+// the crash), the rest of the cohort is re-gathered, and the merged batch
+// folds in cohort order — the order the uncrashed gather would have
+// produced — so the refold is bit-identical to the fold the crash
+// interrupted. Whom the re-gather has to ask again is read off the
+// transport: a member whose obligation is still open (the transport
+// outlived the server state, as in the in-process kill tests) will answer
+// the original dispatch; one with none (a restarted process starts with an
+// empty ledger) gets the round's model again and answers by re-sending the
+// update it already trained, or by training if the model never reached it.
 func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int,
+	dispatch *dispatcher, evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int,
 	progress io.Writer, jw *journalWriter, p *PendingRound) error {
 	roundStart := time.Now()
 	minCohort := cfg.MinCohort
@@ -709,28 +752,25 @@ func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipel
 	}
 	var fresh []*wire.LocalUpdate
 	if len(remaining) > 0 {
-		var updates []*wire.LocalUpdate
+		owing := make(map[int]bool)
+		for _, c := range st.Outstanding() {
+			owing[c] = true
+		}
+		var again []int
+		for _, c := range remaining {
+			if !owing[c] {
+				again = append(again, c)
+			}
+		}
+		if len(again) > 0 {
+			if _, err := dispatch.send(again, p.Round, len(p.Cohort)); err != nil {
+				return err
+			}
+		}
 		var err error
-		if cfg.RoundTimeout > 0 {
-			got, gerr := st.GatherUntil(len(remaining), cfg.RoundTimeout)
-			if gerr != nil && !errors.Is(gerr, comm.ErrRoundTimeout) {
-				return fmt.Errorf("core: re-gather round %d: %w", p.Round, gerr)
-			}
-			if gerr != nil {
-				missing := comm.Missing(remaining, got)
-				st.Forgive(missing)
-				for _, c := range missing {
-					mem.strike(c, p.Round)
-				}
-			}
-			updates, err = comm.OrderSubset(remaining, got)
-		} else {
-			updates, err = st.GatherFrom(remaining)
+		if fresh, err = gatherCohort(cfg, st, mem, remaining, p.Round); err != nil {
+			return err
 		}
-		if err != nil {
-			return fmt.Errorf("core: re-gather round %d: %w", p.Round, err)
-		}
-		fresh = splitControl(updates, mem)
 		if err := DecodeUpdates(fresh, serverPipe, agg.Dim(), cfg.AggWorkers); err != nil {
 			return fmt.Errorf("core: decode resumed round %d: %w", p.Round, err)
 		}
@@ -839,42 +879,14 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 	if jw == nil {
 		fusedStage, fused = EnableFusedFold(agg, serverPipe)
 	}
-	w32agg, _ := agg.(Weights32Provider)
-	var wbuf []float64
-	var f16buf []byte
-	if cfg.DownlinkF16 {
-		f16buf = tensor.GetBytes(2 * agg.Dim())
-		defer func() { tensor.PutBytes(f16buf) }()
-	}
+	dispatcher := newDispatcher(cfg, agg, st)
+	defer dispatcher.release()
 	dispatch := func(ids []int, round int) error {
-		var w32 []float32
-		if cfg.DownlinkF16 && w32agg != nil {
-			w32 = w32agg.Weights32()
-		}
-		gm := &wire.GlobalModel{
-			Round:      uint32(round),
-			Version:    uint64(agg.Version()),
-			CohortSize: uint32(len(ids)),
-		}
-		if w32 == nil {
-			wbuf = agg.WeightsInto(wbuf)
-			gm.Weights = wbuf
-		}
-		if cfg.DownlinkF16 {
-			var err error
-			if w32 != nil {
-				f16buf, err = EncodeDownlinkF16From32(gm, w32, f16buf)
-			} else {
-				f16buf, err = EncodeDownlinkF16Into(gm, f16buf)
-			}
-			if err != nil {
-				return fmt.Errorf("core: downlink release %d: %w", round, err)
-			}
-		}
-		if err := st.SendTo(ids, gm); err != nil {
+		version, err := dispatcher.send(ids, round, len(ids))
+		if err != nil {
 			return err
 		}
-		jw.roundStart(round, ids, gm.Version)
+		jw.roundStart(round, ids, version)
 		return nil
 	}
 	buffered, _ := agg.(*BufferedAggregator)
@@ -932,7 +944,7 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 			// ComputeSec is client metadata the admit record does not carry;
 			// a resumed release reports 0 for it.
 			rs := RoundStats{Round: p.Round, CohortSize: len(p.Admitted)}
-			recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, wbuf, progress)
+			recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, dispatcher.wbuf, progress)
 			start = p.Round + 1
 		}
 	} else {
@@ -1082,7 +1094,7 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 		}
 		rs := RoundStats{Round: rel, ComputeSec: maxCompute, CohortSize: len(data)}
 		comm.ReleaseUpdates(data) // folded, committed, re-dispatched from: see runBarrierRounds
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, wbuf, progress)
+		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, dispatcher.wbuf, progress)
 		// The after-dispatch window sits at the end of the iteration so the
 		// committed release's stats are recorded before the kill lands —
 		// recovery resumes at the next release, not by replaying this one.

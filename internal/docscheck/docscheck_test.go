@@ -19,10 +19,12 @@ import (
 
 const repoRoot = "../.."
 
-// declaredFlag is one flag.X("name", default, usage) call in a command's
-// sources. Literal holds the default's source value when it is a basic
-// literal or true/false; non-literal defaults (computed expressions,
-// named constants) are present-checked only.
+// declaredFlag is one flag declaration in a command's sources: either
+// flag.X("name", default, usage) on the package's command line, or
+// fs.XVar(&dst, "name", default, usage) on a flag.FlagSet named fs.
+// Literal holds the default's source value when it is a basic literal or
+// true/false; non-literal defaults (computed expressions, named constants)
+// are present-checked only.
 type declaredFlag struct {
 	name    string
 	literal string // "" when the default is not a literal
@@ -54,17 +56,25 @@ func commandFlags(t *testing.T, cmd string) []declaredFlag {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
+			if !ok {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !flagCtors[sel.Sel.Name] {
+			if !ok {
 				return true
 			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			// The Var forms take the destination first.
+			args, ctor := call.Args, sel.Sel.Name
+			if base, isVar := strings.CutSuffix(ctor, "Var"); isVar && len(args) > 0 {
+				args, ctor = args[1:], base
+			}
+			if !flagCtors[ctor] || len(args) < 2 {
 				return true
 			}
-			nameLit, ok := call.Args[0].(*ast.BasicLit)
+			if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
+				return true
+			}
+			nameLit, ok := args[0].(*ast.BasicLit)
 			if !ok || nameLit.Kind != token.STRING {
 				return true
 			}
@@ -72,7 +82,7 @@ func commandFlags(t *testing.T, cmd string) []declaredFlag {
 			if err != nil {
 				return true
 			}
-			flags = append(flags, declaredFlag{name: name, literal: literalDefault(call.Args[1])})
+			flags = append(flags, declaredFlag{name: name, literal: literalDefault(args[1])})
 			return true
 		})
 	}

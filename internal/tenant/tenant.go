@@ -34,6 +34,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/journal"
 	"repro/internal/nn"
+	"repro/internal/wire"
 )
 
 // Spec is one tenant: its federation, model, run configuration, and its
@@ -46,6 +47,9 @@ type Spec struct {
 	// Weight is the tenant's fairness weight in the shared fold arbiter
 	// (values < 1 mean 1).
 	Weight int
+	// Plan is the experiment plan the tenant's rpc JoinAck hands its
+	// clients (zero = none; in-process clients are built from Config).
+	Plan wire.Plan
 	// Kills schedules in-process server deaths for this tenant's round
 	// loop (see core.RunOptions.Kills). Requires Options.JournalRoot.
 	Kills []core.ServerKill
@@ -117,6 +121,21 @@ func NewHost(specs []Spec, opts Options) (*Host, error) {
 	return &Host{specs: specs, opts: opts}, nil
 }
 
+// RPCSpecs returns the tenant table an rpc.Server hosting these tenants
+// listens with: each tenant's roster size, rounds, model size and plan.
+func (h *Host) RPCSpecs() []rpc.TenantSpec {
+	tspecs := make([]rpc.TenantSpec, len(h.specs))
+	for t, s := range h.specs {
+		tspecs[t] = rpc.TenantSpec{
+			NumClients: s.Fed.NumClients(),
+			Rounds:     s.Config.Rounds,
+			ModelSize:  len(nn.FlattenParams(s.Factory(), nil)),
+			Plan:       s.Plan,
+		}
+	}
+	return tspecs
+}
+
 // transports builds the shared backend and hands each tenant its server
 // view and client transports. closeFn tears the shared backend down.
 func (h *Host) transports() (sts []comm.ServerTransport, cts [][]comm.ClientTransport, closeFn func(), err error) {
@@ -142,15 +161,7 @@ func (h *Host) transports() (sts []comm.ServerTransport, cts [][]comm.ClientTran
 		}
 		return sts, cts, b.Close, nil
 	case core.TransportRPC:
-		tspecs := make([]rpc.TenantSpec, n)
-		for t, s := range h.specs {
-			tspecs[t] = rpc.TenantSpec{
-				NumClients: s.Fed.NumClients(),
-				Rounds:     s.Config.Rounds,
-				ModelSize:  len(nn.FlattenParams(s.Factory(), nil)),
-			}
-		}
-		srv, err := rpc.Listen("127.0.0.1:0", rpc.ServerConfig{Tenants: tspecs})
+		srv, err := rpc.Listen("127.0.0.1:0", rpc.ServerConfig{Tenants: h.RPCSpecs()})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -213,7 +224,47 @@ func (h *Host) Run() ([]*core.Result, error) {
 		return nil, err
 	}
 	defer closeFn()
+	return h.each(func(t int, ropts core.RunOptions) (*core.Result, error) {
+		s := h.specs[t]
+		return core.RunWithTransport(s.Config, s.Fed, s.Factory, ropts, sts[t], cts[t])
+	})
+}
 
+// Serve drives only the server half of every tenant, each over its view
+// of srv — a listening rpc.Server built from RPCSpecs whose clients
+// (remote processes running core.RunClient) have all joined. It is Run
+// for a deployed host: same engine, same isolation, same arbiter. Besides
+// the results it returns each tenant's final global weights. The caller
+// owns srv.
+func (h *Host) Serve(srv *rpc.Server) ([]*core.Result, [][]float64, error) {
+	if srv.Tenants() != len(h.specs) {
+		return nil, nil, fmt.Errorf("tenant: server hosts %d tenants, host has %d", srv.Tenants(), len(h.specs))
+	}
+	weights := make([][]float64, len(h.specs))
+	results, err := h.each(func(t int, ropts core.RunOptions) (res *core.Result, err error) {
+		s := h.specs[t]
+		res, weights[t], err = core.Serve(s.Config, s.Fed, s.Factory, ropts, srv.Tenant(t))
+		return res, err
+	})
+	return results, weights, err
+}
+
+// prefixWriter labels each progress line with its tenant (the round
+// engine writes one whole line per call).
+type prefixWriter struct {
+	w      io.Writer
+	prefix string
+}
+
+func (p prefixWriter) Write(b []byte) (int, error) {
+	_, err := p.w.Write(append([]byte(p.prefix), b...))
+	return len(b), err
+}
+
+// each runs every tenant concurrently with its slice of the host — its
+// arbiter gate, its journal directory, its labeled progress stream — and
+// collects the results in spec order.
+func (h *Host) each(run func(t int, ropts core.RunOptions) (*core.Result, error)) ([]*core.Result, error) {
 	weights := make([]int, len(h.specs))
 	for t, s := range h.specs {
 		weights[t] = s.Weight
@@ -231,9 +282,11 @@ func (h *Host) Run() ([]*core.Result, error) {
 			ropts := core.RunOptions{
 				ValidateEvery: h.opts.ValidateEvery,
 				MaxParallel:   h.opts.MaxParallel,
-				Progress:      h.opts.Progress,
 				Gate:          arb.Gate(t),
 				Kills:         s.Kills,
+			}
+			if h.opts.Progress != nil {
+				ropts.Progress = prefixWriter{h.opts.Progress, "tenant " + s.Name + "  "}
 			}
 			if h.opts.JournalRoot != "" {
 				j, err := journal.Open(JournalDir(h.opts.JournalRoot, t))
@@ -246,7 +299,7 @@ func (h *Host) Run() ([]*core.Result, error) {
 				ropts.Journal = j
 				ropts.CheckpointEvery = h.opts.CheckpointEvery
 			}
-			res, err := core.RunWithTransport(s.Config, s.Fed, s.Factory, ropts, sts[t], cts[t])
+			res, err := run(t, ropts)
 			if err != nil {
 				errs[t] = fmt.Errorf("tenant: %s: %w", s.Name, err)
 				return

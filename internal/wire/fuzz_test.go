@@ -26,6 +26,9 @@ func seedMessages() [][]byte {
 	add(&Join{ClientID: 7, Name: "client-7"})
 	add(&Join{ClientID: 0, TenantID: 3, Name: "t3-client-0"})
 	add(&JoinAck{NumClients: 203, Rounds: 50, ModelSize: 123456})
+	add(&JoinAck{NumClients: 3, Rounds: 5, ModelSize: 51450, Plan: Plan{Algorithm: "fedavg", Rho: 2, Zeta: 14,
+		Seed: 7, Pipeline: "clip:1,laplace:5,quantize:8", Chunk: 4096, Subset: 0.25, Train: 960, Test: 240}})
+	add(&JoinAck{NumClients: 1, Plan: Plan{Algorithm: "iiadmm", Seed: 1}})
 	add(&GlobalModel{Round: 3, Weights: []float64{1, -2, math.Pi}, Rho: 2.5, Version: 9, CohortSize: 4})
 	add(&LocalUpdate{
 		ClientID: 1, Round: 2, NumSamples: 64,
@@ -231,7 +234,19 @@ func FuzzDecodeJoinAndAck(f *testing.F) {
 			}
 		}
 		var a JoinAck
-		_ = a.Unmarshal(NewDecoder(data))
+		if err := a.Unmarshal(NewDecoder(data)); err == nil {
+			// Whatever plan decoded must survive a re-encode unchanged
+			// (NaNs aside): the client builds its Config from it.
+			e := NewEncoder(nil)
+			a.Marshal(e)
+			var a2 JoinAck
+			if err := a2.Unmarshal(NewDecoder(e.Bytes())); err != nil {
+				t.Fatalf("re-decode of re-encoded join ack: %v", err)
+			}
+			if p := a.Plan; p.Rho == p.Rho && p.Zeta == p.Zeta && p.Subset == p.Subset && a2 != a {
+				t.Fatalf("join ack drifted across re-encode: %+v -> %+v", a, a2)
+			}
+		}
 	})
 }
 

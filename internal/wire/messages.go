@@ -119,11 +119,103 @@ func (m *Join) Unmarshal(d *Decoder) error {
 	return nil
 }
 
-// JoinAck is the server's reply carrying run configuration.
+// Plan is the federation's shared experiment plan, held by the server and
+// handed to every client in its JoinAck: everything a client must agree on
+// with the server to train the same model on the same data split. The
+// server is the one source of truth — a client builds its configuration
+// from the plan it is given, not from flags that "must match".
+type Plan struct {
+	Algorithm string
+	Rho, Zeta float64
+	Seed      uint64
+	Pipeline  string
+	Chunk     uint32  // streamed-uplink chunk size in coordinates (0 = monolithic)
+	Subset    float64 // partial-upload coordinate fraction (0 = dense)
+	Train     uint32  // total training samples of the shared corpus
+	Test      uint32  // validation samples of the shared corpus
+}
+
+// Marshal encodes p, omitting zero fields.
+func (p *Plan) Marshal(e *Encoder) {
+	if p.Algorithm != "" {
+		e.String(1, p.Algorithm)
+	}
+	if p.Rho != 0 {
+		e.Float64(2, p.Rho)
+	}
+	if p.Zeta != 0 {
+		e.Float64(3, p.Zeta)
+	}
+	if p.Seed != 0 {
+		e.Uint64(4, p.Seed)
+	}
+	if p.Pipeline != "" {
+		e.String(5, p.Pipeline)
+	}
+	if p.Chunk != 0 {
+		e.Uint64(6, uint64(p.Chunk))
+	}
+	if p.Subset != 0 {
+		e.Float64(7, p.Subset)
+	}
+	if p.Train != 0 {
+		e.Uint64(8, uint64(p.Train))
+	}
+	if p.Test != 0 {
+		e.Uint64(9, uint64(p.Test))
+	}
+}
+
+// Unmarshal decodes p, ignoring unknown fields.
+func (p *Plan) Unmarshal(d *Decoder) error {
+	for d.More() {
+		f, w, err := d.Tag()
+		if err != nil {
+			return err
+		}
+		switch f {
+		case 1:
+			p.Algorithm, err = d.String()
+		case 2:
+			p.Rho, err = d.Float64()
+		case 3:
+			p.Zeta, err = d.Float64()
+		case 4:
+			p.Seed, err = d.Uint64()
+		case 5:
+			p.Pipeline, err = d.String()
+		case 6:
+			var v uint64
+			v, err = d.Uint64()
+			p.Chunk = uint32(v)
+		case 7:
+			p.Subset, err = d.Float64()
+		case 8:
+			var v uint64
+			v, err = d.Uint64()
+			p.Train = uint32(v)
+		case 9:
+			var v uint64
+			v, err = d.Uint64()
+			p.Test = uint32(v)
+		default:
+			err = d.Skip(w)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// JoinAck is the server's reply carrying run configuration. Plan rides
+// along as a nested message and is omitted from the wire when zero, so an
+// ack without one is byte for byte the pre-plan encoding.
 type JoinAck struct {
 	NumClients uint32
 	Rounds     uint32
 	ModelSize  uint64
+	Plan       Plan
 }
 
 // Marshal encodes m.
@@ -131,6 +223,9 @@ func (m *JoinAck) Marshal(e *Encoder) {
 	e.Uint64(1, uint64(m.NumClients))
 	e.Uint64(2, uint64(m.Rounds))
 	e.Uint64(3, m.ModelSize)
+	if m.Plan != (Plan{}) {
+		e.Message(4, &m.Plan)
+	}
 }
 
 // Unmarshal decodes m, ignoring unknown fields.
@@ -159,6 +254,14 @@ func (m *JoinAck) Unmarshal(d *Decoder) error {
 				return err
 			}
 			m.ModelSize = v
+		case 4:
+			b, err := d.BytesField()
+			if err != nil {
+				return err
+			}
+			if err := m.Plan.Unmarshal(NewDecoder(b)); err != nil {
+				return err
+			}
 		default:
 			if err := d.Skip(w); err != nil {
 				return err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -200,6 +201,64 @@ func TestJoinAckRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip %+v != %+v", out, in)
+	}
+}
+
+// TestJoinAckPlanRoundTrip: the federation plan rides the JoinAck as a
+// nested message, every field survives, and an ack without a plan is byte
+// for byte the three-integer encoding older peers produce and expect.
+func TestJoinAckPlanRoundTrip(t *testing.T) {
+	in := JoinAck{NumClients: 3, Rounds: 5, ModelSize: 51450, Plan: Plan{
+		Algorithm: "fedavg", Rho: 2.5, Zeta: 14, Seed: 1 << 40, Pipeline: "clip:1,laplace:5,quantize:8",
+		Chunk: 4096, Subset: 0.25, Train: 960, Test: 240}}
+	var e Encoder
+	var out JoinAck
+	if err := out.Unmarshal(NewDecoder(e.Encode(&in))); err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("round trip %+v != %+v", out, in)
+	}
+	// Each plan field alone, so an omitted-when-zero neighbor cannot mask
+	// a field number mix-up.
+	for _, p := range []Plan{{Algorithm: "iiadmm"}, {Rho: 2}, {Zeta: 14}, {Seed: 9}, {Pipeline: "f16"},
+		{Chunk: 7}, {Subset: 0.5}, {Train: 11}, {Test: 13}} {
+		one := JoinAck{Plan: p}
+		var got JoinAck
+		if err := got.Unmarshal(NewDecoder(e.Encode(&one))); err != nil || got != one {
+			t.Fatalf("plan %+v round-tripped to %+v (err %v)", p, got.Plan, err)
+		}
+	}
+	bare := JoinAck{NumClients: 4, Rounds: 17, ModelSize: 1017610}
+	legacy := NewEncoder(nil)
+	legacy.Uint64(1, 4)
+	legacy.Uint64(2, 17)
+	legacy.Uint64(3, 1017610)
+	if got := e.Encode(&bare); !bytes.Equal(got, legacy.Bytes()) {
+		t.Fatalf("plan-less ack encodes to %x, pre-plan encoding is %x", got, legacy.Bytes())
+	}
+	// A pre-plan peer knows fields 1-3 and skips the rest.
+	d := NewDecoder(e.Encode(&in))
+	var seen []uint64
+	for d.More() {
+		f, w, err := d.Tag()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f > 3 {
+			if err := d.Skip(w); err != nil {
+				t.Fatalf("pre-plan peer cannot skip field %d: %v", f, err)
+			}
+			continue
+		}
+		v, err := d.Uint64()
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, v)
+	}
+	if len(seen) != 3 || seen[0] != 3 || seen[1] != 5 || seen[2] != 51450 {
+		t.Fatalf("pre-plan peer read %v from an ack with a plan", seen)
 	}
 }
 
