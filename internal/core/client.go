@@ -17,8 +17,9 @@ import (
 // update to upload. User-defined algorithms implement LocalUpdate the same
 // way APPFL users override BaseClient.update().
 //
-// The returned update may alias the client's own state (FedAvg releases
-// its working vector in place), so it is valid until the next LocalUpdate:
+// The returned update aliases the client's own state (FedAvg and IIADMM
+// release their working vector in place, ICEADMM hands out copies of z and
+// λ in buffers it reuses), so it is valid until the next LocalUpdate:
 // upload or copy it before training again. Every transport has serialized
 // an update by the time SendUpdate returns, which is what lets the round
 // loops skip a per-round copy of the model.
@@ -46,7 +47,9 @@ type BaseClient struct {
 	Sens dp.SensitivityRule
 
 	dim     int
+	loss    nn.CrossEntropyLoss
 	gradBuf []float64
+	sumBuf  []float64 // fullGrad's accumulator
 }
 
 // newBaseClient wires the shared client state.
@@ -94,20 +97,30 @@ func (c *BaseClient) releasePrimal(v []float64, m *wire.LocalUpdate) error {
 // clipping, objective noise). The returned slice is reused across calls.
 func (c *BaseClient) gradAt(z []float64, b dataset.Batch) []float64 {
 	nn.SetParams(c.Model, z)
-	nn.ZeroGrad(c.Model)
-	logits := c.Model.Forward(b.X)
-	_, d := nn.CrossEntropy(logits, b.Labels)
-	nn.BackwardParams(c.Model, d)
-	c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
+	c.batchGrad(b)
 	c.Pipe.GradHook(c.gradBuf)
 	return c.gradBuf
 }
 
+// batchGrad leaves in gradBuf the mean gradient over batch b at the
+// parameters the model currently holds, before any pipeline stage.
+func (c *BaseClient) batchGrad(b dataset.Batch) {
+	nn.ZeroGrad(c.Model)
+	_, d := c.loss.Loss(c.Model.Forward(b.X), b.Labels)
+	nn.BackwardParams(c.Model, d)
+	c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
+}
+
 // fullGrad computes the clipped full-dataset mean gradient at z by
 // accumulating batch gradients weighted by batch size (ICEADMM evaluates
-// gradients on all local data points, Section IV-B).
+// gradients on all local data points, Section IV-B). Like gradAt's, the
+// returned slice is reused across calls.
 func (c *BaseClient) fullGrad(z []float64) []float64 {
-	sum := make([]float64, c.dim)
+	if cap(c.sumBuf) < c.dim {
+		c.sumBuf = make([]float64, c.dim)
+	}
+	sum := c.sumBuf[:c.dim]
+	clear(sum)
 	n := 0
 	c.Loader.Reset()
 	for {
@@ -118,11 +131,7 @@ func (c *BaseClient) fullGrad(z []float64) []float64 {
 		bs := len(b.Labels)
 		// Accumulate the unclipped batch mean scaled back to a sum.
 		nn.SetParams(c.Model, z)
-		nn.ZeroGrad(c.Model)
-		logits := c.Model.Forward(b.X)
-		_, d := nn.CrossEntropy(logits, b.Labels)
-		nn.BackwardParams(c.Model, d)
-		c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
+		c.batchGrad(b)
 		for i, g := range c.gradBuf {
 			sum[i] += g * float64(bs)
 		}
@@ -232,6 +241,10 @@ type ICEADMMClient struct {
 
 	z      []float64
 	lambda []float64
+	// zOut and dualOut are the copies of z and λ an update carries: both
+	// persist across rounds (and the pipeline may transform the primal in
+	// place), so they cannot be released themselves.
+	zOut, dualOut []float64
 }
 
 // NewICEADMMClient constructs the client; z starts from w0 and λ from
@@ -278,14 +291,16 @@ func (c *ICEADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, 
 			}
 		}
 	}
+	c.dualOut = append(c.dualOut[:0], c.lambda...)
+	c.zOut = append(c.zOut[:0], c.z...)
 	m := &wire.LocalUpdate{
 		ClientID:   uint32(c.ID),
 		Round:      uint32(round),
 		NumSamples: uint64(c.Data.Len()),
-		Dual:       append([]float64(nil), c.lambda...),
+		Dual:       c.dualOut,
 		InCohort:   true,
 	}
-	if err := c.releasePrimal(append([]float64(nil), c.z...), m); err != nil {
+	if err := c.releasePrimal(c.zOut, m); err != nil {
 		return nil, err
 	}
 	m.ComputeSec = time.Since(start).Seconds()
@@ -307,6 +322,7 @@ type IIADMMClient struct {
 
 	z      []float64
 	lambda []float64
+	rel    []float64 // the released primal, densified, under a compressing pipeline
 }
 
 // NewIIADMMClient constructs the client with λ initialized to zero.
@@ -360,14 +376,15 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 			}
 		}
 	}
-	zOut := append([]float64(nil), c.z...) // line 20
-	m := &wire.LocalUpdate{                // line 22: primal only
+	m := &wire.LocalUpdate{ // line 22: primal only
 		ClientID:   uint32(c.ID),
 		Round:      uint32(round),
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	if err := c.releasePrimal(zOut, m); err != nil {
+	// Line 20. z restarts from w every round, so it is released in place,
+	// as FedAvgClient's is: no copy.
+	if err := c.releasePrimal(c.z, m); err != nil {
 		return nil, err
 	}
 	if !c.FreezeDual {
@@ -377,10 +394,10 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		rel := m.Primal
 		if m.PrimalP != nil {
 			var err error
-			rel, err = m.PrimalP.Densify(nil)
-			if err != nil {
+			if c.rel, err = m.PrimalP.Densify(c.rel); err != nil {
 				return nil, fmt.Errorf("core: client %d released payload: %w", c.ID, err)
 			}
+			rel = c.rel
 		}
 		for i := range c.lambda { // line 21, with the released primal
 			c.lambda[i] += c.Rho * (w[i] - rel[i])

@@ -16,6 +16,7 @@ func Evaluate(model nn.Module, ds dataset.Dataset, batchSize int) (loss, accurac
 		batchSize = 256
 	}
 	loader := dataset.NewLoader(ds, batchSize, false, nil)
+	var ce nn.CrossEntropyLoss
 	totalLoss := 0.0
 	correct := 0
 	for {
@@ -23,14 +24,12 @@ func Evaluate(model nn.Module, ds dataset.Dataset, batchSize int) (loss, accurac
 		if !ok {
 			break
 		}
+		// logits belong to the model until its next Forward: both reads
+		// happen before the loop comes round.
 		logits := model.Forward(b.X)
-		l, _ := nn.CrossEntropy(logits, b.Labels)
+		l, _ := ce.Loss(logits, b.Labels)
 		totalLoss += l * float64(len(b.Labels))
-		for i := 0; i < len(b.Labels); i++ {
-			if logits.Row(i).ArgMax() == b.Labels[i] {
-				correct++
-			}
-		}
+		correct += nn.Correct(logits, b.Labels)
 	}
 	n := float64(ds.Len())
 	return totalLoss / n, float64(correct) / n

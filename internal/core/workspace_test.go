@@ -1,0 +1,92 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+)
+
+// allocsPer runs f n times at the current GOMAXPROCS and returns the
+// mallocs and bytes allocated per run.
+func allocsPer(n int, f func()) (mallocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestEvaluateAllocationGate: a warmed validation pass of the benchmark's
+// CNN over its 240-sample test set allocates a loader and a few goroutine
+// closures — not the 1.5 MB collated batch, the per-sample im2col matrices
+// or a row view per prediction it used to.
+func TestEvaluateAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, test := dataset.MNIST(dataset.SynthConfig{Train: 16, Test: 240, Seed: 7})
+	m := nn.NewCNN(nn.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, rng.New(1))
+	var loss, acc float64
+	eval := func() { loss, acc = Evaluate(m, test, 256) }
+	eval()
+	eval()
+	wantLoss, wantAcc := loss, acc
+	mallocs, bytes := allocsPer(10, eval)
+	t.Logf("%.1f mallocs, %.0f bytes per warmed Evaluate", mallocs, bytes)
+	if mallocs > 64 || bytes > 64<<10 {
+		t.Fatalf("a warmed Evaluate made %.1f allocations totalling %.0f bytes; the gate is 64 and 64 KiB", mallocs, bytes)
+	}
+	if loss != wantLoss || acc != wantAcc {
+		t.Fatalf("Evaluate moved on reused workspaces: %v/%v then %v/%v", wantLoss, wantAcc, loss, acc)
+	}
+}
+
+// TestLocalUpdateReusesModelSizedBuffers: after the first rounds a client
+// algorithm allocates no model-sized vector per round — not the released
+// primal (IIADMM releases z in place; ICEADMM copies z and λ into buffers
+// it keeps), not the densified release under a compressing pipeline, not
+// fullGrad's accumulator. The model is wide and the dataset tiny so that
+// one vector (dim·8 bytes) dwarfs everything the loader allocates.
+func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	r := rng.New(4)
+	images := tensor.New(8, 1, 4, 4)
+	r.FillNormal(images.Data(), 0, 1)
+	ds := dataset.NewInMemory(images, []int{0, 1, 2, 0, 1, 2, 0, 1}, 3)
+	factory := func() nn.Module { return nn.NewMLP(16, []int{4096}, 3, rng.New(5)) }
+	w0 := nn.FlattenParams(factory(), nil)
+	vector := float64(8 * len(w0))
+	for _, c := range []struct{ algo, pipe string }{
+		{AlgoIIADMM, ""}, {AlgoIIADMM, "quantize:8"}, {AlgoICEADMM, ""}, {AlgoFedAvg, ""},
+	} {
+		cfg := Config{Algorithm: c.algo, Rounds: 1, LocalSteps: 2, BatchSize: 8, Pipeline: c.pipe, Seed: 3}.WithDefaults()
+		cr := rng.New(6)
+		client, err := NewClient(cfg, 0, factory(), ds, w0, testPipe(t, cfg, cr), cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := 0
+		update := func() {
+			round++
+			if _, err := client.LocalUpdate(round, w0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		update()
+		update()
+		_, bytes := allocsPer(5, update)
+		t.Logf("%s %q: %.0f bytes per warmed LocalUpdate (one vector is %.0f)", c.algo, c.pipe, bytes, vector)
+		if bytes > vector/2 {
+			t.Fatalf("%s %q: a warmed LocalUpdate allocated %.0f bytes; one model-sized vector is %.0f", c.algo, c.pipe, bytes, vector)
+		}
+	}
+}

@@ -62,6 +62,14 @@ func (d *InMemory) Sample(i int) (*tensor.Tensor, int) {
 	return d.images.Slice(i), d.labels[i]
 }
 
+// batch returns samples [lo,hi) as a Batch that views the dataset's
+// storage.
+func (d *InMemory) batch(lo, hi int) Batch {
+	per := d.images.Size() / max(d.Len(), 1)
+	x := tensor.FromSlice(d.images.Data()[lo*per:hi*per], append([]int{hi - lo}, d.shape...)...)
+	return Batch{X: x, Labels: d.labels[lo:hi]}
+}
+
 // Shape returns the per-sample [C, H, W] shape.
 func (d *InMemory) Shape() []int { return d.shape }
 
@@ -111,9 +119,10 @@ func Collate(ds Dataset, indices []int) Batch {
 	b := len(indices)
 	out := tensor.New(append([]int{b}, shape...)...)
 	labels := make([]int, b)
+	dst, per := out.Data(), out.Size()/max(b, 1)
 	for bi, i := range indices {
 		x, y := ds.Sample(i)
-		copy(out.Slice(bi).Data(), x.Data())
+		copy(dst[bi*per:(bi+1)*per], x.Data())
 		labels[bi] = y
 	}
 	return Batch{X: out, Labels: labels}
@@ -159,7 +168,10 @@ func (l *Loader) Reset() {
 }
 
 // Next returns the next batch of the epoch; ok is false once exhausted.
-// The final batch of an epoch may be smaller than the batch size.
+// The final batch of an epoch may be smaller than the batch size. Like a
+// Sample, a batch must not be mutated: an unshuffled pass over an InMemory
+// dataset (evaluation) yields views of the dataset's own storage instead
+// of copies.
 func (l *Loader) Next() (Batch, bool) {
 	if l.pos >= len(l.order) {
 		return Batch{}, false
@@ -168,7 +180,12 @@ func (l *Loader) Next() (Batch, bool) {
 	if end > len(l.order) {
 		end = len(l.order)
 	}
-	b := Collate(l.ds, l.order[l.pos:end])
+	var b Batch
+	if im, ok := l.ds.(*InMemory); ok && !l.shuffle {
+		b = im.batch(l.pos, end)
+	} else {
+		b = Collate(l.ds, l.order[l.pos:end])
+	}
 	l.pos = end
 	return b, true
 }

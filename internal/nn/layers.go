@@ -15,6 +15,7 @@ type Linear struct {
 	Bias    *Parameter // [Out]
 
 	lastInput *tensor.Tensor
+	y, dx     *tensor.Tensor // workspaces, see Module
 }
 
 // NewLinear constructs a Linear layer with Kaiming-uniform initialization.
@@ -46,19 +47,22 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Linear expects [N,%d], got %v", l.In, x.Shape()))
 	}
 	l.lastInput = x
-	y := tensor.MatMulTransB(x, l.Weight.Value) // [N, Out]
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := y.Row(i)
-		row.AddInPlace(l.Bias.Value)
+	l.y = tensor.Reuse(l.y, x.Dim(0), l.Out)
+	tensor.MatMulTransBInto(l.y, x, l.Weight.Value)
+	y, b := l.y.Data(), l.Bias.Value.Data()
+	for i := 0; i < x.Dim(0); i++ {
+		for j := range b {
+			y[i*l.Out+j] += b[j]
+		}
 	}
-	return y
+	return l.y
 }
 
 // Backward accumulates dW = dyᵀ·x, db = Σ dy and returns dx = dy·W.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.backwardParams(dy)
-	return tensor.MatMul(dy, l.Weight.Value)
+	l.dx = tensor.Reuse(l.dx, dy.Dim(0), l.In)
+	return tensor.MatMulInto(l.dx, dy, l.Weight.Value)
 }
 
 // backwardParams is Backward without the dy·W product.
@@ -67,9 +71,11 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) {
 		panic("nn: Linear.Backward before Forward")
 	}
 	l.Weight.Grad.AddMatMulTransA(dy, l.lastInput)
-	n := dy.Dim(0)
-	for i := 0; i < n; i++ {
-		l.Bias.Grad.AddInPlace(dy.Row(i))
+	db, g := l.Bias.Grad.Data(), dy.Data()
+	for i := 0; i < dy.Dim(0); i++ {
+		for j, v := range g[i*l.Out : (i+1)*l.Out] {
+			db[j] += v
+		}
 	}
 }
 
@@ -83,8 +89,9 @@ type Conv2D struct {
 	Weight                  *Parameter // [Cout, Cin, K, K]
 	Bias                    *Parameter // [Cout]
 
-	lastInput *tensor.Tensor
-	lastCols  []*tensor.Tensor
+	lastInput     *tensor.Tensor
+	y, dx, dw, db *tensor.Tensor // workspaces, see Module
+	scratch       tensor.ConvWorkspace
 }
 
 // NewConv2D constructs a Conv2D layer with Kaiming-uniform initialization.
@@ -120,9 +127,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D expects [N,%d,H,W], got %v", c.InChannels, x.Shape()))
 	}
 	c.lastInput = x
-	y, cols := tensor.Conv2DForward(x, c.Weight.Value, c.Bias.Value, c.Stride, c.Pad)
-	c.lastCols = cols
-	return y
+	c.y = c.scratch.Forward(c.y, x, c.Weight.Value, c.Bias.Value, c.Stride, c.Pad)
+	return c.y
 }
 
 // Backward accumulates weight/bias gradients and returns dx.
@@ -135,9 +141,16 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	if c.lastInput == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
-	dx, dw, db := tensor.Conv2DBackward(dy, c.lastInput, c.Weight.Value, c.lastCols, true, needDx, c.Stride, c.Pad)
-	c.Weight.Grad.AddInPlace(dw)
-	c.Bias.Grad.AddInPlace(db)
+	var dx *tensor.Tensor
+	if needDx {
+		c.dx = tensor.Reuse(c.dx, c.lastInput.Shape()...)
+		dx = c.dx
+	}
+	c.dw = tensor.Reuse(c.dw, c.Weight.Value.Shape()...)
+	c.db = tensor.Reuse(c.db, c.OutChannels)
+	c.scratch.Backward(dx, c.dw, c.db, dy, c.lastInput, c.Weight.Value, c.Stride, c.Pad)
+	c.Weight.Grad.AddInPlace(c.dw)
+	c.Bias.Grad.AddInPlace(c.db)
 	return dx
 }
 
@@ -146,42 +159,46 @@ func (c *Conv2D) Params() []*Parameter { return []*Parameter{c.Weight, c.Bias} }
 
 // ReLU is the elementwise rectifier max(0, x).
 type ReLU struct {
-	mask []bool
+	out, dx *tensor.Tensor // workspaces, see Module
 }
 
 // NewReLU constructs a ReLU activation.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier.
-func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	if cap(a.mask) < x.Size() {
-		a.mask = make([]bool, x.Size())
-	}
-	a.mask = a.mask[:x.Size()]
-	for i, v := range out.Data() {
-		if v > 0 {
-			a.mask[i] = true
-		} else {
-			a.mask[i] = false
-			out.Data()[i] = 0
-		}
-	}
-	return out
+// positiveMask returns all ones when the float64 with bit pattern b is
+// greater than zero and 0 otherwise (zeros, negatives, NaNs), without a
+// branch: on activations of random sign a compare-and-branch mispredicts
+// every other element, which made the rectifier cost as much as a
+// convolution. b-1 maps +0 to the top of the range; what remains positive
+// is b-1 in [0, bits(+Inf)).
+func positiveMask(b uint64) uint64 {
+	t := int64(b - 1)
+	return uint64((t-0x7ff0000000000000)>>63) &^ uint64(t>>63)
 }
 
-// Backward zeroes the gradient where the input was non-positive.
+// Forward applies the rectifier.
+func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
+	a.out = tensor.Reuse(a.out, x.Shape()...)
+	out := a.out.Data()
+	for i, v := range x.Data() {
+		b := math.Float64bits(v)
+		out[i] = math.Float64frombits(b & positiveMask(b))
+	}
+	return a.out
+}
+
+// Backward zeroes the gradient where the input was non-positive — which is
+// exactly where the retained output is not positive.
 func (a *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if len(a.mask) != dy.Size() {
+	if a.out == nil || a.out.Size() != dy.Size() {
 		panic("nn: ReLU.Backward size mismatch with last Forward")
 	}
-	dx := dy.Clone()
-	for i := range dx.Data() {
-		if !a.mask[i] {
-			dx.Data()[i] = 0
-		}
+	a.dx = tensor.Reuse(a.dx, dy.Shape()...)
+	dx, out := a.dx.Data(), a.out.Data()
+	for i, g := range dy.Data() {
+		dx[i] = math.Float64frombits(math.Float64bits(g) & positiveMask(math.Float64bits(out[i])))
 	}
-	return dx
+	return a.dx
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -193,6 +210,7 @@ type MaxPool2D struct {
 
 	argmax  []int
 	inShape []int
+	y, dx   *tensor.Tensor // workspaces, see Module
 }
 
 // NewMaxPool2D constructs a pooling layer.
@@ -202,10 +220,9 @@ func NewMaxPool2D(kernel, stride int) *MaxPool2D {
 
 // Forward pools the input.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	y, argmax := tensor.MaxPool2DForward(x, p.Kernel, p.Stride)
-	p.argmax = argmax
+	p.y, p.argmax = tensor.MaxPool2DForwardInto(p.y, p.argmax, x, p.Kernel, p.Stride)
 	p.inShape = append(p.inShape[:0], x.Shape()...)
-	return y
+	return p.y
 }
 
 // Backward routes gradients to the max positions.
@@ -213,7 +230,9 @@ func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if p.argmax == nil {
 		panic("nn: MaxPool2D.Backward before Forward")
 	}
-	return tensor.MaxPool2DBackward(dy, p.argmax, p.inShape)
+	p.dx = tensor.Reuse(p.dx, p.inShape...)
+	tensor.MaxPool2DBackwardInto(p.dx, dy, p.argmax)
+	return p.dx
 }
 
 // Params returns nil; pooling has no parameters.
@@ -222,6 +241,7 @@ func (p *MaxPool2D) Params() []*Parameter { return nil }
 // Flatten reshapes [N, ...] to [N, prod(...)].
 type Flatten struct {
 	inShape []int
+	out, dx *tensor.Tensor // view headers, re-pointed on every call
 }
 
 // NewFlatten constructs a flatten layer.
@@ -231,12 +251,14 @@ func NewFlatten() *Flatten { return &Flatten{} }
 func (f *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape()...)
 	n := x.Dim(0)
-	return x.Reshape(n, x.Size()/max(n, 1))
+	f.out = tensor.ViewInto(f.out, x, n, x.Size()/max(n, 1))
+	return f.out
 }
 
 // Backward restores the original shape.
 func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return dy.Reshape(f.inShape...)
+	f.dx = tensor.ViewInto(f.dx, dy, f.inShape...)
+	return f.dx
 }
 
 // Params returns nil; flatten has no parameters.
@@ -245,6 +267,14 @@ func (f *Flatten) Params() []*Parameter { return nil }
 // Sequential chains modules.
 type Sequential struct {
 	Layers []Module
+
+	// params caches Params() and firstParam the index of the first layer
+	// that has any (len(Layers) when none does); both are rebuilt when
+	// Layers changes length. A training step asks for the list half a
+	// dozen times (ZeroGrad, NumParams, SetParams, FlattenGrads, ...).
+	params     []*Parameter
+	firstParam int
+	cachedLen  int // len(Layers) the cache was built for (the zero values fit an empty model)
 }
 
 // NewSequential builds a sequential container.
@@ -279,10 +309,8 @@ func BackwardParams(m Module, dy *tensor.Tensor) {
 		m.Backward(dy)
 		return
 	}
-	first := 0
-	for first < len(s.Layers) && len(s.Layers[first].Params()) == 0 {
-		first++
-	}
+	s.Params()
+	first := s.firstParam
 	for i := len(s.Layers) - 1; i > first; i-- {
 		dy = s.Layers[i].Backward(dy)
 	}
@@ -296,11 +324,21 @@ func BackwardParams(m Module, dy *tensor.Tensor) {
 	}
 }
 
-// Params concatenates all layer parameters in order.
+// Params concatenates all layer parameters in order. The slice is cached
+// and shared between calls: read it, do not append to or reorder it.
+// Replacing a layer in place (same len(Layers)) is not noticed.
 func (s *Sequential) Params() []*Parameter {
-	var out []*Parameter
-	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
+	if s.cachedLen == len(s.Layers) {
+		return s.params
 	}
-	return out
+	s.params, s.firstParam = nil, len(s.Layers)
+	for i, l := range s.Layers {
+		ps := l.Params()
+		if len(ps) > 0 && s.firstParam == len(s.Layers) {
+			s.firstParam = i
+		}
+		s.params = append(s.params, ps...)
+	}
+	s.cachedLen = len(s.Layers)
+	return s.params
 }

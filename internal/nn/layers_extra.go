@@ -13,7 +13,7 @@ import (
 
 // Tanh is the elementwise hyperbolic tangent activation.
 type Tanh struct {
-	lastOut *tensor.Tensor
+	lastOut, dx *tensor.Tensor // workspaces, see Module
 }
 
 // NewTanh constructs a Tanh activation.
@@ -21,12 +21,12 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh.
 func (a *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	for i, v := range out.Data() {
-		out.Data()[i] = math.Tanh(v)
+	a.lastOut = tensor.Reuse(a.lastOut, x.Shape()...)
+	out := a.lastOut.Data()
+	for i, v := range x.Data() {
+		out[i] = math.Tanh(v)
 	}
-	a.lastOut = out
-	return out
+	return a.lastOut
 }
 
 // Backward uses d tanh = 1 − tanh².
@@ -34,11 +34,12 @@ func (a *Tanh) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if a.lastOut == nil || a.lastOut.Size() != dy.Size() {
 		panic("nn: Tanh.Backward without matching Forward")
 	}
-	dx := dy.Clone()
+	a.dx = tensor.Reuse(a.dx, dy.Shape()...)
+	dx, g := a.dx.Data(), dy.Data()
 	for i, y := range a.lastOut.Data() {
-		dx.Data()[i] *= 1 - y*y
+		dx[i] = g[i] * (1 - y*y)
 	}
-	return dx
+	return a.dx
 }
 
 // Params returns nil; Tanh has no parameters.
@@ -46,7 +47,7 @@ func (a *Tanh) Params() []*Parameter { return nil }
 
 // Sigmoid is the elementwise logistic activation.
 type Sigmoid struct {
-	lastOut *tensor.Tensor
+	lastOut, dx *tensor.Tensor // workspaces, see Module
 }
 
 // NewSigmoid constructs a Sigmoid activation.
@@ -54,12 +55,12 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
 // Forward applies 1/(1+e^{-x}).
 func (a *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
-	for i, v := range out.Data() {
-		out.Data()[i] = 1 / (1 + math.Exp(-v))
+	a.lastOut = tensor.Reuse(a.lastOut, x.Shape()...)
+	out := a.lastOut.Data()
+	for i, v := range x.Data() {
+		out[i] = 1 / (1 + math.Exp(-v))
 	}
-	a.lastOut = out
-	return out
+	return a.lastOut
 }
 
 // Backward uses dσ = σ(1−σ).
@@ -67,11 +68,12 @@ func (a *Sigmoid) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if a.lastOut == nil || a.lastOut.Size() != dy.Size() {
 		panic("nn: Sigmoid.Backward without matching Forward")
 	}
-	dx := dy.Clone()
+	a.dx = tensor.Reuse(a.dx, dy.Shape()...)
+	dx, g := a.dx.Data(), dy.Data()
 	for i, y := range a.lastOut.Data() {
-		dx.Data()[i] *= y * (1 - y)
+		dx[i] = g[i] * (y * (1 - y))
 	}
-	return dx
+	return a.dx
 }
 
 // Params returns nil; Sigmoid has no parameters.
@@ -84,7 +86,8 @@ type Dropout struct {
 	Train bool
 	r     *rng.RNG
 
-	mask []float64
+	mask    []float64
+	out, dx *tensor.Tensor // workspaces, see Module
 }
 
 // NewDropout constructs a dropout layer in training mode.
@@ -101,23 +104,24 @@ func (d *Dropout) Forward(x *tensor.Tensor) *tensor.Tensor {
 		d.mask = nil
 		return x
 	}
-	out := x.Clone()
+	d.out = tensor.Reuse(d.out, x.Shape()...)
 	if cap(d.mask) < x.Size() {
 		d.mask = make([]float64, x.Size())
 	}
 	d.mask = d.mask[:x.Size()]
 	keep := 1 - d.P
 	scale := 1 / keep
-	for i := range out.Data() {
+	out := d.out.Data()
+	for i, v := range x.Data() {
 		if d.r.Float64() < keep {
 			d.mask[i] = scale
-			out.Data()[i] *= scale
+			out[i] = v * scale
 		} else {
 			d.mask[i] = 0
-			out.Data()[i] = 0
+			out[i] = 0
 		}
 	}
-	return out
+	return d.out
 }
 
 // Backward routes gradients through the surviving units.
@@ -128,11 +132,12 @@ func (d *Dropout) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if len(d.mask) != dy.Size() {
 		panic("nn: Dropout.Backward without matching Forward")
 	}
-	dx := dy.Clone()
-	for i := range dx.Data() {
-		dx.Data()[i] *= d.mask[i]
+	d.dx = tensor.Reuse(d.dx, dy.Shape()...)
+	dx := d.dx.Data()
+	for i, g := range dy.Data() {
+		dx[i] = g * d.mask[i]
 	}
-	return dx
+	return d.dx
 }
 
 // Params returns nil; Dropout has no parameters.
@@ -143,6 +148,7 @@ type AvgPool2D struct {
 	Kernel, Stride int
 
 	inShape []int
+	out, dx *tensor.Tensor // workspaces, see Module
 }
 
 // NewAvgPool2D constructs the pooling layer.
@@ -159,7 +165,8 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := tensor.ConvOut(h, p.Kernel, p.Stride, 0)
 	ow := tensor.ConvOut(w, p.Kernel, p.Stride, 0)
-	out := tensor.New(n, c, oh, ow)
+	p.out = tensor.Reuse(p.out, n, c, oh, ow)
+	out := p.out
 	inv := 1.0 / float64(p.Kernel*p.Kernel)
 	for i := 0; i < n; i++ {
 		for ci := 0; ci < c; ci++ {
@@ -184,7 +191,9 @@ func (p *AvgPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if len(p.inShape) != 4 {
 		panic("nn: AvgPool2D.Backward before Forward")
 	}
-	dx := tensor.New(p.inShape...)
+	p.dx = tensor.Reuse(p.dx, p.inShape...)
+	dx := p.dx
+	dx.Zero()
 	n, c := p.inShape[0], p.inShape[1]
 	oh, ow := dy.Dim(2), dy.Dim(3)
 	inv := 1.0 / float64(p.Kernel*p.Kernel)

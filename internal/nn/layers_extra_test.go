@@ -14,7 +14,7 @@ func numericalCheck(t *testing.T, m Module, x *tensor.Tensor, labels []int, samp
 	ZeroGrad(m)
 	logits := m.Forward(x)
 	_, d := CrossEntropy(logits, labels)
-	dx := m.Backward(d)
+	dx := m.Backward(d).Clone() // kept across the Forward calls below
 	const eps = 1e-6
 	loss := func() float64 {
 		l, _ := CrossEntropy(m.Forward(x), labels)

@@ -9,8 +9,23 @@ import (
 
 // CrossEntropy computes mean softmax cross-entropy loss over a batch of
 // logits [N, K] with integer labels, and the gradient of the mean loss with
-// respect to the logits. This matches torch.nn.CrossEntropyLoss.
+// respect to the logits, in a fresh tensor. This matches
+// torch.nn.CrossEntropyLoss. A training loop keeps a CrossEntropyLoss
+// instead, which reuses the gradient's storage.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *tensor.Tensor) {
+	return new(CrossEntropyLoss).Loss(logits, labels)
+}
+
+// CrossEntropyLoss is CrossEntropy with a gradient tensor it owns: like a
+// Module's output, the dlogits Loss returns is valid until the next Loss.
+// The zero value is ready; one instance serves one training loop.
+type CrossEntropyLoss struct {
+	dlogits *tensor.Tensor
+}
+
+// Loss returns the mean softmax cross-entropy of logits [N, K] against
+// labels and its gradient with respect to the logits.
+func (c *CrossEntropyLoss) Loss(logits *tensor.Tensor, labels []int) (loss float64, dlogits *tensor.Tensor) {
 	if logits.Rank() != 2 {
 		panic(fmt.Sprintf("nn: CrossEntropy expects [N,K] logits, got %v", logits.Shape()))
 	}
@@ -18,14 +33,14 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *t
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d labels for batch of %d", len(labels), n))
 	}
-	dlogits = tensor.New(n, k)
+	c.dlogits = tensor.Reuse(c.dlogits, n, k)
 	invN := 1.0 / float64(n)
 	for i := 0; i < n; i++ {
 		y := labels[i]
 		if y < 0 || y >= k {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, k))
 		}
-		row := logits.Row(i).Data()
+		row := logits.Data()[i*k : (i+1)*k]
 		// Numerically stable softmax: subtract the row max.
 		m := row[0]
 		for _, v := range row {
@@ -34,7 +49,7 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *t
 			}
 		}
 		sum := 0.0
-		drow := dlogits.Row(i).Data()
+		drow := c.dlogits.Data()[i*k : (i+1)*k]
 		for j, v := range row {
 			e := math.Exp(v - m)
 			drow[j] = e
@@ -46,7 +61,7 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlogits *t
 		}
 		drow[y] -= invN
 	}
-	return loss * invN, dlogits
+	return loss * invN, c.dlogits
 }
 
 // Softmax returns row-wise softmax probabilities for logits [N, K].
@@ -76,6 +91,26 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// Correct counts the rows of logits [N, K] whose argmax (first occurrence
+// on ties, as Tensor.ArgMax) equals the label.
+func Correct(logits *tensor.Tensor, labels []int) int {
+	k := logits.Dim(1)
+	correct := 0
+	for i, y := range labels {
+		row := logits.Data()[i*k : (i+1)*k]
+		best := 0
+		for j, v := range row {
+			if v > row[best] {
+				best = j
+			}
+		}
+		if best == y {
+			correct++
+		}
+	}
+	return correct
+}
+
 // Accuracy returns the fraction of rows in logits whose argmax equals the
 // label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {
@@ -83,11 +118,5 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	if n == 0 {
 		return 0
 	}
-	correct := 0
-	for i := 0; i < n; i++ {
-		if logits.Row(i).ArgMax() == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(n)
+	return float64(Correct(logits, labels[:n])) / float64(n)
 }

@@ -94,8 +94,9 @@ func CloneInto(dst, src Module) {
 	SetParams(dst, FlattenParams(src, nil))
 }
 
-// Predict runs a forward pass without caching gradients being used and
-// returns logits. Provided for readability at call sites.
+// Predict runs a forward pass and returns the logits, which — like every
+// Forward result — belong to m and are valid until its next Forward or
+// Backward. Provided for readability at call sites.
 func Predict(m Module, x *tensor.Tensor) *tensor.Tensor {
 	return m.Forward(x)
 }

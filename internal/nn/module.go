@@ -3,10 +3,17 @@
 // container, with manually derived backward passes and a softmax
 // cross-entropy loss. It stands in for PyTorch's torch.nn.
 //
-// Layers are stateful: Forward caches whatever Backward needs, so a module
-// must not be shared across concurrent training loops. Every federated
-// client therefore owns its own model replica (see nn.Clone), exactly as
-// each APPFL client process owns its own torch module.
+// Layers are stateful twice over. Forward caches whatever Backward needs,
+// and every layer owns the tensors it hands out — its output, its input
+// gradient, its scratch — sized on first use and reused while the batch
+// shape holds, so a warmed training step allocates nothing. The price is
+// one rule, stated on Module: a tensor returned by Forward or Backward is
+// valid until that module's next Forward or Backward. A module therefore
+// must not be shared across concurrent training loops, and a caller that
+// wants two results of one model side by side copies the first. Every
+// federated client owns its own model replica (see nn.CloneInto), exactly
+// as each APPFL client process owns its own torch module; replicas share
+// nothing, so they train and evaluate concurrently.
 package nn
 
 import (
@@ -26,6 +33,13 @@ type Parameter struct {
 // the gradient of the loss with respect to the module output and returns the
 // gradient with respect to the module input, accumulating parameter
 // gradients along the way.
+//
+// A tensor returned by Forward or Backward belongs to the module and is
+// valid until that module's next Forward or Backward: read it, or copy it,
+// before calling the module again. The same "valid until the next call" rule governs
+// core.ClientAlgorithm.LocalUpdate and comm.ClientTransport.RecvGlobal.
+// Forgetting it costs a wrong read, not a crash. Parameter gradients
+// (Parameter.Grad) are not workspaces: they persist until ZeroGrad.
 type Module interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor

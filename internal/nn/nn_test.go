@@ -322,17 +322,36 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
+// BenchmarkCNNForwardBackward times one training step (ZeroGrad → Forward →
+// CrossEntropy → BackwardParams → FlattenGrads) on a kept replica: the
+// historical 16-sample CNN, and the two models the repo's benchmark trains
+// at their real batch sizes. B/op and allocs/op are the steady-state
+// figures TestTrainingStepAllocationGate holds down.
 func BenchmarkCNNForwardBackward(b *testing.B) {
-	r := rng.New(1)
-	m := NewCNN(CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 8, Conv2: 16, Kernel: 5, Hidden: 64}, r)
-	x := randT(r, 16, 1, 28, 28)
-	labels := make([]int, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ZeroGrad(m)
-		logits := m.Forward(x)
-		_, d := CrossEntropy(logits, labels)
-		m.Backward(d)
+	for _, c := range []struct {
+		name    string
+		m       *Sequential
+		n       int
+		inShape []int
+	}{
+		{"cnn8x16_batch16", NewCNN(CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 8, Conv2: 16, Kernel: 5, Hidden: 64}, rng.New(1)), 16, []int{1, 28, 28}},
+		{"bench_cnn4x8_batch64", NewCNN(CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, rng.New(1)), 64, []int{1, 28, 28}},
+		{"bench_mlp784x1280_batch16", NewMLP(784, []int{1280}, 10, rng.New(1)), 16, []int{1, 28, 28}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x := randT(rng.New(2), append([]int{c.n}, c.inShape...)...)
+			labels := make([]int, c.n)
+			var ce CrossEntropyLoss
+			grad := FlattenGrads(c.m, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ZeroGrad(c.m)
+				_, d := ce.Loss(c.m.Forward(x), labels)
+				BackwardParams(c.m, d)
+				grad = FlattenGrads(c.m, grad)
+			}
+		})
 	}
 }
 
@@ -371,6 +390,39 @@ func TestBackwardParamsBitIdentical(t *testing.T) {
 		}
 		if !nonzero {
 			t.Fatalf("%s: all-zero gradient proves nothing", c.name)
+		}
+	}
+}
+
+// TestReLUBranchlessMatchesCompare: the bit-mask rectifier agrees with
+// `if v > 0` on every class of float64, and Backward passes the upstream
+// gradient's exact bits (NaN payloads included) where the input was
+// positive and +0 elsewhere.
+func TestReLUBranchlessMatchesCompare(t *testing.T) {
+	in := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -1, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000000), 2.5e-308}
+	r := rng.New(3)
+	for i := 0; i < 200; i++ {
+		in = append(in, r.Normal(0, 1))
+	}
+	a := NewReLU()
+	x := tensor.FromSlice(in, len(in))
+	out := a.Forward(x)
+	dy := tensor.New(len(in))
+	for i := range in {
+		dy.Data()[i] = math.Float64frombits(0x7ff8000000000000 + uint64(i)) // NaNs with distinct payloads
+	}
+	dx := a.Backward(dy)
+	for i, v := range in {
+		want, wantG := 0.0, 0.0
+		if v > 0 {
+			want, wantG = v, dy.Data()[i]
+		}
+		if math.Float64bits(out.Data()[i]) != math.Float64bits(want) {
+			t.Fatalf("ReLU(%v) = %v (%#x), want %v", v, out.Data()[i], math.Float64bits(out.Data()[i]), want)
+		}
+		if math.Float64bits(dx.Data()[i]) != math.Float64bits(wantG) {
+			t.Fatalf("ReLU'(%v) passed %#x, want %#x", v, math.Float64bits(dx.Data()[i]), math.Float64bits(wantG))
 		}
 	}
 }

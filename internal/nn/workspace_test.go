@@ -1,0 +1,182 @@
+package nn
+
+import (
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/tensor"
+)
+
+// allocsPer runs f n times at the current GOMAXPROCS (testing.AllocsPerRun
+// would drop to 1 and never enter the parallel sample loops) and returns
+// the mallocs and bytes allocated per run.
+func allocsPer(n int, f func()) (mallocs, bytes float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestTrainingStepAllocationGate: once the first steps have sized every
+// layer's workspace, a training step of the benchmark's CNN (SetParams →
+// ZeroGrad → Forward → CrossEntropy → BackwardParams → FlattenGrads)
+// allocates only what starting its worker goroutines costs — also when the
+// batch alternates between 64 and the epoch's trailing 48. Before the
+// layers owned their tensors a step made ~4 700 allocations totalling
+// ~47 MB.
+func TestTrainingStepAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := rng.New(1)
+	m := NewCNN(CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, r)
+	w := FlattenParams(m, nil)
+	type batch struct {
+		x      *tensor.Tensor
+		labels []int
+	}
+	var batches []batch
+	for _, n := range []int{64, 48} {
+		batches = append(batches, batch{randT(r, n, 1, 28, 28), make([]int, n)})
+	}
+	var ce CrossEntropyLoss
+	var grad []float64
+	i := 0
+	step := func() {
+		b := batches[i%len(batches)]
+		i++
+		SetParams(m, w)
+		ZeroGrad(m)
+		_, d := ce.Loss(m.Forward(b.x), b.labels)
+		BackwardParams(m, d)
+		grad = FlattenGrads(m, grad)
+	}
+	for k := 0; k < 4; k++ {
+		step() // size the workspaces, fill the goroutine free list
+	}
+	mallocs, bytes := allocsPer(20, step)
+	t.Logf("%.1f mallocs, %.0f bytes per warmed step", mallocs, bytes)
+	if mallocs > 64 || bytes > 64<<10 {
+		t.Fatalf("a warmed training step made %.1f allocations totalling %.0f bytes; the gate is 64 and 64 KiB", mallocs, bytes)
+	}
+}
+
+// replicaRun trains a fresh replica for a few SGD steps on its own data,
+// with batch sizes that shrink and grow so every workspace is re-cut, and
+// returns the final parameters followed by every step's loss.
+func replicaRun(factory Factory, seed uint64) []float64 {
+	m := factory()
+	r := rng.New(seed)
+	w := FlattenParams(m, nil)
+	var ce CrossEntropyLoss
+	var grad, losses []float64
+	for _, n := range []int{8, 5, 8, 3, 8, 5} {
+		x := randT(r, n, 1, 8, 8)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = r.Intn(3)
+		}
+		SetParams(m, w)
+		ZeroGrad(m)
+		loss, d := ce.Loss(m.Forward(x), labels)
+		BackwardParams(m, d)
+		grad = FlattenGrads(m, grad)
+		for i, g := range grad {
+			w[i] -= 0.1 * g
+		}
+		losses = append(losses, loss)
+	}
+	return append(w, losses...)
+}
+
+// replicaEval runs forward passes of a fresh replica over fixed batches and
+// returns every loss and correct-count.
+func replicaEval(factory Factory, seed uint64) []float64 {
+	m := factory()
+	r := rng.New(seed)
+	var ce CrossEntropyLoss
+	var out []float64
+	for _, n := range []int{12, 7, 12, 7} {
+		x := randT(r, n, 1, 8, 8)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = r.Intn(3)
+		}
+		logits := m.Forward(x)
+		loss, _ := ce.Loss(logits, labels)
+		out = append(out, loss, float64(Correct(logits, labels)))
+	}
+	return out
+}
+
+// TestReplicasShareNothing: four replicas from one Factory train
+// concurrently while a fifth evaluates, and each ends bit for bit where its
+// own serial run ends. Layer workspaces belong to a replica; nothing goes
+// through a pool another replica could observe. Run it under -race: with a
+// shared workspace the detector fires before the comparison does.
+func TestReplicasShareNothing(t *testing.T) {
+	factory := func() Module {
+		return NewCNN(CNNConfig{InChannels: 1, Height: 8, Width: 8, Classes: 3, Conv1: 2, Conv2: 3, Kernel: 3, Hidden: 8}, rng.New(7))
+	}
+	const trainers = 4
+	want := make([][]float64, trainers+1)
+	for i := 0; i < trainers; i++ {
+		want[i] = replicaRun(factory, uint64(100+i))
+	}
+	want[trainers] = replicaEval(factory, 200)
+
+	got := make([][]float64, trainers+1)
+	var wg sync.WaitGroup
+	for i := 0; i <= trainers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i == trainers {
+				got[i] = replicaEval(factory, 200)
+			} else {
+				got[i] = replicaRun(factory, uint64(100+i))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("replica %d: %d values, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("replica %d value %d: %v concurrently, %v serially", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestForwardResultIsValidUntilNextCall pins the workspace rule from the
+// caller's side: the tensor a model returned is overwritten by its next
+// Forward (so it must be copied to be kept), and a second replica's calls
+// never touch it.
+func TestForwardResultIsValidUntilNextCall(t *testing.T) {
+	r := rng.New(5)
+	a, b := NewMLP(6, []int{5}, 3, rng.New(9)), NewMLP(6, []int{5}, 3, rng.New(9))
+	x1, x2 := randT(r, 4, 6), randT(r, 4, 6)
+	y1 := a.Forward(x1)
+	kept := y1.Clone()
+	b.Forward(x2) // another replica: y1 untouched
+	if !y1.EqualWithin(kept, 0) {
+		t.Fatal("a second replica's Forward changed the first one's output")
+	}
+	y2 := a.Forward(x2)
+	if y2 != y1 {
+		t.Fatal("the same-shaped second Forward should reuse the output tensor")
+	}
+	if y1.EqualWithin(kept, 0) {
+		t.Fatal("the reused output still holds the first result; the test inputs are degenerate")
+	}
+}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -58,10 +59,17 @@ func PutBytes(s []byte) {
 }
 
 // MaxPool2DForward applies max pooling with a square kernel and stride to a
-// batch x [N, C, H, W]. It returns the pooled output [N, C, OH, OW] and the
-// flat argmax index (into each sample's data) for every output element, which
-// the backward pass uses to route gradients.
+// batch x [N, C, H, W]. It returns a fresh pooled output [N, C, OH, OW] and
+// the flat argmax index (into each sample's data) for every output element,
+// which the backward pass uses to route gradients.
 func MaxPool2DForward(x *Tensor, kernel, stride int) (y *Tensor, argmax []int) {
+	return MaxPool2DForwardInto(nil, nil, x, kernel, stride)
+}
+
+// MaxPool2DForwardInto is MaxPool2DForward into storage the caller keeps:
+// y is re-cut to [N, C, OH, OW] (Reuse) and argmax to one entry per element
+// of y, both are overwritten and returned.
+func MaxPool2DForwardInto(y *Tensor, argmax []int, x *Tensor, kernel, stride int) (*Tensor, []int) {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: MaxPool2DForward requires [N,C,H,W], got %v", x.shape))
 	}
@@ -71,31 +79,41 @@ func MaxPool2DForward(x *Tensor, kernel, stride int) (y *Tensor, argmax []int) {
 	if oh <= 0 || ow <= 0 {
 		panic("tensor: MaxPool2DForward output is empty")
 	}
-	y = New(n, c, oh, ow)
-	argmax = make([]int, n*c*oh*ow)
+	y = Reuse(y, n, c, oh, ow)
+	if cap(argmax) < y.Size() {
+		argmax = make([]int, y.Size())
+	}
+	argmax = argmax[:y.Size()]
 	sampleLen := c * h * w
-	parallelFor(n, func(i int) {
-		src := x.data[i*sampleLen : (i+1)*sampleLen]
-		outBase := i * c * oh * ow
-		for ci := 0; ci < c; ci++ {
-			chanBase := ci * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy0, ix0 := oy*stride, ox*stride
-					bestIdx := chanBase + iy0*w + ix0
-					best := src[bestIdx]
-					for ky := 0; ky < kernel; ky++ {
-						rowBase := chanBase + (iy0+ky)*w
-						for kx := 0; kx < kernel; kx++ {
-							idx := rowBase + ix0 + kx
-							if src[idx] > best {
-								best, bestIdx = src[idx], idx
+	parallelChunks(n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			src := x.data[i*sampleLen : (i+1)*sampleLen]
+			outBase := i * c * oh * ow
+			for ci := 0; ci < c; ci++ {
+				chanBase := ci * h * w
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						iy0, ix0 := oy*stride, ox*stride
+						// The running maximum travels as its bit pattern next
+						// to its index, so the update is two integer
+						// conditional moves rather than a branch: which window
+						// element wins is a coin toss no predictor calls.
+						bestIdx := chanBase + iy0*w + ix0
+						best := math.Float64bits(src[bestIdx])
+						for ky := 0; ky < kernel; ky++ {
+							rowBase := chanBase + (iy0+ky)*w
+							for kx := 0; kx < kernel; kx++ {
+								idx := rowBase + ix0 + kx
+								vb := math.Float64bits(src[idx])
+								if src[idx] > math.Float64frombits(best) {
+									best, bestIdx = vb, idx
+								}
 							}
 						}
+						o := outBase + (ci*oh+oy)*ow + ox
+						y.data[o] = math.Float64frombits(best)
+						argmax[o] = bestIdx
 					}
-					o := outBase + (ci*oh+oy)*ow + ox
-					y.data[o] = best
-					argmax[o] = bestIdx
 				}
 			}
 		}
@@ -104,17 +122,29 @@ func MaxPool2DForward(x *Tensor, kernel, stride int) (y *Tensor, argmax []int) {
 }
 
 // MaxPool2DBackward routes the upstream gradient dy [N, C, OH, OW] back to
-// the positions recorded in argmax, producing dx with the input shape.
+// the positions recorded in argmax, producing a fresh dx with the input
+// shape.
 func MaxPool2DBackward(dy *Tensor, argmax []int, inShape []int) *Tensor {
 	if len(inShape) != 4 {
 		panic("tensor: MaxPool2DBackward requires a rank-4 input shape")
 	}
+	dx := New(inShape...)
+	MaxPool2DBackwardInto(dx, dy, argmax)
+	return dx
+}
+
+// MaxPool2DBackwardInto is MaxPool2DBackward into a caller-owned dx
+// [N, C, H, W], overwritten.
+func MaxPool2DBackwardInto(dx, dy *Tensor, argmax []int) {
 	if len(argmax) != dy.Size() {
 		panic(fmt.Sprintf("tensor: MaxPool2DBackward argmax length %d does not match dy size %d", len(argmax), dy.Size()))
 	}
-	dx := New(inShape...)
-	n := inShape[0]
-	sampleLen := inShape[1] * inShape[2] * inShape[3]
+	clear(dx.data)
+	n := dx.shape[0]
+	if n == 0 {
+		return
+	}
+	sampleLen := dx.Size() / n
 	outSample := dy.Size() / n
 	for i := 0; i < n; i++ {
 		dst := dx.data[i*sampleLen : (i+1)*sampleLen]
@@ -123,5 +153,4 @@ func MaxPool2DBackward(dy *Tensor, argmax []int, inShape []int) *Tensor {
 			dst[argmax[o]] += dy.data[o]
 		}
 	}
-	return dx
 }

@@ -5,7 +5,12 @@
 //
 // It is the substrate standing in for PyTorch's tensor library in this
 // reproduction of APPFL. Tensors are contiguous; Reshape returns a view that
-// shares storage, everything else either operates in place or allocates.
+// shares storage. The arithmetic a training step runs — the three matrix
+// products, im2col/col2im, the batched convolution, max pooling — writes
+// into storage the caller owns (the *Into functions, ConvWorkspace, Reuse),
+// so a layer that keeps its tensors allocates nothing per step; the
+// allocating forms (MatMul, Conv2DForward, ...) are thin wrappers that
+// supply a fresh destination.
 package tensor
 
 import (
@@ -25,7 +30,7 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %s", d, shapeString(shape)))
 		}
 		n *= d
 	}
@@ -42,11 +47,58 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (=%d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (=%d)", len(data), shapeString(shape), n))
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: data}
+}
+
+// Reuse returns a tensor of the given shape for a caller that overwrites
+// every element: t itself, re-dimensioned in place, when its storage is
+// large enough, and a fresh tensor otherwise (t may be nil). It is how a
+// layer keeps an output or scratch tensor across calls while the batch
+// shape holds; the elements are whatever the last use left.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			return New(shape...) // which rejects it
+		}
+		n *= d
+	}
+	if t == nil || cap(t.data) < n {
+		return New(shape...)
+	}
+	t.shape = append(t.shape[:0], shape...)
+	t.data = t.data[:n]
+	return t
+}
+
+// ViewInto points dst (allocated when nil) at src's storage under a new
+// shape and returns it: Reshape for a caller that hands out a view on
+// every call and keeps the header. The element count must be preserved.
+func ViewInto(dst, src *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if n != len(src.data) {
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %s (%d elems)", src.shape, len(src.data), shapeString(shape), n))
+	}
+	if dst == nil {
+		dst = &Tensor{}
+	}
+	dst.shape = append(dst.shape[:0], shape...)
+	dst.data = src.data
+	return dst
+}
+
+// shapeString formats a shape for a panic message from a copy, so that a
+// constructor's variadic shape argument does not escape to the heap on
+// the paths that never panic.
+func shapeString(shape []int) string {
+	return fmt.Sprint(append([]int(nil), shape...))
 }
 
 // Shape returns the dimensions. The returned slice must not be modified.
@@ -97,25 +149,10 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a view with a new shape sharing the same storage. The
 // element count must be preserved.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: t.data}
-}
+func (t *Tensor) Reshape(shape ...int) *Tensor { return ViewInto(nil, t, shape...) }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.data) }
 
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -371,10 +372,7 @@ func TestConv2DForwardAgainstNaive(t *testing.T) {
 		x := randTensor(r, c.n, c.cin, c.h, c.w)
 		w := randTensor(r, c.cout, c.cin, c.k, c.k)
 		b := randTensor(r, c.cout)
-		y, cols := Conv2DForward(x, w, b, c.stride, c.pad)
-		if len(cols) != c.n {
-			t.Fatalf("cols count %d != batch %d", len(cols), c.n)
-		}
+		y := Conv2DForward(x, w, b, c.stride, c.pad)
 		for i := 0; i < c.n; i++ {
 			want := naiveConv2D(x.Slice(i), w, b, c.stride, c.pad)
 			if !y.Slice(i).EqualWithin(want, 1e-9) {
@@ -418,11 +416,9 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	// Scalar loss = sum of conv output weighted by fixed random coefficients.
 	coef := randTensor(r, n, cout, ConvOut(h, k, stride, pad), ConvOut(wd, k, stride, pad))
 	loss := func() float64 {
-		y, _ := Conv2DForward(x, w, b, stride, pad)
-		return y.Dot(coef)
+		return Conv2DForward(x, w, b, stride, pad).Dot(coef)
 	}
-	_, cols := Conv2DForward(x, w, b, stride, pad)
-	dx, dw, db := Conv2DBackward(coef, x, w, cols, true, true, stride, pad)
+	dx, dw, db := Conv2DBackward(coef, x, w, true, true, stride, pad)
 
 	const eps = 1e-6
 	checkGrad := func(name string, param *Tensor, grad *Tensor, samples int) {
@@ -511,32 +507,195 @@ func TestMaxPoolNumericalGradient(t *testing.T) {
 	}
 }
 
+// The benchmarks below report MMAC/s (or Melem/s) and B/op, on the shapes
+// the repo's benchmark actually runs — cnn_iiadmm's two convolutions at
+// batch 64 and its Linear(1568,32), wide_*'s Linear(784,1280) at batch 16 —
+// so a kernel change starts from a number, not a profile. The ref/ variants
+// time the scalar loops of ref_test.go on the same operands.
+
+func reportRate(b *testing.B, perOp int, unit string) {
+	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds()/1e6, unit)
+}
+
 func BenchmarkMatMul128(b *testing.B) {
 	r := rng.New(1)
 	x := randTensor(r, 128, 128)
 	y := randTensor(r, 128, 128)
+	dst := New(128, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		MatMulInto(dst, x, y)
+	}
+	reportRate(b, 128*128*128, "MMAC/s")
+}
+
+// BenchmarkMatMulShapes: each of the three products on the training step's
+// real shapes; [m,k,n] names the product, whatever way its operands are
+// stored. zeroFrac plants exact zeros in A the way a post-ReLU gradient
+// has them (MMAC/s counts the skipped multiply-adds too).
+func BenchmarkMatMulShapes(b *testing.B) {
+	type product func(dst, a, b *Tensor)
+	ab := [2]product{func(d, x, y *Tensor) { MatMulInto(d, x, y) }, func(d, x, y *Tensor) { refMatMul(x, y) }}
+	abt := [2]product{func(d, x, y *Tensor) { MatMulTransBInto(d, x, y) }, func(d, x, y *Tensor) { refMatMulTransB(x, y) }}
+	atb := [2]product{func(d, x, y *Tensor) { matMulTransAInto(d.data, x.data, y.data, x.shape[0], x.shape[1], y.shape[1]) }, func(d, x, y *Tensor) { refMatMulTransA(x, y) }}
+	addAtb := [2]product{func(d, x, y *Tensor) { d.AddMatMulTransA(x, y) }, refAddMatMulTransA}
+	r := rng.New(1)
+	for _, c := range []struct {
+		name     string
+		m, k, n  int
+		zeroFrac float64
+		f        [2]product // the kernel, the scalar loop
+	}{
+		{"AB/conv1_fwd", 4, 25, 784, 0, ab},
+		{"AB/conv2_fwd", 8, 100, 196, 0, ab},
+		{"AB/linear1568x32_dx", 64, 32, 1568, 0.5, ab},
+		{"ABt/linear1568x32_fwd", 64, 1568, 32, 0, abt},
+		{"ABt/linear784x1280_fwd", 16, 784, 1280, 0, abt},
+		{"ABt/conv1_dW", 4, 784, 25, 0.5, abt},
+		{"ABt/conv2_dW", 8, 196, 100, 0.5, abt},
+		{"AtB/conv2_dcols", 100, 8, 196, 0, atb},
+		{"AtB/linear784x1280_dW", 1280, 16, 784, 1.0 / 3, addAtb},
+		{"AtB/linear1568x32_dW", 32, 64, 1568, 0.5, addAtb},
+	} {
+		var x, y *Tensor
+		switch c.name[:3] {
+		case "AB/":
+			x, y = randTensor(r, c.m, c.k), randTensor(r, c.k, c.n)
+		case "ABt":
+			x, y = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k)
+		default:
+			x, y = randTensor(r, c.k, c.m), randTensor(r, c.k, c.n)
+		}
+		for i := range x.data {
+			if r.Float64() < c.zeroFrac {
+				x.data[i] = 0
+			}
+		}
+		dst := New(c.m, c.n)
+		for v, prefix := range []string{"", "ref/"} {
+			b.Run(fmt.Sprintf("%s%s_[%d,%d,%d]", prefix, c.name, c.m, c.k, c.n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.f[v](dst, x, y)
+				}
+				reportRate(b, c.m*c.k*c.n, "MMAC/s")
+			})
+		}
 	}
 }
 
+// convBenchCases: the historical micro-shape and the benchmark CNN's two
+// convolutions at its training batch.
+var convBenchCases = []struct {
+	name                               string
+	n, cin, h, w, cout, k, stride, pad int
+}{
+	{"8x1x28x28_k5p0_c16", 8, 1, 28, 28, 16, 5, 1, 0},
+	{"cnn_conv1_64x1x28x28_k5p2_c4", 64, 1, 28, 28, 4, 5, 1, 2},
+	{"cnn_conv2_64x4x14x14_k5p2_c8", 64, 4, 14, 14, 8, 5, 1, 2},
+}
+
 func BenchmarkConv2DForward(b *testing.B) {
-	r := rng.New(1)
-	x := randTensor(r, 8, 1, 28, 28)
-	w := randTensor(r, 16, 1, 5, 5)
-	bias := randTensor(r, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Conv2DForward(x, w, bias, 1, 0)
+	for _, c := range convBenchCases {
+		r := rng.New(1)
+		x := randTensor(r, c.n, c.cin, c.h, c.w)
+		w := randTensor(r, c.cout, c.cin, c.k, c.k)
+		bias := randTensor(r, c.cout)
+		oh, ow := ConvOut(c.h, c.k, c.stride, c.pad), ConvOut(c.w, c.k, c.stride, c.pad)
+		macs := c.n * c.cout * c.cin * c.k * c.k * oh * ow
+		b.Run(c.name, func(b *testing.B) {
+			var ws ConvWorkspace
+			y := New(c.n, c.cout, oh, ow)
+			ws.Forward(y, x, w, bias, c.stride, c.pad) // size the workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Forward(y, x, w, bias, c.stride, c.pad)
+			}
+			reportRate(b, macs, "MMAC/s")
+		})
+		b.Run("ref/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				refConv2DForward(x, w, bias, c.stride, c.pad)
+			}
+			reportRate(b, macs, "MMAC/s")
+		})
+	}
+}
+
+// BenchmarkConv2DBackward counts both products (dW and dx) as MACs.
+func BenchmarkConv2DBackward(b *testing.B) {
+	for _, c := range convBenchCases {
+		r := rng.New(1)
+		x := randTensor(r, c.n, c.cin, c.h, c.w)
+		w := randTensor(r, c.cout, c.cin, c.k, c.k)
+		oh, ow := ConvOut(c.h, c.k, c.stride, c.pad), ConvOut(c.w, c.k, c.stride, c.pad)
+		dy := randTensor(r, c.n, c.cout, oh, ow)
+		macs := 2 * c.n * c.cout * c.cin * c.k * c.k * oh * ow
+		b.Run(c.name, func(b *testing.B) {
+			var ws ConvWorkspace
+			dx, dw, db := New(x.shape...), New(w.shape...), New(c.cout)
+			ws.Backward(dx, dw, db, dy, x, w, c.stride, c.pad) // size the workspace
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Backward(dx, dw, db, dy, x, w, c.stride, c.pad)
+			}
+			reportRate(b, macs, "MMAC/s")
+		})
+		b.Run("ref/"+c.name, func(b *testing.B) {
+			_, cols := refConv2DForward(x, w, nil, c.stride, c.pad)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				refConv2DBackward(dy, x, w, cols, true, true, c.stride, c.pad)
+			}
+			reportRate(b, macs, "MMAC/s")
+		})
 	}
 }
 
 func BenchmarkIm2Col(b *testing.B) {
-	r := rng.New(1)
-	x := randTensor(r, 3, 32, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(x, 5, 5, 1, 2)
+	for _, c := range []struct {
+		name          string
+		c, h, w, k, p int
+	}{
+		{"3x32x32_k5p2", 3, 32, 32, 5, 2},
+		{"cnn_conv1_1x28x28_k5p2", 1, 28, 28, 5, 2},
+		{"cnn_conv2_4x14x14_k5p2", 4, 14, 14, 5, 2},
+	} {
+		x := randTensor(rng.New(1), c.c, c.h, c.w)
+		elems := c.c * c.k * c.k * ConvOut(c.h, c.k, 1, c.p) * ConvOut(c.w, c.k, 1, c.p)
+		cols := New(c.c*c.k*c.k, elems/(c.c*c.k*c.k))
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				im2col(cols.data, x.data, c.c, c.h, c.w, c.k, c.k, 1, c.p)
+			}
+			reportRate(b, elems, "Melem/s")
+		})
+		b.Run("ref/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				refIm2Col(x, c.k, c.k, 1, c.p)
+			}
+			reportRate(b, elems, "Melem/s")
+		})
+		b.Run("col2im/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col2im(x.data, cols.data, c.c, c.h, c.w, c.k, c.k, 1, c.p)
+			}
+			reportRate(b, elems, "Melem/s")
+		})
+		b.Run("ref/col2im/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				refCol2Im(cols, c.c, c.h, c.w, c.k, c.k, 1, c.p)
+			}
+			reportRate(b, elems, "Melem/s")
+		})
 	}
 }
