@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/f16"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/wire"
@@ -221,7 +222,7 @@ func BenchmarkKWayFold(b *testing.B) {
 	for j, v := range srcs {
 		codes := make([]byte, 2*dim)
 		for i, x := range v {
-			h := wire.Float16FromFloat64(x)
+			h := f16.FromFloat64(x)
 			codes[2*i] = byte(h)
 			codes[2*i+1] = byte(h >> 8)
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/f16"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
@@ -329,7 +330,7 @@ func probeKernel(o Options, r *Report) error {
 		v := refSrcs[j]
 		codes := make([]byte, 2*len(v))
 		for i, x := range v {
-			h := wire.Float16FromFloat64(x)
+			h := f16.FromFloat64(x)
 			codes[2*i] = byte(h)
 			codes[2*i+1] = byte(h >> 8)
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/f16"
 	"repro/internal/wire"
 )
 
@@ -346,7 +347,7 @@ func TestPackUpdateCarriesCompressedPayload(t *testing.T) {
 func TestPackGlobalCarriesCompressedPayload(t *testing.T) {
 	codes := make([]byte, 6)
 	for i, v := range []float64{1, -2, 0.5} {
-		h := wire.Float16FromFloat64(v)
+		h := f16.FromFloat64(v)
 		codes[2*i] = byte(h)
 		codes[2*i+1] = byte(h >> 8)
 	}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/pipeline"
+	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -106,19 +108,7 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 		}
 		comm.ReleaseUpdates(ups)
 	}
-	for r := 1; r <= warm; r++ {
-		round(r)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	wire0 := srv.Stats()
-	for r := warm + 1; r <= warm+rounds; r++ {
-		round(r)
-	}
-	runtime.ReadMemStats(&m1)
-	wire1 := srv.Stats()
-	onWire := float64(wire1.BytesSent-wire0.BytesSent+wire1.BytesRecv-wire0.BytesRecv) / rounds
-	alloc := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+	onWire, alloc := steadyState(srv, warm, rounds, round)
 	t.Logf("per round: %.2f MB on the wire, %.3f MB allocated (%.4f×)", onWire/1e6, alloc/1e6, alloc/onWire)
 	if onWire < 2*n*8*dim {
 		t.Fatalf("round moved %.0f bytes, expected at least %d", onWire, 2*n*8*dim)
@@ -130,6 +120,129 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// steadyState runs warm rounds unmeasured, then rounds more, and returns
+// the bytes put on the wire and the bytes allocated per measured round
+// (the whole process: server, clients and their codecs).
+func steadyState(srv *Server, warm, rounds int, round func(r int)) (onWire, alloc float64) {
+	for r := 1; r <= warm; r++ {
+		round(r)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	wire0 := srv.Stats()
+	for r := warm + 1; r <= warm+rounds; r++ {
+		round(r)
+	}
+	runtime.ReadMemStats(&m1)
+	wire1 := srv.Stats()
+	onWire = float64(wire1.BytesSent-wire0.BytesSent+wire1.BytesRecv-wire0.BytesRecv) / float64(rounds)
+	alloc = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rounds)
+	return onWire, alloc
+}
+
+// TestCompressedRoundAllocationGate is the dense gate for the private,
+// compressed path (the wide_dp_q8 shape): the server broadcasts the model
+// as float16, four clients densify it, perturb and quantize a
+// 256k-parameter release through clip:1,laplace:5,quantize:8 and upload
+// one byte a coordinate. Once warm, a round allocates at most a quarter of
+// the bytes it puts on the wire: the received payloads decode into the
+// code buffers their messages kept, the quantizer releases into its own.
+// (Before, every message built a fresh Payload and Codes and every release
+// a fresh code buffer: 1.3× the wire bytes.)
+func TestCompressedRoundAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
+	}
+	const n, dim, warm, rounds = 4, 256 << 10, 2, 8
+	srv, clients := dialCluster(t, n, dim)
+	specs, err := pipeline.Parse("clip:1,laplace:5,quantize:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	clientErrs := make([]error, n)
+	for i, c := range clients {
+		pipe, err := specs.Build(rng.New(uint64(i) + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			var weights []float64
+			for {
+				gm, err := c.RecvGlobal()
+				if err != nil || gm.Final {
+					return
+				}
+				if gm.WeightsP == nil || gm.WeightsP.Enc != wire.EncFloat16 {
+					clientErrs[i] = errors.New("model did not arrive as a float16 payload")
+					return
+				}
+				if weights, err = gm.WeightsP.Densify(weights); err != nil {
+					clientErrs[i] = err
+					return
+				}
+				u := pipeline.NewDense(weights) // released in place, like FedAvg's z
+				if err := pipe.Apply(u, 0.02); err != nil {
+					clientErrs[i] = err
+					return
+				}
+				if c.SendUpdate(&wire.LocalUpdate{ClientID: uint32(i), Round: gm.Round, NumSamples: 1, PrimalP: u}) != nil {
+					return
+				}
+			}
+		}(i, c)
+	}
+	weights := make([]float64, dim)
+	var codes []byte
+	all := comm.AllClients(n)
+	round := func(r int) {
+		for i := range weights {
+			weights[i] = float64(r) + float64(i%64)/64
+		}
+		var err error
+		if codes, err = pipeline.EncodeFloat16(weights, codes); err != nil {
+			t.Fatal(err)
+		}
+		gm := &wire.GlobalModel{Round: uint32(r), WeightsP: &wire.Payload{Enc: wire.EncFloat16, Dim: dim, Codes: codes}}
+		if err := srv.SendTo(all, gm); err != nil {
+			t.Fatal(err)
+		}
+		ups, err := srv.GatherFrom(all)
+		if err != nil {
+			t.Fatal(errors.Join(append(clientErrs, err)...))
+		}
+		for i, u := range ups {
+			p := u.PrimalP
+			if p == nil || p.Enc != wire.EncQuant || p.Bits != 8 || len(p.Codes) != dim || p.Validate() != nil {
+				t.Fatalf("round %d client %d: upload is not a %d-coordinate 8-bit payload: %+v", r, i, dim, u)
+			}
+			// The release spans [r − noise, r + 1 + noise): its offset names
+			// the round, so a recycled payload from an earlier one shows.
+			if math.Abs(p.Offset-float64(r)) > 0.5 {
+				t.Fatalf("round %d client %d: payload offset %v belongs to another round", r, i, p.Offset)
+			}
+		}
+		comm.ReleaseUpdates(ups)
+	}
+	onWire, alloc := steadyState(srv, warm, rounds, round)
+	t.Logf("per round: %.2f MB on the wire, %.3f MB allocated (%.4f×)", onWire/1e6, alloc/1e6, alloc/onWire)
+	if onWire < n*3*dim {
+		t.Fatalf("round moved %.0f bytes, expected at least %d", onWire, n*3*dim)
+	}
+	if alloc > 0.25*onWire {
+		t.Errorf("steady-state round allocates %.0f bytes for %.0f on the wire (%.2f×), gate is 0.25×", alloc, onWire, alloc/onWire)
+	}
+	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := errors.Join(clientErrs...); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // hostileHeader is a frame header announcing just under 1 GiB.

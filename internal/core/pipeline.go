@@ -153,6 +153,12 @@ func DecodeUpdates(batch []*wire.LocalUpdate, inv *pipeline.Pipeline, dim, worke
 			// still encoded. The dimension screen above already ran.
 			return nil
 		}
+		if u.PrimalP.Enc != wire.EncDense {
+			// The payload densifies into the vector the message kept from
+			// its previous life, which Primal then carries like a dense
+			// upload's.
+			u.PrimalP.Dense = u.Primal[:0]
+		}
 		if err := inv.Invert(u.PrimalP); err != nil {
 			return fmt.Errorf("core: client %d update: %w", u.ClientID, err)
 		}

@@ -57,10 +57,7 @@ func (l *Laplace) Perturb(v []float64, sensitivity float64) {
 	if math.IsInf(l.Eps, 1) || sensitivity == 0 {
 		return
 	}
-	scale := sensitivity / l.Eps
-	for i := range v {
-		v[i] += l.R.Laplace(0, scale)
-	}
+	l.R.AddLaplace(v, 0, sensitivity/l.Eps)
 }
 
 // Name returns a human-readable identifier.
@@ -97,10 +94,7 @@ func (g *Gaussian) Perturb(v []float64, sensitivity float64) {
 	if math.IsInf(g.Eps, 1) || sensitivity == 0 {
 		return
 	}
-	sigma := sensitivity * math.Sqrt(2*math.Log(1.25/g.Delta)) / g.Eps
-	for i := range v {
-		v[i] += g.R.Normal(0, sigma)
-	}
+	g.R.AddNormal(v, 0, sensitivity*math.Sqrt(2*math.Log(1.25/g.Delta))/g.Eps)
 }
 
 // Name returns a human-readable identifier.

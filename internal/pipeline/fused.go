@@ -86,25 +86,3 @@ func (s *StochasticQuantize) FoldSrc(u *Update) (tensor.FoldSrc, error) {
 	}
 	return tensor.FoldSrc{Kind: kind, Codes: u.Codes, Scale: u.Scale, Offset: u.Offset}, nil
 }
-
-// EncodeFloat16From32 is EncodeFloat16 for a float32 source vector. The
-// two produce identical codes for any v32 and its float64 widening,
-// because Float16FromFloat64 rounds through float32 first — this is what
-// lets the f32 aggregation path encode the downlink without a widening
-// sweep.
-func EncodeFloat16From32(v []float32, codes []byte) ([]byte, error) {
-	need := 2 * len(v)
-	if cap(codes) < need {
-		codes = make([]byte, need)
-	}
-	codes = codes[:need]
-	for i, x := range v {
-		if x != x || x > maxFloat16 || x < -maxFloat16 {
-			return codes, fmt.Errorf("%w: f16 cannot represent coordinate %d = %v (max magnitude %v)", ErrSpec, i, x, float64(maxFloat16))
-		}
-		h := wire.Float16FromFloat32(x)
-		codes[2*i] = byte(h)
-		codes[2*i+1] = byte(h >> 8)
-	}
-	return codes, nil
-}

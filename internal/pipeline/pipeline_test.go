@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/f16"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -282,7 +283,7 @@ func TestFloat16Specials(t *testing.T) {
 		{6.0e-8, 6.0e-8},     // subnormal half survives approximately
 	}
 	for _, c := range cases {
-		got := wire.Float16ToFloat64(wire.Float16FromFloat64(c.in))
+		got := f16.ToFloat64(f16.FromFloat64(c.in))
 		if math.IsInf(c.out, 0) || c.out == 0 {
 			if got != c.out {
 				t.Fatalf("f16(%v) -> %v, want %v", c.in, got, c.out)
@@ -293,7 +294,7 @@ func TestFloat16Specials(t *testing.T) {
 			t.Fatalf("f16(%v) -> %v, want ≈%v", c.in, got, c.out)
 		}
 	}
-	if !math.IsNaN(wire.Float16ToFloat64(wire.Float16FromFloat64(math.NaN()))) {
+	if !math.IsNaN(f16.ToFloat64(f16.FromFloat64(math.NaN()))) {
 		t.Fatal("NaN must survive the f16 round trip")
 	}
 }

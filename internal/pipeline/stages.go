@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dp"
+	"repro/internal/f16"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -163,13 +166,22 @@ func (s *GaussianNoise) Invert(u *Update) error { return nil }
 // dense size (4-byte index + 8-byte value per survivor vs 8 bytes per
 // coordinate). Invert scatters the survivors into a zero vector.
 // Selection is deterministic; ties break toward the lower index.
+//
+// What is sparsified is the released vector itself, so at Frac the model
+// arrives with a (1−Frac) share of its coordinates zeroed each round and
+// does not train at scale (ROADMAP). Sparsifying the delta from the
+// dispatched model with error feedback is the fix; it changes every
+// trajectory and is deliberately not part of this stage yet.
+//
+// The survivors of a release live in buffers the stage owns: they are
+// valid until the stage's next Apply, by which time every transport has
+// serialised the update that carries them.
 type TopKSparsify struct {
 	Frac float64
 
-	// order is the selection scratch, reused across rounds. It never
-	// escapes Apply, unlike the produced Indices/Values, which ride the
-	// wire and must be fresh per release.
-	order []int
+	keys    []uint64 // selection scratch: the magnitudes, permuted
+	indices []uint32
+	values  []float64
 }
 
 // NewTopKSparsify builds the stage; frac must be in (0,1].
@@ -186,12 +198,23 @@ func (s *TopKSparsify) Name() string { return "topk" }
 // Spec renders the stage.
 func (s *TopKSparsify) Spec() string { return fmt.Sprintf("topk:%g", s.Frac) }
 
-// Apply converts a dense update to the sparse encoding.
+// magnitude is |x| as an integer key: non-negative floats order like their
+// bit patterns, ±0 share a key, and a NaN sorts above +Inf instead of
+// breaking the order.
+func magnitude(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+// Apply converts a dense update to the sparse encoding. The survivors are
+// the first k coordinates under (magnitude descending, index ascending) —
+// a strict total order, so instead of sorting all n indices by it, a
+// selection finds the k-th largest magnitude t and one sweep in index
+// order keeps everything above t plus the first ties at t: the same set,
+// already in index order.
 func (s *TopKSparsify) Apply(u *Update, sens float64) error {
 	if u.Enc != wire.EncDense {
 		return fmt.Errorf("%w: topk requires a dense update, got %s", ErrSpec, u.Enc)
 	}
-	n := len(u.Dense)
+	v := u.Dense
+	n := len(v)
 	k := int(math.Ceil(s.Frac * float64(n)))
 	if k < 1 {
 		k = 1
@@ -199,32 +222,82 @@ func (s *TopKSparsify) Apply(u *Update, sens float64) error {
 	if k > n {
 		k = n
 	}
-	if cap(s.order) < n {
-		s.order = make([]int, n)
+	if cap(s.keys) < n {
+		s.keys = make([]uint64, n)
 	}
-	order := s.order[:n]
-	for i := range order {
-		order[i] = i
+	if cap(s.indices) < k {
+		s.indices, s.values = make([]uint32, k), make([]float64, k)
 	}
-	v := u.Dense
-	sort.Slice(order, func(a, b int) bool {
-		ma, mb := math.Abs(v[order[a]]), math.Abs(v[order[b]])
-		if ma != mb {
-			return ma > mb
+	indices, values := s.indices[:0], s.values[:0]
+	if k > 0 {
+		keys := s.keys[:n]
+		for i, x := range v {
+			keys[i] = magnitude(x)
 		}
-		return order[a] < order[b]
-	})
-	keep := order[:k]
-	sort.Ints(keep)
-	u.Indices = make([]uint32, k)
-	u.Values = make([]float64, k)
-	for i, idx := range keep {
-		u.Indices[i] = uint32(idx)
-		u.Values[i] = v[idx]
+		t := kthSmallest(keys, n-k)
+		ties := k
+		for _, x := range v {
+			if magnitude(x) > t {
+				ties--
+			}
+		}
+		for i, x := range v {
+			if m := magnitude(x); m > t || (m == t && ties > 0) {
+				if m == t {
+					ties--
+				}
+				indices, values = append(indices, uint32(i)), append(values, x)
+			}
+		}
 	}
+	u.Indices, u.Values = indices, values
 	u.Enc = wire.EncSparse
 	u.Dense = nil
 	return nil
+}
+
+// kthSmallest returns the element a sorted a would hold at index k,
+// permuting a: a quickselect over three-way partitions (runs of equal
+// magnitudes, zeros above all, cost one pass), falling back to sorting
+// what is left once the range is small or the pivots have been unlucky
+// 2·log2(n) times.
+func kthSmallest(a []uint64, k int) uint64 {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 32 && budget > 0; budget-- {
+		p := median(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := a[i]; {
+			case x < p:
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				a[i], a[gt] = a[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
+}
+
+func median(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
 }
 
 // Invert scatters the sparse survivors into a zero dense vector.
@@ -232,13 +305,13 @@ func (s *TopKSparsify) Invert(u *Update) error {
 	if u.Enc != wire.EncSparse {
 		return fmt.Errorf("%w: expected sparse encoding, got %s", ErrSpec, u.Enc)
 	}
-	dense, err := u.Densify(nil)
+	dense, err := u.Densify(u.Dense[:0])
 	if err != nil {
 		return err
 	}
 	u.Enc = wire.EncDense
 	u.Dense = dense
-	u.Indices, u.Values = nil, nil
+	u.Indices, u.Values = u.Indices[:0], u.Values[:0]
 	return nil
 }
 
@@ -250,9 +323,14 @@ func (s *TopKSparsify) Invert(u *Update) error {
 // quantizer is unbiased (E[dequant] = value). Codes pack one per byte for
 // Bits ≤ 8 and one per two bytes above, so quantize:8 cuts upload ~8×.
 // Invert dequantizes deterministically from (Scale, Offset, Codes).
+//
+// The codes of a release live in a buffer the stage owns: they are valid
+// until the stage's next Apply, by which time every transport has
+// serialised the update that carries them.
 type StochasticQuantize struct {
-	Bits uint8
-	r    *rng.RNG
+	Bits  uint8
+	r     *rng.RNG
+	codes []byte
 }
 
 // NewStochasticQuantize builds the stage; bits must be in [1,16]. r may be
@@ -285,7 +363,7 @@ func (s *StochasticQuantize) Apply(u *Update, sens float64) error {
 		// quantize it: uint16(NaN) is implementation-defined, so encoding
 		// would silently launder the divergence into plausible values.
 		// The dense path ships such vectors visibly; surface an error here.
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if x-x != 0 { // NaN or ±Inf
 			return fmt.Errorf("%w: quantize requires finite values, coordinate %d is %v", ErrSpec, i, x)
 		}
 		if x < lo {
@@ -298,50 +376,68 @@ func (s *StochasticQuantize) Apply(u *Update, sens float64) error {
 	if math.IsInf(lo, 1) { // empty vector: degenerate to zeros
 		lo = 0
 	}
-	levels := float64(uint32(1)<<s.Bits - 1)
+	levels := int(1)<<s.Bits - 1
 	scale := 0.0
 	if hi > lo {
-		scale = (hi - lo) / levels
+		scale = (hi - lo) / float64(levels)
 	}
 	width := 1
 	if s.Bits > 8 {
 		width = 2
 	}
-	codes := make([]byte, width*len(v))
-	for i, x := range v {
-		var code uint16
-		if scale > 0 {
-			q := (x - lo) / scale
-			fl := math.Floor(q)
-			frac := q - fl
-			c := fl
-			// Stochastic rounding: round up with probability frac, so the
-			// quantizer is unbiased.
-			if s.r.Float64() < frac {
-				c++
-			}
-			if c < 0 {
-				c = 0
-			}
-			if c > levels {
-				c = levels
-			}
-			code = uint16(c)
-		}
-		if width == 1 {
-			codes[i] = byte(code)
-		} else {
-			codes[2*i] = byte(code)
-			codes[2*i+1] = byte(code >> 8)
-		}
+	s.codes = sized(s.codes, width*len(v))
+	if scale > 0 {
+		s.encode(v, lo, scale, levels, width == 2)
+	} else {
+		clear(s.codes) // a constant vector: every code 0, no draw consumed
 	}
 	u.Enc = wire.EncQuant
 	u.Scale = scale
 	u.Offset = lo
 	u.Bits = s.Bits
-	u.Codes = codes
+	u.Codes = s.codes
 	u.Dense = nil
 	return nil
+}
+
+// encode writes v's codes at a positive scale, one uniform draw per
+// coordinate. The draws come a block at a time (the generator's state
+// stays in registers for the block), which leaves the rounding loops free
+// of everything but their arithmetic; they differ only in the store.
+func (s *StochasticQuantize) encode(v []float64, lo, scale float64, levels int, wide bool) {
+	var draws [512]float64
+	codes := s.codes
+	for len(v) > 0 {
+		m := min(len(v), len(draws))
+		u := draws[:m]
+		s.r.FillUniform(u, 0, 1)
+		if wide {
+			for j, x := range v[:m] {
+				binary.LittleEndian.PutUint16(codes[2*j:], uint16(quantum(x, lo, scale, u[j], levels)))
+			}
+			codes = codes[2*m:]
+		} else {
+			for j, x := range v[:m] {
+				codes[j] = byte(quantum(x, lo, scale, u[j], levels))
+			}
+			codes = codes[m:]
+		}
+		v = v[m:]
+	}
+}
+
+// quantum is the code of x: its position q ≥ 0 on the level grid rounded
+// down, plus one with probability q's fractional part (u is the uniform
+// draw), at most levels — division may land the maximum a hair above the
+// top level. q ≥ 0 makes the integer conversion a floor, and both u and
+// the fraction are non-negative floats, which order like their bit
+// patterns: the round-up is a subtraction's sign bit, not a branch on a
+// coin flip.
+func quantum(x, lo, scale, u float64, levels int) int {
+	q := (x - lo) / scale
+	c := int(q)
+	c += int((math.Float64bits(u) - math.Float64bits(q-float64(c))) >> 63)
+	return min(c, levels)
 }
 
 // Invert dequantizes back to a dense vector.
@@ -352,13 +448,13 @@ func (s *StochasticQuantize) Invert(u *Update) error {
 	if u.Bits != s.Bits {
 		return fmt.Errorf("%w: quantized at %d bits, stack configured for %d", ErrSpec, u.Bits, s.Bits)
 	}
-	dense, err := u.Densify(nil)
+	dense, err := u.Densify(u.Dense[:0])
 	if err != nil {
 		return err
 	}
 	u.Enc = wire.EncDense
 	u.Dense = dense
-	u.Scale, u.Offset, u.Bits, u.Codes = 0, 0, 0, nil
+	u.Scale, u.Offset, u.Bits, u.Codes = 0, 0, 0, u.Codes[:0]
 	return nil
 }
 
@@ -379,9 +475,6 @@ func (s *Float16Cast) Name() string { return "f16" }
 // Spec renders the stage.
 func (s *Float16Cast) Spec() string { return "f16" }
 
-// maxFloat16 is the largest finite binary16 value.
-const maxFloat16 = 65504
-
 // EncodeFloat16 packs v as little-endian half floats into codes, reusing
 // its capacity when it suffices, and returns the (possibly grown) buffer.
 // Values binary16 cannot represent finitely — NaN, Inf, or magnitude
@@ -389,20 +482,37 @@ const maxFloat16 = 65504
 // vector as plausible-looking (or infinite) codes would launder the
 // failure into the aggregate instead of surfacing it.
 func EncodeFloat16(v []float64, codes []byte) ([]byte, error) {
-	need := 2 * len(v)
-	if cap(codes) < need {
-		codes = make([]byte, need)
-	}
-	codes = codes[:need]
-	for i, x := range v {
-		if math.IsNaN(x) || math.Abs(x) > maxFloat16 {
-			return codes, fmt.Errorf("%w: f16 cannot represent coordinate %d = %v (max magnitude %v)", ErrSpec, i, x, float64(maxFloat16))
-		}
-		h := wire.Float16FromFloat64(x)
-		codes[2*i] = byte(h)
-		codes[2*i+1] = byte(h >> 8)
+	codes = sized(codes, 2*len(v))
+	if i := f16.Encode(codes, v); i >= 0 {
+		return codes, errFloat16Range(i, v[i])
 	}
 	return codes, nil
+}
+
+// EncodeFloat16From32 is EncodeFloat16 for a float32 source vector. The
+// two produce identical codes for any v32 and its float64 widening,
+// because the half-float rounding goes through float32 first — this is
+// what lets the f32 aggregation path encode the downlink without a
+// widening sweep.
+func EncodeFloat16From32(v []float32, codes []byte) ([]byte, error) {
+	codes = sized(codes, 2*len(v))
+	if i := f16.Encode32(codes, v); i >= 0 {
+		return codes, errFloat16Range(i, float64(v[i]))
+	}
+	return codes, nil
+}
+
+func errFloat16Range(i int, x float64) error {
+	return fmt.Errorf("%w: f16 cannot represent coordinate %d = %v (max magnitude %v)", ErrSpec, i, x, float64(f16.Max))
+}
+
+// sized returns buf with length n, reallocated only when its capacity
+// falls short; the contents are unspecified.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
 // Apply converts a dense update to packed half floats; see EncodeFloat16
@@ -426,12 +536,12 @@ func (s *Float16Cast) Invert(u *Update) error {
 	if u.Enc != wire.EncFloat16 {
 		return fmt.Errorf("%w: expected float16 encoding, got %s", ErrSpec, u.Enc)
 	}
-	dense, err := u.Densify(nil)
+	dense, err := u.Densify(u.Dense[:0])
 	if err != nil {
 		return err
 	}
 	u.Enc = wire.EncDense
 	u.Dense = dense
-	u.Codes = nil
+	u.Codes = u.Codes[:0]
 	return nil
 }

@@ -63,23 +63,35 @@ func (r *RNG) SplitN(n int) []*RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** transition on a state held in four values: the
+// output and the next state. The scalar methods apply it to r.s; the block
+// samplers below keep the state in locals for a whole slice and store it
+// back once, which is what lets their loops run at the cost of the
+// arithmetic.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
+// unit maps 64 random bits to a uniform variate in [0, 1).
+func unit(bits uint64) float64 { return float64(bits>>11) * (1.0 / (1 << 53)) }
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Float64 returns a uniform variate in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -166,24 +178,111 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
+// Block samplers. Each draws exactly what the same number of scalar calls
+// draws — the same variates bit for bit, from the same generator outputs —
+// and leaves the generator (Box-Muller's cached variate included) in the
+// state those calls leave it, so a caller may mix the two forms freely.
+
 // FillNormal fills dst with N(mean, stddev^2) variates.
 func (r *RNG) FillNormal(dst []float64, mean, stddev float64) {
-	for i := range dst {
-		dst[i] = r.Normal(mean, stddev)
-	}
+	r.normals(dst, mean, stddev, false)
 }
 
-// FillUniform fills dst with uniform variates in [lo, hi).
+// AddNormal adds an independent N(mean, stddev^2) variate to every
+// element of dst: dst[i] += r.Normal(mean, stddev).
+func (r *RNG) AddNormal(dst []float64, mean, stddev float64) {
+	r.normals(dst, mean, stddev, true)
+}
+
+func (r *RNG) normals(dst []float64, mean, stddev float64, add bool) {
+	put := func(i int, x float64) {
+		if add {
+			x += dst[i]
+		}
+		dst[i] = x
+	}
+	i := 0
+	if r.hasGauss && len(dst) > 0 {
+		r.hasGauss = false
+		put(0, mean+stddev*r.gauss)
+		i = 1
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; i < len(dst); i += 2 {
+		var u, v, s float64
+		for {
+			var a, b uint64
+			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			u = 2*unit(a) - 1
+			v = 2*unit(b) - 1
+			s = u*u + v*v
+			if s > 0 && s < 1 {
+				break
+			}
+		}
+		f := math.Sqrt(-2 * math.Log(s) / s)
+		put(i, mean+stddev*u*f)
+		if i+1 < len(dst) {
+			put(i+1, mean+stddev*(v*f))
+		} else {
+			r.gauss, r.hasGauss = v*f, true
+		}
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// FillUniform fills dst with uniform variates in [lo, hi). Over [0, 1) the
+// elements are exactly the values Float64 returns.
 func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
 	span := hi - lo
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range dst {
-		dst[i] = lo + span*r.Float64()
+		var bits uint64
+		bits, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		dst[i] = lo + span*unit(bits)
 	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }
 
 // FillLaplace fills dst with Laplace(loc, scale) variates.
 func (r *RNG) FillLaplace(dst []float64, loc, scale float64) {
-	for i := range dst {
-		dst[i] = r.Laplace(loc, scale)
+	r.laplaces(dst, loc, scale, false)
+}
+
+// AddLaplace adds an independent Laplace(loc, scale) variate to every
+// element of dst: dst[i] += r.Laplace(loc, scale). This is the inner loop
+// of the paper's output perturbation, one logarithm per coordinate.
+func (r *RNG) AddLaplace(dst []float64, loc, scale float64) {
+	r.laplaces(dst, loc, scale, true)
+}
+
+func (r *RNG) laplaces(dst []float64, loc, scale float64, add bool) {
+	if scale <= 0 {
+		panic("rng: Laplace scale must be positive")
+	}
+	// The uniform draws come a block at a time, so the transform loop has
+	// nothing live across its logarithm but its own operands.
+	var draws [256]float64
+	for len(dst) > 0 {
+		m := min(len(dst), len(draws))
+		r.FillUniform(draws[:m], 0, 1)
+		for i, u := range draws[:m] {
+			u -= 0.5
+			if u == -0.5 {
+				u = 0.5
+			}
+			// Laplace's two branches on the sign of u are one expression:
+			// ±scale·log(1−2|u|) carrying u's sign, since 1+2u = 1−2|u|
+			// below zero and −x = |x| for the x ≤ 0 a logarithm of at most
+			// 1 gives. The sign of a uniform variate is a coin flip no
+			// predictor learns.
+			x := loc + math.Copysign(scale*math.Log(1-2*math.Abs(u)), u)
+			if add {
+				x += dst[i]
+			}
+			dst[i] = x
+		}
+		dst = dst[m:]
 	}
 }

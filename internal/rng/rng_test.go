@@ -332,3 +332,145 @@ func BenchmarkNormal(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestBlockSamplersLeaveScalarState: a block sampler over n elements draws
+// the variates n scalar calls draw, bit for bit, and leaves the generator
+// where they leave it — the next Uint64 and the next Normal (Box-Muller's
+// cached second variate) agree — for even and odd n, starting with and
+// without a cached variate, and with block and scalar calls interleaved.
+func TestBlockSamplersLeaveScalarState(t *testing.T) {
+	type sampler struct {
+		name   string
+		block  func(r *RNG, dst []float64)
+		scalar func(r *RNG, dst []float64)
+	}
+	samplers := []sampler{
+		{"AddLaplace",
+			func(r *RNG, dst []float64) { r.AddLaplace(dst, 0, 0.004) },
+			func(r *RNG, dst []float64) {
+				for i := range dst {
+					dst[i] += r.Laplace(0, 0.004)
+				}
+			}},
+		{"FillLaplace",
+			func(r *RNG, dst []float64) { r.FillLaplace(dst, -1.5, 2) },
+			func(r *RNG, dst []float64) {
+				for i := range dst {
+					dst[i] = r.Laplace(-1.5, 2)
+				}
+			}},
+		{"AddNormal",
+			func(r *RNG, dst []float64) { r.AddNormal(dst, 0, 0.3) },
+			func(r *RNG, dst []float64) {
+				for i := range dst {
+					dst[i] += r.Normal(0, 0.3)
+				}
+			}},
+		{"FillUniform",
+			func(r *RNG, dst []float64) { r.FillUniform(dst, 0, 1) },
+			func(r *RNG, dst []float64) {
+				for i := range dst {
+					dst[i] = r.Float64()
+				}
+			}},
+		{"FillUniformRange",
+			func(r *RNG, dst []float64) { r.FillUniform(dst, -0.3, 7) },
+			func(r *RNG, dst []float64) {
+				lo, hi := -0.3, 7.0
+				span := hi - lo
+				for i := range dst {
+					dst[i] = lo + span*r.Float64()
+				}
+			}},
+		{"FillNormal",
+			func(r *RNG, dst []float64) { r.FillNormal(dst, 2, 0.5) },
+			func(r *RNG, dst []float64) {
+				for i := range dst {
+					dst[i] = r.Normal(2, 0.5)
+				}
+			}},
+	}
+	for _, s := range samplers {
+		for _, n := range []int{0, 1, 2, 7, 8, 1001} {
+			for _, primed := range []bool{false, true} {
+				a, b := New(99), New(99)
+				if primed { // leave a cached second variate behind
+					a.Normal(0, 1)
+					b.Normal(0, 1)
+				}
+				got, want := make([]float64, n), make([]float64, n)
+				for i := range got {
+					got[i] = float64(i) - 3
+					want[i] = got[i]
+				}
+				if n > 0 {
+					got[n-1], want[n-1] = math.Copysign(0, -1), math.Copysign(0, -1)
+				}
+				// Two blocks back to back: the second starts from whatever
+				// the first left (a cached variate after an odd n).
+				s.block(a, got[:n/3])
+				s.block(a, got[n/3:])
+				s.scalar(b, want)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d primed=%v: element %d = %v, scalar draws give %v", s.name, n, primed, i, got[i], want[i])
+					}
+				}
+				if g, w := a.Normal(0, 1), b.Normal(0, 1); g != w {
+					t.Fatalf("%s n=%d primed=%v: next Normal %v, after scalar draws %v", s.name, n, primed, g, w)
+				}
+				if g, w := a.Uint64(), b.Uint64(); g != w {
+					t.Fatalf("%s n=%d primed=%v: next Uint64 %#x, after scalar draws %#x", s.name, n, primed, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestLaplaceEndpointMatchesScalar: the one uniform draw that lands on the
+// open endpoint (u = −1/2, remapped to +1/2) takes the same value through
+// the block sampler's merged expression as through Laplace's branches.
+func TestLaplaceEndpointMatchesScalar(t *testing.T) {
+	for _, u := range []float64{-0.5, 0.5, 0, -0x1p-53, 0x1p-53, 0.25, -0.25} {
+		v := u
+		if v == -0.5 {
+			v = 0.5
+		}
+		var want float64
+		if v < 0 {
+			want = 0 + 3*math.Log(1+2*v)
+		} else {
+			want = 0 - 3*math.Log(1-2*v)
+		}
+		got := 0 + math.Copysign(3*math.Log(1-2*math.Abs(v)), v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("u=%v: merged expression %v, branches %v", u, got, want)
+		}
+	}
+}
+
+func benchLaplace(b *testing.B, add func(r *RNG, dst []float64)) {
+	const dim = 1017610
+	dst := make([]float64, dim)
+	r := New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(r, dst)
+	}
+	b.ReportMetric(float64(dim)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+}
+
+// BenchmarkAddLaplace: the output-perturbation loop over the wide_*
+// workloads' model, next to the scalar loop it replaced.
+func BenchmarkAddLaplace(b *testing.B) {
+	b.Run("block", func(b *testing.B) {
+		benchLaplace(b, func(r *RNG, dst []float64) { r.AddLaplace(dst, 0, 0.004) })
+	})
+	b.Run("ref", func(b *testing.B) {
+		benchLaplace(b, func(r *RNG, dst []float64) {
+			for i := range dst {
+				dst[i] += r.Laplace(0, 0.004)
+			}
+		})
+	})
+}

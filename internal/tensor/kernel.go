@@ -2,7 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/f16"
 )
 
 // ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ func (s *FoldSrc) At(i int) float64 {
 	case SrcDense:
 		return s.Dense[i]
 	case SrcF16:
-		return Float16To64(uint16(s.Codes[2*i]) | uint16(s.Codes[2*i+1])<<8)
+		return f16.ToFloat64(uint16(s.Codes[2*i]) | uint16(s.Codes[2*i+1])<<8)
 	case SrcQuant8:
 		return s.Offset + s.Scale*float64(s.Codes[i])
 	case SrcQuant16:
@@ -223,7 +224,7 @@ func foldAccum(d []float64, s *FoldSrc, b int) {
 	case SrcF16:
 		c := s.Codes[2*b : 2*(b+len(d))]
 		for i := range d {
-			d[i] += w * Float16To64(uint16(c[2*i])|uint16(c[2*i+1])<<8)
+			d[i] += w * f16.ToFloat64(uint16(c[2*i])|uint16(c[2*i+1])<<8)
 		}
 	case SrcQuant8:
 		c := s.Codes[b : b+len(d)]
@@ -253,7 +254,7 @@ func foldConvex(d []float64, s *FoldSrc, b int) {
 	case SrcF16:
 		c := s.Codes[2*b : 2*(b+len(d))]
 		for i := range d {
-			d[i] = na*d[i] + a*Float16To64(uint16(c[2*i])|uint16(c[2*i+1])<<8)
+			d[i] = na*d[i] + a*f16.ToFloat64(uint16(c[2*i])|uint16(c[2*i+1])<<8)
 		}
 	case SrcQuant8:
 		c := s.Codes[b : b+len(d)]
@@ -383,37 +384,4 @@ func Narrow(dst []float32, src []float64) []float32 {
 		dst[i] = float32(v)
 	}
 	return dst
-}
-
-// ---------------------------------------------------------------------------
-// Half-precision decode.
-
-// Float16To64 converts IEEE-754 binary16 bits to float64, exactly. It
-// duplicates wire.Float16ToFloat64 so the fused kernels stay free of a
-// tensor → wire dependency; the kernel tests pin the two functions equal
-// over every one of the 65536 bit patterns.
-func Float16To64(h uint16) float64 {
-	const (
-		expMask  = 0x1f
-		mantMask = 0x3ff
-	)
-	sign := float64(1)
-	if h&0x8000 != 0 {
-		sign = -1
-	}
-	exp := int(h >> 10 & expMask)
-	mant := int(h & mantMask)
-	switch exp {
-	case 0: // zero or subnormal: mant · 2^-24
-		return sign * float64(mant) * 0x1p-24
-	case expMask:
-		if mant != 0 {
-			return math.NaN()
-		}
-		return sign * math.Inf(1)
-	default:
-		// Normal: (mant/1024 + 1) · 2^(exp-15) = (mant+1024) · 2^(exp-25),
-		// where 2^(exp-25) is exact as a float64 bit pattern.
-		return sign * float64(mant+0x400) * math.Float64frombits(uint64(exp-25+1023)<<52)
-	}
 }

@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/f16"
 	"repro/internal/rng"
 	"repro/internal/tensor"
-	"repro/internal/wire"
 )
 
 // kernelVec builds a deterministic test vector with values spanning signs
@@ -21,27 +21,6 @@ func kernelVec(n int, seed uint64) []float64 {
 }
 
 const kdim = 3*tensor.KernelBlock + 17
-
-// TestFloat16To64MatchesWire pins the kernel package's duplicated half
-// decoder bit-equal to wire.Float16ToFloat64 over every one of the 65536
-// bit patterns — the invariant that makes the fused f16 fold exactly the
-// two-pass densify+fold.
-func TestFloat16To64MatchesWire(t *testing.T) {
-	for h := 0; h < 1<<16; h++ {
-		got := tensor.Float16To64(uint16(h))
-		want := wire.Float16ToFloat64(uint16(h))
-		if math.IsNaN(want) {
-			if !math.IsNaN(got) {
-				t.Fatalf("bits %#04x: got %v, want NaN", h, got)
-			}
-			continue
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("bits %#04x: got %v (%#x), want %v (%#x)",
-				h, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-}
 
 // seqFoldK is the pre-kernel reference: a zero sweep then one full
 // accumulator sweep per source.
@@ -158,7 +137,7 @@ func TestFoldKDualAndDualStepKBitIdentical(t *testing.T) {
 func encodeF16(v []float64) []byte {
 	c := make([]byte, 2*len(v))
 	for i, x := range v {
-		h := wire.Float16FromFloat64(x)
+		h := f16.FromFloat64(x)
 		c[2*i] = byte(h)
 		c[2*i+1] = byte(h >> 8)
 	}

@@ -37,8 +37,8 @@ type Marshaler interface{ Marshal(*Encoder) }
 
 // Encoder appends encoded fields to a byte buffer. While measuring, the
 // field writers only count the bytes they would append. While gathering
-// (EncodeVectored), large float64 blocks are not appended at all: the
-// encoder records where each one belongs and hands it out by reference.
+// (EncodeVectored), large float64 and byte blocks are not appended at all:
+// the encoder records where each one belongs and hands it out by reference.
 type Encoder struct {
 	buf       []byte
 	measuring bool
@@ -56,8 +56,8 @@ type blockRef struct {
 	block []byte
 }
 
-// gatherMin is the smallest float64 block worth its own slot in a vectored
-// write; anything shorter is cheaper to copy than to describe.
+// gatherMin is the smallest block worth its own slot in a vectored write;
+// anything shorter is cheaper to copy than to describe.
 const gatherMin = 4 << 10
 
 // NewEncoder returns an encoder, optionally reusing buf's storage.
@@ -90,14 +90,15 @@ func (e *Encoder) Encode(m Marshaler) []byte {
 }
 
 // EncodeVectored is Encode for a writer that can send several slices in
-// one call: on a little-endian host every packed float64 block of at
-// least gatherMin bytes stays where it is, and the message comes back as
-// e's own bytes interleaved with views of m's vectors, appended to
-// dst[:0] — concatenated, exactly the bytes Encode produces. A model then
-// crosses from its []float64 to the socket without an intermediate copy,
-// and e only ever holds the few bytes around the blocks. The slices alias
-// e and m: they are valid until e's next use, and only while m's vectors
-// are left untouched.
+// one call: on a little-endian host every packed float64 block and every
+// byte string (a compressed payload's codes) of at least gatherMin bytes
+// stays where it is, and the message comes back as e's own bytes
+// interleaved with views of m's vectors, appended to dst[:0] —
+// concatenated, exactly the bytes Encode produces. A model then crosses
+// from its []float64 or code buffer to the socket without an intermediate
+// copy, and e only ever holds the few bytes around the blocks. The slices
+// alias e and m: they are valid until e's next use, and only while m's
+// vectors are left untouched.
 func (e *Encoder) EncodeVectored(m Marshaler, dst [][]byte) [][]byte {
 	e.gathering = hostLittleEndian
 	e.encode(m)
@@ -213,7 +214,22 @@ func (e *Encoder) Float64(field int, v float64) {
 func (e *Encoder) BytesField(field int, v []byte) {
 	e.tag(field, typeBytes)
 	e.varint(uint64(len(v)))
+	if e.gathering && len(v) >= gatherMin {
+		e.reference(v)
+		return
+	}
 	copy(e.extend(len(v)), v)
+}
+
+// reference leaves block where it is: the vectored writer sends it from
+// its own storage, between what e holds so far and what follows.
+func (e *Encoder) reference(block []byte) {
+	e.refBytes += len(block)
+	if e.measuring {
+		e.n += len(block)
+	} else {
+		e.refs = append(e.refs, blockRef{at: len(e.buf), block: block})
+	}
 }
 
 // String encodes field as a length-delimited UTF-8 string.
@@ -249,13 +265,7 @@ func (e *Encoder) Doubles(field int, v []float64) {
 	e.tag(field, typeBytes)
 	e.varint(uint64(8 * len(v)))
 	if e.gathering && 8*len(v) >= gatherMin {
-		// Left in place: the writer sends it from v's own storage.
-		e.refBytes += 8 * len(v)
-		if e.measuring {
-			e.n += 8 * len(v)
-		} else {
-			e.refs = append(e.refs, blockRef{at: len(e.buf), block: float64Bytes(v)})
-		}
+		e.reference(float64Bytes(v))
 		return
 	}
 	b := e.extend(8 * len(v))

@@ -290,13 +290,20 @@ type GlobalModel struct {
 	// encoding instead of the dense Weights field (downlink compression).
 	// Receivers densify it back into Weights before training.
 	WeightsP *Payload
+
+	// received is the payload Unmarshal decodes field 7 into. It lives as
+	// long as m does, so a message that is decoded into again and again
+	// keeps one payload and its code buffer; WeightsP points at it only
+	// while the current message carries the field.
+	received *Payload
 }
 
-// Reset clears m for reuse, keeping the weight buffer's capacity. The
-// payload pointer is dropped (not recycled): a stale payload surviving
-// into a message that omits field 7 would densify last round's weights.
+// Reset clears m for reuse, keeping the weight buffer's capacity and the
+// emptied receive payload. WeightsP itself is dropped: a stale payload
+// surviving into a message that omits field 7 would densify last round's
+// weights.
 func (m *GlobalModel) Reset() {
-	*m = GlobalModel{Weights: m.Weights[:0]}
+	*m = GlobalModel{Weights: m.Weights[:0], received: m.received.recycled()}
 }
 
 // Marshal encodes m. When WeightsP is set it replaces the dense Weights
@@ -373,8 +380,7 @@ func (m *GlobalModel) Unmarshal(d *Decoder) error {
 			if err != nil {
 				return err
 			}
-			m.WeightsP = &Payload{}
-			if err := m.WeightsP.Unmarshal(NewDecoder(b)); err != nil {
+			if m.WeightsP, err = receivePayload(&m.received, b); err != nil {
 				return err
 			}
 		default:
@@ -427,6 +433,10 @@ type LocalUpdate struct {
 	// A tenant-demuxing transport validates it against the tenant that
 	// owns the carrying connection/topic and rejects mismatches.
 	TenantID uint32
+
+	// received is the payload Unmarshal decodes field 10 into; see
+	// GlobalModel.received.
+	received *Payload
 }
 
 // Control values carried by LocalUpdate.Control.
@@ -449,11 +459,12 @@ func Goodbye(client, round uint32, rejoinRound uint32) *LocalUpdate {
 }
 
 // Reset clears m for reuse, keeping the primal and dual buffers'
-// capacity. The payload pointer is dropped for the same reason as
-// GlobalModel.Reset: absent-field staleness is a correctness bug, and
-// the dense vectors are the hot path worth recycling.
+// capacity and the emptied receive payload. PrimalP itself is dropped for
+// the same reason as GlobalModel.Reset: absent-field staleness is a
+// correctness bug. A reference to the payload that outlives the Reset
+// reads an empty dense vector of dimension 0, which no aggregator folds.
 func (m *LocalUpdate) Reset() {
-	*m = LocalUpdate{Primal: m.Primal[:0], Dual: m.Dual[:0]}
+	*m = LocalUpdate{Primal: m.Primal[:0], Dual: m.Dual[:0], received: m.received.recycled()}
 }
 
 // Marshal encodes m. An empty Dual is omitted entirely, and a compressed
@@ -561,8 +572,7 @@ func (m *LocalUpdate) Unmarshal(d *Decoder) error {
 			if err != nil {
 				return err
 			}
-			m.PrimalP = &Payload{}
-			if err := m.PrimalP.Unmarshal(NewDecoder(b)); err != nil {
+			if m.PrimalP, err = receivePayload(&m.received, b); err != nil {
 				return err
 			}
 		case 11:

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/f16"
 )
 
 // Encoding discriminates the vector representations a Payload can carry.
@@ -82,6 +84,32 @@ func (p *Payload) Reset() {
 	p.Indices = p.Indices[:0]
 	p.Values = p.Values[:0]
 	p.Codes = p.Codes[:0]
+}
+
+// recycled empties a message's receive payload for its next decode and
+// returns it; nil stays nil. A decoded payload may have handed its Dense
+// vector to the message (the server's two-pass inversion does), so that
+// one buffer is let go rather than owned twice.
+func (p *Payload) recycled() *Payload {
+	if p != nil {
+		p.Reset()
+		p.Dense = nil
+	}
+	return p
+}
+
+// receivePayload decodes a nested payload body into the payload a message
+// keeps for the purpose (*kept, made on first use and emptied of whatever
+// an earlier message left in it) and returns it.
+func receivePayload(kept **Payload, body []byte) (*Payload, error) {
+	if *kept == nil {
+		*kept = new(Payload)
+	}
+	p := *kept
+	p.Reset()
+	var d Decoder
+	d.Reset(body)
+	return p, p.Unmarshal(&d)
 }
 
 // EncodedLen returns the exact size of the body Marshal produces, so a
@@ -306,21 +334,19 @@ func (p *Payload) Densify(dst []float64) ([]float64, error) {
 			dst[idx] = p.Values[i]
 		}
 	case EncQuant:
-		w := p.codeWidth()
-		for i := 0; i < n; i++ {
-			var code uint16
-			if w == 1 {
-				code = uint16(p.Codes[i])
-			} else {
-				code = uint16(p.Codes[2*i]) | uint16(p.Codes[2*i+1])<<8
+		off, scale := p.Offset, p.Scale
+		if p.codeWidth() == 1 {
+			for i, c := range p.Codes[:n] {
+				dst[i] = off + scale*float64(c)
 			}
-			dst[i] = p.Offset + p.Scale*float64(code)
+		} else {
+			codes := p.Codes[:2*n]
+			for i := range dst {
+				dst[i] = off + scale*float64(binary.LittleEndian.Uint16(codes[2*i:]))
+			}
 		}
 	case EncFloat16:
-		for i := 0; i < n; i++ {
-			bits := uint16(p.Codes[2*i]) | uint16(p.Codes[2*i+1])<<8
-			dst[i] = Float16ToFloat64(bits)
-		}
+		f16.Decode(dst, p.Codes)
 	}
 	return dst, nil
 }
@@ -329,76 +355,6 @@ func (p *Payload) Densify(dst []float64) ([]float64, error) {
 // the communication-volume accounting. It is EncodedLen, computed without
 // encoding anything.
 func (p *Payload) WireBytes() int { return p.EncodedLen() }
-
-// Float16FromFloat64 converts v to IEEE-754 binary16 bits with
-// round-to-nearest-even, saturating overflow to ±Inf and preserving NaN.
-func Float16FromFloat64(v float64) uint16 {
-	// The double → single conversion already rounds to nearest even and is
-	// exact for every value binary16 can represent, so the two-step
-	// conversion equals a direct double → half rounding.
-	return Float16FromFloat32(float32(v))
-}
-
-// Float16FromFloat32 converts v to IEEE-754 binary16 bits with
-// round-to-nearest-even, saturating overflow to ±Inf and preserving NaN.
-// Float16FromFloat64 is exactly this applied to float32(v), so the f32
-// aggregation path's downlink encode is bit-equivalent to widening first.
-func Float16FromFloat32(v float32) uint16 {
-	b := math.Float32bits(v)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23&0xff) - 127 + 15
-	mant := b & 0x7fffff
-	if b>>23&0xff == 0xff { // Inf or NaN
-		if mant != 0 {
-			return sign | 0x7e00 // quiet NaN
-		}
-		return sign | 0x7c00
-	}
-	if exp >= 0x1f { // overflow → ±Inf
-		return sign | 0x7c00
-	}
-	if exp <= 0 { // subnormal half (or underflow to zero)
-		if exp < -10 {
-			return sign
-		}
-		mant |= 0x800000
-		shift := uint32(14 - exp)
-		half := uint16(mant >> shift)
-		rem := mant & (1<<shift - 1)
-		halfway := uint32(1) << (shift - 1)
-		if rem > halfway || (rem == halfway && half&1 == 1) {
-			half++
-		}
-		return sign | half
-	}
-	half := sign | uint16(exp)<<10 | uint16(mant>>13)
-	rem := mant & 0x1fff
-	if rem > 0x1000 || (rem == 0x1000 && half&1 == 1) {
-		half++ // carry may roll into the exponent; that is the correct rounding
-	}
-	return half
-}
-
-// Float16ToFloat64 converts IEEE-754 binary16 bits to float64, exactly.
-func Float16ToFloat64(h uint16) float64 {
-	sign := float64(1)
-	if h&0x8000 != 0 {
-		sign = -1
-	}
-	exp := int(h >> 10 & 0x1f)
-	mant := int(h & 0x3ff)
-	switch exp {
-	case 0: // zero or subnormal: mant · 2^-24
-		return sign * float64(mant) * 0x1p-24
-	case 0x1f:
-		if mant != 0 {
-			return math.NaN()
-		}
-		return sign * math.Inf(1)
-	default:
-		return sign * float64(mant+0x400) * math.Ldexp(1, exp-25)
-	}
-}
 
 // Uint32s encodes field as a packed block of little-endian fixed32 values,
 // the index stream of the sparse encoding.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/f16"
 )
 
 // roundTripPayload marshals p as a nested message and decodes it back.
@@ -68,7 +70,7 @@ func TestPayloadFloat16RoundTrip(t *testing.T) {
 	vals := []float64{0, 1, -0.5, 2048}
 	codes := make([]byte, 2*len(vals))
 	for i, v := range vals {
-		h := Float16FromFloat64(v)
+		h := f16.FromFloat64(v)
 		codes[2*i] = byte(h)
 		codes[2*i+1] = byte(h >> 8)
 	}
@@ -143,7 +145,7 @@ func TestGlobalModelWithPayloadRoundTrip(t *testing.T) {
 	vals := []float64{1, -1, 0.25}
 	codes := make([]byte, 2*len(vals))
 	for i, v := range vals {
-		h := Float16FromFloat64(v)
+		h := f16.FromFloat64(v)
 		codes[2*i] = byte(h)
 		codes[2*i+1] = byte(h >> 8)
 	}
