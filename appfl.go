@@ -91,16 +91,6 @@ const (
 	TransportRPC    = core.TransportRPC
 )
 
-// Aggregation precisions for Config.AggPrecision. AggF64 (the default)
-// keeps the bit-identical double-precision fold; AggF32 is the opt-in
-// single-precision accumulator for the FedAvg family — half the memory
-// traffic, with the aggregate error bounded by test rather than bit
-// identity.
-const (
-	AggF64 = core.AggF64
-	AggF32 = core.AggF32
-)
-
 // Run executes a federated simulation under the configured scheduler and
 // aggregator; see core.Run.
 func Run(cfg Config, fed *Federated, factory Factory, opts RunOptions) (*Result, error) {

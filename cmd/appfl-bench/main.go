@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	appfl-bench [-only table1|fig2|fig3|fig4|hetero|commvol|scenarios|perf|scale|stream|soak|all]
+//	appfl-bench [-only table1|fig2|fig3|fig4|hetero|commvol|scenarios|perf|stream|soak|all]
 //	            [-out results] [-scale small|medium|paper] [-json]
 //
 // An unknown -only value is rejected with the list of valid artifacts
@@ -19,12 +19,6 @@
 // wire-codec MB/s, pipeline stage cost and compression ratios, and round
 // latency under a straggler. With -json the report is also written to
 // <out>/BENCH.json — the document CI diffs against BENCH_baseline.json.
-//
-// The "scale" artifact runs the hierarchical-tier load harness
-// (bench.RunScale) at the -scale-clients/-scale-cohort/-scale-shards/
-// -scale-admit/-scale-rounds geometry: measured shard fold+reduce
-// throughput plus simnet-modelled round-latency percentiles for a
-// 100k–1M-client federation.
 //
 // The "stream" artifact runs the chunked-uplink harness (bench.RunStream)
 // at the -dim/-stream-clients/-stream-chunk/-workers geometry: the
@@ -50,7 +44,7 @@ import (
 )
 
 // artifacts is the closed set of -only values; "all" runs every one.
-var artifacts = []string{"table1", "fig2", "fig3", "fig4", "hetero", "commvol", "scenarios", "perf", "scale", "stream", "soak"}
+var artifacts = []string{"table1", "fig2", "fig3", "fig4", "hetero", "commvol", "scenarios", "perf", "stream", "soak"}
 
 // slicesContains reports whether xs contains x.
 func slicesContains(xs []string, x string) bool {
@@ -69,11 +63,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write the perf report to <out>/BENCH.json")
 	dim := flag.Int("dim", 1<<20, "model dimension of the perf probes")
 	workers := flag.Int("workers", 8, "sharded width of the parallel perf probes")
-	scaleClients := flag.Int("scale-clients", 100_000, "federation roster size of the scale harness")
-	scaleCohort := flag.Int("scale-cohort", 256, "sampled cohort size per round of the scale harness")
-	scaleShards := flag.Int("scale-shards", 8, "aggregation tier width of the scale harness")
-	scaleAdmit := flag.Int("scale-admit", 0, "per-round admission cap of the scale harness (0 = unlimited)")
-	scaleRounds := flag.Int("scale-rounds", 200, "virtual rounds the scale harness simulates")
 	streamClients := flag.Int("stream-clients", 8, "cohort size of the stream harness")
 	streamChunk := flag.Int("stream-chunk", 16384, "chunk size in coordinates of the stream harness")
 	printProcs := flag.Bool("print-gomaxprocs", false, "print the effective GOMAXPROCS and exit (CI records it next to the bench artifact)")
@@ -116,19 +105,6 @@ func main() {
 			}
 			fmt.Printf("perf: wrote %s (%d metrics)\n", path, len(rep.Metrics))
 		}
-	}
-	if run("scale") {
-		res, err := bench.RunScale(bench.ScaleOptions{
-			Clients:       *scaleClients,
-			Cohort:        *scaleCohort,
-			Shards:        *scaleShards,
-			AdmitPerRound: *scaleAdmit,
-			Rounds:        *scaleRounds,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit(*out, "scale", res.Table())
 	}
 	if run("stream") {
 		res, err := bench.RunStream(bench.StreamOptions{

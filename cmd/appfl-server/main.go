@@ -71,11 +71,9 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&c.DownlinkF16, "downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
 	fs.DurationVar(&o.acceptTimeout, "accept-timeout", 2*time.Minute, "join deadline")
 	fs.IntVar(&c.AggWorkers, "agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&c.AggPrecision, "agg-precision", appfl.AggF64, "aggregation accumulator precision: f64 (bit-identical default) or f32 (FedAvg family only)")
-	fs.IntVar(&c.AggShards, "shards", 0, "hierarchical aggregation tier width (0/1 = single aggregator; FedAvg family only, bit-identical at any width)")
 	fs.IntVar(&c.StreamChunk, "chunk", 0, "gather uplinks as streamed chunks of this many coordinates (0 = monolithic; handed to the clients)")
 	fs.Float64Var(&c.SubsetFrac, "subset", 0, "accept LoRA-style partial uploads covering this coordinate fraction (0 = dense; handed to the clients)")
-	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset/-shards)")
+	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset)")
 	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 10, "compact the journal every k committed rounds (0 = never)")
 	fs.StringVar(&o.save, "save", "", "write the final model checkpoint here (atomic tmp+fsync+rename; <path>.tenant-<t> per tenant in -tenants mode)")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "multi-tenant host mode: JSON config listing the federations to serve (see docs/operations.md); incompatible with per-federation flags")

@@ -43,22 +43,20 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", 0, "server deadline per round (0 = wait forever; required to survive crash faults)")
 	minCohort := flag.Int("min-cohort", 0, "quorum: minimum survivors a deadline-cut round may aggregate (0 = 1)")
 	aggWorkers := flag.Int("agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial; bit-identical results at any width)")
-	aggPrecision := flag.String("agg-precision", appfl.AggF64, "aggregation accumulator precision: f64 (bit-identical default) or f32 (FedAvg family only)")
-	aggShards := flag.Int("shards", 0, "hierarchical aggregation tier width (0/1 = single aggregator; FedAvg family only, bit-identical at any width)")
 	chunk := flag.Int("chunk", 0, "stream uplinks as chunks of this many coordinates (0 = monolithic; FedAvg barrier schedulers only, bit-identical)")
 	subset := flag.Float64("subset", 0, "LoRA-style partial uploads: fraction of coordinates each client sends (0 = dense; FedAvg only)")
 	flag.Parse()
 
-	// Same rule Config.Validate enforces, surfaced before any dataset is
+	// Same rules Config.Validate enforces, surfaced before any dataset is
 	// generated so flag misuse fails fast.
+	epsVal, err := epsilonFromFlag(*eps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "appfl-sim:", err)
+		os.Exit(2)
+	}
 	if *pipe != "" && *eps > 0 {
 		fmt.Fprintln(os.Stderr, "appfl-sim: -pipeline and -eps both configure noise; set the budget in the pipeline spec only")
 		os.Exit(2)
-	}
-
-	epsVal := math.Inf(1)
-	if *eps > 0 {
-		epsVal = *eps
 	}
 
 	var fed *appfl.Federated
@@ -104,8 +102,6 @@ func main() {
 		RoundTimeout:   *roundTimeout,
 		MinCohort:      *minCohort,
 		AggWorkers:     *aggWorkers,
-		AggPrecision:   *aggPrecision,
-		AggShards:      *aggShards,
 		StreamChunk:    *chunk,
 		SubsetFrac:     *subset,
 	}
@@ -115,7 +111,6 @@ func main() {
 	}
 	var inj *appfl.FaultInjector
 	if *faultPlan != "" {
-		var err error
 		inj, err = appfl.ParseFaultPlan(*faultPlan, fed.NumClients(), *faultSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "appfl-sim:", err)
@@ -140,11 +135,22 @@ func main() {
 	if res.Stale > 0 || res.Dropped > 0 {
 		fmt.Printf("staleness: %d stale updates folded, %d dropped beyond the bound\n", res.Stale, res.Dropped)
 	}
-	if res.Echoes > 0 {
-		fmt.Printf("legacy partial participation: %d zero-weight echoes crossed the wire\n", res.Echoes)
-	}
 	if res.Crashed > 0 || res.Rejoined > 0 || res.TimedOut > 0 {
 		fmt.Printf("faults absorbed: %d presumed dead, %d rejoined, %d timed-out obligations\n",
 			res.Crashed, res.Rejoined, res.TimedOut)
+	}
+}
+
+// epsilonFromFlag maps -eps to Config.Epsilon: 0 selects the non-private
+// run (+Inf) and a positive value is the budget. A negative or NaN budget
+// is an error, as it is for appfl-client and Config.Validate.
+func epsilonFromFlag(eps float64) (float64, error) {
+	switch {
+	case eps == 0:
+		return math.Inf(1), nil
+	case eps > 0:
+		return eps, nil
+	default:
+		return 0, fmt.Errorf("-eps must be positive, or 0 for a non-private run; got %v", eps)
 	}
 }

@@ -2,8 +2,7 @@
 // regime the Scheduler × Aggregator split exists for. A 16-client
 // federation trains FedAvg, but each round the sampled-cohort scheduler
 // picks only a quarter of the clients: the rest receive no model and
-// spend neither compute nor bandwidth, unlike the legacy ClientFraction
-// path where every client downloads the model just to echo it back.
+// spend neither compute nor bandwidth.
 //
 // A second run uses the FedBuff-style buffered scheduler with one
 // simulated straggler: aggregations release as soon as K updates land, so

@@ -158,7 +158,6 @@ func NewSuite(opts Options) *Suite {
 			{Name: "codec", Run: probeCodec},
 			{Name: "pipeline", Run: probePipeline},
 			{Name: "round", Run: probeRoundLatency},
-			{Name: "scale", Run: probeScale},
 			{Name: "stream", Run: probeStream},
 			{Name: "soak", Run: probeSoak},
 		},
@@ -290,13 +289,9 @@ func twoSweepFold(dst []float64, srcs [][]float64, weights []float64) {
 
 // probeKernel measures the cache-blocked aggregation kernels in
 // isolation, single-threaded — throughput of the batched K-way fold at
-// several widths, the blocked-vs-two-sweep speedup, the fused
-// invert+fold versus the two-pass densify-then-fold on float16 payloads,
-// and the single- versus double-precision accumulator. The two speedups
-// are same-machine ratios and gate; they are not parallel-dependent, so
-// they gate at any GOMAXPROCS. The f32 ratio is reported ungated: on
-// machines where the f64 fold already saturates memory bandwidth it
-// hovers near 1, elsewhere it reflects the halved traffic.
+// several widths, the blocked-vs-two-sweep speedup, and the fused
+// invert+fold versus the two-pass densify-then-fold on float16 payloads. The two speedups are same-machine ratios and gate;
+// they are not parallel-dependent, so they gate at any GOMAXPROCS.
 func probeKernel(o Options, r *Report) error {
 	dst := make([]float64, o.Dim)
 
@@ -353,12 +348,6 @@ func probeKernel(o Options, r *Report) error {
 	})
 	fusedSec := measure(o.MinProbeTime, func() { tensor.FoldKSrc(dst, 0, o.Dim, fsrcs) })
 	r.Add(Metric{Name: "kernel_fused_speedup", Value: twoPassSec / fusedSec, Unit: "x", HigherIsBetter: true, Gated: true})
-
-	// f32 vs f64 accumulator on the same fused sources.
-	dst32 := make([]float32, o.Dim)
-	f64Sec := fusedSec
-	f32Sec := measure(o.MinProbeTime, func() { tensor.FoldKSrc32(dst32, 0, o.Dim, fsrcs) })
-	r.Add(Metric{Name: "kernel_f32_speedup", Value: f64Sec / f32Sec, Unit: "x", HigherIsBetter: true})
 	return nil
 }
 

@@ -46,16 +46,14 @@ func TestSuiteEmitsNamedMetrics(t *testing.T) {
 	for _, name := range []string{
 		"agg_fold_speedup", "fedavg_agg_speedup", "codec_encode", "codec_decode", "round_latency_sync",
 		"kernel_foldk_k2", "kernel_foldk_k8", "kernel_foldk_k32",
-		"kernel_foldk_speedup", "kernel_fused_speedup", "kernel_f32_speedup",
-		"rounds_per_sec_sharded", "shard_reduce_speedup",
-		"scale_round_latency_p50", "scale_round_latency_p95", "scale_round_latency_p99",
+		"kernel_foldk_speedup", "kernel_fused_speedup",
 		"journal_append_ns", "recovery_replay_ms",
 	} {
 		if _, ok := rep.Lookup(name); !ok {
 			t.Errorf("suite is missing headline metric %q", name)
 		}
 	}
-	for _, name := range []string{"agg_fold_speedup", "fedavg_agg_speedup", "shard_reduce_speedup"} {
+	for _, name := range []string{"agg_fold_speedup", "fedavg_agg_speedup"} {
 		if m, ok := rep.Lookup(name); ok && !m.ParallelDependent {
 			t.Errorf("%s not marked parallel-dependent: a gomaxprocs mismatch would gate it", name)
 		}

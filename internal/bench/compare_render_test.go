@@ -11,11 +11,11 @@ import (
 // verdict line flips with the regression count.
 func TestRenderDiffGomaxprocsWarning(t *testing.T) {
 	base := &Report{Version: ReportVersion, GoMaxProcs: 4, Metrics: []Metric{
-		{Name: "shard_reduce_speedup", Value: 2.0, Unit: "x", HigherIsBetter: true, Gated: true, ParallelDependent: true},
+		{Name: "agg_fold_speedup", Value: 2.0, Unit: "x", HigherIsBetter: true, Gated: true, ParallelDependent: true},
 		{Name: "pipe_f16_reduction", Value: 4.0, Unit: "x", HigherIsBetter: true, Gated: true},
 	}}
 	cur := &Report{Version: ReportVersion, GoMaxProcs: 1, Metrics: []Metric{
-		{Name: "shard_reduce_speedup", Value: 0.8, Unit: "x", HigherIsBetter: true, Gated: true, ParallelDependent: true},
+		{Name: "agg_fold_speedup", Value: 0.8, Unit: "x", HigherIsBetter: true, Gated: true, ParallelDependent: true},
 		{Name: "pipe_f16_reduction", Value: 4.0, Unit: "x", HigherIsBetter: true, Gated: true},
 	}}
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -78,7 +79,7 @@ func echoLoop(c *Client, id, dim int, wg *sync.WaitGroup) {
 // frame buffer and pooled update, a round allocates at most a quarter of
 // the bytes it puts on the wire. (Before recycling it allocated ~8×.)
 func TestSteadyStateAllocationGate(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
 	}
 	const n, dim, warm, rounds = 4, 256 << 10, 2, 8
@@ -152,7 +153,7 @@ func steadyState(srv *Server, warm, rounds int, round func(r int)) (onWire, allo
 // (Before, every message built a fresh Payload and Codes and every release
 // a fresh code buffer: 1.3× the wire bytes.)
 func TestCompressedRoundAllocationGate(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
 	}
 	const n, dim, warm, rounds = 4, 256 << 10, 2, 8

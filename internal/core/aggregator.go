@@ -52,12 +52,6 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 			return nil, err
 		}
 		b.Workers = cfg.AggWorkers
-		if cfg.AggPrecision == AggF32 {
-			b.usePrecision32()
-		}
-		if cfg.AggShards > 1 {
-			b.useShards(cfg.AggShards)
-		}
 		return b, nil
 	}
 	srv, err := NewServer(cfg, w0, numClients)
@@ -69,17 +63,6 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 		return nil, fmt.Errorf("core: server for %q does not implement Aggregator", cfg.Algorithm)
 	}
 	return agg, nil
-}
-
-// Weights32Provider is implemented by aggregators that maintain a live
-// single-precision model (Config.AggPrecision = f32). The f16 downlink
-// encoder uses it to feed the half-float rounding directly from the f32
-// accumulator, skipping the widening sweep; the bits are identical either
-// way (Float16FromFloat64 rounds through float32).
-type Weights32Provider interface {
-	// Weights32 returns the live float32 model, or nil when the
-	// aggregator runs in float64. Callers must not mutate it.
-	Weights32() []float32
 }
 
 // StalenessWeight is the FedAsync mixing rate α_s = α·(1+staleness)^(−γ):
@@ -115,22 +98,11 @@ type BufferedAggregator struct {
 	// EnableFusedFold.
 	fused pipeline.FusedStage
 
-	// prec32 selects the single-precision accumulator: w32 is then the
-	// authoritative model and w a lazily refreshed float64 mirror.
-	prec32   bool
-	w32      []float32
-	w32stale bool
-
-	// tier, when non-nil, is the hierarchical sharded aggregation tier
-	// (Config.AggShards); see FedAvgServer.tier and shard.go.
-	tier *shardTier
-
 	// Pre-bound fold operation and fold-source scratch: binding the
 	// method value once at construction keeps the sharded batched fold
 	// allocation-free in steady state (no per-call closure).
-	srcs     []tensor.FoldSrc
-	foldOp   func(lo, hi int)
-	foldOp32 func(lo, hi int)
+	srcs   []tensor.FoldSrc
+	foldOp func(lo, hi int)
 }
 
 // NewBufferedAggregator builds the aggregator. alpha in (0,1] is the base
@@ -152,42 +124,17 @@ func NewBufferedAggregator(w0 []float64, alpha, gamma float64, maxStaleness int)
 		MaxStaleness: maxStaleness,
 	}
 	b.foldOp = b.foldChunk
-	b.foldOp32 = b.foldChunk32
 	return b, nil
-}
-
-// usePrecision32 switches the aggregator to the single-precision
-// accumulator. Must be called before any aggregation.
-func (b *BufferedAggregator) usePrecision32() {
-	b.prec32 = true
-	b.w32 = tensor.Narrow(nil, b.w)
 }
 
 // setFusedStage wires the fused invert+fold fast path (EnableFusedFold).
 func (b *BufferedAggregator) setFusedStage(fs pipeline.FusedStage) { b.fused = fs }
-
-// useShards attaches the hierarchical sharded aggregation tier of width
-// n; see FedAvgServer.useShards. The shards seed their ranges from the
-// current model: the convex staleness rule folds into prior state, which
-// the tier's shards own from here on.
-func (b *BufferedAggregator) useShards(n int) { b.tier = newShardTier(b.w, n) }
 
 // foldChunk folds the whole release over one chunk with the cache-blocked
 // sequential-convex kernel: within a block, update k fully folds before
 // update k+1, so per element the operation sequence is exactly the
 // pre-kernel one-update-at-a-time sweeps.
 func (b *BufferedAggregator) foldChunk(lo, hi int) { tensor.FoldKScaledSrc(b.w, lo, hi, b.srcs) }
-
-// foldChunk32 is foldChunk on the single-precision accumulator.
-func (b *BufferedAggregator) foldChunk32(lo, hi int) { tensor.FoldKScaledSrc32(b.w32, lo, hi, b.srcs) }
-
-// syncMirror refreshes the float64 mirror from the f32 accumulator.
-func (b *BufferedAggregator) syncMirror() {
-	if b.w32stale {
-		b.w = tensor.Widen(b.w, b.w32)
-		b.w32stale = false
-	}
-}
 
 // Dim returns the model dimension.
 func (b *BufferedAggregator) Dim() int { return len(b.w) }
@@ -200,18 +147,7 @@ func (b *BufferedAggregator) Weights() []float64 { return b.WeightsInto(nil) }
 
 // WeightsInto copies the current global model into dst.
 func (b *BufferedAggregator) WeightsInto(dst []float64) []float64 {
-	b.syncMirror()
-	dst = append(dst[:0], b.w...)
-	return dst
-}
-
-// Weights32 exposes the live single-precision model, or nil in f64 mode;
-// see FedAvgServer.Weights32.
-func (b *BufferedAggregator) Weights32() []float32 {
-	if !b.prec32 {
-		return nil
-	}
-	return b.w32
+	return append(dst[:0], b.w...)
 }
 
 // Aggregate folds one released batch, down-weighting each update by its
@@ -249,7 +185,6 @@ func (b *BufferedAggregator) Aggregate(batch []*wire.LocalUpdate) error {
 			continue
 		}
 		if u.NumSamples == 0 {
-			// Zero-weight echo from a non-participant: nothing to fold.
 			continue
 		}
 		src, err := foldSrcFor(u, b.fused, StalenessWeight(b.alpha, b.gamma, float64(staleness)))
@@ -264,17 +199,7 @@ func (b *BufferedAggregator) Aggregate(batch []*wire.LocalUpdate) error {
 	}
 	b.srcs = srcs
 	if len(srcs) > 0 {
-		switch {
-		case b.prec32:
-			shardRun(len(b.w32), b.Workers, b.foldOp32)
-			b.w32stale = true
-		case b.tier != nil:
-			if err := b.tier.fold(b.w, b.srcs, uint64(b.version), true); err != nil {
-				return err
-			}
-		default:
-			shardRun(len(b.w), b.Workers, b.foldOp)
-		}
+		shardRun(len(b.w), b.Workers, b.foldOp)
 		clearSrcs(b.srcs)
 	}
 	b.Applied += applied

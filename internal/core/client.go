@@ -152,11 +152,6 @@ type FedAvgClient struct {
 	LR       float64
 	Momentum float64
 	L        int
-	// Fraction and Seed drive deterministic partial participation: when a
-	// round's draw excludes this client, it echoes the global model with
-	// zero sample weight instead of training.
-	Fraction float64
-	Seed     uint64
 
 	z     []float64
 	veloc []float64
@@ -171,8 +166,6 @@ func NewFedAvgClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, pi
 		LR:         cfg.LR,
 		Momentum:   cfg.Momentum,
 		L:          cfg.LocalSteps,
-		Fraction:   cfg.ClientFraction,
-		Seed:       cfg.Seed,
 	}
 }
 
@@ -181,16 +174,6 @@ func NewFedAvgClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, pi
 func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error) {
 	if len(w) != c.dim {
 		return nil, fmt.Errorf("core: client %d got %d weights, model is %d", c.ID, len(w), c.dim)
-	}
-	if !Participates(c.Seed, round, c.ID, c.Fraction) {
-		return &wire.LocalUpdate{
-			ClientID:   uint32(c.ID),
-			Round:      uint32(round),
-			NumSamples: 0, // zero weight: excluded from the average
-			Primal:     append([]float64(nil), w...),
-			Epsilon:    c.Pipe.Epsilon(),
-			InCohort:   false, // attributable as an out-of-cohort echo
-		}, nil
 	}
 	start := time.Now()
 	c.beginRound()

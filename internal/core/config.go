@@ -29,12 +29,6 @@ const (
 	DPModeObjective = "objective" // perturb the local objective instead
 )
 
-// Aggregation precisions accepted in Config.AggPrecision.
-const (
-	AggF64 = "f64" // double-precision accumulator (default; bit-exact path)
-	AggF32 = "f32" // single-precision accumulator (half the memory traffic)
-)
-
 // Config describes one federated run. Zero values select the documented
 // defaults, which are calibrated so the three algorithms take comparable
 // effective step sizes (and hence comparable DP noise scales, as in the
@@ -96,14 +90,6 @@ type Config struct {
 	// dual updates stay consistent.
 	AdaptiveRho bool
 
-	// ClientFraction, when in (0,1), makes only that fraction of clients
-	// train each round (FedAvg only); the rest echo the global model with
-	// zero weight. 0 or 1 means full participation. This is the legacy
-	// client-side mechanism: every client still downloads the model each
-	// round. Server-side cohort selection (Scheduler = SchedSampled)
-	// subsumes it without the wasted traffic.
-	ClientFraction float64
-
 	// Scheduler selects the participation policy: SchedSyncAll (default)
 	// barriers on every client each round; SchedSampled schedules a
 	// pseudorandom cohort per round (true partial participation — clients
@@ -135,15 +121,6 @@ type Config struct {
 	// such as 1e-12).
 	AsyncGamma float64
 
-	// AggPrecision selects the arithmetic of the aggregation fold: "f64"
-	// (the default) keeps the double-precision accumulator whose results
-	// are bit-identical across worker widths; "f32" accumulates in single
-	// precision, halving the fold's memory footprint and traffic at the
-	// cost of ~1e-7 relative error per fold (see the error-bound test in
-	// internal/core). FedAvg-family rules only: the ADMM servers carry
-	// dual state whose consistency argument is defined in float64.
-	AggPrecision string
-
 	// AggWorkers is the width of the sharded aggregation hot path: the
 	// server splits the weight vector into deterministic contiguous chunks
 	// and folds them on a worker pool, and the round decode
@@ -153,18 +130,6 @@ type Config struct {
 	// order, so results are bit-identical across widths.
 	AggWorkers int
 
-	// AggShards is the width of the hierarchical sharded aggregation tier:
-	// n > 1 partitions the accumulator index space into n contiguous
-	// ranges, each owned and folded by a dedicated long-lived shard
-	// worker, and the resulting wire.PartialAggregate messages tree-reduce
-	// back into the global model. Shard ranges are a pure function of
-	// (dim, n) and every rule is element-wise with a fixed per-element
-	// fold order, so the sharded trajectory is bit-identical to the
-	// single-aggregator one at any width. 0 or 1 selects the flat path.
-	// FedAvg-family rules only (like AggPrecision), and not combinable
-	// with AggPrecision=f32 (one accumulator authority).
-	AggShards int
-
 	// StreamChunk, when positive, streams every uplink as a sequence of
 	// fixed-size wire.ModelChunk messages of this many coordinates instead
 	// of one monolithic LocalUpdate: the server folds each chunk into an
@@ -173,8 +138,8 @@ type Config struct {
 	// Chunking is invisible to the arithmetic — the streamed trajectory is
 	// bit-identical to the monolithic one. FedAvg behind a barrier
 	// scheduler (syncall or sampled) only, with Pipeline empty or the pure
-	// element-wise "f16"-suffixed stacks; not combinable with AggShards,
-	// AggPrecision=f32, or SubsetFrac.
+	// element-wise "f16"-suffixed stacks; not combinable with RoundTimeout
+	// or SubsetFrac.
 	StreamChunk int
 
 	// SubsetFrac, when in (0,1), makes every client upload only the first
@@ -183,7 +148,7 @@ type Config struct {
 	// The server scatter-folds listed coordinates and every unlisted
 	// coordinate keeps its weighted share of the current global value (see
 	// subset.go). FedAvg behind a barrier scheduler only; not combinable
-	// with Pipeline, AggShards, AggPrecision=f32, or StreamChunk.
+	// with Pipeline or StreamChunk.
 	SubsetFrac float64
 
 	// RoundTimeout bounds how long the server waits on a round's gather.
@@ -240,9 +205,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Scheduler == "" {
 		c.Scheduler = SchedSyncAll
-	}
-	if c.AggPrecision == "" {
-		c.AggPrecision = AggF64
 	}
 	if c.Scheduler == SchedBuffered {
 		if c.AsyncAlpha == 0 {
@@ -307,37 +269,11 @@ func (c Config) Validate() error {
 	if c.AggWorkers < 0 {
 		return fmt.Errorf("core: AggWorkers must be >= 0 (0 selects GOMAXPROCS), got %d", c.AggWorkers)
 	}
-	switch c.AggPrecision {
-	case "", AggF64:
-	case AggF32:
-		if c.Algorithm != AlgoFedAvg {
-			return fmt.Errorf("core: AggPrecision=f32 requires FedAvg (the ADMM dual-consistency argument is defined in float64)")
-		}
-	default:
-		return fmt.Errorf("core: unknown AggPrecision %q (want %q or %q)", c.AggPrecision, AggF64, AggF32)
-	}
-	if c.AggShards < 0 {
-		return fmt.Errorf("core: AggShards must be >= 0 (0 or 1 selects the flat path), got %d", c.AggShards)
-	}
-	if c.AggShards > 1 {
-		if c.Algorithm != AlgoFedAvg {
-			return fmt.Errorf("core: AggShards requires FedAvg-family rules (the ADMM servers carry coupled dual state)")
-		}
-		if c.AggPrecision == AggF32 {
-			return fmt.Errorf("core: AggShards and AggPrecision=f32 cannot combine (one accumulator authority)")
-		}
-	}
 	if c.RoundTimeout < 0 {
 		return fmt.Errorf("core: RoundTimeout must be >= 0, got %v", c.RoundTimeout)
 	}
 	if c.MinCohort < 0 {
 		return fmt.Errorf("core: MinCohort must be >= 0, got %d", c.MinCohort)
-	}
-	if c.ClientFraction < 0 || c.ClientFraction > 1 {
-		return fmt.Errorf("core: ClientFraction must be in [0,1], got %v", c.ClientFraction)
-	}
-	if c.ClientFraction > 0 && c.ClientFraction < 1 && c.Algorithm != AlgoFedAvg {
-		return fmt.Errorf("core: partial participation requires FedAvg (IADMM servers hold per-client duals)")
 	}
 	switch c.Scheduler {
 	case "", SchedSyncAll:
@@ -370,9 +306,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown scheduler %q", c.Scheduler)
 	}
-	if c.Scheduler != "" && c.Scheduler != SchedSyncAll && c.ClientFraction > 0 && c.ClientFraction < 1 {
-		return fmt.Errorf("core: ClientFraction (client-side echo) cannot combine with the %s scheduler", c.Scheduler)
-	}
 	if c.StreamChunk < 0 {
 		return fmt.Errorf("core: StreamChunk must be >= 0 (0 selects the monolithic path), got %d", c.StreamChunk)
 	}
@@ -384,12 +317,6 @@ func (c Config) Validate() error {
 		case "", SchedSyncAll, SchedSampled:
 		default:
 			return fmt.Errorf("core: StreamChunk requires a barrier scheduler (syncall or sampled), got %q", c.Scheduler)
-		}
-		if c.AggShards > 1 {
-			return fmt.Errorf("core: StreamChunk and AggShards cannot combine (one accumulator authority)")
-		}
-		if c.AggPrecision == AggF32 {
-			return fmt.Errorf("core: StreamChunk and AggPrecision=f32 cannot combine (the chunk fold is defined on the float64 accumulator)")
 		}
 		if c.RoundTimeout > 0 {
 			return fmt.Errorf("core: StreamChunk and RoundTimeout cannot combine (the chunk gather has no forgive path)")
@@ -425,29 +352,11 @@ func (c Config) Validate() error {
 		if c.Pipeline != "" {
 			return fmt.Errorf("core: SubsetFrac and Pipeline cannot combine (the subset is cut after the legacy clip stage)")
 		}
-		if c.AggShards > 1 || c.AggPrecision == AggF32 {
-			return fmt.Errorf("core: SubsetFrac requires the flat float64 accumulator (no AggShards, no f32)")
-		}
 		if c.StreamChunk > 0 {
 			return fmt.Errorf("core: SubsetFrac and StreamChunk cannot combine (a subset upload is already sub-O(dim))")
 		}
 	}
 	return nil
-}
-
-// Participates reports deterministically whether a client trains in a
-// round under partial participation. Server and clients evaluate the same
-// rule from the shared seed, so no participant list crosses the network.
-func Participates(seed uint64, round, client int, fraction float64) bool {
-	if fraction <= 0 || fraction >= 1 {
-		return true
-	}
-	x := seed ^ (uint64(round) * 0x9e3779b97f4a7c15) ^ (uint64(client) * 0xbf58476d1ce4e5b9)
-	// splitmix64 finalizer
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < fraction
 }
 
 // CommunicatesDual reports whether the algorithm uploads dual vectors in

@@ -125,52 +125,6 @@ func TestFedAvgServerIgnoresZeroWeightEchoes(t *testing.T) {
 	}
 }
 
-func TestParticipatesDeterministicAndProportional(t *testing.T) {
-	// Same inputs → same decision.
-	for round := 1; round <= 3; round++ {
-		for id := 0; id < 5; id++ {
-			if Participates(9, round, id, 0.3) != Participates(9, round, id, 0.3) {
-				t.Fatal("participation not deterministic")
-			}
-		}
-	}
-	// Edge fractions: 0 and 1 mean everyone.
-	if !Participates(1, 1, 1, 0) || !Participates(1, 1, 1, 1) {
-		t.Fatal("fraction 0/1 must include everyone")
-	}
-	// Long-run rate approximates the fraction.
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if Participates(5, i, i%17, 0.3) {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	if math.Abs(rate-0.3) > 0.02 {
-		t.Fatalf("participation rate %v, want ~0.3", rate)
-	}
-}
-
-func TestPartialParticipationRun(t *testing.T) {
-	fed := tinyFed(t, 4, 256, 64)
-	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 32, ClientFraction: 0.5, Seed: 6}
-	res, err := Run(cfg, fed, tinyFactory(), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 3 {
-		t.Fatalf("rounds %d", len(res.Rounds))
-	}
-}
-
-func TestPartialParticipationRequiresFedAvg(t *testing.T) {
-	cfg := Config{Algorithm: AlgoIIADMM, ClientFraction: 0.5}.WithDefaults()
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("IADMM with partial participation accepted")
-	}
-}
-
 func TestAdaptiveRhoRequiresIADMM(t *testing.T) {
 	cfg := Config{Algorithm: AlgoFedAvg, AdaptiveRho: true}.WithDefaults()
 	if err := cfg.Validate(); err == nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/journal"
-	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -224,11 +223,9 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 // ValidateJournalConfig rejects configurations the journal cannot make
 // crash-recoverable. Journaling needs every admitted update's dense primal
 // in hand at admit time (so a refold needs no client cooperation), which
-// pins the FedAvg family on the flat accumulator: the ADMM servers carry
-// per-client dual state no admit record captures, the streamed-chunk path
-// folds without ever materializing a primal, subset uploads admit partial
-// vectors, and the shard tier distributes the accumulator across worker
-// state that a weights-only commit cannot reseed.
+// pins the FedAvg family: the ADMM servers carry per-client dual state no
+// admit record captures, the streamed-chunk path folds without ever
+// materializing a primal, and subset uploads admit partial vectors.
 func ValidateJournalConfig(cfg Config) error {
 	if cfg.Algorithm != AlgoFedAvg {
 		return fmt.Errorf("core: journaling requires FedAvg (ADMM dual state is not journaled)")
@@ -239,20 +236,12 @@ func ValidateJournalConfig(cfg Config) error {
 	if cfg.SubsetFrac != 0 {
 		return fmt.Errorf("core: journaling and SubsetFrac cannot combine (subset admits are partial vectors)")
 	}
-	if cfg.AggShards > 1 {
-		return fmt.Errorf("core: journaling and AggShards cannot combine (shard state cannot be reseeded from a weights-only commit)")
-	}
-	if cfg.ClientFraction > 0 && cfg.ClientFraction < 1 {
-		return fmt.Errorf("core: journaling and ClientFraction cannot combine (zero-weight echoes are not journaled); use the sampled scheduler")
-	}
 	return nil
 }
 
 // restoreAggregator loads recovered weights and version into a freshly
 // constructed aggregator — the same-package escape hatch recovery uses to
-// put the "brain" back exactly where the crashed process left it. Under
-// the f32 accumulator the restored float64 mirror re-narrows to the
-// pre-crash float32 bits (Narrow∘Widen is the identity on float32).
+// put the "brain" back exactly where the crashed process left it.
 func restoreAggregator(agg Aggregator, w []float64, version int) error {
 	switch a := agg.(type) {
 	case *FedAvgServer:
@@ -261,10 +250,6 @@ func restoreAggregator(agg Aggregator, w []float64, version int) error {
 		}
 		copy(a.W, w)
 		a.version = version
-		if a.prec32 {
-			a.w32 = tensor.Narrow(a.w32, a.W)
-			a.w32stale = false
-		}
 		return nil
 	case *BufferedAggregator:
 		if len(w) != len(a.w) {
@@ -272,10 +257,6 @@ func restoreAggregator(agg Aggregator, w []float64, version int) error {
 		}
 		copy(a.w, w)
 		a.version = version
-		if a.prec32 {
-			a.w32 = tensor.Narrow(a.w32, a.w)
-			a.w32stale = false
-		}
 		return nil
 	default:
 		return fmt.Errorf("core: aggregator %T is not journal-recoverable", agg)

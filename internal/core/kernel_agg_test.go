@@ -180,123 +180,14 @@ func TestDecodeUpdatesFusedRejects(t *testing.T) {
 	}
 }
 
-// TestAggPrecisionF32ErrorBound is the documented property test of the
-// f32 path: at dim 1e6 and K=8, the single-precision aggregate must stay
-// within 1e-5 relative L2 error of the double-precision aggregate, for
-// both the FedAvg batch average and the buffered staleness-weighted rule.
-func TestAggPrecisionF32ErrorBound(t *testing.T) {
-	const (
-		dim = 1_000_000
-		k   = 8
-	)
-	relErr := func(f64w, f32w []float64) float64 {
-		var num, den float64
-		for i := range f64w {
-			d := f32w[i] - f64w[i]
-			num += d * d
-			den += f64w[i] * f64w[i]
-		}
-		return math.Sqrt(num / den)
-	}
-	w0 := testVec(dim, 1)
-	batch := testBatch(k, dim, 60)
-
-	t.Run("fedavg", func(t *testing.T) {
-		mk := func(prec string) Aggregator {
-			cfg := Config{Algorithm: AlgoFedAvg, AggPrecision: prec}.WithDefaults()
-			a, err := NewAggregator(cfg, w0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		}
-		a64, a32 := mk(AggF64), mk(AggF32)
-		if err := a64.Aggregate(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := a32.Aggregate(batch); err != nil {
-			t.Fatal(err)
-		}
-		if rel := relErr(a64.Weights(), a32.Weights()); rel > 1e-5 {
-			t.Fatalf("f32 FedAvg aggregate relative error %v > 1e-5 at dim %d", rel, dim)
-		}
-	})
-	t.Run("buffered", func(t *testing.T) {
-		mk := func(prec string) Aggregator {
-			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedBuffered, BufferK: k, AggPrecision: prec}.WithDefaults()
-			a, err := NewAggregator(cfg, w0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		}
-		a64, a32 := mk(AggF64), mk(AggF32)
-		if err := a64.Aggregate(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := a32.Aggregate(batch); err != nil {
-			t.Fatal(err)
-		}
-		if rel := relErr(a64.Weights(), a32.Weights()); rel > 1e-5 {
-			t.Fatalf("f32 buffered aggregate relative error %v > 1e-5 at dim %d", rel, dim)
-		}
-	})
-}
-
-// TestAggPrecisionDefaultsToF64: the flag must be opt-in.
-func TestAggPrecisionDefaultsToF64(t *testing.T) {
-	cfg := Config{Algorithm: AlgoFedAvg}.WithDefaults()
-	if cfg.AggPrecision != AggF64 {
-		t.Fatalf("default AggPrecision = %q, want %q", cfg.AggPrecision, AggF64)
-	}
-	if err := (Config{Algorithm: AlgoIIADMM, AggPrecision: AggF32}).WithDefaults().Validate(); err == nil {
-		t.Fatal("f32 accepted for an ADMM algorithm")
-	}
-	if err := (Config{Algorithm: AlgoFedAvg, AggPrecision: "f128"}).WithDefaults().Validate(); err == nil {
-		t.Fatal("unknown precision accepted")
-	}
-}
-
-// TestF32DownlinkEncodeMatchesWiden: the f16 downlink fed straight from
-// the f32 accumulator must produce the exact codes of widening to f64
-// first — the bit-equivalence that justifies skipping the widening sweep.
-func TestF32DownlinkEncodeMatchesWiden(t *testing.T) {
-	const dim = 4096
-	w64 := testVec(dim, 5)
-	w32 := make([]float32, dim)
-	for i, v := range w64 {
-		w32[i] = float32(v)
-	}
-	widened := make([]float64, dim)
-	for i, v := range w32 {
-		widened[i] = float64(v)
-	}
-	gmA := &wire.GlobalModel{Weights: widened}
-	if _, err := EncodeDownlinkF16Into(gmA, nil); err != nil {
-		t.Fatal(err)
-	}
-	gmB := &wire.GlobalModel{}
-	if _, err := EncodeDownlinkF16From32(gmB, w32, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(gmA.WeightsP.Codes) != len(gmB.WeightsP.Codes) {
-		t.Fatal("code lengths differ")
-	}
-	for i := range gmA.WeightsP.Codes {
-		if gmA.WeightsP.Codes[i] != gmB.WeightsP.Codes[i] {
-			t.Fatalf("code byte %d differs", i)
-		}
-	}
-}
-
-// TestRunWithF32AndFusedPipeline: the full runner path with the f32
-// accumulator, a fused f16 upload stack, and the f16 downlink completes
-// and produces a finite model.
-func TestRunWithF32AndFusedPipeline(t *testing.T) {
+// TestRunWithFusedPipelineAndF16Downlink: the full runner path with a
+// fused f16 upload stack and the f16 downlink completes and produces a
+// finite model.
+func TestRunWithFusedPipelineAndF16Downlink(t *testing.T) {
 	fed := parallelTestFed(3, 96, 32, 21)
 	cfg := Config{
 		Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 21,
-		Pipeline: "clip:1,f16", DownlinkF16: true, AggPrecision: AggF32,
+		Pipeline: "clip:1,f16", DownlinkF16: true,
 	}
 	res, err := Run(cfg, fed, parallelTestFactory(21), RunOptions{})
 	if err != nil {
@@ -306,7 +197,7 @@ func TestRunWithF32AndFusedPipeline(t *testing.T) {
 		t.Fatalf("recorded %d rounds, want 2", len(res.Rounds))
 	}
 	if math.IsNaN(res.FinalLoss) || math.IsInf(res.FinalLoss, 0) {
-		t.Fatalf("f32 run produced loss %v", res.FinalLoss)
+		t.Fatalf("fused f16 run produced loss %v", res.FinalLoss)
 	}
 }
 

@@ -311,3 +311,17 @@ func mustBuffered(t *testing.T, w0 []float64) *BufferedAggregator {
 	}
 	return b
 }
+
+// requireBitEqual fails unless the two weight vectors match bit for bit.
+func requireBitEqual(t *testing.T, label string, want, got []float64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: dim %d vs %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: weight[%d] is %x, want %x — not bit-identical",
+				label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}

@@ -71,21 +71,6 @@ func EncodeDownlinkF16Into(gm *wire.GlobalModel, codes []byte) ([]byte, error) {
 	return codes, nil
 }
 
-// EncodeDownlinkF16From32 is EncodeDownlinkF16Into fed directly from a
-// single-precision model (the Config.AggPrecision=f32 accumulator): the
-// f16 rounding of a float32 equals the f16 rounding of its exact float64
-// widening, so the encoded downlink is bit-identical to widening first —
-// without the O(dim) widening sweep.
-func EncodeDownlinkF16From32(gm *wire.GlobalModel, w32 []float32, codes []byte) ([]byte, error) {
-	codes, err := pipeline.EncodeFloat16From32(w32, codes)
-	if err != nil {
-		return codes, err
-	}
-	gm.WeightsP = &wire.Payload{Enc: wire.EncFloat16, Dim: uint32(len(w32)), Codes: codes}
-	gm.Weights = nil
-	return codes, nil
-}
-
 // DecodeGlobal is the client half of the downlink path: when a received
 // GlobalModel carries a compressed weights payload, it is densified back
 // into Weights. Dense broadcasts pass through untouched. Every receiver

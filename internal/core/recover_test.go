@@ -200,8 +200,8 @@ func TestRecoverServerCorruptShapes(t *testing.T) {
 
 func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 	w0 := []float64{0, 0, 0}
-	for _, prec := range []string{AggF64, AggF32} {
-		cfg := Config{Algorithm: AlgoFedAvg, Rounds: 1, AggPrecision: prec}.WithDefaults()
+	for _, sched := range []string{SchedSyncAll, SchedBuffered} {
+		cfg := Config{Algorithm: AlgoFedAvg, Rounds: 1, Scheduler: sched}.WithDefaults()
 		agg, err := NewAggregator(cfg, w0, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -211,19 +211,17 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 			t.Fatal(err)
 		}
 		if agg.Version() != 7 {
-			t.Fatalf("prec=%s: version %d, want 7", prec, agg.Version())
+			t.Fatalf("%s: version %d, want 7", sched, agg.Version())
 		}
 		if w := agg.WeightsInto(nil); w[2] != 3 {
-			t.Fatalf("prec=%s: weights %v", prec, w)
+			t.Fatalf("%s: weights %v", sched, w)
 		}
-		closeAggregator(agg)
 	}
 	// Dimension mismatch is an error, not a silent partial copy.
 	agg, err := NewAggregator(Config{Algorithm: AlgoFedAvg, Rounds: 1}.WithDefaults(), w0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeAggregator(agg)
 	if err := (&RecoveredServer{Weights: []float64{1}, Version: 1}).Apply(agg); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}

@@ -56,9 +56,6 @@ type Result struct {
 	// Stale counts buffered updates that were folded with staleness > 0;
 	// Dropped counts those discarded for exceeding MaxStaleness.
 	Stale, Dropped int
-	// Echoes counts zero-weight echo updates from the legacy client-side
-	// partial-participation path (LocalUpdate.InCohort == false).
-	Echoes int
 	// Crashed counts the clients presumed dead when the run ended:
 	// permanent goodbyes plus clients whose last scheduled round timed out
 	// unresolved. Rejoined counts departures that came back (goodbye with a
@@ -238,7 +235,6 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	for i := range clients {
 		c, err := newRunClient(cfg, i, master.Split(), factory(), w0, fed.Clients[i])
 		if err != nil {
-			closeAggregator(agg)
 			return nil, err
 		}
 		clients[i] = c
@@ -322,9 +318,6 @@ func Serve(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptio
 // from here on; refModel doubles as the evaluation replica.
 func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64, agg Aggregator, opts RunOptions,
 	st comm.ServerTransport, wantWeights bool) (*Result, []float64, error) {
-	// The closure closes whatever aggregator is current at exit — recovery
-	// replaces agg, and the discarded one is closed at the kill site.
-	defer func() { closeAggregator(agg) }()
 	P := fed.NumClients()
 	sched, err := NewScheduler(cfg, P)
 	if err != nil {
@@ -402,7 +395,6 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 			time.Sleep(time.Duration(jw.gap) * 5 * time.Millisecond)
 		}
 		t0 := time.Now()
-		closeAggregator(agg)
 		recd, rerr := opts.Journal.Recover()
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, rerr)
@@ -464,16 +456,13 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 
 // dispatcher sends the aggregator's current model to a set of clients: the
 // one place a GlobalModel is built, shared by the barrier rounds, the
-// buffered releases and the re-dispatch of a resumed round. It feeds the
-// f16 downlink straight from the f32 accumulator when one exists (the same
-// bits as the widening path) and recycles the weight and code buffers —
-// every transport serializes inside SendTo, so one of each serves all
-// rounds.
+// buffered releases and the re-dispatch of a resumed round. It recycles
+// the weight and code buffers — every transport serializes inside SendTo,
+// so one of each serves all rounds.
 type dispatcher struct {
 	cfg    Config
 	agg    Aggregator
 	st     comm.ServerTransport
-	w32agg Weights32Provider
 	rho    interface{ CurrentRho() float64 }
 	wbuf   []float64
 	f16buf []byte
@@ -481,7 +470,6 @@ type dispatcher struct {
 
 func newDispatcher(cfg Config, agg Aggregator, st comm.ServerTransport) *dispatcher {
 	d := &dispatcher{cfg: cfg, agg: agg, st: st}
-	d.w32agg, _ = agg.(Weights32Provider)
 	if cfg.AdaptiveRho {
 		d.rho, _ = agg.(interface{ CurrentRho() float64 })
 	}
@@ -502,30 +490,19 @@ func (d *dispatcher) release() {
 // the model version it carried. cohortSize is the size of the cohort the
 // round opened with, which a re-dispatch to the rest of it keeps.
 func (d *dispatcher) send(ids []int, round, cohortSize int) (uint64, error) {
-	var w32 []float32
-	if d.cfg.DownlinkF16 && d.w32agg != nil {
-		w32 = d.w32agg.Weights32()
-	}
+	d.wbuf = d.agg.WeightsInto(d.wbuf)
 	gm := &wire.GlobalModel{
 		Round:      uint32(round),
 		Version:    uint64(d.agg.Version()),
 		CohortSize: uint32(cohortSize),
-	}
-	if w32 == nil {
-		d.wbuf = d.agg.WeightsInto(d.wbuf)
-		gm.Weights = d.wbuf
+		Weights:    d.wbuf,
 	}
 	if d.rho != nil {
 		gm.Rho = d.rho.CurrentRho()
 	}
 	if d.cfg.DownlinkF16 {
 		var err error
-		if w32 != nil {
-			d.f16buf, err = EncodeDownlinkF16From32(gm, w32, d.f16buf)
-		} else {
-			d.f16buf, err = EncodeDownlinkF16Into(gm, d.f16buf)
-		}
-		if err != nil {
+		if d.f16buf, err = EncodeDownlinkF16Into(gm, d.f16buf); err != nil {
 			return 0, fmt.Errorf("core: downlink round %d: %w", round, err)
 		}
 	}
@@ -593,7 +570,7 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
-	// (FedAvg, barrier scheduler, flat f64 accumulator, no RoundTimeout).
+	// (FedAvg, barrier scheduler, no RoundTimeout).
 	var stream *StreamSession
 	var chunkSrc comm.ChunkGatherer
 	if cfg.StreamChunk > 0 {
@@ -690,9 +667,6 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 		for _, u := range data {
 			if u.ComputeSec > maxCompute {
 				maxCompute = u.ComputeSec
-			}
-			if !u.InCohort {
-				res.Echoes++
 			}
 		}
 		jw.admitBatch(t, data, nil)

@@ -118,8 +118,6 @@ func TestRunStreamRejectsIncompatibleConfig(t *testing.T) {
 	bad := []Config{
 		{Algorithm: AlgoIIADMM, Rounds: 1, StreamChunk: 64},
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, Scheduler: SchedBuffered, BufferK: 2},
-		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, AggShards: 2},
-		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, AggPrecision: AggF32},
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, RoundTimeout: 1},
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, Pipeline: "topk:0.5"},
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: -1},

@@ -107,8 +107,7 @@ func (s SyncAll) Quorum() int { return s.NumClients }
 // round — the cross-device regime where only a cohort of the (possibly
 // enormous) client population trains. Selection is deterministic in
 // (Seed, round), so a run is reproducible, and clients outside the cohort
-// receive no model at all — unlike the legacy Config.ClientFraction path,
-// they spend neither compute nor bandwidth.
+// receive no model at all: they spend neither compute nor bandwidth.
 type SampledCohort struct {
 	NumClients int
 	// Fraction of clients scheduled per round, in (0,1].
@@ -141,10 +140,7 @@ func (s SampledCohort) size() int {
 // Fisher–Yates over a sparse overlay: only the k draws and their swap
 // targets ever materialize, so one round costs O(k log k) time and O(k)
 // memory no matter how large the roster is — a 1M-entry federation is
-// never enumerated. (The previous implementation ranked all N clients by
-// a per-round hash score: O(N log N) per round, which is exactly the
-// scan a routing/admission tier cannot afford at cross-device scale.)
-// The draw is deterministic in (Seed, round) and returned ascending.
+// never enumerated. The draw is deterministic in (Seed, round) and returned ascending.
 func (s SampledCohort) Cohort(round int) []int {
 	k := s.size()
 	if k == s.NumClients {
@@ -202,9 +198,8 @@ func (s Buffered) Barrier() bool { return false }
 func (s Buffered) Quorum() int { return s.K }
 
 // cohortScore hashes (seed, round, client) with a splitmix64 finalizer,
-// the same family as Participates, so cohorts vary per round but are
-// reproducible from the seed. The sampler uses it (client 0) to derive
-// the per-round draw stream.
+// so cohorts vary per round but are reproducible from the seed. The
+// sampler uses it (client 0) to derive the per-round draw stream.
 func cohortScore(seed uint64, round, client int) uint64 {
 	x := seed ^ (uint64(round) * 0x9e3779b97f4a7c15) ^ (uint64(client)+1)*0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

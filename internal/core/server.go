@@ -126,6 +126,11 @@ func clearSrcs(srcs []tensor.FoldSrc) {
 // FedAvgServer implements federated averaging (McMahan et al., 2017):
 // the global model is the sample-weighted average of client models,
 // w ← Σ_p (I_p/I) z_p, following Eq. (1)'s weighting.
+//
+// W is the one accumulator every FedAvg fold writes: Aggregate folds the
+// range [0, dim) and a StreamSession folds one chunk window at a time,
+// both through fedAvgWeight and foldRange, so a streamed round and a
+// monolithic one perform the same operations on every coordinate.
 type FedAvgServer struct {
 	BaseServer
 
@@ -133,24 +138,12 @@ type FedAvgServer struct {
 	// quantized) straight into the accumulator; see EnableFusedFold.
 	fused pipeline.FusedStage
 
-	// prec32 selects the single-precision accumulator: w32 is then the
-	// authoritative model and W a lazily refreshed float64 mirror.
-	prec32   bool
-	w32      []float32
-	w32stale bool // w32 has advanced past the W mirror
-
-	// tier, when non-nil, is the hierarchical sharded aggregation tier
-	// (Config.AggShards): the fold fans out to long-lived shard workers
-	// over fixed index ranges and tree-reduces PartialAggregates back
-	// into W, bit-identically to the flat path. See shard.go.
-	tier *shardTier
-
-	// Pre-bound chunk operation and fold-source scratch of the sharded
-	// batched fold (no per-call closure or slice allocation; see
-	// BufferedAggregator for the same pattern).
+	// Fold scratch: the batch's weighted sources, the accumulator window
+	// under fold and the pre-bound range op (no per-call closure or slice
+	// allocation; see BufferedAggregator for the same pattern).
 	srcs    []tensor.FoldSrc
-	aggOp   func(lo, hi int)
-	aggOp32 func(lo, hi int)
+	foldWin []float64
+	foldOp  func(lo, hi int)
 
 	// Scatter-fold scratch of the subset (partial-parameter) path: listed
 	// coordinate mass and weighted sums, plus the pre-bound sweep op. See
@@ -164,75 +157,40 @@ type FedAvgServer struct {
 func NewFedAvgServer(w0 []float64, numClients int) *FedAvgServer {
 	w := append([]float64(nil), w0...)
 	s := &FedAvgServer{BaseServer: BaseServer{W: w, NumClients: numClients}}
-	s.aggOp = s.aggChunk
-	s.aggOp32 = s.aggChunk32
+	s.foldOp = s.foldChunk
 	s.subOp = s.subsetChunk
 	return s
-}
-
-// usePrecision32 switches the server to the single-precision accumulator.
-// Must be called before any aggregation.
-func (s *FedAvgServer) usePrecision32() {
-	s.prec32 = true
-	s.w32 = tensor.Narrow(nil, s.W)
 }
 
 // setFusedStage wires the fused invert+fold fast path (EnableFusedFold).
 func (s *FedAvgServer) setFusedStage(fs pipeline.FusedStage) { s.fused = fs }
 
-// useShards attaches the hierarchical sharded aggregation tier of width
-// n. Must be called before any aggregation; not combinable with the f32
-// accumulator (Config.Validate enforces both).
-func (s *FedAvgServer) useShards(n int) { s.tier = newShardTier(s.W, n) }
+// fedAvgWeight is the FedAvg coefficient of a contributor holding n of a
+// batch's total samples. The division (not a hoisted reciprocal) keeps
+// the weight the exact bits of the pre-kernel path.
+func fedAvgWeight(n uint64, total float64) float64 { return float64(n) / total }
 
-// syncMirror refreshes the float64 mirror from the f32 accumulator.
-func (s *FedAvgServer) syncMirror() {
-	if s.w32stale {
-		s.W = tensor.Widen(s.W, s.w32)
-		s.w32stale = false
-	}
+// foldRange sets W[lo:hi) to Σ_k srcs[k].W·dec_k, where srcs index the
+// window from 0 (source coordinate i lands on model coordinate lo+i). The
+// window splits into AggWorkers chunks, each folded with the cache-blocked
+// K-way kernel; per element the fold order (zero, then += in batch order)
+// matches the pre-kernel serial loop exactly, so neither the window, the
+// chunking nor the blocking can change a single bit.
+func (s *FedAvgServer) foldRange(lo, hi int, srcs []tensor.FoldSrc) {
+	s.srcs = srcs
+	s.foldWin = s.W[lo:hi:hi]
+	shardRun(hi-lo, s.Workers, s.foldOp)
+	s.foldWin = nil
+	clearSrcs(srcs)
 }
 
-// GlobalWeights returns the current global model (not a copy).
-func (s *FedAvgServer) GlobalWeights() []float64 {
-	s.syncMirror()
-	return s.W
-}
-
-// Weights returns a defensive copy of the global parameter vector.
-func (s *FedAvgServer) Weights() []float64 { return s.WeightsInto(nil) }
-
-// WeightsInto copies the global parameter vector into dst.
-func (s *FedAvgServer) WeightsInto(dst []float64) []float64 {
-	s.syncMirror()
-	return append(dst[:0], s.W...)
-}
-
-// Weights32 exposes the live single-precision model, or nil when the
-// server aggregates in float64. The f16 downlink encoder uses it to skip
-// the widening sweep (the f16 rounding of a float32 and of its exact
-// float64 widening are the same bits).
-func (s *FedAvgServer) Weights32() []float32 {
-	if !s.prec32 {
-		return nil
-	}
-	return s.w32
-}
-
-// aggChunk folds the batch over one chunk of the index space with the
-// cache-blocked K-way kernel. Per element the fold order (zero, then +=
-// in batch order) matches the pre-kernel serial loop exactly, so neither
-// chunking nor blocking can change a single bit.
-func (s *FedAvgServer) aggChunk(lo, hi int) { tensor.FoldKSrc(s.W, lo, hi, s.srcs) }
-
-// aggChunk32 is aggChunk on the single-precision accumulator.
-func (s *FedAvgServer) aggChunk32(lo, hi int) { tensor.FoldKSrc32(s.w32, lo, hi, s.srcs) }
+// foldChunk folds the staged batch over one chunk of the window.
+func (s *FedAvgServer) foldChunk(lo, hi int) { tensor.FoldKSrc(s.foldWin, lo, hi, s.srcs) }
 
 // Update averages the client primal vectors weighted by sample counts.
-// Updates with NumSamples == 0 (non-participants under partial
-// participation) carry zero weight; a round in which nobody trained leaves
-// the global model unchanged. The batch must cover every client; partial
-// cohorts go through Aggregate.
+// Updates with NumSamples == 0 carry zero weight; a round in which nobody
+// trained leaves the global model unchanged. The batch must cover every
+// client; partial cohorts go through Aggregate.
 func (s *FedAvgServer) Update(updates []*wire.LocalUpdate) error {
 	if err := s.checkCount(len(updates)); err != nil {
 		return err
@@ -244,7 +202,7 @@ func (s *FedAvgServer) Update(updates []*wire.LocalUpdate) error {
 // sampled cohort's updates carry full weight, and the math over a full
 // cohort is identical to Update's, so the SyncAll schedule reproduces the
 // pre-refactor trajectory exactly. All contributing updates fold in one
-// batched K-way pass per chunk (tensor.FoldKSrc) instead of K separate
+// batched K-way pass over [0, dim) (foldRange) instead of K separate
 // accumulator sweeps.
 func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
 	if isSubsetBatch(batch) {
@@ -263,9 +221,7 @@ func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
 			if u.NumSamples == 0 {
 				continue
 			}
-			// The division (not a hoisted reciprocal) keeps the weight the
-			// exact bits of the pre-kernel path.
-			src, err := foldSrcFor(u, s.fused, float64(u.NumSamples)/total)
+			src, err := foldSrcFor(u, s.fused, fedAvgWeight(u.NumSamples, total))
 			if err != nil {
 				return err
 			}
@@ -273,22 +229,9 @@ func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
 		}
 	}
 	s.version++
-	if total == 0 {
-		return nil
+	if total > 0 {
+		s.foldRange(0, len(s.W), srcs)
 	}
-	s.srcs = srcs
-	switch {
-	case s.prec32:
-		shardRun(len(s.w32), s.Workers, s.aggOp32)
-		s.w32stale = true
-	case s.tier != nil:
-		if err := s.tier.fold(s.W, s.srcs, uint64(s.version), false); err != nil {
-			return err
-		}
-	default:
-		shardRun(len(s.W), s.Workers, s.aggOp)
-	}
-	clearSrcs(s.srcs)
 	return nil
 }
 
@@ -468,12 +411,6 @@ func NewServer(cfg Config, w0 []float64, numClients int) (ServerAlgorithm, error
 	case AlgoFedAvg:
 		s := NewFedAvgServer(w0, numClients)
 		s.Workers = cfg.AggWorkers
-		if cfg.AggPrecision == AggF32 {
-			s.usePrecision32()
-		}
-		if cfg.AggShards > 1 {
-			s.useShards(cfg.AggShards)
-		}
 		return s, nil
 	case AlgoICEADMM:
 		s := NewICEADMMServer(w0, numClients, cfg.Rho)

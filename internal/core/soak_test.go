@@ -305,11 +305,9 @@ func TestSoakKillsRequireJournal(t *testing.T) {
 // Run boundary for each excluded feature.
 func TestSoakRejectsUnjournalableConfigs(t *testing.T) {
 	mutate := map[string]func(*Config){
-		"admm":       func(c *Config) { c.Algorithm = AlgoIIADMM },
-		"stream":     func(c *Config) { c.StreamChunk = 512 },
-		"subset":     func(c *Config) { c.SubsetFrac = 0.5 },
-		"shards":     func(c *Config) { c.AggShards = 2 },
-		"clientfrac": func(c *Config) { c.ClientFraction = 0.5 },
+		"admm":   func(c *Config) { c.Algorithm = AlgoIIADMM },
+		"stream": func(c *Config) { c.StreamChunk = 512 },
+		"subset": func(c *Config) { c.SubsetFrac = 0.5 },
 	}
 	for name, mut := range mutate {
 		cfg := scenConfig(SchedSyncAll, "")

@@ -9,16 +9,13 @@ import (
 
 // This file implements the streaming aggregation engine: a StreamSession
 // folds a round's uplink into the global model chunk by chunk, so the
-// server's transient state per round is O(chunk), not O(dim). The fold
-// arithmetic is exactly FedAvgServer.Aggregate's — the same weights
-// (float64(n)/total, the division kept verbatim), the same batched
-// zero-then-accumulate kernel (tensor.FoldKSrc) over each contributor in
-// batch order, the same sharded dispatch — applied to one coordinate
-// window [lo, hi) at a time. Every rule involved is element-wise with a
-// fixed per-element fold order, so neither the chunk tiling nor the
-// worker width can change a single bit relative to the monolithic path
-// (the same argument as parallel.go and shard.go, pinned by the sweep in
-// stream_test.go).
+// server's transient state per round is O(chunk), not O(dim). A chunk is
+// a moving range of the FedAvgServer's own accumulator: the session
+// weights contributors with fedAvgWeight and folds each window through
+// foldRange, the two calls Aggregate makes over [0, dim). Every rule
+// involved is element-wise with a fixed per-element fold order, so neither
+// the chunk tiling nor the worker width can change a single bit relative
+// to the monolithic path (pinned by the sweep in stream_test.go).
 
 // StreamSession aggregates one round of chunked uploads into a
 // FedAvgServer. Usage per round:
@@ -35,40 +32,20 @@ import (
 // chunks is immaterial to the result.
 type StreamSession struct {
 	srv     *FedAvgServer
-	weights []float64 // per-contributor coefficient, batch order
+	samples []uint64 // per-contributor sample counts, batch order
 	total   float64
 	active  bool
-
-	// Pre-bound window op and fold-source scratch (no per-chunk closure or
-	// slice allocation; the FedAvgServer pattern).
-	win  []float64
-	srcs []tensor.FoldSrc
-	op   func(lo, hi int)
 }
 
 // NewStreamSession wraps an aggregator for chunked folding. Only the
-// plain FedAvg server qualifies: the f32 accumulator and the sharded tier
-// own their accumulator state in ways a rotating chunk window cannot
-// mirror bit-exactly (Config.Validate rejects those combinations before a
-// run starts; this check is the engine-level backstop).
+// FedAvg server qualifies: the chunk fold is its own range fold.
 func NewStreamSession(agg Aggregator) (*StreamSession, error) {
 	s, ok := agg.(*FedAvgServer)
 	if !ok {
 		return nil, fmt.Errorf("core: streaming aggregation requires the FedAvg server, got %T", agg)
 	}
-	if s.prec32 {
-		return nil, fmt.Errorf("core: streaming aggregation cannot use the f32 accumulator")
-	}
-	if s.tier != nil {
-		return nil, fmt.Errorf("core: streaming aggregation cannot combine with the sharded tier")
-	}
-	ss := &StreamSession{srv: s}
-	ss.op = ss.foldWin
-	return ss, nil
+	return &StreamSession{srv: s}, nil
 }
-
-// foldWin folds the staged batch over one sub-range of the chunk window.
-func (ss *StreamSession) foldWin(lo, hi int) { tensor.FoldKSrc(ss.win, lo, hi, ss.srcs) }
 
 // Dim returns the model dimension the session streams.
 func (ss *StreamSession) Dim() int { return len(ss.srv.W) }
@@ -76,8 +53,8 @@ func (ss *StreamSession) Dim() int { return len(ss.srv.W) }
 // Begin opens a round with the contributors' sample counts in batch
 // order. The counts must be known before the first chunk folds — that is
 // why wire.ModelChunk repeats NumSamples on every chunk — because the
-// FedAvg weight of each contributor is float64(n)/total over the whole
-// cohort. Zero-count contributors carry zero weight, exactly as in
+// FedAvg weight of each contributor is relative to the whole cohort's
+// total. Zero-count contributors carry zero weight, exactly as in
 // Aggregate; a round where nobody trained still folds (to a no-op) and
 // still bumps the version on Finish.
 func (ss *StreamSession) Begin(samples []uint64) error {
@@ -87,88 +64,57 @@ func (ss *StreamSession) Begin(samples []uint64) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("core: aggregate on an empty batch")
 	}
-	total := 0.0
+	ss.total = 0
 	for _, n := range samples {
-		total += float64(n)
+		ss.total += float64(n)
 	}
-	ss.weights = ss.weights[:0]
-	for _, n := range samples {
-		w := 0.0
-		if n > 0 && total > 0 {
-			// The division (not a hoisted reciprocal) keeps the weight the
-			// exact bits of the monolithic Aggregate path.
-			w = float64(n) / total
-		}
-		ss.weights = append(ss.weights, w)
-	}
-	ss.total = total
+	ss.samples = append(ss.samples[:0], samples...)
 	ss.active = true
 	return nil
 }
 
-// FoldChunk folds one coordinate window [lo, hi) of every contributor
-// into the model. srcs[i] is contributor i's window-relative fold source
-// (indices 0..hi-lo cover model coordinates lo..hi); its W field is
-// overwritten with the session weight. Zero-weight contributors are
-// skipped, matching Aggregate's batch construction, so their src may be
-// the zero value.
-func (ss *StreamSession) FoldChunk(lo, hi int, srcs []tensor.FoldSrc) error {
+// FoldPayloads folds one coordinate window [lo, hi) of every contributor
+// into the model; payloads[i] is contributor i's window, in batch order.
+// Dense payloads fold directly; float16 payloads decode on the fly through
+// the fold source, the chunked mirror of the fused invert+fold path — per
+// element the decode+fold sequence is identical to decoding the whole
+// vector first, so compression does not break bit-identity. Zero-weight
+// contributors are skipped, matching Aggregate's batch construction, so
+// their payload may be nil.
+func (ss *StreamSession) FoldPayloads(lo, hi int, payloads []*wire.Payload) error {
 	if !ss.active {
-		return fmt.Errorf("core: FoldChunk outside an open round")
+		return fmt.Errorf("core: fold outside an open round")
 	}
 	if lo < 0 || hi < lo || hi > len(ss.srv.W) {
 		return fmt.Errorf("core: chunk window [%d,%d) escapes model dimension %d", lo, hi, len(ss.srv.W))
 	}
-	if len(srcs) != len(ss.weights) {
-		return fmt.Errorf("core: chunk carries %d sources for %d contributors", len(srcs), len(ss.weights))
+	if len(payloads) != len(ss.samples) {
+		return fmt.Errorf("core: chunk carries %d payloads for %d contributors", len(payloads), len(ss.samples))
 	}
 	if ss.total == 0 {
 		return nil
 	}
-	batch := ss.srcs[:0]
-	for i := range srcs {
-		if ss.weights[i] == 0 {
-			continue
-		}
-		src := srcs[i]
-		src.W = ss.weights[i]
-		batch = append(batch, src)
-	}
-	ss.srcs = batch
-	ss.win = ss.srv.W[lo:hi:hi]
-	shardRun(hi-lo, ss.srv.Workers, ss.op)
-	ss.win = nil
-	clearSrcs(ss.srcs)
-	return nil
-}
-
-// FoldPayloads folds one window of still-encoded contributor payloads in
-// batch order. Dense payloads fold directly; element-wise compressed
-// encodings (float16, quantized) decode on the fly through the fold
-// source, the chunked mirror of the fused invert+fold path — per element
-// the decode+fold sequence is identical to decoding the whole vector
-// first, so compression does not break bit-identity. A nil payload is a
-// zero-weight contributor's empty slot.
-func (ss *StreamSession) FoldPayloads(lo, hi int, payloads []*wire.Payload) error {
-	if len(payloads) != len(ss.weights) {
-		return fmt.Errorf("core: chunk carries %d payloads for %d contributors", len(payloads), len(ss.weights))
-	}
-	srcs := make([]tensor.FoldSrc, len(payloads))
+	srcs := ss.srv.srcs[:0]
 	for i, p := range payloads {
-		if p == nil || ss.weights[i] == 0 {
+		if ss.samples[i] == 0 {
 			continue
 		}
 		src, err := chunkFoldSrc(p, hi-lo)
 		if err != nil {
 			return fmt.Errorf("core: contributor %d: %w", i, err)
 		}
-		srcs[i] = src
+		src.W = fedAvgWeight(ss.samples[i], ss.total)
+		srcs = append(srcs, src)
 	}
-	return ss.FoldChunk(lo, hi, srcs)
+	ss.srv.foldRange(lo, hi, srcs)
+	return nil
 }
 
 // chunkFoldSrc views a chunk payload as a window-relative fold source.
 func chunkFoldSrc(p *wire.Payload, width int) (tensor.FoldSrc, error) {
+	if p == nil {
+		return tensor.FoldSrc{}, fmt.Errorf("core: missing chunk payload")
+	}
 	if int(p.Dim) != width {
 		return tensor.FoldSrc{}, fmt.Errorf("core: payload spans %d coordinates, window is %d", p.Dim, width)
 	}

@@ -211,17 +211,6 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	}
 
 	// Ineligible servers.
-	f32 := NewFedAvgServer(testVec(8, 1), 2)
-	f32.usePrecision32()
-	if _, err := NewStreamSession(f32); err == nil {
-		t.Error("f32 accumulator accepted for streaming")
-	}
-	tiered := NewFedAvgServer(testVec(8, 1), 2)
-	tiered.useShards(2)
-	defer closeAggregator(tiered)
-	if _, err := NewStreamSession(tiered); err == nil {
-		t.Error("sharded tier accepted for streaming")
-	}
 	if _, err := NewStreamSession(NewIIADMMServer(testVec(8, 1), 2, 2)); err == nil {
 		t.Error("ADMM server accepted for streaming")
 	}

@@ -38,12 +38,9 @@ func isSubsetBatch(batch []*wire.LocalUpdate) bool {
 }
 
 // aggregateSubset folds a batch of subset payloads into the model. The
-// weights are Aggregate's exactly (float64(n)/total); zero-weight
+// weights are Aggregate's exactly (fedAvgWeight); zero-weight
 // contributors are skipped and need not carry a payload.
 func (s *FedAvgServer) aggregateSubset(batch []*wire.LocalUpdate) error {
-	if s.prec32 || s.tier != nil {
-		return fmt.Errorf("core: subset aggregation cannot combine with the f32 accumulator or the sharded tier")
-	}
 	dim := len(s.W)
 	total := 0.0
 	for i, u := range batch {
@@ -84,7 +81,7 @@ func (s *FedAvgServer) aggregateSubset(batch []*wire.LocalUpdate) error {
 		if u.NumSamples == 0 {
 			continue
 		}
-		a := float64(u.NumSamples) / total
+		a := fedAvgWeight(u.NumSamples, total)
 		p := u.PrimalP
 		for k, idx := range p.Indices {
 			s.subAcc[idx] += a * p.Values[k]

@@ -8,26 +8,15 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
-
-// allocsPer runs f n times at the current GOMAXPROCS and returns the
-// mallocs and bytes allocated per run.
-func allocsPer(n int, f func()) (mallocs, bytes float64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-}
 
 // TestEvaluateAllocationGate: a warmed validation pass of the benchmark's
 // CNN over its 240-sample test set allocates a loader and a few goroutine
 // closures — not the 1.5 MB collated batch, the per-sample im2col matrices
 // or a row view per prediction it used to.
 func TestEvaluateAllocationGate(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -38,7 +27,7 @@ func TestEvaluateAllocationGate(t *testing.T) {
 	eval()
 	eval()
 	wantLoss, wantAcc := loss, acc
-	mallocs, bytes := allocsPer(10, eval)
+	mallocs, bytes := testutil.AllocsPer(10, eval)
 	t.Logf("%.1f mallocs, %.0f bytes per warmed Evaluate", mallocs, bytes)
 	if mallocs > 64 || bytes > 64<<10 {
 		t.Fatalf("a warmed Evaluate made %.1f allocations totalling %.0f bytes; the gate is 64 and 64 KiB", mallocs, bytes)
@@ -55,7 +44,7 @@ func TestEvaluateAllocationGate(t *testing.T) {
 // fullGrad's accumulator. The model is wide and the dataset tiny so that
 // one vector (dim·8 bytes) dwarfs everything the loader allocates.
 func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	r := rng.New(4)
@@ -83,7 +72,7 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 		}
 		update()
 		update()
-		_, bytes := allocsPer(5, update)
+		_, bytes := testutil.AllocsPer(5, update)
 		t.Logf("%s %q: %.0f bytes per warmed LocalUpdate (one vector is %.0f)", c.algo, c.pipe, bytes, vector)
 		if bytes > vector/2 {
 			t.Fatalf("%s %q: a warmed LocalUpdate allocated %.0f bytes; one model-sized vector is %.0f", c.algo, c.pipe, bytes, vector)

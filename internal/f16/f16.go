@@ -92,23 +92,6 @@ func Encode(codes []byte, v []float64) int {
 	return -1
 }
 
-// Encode32 is Encode for a float32 source. A float32 and its float64
-// widening produce the same code, FromFloat64 rounding through float32.
-func Encode32(codes []byte, v []float32) int {
-	codes = codes[:2*len(v)]
-	for i, x := range v {
-		b := math.Float32bits(x)
-		if b&0x7fffffff > maxBits32 {
-			return i
-		}
-		binary.LittleEndian.PutUint16(codes[2*i:], uint16(b>>16)&0x8000|roundMagnitude(b&0x7fffffff))
-	}
-	return -1
-}
-
-// maxBits32 is float32(Max)'s bit pattern: 1.9990234375 · 2^15.
-const maxBits32 = (127+15)<<23 | 0x3ff<<13
-
 // Decode expands little-endian halves into dst, exactly.
 // len(codes) must be 2·len(dst).
 func Decode(dst []float64, codes []byte) {

@@ -88,7 +88,7 @@ func TestFromFloat64RoundsThroughFloat32(t *testing.T) {
 	}
 }
 
-// TestBlocksMatchScalars: Encode, Encode32 and Decode are the scalar
+// TestBlocksMatchScalars: Encode and Decode are the scalar
 // conversions applied in order, and Encode stops where the parent's range
 // check stopped.
 func TestBlocksMatchScalars(t *testing.T) {
@@ -98,16 +98,9 @@ func TestBlocksMatchScalars(t *testing.T) {
 			v = append(v, x, x*(1+0x1p-12), x*(1-0x1p-13))
 		}
 	}
-	v32 := make([]float32, len(v))
-	for i, x := range v {
-		v32[i] = float32(x)
-	}
-	codes, codes32 := make([]byte, 2*len(v)), make([]byte, 2*len(v))
+	codes := make([]byte, 2*len(v))
 	if i := Encode(codes, v); i != -1 {
 		t.Fatalf("Encode stopped at %d (%v)", i, v[i])
-	}
-	if i := Encode32(codes32, v32); i != -1 {
-		t.Fatalf("Encode32 stopped at %d (%v)", i, v32[i])
 	}
 	back := make([]float64, len(v))
 	Decode(back, codes)
@@ -115,9 +108,6 @@ func TestBlocksMatchScalars(t *testing.T) {
 		want := refFromFloat32(float32(x))
 		if got := uint16(codes[2*i]) | uint16(codes[2*i+1])<<8; got != want {
 			t.Fatalf("Encode(%v) = %#04x, parent %#04x", x, got, want)
-		}
-		if got := uint16(codes32[2*i]) | uint16(codes32[2*i+1])<<8; got != want {
-			t.Fatalf("Encode32(%v) = %#04x, parent %#04x", x, got, want)
 		}
 		if math.Float64bits(back[i]) != math.Float64bits(refToFloat64(want)) {
 			t.Fatalf("Decode(%#04x) = %v, parent %v", want, back[i], refToFloat64(want))
@@ -127,11 +117,6 @@ func TestBlocksMatchScalars(t *testing.T) {
 		w := []float64{1, 2, bad, 3}
 		if i := Encode(make([]byte, 8), w); i != 2 {
 			t.Errorf("Encode(…, %v, …) stopped at %d, want 2", bad, i)
-		}
-		if b32 := float32(bad); b32 != b32 || b32 > Max || b32 < -Max {
-			if i := Encode32(make([]byte, 8), []float32{1, 2, b32, 3}); i != 2 {
-				t.Errorf("Encode32(…, %v, …) stopped at %d, want 2", b32, i)
-			}
 		}
 	}
 }

@@ -8,20 +8,8 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
-
-// allocsPer runs f n times at the current GOMAXPROCS (testing.AllocsPerRun
-// would drop to 1 and never enter the parallel sample loops) and returns
-// the mallocs and bytes allocated per run.
-func allocsPer(n int, f func()) (mallocs, bytes float64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-}
 
 // TestTrainingStepAllocationGate: once the first steps have sized every
 // layer's workspace, a training step of the benchmark's CNN (SetParams →
@@ -31,7 +19,7 @@ func allocsPer(n int, f func()) (mallocs, bytes float64) {
 // layers owned their tensors a step made ~4 700 allocations totalling
 // ~47 MB.
 func TestTrainingStepAllocationGate(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -61,7 +49,7 @@ func TestTrainingStepAllocationGate(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		step() // size the workspaces, fill the goroutine free list
 	}
-	mallocs, bytes := allocsPer(20, step)
+	mallocs, bytes := testutil.AllocsPer(20, step)
 	t.Logf("%.1f mallocs, %.0f bytes per warmed step", mallocs, bytes)
 	if mallocs > 64 || bytes > 64<<10 {
 		t.Fatalf("a warmed training step made %.1f allocations totalling %.0f bytes; the gate is 64 and 64 KiB", mallocs, bytes)

@@ -489,19 +489,6 @@ func EncodeFloat16(v []float64, codes []byte) ([]byte, error) {
 	return codes, nil
 }
 
-// EncodeFloat16From32 is EncodeFloat16 for a float32 source vector. The
-// two produce identical codes for any v32 and its float64 widening,
-// because the half-float rounding goes through float32 first — this is
-// what lets the f32 aggregation path encode the downlink without a
-// widening sweep.
-func EncodeFloat16From32(v []float32, codes []byte) ([]byte, error) {
-	codes = sized(codes, 2*len(v))
-	if i := f16.Encode32(codes, v); i >= 0 {
-		return codes, errFloat16Range(i, float64(v[i]))
-	}
-	return codes, nil
-}
-
 func errFloat16Range(i int, x float64) error {
 	return fmt.Errorf("%w: f16 cannot represent coordinate %d = %v (max magnitude %v)", ErrSpec, i, x, float64(f16.Max))
 }

@@ -298,90 +298,3 @@ func FoldKScaledSrc(dst []float64, lo, hi int, srcs []FoldSrc) {
 		}
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Float32 aggregation kernels.
-//
-// The f32 path halves the accumulator's memory footprint and DRAM
-// traffic: the global model lives as []float32, sources decode to
-// float32 registers, and all arithmetic is single precision. It is NOT
-// bit-identical to the f64 path — it trades ~1e-7 relative error per
-// fold (bounded by the property tests) for throughput — which is why it
-// sits behind Config.AggPrecision and defaults off.
-
-// FoldKSrc32 is FoldKSrc with a float32 accumulator and float32
-// arithmetic throughout.
-func FoldKSrc32(dst []float32, lo, hi int, srcs []FoldSrc) {
-	for b := lo; b < hi; b += KernelBlock {
-		be := min(b+KernelBlock, hi)
-		d := dst[b:be]
-		for i := range d {
-			d[i] = 0
-		}
-		for k := range srcs {
-			s := &srcs[k]
-			w := float32(s.W)
-			switch s.Kind {
-			case SrcDense:
-				src := s.Dense[b:be]
-				for i, v := range src {
-					d[i] += w * float32(v)
-				}
-			default:
-				for i := range d {
-					d[i] += w * float32(s.At(b+i))
-				}
-			}
-		}
-	}
-}
-
-// FoldKScaledSrc32 is FoldKScaledSrc with a float32 accumulator.
-func FoldKScaledSrc32(dst []float32, lo, hi int, srcs []FoldSrc) {
-	for b := lo; b < hi; b += KernelBlock {
-		be := min(b+KernelBlock, hi)
-		d := dst[b:be]
-		for k := range srcs {
-			s := &srcs[k]
-			a := float32(s.W)
-			na := 1 - a
-			switch s.Kind {
-			case SrcDense:
-				src := s.Dense[b:be]
-				for i, v := range src {
-					d[i] = na*d[i] + a*float32(v)
-				}
-			default:
-				for i := range d {
-					d[i] = na*d[i] + a*float32(s.At(b+i))
-				}
-			}
-		}
-	}
-}
-
-// Widen copies src into dst (grown as needed) converting float32 →
-// float64, and returns dst. The widening is exact.
-func Widen(dst []float64, src []float32) []float64 {
-	if cap(dst) < len(src) {
-		dst = make([]float64, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = float64(v)
-	}
-	return dst
-}
-
-// Narrow copies src into dst (grown as needed) converting float64 →
-// float32 with round-to-nearest-even, and returns dst.
-func Narrow(dst []float32, src []float64) []float32 {
-	if cap(dst) < len(src) {
-		dst = make([]float32, len(src))
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-	return dst
-}

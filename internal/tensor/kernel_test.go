@@ -200,46 +200,6 @@ func TestFoldKSrcMatchesTwoPass(t *testing.T) {
 	}
 }
 
-// TestFoldKSrc32TracksF64 bounds the single-precision kernels against the
-// double-precision result: same sources, relative L2 error within a few
-// float32 ulps.
-func TestFoldKSrc32TracksF64(t *testing.T) {
-	srcs := fusedSrcs(t)
-	f64 := make([]float64, kdim)
-	tensor.FoldKSrc(f64, 0, kdim, srcs)
-	f32 := make([]float32, kdim)
-	tensor.FoldKSrc32(f32, 0, kdim, srcs)
-	var num, den float64
-	for i := range f64 {
-		d := float64(f32[i]) - f64[i]
-		num += d * d
-		den += f64[i] * f64[i]
-	}
-	if rel := math.Sqrt(num / den); rel > 1e-6 {
-		t.Fatalf("f32 fold relative error %v > 1e-6", rel)
-	}
-}
-
-func TestWidenNarrowRoundTrip(t *testing.T) {
-	v32 := make([]float32, 100)
-	r := rng.New(77)
-	for i := range v32 {
-		v32[i] = float32(r.Float64() - 0.5)
-	}
-	v64 := tensor.Widen(nil, v32)
-	back := tensor.Narrow(nil, v64)
-	for i := range v32 {
-		if back[i] != v32[i] {
-			t.Fatalf("element %d: %v -> %v -> %v", i, v32[i], v64[i], back[i])
-		}
-	}
-	// Capacity reuse must not reallocate.
-	d := make([]float64, len(v32))
-	if got := tensor.Widen(d, v32); &got[0] != &d[0] {
-		t.Fatal("Widen reallocated despite sufficient capacity")
-	}
-}
-
 // TestKernelsZeroAllocs pins the steady-state allocation count of every
 // kernel at zero — they are the aggregation hot path.
 func TestKernelsZeroAllocs(t *testing.T) {
@@ -248,21 +208,14 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	weights := []float64{0.5, 0.5}
 	ds := [][]float64{kernelVec(kdim, 602), kernelVec(kdim, 603)}
 	dst := make([]float64, kdim)
-	dst32 := make([]float32, kdim)
-	w64 := make([]float64, kdim)
-	w32 := make([]float32, kdim)
 
 	cases := map[string]func(){
-		"FoldK":            func() { tensor.FoldK(dst, 0, kdim, dense, weights) },
-		"FoldKScaled":      func() { tensor.FoldKScaled(dst, 0, kdim, dense, weights) },
-		"FoldKDual":        func() { tensor.FoldKDual(dst, 0, kdim, dense, ds, 0.5, 2) },
-		"DualStepK":        func() { tensor.DualStepK(ds, dst, 0, kdim, dense, 2) },
-		"FoldKSrc":         func() { tensor.FoldKSrc(dst, 0, kdim, srcs) },
-		"FoldKScaledSrc":   func() { tensor.FoldKScaledSrc(dst, 0, kdim, srcs) },
-		"FoldKSrc32":       func() { tensor.FoldKSrc32(dst32, 0, kdim, srcs) },
-		"FoldKScaledSrc32": func() { tensor.FoldKScaledSrc32(dst32, 0, kdim, srcs) },
-		"Widen":            func() { tensor.Widen(w64, w32) },
-		"Narrow":           func() { tensor.Narrow(w32, w64) },
+		"FoldK":          func() { tensor.FoldK(dst, 0, kdim, dense, weights) },
+		"FoldKScaled":    func() { tensor.FoldKScaled(dst, 0, kdim, dense, weights) },
+		"FoldKDual":      func() { tensor.FoldKDual(dst, 0, kdim, dense, ds, 0.5, 2) },
+		"DualStepK":      func() { tensor.DualStepK(ds, dst, 0, kdim, dense, 2) },
+		"FoldKSrc":       func() { tensor.FoldKSrc(dst, 0, kdim, srcs) },
+		"FoldKScaledSrc": func() { tensor.FoldKScaledSrc(dst, 0, kdim, srcs) },
 	}
 	for name, f := range cases {
 		if allocs := testing.AllocsPerRun(10, f); allocs != 0 {

@@ -58,9 +58,9 @@ func seedMessages() [][]byte {
 		Round: 4, Version: 2,
 		WeightsP: &Payload{Enc: EncQuant, Dim: 2, Scale: 1, Offset: 0, Bits: 8, Codes: []byte{7, 9}},
 	})
-	add(&PartialAggregate{
-		Round: 2, Version: 3, ShardID: 1, Shards: 4, Lo: 8, Hi: 11,
-		Weight: 1, Count: 2, Sum: []float64{0.5, -0.5, 2},
+	add(&GlobalModel{
+		Round: 5, Version: 4, CohortSize: 2,
+		WeightsP: &Payload{Enc: EncFloat16, Dim: 3, Codes: []byte{0x00, 0x3c, 0x00, 0xb8, 0xff, 0x7b}},
 	})
 	add(&ModelChunk{
 		ClientID: 3, Round: 2, Version: 7, Index: 1, Count: 4,
@@ -112,26 +112,6 @@ func FuzzDecodePayload(f *testing.F) {
 				return
 			}
 			t.Fatalf("validated payload failed to densify: %v", err)
-		}
-	})
-}
-
-// FuzzDecodePartialAggregate: no partial-aggregate bytes may panic the
-// decoder, and anything that survives decoding is structurally valid —
-// the contract that keeps a malformed partial out of a tree-reduce.
-func FuzzDecodePartialAggregate(f *testing.F) {
-	for _, b := range seedMessages() {
-		f.Add(b)
-	}
-	f.Add([]byte{0x20, 0x00})       // zero tier width
-	f.Add([]byte{0x28, 0xff, 0x01}) // lo without hi: inverted range
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var p PartialAggregate
-		if err := p.Unmarshal(NewDecoder(data)); err != nil {
-			return
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("decoded partial fails its own validation: %v", err)
 		}
 	})
 }

@@ -107,8 +107,6 @@ func goldenMessages() []goldenMessage {
 		{"chunk_f16", &ModelChunk{ClientID: 0, Round: 1, Index: 0, Count: 1, Lo: 0, Hi: dim, Dim: dim,
 			NumSamples: 1, Payload: &Payload{Enc: EncFloat16, Dim: dim, Codes: goldenCodes(2*dim, 13)}}, chunk},
 		{"chunk_ack", &ChunkAck{ClientID: 2, Round: 9, Index: 62}, func() msg { return &ChunkAck{} }},
-		{"partial", &PartialAggregate{Round: 9, Version: 9, ShardID: 1, Shards: 3, Lo: dim, Hi: 2 * dim, Weight: 0.25,
-			Count: 4, Sum: goldenVector(dim, 8)}, func() msg { return &PartialAggregate{} }},
 		{"journal_admit", &JournalRecord{Seq: 41, Op: JournalAdmit, Round: 9, ClientID: 2, NumSamples: 64, BaseVersion: 8,
 			Primal: goldenVector(dim, 9)}, func() msg { return &JournalRecord{} }},
 		{"journal_commit", &JournalRecord{Seq: 45, Op: JournalCommit, Round: 9, Version: 9, Weights: goldenVector(dim, 10)},

@@ -13,9 +13,7 @@ const (
 	KindGlobalModel Kind = 3 // server → client: weights for the next round
 	KindLocalUpdate Kind = 4 // client → server: trained local parameters
 	KindShutdown    Kind = 5 // server → client: training complete
-	// KindPartialAggregate is a shard → reducer message of the hierarchical
-	// aggregation tier: one shard's folded range of the accumulator.
-	KindPartialAggregate Kind = 6
+	// Kind 6 is retired; do not reuse it.
 	// KindModelChunk carries one fixed-size slice of a model vector — the
 	// streaming path's unit of transfer for models too large to ride one
 	// message (see ModelChunk).
@@ -38,8 +36,6 @@ func (k Kind) String() string {
 		return "LocalUpdate"
 	case KindShutdown:
 		return "Shutdown"
-	case KindPartialAggregate:
-		return "PartialAggregate"
 	case KindModelChunk:
 		return "ModelChunk"
 	case KindChunkAck:
@@ -399,10 +395,9 @@ func (m *GlobalModel) Unmarshal(d *Decoder) error {
 //
 // BaseVersion echoes the GlobalModel.Version the client trained from, the
 // staleness anchor of the buffered/asynchronous schedulers. InCohort is
-// true when the client actually trained as a scheduled participant; the
-// legacy client-side partial-participation path sets it false on its
-// zero-weight echoes, making out-of-cohort contributions attributable at
-// the server.
+// true when the client actually trained as a scheduled participant; every
+// client in this tree sets it, and the field stays in the format so a
+// peer's zero-weight, out-of-cohort contribution remains attributable.
 type LocalUpdate struct {
 	ClientID    uint32
 	Round       uint32
