@@ -182,7 +182,7 @@ func saveModel(path string, factory appfl.Factory, weights []float64, out io.Wri
 	if err := nn.SaveParams(&buf, model); err != nil {
 		return err
 	}
-	if err := journal.AtomicWriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := journal.AtomicWriteFile(path, 0o644, buf.Bytes()); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "appfl-server: model checkpoint saved to %s\n", path)

@@ -161,8 +161,8 @@ func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip ma
 		rec.ClientID = u.ClientID
 		rec.NumSamples = u.NumSamples
 		rec.BaseVersion = u.BaseVersion
-		// Borrowed for the append, which encodes before it returns: an
-		// 8 MB admit is serialized straight from the update.
+		// Borrowed for the append, which writes it to the WAL from the
+		// update's own storage before it returns.
 		rec.Primal = u.Primal
 		jw.append(rec)
 		rec.Primal = nil
@@ -189,17 +189,22 @@ func (jw *journalWriter) ledger(op uint8, client, round, param uint32) {
 // the sticky error: a round is durable only when everything journaled
 // before it landed. Every checkpointEvery-th commit also compacts the WAL
 // into a checkpoint snapshotting model + membership + inflight count.
+// Both borrow the aggregator's live model instead of copying it: nothing
+// touches the model between Aggregate and this return, and the journal
+// writes it straight from the aggregator's vector.
 func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, inflight int) error {
 	if jw == nil {
 		return nil
 	}
+	w := liveModel(agg)
 	rec := &jw.scratch
 	rec.Reset()
 	rec.Op = wire.JournalCommit
 	rec.Round = uint32(round)
 	rec.Version = uint64(agg.Version())
-	rec.Weights = agg.WeightsInto(rec.Weights)
+	rec.Weights = w
 	jw.append(rec)
+	rec.Weights = nil
 	if jw.err != nil {
 		return fmt.Errorf("core: journal round %d: %w", round, jw.err)
 	}
@@ -208,7 +213,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 		cp := &wire.JournalCheckpoint{
 			NextRound: uint32(round + 1),
 			Version:   uint64(agg.Version()),
-			Weights:   rec.Weights,
+			Weights:   w,
 			Inflight:  uint64(inflight),
 		}
 		mem.snapshot(cp)
@@ -218,6 +223,20 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 		}
 	}
 	return nil
+}
+
+// liveModel returns the aggregator's own model vector, for a caller that
+// only reads it before the aggregator's next call. The journalable
+// aggregators (see ValidateJournalConfig) hand out their storage; any
+// other gets a copy.
+func liveModel(agg Aggregator) []float64 {
+	switch a := agg.(type) {
+	case *FedAvgServer:
+		return a.W
+	case *BufferedAggregator:
+		return a.w
+	}
+	return agg.Weights()
 }
 
 // ValidateJournalConfig rejects configurations the journal cannot make

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/journal"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
+	"repro/internal/wire"
 )
 
 // TestEvaluateAllocationGate: a warmed validation pass of the benchmark's
@@ -76,6 +79,81 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 		t.Logf("%s %q: %.0f bytes per warmed LocalUpdate (one vector is %.0f)", c.algo, c.pipe, bytes, vector)
 		if bytes > vector/2 {
 			t.Fatalf("%s %q: a warmed LocalUpdate allocated %.0f bytes; one model-sized vector is %.0f", c.algo, c.pipe, bytes, vector)
+		}
+	}
+}
+
+// TestJournaledRoundAllocatesNoModelSizedBuffer: the server side of a
+// journaled round — round start, one admit per update, the fold, the
+// commit and (every round here) a checkpoint — allocates no vector the
+// size of the model once warmed. The admits are written from the updates'
+// primals and the commit and checkpoint from the aggregator's own model;
+// the journal keeps no encoded copy of either. What was written is the
+// model: the checkpoint replays bit-equal to the aggregator.
+func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const dim, clients = 1 << 18, 4
+	vector := float64(8 * dim)
+	for _, sched := range []string{SchedSyncAll, SchedBuffered} {
+		cfg := Config{Algorithm: AlgoFedAvg, Scheduler: sched}.WithDefaults()
+		w0 := make([]float64, dim)
+		rng.New(1).FillNormal(w0, 0, 1)
+		agg, err := NewAggregator(cfg, w0, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := journal.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.NoSync = true
+		jw := newJournalWriter(j, 1, nil)
+		mem := newMembership(clients)
+		mem.onLedger = jw.ledger
+		cohort := []int{0, 1, 2, 3}
+		data := make([]*wire.LocalUpdate, clients)
+		for c := range data {
+			data[c] = &wire.LocalUpdate{ClientID: uint32(c), NumSamples: uint64(10 + c), Primal: make([]float64, dim)}
+			rng.New(uint64(c+2)).FillNormal(data[c].Primal, 0, 1)
+		}
+		round := 0
+		journaled := func() {
+			round++
+			for _, u := range data {
+				u.BaseVersion = uint64(agg.Version())
+			}
+			jw.roundStart(round, cohort, uint64(agg.Version()))
+			jw.admitBatch(round, data, nil)
+			if err := agg.Aggregate(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.commit(round, agg, mem, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		journaled()
+		journaled()
+		_, bytes := testutil.AllocsPer(3, journaled)
+		t.Logf("%s: %.0f bytes per warmed journaled round (one vector is %.0f)", sched, bytes, vector)
+		if bytes > vector/2 {
+			t.Fatalf("%s: a warmed journaled round allocated %.0f bytes; one model-sized vector is %.0f", sched, bytes, vector)
+		}
+		recd, err := j.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		w := agg.Weights()
+		cp := recd.Checkpoint
+		if cp == nil || cp.Version != uint64(agg.Version()) || len(cp.Weights) != dim {
+			t.Fatalf("%s: checkpoint after round %d: %+v", sched, round, cp)
+		}
+		for i := range w {
+			if math.Float64bits(cp.Weights[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("%s: checkpointed weight %d is %v, the aggregator holds %v", sched, i, cp.Weights[i], w[i])
+			}
 		}
 	}
 }

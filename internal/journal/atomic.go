@@ -6,13 +6,15 @@ import (
 	"path/filepath"
 )
 
-// AtomicWriteFile writes data to path so that a crash at any instant leaves
-// either the old file or the new file, never a torn mixture: the bytes go
-// to a same-directory temporary file, which is fsynced, renamed over path,
-// and sealed with a directory fsync so the rename itself is durable. It is
-// the single write primitive for every checkpoint in this repository —
-// non-atomic save paths are the bug class this helper retires.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
+// AtomicWriteFile writes the concatenation of segs to path so that a crash
+// at any instant leaves either the old file or the new file, never a torn
+// mixture: the bytes go to a same-directory temporary file, which is
+// fsynced, renamed over path, and sealed with a directory fsync so the
+// rename itself is durable. It is the single write primitive for every
+// checkpoint in this repository — non-atomic save paths are the bug class
+// this helper retires. The segments are written where they lie, so a
+// caller with a header and a model need not join them first.
+func AtomicWriteFile(path string, perm os.FileMode, segs ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -26,7 +28,7 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("journal: atomic write %s: %s: %w", path, stage, err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := writeAll(tmp, segs); err != nil {
 		return fail("write", err)
 	}
 	if err := tmp.Chmod(perm); err != nil {

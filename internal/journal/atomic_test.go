@@ -13,10 +13,10 @@ import (
 func TestAtomicWriteFileReplacesWholly(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
-	if err := AtomicWriteFile(path, []byte("first"), 0o644); err != nil {
+	if err := AtomicWriteFile(path, 0o644, []byte("first")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if err := AtomicWriteFile(path, []byte("second, longer content"), 0o644); err != nil {
+	if err := AtomicWriteFile(path, 0o644, []byte("second, "), nil, []byte("longer content")); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
 	got, err := os.ReadFile(path)

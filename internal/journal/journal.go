@@ -58,6 +58,12 @@ func (r *Recovered) Empty() bool {
 
 // Journal is an open write-ahead round journal rooted at one directory.
 // Not safe for concurrent use; the server's round loop is its only writer.
+//
+// A Journal holds no copy of what it writes: Append and Checkpoint encode
+// with wire.Encoder.EncodeVectored, so a record's (or a checkpoint's)
+// float64 blocks go from the caller's vectors to the file, and the journal
+// keeps only the few encoded bytes around them. The caller's vectors are
+// read during the call and must not change until it returns.
 type Journal struct {
 	// NoSync skips the per-append fsync. The in-process soak harness (and
 	// the append microbench) set it: they simulate process death, not
@@ -66,11 +72,27 @@ type Journal struct {
 	NoSync bool
 
 	dir       string
-	wal       *os.File
+	wal       walFile
+	end       int64  // WAL offset after the last whole frame
+	err       error  // sticky: a write left the WAL's tail unknown
 	seq       uint64 // last assigned sequence number
 	recovered *Recovered
-	enc       wire.Encoder
-	hdr       [8]byte
+
+	enc   wire.Encoder
+	segs  [][]byte // the encoded message: enc's bytes and views of the caller's vectors
+	frame [][]byte // a header, then segs
+	hdr   [len(checkpointMagic) + 8]byte
+}
+
+// walFile is what the journal needs of its open WAL; *os.File is the one
+// implementation outside tests, which substitute a file that fails
+// partway through a write.
+type walFile interface {
+	io.Writer
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Sync() error
+	Close() error
 }
 
 // Open opens (creating if needed) the journal in dir, replaying any
@@ -102,19 +124,13 @@ func Open(dir string) (*Journal, error) {
 		return nil, err
 	}
 	rec.TornTail = torn
-	if torn {
-		// Truncate the torn tail so new appends extend a clean log rather
-		// than interleaving after garbage.
-		if err := wal.Truncate(good); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", walPath, err)
-		}
-	}
-	if _, err := wal.Seek(good, io.SeekStart); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("journal: seeking %s: %w", walPath, err)
-	}
+	// Cut any torn tail so new appends extend a clean log rather than
+	// interleaving after garbage.
 	j.wal = wal
+	if err := j.rewind(good); err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("journal: truncating %s after its last whole frame: %w", walPath, err)
+	}
 	j.recovered = rec
 	return j, nil
 }
@@ -123,21 +139,34 @@ func Open(dir string) (*Journal, error) {
 // into rec and returning the offset after the last good frame. Records at
 // or before the checkpoint's sequence are skipped (the crash window
 // between checkpoint rename and WAL truncation leaves them behind); a
-// sequence that fails to increase afterwards is corruption.
+// sequence that fails to increase afterwards is corruption. A frame is
+// read only once its declared length fits in what is left of the file —
+// a torn header is never an allocation request — and every frame is read
+// into one buffer, which nothing decoded from it aliases (JournalRecord's
+// vectors are copied out).
 func (j *Journal) replayWAL(wal *os.File, rec *Recovered) (good int64, torn bool, err error) {
+	info, err := wal.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("journal: stat %s: %w", wal.Name(), err)
+	}
 	r := &countingReader{r: wal}
 	var hdr [8]byte
+	var payload []byte
+	var dec wire.Decoder
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// Clean EOF ends the log; a partial header is a torn tail.
 			return good, err != io.EOF, nil
 		}
-		n := binary.BigEndian.Uint32(hdr[:4])
+		n := int64(binary.BigEndian.Uint32(hdr[:4]))
 		sum := binary.BigEndian.Uint32(hdr[4:])
-		if n == 0 || n > maxFrame {
+		if n == 0 || n > maxFrame || n > info.Size()-r.n {
 			return good, true, nil
 		}
-		payload := make([]byte, n)
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return good, true, nil
 		}
@@ -145,7 +174,8 @@ func (j *Journal) replayWAL(wal *os.File, rec *Recovered) (good int64, torn bool
 			return good, true, nil
 		}
 		m := &wire.JournalRecord{}
-		if err := m.Unmarshal(wire.NewDecoder(payload)); err != nil {
+		dec.Reset(payload)
+		if err := m.Unmarshal(&dec); err != nil {
 			// The CRC vouched for these bytes, so this is not a torn write:
 			// the record was corrupted some other way.
 			return good, false, fmt.Errorf("%w: WAL record at offset %d: %v", ErrCorrupt, good, err)
@@ -186,29 +216,34 @@ func (j *Journal) Dir() string { return j.dir }
 // Append assigns rec the next sequence number and writes it as one framed
 // entry, fsyncing before returning (unless NoSync) — the write-ahead
 // barrier callers rely on: when Append returns, the transition is durable
-// and may take effect in memory.
+// and may take effect in memory. A failed Append leaves no part of its
+// frame in the WAL, so it can never hide the records appended after it;
+// if the WAL cannot be cut back, every later Append and Checkpoint fails
+// with the same error.
 func (j *Journal) Append(rec *wire.JournalRecord) error {
-	if j.wal == nil {
-		return fmt.Errorf("journal: append on a closed journal")
+	if err := j.writable("append"); err != nil {
+		return err
 	}
 	rec.Seq = j.seq + 1
-	payload := j.enc.Encode(rec)
-	if len(payload) > maxFrame {
-		return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", len(payload))
+	n, sum := j.encode(j.hdr[:8], rec)
+	if n > maxFrame {
+		return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", n)
 	}
-	binary.BigEndian.PutUint32(j.hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(j.hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := j.wal.Write(j.hdr[:]); err != nil {
-		return fmt.Errorf("journal: append header: %w", err)
+	binary.BigEndian.PutUint32(j.hdr[:4], uint32(n))
+	binary.BigEndian.PutUint32(j.hdr[4:8], sum)
+	err := writeAll(j.wal, j.frame)
+	if err == nil && !j.NoSync {
+		err = j.wal.Sync()
 	}
-	if _, err := j.wal.Write(payload); err != nil {
-		return fmt.Errorf("journal: append payload: %w", err)
-	}
-	if !j.NoSync {
-		if err := j.wal.Sync(); err != nil {
-			return fmt.Errorf("journal: append fsync: %w", err)
+	if err != nil {
+		err = fmt.Errorf("journal: append: %w", err)
+		if j.rewind(j.end) != nil {
+			// The WAL's tail is unknown: take no further writes.
+			j.err = err
 		}
+		return err
 	}
+	j.end += 8 + int64(n)
 	j.seq = rec.Seq
 	return nil
 }
@@ -219,26 +254,63 @@ func (j *Journal) Append(rec *wire.JournalRecord) error {
 // between the rename and the truncation is harmless: replay skips tail
 // records at or before the checkpoint sequence.
 func (j *Journal) Checkpoint(cp *wire.JournalCheckpoint) error {
-	if j.wal == nil {
-		return fmt.Errorf("journal: checkpoint on a closed journal")
-	}
-	cp.Seq = j.seq
-	payload := j.enc.Encode(cp)
-	buf := make([]byte, 0, len(checkpointMagic)+8+len(payload))
-	buf = append(buf, checkpointMagic...)
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, frame[:]...)
-	buf = append(buf, payload...)
-	if err := AtomicWriteFile(filepath.Join(j.dir, checkpointName), buf, 0o644); err != nil {
+	if err := j.writable("checkpoint"); err != nil {
 		return err
 	}
-	if err := j.wal.Truncate(0); err != nil {
-		return fmt.Errorf("journal: truncating WAL after checkpoint: %w", err)
+	cp.Seq = j.seq
+	copy(j.hdr[:], checkpointMagic)
+	n, sum := j.encode(j.hdr[:], cp)
+	binary.BigEndian.PutUint32(j.hdr[len(checkpointMagic):], uint32(n))
+	binary.BigEndian.PutUint32(j.hdr[len(checkpointMagic)+4:], sum)
+	if err := AtomicWriteFile(filepath.Join(j.dir, checkpointName), 0o644, j.frame...); err != nil {
+		return err
 	}
-	if _, err := j.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: rewinding WAL after checkpoint: %w", err)
+	if err := j.rewind(0); err != nil {
+		j.err = fmt.Errorf("journal: truncating WAL after checkpoint: %w", err)
+		return j.err
+	}
+	return nil
+}
+
+// writable reports why the journal cannot take a write, if it cannot.
+func (j *Journal) writable(op string) error {
+	if j.wal == nil {
+		return fmt.Errorf("journal: %s on a closed journal", op)
+	}
+	return j.err
+}
+
+// encode encodes m into j.frame behind head — head, then the encoder's
+// bytes interleaved with views of m's vectors — and returns m's encoded
+// length and its CRC-32 (IEEE), chained over the segments.
+func (j *Journal) encode(head []byte, m wire.Marshaler) (n int, sum uint32) {
+	j.segs = j.enc.EncodeVectored(m, j.segs)
+	j.frame = append(append(j.frame[:0], head), j.segs...)
+	for _, s := range j.segs {
+		n += len(s)
+		sum = crc32.Update(sum, crc32.IEEETable, s)
+	}
+	return n, sum
+}
+
+// rewind cuts the WAL back to off and puts the next append there.
+func (j *Journal) rewind(off int64) error {
+	if err := j.wal.Truncate(off); err != nil {
+		return err
+	}
+	if _, err := j.wal.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	j.end = off
+	return nil
+}
+
+// writeAll writes segs in order.
+func writeAll(w io.Writer, segs [][]byte) error {
+	for _, s := range segs {
+		if _, err := w.Write(s); err != nil {
+			return err
+		}
 	}
 	return nil
 }
