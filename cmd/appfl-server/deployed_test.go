@@ -250,7 +250,7 @@ func engineCheckpoint(t *testing.T, cfg appfl.Config, fed *appfl.Federated, fact
 	t.Helper()
 	P := fed.NumClients()
 	srv, err := rpc.Listen("127.0.0.1:0", rpc.ServerConfig{NumClients: P, Rounds: cfg.Rounds,
-		ModelSize: len(nn.FlattenParams(factory(), nil))})
+		ModelSize: nn.NumParams(factory())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func serveOne(o *options, out io.Writer) error {
 		defer jnl.Close()
 		ropts.Journal = jnl
 	}
-	dim := len(nn.FlattenParams(factory(), nil))
+	dim := nn.NumParams(factory())
 	srv, err := rpc.Listen(o.addr, rpc.ServerConfig{
 		NumClients:    o.clients,
 		Rounds:        o.cfg.Rounds,

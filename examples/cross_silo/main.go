@@ -34,7 +34,7 @@ func main() {
 	srv, err := rpc.Listen("127.0.0.1:0", rpc.ServerConfig{
 		NumClients:    numClients,
 		Rounds:        cfg.Rounds,
-		ModelSize:     len(nn.FlattenParams(factory(), nil)),
+		ModelSize:     nn.NumParams(factory()),
 		AcceptTimeout: 10 * time.Second,
 	})
 	if err != nil {

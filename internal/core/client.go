@@ -18,8 +18,9 @@ import (
 // way APPFL users override BaseClient.update().
 //
 // The returned update aliases the client's own state (FedAvg and IIADMM
-// release their working vector in place, ICEADMM hands out copies of z and
-// λ in buffers it reuses), so it is valid until the next LocalUpdate:
+// release the model's own parameter vector, which they train in place;
+// ICEADMM hands out copies of z and λ in buffers it reuses), so it is
+// valid until the next LocalUpdate:
 // upload or copy it before training again. Every transport has serialized
 // an update by the time SendUpdate returns, which is what lets the round
 // loops skip a per-round copy of the model.
@@ -30,6 +31,11 @@ type ClientAlgorithm interface {
 // BaseClient carries the state every client algorithm shares: the model
 // replica, the private dataset, the configured update pipeline, and
 // scratch buffers. It mirrors the Python BaseClient class.
+//
+// The model is an nn.Sequential (any other Module is wrapped in one), and
+// training happens in its vectors: the iterate an algorithm updates is
+// nn.ParamVector(Model), the gradient it reads nn.GradVector(Model), so a
+// step copies nothing into or out of the layers.
 //
 // The pipeline replaces the old inlined Clip/Mech fields: gradient
 // clipping and per-round objective noise enter through Pipe.GradHook
@@ -46,10 +52,9 @@ type BaseClient struct {
 	// recomputed when hyperparameters change (e.g. adaptive ρ).
 	Sens dp.SensitivityRule
 
-	dim     int
-	loss    nn.CrossEntropyLoss
-	gradBuf []float64
-	sumBuf  []float64 // fullGrad's accumulator
+	dim    int
+	loss   nn.CrossEntropyLoss
+	sumBuf []float64 // fullGrad's accumulator
 }
 
 // newBaseClient wires the shared client state.
@@ -57,6 +62,7 @@ func newBaseClient(id int, model nn.Module, ds dataset.Dataset, batch int, pipe 
 	if pipe == nil {
 		pipe, _ = pipeline.New() // identity
 	}
+	model = sequentialOf(model)
 	return BaseClient{
 		ID:     id,
 		Model:  model,
@@ -66,6 +72,15 @@ func newBaseClient(id int, model nn.Module, ds dataset.Dataset, batch int, pipe 
 		Sens:   sens,
 		dim:    nn.NumParams(model),
 	}
+}
+
+// sequentialOf returns m as the nn.Sequential whose vectors a client
+// trains in, wrapping any other Module in one.
+func sequentialOf(m nn.Module) *nn.Sequential {
+	if s, ok := m.(*nn.Sequential); ok {
+		return s
+	}
+	return nn.NewSequential(m)
 }
 
 // beginRound prepares per-round pipeline state: in objective-perturbation
@@ -92,30 +107,31 @@ func (c *BaseClient) releasePrimal(v []float64, m *wire.LocalUpdate) error {
 	return nil
 }
 
-// gradAt computes the mean gradient of the loss at parameter vector z over
-// batch b, post-processed by the pipeline's training-time stages (L2
-// clipping, objective noise). The returned slice is reused across calls.
-func (c *BaseClient) gradAt(z []float64, b dataset.Batch) []float64 {
-	nn.SetParams(c.Model, z)
-	c.batchGrad(b)
-	c.Pipe.GradHook(c.gradBuf)
-	return c.gradBuf
+// gradAt computes the mean gradient of the loss over batch b at the
+// model's parameters — the vector the caller trains in place — post-
+// processed by the pipeline's training-time stages (L2 clipping, objective
+// noise). The returned slice is the model's gradient vector, overwritten
+// by the next step.
+func (c *BaseClient) gradAt(b dataset.Batch) []float64 {
+	g := c.batchGrad(b)
+	c.Pipe.GradHook(g)
+	return g
 }
 
-// batchGrad leaves in gradBuf the mean gradient over batch b at the
-// parameters the model currently holds, before any pipeline stage.
-func (c *BaseClient) batchGrad(b dataset.Batch) {
+// batchGrad returns the model's gradient vector holding the mean gradient
+// over batch b at its current parameters, before any pipeline stage.
+func (c *BaseClient) batchGrad(b dataset.Batch) []float64 {
 	nn.ZeroGrad(c.Model)
 	_, d := c.loss.Loss(c.Model.Forward(b.X), b.Labels)
 	nn.BackwardParams(c.Model, d)
-	c.gradBuf = nn.FlattenGrads(c.Model, c.gradBuf)
+	return nn.GradVector(c.Model)
 }
 
-// fullGrad computes the clipped full-dataset mean gradient at z by
-// accumulating batch gradients weighted by batch size (ICEADMM evaluates
-// gradients on all local data points, Section IV-B). Like gradAt's, the
-// returned slice is reused across calls.
-func (c *BaseClient) fullGrad(z []float64) []float64 {
+// fullGrad computes the clipped full-dataset mean gradient at the model's
+// parameters by accumulating batch gradients weighted by batch size
+// (ICEADMM evaluates gradients on all local data points, Section IV-B).
+// The returned slice is a kept accumulator, reused across calls.
+func (c *BaseClient) fullGrad() []float64 {
 	if cap(c.sumBuf) < c.dim {
 		c.sumBuf = make([]float64, c.dim)
 	}
@@ -130,9 +146,7 @@ func (c *BaseClient) fullGrad(z []float64) []float64 {
 		}
 		bs := len(b.Labels)
 		// Accumulate the unclipped batch mean scaled back to a sum.
-		nn.SetParams(c.Model, z)
-		c.batchGrad(b)
-		for i, g := range c.gradBuf {
+		for i, g := range c.batchGrad(b) {
 			sum[i] += g * float64(bs)
 		}
 		n += bs
@@ -153,7 +167,6 @@ type FedAvgClient struct {
 	Momentum float64
 	L        int
 
-	z     []float64
 	veloc []float64
 }
 
@@ -177,11 +190,11 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	}
 	start := time.Now()
 	c.beginRound()
-	if cap(c.z) < c.dim {
-		c.z = make([]float64, c.dim)
+	if cap(c.veloc) < c.dim {
 		c.veloc = make([]float64, c.dim)
 	}
-	copy(c.z, w)
+	z := nn.ParamVector(c.Model)
+	copy(z, w)
 	for i := range c.veloc {
 		c.veloc[i] = 0 // fresh optimizer per round, as APPFL instantiates one
 	}
@@ -192,10 +205,10 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 			if !ok {
 				break
 			}
-			g := c.gradAt(c.z, b)
-			for i := range c.z {
+			g := c.gradAt(b)
+			for i := range z {
 				c.veloc[i] = c.Momentum*c.veloc[i] + g[i]
-				c.z[i] -= c.LR * c.veloc[i]
+				z[i] -= c.LR * c.veloc[i]
 			}
 		}
 	}
@@ -205,8 +218,9 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	// z restarts from w every round, so it is released in place: no copy.
-	if err := c.releasePrimal(c.z, m); err != nil {
+	// z is the model's vector and restarts from w every round, so it is
+	// released in place: no copy.
+	if err := c.releasePrimal(z, m); err != nil {
 		return nil, err
 	}
 	m.ComputeSec = time.Since(start).Seconds()
@@ -215,14 +229,14 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 
 // ICEADMMClient implements the baseline of Zhou & Li (2021): L joint
 // primal+dual local iterations using full-batch gradients, uploading both
-// z_p and λ_p every round. Its persistent primal does not reset to w.
+// z_p and λ_p every round. Its persistent primal, which does not reset to
+// w, is the model's parameter vector.
 type ICEADMMClient struct {
 	BaseClient
 	Rho, Zeta  float64
 	L          int
 	FreezeDual bool
 
-	z      []float64
 	lambda []float64
 	// zOut and dualOut are the copies of z and λ an update carries: both
 	// persist across rounds (and the pipeline may transform the primal in
@@ -242,7 +256,7 @@ func NewICEADMMClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, w
 		L:          cfg.LocalSteps,
 		FreezeDual: cfg.FreezeDual,
 	}
-	c.z = append([]float64(nil), w0...)
+	nn.SetParams(c.Model, w0)
 	c.lambda = make([]float64, len(w0))
 	return c
 }
@@ -263,19 +277,20 @@ func (c *ICEADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, 
 	start := time.Now()
 	c.beginRound()
 	step := 1.0 / (c.Rho + c.Zeta)
+	z := nn.ParamVector(c.Model)
 	for l := 0; l < c.L; l++ {
-		g := c.fullGrad(c.z)
-		for i := range c.z {
-			c.z[i] -= step * (g[i] - c.lambda[i] - c.Rho*(w[i]-c.z[i]))
+		g := c.fullGrad()
+		for i := range z {
+			z[i] -= step * (g[i] - c.lambda[i] - c.Rho*(w[i]-z[i]))
 		}
 		if !c.FreezeDual {
 			for i := range c.lambda {
-				c.lambda[i] += c.Rho * (w[i] - c.z[i])
+				c.lambda[i] += c.Rho * (w[i] - z[i])
 			}
 		}
 	}
 	c.dualOut = append(c.dualOut[:0], c.lambda...)
-	c.zOut = append(c.zOut[:0], c.z...)
+	c.zOut = append(c.zOut[:0], z...)
 	m := &wire.LocalUpdate{
 		ClientID:   uint32(c.ID),
 		Round:      uint32(round),
@@ -303,7 +318,6 @@ type IIADMMClient struct {
 	L          int
 	FreezeDual bool
 
-	z      []float64
 	lambda []float64
 	rel    []float64 // the released primal, densified, under a compressing pipeline
 }
@@ -319,7 +333,7 @@ func NewIIADMMClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, pi
 		L:          cfg.LocalSteps,
 		FreezeDual: cfg.FreezeDual,
 	}
-	c.lambda = make([]float64, nn.NumParams(model))
+	c.lambda = make([]float64, c.dim)
 	return c
 }
 
@@ -341,10 +355,8 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	}
 	start := time.Now()
 	c.beginRound()
-	if cap(c.z) < c.dim {
-		c.z = make([]float64, c.dim)
-	}
-	copy(c.z, w) // line 11: z^{1,1} ← w^{t+1}
+	z := nn.ParamVector(c.Model)
+	copy(z, w) // line 11: z^{1,1} ← w^{t+1}
 	step := 1.0 / (c.Rho + c.Zeta)
 	for l := 0; l < c.L; l++ { // lines 13–19
 		c.Loader.Reset() // line 12: split I_p into batches (reshuffled)
@@ -353,9 +365,9 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 			if !ok {
 				break
 			}
-			g := c.gradAt(c.z, b) // line 15
-			for i := range c.z {  // line 16
-				c.z[i] -= step * (g[i] - c.lambda[i] - c.Rho*(w[i]-c.z[i]))
+			g := c.gradAt(b)   // line 15
+			for i := range z { // line 16
+				z[i] -= step * (g[i] - c.lambda[i] - c.Rho*(w[i]-z[i]))
 			}
 		}
 	}
@@ -365,9 +377,9 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	// Line 20. z restarts from w every round, so it is released in place,
-	// as FedAvgClient's is: no copy.
-	if err := c.releasePrimal(c.z, m); err != nil {
+	// Line 20. z is the model's vector and restarts from w every round, so
+	// it is released in place, as FedAvgClient's is: no copy.
+	if err := c.releasePrimal(z, m); err != nil {
 		return nil, err
 	}
 	if !c.FreezeDual {

@@ -196,7 +196,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 	if jw == nil {
 		return nil
 	}
-	w := liveModel(agg)
+	w := liveModel(agg, nil)
 	rec := &jw.scratch
 	rec.Reset()
 	rec.Op = wire.JournalCommit
@@ -226,17 +226,18 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 }
 
 // liveModel returns the aggregator's own model vector, for a caller that
-// only reads it before the aggregator's next call. The journalable
-// aggregators (see ValidateJournalConfig) hand out their storage; any
-// other gets a copy.
-func liveModel(agg Aggregator) []float64 {
+// only reads it before the aggregator's next call: the dispatch, the
+// evaluation and the journal's commit and checkpoint. FedAvgServer and
+// BufferedAggregator (the journalable ones, see ValidateJournalConfig)
+// hand out their storage; the ADMM servers copy into buf (grown as needed).
+func liveModel(agg Aggregator, buf []float64) []float64 {
 	switch a := agg.(type) {
 	case *FedAvgServer:
 		return a.W
 	case *BufferedAggregator:
 		return a.w
 	}
-	return agg.Weights()
+	return agg.WeightsInto(buf)
 }
 
 // ValidateJournalConfig rejects configurations the journal cannot make

@@ -58,8 +58,10 @@ func RunClient(cfg Config, id int, data dataset.Dataset, factory nn.Factory, ct 
 	for i := 0; i < id; i++ {
 		master.Split()
 	}
-	model := factory()
-	c, err := newRunClient(cfg, id, master.Split(), model, nn.FlattenParams(model, nil), data)
+	// The replica's own vector is w0: no copy, and the SetParams loading it
+	// is a no-op.
+	model := sequentialOf(factory())
+	c, err := newRunClient(cfg, id, master.Split(), model, nn.ParamVector(model), data)
 	if err != nil {
 		return err
 	}

@@ -440,11 +440,14 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 	return res, final, nil
 }
 
-// recordRound finalizes one round's statistics, validating on cadence.
+// recordRound finalizes one round's statistics, validating on cadence. The
+// evaluation reads the aggregator's model through liveModel (wbuf is the
+// copy buffer of the aggregators that do not lend theirs) and loads it
+// into evalModel's own vector.
 func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module, fed *dataset.Federated,
 	rounds, validateEvery int, start time.Time, wbuf []float64, progress io.Writer) {
 	if fed.Test != nil && (rs.Round%validateEvery == 0 || rs.Round == rounds) {
-		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, agg.WeightsInto(wbuf), fed.Test, 256)
+		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, liveModel(agg, wbuf), fed.Test, 256)
 	}
 	rs.WallSec = time.Since(start).Seconds()
 	res.Rounds = append(res.Rounds, rs)
@@ -456,15 +459,16 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 
 // dispatcher sends the aggregator's current model to a set of clients: the
 // one place a GlobalModel is built, shared by the barrier rounds, the
-// buffered releases and the re-dispatch of a resumed round. It recycles
-// the weight and code buffers — every transport serializes inside SendTo,
-// so one of each serves all rounds.
+// buffered releases and the re-dispatch of a resumed round. Every
+// transport serializes inside SendTo (rpc encodes and writes, mpi packs a
+// copy, pubsub encodes), so the GlobalModel borrows the aggregator's live
+// model (liveModel) and one kept code buffer serves every f16 round.
 type dispatcher struct {
 	cfg    Config
 	agg    Aggregator
 	st     comm.ServerTransport
 	rho    interface{ CurrentRho() float64 }
-	wbuf   []float64
+	wbuf   []float64 // liveModel's copy for the ADMM servers; the live model itself for the others
 	f16buf []byte
 }
 
@@ -490,7 +494,7 @@ func (d *dispatcher) release() {
 // the model version it carried. cohortSize is the size of the cohort the
 // round opened with, which a re-dispatch to the rest of it keeps.
 func (d *dispatcher) send(ids []int, round, cohortSize int) (uint64, error) {
-	d.wbuf = d.agg.WeightsInto(d.wbuf)
+	d.wbuf = liveModel(d.agg, d.wbuf)
 	gm := &wire.GlobalModel{
 		Round:      uint32(round),
 		Version:    uint64(d.agg.Version()),

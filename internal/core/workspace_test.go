@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/journal"
@@ -41,11 +42,14 @@ func TestEvaluateAllocationGate(t *testing.T) {
 }
 
 // TestLocalUpdateReusesModelSizedBuffers: after the first rounds a client
-// algorithm allocates no model-sized vector per round — not the released
-// primal (IIADMM releases z in place; ICEADMM copies z and λ into buffers
-// it keeps), not the densified release under a compressing pipeline, not
-// fullGrad's accumulator. The model is wide and the dataset tiny so that
-// one vector (dim·8 bytes) dwarfs everything the loader allocates.
+// algorithm allocates no model-sized vector per round — not the iterate or
+// the gradient (every algorithm trains in the model's own vectors), not the
+// released primal (FedAvg and IIADMM release the model's parameter vector
+// itself; ICEADMM copies z and λ into buffers it keeps), not the densified
+// release under a compressing pipeline, not fullGrad's accumulator. The
+// model is wide and the dataset tiny so that one vector (dim·8 bytes)
+// dwarfs everything the loader allocates. The first LocalUpdate allocates
+// just the vectors the algorithm keeps besides the model's two (kept).
 func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -53,53 +57,79 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 	r := rng.New(4)
 	images := tensor.New(8, 1, 4, 4)
 	r.FillNormal(images.Data(), 0, 1)
-	ds := dataset.NewInMemory(images, []int{0, 1, 2, 0, 1, 2, 0, 1}, 3)
+	labels := []int{0, 1, 2, 0, 1, 2, 0, 1}
+	ds := dataset.NewInMemory(images, labels, 3)
 	factory := func() nn.Module { return nn.NewMLP(16, []int{4096}, 3, rng.New(5)) }
 	w0 := nn.FlattenParams(factory(), nil)
 	vector := float64(8 * len(w0))
-	for _, c := range []struct{ algo, pipe string }{
-		{AlgoIIADMM, ""}, {AlgoIIADMM, "quantize:8"}, {AlgoICEADMM, ""}, {AlgoFedAvg, ""},
+	for _, c := range []struct {
+		algo, pipe string
+		kept       float64
+	}{
+		{AlgoFedAvg, "", 1}, {AlgoFedAvg, "quantize:8", 1}, // momentum
+		{AlgoIIADMM, "", 0}, {AlgoIIADMM, "quantize:8", 1}, // the densified release
+		{AlgoICEADMM, "", 3}, {AlgoICEADMM, "quantize:8", 3}, // fullGrad's sum, z and λ out
 	} {
 		cfg := Config{Algorithm: c.algo, Rounds: 1, LocalSteps: 2, BatchSize: 8, Pipeline: c.pipe, Seed: 3}.WithDefaults()
 		cr := rng.New(6)
-		client, err := NewClient(cfg, 0, factory(), ds, w0, testPipe(t, cfg, cr), cr)
+		model := factory()
+		// One step sizes the layers' workspaces, which the first update
+		// would otherwise count.
+		_, d := nn.CrossEntropy(model.Forward(images), labels)
+		nn.BackwardParams(model, d)
+		client, err := NewClient(cfg, 0, model, ds, w0, testPipe(t, cfg, cr), cr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		round := 0
+		var up *wire.LocalUpdate
 		update := func() {
 			round++
-			if _, err := client.LocalUpdate(round, w0); err != nil {
+			if up, err = client.LocalUpdate(round, w0); err != nil {
 				t.Fatal(err)
 			}
 		}
-		update()
+		_, cold := testutil.AllocsPer(1, update)
+		if cold > (c.kept+0.5)*vector {
+			t.Fatalf("%s %q: the first LocalUpdate allocated %.1f model-sized vectors; the algorithm keeps %v",
+				c.algo, c.pipe, cold/vector, c.kept)
+		}
 		update()
 		_, bytes := testutil.AllocsPer(5, update)
 		t.Logf("%s %q: %.0f bytes per warmed LocalUpdate (one vector is %.0f)", c.algo, c.pipe, bytes, vector)
 		if bytes > vector/2 {
 			t.Fatalf("%s %q: a warmed LocalUpdate allocated %.0f bytes; one model-sized vector is %.0f", c.algo, c.pipe, bytes, vector)
 		}
+		if c.algo != AlgoICEADMM && c.pipe == "" && &up.Primal[0] != &nn.ParamVector(model)[0] {
+			t.Fatalf("%s: the dense update's primal is not the model's parameter vector", c.algo)
+		}
 	}
 }
 
 // TestJournaledRoundAllocatesNoModelSizedBuffer: the server side of a
 // journaled round — round start, one admit per update, the fold, the
-// commit and (every round here) a checkpoint — allocates no vector the
-// size of the model once warmed. The admits are written from the updates'
-// primals and the commit and checkpoint from the aggregator's own model;
-// the journal keeps no encoded copy of either. What was written is the
-// model: the checkpoint replays bit-equal to the aggregator.
+// commit, (every round here) a checkpoint, and the round's record with
+// ValidateEvery 1 — allocates no vector the size of the model once warmed.
+// The admits are written from the updates' primals, the commit and
+// checkpoint from the aggregator's own model, and the evaluation loads
+// that model straight into the evaluation replica's vector; the journal
+// keeps no encoded copy of either. What was written is the model: the
+// checkpoint replays bit-equal to the aggregator.
 func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const dim, clients = 1 << 18, 4
+	const clients = 4
+	evalModel := nn.NewMLP(16, []int{12483}, 4, rng.New(1)) // ~2^18 parameters
+	dim := nn.NumParams(evalModel)
 	vector := float64(8 * dim)
+	images := tensor.New(8, 1, 4, 4)
+	rng.New(9).FillNormal(images.Data(), 0, 1)
+	fed := &dataset.Federated{Test: dataset.NewInMemory(images, []int{0, 1, 2, 3, 0, 1, 2, 3}, 4)}
 	for _, sched := range []string{SchedSyncAll, SchedBuffered} {
 		cfg := Config{Algorithm: AlgoFedAvg, Scheduler: sched}.WithDefaults()
 		w0 := make([]float64, dim)
-		rng.New(1).FillNormal(w0, 0, 1)
+		rng.New(1).FillNormal(w0, 0, 0.01)
 		agg, err := NewAggregator(cfg, w0, clients)
 		if err != nil {
 			t.Fatal(err)
@@ -116,8 +146,9 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 		data := make([]*wire.LocalUpdate, clients)
 		for c := range data {
 			data[c] = &wire.LocalUpdate{ClientID: uint32(c), NumSamples: uint64(10 + c), Primal: make([]float64, dim)}
-			rng.New(uint64(c+2)).FillNormal(data[c].Primal, 0, 1)
+			rng.New(uint64(c+2)).FillNormal(data[c].Primal, 0, 0.01)
 		}
+		res := &Result{}
 		round := 0
 		journaled := func() {
 			round++
@@ -132,6 +163,7 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 			if err := jw.commit(round, agg, mem, 0); err != nil {
 				t.Fatal(err)
 			}
+			recordRound(res, RoundStats{Round: round}, agg, evalModel, fed, 1<<20, 1, time.Now(), nil, nil)
 		}
 		journaled()
 		journaled()
@@ -139,6 +171,9 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 		t.Logf("%s: %.0f bytes per warmed journaled round (one vector is %.0f)", sched, bytes, vector)
 		if bytes > vector/2 {
 			t.Fatalf("%s: a warmed journaled round allocated %.0f bytes; one model-sized vector is %.0f", sched, bytes, vector)
+		}
+		if last := res.Rounds[len(res.Rounds)-1]; last.TestLoss == 0 || math.IsNaN(last.TestLoss) {
+			t.Fatalf("%s: round %d was not evaluated: %+v", sched, round, last)
 		}
 		recd, err := j.Recover()
 		if err != nil {

@@ -20,19 +20,18 @@ type Linear struct {
 
 // NewLinear constructs a Linear layer with Kaiming-uniform initialization.
 func NewLinear(in, out int, r *rng.RNG) *Linear {
+	return newLinear(in, out, r, newParamStore(linearSize(in, out)))
+}
+
+// linearSize is the parameter count of a Linear layer.
+func linearSize(in, out int) int { return out*in + out }
+
+func newLinear(in, out int, r *rng.RNG, st *paramStore) *Linear {
 	l := &Linear{
-		In:  in,
-		Out: out,
-		Weight: &Parameter{
-			Name:  fmt.Sprintf("linear%dx%d.weight", out, in),
-			Value: tensor.New(out, in),
-			Grad:  tensor.New(out, in),
-		},
-		Bias: &Parameter{
-			Name:  fmt.Sprintf("linear%dx%d.bias", out, in),
-			Value: tensor.New(out),
-			Grad:  tensor.New(out),
-		},
+		In:     in,
+		Out:    out,
+		Weight: st.param(fmt.Sprintf("linear%dx%d.weight", out, in), out, in),
+		Bias:   st.param(fmt.Sprintf("linear%dx%d.bias", out, in), out),
 	}
 	bound := math.Sqrt(6.0 / float64(in))
 	r.FillUniform(l.Weight.Value.Data(), -bound, bound)
@@ -96,22 +95,21 @@ type Conv2D struct {
 
 // NewConv2D constructs a Conv2D layer with Kaiming-uniform initialization.
 func NewConv2D(inC, outC, kernel, stride, pad int, r *rng.RNG) *Conv2D {
+	return newConv2D(inC, outC, kernel, stride, pad, r, newParamStore(conv2DSize(inC, outC, kernel)))
+}
+
+// conv2DSize is the parameter count of a Conv2D layer.
+func conv2DSize(inC, outC, kernel int) int { return outC*inC*kernel*kernel + outC }
+
+func newConv2D(inC, outC, kernel, stride, pad int, r *rng.RNG, st *paramStore) *Conv2D {
 	c := &Conv2D{
 		InChannels:  inC,
 		OutChannels: outC,
 		Kernel:      kernel,
 		Stride:      stride,
 		Pad:         pad,
-		Weight: &Parameter{
-			Name:  fmt.Sprintf("conv%dx%dk%d.weight", outC, inC, kernel),
-			Value: tensor.New(outC, inC, kernel, kernel),
-			Grad:  tensor.New(outC, inC, kernel, kernel),
-		},
-		Bias: &Parameter{
-			Name:  fmt.Sprintf("conv%dx%dk%d.bias", outC, inC, kernel),
-			Value: tensor.New(outC),
-			Grad:  tensor.New(outC),
-		},
+		Weight:      st.param(fmt.Sprintf("conv%dx%dk%d.weight", outC, inC, kernel), outC, inC, kernel, kernel),
+		Bias:        st.param(fmt.Sprintf("conv%dx%dk%d.bias", outC, inC, kernel), outC),
 	}
 	fanIn := float64(inC * kernel * kernel)
 	bound := math.Sqrt(6.0 / fanIn)
@@ -264,21 +262,35 @@ func (f *Flatten) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; flatten has no parameters.
 func (f *Flatten) Params() []*Parameter { return nil }
 
-// Sequential chains modules.
+// Sequential chains modules and owns their parameters' storage: one flat
+// vector of values and one of gradients (ParamVector, GradVector), every
+// layer's Parameter a view into them at its Params() offset.
 type Sequential struct {
 	Layers []Module
 
 	// params caches Params() and firstParam the index of the first layer
-	// that has any (len(Layers) when none does); both are rebuilt when
-	// Layers changes length. A training step asks for the list half a
-	// dozen times (ZeroGrad, NumParams, SetParams, FlattenGrads, ...).
+	// that has any (len(Layers) when none does); cached holds the layers
+	// both were built for (the zero values fit an empty model). A change of
+	// len(Layers) rebuilds both and re-adopts every parameter into fresh
+	// vectors; a layer replaced in place is caught by vectors instead. A
+	// training step asks for the list half a dozen times (ZeroGrad,
+	// NumParams, ParamVector, GradVector, ...).
 	params     []*Parameter
 	firstParam int
-	cachedLen  int // len(Layers) the cache was built for (the zero values fit an empty model)
+	cached     []Module
+
+	vals, grads []float64
 }
 
-// NewSequential builds a sequential container.
-func NewSequential(layers ...Module) *Sequential { return &Sequential{Layers: layers} }
+// NewSequential builds a sequential container over layers built on their
+// own: their parameters are copied once into fresh vectors and re-pointed
+// at them. A nested Sequential's vectors become its slice of the outer
+// ones. (The factories build their layers over the vectors directly.)
+func NewSequential(layers ...Module) *Sequential {
+	s := &Sequential{Layers: layers}
+	s.adopt()
+	return s
+}
 
 // Forward applies the layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -325,12 +337,18 @@ func BackwardParams(m Module, dy *tensor.Tensor) {
 }
 
 // Params concatenates all layer parameters in order. The slice is cached
-// and shared between calls: read it, do not append to or reorder it.
-// Replacing a layer in place (same len(Layers)) is not noticed.
+// and shared between calls: read it, do not append to or reorder it. When
+// len(Layers) has changed since the last call, every parameter is first
+// re-adopted into fresh vectors, so an appended layer trains with the rest.
 func (s *Sequential) Params() []*Parameter {
-	if s.cachedLen == len(s.Layers) {
-		return s.params
+	if len(s.cached) != len(s.Layers) {
+		s.adopt()
 	}
+	return s.params
+}
+
+// collect rebuilds the Params() cache.
+func (s *Sequential) collect() {
 	s.params, s.firstParam = nil, len(s.Layers)
 	for i, l := range s.Layers {
 		ps := l.Params()
@@ -339,6 +357,90 @@ func (s *Sequential) Params() []*Parameter {
 		}
 		s.params = append(s.params, ps...)
 	}
-	s.cachedLen = len(s.Layers)
-	return s.params
+	s.cached = append(s.cached[:0], s.Layers...)
+}
+
+// adopt rebuilds the cache and moves every parameter into fresh vectors:
+// values and gradients are copied once and each Parameter re-pointed.
+func (s *Sequential) adopt() {
+	s.collect()
+	n := 0
+	for _, p := range s.params {
+		n += p.Value.Size()
+	}
+	vals, grads := make([]float64, n), make([]float64, n)
+	off := 0
+	for _, p := range s.params {
+		copy(vals[off:], p.Value.Data())
+		off += copy(grads[off:], p.Grad.Data())
+	}
+	s.bind(vals, grads)
+	// A module whose Params() hands out fresh Parameter structs goes on
+	// reading its own storage; asking again exposes it here, not as a model
+	// that silently never trains.
+	s.collect()
+	s.vectors()
+}
+
+// bind makes vals and grads the vectors of s and of every parameter
+// beneath it, in Params() order.
+func (s *Sequential) bind(vals, grads []float64) {
+	s.vals, s.grads = vals, grads
+	off := 0
+	for _, l := range s.Layers {
+		if inner, ok := l.(*Sequential); ok {
+			end := off + NumParams(inner)
+			inner.bind(vals[off:end:end], grads[off:end:end])
+			off = end
+			continue
+		}
+		for _, p := range l.Params() {
+			end := off + p.Value.Size()
+			p.Value = tensor.FromSlice(vals[off:end:end], p.Value.Shape()...)
+			p.Grad = tensor.FromSlice(grads[off:end:end], p.Grad.Shape()...)
+			off = end
+		}
+	}
+}
+
+// vectors returns the value and gradient vectors after checking that
+// every parameter still lives in them at its Params() offset. A layer
+// replaced in place (same len(Layers), here or in a nested Sequential)
+// brings storage of its own, which training in the vectors would silently
+// skip: that panics instead.
+func (s *Sequential) vectors() (vals, grads []float64) {
+	s.Params()
+	if !s.unchanged() {
+		panic("nn: a layer was replaced in place after construction; its parameters are not stored in the model's vectors")
+	}
+	off := 0
+	for _, p := range s.params {
+		v, g := p.Value.Data(), p.Grad.Data()
+		n := len(v)
+		if len(g) != n || off+n > len(s.vals) || n > 0 && (&v[0] != &s.vals[off] || &g[0] != &s.grads[off]) {
+			panic(fmt.Sprintf("nn: parameter %q is not stored in the model's vectors", p.Name))
+		}
+		off += n
+	}
+	if off != len(s.vals) {
+		panic(fmt.Sprintf("nn: the parameters cover %d of the model's %d-element vectors", off, len(s.vals)))
+	}
+	return s.vals, s.grads
+}
+
+// unchanged reports whether s and every Sequential nested in it still hold
+// exactly the layers their caches were built for.
+func (s *Sequential) unchanged() bool {
+	if len(s.cached) != len(s.Layers) {
+		return false
+	}
+	for i, l := range s.Layers {
+		if l != s.cached[i] {
+			return false
+		}
+		if inner, ok := l.(*Sequential); ok && !inner.unchanged() {
+			return false
+		}
+	}
+	return true
 }

@@ -42,23 +42,26 @@ func (c CNNConfig) withDefaults() CNNConfig {
 //	Conv(k) → ReLU → MaxPool(2,2) → Conv(k) → ReLU → Flatten → Linear → ReLU → Linear
 //
 // Padding keeps spatial size through the convolutions so any input size with
-// H, W divisible by 2 works.
+// H, W divisible by 2 works. The layers are built directly over the
+// model's two vectors.
 func NewCNN(cfg CNNConfig, r *rng.RNG) *Sequential {
 	cfg = cfg.withDefaults()
 	pad := cfg.Kernel / 2
 	// Spatial flow: conv(pad same) -> H×W, pool -> H/2×W/2, conv(pad same).
 	ph, pw := cfg.Height/2, cfg.Width/2
 	flat := cfg.Conv2 * ph * pw
-	return NewSequential(
-		NewConv2D(cfg.InChannels, cfg.Conv1, cfg.Kernel, 1, pad, r),
+	st := newParamStore(conv2DSize(cfg.InChannels, cfg.Conv1, cfg.Kernel) + conv2DSize(cfg.Conv1, cfg.Conv2, cfg.Kernel) +
+		linearSize(flat, cfg.Hidden) + linearSize(cfg.Hidden, cfg.Classes))
+	return st.sequential(
+		newConv2D(cfg.InChannels, cfg.Conv1, cfg.Kernel, 1, pad, r, st),
 		NewReLU(),
 		NewMaxPool2D(2, 2),
-		NewConv2D(cfg.Conv1, cfg.Conv2, cfg.Kernel, 1, pad, r),
+		newConv2D(cfg.Conv1, cfg.Conv2, cfg.Kernel, 1, pad, r, st),
 		NewReLU(),
 		NewFlatten(),
-		NewLinear(flat, cfg.Hidden, r),
+		newLinear(flat, cfg.Hidden, r, st),
 		NewReLU(),
-		NewLinear(cfg.Hidden, cfg.Classes, r),
+		newLinear(cfg.Hidden, cfg.Classes, r, st),
 	)
 }
 
@@ -66,32 +69,38 @@ func NewCNN(cfg CNNConfig, r *rng.RNG) *Sequential {
 // smallest model useful for fast tests and the convex/nonconvex comparisons
 // in the paper's problem statement (Eq. 1).
 func NewMLP(in int, hidden []int, classes int, r *rng.RNG) *Sequential {
-	var layers []Module
-	layers = append(layers, NewFlatten())
-	prev := in
-	for _, h := range hidden {
-		layers = append(layers, NewLinear(prev, h, r), NewReLU())
-		prev = h
+	widths := append(append([]int{in}, hidden...), classes)
+	n := 0
+	for i := 1; i < len(widths); i++ {
+		n += linearSize(widths[i-1], widths[i])
 	}
-	layers = append(layers, NewLinear(prev, classes, r))
-	return NewSequential(layers...)
+	st := newParamStore(n)
+	layers := []Module{NewFlatten()}
+	for i := 1; i < len(widths); i++ {
+		if i > 1 {
+			layers = append(layers, NewReLU())
+		}
+		layers = append(layers, newLinear(widths[i-1], widths[i], r, st))
+	}
+	return st.sequential(layers...)
 }
 
 // NewLinearModel constructs the convex case of Eq. (1): a single affine map
 // over flattened inputs (multinomial logistic regression under the
 // cross-entropy loss).
 func NewLinearModel(in, classes int, r *rng.RNG) *Sequential {
-	return NewSequential(NewFlatten(), NewLinear(in, classes, r))
+	return NewMLP(in, nil, classes, r)
 }
 
 // Factory builds fresh model replicas. Every federated client owns its own
 // replica; the factory guarantees they agree on architecture.
 type Factory func() Module
 
-// CloneInto copies src's parameters into dst. The two models must have the
-// same architecture (same flat dimension).
+// CloneInto copies src's parameters into dst, vector to vector. The two
+// models must have the same architecture (same flat dimension), and src
+// must be a Sequential (see ParamVector).
 func CloneInto(dst, src Module) {
-	SetParams(dst, FlattenParams(src, nil))
+	SetParams(dst, ParamVector(src))
 }
 
 // Predict runs a forward pass and returns the logits, which — like every

@@ -14,6 +14,12 @@
 // federated client owns its own model replica (see nn.CloneInto), exactly
 // as each APPFL client process owns its own torch module; replicas share
 // nothing, so they train and evaluate concurrently.
+//
+// A Sequential owns its parameters' storage: one flat vector of values and
+// one of gradients, each Parameter's Value and Grad a view into them at its
+// Params() offset. That is the flat weight vector federated learning
+// exchanges, so a client trains in ParamVector(m) and reads GradVector(m)
+// with no copy in or out of the layers.
 package nn
 
 import (
@@ -22,11 +28,53 @@ import (
 	"repro/internal/tensor"
 )
 
-// Parameter is one trainable tensor with its gradient accumulator.
+// Parameter is one trainable tensor with its gradient accumulator. Inside
+// a Sequential both are views into the model's two flat vectors (see
+// ParamVector); a layer reads them through its Parameter on every call.
 type Parameter struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+}
+
+// paramStore hands out parameters as consecutive views of one value vector
+// and one gradient vector, so a factory builds its layers directly over
+// the vectors its Sequential then owns. A layer built on its own gets a
+// store of its own size.
+type paramStore struct {
+	vals, grads []float64
+	off         int
+}
+
+func newParamStore(n int) *paramStore {
+	return &paramStore{vals: make([]float64, n), grads: make([]float64, n)}
+}
+
+// param returns the next parameter of the given shape, zero-valued.
+func (st *paramStore) param(name string, shape ...int) *Parameter {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	lo, hi := st.off, st.off+n
+	st.off = hi
+	return &Parameter{
+		Name:  name,
+		Value: tensor.FromSlice(st.vals[lo:hi:hi], shape...),
+		Grad:  tensor.FromSlice(st.grads[lo:hi:hi], shape...),
+	}
+}
+
+// sequential wraps layers built over the store in the Sequential that owns
+// its vectors. Every vector element must have been handed out, in the
+// order the layers list their parameters.
+func (st *paramStore) sequential(layers ...Module) *Sequential {
+	if st.off != len(st.vals) {
+		panic(fmt.Sprintf("nn: parameter store of %d holds %d", len(st.vals), st.off))
+	}
+	s := &Sequential{Layers: layers, vals: st.vals, grads: st.grads}
+	s.collect()
+	return s
 }
 
 // Module is the interface every layer and model implements. Backward takes
@@ -63,8 +111,36 @@ func NumParams(m Module) int {
 	return n
 }
 
+// ParamVector returns the live flat vector holding every parameter value
+// of m, in Params() order: writing it changes the model, and training in
+// it needs no SetParams. m must be a *Sequential (every model this package
+// builds is one; wrap any other Module with NewSequential). It panics when
+// a parameter is not stored in the vector — a layer swapped into
+// Sequential.Layers in place after construction.
+func ParamVector(m Module) []float64 {
+	vals, _ := sequential(m).vectors()
+	return vals
+}
+
+// GradVector returns the live flat vector holding every parameter gradient
+// of m, laid out like ParamVector: what Backward accumulated, with no
+// FlattenGrads copy. The same conditions as ParamVector's apply.
+func GradVector(m Module) []float64 {
+	_, grads := sequential(m).vectors()
+	return grads
+}
+
+func sequential(m Module) *Sequential {
+	s, ok := m.(*Sequential)
+	if !ok {
+		panic(fmt.Sprintf("nn: a %T has no parameter vectors; wrap it with NewSequential", m))
+	}
+	return s
+}
+
 // FlattenParams copies all parameter values of m into dst (allocating only
 // when dst's capacity is insufficient) in Params() order and returns it.
+// For a Sequential that is a copy of ParamVector.
 func FlattenParams(m Module, dst []float64) []float64 {
 	dst = sizeFor(dst, NumParams(m))
 	off := 0
@@ -75,7 +151,8 @@ func FlattenParams(m Module, dst []float64) []float64 {
 }
 
 // FlattenGrads copies all parameter gradients of m into dst in Params()
-// order and returns it, reusing dst's capacity like FlattenParams.
+// order and returns it, reusing dst's capacity like FlattenParams. For a
+// Sequential that is a copy of GradVector.
 func FlattenGrads(m Module, dst []float64) []float64 {
 	dst = sizeFor(dst, NumParams(m))
 	off := 0
@@ -97,11 +174,20 @@ func sizeFor(dst []float64, n int) []float64 {
 }
 
 // SetParams loads the flat vector src into the parameters of m. It panics if
-// the length does not match NumParams(m).
+// the length does not match NumParams(m). Into a Sequential it is one copy
+// into ParamVector(m) — none when src is that vector — and it panics, like
+// ParamVector, on a parameter stored outside the vector.
 func SetParams(m Module, src []float64) {
 	n := NumParams(m)
 	if len(src) != n {
 		panic(fmt.Sprintf("nn: SetParams length %d does not match model size %d", len(src), n))
+	}
+	if s, ok := m.(*Sequential); ok {
+		vals, _ := s.vectors()
+		if n > 0 && &vals[0] != &src[0] {
+			copy(vals, src)
+		}
+		return
 	}
 	off := 0
 	for _, p := range m.Params() {

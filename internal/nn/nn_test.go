@@ -322,8 +322,9 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
-// BenchmarkCNNForwardBackward times one training step (ZeroGrad → Forward →
-// CrossEntropy → BackwardParams → FlattenGrads) on a kept replica: the
+// BenchmarkCNNForwardBackward times one training step as a client runs it
+// (ZeroGrad → Forward → CrossEntropy → BackwardParams, then an SGD update of
+// ParamVector from GradVector — no copy in or out) on a kept replica: the
 // historical 16-sample CNN, and the two models the repo's benchmark trains
 // at their real batch sizes. B/op and allocs/op are the steady-state
 // figures TestTrainingStepAllocationGate holds down.
@@ -342,14 +343,16 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 			x := randT(rng.New(2), append([]int{c.n}, c.inShape...)...)
 			labels := make([]int, c.n)
 			var ce CrossEntropyLoss
-			grad := FlattenGrads(c.m, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ZeroGrad(c.m)
 				_, d := ce.Loss(c.m.Forward(x), labels)
 				BackwardParams(c.m, d)
-				grad = FlattenGrads(c.m, grad)
+				w := ParamVector(c.m)
+				for j, g := range GradVector(c.m) {
+					w[j] -= 1e-3 * g
+				}
 			}
 		})
 	}

@@ -12,12 +12,12 @@ import (
 )
 
 // TestTrainingStepAllocationGate: once the first steps have sized every
-// layer's workspace, a training step of the benchmark's CNN (SetParams →
-// ZeroGrad → Forward → CrossEntropy → BackwardParams → FlattenGrads)
-// allocates only what starting its worker goroutines costs — also when the
-// batch alternates between 64 and the epoch's trailing 48. Before the
-// layers owned their tensors a step made ~4 700 allocations totalling
-// ~47 MB.
+// layer's workspace, a training step of the benchmark's CNN as a client
+// runs it (ZeroGrad → Forward → CrossEntropy → BackwardParams, then an SGD
+// update of ParamVector from GradVector) allocates only what starting its
+// worker goroutines costs — also when the batch alternates between 64 and
+// the epoch's trailing 48. Before the layers owned their tensors a step
+// made ~4 700 allocations totalling ~47 MB.
 func TestTrainingStepAllocationGate(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -25,7 +25,6 @@ func TestTrainingStepAllocationGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	r := rng.New(1)
 	m := NewCNN(CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, r)
-	w := FlattenParams(m, nil)
 	type batch struct {
 		x      *tensor.Tensor
 		labels []int
@@ -35,16 +34,17 @@ func TestTrainingStepAllocationGate(t *testing.T) {
 		batches = append(batches, batch{randT(r, n, 1, 28, 28), make([]int, n)})
 	}
 	var ce CrossEntropyLoss
-	var grad []float64
 	i := 0
 	step := func() {
 		b := batches[i%len(batches)]
 		i++
-		SetParams(m, w)
 		ZeroGrad(m)
 		_, d := ce.Loss(m.Forward(b.x), b.labels)
 		BackwardParams(m, d)
-		grad = FlattenGrads(m, grad)
+		w := ParamVector(m)
+		for j, g := range GradVector(m) {
+			w[j] -= 0.01 * g
+		}
 	}
 	for k := 0; k < 4; k++ {
 		step() // size the workspaces, fill the goroutine free list
@@ -56,32 +56,31 @@ func TestTrainingStepAllocationGate(t *testing.T) {
 	}
 }
 
-// replicaRun trains a fresh replica for a few SGD steps on its own data,
-// with batch sizes that shrink and grow so every workspace is re-cut, and
-// returns the final parameters followed by every step's loss.
+// replicaRun trains a fresh replica in its own vectors for a few SGD steps
+// on its own data, with batch sizes that shrink and grow so every
+// workspace is re-cut, and returns the final parameters followed by every
+// step's loss.
 func replicaRun(factory Factory, seed uint64) []float64 {
 	m := factory()
 	r := rng.New(seed)
-	w := FlattenParams(m, nil)
+	w, grad := ParamVector(m), GradVector(m)
 	var ce CrossEntropyLoss
-	var grad, losses []float64
+	var losses []float64
 	for _, n := range []int{8, 5, 8, 3, 8, 5} {
 		x := randT(r, n, 1, 8, 8)
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = r.Intn(3)
 		}
-		SetParams(m, w)
 		ZeroGrad(m)
 		loss, d := ce.Loss(m.Forward(x), labels)
 		BackwardParams(m, d)
-		grad = FlattenGrads(m, grad)
 		for i, g := range grad {
 			w[i] -= 0.1 * g
 		}
 		losses = append(losses, loss)
 	}
-	return append(w, losses...)
+	return append(append([]float64(nil), w...), losses...)
 }
 
 // replicaEval runs forward passes of a fresh replica over fixed batches and

@@ -129,7 +129,7 @@ func (h *Host) RPCSpecs() []rpc.TenantSpec {
 		tspecs[t] = rpc.TenantSpec{
 			NumClients: s.Fed.NumClients(),
 			Rounds:     s.Config.Rounds,
-			ModelSize:  len(nn.FlattenParams(s.Factory(), nil)),
+			ModelSize:  nn.NumParams(s.Factory()),
 			Plan:       s.Plan,
 		}
 	}
