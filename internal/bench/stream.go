@@ -75,10 +75,11 @@ type StreamResult struct {
 }
 
 // RunStream measures the streaming aggregation path end to end: a cohort
-// of clients cuts synthetic model vectors into chunks and uploads them
-// ack-paced over an in-memory ChunkPipe, while a StreamSession folds each
-// cohort-wide chunk window into a FedAvg server — the identical engine
-// the runner drives when Config.StreamChunk is set. The headline numbers
+// of clients cuts synthetic model vectors into chunks and uploads them at
+// the pace of an in-memory ChunkPipe's bounded queues, while a
+// StreamSession folds each cohort-wide chunk window into a FedAvg server
+// — the identical engine the runner drives when Config.StreamChunk is
+// set. The headline numbers
 // are the resident window footprint (PeakBytes, deterministic) and the
 // streamed fold throughput (machine-dependent).
 func RunStream(o StreamOptions) (*StreamResult, error) {
@@ -109,10 +110,11 @@ func RunStream(o StreamOptions) (*StreamResult, error) {
 	for i := range cohort {
 		cohort[i] = i
 	}
-	// One streamed round: every client uploads ack-paced while the
-	// server folds the rotating chunk window. The round number is held
-	// at 1 across repetitions — the pipe is lossless, so replays of the
-	// same (round, index) keys are indistinguishable from fresh rounds.
+	// One streamed round: every client sends its chunks as fast as the
+	// pipe takes them while the server folds the rotating chunk window,
+	// and waits for the one ack after the last fold. The round number is
+	// held at 1 across repetitions: each repetition ends with every ack
+	// consumed, so the next starts on empty queues.
 	round := func() (*comm.StreamStats, error) {
 		var wg sync.WaitGroup
 		errs := make([]error, o.Clients)
@@ -126,7 +128,7 @@ func RunStream(o StreamOptions) (*StreamResult, error) {
 					NumSamples: uint64(16 + i%31),
 					Primal:     bases[i%baseVecs],
 				}
-				errs[i] = comm.StreamUpload(pipe.Client(i), u, o.Chunk, comm.UploadOptions{})
+				errs[i] = comm.StreamUpload(pipe.Client(i), u, o.Chunk)
 			}(i)
 		}
 		st, err := comm.StreamGather(pipe, cohort, 1, o.Dim, o.Chunk, ss.Begin, ss.FoldPayloads)

@@ -2,48 +2,33 @@ package comm
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
 
 // ChunkPipe is an in-memory chunk transport used by tests and the stream
-// benchmark: per-client channel pairs carrying wire-encoded chunks up
-// and acks down, with scriptable loss. Messages cross the pipe as codec
-// bytes — the same serialize/deserialize round trip the real transports
-// pay — so a struct reused by the sender can never alias the receiver's
-// copy, and malformed chunks are caught by the same Unmarshal validation.
+// benchmark: per-client channels carrying wire-encoded chunks up and acks
+// down. Messages cross the pipe as codec bytes — the same
+// serialize/deserialize round trip the real transports pay — so a struct
+// reused by the sender can never alias the receiver's copy, and malformed
+// chunks are caught by the same Unmarshal validation. Each client's chunk
+// queue holds 4 chunks; a client further ahead of the gather than that
+// blocks in SendChunk, which is the pace StreamUpload runs at.
 type ChunkPipe struct {
 	chunks []chan []byte
 	acks   []chan []byte
-
-	// DropChunk, when set, is consulted on every chunk send with the
-	// sending client, the chunk index, and the per-(round,index) attempt
-	// number (0 = first transmission); returning true silently discards
-	// the chunk — the loss the ack-paced retry must absorb.
-	DropChunk func(client, round, index uint32, attempt int) bool
-	// DropAck is DropChunk for the ack direction.
-	DropAck func(client, round, index uint32, attempt int) bool
-
-	mu       sync.Mutex
-	attempts map[[3]uint32]int // chunk transmissions per (client, round, index)
-	ackTries map[[3]uint32]int // ack transmissions per (client, round, index)
 }
 
-// NewChunkPipe builds a pipe for numClients clients. Queue capacity 4
-// comfortably holds the window-1 steady state (one chunk in flight plus
-// a retransmit racing its late ack).
+// NewChunkPipe builds a pipe for numClients clients.
 func NewChunkPipe(numClients int) *ChunkPipe {
 	p := &ChunkPipe{
-		chunks:   make([]chan []byte, numClients),
-		acks:     make([]chan []byte, numClients),
-		attempts: map[[3]uint32]int{},
-		ackTries: map[[3]uint32]int{},
+		chunks: make([]chan []byte, numClients),
+		acks:   make([]chan []byte, numClients),
 	}
 	for i := range p.chunks {
 		p.chunks[i] = make(chan []byte, 4)
-		p.acks[i] = make(chan []byte, 4)
+		p.acks[i] = make(chan []byte, 1) // one ack per upload
 	}
 	return p
 }
@@ -64,19 +49,10 @@ func (p *ChunkPipe) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	return mc, nil
 }
 
-// SendChunkAck acknowledges one chunk, subject to the DropAck script.
+// SendChunkAck acknowledges a folded stream.
 func (p *ChunkPipe) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= len(p.acks) {
 		return fmt.Errorf("comm: chunk ack to unknown client %d", client)
-	}
-	key := [3]uint32{a.ClientID, a.Round, a.Index}
-	p.mu.Lock()
-	attempt := p.ackTries[key]
-	p.ackTries[key]++
-	drop := p.DropAck != nil && p.DropAck(a.ClientID, a.Round, a.Index, attempt)
-	p.mu.Unlock()
-	if drop {
-		return nil
 	}
 	var e wire.Encoder
 	p.acks[client] <- e.Encode(a)
@@ -89,17 +65,8 @@ type ChunkPipeClient struct {
 	id int
 }
 
-// SendChunk uploads one chunk, subject to the pipe's DropChunk script.
+// SendChunk uploads one chunk, blocking while the client's queue is full.
 func (c *ChunkPipeClient) SendChunk(mc *wire.ModelChunk) error {
-	key := [3]uint32{mc.ClientID, mc.Round, mc.Index}
-	c.p.mu.Lock()
-	attempt := c.p.attempts[key]
-	c.p.attempts[key]++
-	drop := c.p.DropChunk != nil && c.p.DropChunk(mc.ClientID, mc.Round, mc.Index, attempt)
-	c.p.mu.Unlock()
-	if drop {
-		return nil
-	}
 	var e wire.Encoder
 	c.p.chunks[c.id] <- e.Encode(mc)
 	return nil

@@ -97,8 +97,7 @@ func (c *Comm) Recv(from int, tag int) []float64 {
 
 // RecvTimeout is Recv with a patience bound: ok reports whether a
 // message arrived before the timeout (timeout <= 0 waits forever). The
-// chunk-streaming ack path uses it so a lost ack costs one retransmit
-// instead of a hung client.
+// chunk-streaming ack receive uses it to honor its timeout.
 func (c *Comm) RecvTimeout(from int, tag int, timeout time.Duration) ([]float64, bool) {
 	if from < 0 || from >= c.world.size {
 		panic(fmt.Sprintf("mpi: Recv from invalid rank %d", from))

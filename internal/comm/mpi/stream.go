@@ -88,7 +88,7 @@ func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	return mc, nil
 }
 
-// SendChunkAck acknowledges one folded chunk back to its sender's rank.
+// SendChunkAck tells a client's rank that its stream is folded.
 func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.c.Size()-1 {
 		return fmt.Errorf("mpi: chunk ack to unknown client %d", client)

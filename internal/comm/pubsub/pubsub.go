@@ -279,14 +279,15 @@ func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*Serve
 		if err != nil {
 			return nil, nil, err
 		}
-		// Chunk queues hold the window-1 steady state plus a retransmit
-		// racing its late ack, matching comm.ChunkPipe.
+		// Chunk queues hold 4, matching comm.ChunkPipe: how far a client
+		// streams ahead of the gather before its Publish blocks. One ack
+		// comes back per upload.
 		mc, err := b.Subscribe(prefix+ChunkTopic(i), 4)
 		if err != nil {
 			return nil, nil, err
 		}
 		st.chunks[i] = mc
-		ack, err := b.Subscribe(prefix+ChunkAckTopic(i), 4)
+		ack, err := b.Subscribe(prefix+ChunkAckTopic(i), 1)
 		if err != nil {
 			return nil, nil, err
 		}

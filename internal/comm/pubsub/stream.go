@@ -44,7 +44,7 @@ func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	return mc, nil
 }
 
-// SendChunkAck publishes one chunk ack to its sender's ack topic.
+// SendChunkAck publishes a folded stream's ack to its sender's ack topic.
 func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.numClients {
 		return fmt.Errorf("pubsub: chunk ack to unknown client %d", client)

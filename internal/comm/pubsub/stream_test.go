@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/testutil/chunktest"
 	"repro/internal/wire"
 )
 
@@ -34,8 +35,7 @@ func TestStreamOverPubSub(t *testing.T) {
 				NumSamples: uint64(3 + i),
 				Primal:     v,
 			}
-			if err := comm.StreamUpload(ct, u, chunk,
-				comm.UploadOptions{AckTimeout: time.Second, MaxRetries: 2}); err != nil {
+			if err := comm.StreamUpload(ct, u, chunk); err != nil {
 				t.Errorf("client %d stream: %v", i, err)
 			}
 		}(i, ct)
@@ -87,4 +87,17 @@ func TestStreamAckTimeoutOverPubSub(t *testing.T) {
 	if _, err := clients[0].RecvChunkAck(10 * time.Millisecond); err != comm.ErrAckTimeout {
 		t.Fatalf("got %v, want ErrAckTimeout", err)
 	}
+}
+
+// TestStreamPushAheadOverPubSub: a client streaming while the gather waits
+// on a silent cohort member fills its chunk topic's queue of 4 and then
+// blocks in Publish; the round completes bit for bit once the silent
+// member streams.
+func TestStreamPushAheadOverPubSub(t *testing.T) {
+	srv, clients, err := NewFLBroker(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 20*64, 64, 4)
 }

@@ -15,7 +15,7 @@ import (
 // never wrong. Releasing while anything still reads the message is the one
 // way to get this wrong, which is why only the consumer that folded a
 // message releases it: the round loops after Aggregate and the journal
-// commit, StreamGather after a chunk's fold and ack.
+// commit, StreamGather after a chunk's fold.
 
 var (
 	updatePool = sync.Pool{New: func() any { return new(wire.LocalUpdate) }}

@@ -3,6 +3,7 @@ package rpc
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -121,6 +122,72 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// TestStreamedRoundAllocationGate is the gate of the streamed path: four
+// clients stream a 256k-parameter model in 16384-coordinate chunks over
+// loopback TCP into a StreamGather, and once warm-up rounds have filled
+// the chunk pool and sized every encoder, a round allocates fewer than 0.1
+// objects per chunk crossing the wire. (With an ack per chunk, a frame
+// header and write list per frame and a payload header per chunk, it
+// allocated 9.1.)
+func TestStreamedRoundAllocationGate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
+	}
+	const n, dim, chunk, warm, rounds = 4, 256 << 10, 16384, 10, 40
+	srv, clients := dialCluster(t, n, dim)
+	start := make([]chan uint32, n)
+	uploaded := make(chan error, n)
+	for i, c := range clients {
+		start[i] = make(chan uint32)
+		defer close(start[i])
+		go func(i int, c *Client) {
+			u := &wire.LocalUpdate{ClientID: uint32(i), NumSamples: uint64(i + 1), Primal: make([]float64, dim)}
+			for r := range start[i] {
+				u.Round = r
+				for k := range u.Primal {
+					u.Primal[k] = float64(i) + float64(r)/1024
+				}
+				uploaded <- comm.StreamUpload(c, u, chunk)
+			}
+		}(i, c)
+	}
+	all := comm.AllClients(n)
+	r := uint32(0)
+	round := func() {
+		r++
+		for _, s := range start {
+			s <- r
+		}
+		_, err := comm.StreamGather(srv, all, r, dim, chunk,
+			func([]uint64) error { return nil },
+			func(lo, hi int, payloads []*wire.Payload) error {
+				for i, p := range payloads {
+					if want := float64(i) + float64(r)/1024; p.Dense[hi-lo-1] != want {
+						return fmt.Errorf("round %d client %d: chunk [%d,%d) ends in %v, want %v", r, i, lo, hi, p.Dense[hi-lo-1], want)
+					}
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range clients {
+			if err := <-uploaded; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	mallocs, _ := testutil.AllocsPer(rounds, round)
+	perChunk := mallocs / float64(n*wire.ChunkPlan(dim, chunk))
+	t.Logf("per round: %.1f allocations, %.3f per chunk", mallocs, perChunk)
+	if perChunk >= 0.1 {
+		t.Errorf("a streamed round allocates %.3f objects per chunk, gate is 0.1", perChunk)
+	}
 }
 
 // steadyState runs warm rounds unmeasured, then rounds more, and returns

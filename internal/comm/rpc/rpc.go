@@ -68,21 +68,38 @@ func frameLimit(modelSize int) int {
 	return 16*modelSize + maxJoinFrame
 }
 
-// writeFrame sends one framed message — header and payload, which may
-// come in several slices (wire.Encoder.EncodeVectored) — in a single
-// vectored write. The slices themselves are left as they are, so the same
-// payload can go to several connections.
-func writeFrame(w io.Writer, kind wire.Kind, size int, payload ...[]byte) error {
+// frameWriter is one write side's frame scratch: the header bytes and the
+// vectored-write list, kept so a frame costs no allocation. It belongs to
+// one writer at a time — whichever goroutine owns that connection's write
+// side.
+type frameWriter struct {
+	hdr  [5]byte
+	list net.Buffers // header, then the payload slices
+	bufs net.Buffers // the view of list that WriteTo consumes
+}
+
+// write sends one framed message — header and payload, which may come in
+// several slices (wire.Encoder.EncodeVectored) — in a single vectored
+// write. The slices themselves are left as they are, so the same payload
+// can go to several connections.
+func (f *frameWriter) write(w io.Writer, kind wire.Kind, size int, payload ...[]byte) error {
 	if size > maxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	hdr[0] = byte(kind)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(size))
-	bufs := make(net.Buffers, 0, 1+len(payload))
-	bufs = append(append(bufs, hdr[:]), payload...)
-	_, err := bufs.WriteTo(w)
+	f.hdr[0] = byte(kind)
+	binary.BigEndian.PutUint32(f.hdr[1:], uint32(size))
+	f.list = append(append(f.list[:0], f.hdr[:]), payload...)
+	f.bufs = f.list
+	_, err := f.bufs.WriteTo(w)
+	clear(f.list) // hold no payload past the write
 	return err
+}
+
+// writeFrame is frameWriter.write with scratch of its own, for the
+// handshake frames written once per connection.
+func writeFrame(w io.Writer, kind wire.Kind, size int, payload ...[]byte) error {
+	var f frameWriter
+	return f.write(w, kind, size, payload...)
 }
 
 // frameHeader is the scratch a connection's reader keeps for the 5 header
@@ -185,8 +202,9 @@ type Server struct {
 	chunks []chan chunkArrival // per-global-slot streamed ModelChunks
 	done   chan struct{}
 
-	ackMu  sync.Mutex
-	ackEnc wire.Encoder // chunk acks; under ackMu
+	ackMu    sync.Mutex
+	ackEnc   wire.Encoder // chunk acks; under ackMu
+	ackFrame frameWriter  // under ackMu
 
 	mu       sync.Mutex
 	conns    []net.Conn    // indexed by global slot, swapped on resume
@@ -208,9 +226,10 @@ type TenantView struct {
 	arrivals chan arrival
 	ledger   *comm.Ledger
 
-	sendMu sync.Mutex   // one dispatch at a time: its encoded model is shared by the writers
-	enc    wire.Encoder // the dispatch's model, encoded once; under sendMu
-	segs   [][]byte     // that encoding's slices; under sendMu
+	sendMu sync.Mutex    // one dispatch at a time: its encoded model is shared by the writers
+	enc    wire.Encoder  // the dispatch's model, encoded once; under sendMu
+	segs   [][]byte      // that encoding's slices; under sendMu
+	frames []frameWriter // per client, for that client's dispatch writer; under sendMu
 }
 
 // arrival is one incoming update, decoded by its connection's reader, or
@@ -266,8 +285,9 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	chunks := make([]chan chunkArrival, total)
 	for i := range chunks {
-		// Capacity 4 holds the window-1 steady state plus a retransmit
-		// racing its late ack, matching comm.ChunkPipe.
+		// Capacity 4, matching comm.ChunkPipe: with the one chunk its
+		// reader holds and what TCP's window takes, this is how far a
+		// client streams ahead of the gather before its writes block.
 		chunks[i] = make(chan chunkArrival, 4)
 	}
 	s := &Server{
@@ -292,6 +312,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			n:        sizes[t],
 			arrivals: make(chan arrival, sizes[t]),
 			ledger:   comm.NewLedger(sizes[t]),
+			frames:   make([]frameWriter, sizes[t]),
 		}
 	}
 	return s, nil
@@ -623,7 +644,8 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 			defer wg.Done()
 			g := v.off + c
 			conn := s.conn(g)
-			err := writeFrame(conn, kind, size, payload...)
+			f := &v.frames[c]
+			err := f.write(conn, kind, size, payload...)
 			if err != nil {
 				// The write may have raced a session resume (the client
 				// dropped this connection as it spliced in a new one).
@@ -631,7 +653,7 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 				// once on the fresh connection; a client that never
 				// resumes keeps the original error.
 				if fresh := s.awaitFresh(g, conn); fresh != nil {
-					err = writeFrame(fresh, kind, size, payload...)
+					err = f.write(fresh, kind, size, payload...)
 				}
 			}
 			if err != nil {
@@ -829,12 +851,14 @@ type Client struct {
 	ack    wire.JoinAck
 	stats  comm.Stats
 
-	enc    wire.Encoder     // uplink messages
-	segs   [][]byte         // the current uplink message's slices
-	hdr    frameHeader      // downlink frame headers
-	dec    wire.Decoder     // downlink payloads, off the connection
-	global wire.GlobalModel // what RecvGlobal returns; recycled per call
-	limit  int              // downlink frame bound, from the JoinAck
+	enc      wire.Encoder     // uplink messages
+	segs     [][]byte         // the current uplink message's slices
+	frame    frameWriter      // uplink frames
+	hdr      frameHeader      // downlink frame headers
+	dec      wire.Decoder     // downlink payloads, off the connection
+	global   wire.GlobalModel // what RecvGlobal returns; recycled per call
+	chunkAck wire.ChunkAck    // what RecvChunkAck returns; recycled per call
+	limit    int              // downlink frame bound, from the JoinAck
 	// salvaged marks global as holding a model Resume read off the old
 	// connection, which the next RecvGlobal hands out. torn marks the
 	// current connection as having failed a read, possibly mid-frame:
@@ -1017,7 +1041,7 @@ func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
 // straight from where they are.
 func (c *Client) send(kind wire.Kind, m wire.Marshaler) error {
 	c.segs = c.enc.EncodeVectored(m, c.segs)
-	if err := writeFrame(c.current(), kind, c.enc.Len(), c.segs...); err != nil {
+	if err := c.frame.write(c.current(), kind, c.enc.Len(), c.segs...); err != nil {
 		return err
 	}
 	c.stats.AddSent(c.enc.Len())

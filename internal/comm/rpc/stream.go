@@ -34,14 +34,14 @@ func (s *Server) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	return ca.chunk, nil
 }
 
-// SendChunkAck acknowledges one folded chunk back to its sender.
+// SendChunkAck tells a client that its stream is folded.
 func (s *Server) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.cfg.NumClients {
 		return fmt.Errorf("rpc: chunk ack to unknown client %d", client)
 	}
 	s.ackMu.Lock()
 	defer s.ackMu.Unlock()
-	if err := writeFrame(s.conn(client), wire.KindChunkAck, len(s.ackEnc.Encode(a)), s.ackEnc.Bytes()); err != nil {
+	if err := s.ackFrame.write(s.conn(client), wire.KindChunkAck, len(s.ackEnc.Encode(a)), s.ackEnc.Bytes()); err != nil {
 		return fmt.Errorf("rpc: chunk ack to client %d: %w", client, err)
 	}
 	s.stats.AddSent(s.ackEnc.Len())
@@ -54,8 +54,9 @@ func (c *Client) SendChunk(mc *wire.ModelChunk) error {
 }
 
 // RecvChunkAck blocks for the next chunk ack; a positive timeout is
-// enforced with a read deadline and surfaces comm.ErrAckTimeout, so a
-// lost ack costs one retransmit instead of a hung upload.
+// enforced with a read deadline and surfaces comm.ErrAckTimeout. The ack
+// is decoded into storage the client keeps, and is valid until the next
+// RecvChunkAck.
 func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 	conn := c.current()
 	if timeout > 0 {
@@ -64,8 +65,7 @@ func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 		}
 		defer conn.SetReadDeadline(time.Time{})
 	}
-	var a wire.ChunkAck
-	kind, err := c.recv(conn, wire.KindChunkAck, &a)
+	kind, err := c.recv(conn, wire.KindChunkAck, &c.chunkAck)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
@@ -76,7 +76,7 @@ func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 	if kind != wire.KindChunkAck {
 		return nil, fmt.Errorf("rpc: expected ChunkAck, got %v", kind)
 	}
-	return &a, nil
+	return &c.chunkAck, nil
 }
 
 // Interface conformance checks.

@@ -2,11 +2,13 @@ package rpc
 
 import (
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/testutil/chunktest"
 	"repro/internal/wire"
 )
 
@@ -41,8 +43,7 @@ func TestStreamOverRPC(t *testing.T) {
 				NumSamples: uint64(7 + i),
 				Primal:     v,
 			}
-			if err := comm.StreamUpload(ct, u, chunk,
-				comm.UploadOptions{AckTimeout: time.Second, MaxRetries: 2}); err != nil {
+			if err := comm.StreamUpload(ct, u, chunk); err != nil {
 				t.Errorf("client %d stream: %v", i, err)
 				return
 			}
@@ -114,4 +115,26 @@ func TestStreamAckTimeoutOverRPC(t *testing.T) {
 	if a.Round != 1 || a.Index != 0 {
 		t.Fatalf("ack %+v", a)
 	}
+}
+
+// TestStreamPushAheadOverRPC: a client streaming while the gather waits on
+// a silent cohort member gets at most its slot's chunk channel (4), the
+// chunk its connection's reader holds and what the two socket buffers
+// take ahead; the round completes bit for bit once the silent member
+// streams. The buffers are shrunk so TCP's share of the bound is known:
+// Linux doubles each setting, so the pair holds 4×sockBuf bytes.
+func TestStreamPushAheadOverRPC(t *testing.T) {
+	const chunk, sockBuf = 8192, 32 << 10
+	const dim = 40 * chunk
+	srv, clients := dialCluster(t, 2, dim)
+	for i, c := range clients {
+		if err := c.current().(*net.TCPConn).SetWriteBuffer(sockBuf); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.conn(i).(*net.TCPConn).SetReadBuffer(sockBuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inSockets := (4*sockBuf + 8*chunk - 1) / (8 * chunk)
+	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, dim, chunk, 4+1+inSockets)
 }

@@ -170,11 +170,12 @@ func train(cfg Config, c ClientAlgorithm, gm *wire.GlobalModel, opts ClientOptio
 }
 
 // upload sends up, leaving it intact for a possible re-send. In streaming
-// mode the chunks carry the vector — ack-paced, waiting as long as the
-// slowest cohort member needs (every transport here is reliable, so an ack
-// is late, never lost; a dead connection surfaces as an error instead) —
-// and a slim update settles the round's obligation through the ordinary
-// gather.
+// mode the chunks carry the vector — back to back at the transport's pace,
+// then one ack once the server has folded them all, which waits as long as
+// the slowest cohort member needs (every transport here is reliable, so
+// the ack is late, never lost; a dead connection surfaces as an error
+// instead) — and a slim update settles the round's obligation through the
+// ordinary gather.
 func upload(cfg Config, ct comm.ClientTransport, up *wire.LocalUpdate) error {
 	if cfg.StreamChunk == 0 {
 		return ct.SendUpdate(up)
@@ -183,7 +184,7 @@ func upload(cfg Config, ct comm.ClientTransport, up *wire.LocalUpdate) error {
 	if !ok {
 		return fmt.Errorf("core: transport %T cannot stream chunked uploads", ct)
 	}
-	if err := comm.StreamUpload(cs, up, cfg.StreamChunk, comm.UploadOptions{}); err != nil {
+	if err := comm.StreamUpload(cs, up, cfg.StreamChunk); err != nil {
 		return err
 	}
 	primal, primalP := up.Primal, up.PrimalP

@@ -3,13 +3,14 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // runLosses executes one run and returns its per-round test losses.
-func runLosses(t *testing.T, cfg Config, tr Transport) []float64 {
+func runLosses(t *testing.T, cfg Config, opts RunOptions) []float64 {
 	t.Helper()
 	fed := parallelTestFed(3, 192, 48, 11)
-	res, err := Run(cfg, fed, parallelTestFactory(11), RunOptions{Transport: tr})
+	res, err := Run(cfg, fed, parallelTestFactory(11), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +24,23 @@ func runLosses(t *testing.T, cfg Config, tr Transport) []float64 {
 // TestRunStreamBitIdenticalToMonolithic: a full federation whose uplinks
 // stream as fixed-size chunks produces bit-for-bit the per-round losses
 // of the monolithic run, for dense and f16 uplinks, over every transport
-// that speaks the chunk protocol.
+// that speaks the chunk protocol — and over rpc with a straggler, whose
+// cohort-mates stream ahead of the gather while it trains.
 func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
-	transports := []Transport{TransportMPI, TransportPubSub, TransportRPC}
+	straggler := func(client, round int) time.Duration {
+		if client == 2 {
+			return 20 * time.Millisecond
+		}
+		return 0
+	}
+	runs := []RunOptions{
+		{Transport: TransportMPI},
+		{Transport: TransportPubSub},
+		{Transport: TransportRPC},
+		{Transport: TransportRPC, ClientDelay: straggler},
+	}
 	if testing.Short() {
-		transports = transports[:1]
+		runs = []RunOptions{runs[0], runs[3]}
 	}
 	for _, pipe := range []string{"", "clip:1,f16"} {
 		name := "dense"
@@ -39,18 +52,22 @@ func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
 				Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 32,
 				Seed: 7, Scheduler: SchedSyncAll, Pipeline: pipe,
 			}
-			ref := runLosses(t, base, TransportMPI)
-			for _, tr := range transports {
+			ref := runLosses(t, base, RunOptions{Transport: TransportMPI})
+			for _, opts := range runs {
 				streamed := base
 				streamed.StreamChunk = 4096
-				got := runLosses(t, streamed, tr)
+				got := runLosses(t, streamed, opts)
+				what := string(opts.Transport)
+				if opts.ClientDelay != nil {
+					what += " with a straggler"
+				}
 				if len(got) != len(ref) {
-					t.Fatalf("%s: %d rounds, want %d", tr, len(got), len(ref))
+					t.Fatalf("%s: %d rounds, want %d", what, len(got), len(ref))
 				}
 				for i := range ref {
 					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 						t.Fatalf("%s: round %d loss %v, monolithic %v — streaming changed the trajectory",
-							tr, i+1, got[i], ref[i])
+							what, i+1, got[i], ref[i])
 					}
 				}
 			}
@@ -66,10 +83,10 @@ func TestRunStreamSampledCohort(t *testing.T) {
 		Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 32,
 		Seed: 7, Scheduler: SchedSampled, CohortFraction: 0.7,
 	}
-	ref := runLosses(t, base, TransportMPI)
+	ref := runLosses(t, base, RunOptions{Transport: TransportMPI})
 	streamed := base
 	streamed.StreamChunk = 1000 // deliberately unaligned with dim
-	got := runLosses(t, streamed, TransportMPI)
+	got := runLosses(t, streamed, RunOptions{Transport: TransportMPI})
 	for i := range ref {
 		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("round %d loss %v, monolithic %v", i+1, got[i], ref[i])

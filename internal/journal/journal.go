@@ -95,9 +95,14 @@ type walFile interface {
 	Close() error
 }
 
+// walReader is what replay reads an opened WAL through: the file itself,
+// outside tests, which substitute a reader that fails partway through.
+var walReader = func(f *os.File) io.Reader { return f }
+
 // Open opens (creating if needed) the journal in dir, replaying any
 // existing checkpoint and WAL tail. The recovered state is available via
-// Recovered; the WAL is positioned for appending.
+// Recovered; the WAL is positioned for appending. A WAL read that fails
+// other than at the file's end fails Open and leaves the WAL as it was.
 func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
@@ -143,20 +148,28 @@ func Open(dir string) (*Journal, error) {
 // read only once its declared length fits in what is left of the file —
 // a torn header is never an allocation request — and every frame is read
 // into one buffer, which nothing decoded from it aliases (JournalRecord's
-// vectors are copied out).
+// vectors are copied out). Only the file's end ends the log or tears a
+// frame: any other read error fails the replay, so Open never cuts
+// records it could not read.
 func (j *Journal) replayWAL(wal *os.File, rec *Recovered) (good int64, torn bool, err error) {
 	info, err := wal.Stat()
 	if err != nil {
 		return 0, false, fmt.Errorf("journal: stat %s: %w", wal.Name(), err)
 	}
-	r := &countingReader{r: wal}
+	r := &countingReader{r: walReader(wal)}
+	readErr := func(err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil
+		}
+		return fmt.Errorf("journal: reading %s at offset %d: %w", wal.Name(), r.n, err)
+	}
 	var hdr [8]byte
 	var payload []byte
 	var dec wire.Decoder
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// Clean EOF ends the log; a partial header is a torn tail.
-			return good, err != io.EOF, nil
+			return good, err == io.ErrUnexpectedEOF, readErr(err)
 		}
 		n := int64(binary.BigEndian.Uint32(hdr[:4]))
 		sum := binary.BigEndian.Uint32(hdr[4:])
@@ -168,7 +181,7 @@ func (j *Journal) replayWAL(wal *os.File, rec *Recovered) (good int64, torn bool
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return good, true, nil
+			return good, true, readErr(err)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			return good, true, nil

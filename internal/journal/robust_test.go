@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"repro/internal/testutil"
@@ -158,6 +160,72 @@ func TestUnrecoverableAppendFailureSticks(t *testing.T) {
 		t.Fatal("the partial frame was not reported as a torn tail")
 	}
 	sameRecords(t, "reopen", j2.Recovered().Records, []*wire.JournalRecord{first})
+}
+
+// failingReader reads through r until budget bytes have gone, then fails
+// with EIO, as a disk error partway through the WAL does.
+type failingReader struct {
+	r      io.Reader
+	budget int
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.budget == 0 {
+		return 0, syscall.EIO
+	}
+	n, err := f.r.Read(p[:min(len(p), f.budget)])
+	f.budget -= n
+	return n, err
+}
+
+// TestWALReadErrorIsNotATornTail: a WAL read that fails with EIO after k
+// bytes, for every k across the log, fails Open and leaves the WAL's bytes
+// as they were; the records then all replay once the disk reads again. At
+// the parent Open took the error for a torn tail and cut every record
+// after it.
+func TestWALReadErrorIsNotATornTail(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir)
+	j.NoSync = true
+	want := []*wire.JournalRecord{rec(wire.JournalRoundStart, 1), vectorRecord(1), rec(wire.JournalCommit, 1)}
+	for _, r := range want {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walName)
+	before, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := walReader
+	defer func() { walReader = orig }()
+	for k := 0; k <= len(before); k++ {
+		walReader = func(f *os.File) io.Reader { return &failingReader{r: f, budget: k} }
+		if j, err := Open(dir); !errors.Is(err, syscall.EIO) {
+			if j != nil {
+				j.Close()
+			}
+			t.Fatalf("k=%d: open through a failing read returned %v, want EIO", k, err)
+		}
+		after, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("k=%d: the failed open changed the WAL from %d to %d bytes", k, len(before), len(after))
+		}
+	}
+	walReader = orig
+	j2 := mustOpen(t, dir)
+	defer j2.Close()
+	if j2.Recovered().TornTail {
+		t.Fatal("the WAL opened with a torn tail")
+	}
+	sameRecords(t, "reopen", j2.Recovered().Records, want)
 }
 
 // TestTornHugeHeaderIsNotAnAllocation: a WAL whose last header (the one a

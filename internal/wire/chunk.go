@@ -13,8 +13,7 @@ import "fmt"
 // NumSamples and Version ride every chunk (they are a few varint bytes
 // against a multi-KiB payload): the server needs every contributor's
 // sample count before the first fold to compute the FedAvg weights, and
-// repeating them makes each chunk self-describing — a retried chunk
-// carries everything needed to re-admit it.
+// repeating them makes each chunk self-describing.
 type ModelChunk struct {
 	ClientID   uint32 // producing client (uplink); unused on downlink
 	Round      uint32
@@ -179,10 +178,10 @@ func (c *ModelChunk) Unmarshal(d *Decoder) error {
 	return c.Validate()
 }
 
-// ChunkAck acknowledges one received (and folded) chunk back to its
-// sender — the flow-control signal of the streaming path. The sender
-// holds chunk Index until the ack arrives and retries it on a timeout,
-// so a dropped chunk costs one chunk retransmit, never a whole model.
+// ChunkAck tells a client that the server has folded its whole stream:
+// one ack per upload, naming the stream's last chunk Index, sent after
+// that chunk's fold. Flow control while the stream is in flight is the
+// transport's bounded per-client queue, not the ack.
 type ChunkAck struct {
 	ClientID uint32
 	Round    uint32

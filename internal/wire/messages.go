@@ -18,8 +18,8 @@ const (
 	// streaming path's unit of transfer for models too large to ride one
 	// message (see ModelChunk).
 	KindModelChunk Kind = 7
-	// KindChunkAck acknowledges one received chunk back to its sender, the
-	// flow-control/retry signal of the streaming path.
+	// KindChunkAck tells a client that its whole chunk stream is folded:
+	// one per upload, after the last chunk's fold.
 	KindChunkAck Kind = 8
 )
 
