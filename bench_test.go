@@ -1,13 +1,6 @@
-// Repository-level benchmarks: one per table and figure of the paper's
-// evaluation (Section IV), plus ablations for the design choices DESIGN.md
-// calls out. Run with:
-//
-//	go test -bench=. -benchmem
-//
-// Each benchmark regenerates its artifact at reduced scale and reports
-// headline quantities through b.ReportMetric so the paper-vs-measured
-// comparison in EXPERIMENTS.md can be refreshed from one command. The full
-// scale artifacts are produced by cmd/appfl-bench.
+// Repository-level benchmarks: the paper's tables and figures at reduced
+// scale, ablations, and the aggregation, codec and pipeline hot paths, each
+// reporting its headline quantity through b.ReportMetric.
 package appfl
 
 import (
@@ -164,8 +157,8 @@ func BenchmarkPipeline(b *testing.B) {
 }
 
 // BenchmarkKWayFold measures the batched aggregation kernel against the
-// per-update two-sweep fold it replaced, at the cohort size (K=8) and
-// model scale (1M parameters) of the perf suite. Sub-benchmarks:
+// per-update two-sweep fold it replaced, at a cohort of K=8 updates of a
+// 1M-parameter model. Sub-benchmarks:
 //
 //	TwoSweep — the pre-kernel path: zero sweep + one accumulator sweep
 //	           per update (K+1 passes over the accumulator);
@@ -175,7 +168,7 @@ func BenchmarkPipeline(b *testing.B) {
 //
 // Each reports Melem/s (K·dim elements per fold). The acceptance bar is
 // FoldK ≥ 1.5× TwoSweep on the CI bench machine; CI runs this with
-// -cpu 1,4 so both serial and parallel numbers land in the artifact.
+// -cpu 1,4 so both serial and parallel numbers land in the step summary.
 func BenchmarkKWayFold(b *testing.B) {
 	const (
 		dim = 1 << 20

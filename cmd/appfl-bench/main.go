@@ -4,30 +4,13 @@
 //
 // Usage:
 //
-//	appfl-bench [-only table1|fig2|fig3|fig4|hetero|commvol|scenarios|perf|stream|soak|all]
-//	            [-out results] [-scale small|medium|paper] [-json]
-//
-// An unknown -only value is rejected with the list of valid artifacts
-// (it used to match nothing and exit green without producing anything).
+//	appfl-bench [-only table1|fig2|fig3|fig4|hetero|commvol|scenarios|all]
+//	            [-out results] [-scale small|medium|paper]
 //
 // The -scale flag trades fidelity for time in the training-based Figure 2
 // sweep: "small" finishes in about a minute on a laptop, "paper" uses the
 // full geometry (203 FEMNIST writers, 50 rounds) and runs for hours.
-//
-// The "perf" artifact runs the machine-readable performance harness
-// (internal/bench): sharded-aggregation throughput and parallel speedup,
-// wire-codec MB/s, pipeline stage cost and compression ratios, and round
-// latency under a straggler. With -json the report is also written to
-// <out>/BENCH.json — the document CI diffs against BENCH_baseline.json.
-//
-// The "stream" artifact runs the chunked-uplink harness (bench.RunStream)
-// at the -dim/-stream-clients/-stream-chunk/-workers geometry: the
-// resident chunk-window footprint of a streamed round versus the
-// monolithic cohort, and the streamed fold throughput.
-//
-// The "soak" artifact runs the durability harness (bench.RunSoak): the
-// write-ahead journal's per-admit append cost and the crash-recovery
-// replay time over a 50-round journal.
+// Unknown -only and -scale values are rejected before anything runs.
 package main
 
 import (
@@ -35,96 +18,47 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
 // artifacts is the closed set of -only values; "all" runs every one.
-var artifacts = []string{"table1", "fig2", "fig3", "fig4", "hetero", "commvol", "scenarios", "perf", "stream", "soak"}
+var artifacts = []string{"table1", "fig2", "fig3", "fig4", "hetero", "commvol", "scenarios"}
 
-// slicesContains reports whether xs contains x.
-func slicesContains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
+// fig2Scale maps a -scale value to the Figure 2 sweep's geometry.
+func fig2Scale(scale string) (experiments.Fig2Options, error) {
+	switch scale {
+	case "small":
+		return experiments.Fig2Options{Rounds: 6, TrainSize: 384, TestSize: 128, Writers: 12}, nil
+	case "medium":
+		return experiments.Fig2Options{Rounds: 15, TrainSize: 1200, TestSize: 400, Writers: 40}, nil
+	case "paper":
+		return experiments.Fig2Options{Rounds: 50, TrainSize: 12000, TestSize: 2000, Writers: 203}, nil
 	}
-	return false
+	return experiments.Fig2Options{}, fmt.Errorf("unknown -scale %q; valid: small, medium, paper", scale)
 }
 
 func main() {
 	only := flag.String("only", "all", "artifact to regenerate: "+strings.Join(artifacts, "|")+"|all")
 	out := flag.String("out", "results", "output directory")
 	scale := flag.String("scale", "small", "fig2 scale: small|medium|paper")
-	jsonOut := flag.Bool("json", false, "write the perf report to <out>/BENCH.json")
-	dim := flag.Int("dim", 1<<20, "model dimension of the perf probes")
-	workers := flag.Int("workers", 8, "sharded width of the parallel perf probes")
-	streamClients := flag.Int("stream-clients", 8, "cohort size of the stream harness")
-	streamChunk := flag.Int("stream-chunk", 16384, "chunk size in coordinates of the stream harness")
-	printProcs := flag.Bool("print-gomaxprocs", false, "print the effective GOMAXPROCS and exit (CI records it next to the bench artifact)")
 	flag.Parse()
 
-	if *printProcs {
-		fmt.Println(runtime.GOMAXPROCS(0))
-		return
-	}
-	// An unknown -only used to match nothing and exit successfully having
-	// produced no artifact — a silently green no-op. Reject it instead.
-	if *only != "all" && !slicesContains(artifacts, *only) {
+	if *only != "all" && !slices.Contains(artifacts, *only) {
 		fatal(fmt.Errorf("unknown -only artifact %q; valid: %s, all", *only, strings.Join(artifacts, ", ")))
+	}
+	fig2Opts, err := fig2Scale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
 	run := func(name string) bool { return *only == "all" || *only == name }
 
-	if run("perf") {
-		rep, err := bench.NewSuite(bench.Options{Dim: *dim, Workers: *workers}).Run()
-		if err != nil {
-			fatal(err)
-		}
-		t := metrics.NewTable(
-			fmt.Sprintf("Performance harness (dim=%d, workers=%d, GOMAXPROCS=%d)", *dim, *workers, rep.GoMaxProcs),
-			"metric", "value", "unit", "direction", "gated")
-		for _, m := range rep.Metrics {
-			dir := "higher"
-			if !m.HigherIsBetter {
-				dir = "lower"
-			}
-			t.AddRowf(m.Name, fmt.Sprintf("%.3f", m.Value), m.Unit, dir, m.Gated)
-		}
-		emit(*out, "perf", t)
-		if *jsonOut {
-			path := filepath.Join(*out, "BENCH.json")
-			if err := rep.WriteJSON(path); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("perf: wrote %s (%d metrics)\n", path, len(rep.Metrics))
-		}
-	}
-	if run("stream") {
-		res, err := bench.RunStream(bench.StreamOptions{
-			Dim:     *dim,
-			Clients: *streamClients,
-			Chunk:   *streamChunk,
-			Workers: *workers,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		emit(*out, "stream", res.Table())
-	}
-	if run("soak") {
-		res, err := bench.RunSoak(bench.SoakOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		emit(*out, "soak", res.Table())
-	}
 	if run("table1") {
 		emit(*out, "table1", experiments.Table1())
 	}
@@ -166,28 +100,8 @@ func main() {
 			len(rows), crashed, rejoined, timedOut)
 	}
 	if run("fig2") {
-		opts := experiments.Fig2Options{}
-		switch *scale {
-		case "small":
-			opts.Rounds = 6
-			opts.TrainSize = 384
-			opts.TestSize = 128
-			opts.Writers = 12
-		case "medium":
-			opts.Rounds = 15
-			opts.TrainSize = 1200
-			opts.TestSize = 400
-			opts.Writers = 40
-		case "paper":
-			opts.Rounds = 50
-			opts.TrainSize = 12000
-			opts.TestSize = 2000
-			opts.Writers = 203
-		default:
-			fatal(fmt.Errorf("unknown scale %q", *scale))
-		}
 		fmt.Printf("fig2: running %s-scale sweep (this trains 48 federated models)...\n", *scale)
-		pts, t, err := experiments.Fig2(opts)
+		pts, t, err := experiments.Fig2(fig2Opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,8 +1,9 @@
 // Package docscheck keeps the documentation tree honest: the CLI flag
 // reference is cross-checked against the flag.* declarations in cmd/*/,
-// and every relative markdown link in README.md and docs/ must resolve.
-// Both checks parse source — code via go/ast, docs via their markdown
-// conventions — so drift fails CI instead of rotting silently.
+// every relative markdown link in README.md and docs/ must resolve, and
+// every test, benchmark and fuzz target they cite must exist. The checks
+// parse source — code via go/ast, docs via their markdown conventions —
+// so drift fails CI instead of rotting silently.
 package docscheck
 
 import (
@@ -12,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -255,10 +257,9 @@ func headings(raw string) map[string]bool {
 	return out
 }
 
-// TestDocsRelativeLinks fails on any broken relative link — missing
-// file or unknown heading anchor — in README.md and docs/*.md.
-func TestDocsRelativeLinks(t *testing.T) {
-	files := []string{filepath.Join(repoRoot, "README.md")}
+// docFiles returns README.md and every docs/*.md.
+func docFiles(t *testing.T) []string {
+	t.Helper()
 	docsGlob, err := filepath.Glob(filepath.Join(repoRoot, "docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -266,9 +267,13 @@ func TestDocsRelativeLinks(t *testing.T) {
 	if len(docsGlob) == 0 {
 		t.Fatal("no markdown files under docs/")
 	}
-	files = append(files, docsGlob...)
+	return append([]string{filepath.Join(repoRoot, "README.md")}, docsGlob...)
+}
 
-	for _, file := range files {
+// TestDocsRelativeLinks fails on any broken relative link — missing
+// file or unknown heading anchor — in README.md and docs/*.md.
+func TestDocsRelativeLinks(t *testing.T) {
+	for _, file := range docFiles(t) {
 		raw, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatalf("reading %s: %v", file, err)
@@ -323,4 +328,64 @@ func TestDocsPagesExist(t *testing.T) {
 			t.Errorf("README.md does not link %s", page)
 		}
 	}
+}
+
+// citedName matches a test, benchmark or fuzz target name as the docs
+// cite it: the go test prefix followed by what go test accepts after it.
+var citedName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+
+// testFunc matches a top-level test, benchmark or fuzz function.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+
+// TestDocsCitedNamesExist fails on any Test*, Benchmark* or Fuzz* name in
+// README.md and docs/*.md that no *_test.go in the module defines. A cited
+// name may be a prefix of defined ones, as a `go test -run` pattern is
+// (TestSoak, FuzzDecode).
+func TestDocsCitedNamesExist(t *testing.T) {
+	var defined []string
+	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != repoRoot {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			defined = append(defined, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defined) == 0 {
+		t.Fatal("no test functions found in the module")
+	}
+
+	cited := 0
+	for _, file := range docFiles(t) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		seen := make(map[string]bool)
+		for _, name := range citedName.FindAllString(string(raw), -1) {
+			if seen[name] {
+				continue
+			}
+			seen[name] = true
+			cited++
+			if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				t.Errorf("%s cites %s, which no *_test.go defines or begins", file, name)
+			}
+		}
+	}
+	t.Logf("%d cited names checked against %d test functions", cited, len(defined))
 }

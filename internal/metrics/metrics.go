@@ -1,6 +1,6 @@
-// Package metrics provides the measurement utilities used by the benchmark
-// harness: streaming moments, quantiles and box-plot statistics (Fig. 4b),
-// speedup tables (Fig. 3a), and plain-text/CSV rendering of result tables.
+// Package metrics holds the statistics of the experiments, flround and the
+// soak tests: streaming moments, quantiles and box plots (Fig. 4b), speedup
+// tables (Fig. 3a), and plain-text/CSV rendering of result tables.
 package metrics
 
 import (
