@@ -456,6 +456,10 @@ func TestDeployedServerSurvivesKill9(t *testing.T) {
 				resent += strings.Count(c.out.String(), "re-sent")
 			}
 			t.Logf("restart: %q; %d updates re-sent from memory", firstLine(restarted.out.String(), "journal replayed"), resent)
+			if done := firstLine(restarted.out.String(), "appfl-server: done"); !strings.Contains(done, " fsyncs, ") {
+				dump(t, restarted)
+				t.Fatalf("the journaled server's done line carries no journal counters: %q", done)
+			}
 		})
 	}
 }

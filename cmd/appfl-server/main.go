@@ -170,7 +170,13 @@ func serveOne(o *options, out io.Writer) error {
 			return err
 		}
 	}
-	fmt.Fprintf(out, "appfl-server: done; sent %d B, received %d B\n", res.DownloadsB, res.UploadsB)
+	fmt.Fprintf(out, "appfl-server: done; sent %d B, received %d B", res.DownloadsB, res.UploadsB)
+	if ropts.Journal != nil {
+		s := ropts.Journal.Stats()
+		fmt.Fprintf(out, "; journal %d frames, %d B, %d fsyncs, %d checkpoints; append %.3fs, fsync %.3fs, checkpoint %.3fs",
+			s.Frames, s.Bytes, s.Fsyncs, s.Checkpoints, s.AppendSec, s.FsyncSec, s.CheckpointSec)
+	}
+	fmt.Fprintln(out)
 	return nil
 }
 

@@ -77,6 +77,15 @@ type SoakStats struct {
 // only nil checks. Append failures stick: the first error poisons the
 // writer and surfaces at the next commit barrier, so a half-journaled
 // round can never be committed as if it were durable.
+//
+// A checkpoint runs behind the next dispatch: commit starts it with
+// Journal.StartCheckpoint and returns. The journal joins it at its next
+// call — the writer's next append (commit starts a checkpoint only while
+// err is nil, so that append reaches the journal), or the kill path's
+// Recover — and serve joins it before returning. Until then the checkpoint
+// reads the aggregator's model, which nothing folds into or restores
+// before the join: every fold follows an admit append, every restore a
+// Recover.
 type journalWriter struct {
 	j   *journal.Journal
 	err error
@@ -90,6 +99,8 @@ type journalWriter struct {
 	killed int // kills fired so far
 
 	scratch wire.JournalRecord
+	admits  []wire.JournalRecord
+	batch   []*wire.JournalRecord
 }
 
 func newJournalWriter(j *journal.Journal, checkpointEvery int, kills []ServerKill) *journalWriter {
@@ -119,12 +130,22 @@ func (jw *journalWriter) shouldKill(w KillWindow, round int) bool {
 	return false
 }
 
-// append journals one record, with the sticky-error discipline.
-func (jw *journalWriter) append(rec *wire.JournalRecord) {
+// append journals a batch of records with one Append, with the
+// sticky-error discipline.
+func (jw *journalWriter) append(recs ...*wire.JournalRecord) {
 	if jw == nil || jw.err != nil {
 		return
 	}
-	jw.err = jw.j.Append(rec)
+	jw.err = jw.j.Append(recs...)
+}
+
+// finish joins the checkpoint the last commit may have left running, so
+// that serve never returns with one in flight.
+func (jw *journalWriter) finish() error {
+	if jw == nil {
+		return nil
+	}
+	return jw.j.WaitCheckpoint()
 }
 
 // roundStart journals a round open (barrier) or dispatch (buffered).
@@ -143,28 +164,38 @@ func (jw *journalWriter) roundStart(round int, cohort []int, version uint64) {
 	jw.append(rec)
 }
 
-// admit journals one admitted update with its dense decoded primal. skip
-// lists client IDs already journaled for this round (a resumed round's
-// pre-crash admits), which must not be double-counted.
+// admitBatch journals the admitted updates with their dense decoded
+// primals in one Append — one fsync for the batch. skip lists client IDs
+// already journaled for this round (a resumed round's pre-crash admits),
+// which must not be double-counted. The records borrow the updates'
+// primals, which the append writes from the updates' own storage before
+// it returns.
 func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip map[int]bool) {
 	if jw == nil {
 		return
 	}
+	if cap(jw.admits) < len(data) {
+		jw.admits = make([]wire.JournalRecord, len(data))
+	}
+	jw.batch = jw.batch[:0]
 	for _, u := range data {
 		if skip[int(u.ClientID)] {
 			continue
 		}
-		rec := &jw.scratch
+		rec := &jw.admits[len(jw.batch)]
 		rec.Reset()
 		rec.Op = wire.JournalAdmit
 		rec.Round = uint32(round)
 		rec.ClientID = u.ClientID
 		rec.NumSamples = u.NumSamples
 		rec.BaseVersion = u.BaseVersion
-		// Borrowed for the append, which writes it to the WAL from the
-		// update's own storage before it returns.
 		rec.Primal = u.Primal
-		jw.append(rec)
+		jw.batch = append(jw.batch, rec)
+	}
+	if len(jw.batch) > 0 {
+		jw.append(jw.batch...)
+	}
+	for _, rec := range jw.batch {
 		rec.Primal = nil
 	}
 }
@@ -188,10 +219,10 @@ func (jw *journalWriter) ledger(op uint8, client, round, param uint32) {
 // commit journals the round's close — the new global model — then flushes
 // the sticky error: a round is durable only when everything journaled
 // before it landed. Every checkpointEvery-th commit also compacts the WAL
-// into a checkpoint snapshotting model + membership + inflight count.
-// Both borrow the aggregator's live model instead of copying it: nothing
-// touches the model between Aggregate and this return, and the journal
-// writes it straight from the aggregator's vector.
+// into a checkpoint snapshotting model + membership + inflight count,
+// started behind the next dispatch (see journalWriter). Both borrow the
+// aggregator's live model instead of copying it: the commit's append
+// writes it before returning, and the checkpoint reads it until the join.
 func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, inflight int) error {
 	if jw == nil {
 		return nil
@@ -217,7 +248,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 			Inflight:  uint64(inflight),
 		}
 		mem.snapshot(cp)
-		if err := jw.j.Checkpoint(cp); err != nil {
+		if err := jw.j.StartCheckpoint(cp); err != nil {
 			jw.err = err
 			return fmt.Errorf("core: checkpoint after round %d: %w", round, err)
 		}

@@ -390,6 +390,9 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		// The scripted kill -9: everything the loop held is discarded with
 		// no flush or goodbye, the scheduler/aggregator/membership are
 		// rebuilt from scratch, and the journal decides where to resume.
+		// Recover first joins a checkpoint the last commit left running: the
+		// simulated crash lands after it, where a real one might land before
+		// its rename, and either leaves a checkpoint replay accepts.
 		res.Soak.Kills++
 		if jw.gap > 0 {
 			time.Sleep(time.Duration(jw.gap) * 5 * time.Millisecond)
@@ -413,6 +416,9 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		res.Soak.Recoveries++
 		res.Soak.ReplayedRecords += resume.Replayed
 		res.Soak.RecoverySec = append(res.Soak.RecoverySec, time.Since(t0).Seconds())
+	}
+	if err := jw.finish(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("core: last checkpoint: %w", err)
 	}
 	res.Rejoined = mem.rejoined
 	res.TimedOut = mem.timedOut

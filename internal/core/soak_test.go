@@ -197,6 +197,64 @@ func TestSoakBufferedKillRecovers(t *testing.T) {
 	}
 }
 
+// TestSoakKillAfterBackgroundCheckpoint checkpoints after every commit, so
+// each checkpoint is still running behind the next dispatch when the loop
+// moves on, and kills the server right after checkpoint rounds in every
+// window. The barrier trajectory stays bit-identical to the kill-free run
+// and the buffered one converges; under -race the detector also watches
+// that nothing writes the model a checkpoint is reading before the join.
+func TestSoakKillAfterBackgroundCheckpoint(t *testing.T) {
+	kills := []ServerKill{
+		{Round: 2, Window: KillBetweenRounds},
+		{Round: 3, Window: KillAfterDispatch},
+		{Round: 4, Window: KillBeforeCommit},
+		{Round: 6, Window: KillBetweenRounds},
+	}
+	for _, tr := range []Transport{TransportMPI, TransportRPC} {
+		if testing.Short() && tr != TransportMPI {
+			continue
+		}
+		tr := tr
+		t.Run("syncall/"+string(tr), func(t *testing.T) {
+			t.Parallel()
+			cfg := scenConfig(SchedSyncAll, "")
+			cfg.Rounds = 6
+			base := runSoakScenario(t, cfg, RunOptions{Transport: tr})
+			res := runSoakScenario(t, cfg, RunOptions{
+				Transport:       tr,
+				Journal:         soakJournal(t),
+				CheckpointEvery: 1,
+				Kills:           kills,
+			})
+			assertMonotoneRounds(t, res, cfg.Rounds)
+			assertSoakStats(t, res, len(kills))
+			for i := range base.Rounds {
+				if res.Rounds[i].TestLoss != base.Rounds[i].TestLoss {
+					t.Fatalf("round %d loss %v differs from kill-free %v",
+						i+1, res.Rounds[i].TestLoss, base.Rounds[i].TestLoss)
+				}
+			}
+		})
+	}
+	t.Run("buffered", func(t *testing.T) {
+		t.Parallel()
+		cfg := scenConfig(SchedBuffered, "")
+		cfg.Rounds = 6
+		res := runSoakScenario(t, cfg, RunOptions{
+			Transport:       TransportMPI,
+			Journal:         soakJournal(t),
+			CheckpointEvery: 1,
+			Kills:           kills,
+		})
+		assertMonotoneRounds(t, res, cfg.Rounds)
+		assertSoakStats(t, res, len(kills))
+		base := baselineLoss(t, SchedBuffered, "identity", "")
+		if res.FinalLoss > base+2.5 {
+			t.Fatalf("final loss %.4f vs kill-free %.4f exceeds tolerance", res.FinalLoss, base)
+		}
+	})
+}
+
 // TestSoakCascadingKills kills the recovery itself: an after-dispatch kill
 // at round 2, a before-commit kill during the resumed completion of round
 // 2, and a between-rounds kill at round 3 — three recoveries back to

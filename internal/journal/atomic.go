@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // AtomicWriteFile writes the concatenation of segs to path so that a crash
@@ -44,21 +46,28 @@ func AtomicWriteFile(path string, perm os.FileMode, segs ...[]byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("journal: atomic write %s: rename: %w", path, err)
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename survives power
-// loss. Filesystems that cannot fsync a directory (some CI overlays) are
-// tolerated: the rename is still atomic, just not yet durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// EINVAL from exotic filesystems is not a caller-actionable error.
-		return nil
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("journal: atomic write %s: %w", path, err)
 	}
 	return nil
 }
+
+// syncDir fsyncs a directory so a just-completed rename survives power
+// loss. Filesystems that cannot fsync a directory (some CI overlays)
+// answer EINVAL or ENOTSUP, which are tolerated: the rename is still
+// atomic, just not yet durable. Any other error — EIO above all — means
+// the rename may not survive, and is returned.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("open dir: %w", err)
+	}
+	defer d.Close()
+	if err := dirSync(d); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return fmt.Errorf("directory fsync: %w", err)
+	}
+	return nil
+}
+
+// dirSync fsyncs an open directory; tests substitute one that fails.
+var dirSync = (*os.File).Sync

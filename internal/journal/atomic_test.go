@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/wire"
@@ -68,5 +69,32 @@ func TestPartialCheckpointWriteIsTypedError(t *testing.T) {
 		if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("prefix of %d bytes: want ErrCorrupt, got %v", cut, err)
 		}
+	}
+}
+
+// TestDirectoryFsyncErrorsSurface: a directory fsync that fails with EIO
+// fails AtomicWriteFile and Checkpoint — the rename it was to make durable
+// may not survive — while EINVAL and ENOTSUP, what filesystems that cannot
+// fsync a directory answer, are tolerated. At the parent every directory
+// fsync error was dropped.
+func TestDirectoryFsyncErrorsSurface(t *testing.T) {
+	orig := dirSync
+	defer func() { dirSync = orig }()
+	for _, c := range []struct {
+		errno syscall.Errno
+		fails bool
+	}{{syscall.EIO, true}, {syscall.EINVAL, false}, {syscall.ENOTSUP, false}} {
+		dirSync = func(d *os.File) error { return &os.PathError{Op: "sync", Path: d.Name(), Err: c.errno} }
+		dir := t.TempDir()
+		err := AtomicWriteFile(filepath.Join(dir, "model.ckpt"), 0o644, []byte("weights"))
+		if c.fails != errors.Is(err, c.errno) || !c.fails && err != nil {
+			t.Errorf("%v: AtomicWriteFile returned %v", c.errno, err)
+		}
+		j := mustOpen(t, dir)
+		err = j.Checkpoint(&wire.JournalCheckpoint{NextRound: 2, Version: 1, Weights: []float64{1, 2}})
+		if c.fails != errors.Is(err, c.errno) || !c.fails && err != nil {
+			t.Errorf("%v: Checkpoint returned %v", c.errno, err)
+		}
+		j.Close()
 	}
 }

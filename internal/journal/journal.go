@@ -17,6 +17,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -58,6 +60,9 @@ func (r *Recovered) Empty() bool {
 
 // Journal is an open write-ahead round journal rooted at one directory.
 // Not safe for concurrent use; the server's round loop is its only writer.
+// The exceptions are StartCheckpoint, which hands a checkpoint to a
+// goroutine that every later call joins first, and Stats, which may be
+// read while a write is in progress.
 //
 // A Journal holds no copy of what it writes: Append and Checkpoint encode
 // with wire.Encoder.EncodeVectored, so a record's (or a checkpoint's)
@@ -65,7 +70,7 @@ func (r *Recovered) Empty() bool {
 // keeps only the few encoded bytes around them. The caller's vectors are
 // read during the call and must not change until it returns.
 type Journal struct {
-	// NoSync skips the per-append fsync. The in-process soak harness (and
+	// NoSync skips the per-batch fsync. The in-process soak harness (and
 	// the append microbench) set it: they simulate process death, not
 	// power loss, so the OS page cache is part of the surviving "disk".
 	// Real servers leave it false.
@@ -77,11 +82,54 @@ type Journal struct {
 	err       error  // sticky: a write left the WAL's tail unknown
 	seq       uint64 // last assigned sequence number
 	recovered *Recovered
+	stats     *counters // kept across Recover
 
-	enc   wire.Encoder
-	segs  [][]byte // the encoded message: enc's bytes and views of the caller's vectors
-	frame [][]byte // a header, then segs
-	hdr   [len(checkpointMagic) + 8]byte
+	frames []frame       // the batch Append is writing
+	sums   chan []frame  // to the helper that sums a batch's frames; nil until the first Append
+	summed chan struct{} // from the helper: the batch's sums are in
+	hdr    [8]byte       // one WAL frame header
+
+	ckpt     frame
+	ckptHdr  [len(checkpointMagic) + 8]byte
+	ckptSegs [][]byte   // ckptHdr, then ckpt's segments
+	pending  chan error // the checkpoint StartCheckpoint left running; nil when none
+}
+
+// frame is one encoded message: the encoder's bytes interleaved with views
+// of the message's vectors, their total length and their CRC-32 (IEEE),
+// chained over the segments.
+type frame struct {
+	enc  wire.Encoder
+	segs [][]byte
+	n    int
+	sum  uint32
+}
+
+func (f *frame) encode(m wire.Marshaler) {
+	f.segs = f.enc.EncodeVectored(m, f.segs)
+	f.n = 0
+	for _, s := range f.segs {
+		f.n += len(s)
+	}
+}
+
+func (f *frame) checksum() {
+	f.sum = 0
+	for _, s := range f.segs {
+		f.sum = crc32.Update(f.sum, crc32.IEEETable, s)
+	}
+}
+
+// sumFrames is the helper goroutine of a journal's appends: it sums each
+// batch it is handed while the appending goroutine writes the same frames,
+// and reports back when the sums are in. It exits when in is closed.
+func sumFrames(in <-chan []frame, out chan<- struct{}) {
+	for fs := range in {
+		for i := range fs {
+			fs[i].checksum()
+		}
+		out <- struct{}{}
+	}
 }
 
 // walFile is what the journal needs of its open WAL; *os.File is the one
@@ -89,6 +137,7 @@ type Journal struct {
 // partway through a write.
 type walFile interface {
 	io.Writer
+	io.WriterAt
 	Truncate(size int64) error
 	Seek(offset int64, whence int) (int64, error)
 	Sync() error
@@ -107,7 +156,7 @@ func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", dir, err)
 	}
-	j := &Journal{dir: dir}
+	j := &Journal{dir: dir, stats: &counters{}}
 	rec := &Recovered{}
 	cp, err := loadCheckpoint(filepath.Join(dir, checkpointName))
 	if err != nil {
@@ -226,27 +275,70 @@ func (j *Journal) Seq() uint64 { return j.seq }
 // Dir returns the journal's root directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Append assigns rec the next sequence number and writes it as one framed
-// entry, fsyncing before returning (unless NoSync) — the write-ahead
-// barrier callers rely on: when Append returns, the transition is durable
-// and may take effect in memory. A failed Append leaves no part of its
-// frame in the WAL, so it can never hide the records appended after it;
-// if the WAL cannot be cut back, every later Append and Checkpoint fails
-// with the same error.
-func (j *Journal) Append(rec *wire.JournalRecord) error {
+// Append assigns recs the next sequence numbers and writes each as one
+// framed entry, fsyncing the batch once before returning (unless NoSync) —
+// the write-ahead barrier callers rely on: when Append returns, every
+// transition in the batch is durable and may take effect in memory.
+//
+// Each frame goes to the WAL as a zero header and its segments while the
+// journal's helper goroutine computes its CRC (a lone frame's is computed
+// after its write, on the calling goroutine); the real headers are then
+// written in order over the placeholders. A header that lands is its
+// frame's commit point: a crash before it leaves a zero header, which
+// replay treats as a torn tail, so only a prefix of the batch can ever
+// survive, and only frames whose header landed.
+//
+// A failed Append leaves no part of its batch in the WAL, so it can never
+// hide the records appended after it; if the WAL cannot be cut back, every
+// later Append and Checkpoint fails with the same error.
+func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 	if err := j.writable("append"); err != nil {
 		return err
 	}
-	rec.Seq = j.seq + 1
-	n, sum := j.encode(j.hdr[:8], rec)
-	if n > maxFrame {
-		return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", n)
+	if len(recs) == 0 {
+		return nil
 	}
-	binary.BigEndian.PutUint32(j.hdr[:4], uint32(n))
-	binary.BigEndian.PutUint32(j.hdr[4:8], sum)
-	err := writeAll(j.wal, j.frame)
+	start := time.Now()
+	if len(recs) > len(j.frames) {
+		j.frames = append(j.frames, make([]frame, len(recs)-len(j.frames))...)
+	}
+	fs := j.frames[:len(recs)]
+	size := int64(0)
+	for i, rec := range recs {
+		rec.Seq = j.seq + 1 + uint64(i)
+		fs[i].encode(rec)
+		if fs[i].n > maxFrame {
+			return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", fs[i].n)
+		}
+		size += 8 + int64(fs[i].n)
+	}
+	// A batch of several frames is summed on the helper while it is
+	// written. A lone frame is summed here: handing one frame over buys
+	// one CRC's worth of overlap for a wake-up, and now and then a runtime
+	// allocation (a wait record, a thread), which a warm single-record
+	// Append must not make.
+	helped := len(fs) > 1
+	if helped {
+		if j.sums == nil {
+			j.sums, j.summed = make(chan []frame, 1), make(chan struct{}, 1)
+			go sumFrames(j.sums, j.summed)
+		}
+		j.sums <- fs
+	}
+	err := j.writeFrames(fs)
+	if helped {
+		<-j.summed // the helper reads the caller's vectors until here
+	} else {
+		fs[0].checksum()
+	}
+	if err == nil {
+		err = j.writeHeaders(fs)
+	}
+	var synced time.Duration
 	if err == nil && !j.NoSync {
+		t := time.Now()
 		err = j.wal.Sync()
+		synced = time.Since(t)
 	}
 	if err != nil {
 		err = fmt.Errorf("journal: append: %w", err)
@@ -256,54 +348,124 @@ func (j *Journal) Append(rec *wire.JournalRecord) error {
 		}
 		return err
 	}
-	j.end += 8 + int64(n)
-	j.seq = rec.Seq
+	j.end += size
+	j.seq += uint64(len(recs))
+	j.stats.frames.Add(uint64(len(recs)))
+	j.stats.bytes.Add(uint64(size))
+	if !j.NoSync {
+		j.stats.fsyncs.Add(1)
+		j.stats.fsyncNs.Add(uint64(synced))
+	}
+	j.stats.appendNs.Add(uint64(time.Since(start)))
+	return nil
+}
+
+// zeroHeader is every frame's placeholder header until its CRC is known.
+var zeroHeader [8]byte
+
+// writeFrames writes the batch at the WAL's end, each frame behind a zero
+// header.
+func (j *Journal) writeFrames(fs []frame) error {
+	for i := range fs {
+		if _, err := j.wal.Write(zeroHeader[:]); err != nil {
+			return err
+		}
+		if err := writeAll(j.wal, fs[i].segs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeHeaders writes each frame's real header over its placeholder, in
+// order, so the frames whose headers have landed are always a prefix of
+// the batch.
+func (j *Journal) writeHeaders(fs []frame) error {
+	off := j.end
+	for i := range fs {
+		binary.BigEndian.PutUint32(j.hdr[:4], uint32(fs[i].n))
+		binary.BigEndian.PutUint32(j.hdr[4:], fs[i].sum)
+		if _, err := j.wal.WriteAt(j.hdr[:], off); err != nil {
+			return err
+		}
+		off += 8 + int64(fs[i].n)
+	}
 	return nil
 }
 
 // Checkpoint writes cp as the new compaction snapshot (atomically: tmp +
-// fsync + rename) stamped with the current sequence number, then truncates
-// the WAL — every appended record is now folded into the snapshot. A crash
-// between the rename and the truncation is harmless: replay skips tail
-// records at or before the checkpoint sequence.
+// fsync + rename + directory fsync) stamped with the current sequence
+// number, then truncates the WAL — every appended record is now folded
+// into the snapshot. A crash between the rename and the truncation is
+// harmless: replay skips tail records at or before the checkpoint
+// sequence.
 func (j *Journal) Checkpoint(cp *wire.JournalCheckpoint) error {
 	if err := j.writable("checkpoint"); err != nil {
 		return err
 	}
+	return j.checkpoint(cp)
+}
+
+// StartCheckpoint is Checkpoint on a goroutine of its own: it returns at
+// once, so the checkpoint's encoding, CRC, write, fsyncs, rename and WAL
+// truncation overlap whatever the caller does next. cp and the vectors it
+// refers to stay lent to the journal until the checkpoint is joined, by
+// WaitCheckpoint or by the next Append, Checkpoint, StartCheckpoint,
+// Recover or Close, each of which waits for it first and fails with its
+// error, if it failed, without doing anything else.
+func (j *Journal) StartCheckpoint(cp *wire.JournalCheckpoint) error {
+	if err := j.writable("checkpoint"); err != nil {
+		return err
+	}
+	done := make(chan error, 1)
+	j.pending = done
+	go func() { done <- j.checkpoint(cp) }()
+	return nil
+}
+
+// WaitCheckpoint joins the checkpoint StartCheckpoint left running, if
+// any, and returns its error.
+func (j *Journal) WaitCheckpoint() error {
+	if j.pending == nil {
+		return nil
+	}
+	err := <-j.pending
+	j.pending = nil
+	return err
+}
+
+func (j *Journal) checkpoint(cp *wire.JournalCheckpoint) error {
+	start := time.Now()
 	cp.Seq = j.seq
-	copy(j.hdr[:], checkpointMagic)
-	n, sum := j.encode(j.hdr[:], cp)
-	binary.BigEndian.PutUint32(j.hdr[len(checkpointMagic):], uint32(n))
-	binary.BigEndian.PutUint32(j.hdr[len(checkpointMagic)+4:], sum)
-	if err := AtomicWriteFile(filepath.Join(j.dir, checkpointName), 0o644, j.frame...); err != nil {
+	f := &j.ckpt
+	f.encode(cp)
+	f.checksum()
+	copy(j.ckptHdr[:], checkpointMagic)
+	binary.BigEndian.PutUint32(j.ckptHdr[len(checkpointMagic):], uint32(f.n))
+	binary.BigEndian.PutUint32(j.ckptHdr[len(checkpointMagic)+4:], f.sum)
+	j.ckptSegs = append(append(j.ckptSegs[:0], j.ckptHdr[:]), f.segs...)
+	if err := AtomicWriteFile(filepath.Join(j.dir, checkpointName), 0o644, j.ckptSegs...); err != nil {
 		return err
 	}
 	if err := j.rewind(0); err != nil {
 		j.err = fmt.Errorf("journal: truncating WAL after checkpoint: %w", err)
 		return j.err
 	}
+	j.stats.checkpoints.Add(1)
+	j.stats.checkpointNs.Add(uint64(time.Since(start)))
 	return nil
 }
 
-// writable reports why the journal cannot take a write, if it cannot.
+// writable joins any checkpoint in flight and reports why the journal
+// cannot take a write, if it cannot.
 func (j *Journal) writable(op string) error {
+	if err := j.WaitCheckpoint(); err != nil {
+		return err
+	}
 	if j.wal == nil {
 		return fmt.Errorf("journal: %s on a closed journal", op)
 	}
 	return j.err
-}
-
-// encode encodes m into j.frame behind head — head, then the encoder's
-// bytes interleaved with views of m's vectors — and returns m's encoded
-// length and its CRC-32 (IEEE), chained over the segments.
-func (j *Journal) encode(head []byte, m wire.Marshaler) (n int, sum uint32) {
-	j.segs = j.enc.EncodeVectored(m, j.segs)
-	j.frame = append(append(j.frame[:0], head), j.segs...)
-	for _, s := range j.segs {
-		n += len(s)
-		sum = crc32.Update(sum, crc32.IEEETable, s)
-	}
-	return n, sum
 }
 
 // rewind cuts the WAL back to off and puts the next append there.
@@ -367,9 +529,13 @@ func loadCheckpoint(path string) (*wire.JournalCheckpoint, error) {
 // and the journal re-opened from disk, replaying checkpoint + tail exactly
 // as a rebooted server would. The in-process kill -9 soak harness calls it
 // where a real deployment would re-exec. The receiver is rebound to the
-// fresh journal; the returned state is what survived.
+// fresh journal, keeping its NoSync and its Stats; the returned state is
+// what survived. A checkpoint in flight is joined first.
 func (j *Journal) Recover() (*Recovered, error) {
-	noSync := j.NoSync
+	if err := j.WaitCheckpoint(); err != nil {
+		return nil, err
+	}
+	j.stopHelper()
 	if j.wal != nil {
 		// A killed process does not flush or close anything gracefully; the
 		// OS still persists completed writes, which plain Close models.
@@ -382,23 +548,70 @@ func (j *Journal) Recover() (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
+	noSync, stats := j.NoSync, j.stats
 	*j = *nj
-	j.NoSync = noSync
+	j.NoSync, j.stats = noSync, stats
 	return j.recovered, nil
 }
 
-// Close flushes and closes the WAL.
+// Close joins any checkpoint in flight, then flushes and closes the WAL.
 func (j *Journal) Close() error {
+	firstErr := j.WaitCheckpoint()
+	j.stopHelper()
 	if j.wal == nil {
-		return nil
+		return firstErr
 	}
-	var firstErr error
 	if !j.NoSync {
-		firstErr = j.wal.Sync()
+		if err := j.wal.Sync(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	if err := j.wal.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	j.wal = nil
 	return firstErr
+}
+
+// stopHelper ends the goroutine that sums appended frames, if one runs.
+func (j *Journal) stopHelper() {
+	if j.sums != nil {
+		close(j.sums)
+		j.sums, j.summed = nil, nil
+	}
+}
+
+// Stats are a journal's running totals since Open, kept across Recover.
+// They are what an operator watches the journal by: the write volume, how
+// often it reached the disk, and the time each kind of write took.
+type Stats struct {
+	Frames        uint64  // WAL frames appended
+	Bytes         uint64  // WAL bytes appended, frame headers included
+	Fsyncs        uint64  // WAL fsyncs: one per appended batch unless NoSync
+	Checkpoints   uint64  // checkpoints written
+	AppendSec     float64 // wall time in Append, its fsyncs included
+	FsyncSec      float64 // wall time in the WAL fsyncs
+	CheckpointSec float64 // wall time writing checkpoints, on whichever goroutine wrote them
+}
+
+// counters back Stats. They are atomic so that Stats may be read while a
+// checkpoint runs on its own goroutine, or from a metrics scrape.
+type counters struct {
+	frames, bytes, fsyncs, checkpoints atomic.Uint64
+	appendNs, fsyncNs, checkpointNs    atomic.Uint64
+}
+
+// Stats returns the journal's totals so far. Safe to call concurrently
+// with the journal's writes; only successful writes are counted.
+func (j *Journal) Stats() Stats {
+	c := j.stats
+	return Stats{
+		Frames:        c.frames.Load(),
+		Bytes:         c.bytes.Load(),
+		Fsyncs:        c.fsyncs.Load(),
+		Checkpoints:   c.checkpoints.Load(),
+		AppendSec:     time.Duration(c.appendNs.Load()).Seconds(),
+		FsyncSec:      time.Duration(c.fsyncNs.Load()).Seconds(),
+		CheckpointSec: time.Duration(c.checkpointNs.Load()).Seconds(),
+	}
 }

@@ -20,13 +20,24 @@ var errInjected = errors.New("injected I/O failure")
 // failingWAL is a WAL whose writes fail once budget bytes have gone
 // through: the write that crosses the budget lands its first bytes and
 // then fails, as ENOSPC or EIO partway through a frame does. With
-// failSync the frame is written whole and the fsync fails; with
-// failTruncate the journal cannot cut the partial frame back out.
+// failHeader the frames are written whole and the header written over a
+// placeholder lands half and fails; with failSync everything is written
+// and the fsync fails; with failTruncate the journal cannot cut the
+// partial frame back out.
 type failingWAL struct {
 	*os.File
 	budget       int
+	failHeader   bool
 	failSync     bool
 	failTruncate bool
+}
+
+func (f *failingWAL) WriteAt(p []byte, off int64) (int, error) {
+	if f.failHeader {
+		n, _ := f.File.WriteAt(p[:len(p)/2], off)
+		return n, errInjected
+	}
+	return f.File.WriteAt(p, off)
 }
 
 func (f *failingWAL) Write(p []byte) (int, error) {
@@ -81,7 +92,8 @@ func vectorRecord(round uint32) *wire.JournalRecord {
 }
 
 // TestFailedAppendLeavesNoPartialFrame: a write that fails after k bytes,
-// for every k across one frame (and an fsync that fails after the whole
+// for every k across one frame (then a header write over the frame's
+// placeholder that fails halfway, and an fsync that fails after the whole
 // frame), leaves the WAL as it was — the next Append lands where the
 // failed one started and everything appended survives a reopen with no
 // torn tail. At the parent the partial frame stayed, and replay truncated
@@ -92,7 +104,7 @@ func TestFailedAppendLeavesNoPartialFrame(t *testing.T) {
 	var e wire.Encoder
 	frameLen := 8 + len(e.Encode(failed))
 	root := t.TempDir()
-	for k := 0; k <= frameLen; k++ {
+	for k := 0; k <= frameLen+1; k++ {
 		dir := filepath.Join(root, fmt.Sprint(k))
 		j := mustOpen(t, dir)
 		j.NoSync = k < frameLen
@@ -100,7 +112,7 @@ func TestFailedAppendLeavesNoPartialFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		file := j.wal.(*os.File)
-		j.wal = &failingWAL{File: file, budget: k, failSync: k == frameLen}
+		j.wal = &failingWAL{File: file, budget: min(k, frameLen), failHeader: k == frameLen, failSync: k > frameLen}
 		if err := j.Append(failed); !errors.Is(err, errInjected) {
 			t.Fatalf("k=%d: append through a failing write returned %v", k, err)
 		}
@@ -124,42 +136,55 @@ func TestFailedAppendLeavesNoPartialFrame(t *testing.T) {
 }
 
 // TestUnrecoverableAppendFailureSticks: when the partial frame cannot be
-// cut back out, the journal takes no further writes — every later Append
-// and Checkpoint returns the first error — so nothing is ever reported
-// durable behind a frame replay would treat as a torn tail.
+// cut back out — whether a frame write or the header write over its
+// placeholder failed — the journal takes no further writes: every later
+// Append and Checkpoint returns the first error, so nothing is ever
+// reported durable behind a frame replay would treat as a torn tail.
 func TestUnrecoverableAppendFailureSticks(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir)
-	j.NoSync = true
-	first := rec(wire.JournalRoundStart, 1)
-	if err := j.Append(first); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		wal  failingWAL
+	}{
+		{"frame write", failingWAL{budget: 20, failTruncate: true}},
+		{"header write", failingWAL{budget: 1 << 20, failHeader: true, failTruncate: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := mustOpen(t, dir)
+			j.NoSync = true
+			first := rec(wire.JournalRoundStart, 1)
+			if err := j.Append(first); err != nil {
+				t.Fatal(err)
+			}
+			file := j.wal.(*os.File)
+			fw := c.wal
+			fw.File = file
+			j.wal = &fw
+			err := j.Append(vectorRecord(1))
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("append through a failing write returned %v", err)
+			}
+			j.wal = file
+			if got := j.Append(rec(wire.JournalCommit, 1)); got != err {
+				t.Fatalf("append after an unrecoverable failure returned %v, want the first error %v", got, err)
+			}
+			if got := j.Checkpoint(&wire.JournalCheckpoint{NextRound: 2, Weights: []float64{1}}); got != err {
+				t.Fatalf("checkpoint after an unrecoverable failure returned %v, want the first error %v", got, err)
+			}
+			if j.Seq() != 1 {
+				t.Fatalf("seq %d after one successful append", j.Seq())
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2 := mustOpen(t, dir)
+			defer j2.Close()
+			if got := j2.Recovered(); !got.TornTail {
+				t.Fatal("the partial frame was not reported as a torn tail")
+			}
+			sameRecords(t, "reopen", j2.Recovered().Records, []*wire.JournalRecord{first})
+		})
 	}
-	file := j.wal.(*os.File)
-	j.wal = &failingWAL{File: file, budget: 20, failTruncate: true}
-	err := j.Append(vectorRecord(1))
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("append through a failing write returned %v", err)
-	}
-	j.wal = file
-	if got := j.Append(rec(wire.JournalCommit, 1)); got != err {
-		t.Fatalf("append after an unrecoverable failure returned %v, want the first error %v", got, err)
-	}
-	if got := j.Checkpoint(&wire.JournalCheckpoint{NextRound: 2, Weights: []float64{1}}); got != err {
-		t.Fatalf("checkpoint after an unrecoverable failure returned %v, want the first error %v", got, err)
-	}
-	if j.Seq() != 1 {
-		t.Fatalf("seq %d after one successful append", j.Seq())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2 := mustOpen(t, dir)
-	defer j2.Close()
-	if got := j2.Recovered(); !got.TornTail {
-		t.Fatal("the partial frame was not reported as a torn tail")
-	}
-	sameRecords(t, "reopen", j2.Recovered().Records, []*wire.JournalRecord{first})
 }
 
 // failingReader reads through r until budget bytes have gone, then fails

@@ -65,7 +65,7 @@ type Options struct {
 	// journals under JournalRoot/tenant-<t>, and a host restarted over
 	// the same root recovers every tenant independently.
 	JournalRoot string
-	// JournalNoSync skips per-append fsyncs (in-process kill tests only).
+	// JournalNoSync skips the journals' fsyncs (in-process kill tests only).
 	JournalNoSync bool
 	// CheckpointEvery compacts each tenant's journal every k commits.
 	CheckpointEvery int
