@@ -122,10 +122,15 @@ func composeFed() (*dataset.Federated, nn.Factory) {
 
 // TestConfigCompositions checks every point of the generated grid: a
 // config the validators accept runs two rounds to a finite loss, and one
-// they reject is rejected by a rule the table names.
+// they reject is rejected by a rule the table names. Every accepted
+// journaled point also runs with a server kill at round 2 in each kill
+// window (see checkKillWindows).
 func TestConfigCompositions(t *testing.T) {
 	fed, factory := composeFed()
 	fired := make([]bool, len(compositionRules))
+	// unjournaled holds each accepted unjournaled point's run, keyed by the
+	// point; the grid visits it just before its journaled twin.
+	unjournaled := make(map[composition]*Result)
 	for _, c := range compositions() {
 		cfg := c.config()
 		err := cfg.Validate()
@@ -174,10 +179,68 @@ func TestConfigCompositions(t *testing.T) {
 		if len(res.Rounds) != 2 || math.IsNaN(res.FinalLoss) || math.IsInf(res.FinalLoss, 0) {
 			t.Errorf("%v: %d rounds, final loss %v", c, len(res.Rounds), res.FinalLoss)
 		}
+		if !c.journal {
+			unjournaled[c] = res
+			continue
+		}
+		twin := c
+		twin.journal = false
+		checkKillWindows(t, c, fed, factory, unjournaled[twin])
 	}
 	for i, r := range compositionRules {
 		if !fired[i] {
 			t.Errorf("rule %q never rejected a config of the grid", r.name)
+		}
+	}
+}
+
+// checkKillWindows runs the journaled point c with a server kill at round
+// 2 in each kill window. A barrier run must reproduce base, the same
+// point's unjournaled run, bit for bit: per-round test loss and cohort
+// size. A buffered run folds in arrival order, so it must record every
+// round once, in order, with exactly one kill and one recovery.
+func checkKillWindows(t *testing.T, c composition, fed *dataset.Federated, factory nn.Factory, base *Result) {
+	t.Helper()
+	if base == nil {
+		t.Errorf("%v: no unjournaled run to compare with", c)
+		return
+	}
+	cfg := c.config()
+	for w := KillWindow(0); w < numKillWindows; w++ {
+		j, err := journal.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.NoSync = true
+		res, err := Run(cfg, fed, factory, RunOptions{
+			Transport: TransportMPI,
+			Journal:   j,
+			Kills:     []ServerKill{{Round: 2, Window: w}},
+		})
+		j.Close()
+		if err != nil {
+			t.Errorf("%v, kill %v: %v", c, w, err)
+			continue
+		}
+		if res.Soak.Kills != 1 || res.Soak.Recoveries != 1 {
+			t.Errorf("%v, kill %v: %d kills, %d recoveries; want 1 and 1", c, w, res.Soak.Kills, res.Soak.Recoveries)
+		}
+		if len(res.Rounds) != cfg.Rounds {
+			t.Errorf("%v, kill %v: %d rounds recorded, want %d", c, w, len(res.Rounds), cfg.Rounds)
+			continue
+		}
+		for i, rs := range res.Rounds {
+			if rs.Round != i+1 {
+				t.Errorf("%v, kill %v: round %d recorded as %d", c, w, i+1, rs.Round)
+				continue
+			}
+			if c.sched == SchedBuffered {
+				continue
+			}
+			if b := base.Rounds[i]; rs.TestLoss != b.TestLoss || rs.CohortSize != b.CohortSize {
+				t.Errorf("%v, kill %v: round %d loss %v cohort %d, unjournaled run %v cohort %d",
+					c, w, rs.Round, rs.TestLoss, rs.CohortSize, b.TestLoss, b.CohortSize)
+			}
 		}
 	}
 }

@@ -335,14 +335,8 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 	}
 
 	res := &Result{Config: cfg, ModelDim: len(w0)}
-	validateEvery := opts.ValidateEvery
-	if validateEvery <= 0 {
-		validateEvery = 1
-	}
-
-	mem := newMembership(P)
 	var jw *journalWriter
-	var resume *RecoveredServer
+	var recd *journal.Recovered // the journal state the next incarnation resumes from
 	if opts.Journal != nil {
 		if err := ValidateJournalConfig(cfg); err != nil {
 			return nil, nil, err
@@ -357,72 +351,69 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		}
 		jw = newJournalWriter(opts.Journal, opts.CheckpointEvery, kills)
 		res.Soak = &SoakStats{}
-		resume, err = RecoverServer(opts.Journal.Recovered(), P, sched.Barrier())
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := resume.Apply(agg); err != nil {
-			return nil, nil, err
-		}
-		if !resume.Fresh {
-			// Cold-start resume: the journal Run opened already held state.
-			res.Soak.Recoveries++
-			res.Soak.ReplayedRecords += resume.Replayed
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "journal replayed %d records; resuming at round %d\n", resume.Replayed, resume.NextRound)
-			}
-		}
-		mem = resume.mem
-		mem.onLedger = jw.ledger
+		recd = opts.Journal.Recovered()
 	} else if len(opts.Kills) > 0 {
 		return nil, nil, fmt.Errorf("core: RunOptions.Kills requires a Journal (an unjournaled kill is just a lost run)")
 	}
-	loop := runBarrierRounds
-	if !sched.Barrier() {
-		loop = runBufferedReleases
-	}
+	var s *server
 	var runErr error
+	var recoveryStart time.Time
 	for {
-		runErr = loop(cfg, sched, agg, serverPipe, st, refModel, fed, res, mem, validateEvery, opts.Progress, jw, resume, opts.Gate)
+		mem := newMembership(P)
+		var resume *RecoveredServer
+		if jw != nil {
+			// The journal decides where this incarnation starts: the state the
+			// journal held when Run opened it (a cold start, which is a
+			// recovery only if that journal was not empty), or what survived
+			// the last kill.
+			if resume, err = RecoverServer(recd, P, sched.Barrier()); err != nil {
+				return nil, nil, err
+			}
+			if err := resume.Apply(agg); err != nil {
+				return nil, nil, err
+			}
+			mem = resume.mem
+			mem.onLedger = jw.ledger
+			killed := res.Soak.Kills > 0
+			if killed || !resume.Fresh {
+				res.Soak.Recoveries++
+				res.Soak.ReplayedRecords += resume.Replayed
+			}
+			if killed {
+				res.Soak.RecoverySec = append(res.Soak.RecoverySec, time.Since(recoveryStart).Seconds())
+			} else if !resume.Fresh && opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "journal replayed %d records; resuming at round %d\n", resume.Replayed, resume.NextRound)
+			}
+		}
+		s = newServer(cfg, sched, agg, mem, serverPipe, st, refModel, fed, res, jw, opts)
+		runErr = s.run(resume)
 		if !errors.Is(runErr, errServerKilled) {
 			break
 		}
-		// The scripted kill -9: everything the loop held is discarded with
-		// no flush or goodbye, the scheduler/aggregator/membership are
-		// rebuilt from scratch, and the journal decides where to resume.
-		// Recover first joins a checkpoint the last commit left running: the
+		// The scripted kill -9: everything the incarnation held is discarded
+		// with no flush or goodbye, the aggregator and membership are rebuilt
+		// from scratch, and the journal decides where to resume. Recover
+		// first joins a checkpoint the last commit left running: the
 		// simulated crash lands after it, where a real one might land before
 		// its rename, and either leaves a checkpoint replay accepts.
 		res.Soak.Kills++
 		if jw.gap > 0 {
 			time.Sleep(time.Duration(jw.gap) * 5 * time.Millisecond)
 		}
-		t0 := time.Now()
-		recd, rerr := opts.Journal.Recover()
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, rerr)
+		recoveryStart = time.Now()
+		if recd, err = opts.Journal.Recover(); err != nil {
+			return nil, nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, err)
 		}
 		if agg, err = NewAggregator(cfg, w0, P); err != nil {
 			return nil, nil, err
 		}
-		if resume, err = RecoverServer(recd, P, sched.Barrier()); err != nil {
-			return nil, nil, err
-		}
-		if err := resume.Apply(agg); err != nil {
-			return nil, nil, err
-		}
-		mem = resume.mem
-		mem.onLedger = jw.ledger
-		res.Soak.Recoveries++
-		res.Soak.ReplayedRecords += resume.Replayed
-		res.Soak.RecoverySec = append(res.Soak.RecoverySec, time.Since(t0).Seconds())
 	}
 	if err := jw.finish(); err != nil && runErr == nil {
 		runErr = fmt.Errorf("core: last checkpoint: %w", err)
 	}
-	res.Rejoined = mem.rejoined
-	res.TimedOut = mem.timedOut
-	res.Crashed = mem.presumedDead()
+	res.Rejoined = s.mem.rejoined
+	res.TimedOut = s.mem.timedOut
+	res.Crashed = s.mem.presumedDead()
 	if runErr != nil {
 		return nil, nil, runErr
 	}
@@ -444,6 +435,152 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		final = agg.Weights()
 	}
 	return res, final, nil
+}
+
+// server is one incarnation of a federation's server half: the state a
+// kill -9 discards (aggregator, membership, dispatcher) next to what
+// outlives it (transport, journal writer, result). The round loops keep
+// only what differs between them — who is dispatched, how a batch is
+// gathered, the stream window, the buffered in-flight count — and hand
+// every batch to release.
+type server struct {
+	cfg       Config
+	sched     Scheduler
+	agg       Aggregator
+	buffered  *BufferedAggregator // agg, when it is the staleness-weighted one
+	pipe      *pipeline.Pipeline
+	fused     pipeline.FusedStage // non-nil: batches stay encoded for the fused fold
+	st        comm.ServerTransport
+	dispatch  *dispatcher
+	evalModel nn.Module
+	fed       *dataset.Federated
+	res       *Result
+	mem       *membership
+	jw        *journalWriter
+	gate      AdmissionGate
+	minCohort int
+	validate  int // evaluate every validate rounds
+	progress  io.Writer
+}
+
+func newServer(cfg Config, sched Scheduler, agg Aggregator, mem *membership, pipe *pipeline.Pipeline, st comm.ServerTransport,
+	evalModel nn.Module, fed *dataset.Federated, res *Result, jw *journalWriter, opts RunOptions) *server {
+	s := &server{
+		cfg: cfg, sched: sched, agg: agg, pipe: pipe, st: st,
+		dispatch:  newDispatcher(cfg, agg, st),
+		evalModel: evalModel, fed: fed, res: res,
+		mem: mem, jw: jw, gate: opts.Gate,
+		minCohort: max(cfg.MinCohort, 1),
+		validate:  max(opts.ValidateEvery, 1),
+		progress:  opts.Progress,
+	}
+	s.buffered, _ = agg.(*BufferedAggregator)
+	// Fast path of the kernel layer: fold still-encoded payloads when the
+	// stack's inverse fuses — bit-identical to decoding first and folding
+	// after. Journaled runs skip the fused fold: an admit record needs
+	// the dense decoded primal in hand before anything folds, so the
+	// inverse must run as its own pass.
+	if jw == nil {
+		s.fused, _ = EnableFusedFold(agg, pipe)
+	}
+	return s
+}
+
+// run drives this incarnation's rounds until the run ends, a scripted
+// kill lands (errServerKilled) or a round fails. resume is nil for an
+// unjournaled run.
+func (s *server) run(resume *RecoveredServer) error {
+	defer s.dispatch.release()
+	if s.sched.Barrier() {
+		return s.runBarrierRounds(resume)
+	}
+	return s.runBufferedReleases(resume)
+}
+
+// release is the one place a batch becomes the model, and so the one
+// place journal-before-effect is enforced. In order: under the admission
+// gate the gathered updates are decoded and admitted to the journal, the
+// before-commit kill window passes, and the batch folds; then the round
+// commits, the gathered updates go back to the transports, and the round
+// is recorded. batch is what folds, in fold order; gathered is the part of
+// it this incarnation gathered — all of it, except when a resumed round
+// refolds journaled admits, which the journal already holds and owns.
+// inflight is the open dispatch obligations the commit records.
+func (s *server) release(round int, batch, gathered []*wire.LocalUpdate, inflight int, start time.Time) error {
+	if err := s.fold(round, batch, gathered); err != nil {
+		return err
+	}
+	if err := s.jw.commit(round, s.agg, s.mem, inflight); err != nil {
+		return err
+	}
+	rs := RoundStats{Round: round, CohortSize: len(batch)}
+	for _, u := range batch {
+		// A replayed admit carries no ComputeSec and counts as 0.
+		rs.ComputeSec = max(rs.ComputeSec, u.ComputeSec)
+	}
+	// Folded and committed: nothing reads the gathered updates again, so
+	// their storage goes back to the transports for the next decode.
+	comm.ReleaseUpdates(gathered)
+	recordRound(s.res, rs, s.agg, s.evalModel, s.fed, s.cfg.Rounds, s.validate, start, s.dispatch.wbuf, s.progress)
+	return nil
+}
+
+// fold is release's gated half. The admission gate spans decode through
+// fold — the expensive part of a round's server-side work, and the part
+// that contends for the shared aggregation workers on a multi-tenant
+// host — on every round, resumed ones included. In streaming mode the
+// session already folded the chunks and advanced the version, so the slim
+// updates have nothing to decode or fold.
+func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
+	releaseGate := gateAcquire(s.gate, len(batch))
+	defer releaseGate()
+	streamed := s.cfg.StreamChunk > 0
+	if !streamed {
+		var err error
+		if s.fused != nil {
+			err = DecodeUpdatesFused(gathered, s.fused, s.agg.Dim())
+		} else {
+			err = DecodeUpdates(gathered, s.pipe, s.agg.Dim(), s.cfg.AggWorkers)
+		}
+		if err != nil {
+			return fmt.Errorf("core: decode round %d: %w", round, err)
+		}
+	}
+	s.jw.admitBatch(round, gathered, nil)
+	if s.jw.shouldKill(KillBeforeCommit, round) {
+		return errServerKilled
+	}
+	if streamed || len(batch) == 0 {
+		return nil
+	}
+	// The aggregator is the authority on what was actually folded vs
+	// dropped; read its counters rather than re-deriving staleness here.
+	prevStale, prevDropped := 0, 0
+	if s.buffered != nil {
+		prevStale, prevDropped = s.buffered.StaleApplied, s.buffered.Dropped
+	}
+	if err := s.agg.Aggregate(batch); err != nil {
+		return fmt.Errorf("core: aggregate round %d: %w", round, err)
+	}
+	if s.buffered != nil {
+		s.res.Stale += s.buffered.StaleApplied - prevStale
+		s.res.Dropped += s.buffered.Dropped - prevDropped
+	}
+	return nil
+}
+
+// open dispatches the current model to ids as the given round, then
+// journals the round start. A crash between the two leaves a dispatched
+// round the journal never heard of, which the restarted server simply
+// opens again — clients answer a repeated dispatch by re-sending the
+// update they already trained.
+func (s *server) open(ids []int, round int) error {
+	version, err := s.dispatch.send(ids, round, len(ids))
+	if err != nil {
+		return err
+	}
+	s.jw.roundStart(round, ids, version)
+	return nil
 }
 
 // recordRound finalizes one round's statistics, validating on cadence. The
@@ -554,9 +691,7 @@ func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []in
 
 // runBarrierRounds drives the classic synchronous structure: each round
 // the scheduler picks a cohort, the server sends the model to exactly that
-// cohort, blocks until the whole cohort reports, and aggregates. With the
-// SyncAll schedule and no RoundTimeout this reproduces the pre-refactor
-// loop bit for bit.
+// cohort, blocks until the whole cohort reports, and aggregates.
 //
 // With a RoundTimeout the round is fault-tolerant: the gather gives up at
 // the deadline, the round completes with whoever reported (quorum
@@ -564,151 +699,94 @@ func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []in
 // the silent clients are forgiven and benched with backoff, and goodbye
 // announcements are honored by excluding the client until its rejoin
 // lease expires.
-func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int, progress io.Writer,
-	jw *journalWriter, resume *RecoveredServer, gate AdmissionGate) error {
-	// Fast path of the kernel layer: fold still-encoded payloads when the
-	// stack's inverse fuses — bit-identical to the two-pass path it
-	// replaces. Journaled runs skip the fused fold: an admit record needs
-	// the dense decoded primal in hand before anything folds, so the
-	// inverse must run as its own pass.
-	var fusedStage pipeline.FusedStage
-	fused := false
-	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, serverPipe)
-	}
+func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
 	// (FedAvg, barrier scheduler, no RoundTimeout).
 	var stream *StreamSession
 	var chunkSrc comm.ChunkGatherer
-	if cfg.StreamChunk > 0 {
-		cg, ok := st.(comm.ChunkGatherer)
+	if s.cfg.StreamChunk > 0 {
+		cg, ok := s.st.(comm.ChunkGatherer)
 		if !ok {
-			return fmt.Errorf("core: transport %T cannot gather streamed chunks", st)
+			return fmt.Errorf("core: transport %T cannot gather streamed chunks", s.st)
 		}
-		ss, err := NewStreamSession(agg)
+		ss, err := NewStreamSession(s.agg)
 		if err != nil {
 			return err
 		}
 		stream, chunkSrc = ss, cg
 	}
-	minCohort := cfg.MinCohort
-	if minCohort <= 0 {
-		minCohort = 1
-	}
-	dispatch := newDispatcher(cfg, agg, st)
-	defer dispatch.release()
 	start := 1
+	var pending *PendingRound
 	if resume != nil {
-		start = resume.NextRound
-		if p := resume.Pending; p != nil {
+		start, pending = resume.NextRound, resume.Pending
+		if pending != nil {
+			start = pending.Round
+		}
+	}
+	for t := start; t <= s.cfg.Rounds; t++ {
+		roundStart := time.Now()
+		var batch, gathered []*wire.LocalUpdate
+		var cohort int
+		var err error
+		if pending != nil {
 			// The crashed process died with this round in flight: finish it
-			// from the journaled admits (plus a re-gather of whatever the
-			// journal missed) before any new round is scheduled.
-			if err := completeBarrierRound(cfg, agg, serverPipe, st, dispatch, evalModel, fed, res, mem, validateEvery, progress, jw, p); err != nil {
+			// from the journaled admits plus a re-gather of whatever the
+			// journal missed, before any new round is scheduled.
+			batch, gathered, err = s.regather(pending)
+			cohort, pending = len(pending.Cohort), nil
+		} else {
+			if s.jw.shouldKill(KillBetweenRounds, t) {
+				return errServerKilled
+			}
+			ids := s.mem.filter(s.sched.Cohort(t), t)
+			if s.cfg.RoundTimeout > 0 {
+				ids = dropUnreachable(s.st, s.mem, ids, t)
+			}
+			if len(ids) < s.minCohort {
+				return fmt.Errorf("core: round %d cohort has %d schedulable clients, quorum is %d: %w",
+					t, len(ids), s.minCohort, ErrQuorum)
+			}
+			if err := s.open(ids, t); err != nil {
 				return err
 			}
-			start = p.Round + 1
+			if s.jw.shouldKill(KillAfterDispatch, t) {
+				return errServerKilled
+			}
+			if stream != nil {
+				// The cohort streams its vectors chunk by chunk into the
+				// session's O(chunk) window; the slim updates gathered below
+				// settle the obligations but carry no payload.
+				if _, err := comm.StreamGather(chunkSrc, ids, uint32(t), s.agg.Dim(), s.cfg.StreamChunk,
+					stream.Begin, stream.FoldPayloads); err != nil {
+					return fmt.Errorf("core: stream round %d: %w", t, err)
+				}
+				if err := stream.Finish(); err != nil {
+					return fmt.Errorf("core: stream round %d: %w", t, err)
+				}
+			}
+			gathered, err = gatherCohort(s.cfg, s.st, s.mem, ids, t)
+			batch, cohort = gathered, len(ids)
 		}
-	}
-	for t := start; t <= cfg.Rounds; t++ {
-		if jw.shouldKill(KillBetweenRounds, t) {
-			return errServerKilled
-		}
-		roundStart := time.Now()
-		cohort := mem.filter(sched.Cohort(t), t)
-		if cfg.RoundTimeout > 0 {
-			cohort = dropUnreachable(st, mem, cohort, t)
-		}
-		if len(cohort) < minCohort {
-			return fmt.Errorf("core: round %d cohort has %d schedulable clients, quorum is %d: %w",
-				t, len(cohort), minCohort, ErrQuorum)
-		}
-		// Dispatch, then journal the round start: a crash between the two
-		// leaves a dispatched round the journal never heard of, which the
-		// restarted server simply opens again — clients answer a repeated
-		// dispatch by re-sending the update they already trained.
-		version, err := dispatch.send(cohort, t, len(cohort))
 		if err != nil {
 			return err
 		}
-		jw.roundStart(t, cohort, version)
-		if jw.shouldKill(KillAfterDispatch, t) {
-			return errServerKilled
-		}
-		if stream != nil {
-			// The cohort streams its vectors chunk by chunk into the
-			// session's O(chunk) window; the slim updates gathered below
-			// settle the obligations but carry no payload.
-			if _, err := comm.StreamGather(chunkSrc, cohort, uint32(t), agg.Dim(), cfg.StreamChunk,
-				stream.Begin, stream.FoldPayloads); err != nil {
-				return fmt.Errorf("core: stream round %d: %w", t, err)
-			}
-			if err := stream.Finish(); err != nil {
-				return fmt.Errorf("core: stream round %d: %w", t, err)
-			}
-		}
-		data, err := gatherCohort(cfg, st, mem, cohort, t)
-		if err != nil {
-			return err
-		}
-		if len(data) < minCohort {
+		if len(batch) < s.minCohort {
 			return fmt.Errorf("core: round %d completed with %d of %d clients, quorum is %d: %w",
-				t, len(data), len(cohort), minCohort, ErrQuorum)
+				t, len(batch), cohort, s.minCohort, ErrQuorum)
 		}
-		// The admission gate spans decode through fold: the expensive part
-		// of a round's server-side work, and the part that contends for the
-		// shared aggregation workers on a multi-tenant host.
-		releaseGate := gateAcquire(gate, len(data))
-		if stream == nil {
-			if fused {
-				err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
-			} else {
-				err = DecodeUpdates(data, serverPipe, agg.Dim(), cfg.AggWorkers)
-			}
-			if err != nil {
-				releaseGate()
-				return fmt.Errorf("core: decode round %d: %w", t, err)
-			}
-		}
-		maxCompute := 0.0
-		for _, u := range data {
-			if u.ComputeSec > maxCompute {
-				maxCompute = u.ComputeSec
-			}
-		}
-		jw.admitBatch(t, data, nil)
-		if jw.shouldKill(KillBeforeCommit, t) {
-			releaseGate()
-			return errServerKilled
-		}
-		if stream == nil {
-			// In streaming mode the session already folded the chunks and
-			// advanced the version; the slim updates have nothing to fold.
-			if err := agg.Aggregate(data); err != nil {
-				releaseGate()
-				return fmt.Errorf("core: aggregate round %d: %w", t, err)
-			}
-		}
-		releaseGate()
-		if err := jw.commit(t, agg, mem, 0); err != nil {
+		if err = s.release(t, batch, gathered, 0, roundStart); err != nil {
 			return err
 		}
-		rs := RoundStats{Round: t, ComputeSec: maxCompute, CohortSize: len(data)}
-		// Folded and committed: nothing reads the batch again, so its
-		// storage goes back to the transports for the next round's decode.
-		comm.ReleaseUpdates(data)
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, dispatch.wbuf, progress)
 	}
 	return nil
 }
 
-// completeBarrierRound finishes the round a crashed server left in flight:
-// the journaled admits are taken as-is (their primals were written before
-// the crash), the rest of the cohort is re-gathered, and the merged batch
-// folds in cohort order — the order the uncrashed gather would have
+// regather collects the round a crashed server left in flight: the
+// journaled admits are taken as-is (their primals were written before the
+// crash), the rest of the cohort is gathered again, and the merged batch
+// comes back in cohort order — the order the uncrashed gather would have
 // produced — so the refold is bit-identical to the fold the crash
 // interrupted. Whom the re-gather has to ask again is read off the
 // transport: a member whose obligation is still open (the transport
@@ -716,28 +794,20 @@ func runBarrierRounds(cfg Config, sched Scheduler, agg Aggregator, serverPipe *p
 // the original dispatch; one with none (a restarted process starts with an
 // empty ledger) gets the round's model again and answers by re-sending the
 // update it already trained, or by training if the model never reached it.
-func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	dispatch *dispatcher, evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int,
-	progress io.Writer, jw *journalWriter, p *PendingRound) error {
-	roundStart := time.Now()
-	minCohort := cfg.MinCohort
-	if minCohort <= 0 {
-		minCohort = 1
-	}
+func (s *server) regather(p *PendingRound) (batch, gathered []*wire.LocalUpdate, err error) {
 	admitted := p.AdmittedSet()
 	remaining := make([]int, 0, len(p.Cohort))
 	for _, c := range p.Cohort {
 		// Skip journaled admits (dedup by client × round: re-gathering one
 		// would double-count it) and clients the replayed ledger knows left
 		// or went silent during the crashed attempt.
-		if !admitted[c] && mem.eligible(c, p.Round) {
+		if !admitted[c] && s.mem.eligible(c, p.Round) {
 			remaining = append(remaining, c)
 		}
 	}
-	var fresh []*wire.LocalUpdate
 	if len(remaining) > 0 {
 		owing := make(map[int]bool)
-		for _, c := range st.Outstanding() {
+		for _, c := range s.st.Outstanding() {
 			owing[c] = true
 		}
 		var again []int
@@ -747,55 +817,28 @@ func completeBarrierRound(cfg Config, agg Aggregator, serverPipe *pipeline.Pipel
 			}
 		}
 		if len(again) > 0 {
-			if _, err := dispatch.send(again, p.Round, len(p.Cohort)); err != nil {
-				return err
+			if _, err := s.dispatch.send(again, p.Round, len(p.Cohort)); err != nil {
+				return nil, nil, err
 			}
 		}
-		var err error
-		if fresh, err = gatherCohort(cfg, st, mem, remaining, p.Round); err != nil {
-			return err
+		if gathered, err = gatherCohort(s.cfg, s.st, s.mem, remaining, p.Round); err != nil {
+			return nil, nil, err
 		}
-		if err := DecodeUpdates(fresh, serverPipe, agg.Dim(), cfg.AggWorkers); err != nil {
-			return fmt.Errorf("core: decode resumed round %d: %w", p.Round, err)
-		}
-		jw.admitBatch(p.Round, fresh, admitted)
 	}
-	byID := make(map[int]*wire.LocalUpdate, len(p.Admitted)+len(fresh))
+	byID := make(map[int]*wire.LocalUpdate, len(p.Admitted)+len(gathered))
 	for _, u := range p.Admitted {
 		byID[int(u.ClientID)] = u
 	}
-	for _, u := range fresh {
+	for _, u := range gathered {
 		byID[int(u.ClientID)] = u
 	}
-	data := make([]*wire.LocalUpdate, 0, len(byID))
+	batch = make([]*wire.LocalUpdate, 0, len(byID))
 	for _, c := range p.Cohort {
 		if u, ok := byID[c]; ok {
-			data = append(data, u)
+			batch = append(batch, u)
 		}
 	}
-	if len(data) < minCohort {
-		return fmt.Errorf("core: resumed round %d completed with %d of %d clients, quorum is %d: %w",
-			p.Round, len(data), len(p.Cohort), minCohort, ErrQuorum)
-	}
-	maxCompute := 0.0
-	for _, u := range data {
-		if u.ComputeSec > maxCompute {
-			maxCompute = u.ComputeSec
-		}
-	}
-	if jw.shouldKill(KillBeforeCommit, p.Round) {
-		return errServerKilled
-	}
-	if err := agg.Aggregate(data); err != nil {
-		return fmt.Errorf("core: aggregate resumed round %d: %w", p.Round, err)
-	}
-	if err := jw.commit(p.Round, agg, mem, 0); err != nil {
-		return err
-	}
-	rs := RoundStats{Round: p.Round, ComputeSec: maxCompute, CohortSize: len(data)}
-	comm.ReleaseUpdates(fresh)
-	recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, roundStart, nil, progress)
-	return nil
+	return batch, gathered, nil
 }
 
 // dropUnreachable removes clients the transport currently knows cannot
@@ -848,241 +891,97 @@ func splitControl(updates []*wire.LocalUpdate, mem *membership) []*wire.LocalUpd
 // runBufferedReleases drives the FedBuff-style semi-asynchronous
 // structure: every client trains continuously against the freshest model
 // it has; the server releases an aggregation as soon as K updates arrive
-// (in arrival order, regardless of origin) and immediately re-dispatches
-// the new model to exactly the clients that contributed. Stragglers never
-// block a release; their updates arrive with positive staleness and are
-// down-weighted or dropped by the BufferedAggregator.
-func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe *pipeline.Pipeline, st comm.ServerTransport,
-	evalModel nn.Module, fed *dataset.Federated, res *Result, mem *membership, validateEvery int, progress io.Writer,
-	jw *journalWriter, resume *RecoveredServer, gate AdmissionGate) error {
-	quorum := sched.Quorum()
-	// Journaled runs skip the fused fold: an admit record needs the dense
-	// decoded primal before anything folds.
-	var fusedStage pipeline.FusedStage
-	fused := false
-	if jw == nil {
-		fusedStage, fused = EnableFusedFold(agg, serverPipe)
-	}
-	dispatcher := newDispatcher(cfg, agg, st)
-	defer dispatcher.release()
-	dispatch := func(ids []int, round int) error {
-		version, err := dispatcher.send(ids, round, len(ids))
-		if err != nil {
-			return err
-		}
-		jw.roundStart(round, ids, version)
-		return nil
-	}
-	buffered, _ := agg.(*BufferedAggregator)
-	start := 1
-	outstanding := 0
+// (in arrival order, regardless of origin) and, once the release is
+// recorded, re-dispatches the new model to exactly the clients that
+// contributed. Stragglers never block a release; their updates arrive
+// with positive staleness and are down-weighted or dropped by the
+// BufferedAggregator.
+func (s *server) runBufferedReleases(resume *RecoveredServer) error {
+	quorum := s.sched.Quorum()
+	start, outstanding := 1, 0
+	var pending *PendingRound
 	if resume != nil && !resume.Fresh {
 		// The obligations the crashed process opened are still live on the
 		// surviving transports; resume against them instead of re-dispatching.
-		start = resume.NextRound
-		outstanding = resume.Inflight
-		if p := resume.Pending; p != nil {
+		start, outstanding, pending = resume.NextRound, resume.Inflight, resume.Pending
+		if pending != nil {
+			start = pending.Round
+		}
+	} else {
+		all := s.sched.Cohort(1)
+		if err := s.open(all, 1); err != nil {
+			return fmt.Errorf("core: initial dispatch: %w", err)
+		}
+		outstanding = len(all)
+	}
+	for rel := start; rel <= s.cfg.Rounds; rel++ {
+		relStart := time.Now()
+		var batch, gathered []*wire.LocalUpdate
+		if pending != nil {
 			// The crashed process died after admitting this release batch but
 			// before committing it. Refold the journaled admits — staleness is
 			// computed against the restored version, exactly as the pre-crash
 			// fold would have — then close the release and hand the
 			// contributors the fresh model the dead process never sent.
-			relStart := time.Now()
-			prevStale, prevDropped := 0, 0
-			if buffered != nil {
-				prevStale, prevDropped = buffered.StaleApplied, buffered.Dropped
-			}
-			if len(p.Admitted) > 0 {
-				if err := agg.Aggregate(p.Admitted); err != nil {
-					return fmt.Errorf("core: aggregate resumed release %d: %w", p.Round, err)
-				}
-			}
-			if buffered != nil {
-				res.Stale += buffered.StaleApplied - prevStale
-				res.Dropped += buffered.Dropped - prevDropped
-			}
-			if err := jw.commit(p.Round, agg, mem, outstanding); err != nil {
-				return err
-			}
-			if p.Round < cfg.Rounds {
-				ids := make([]int, 0, len(p.Admitted))
-				for _, u := range p.Admitted {
-					ids = append(ids, int(u.ClientID))
-				}
-				ids = append(ids, mem.dueRejoins(p.Round+1)...)
-				if cfg.RoundTimeout > 0 {
-					inflight := make(map[int]bool)
-					for _, c := range st.Outstanding() {
-						inflight[c] = true
-					}
-					ids = append(ids, mem.dueRetries(p.Round+1, inflight)...)
-					ids = dropUnreachable(st, mem, ids, p.Round)
-				}
-				if len(ids) > 0 {
-					if err := dispatch(ids, p.Round+1); err != nil {
-						return fmt.Errorf("core: re-dispatch after resumed release %d: %w", p.Round, err)
-					}
-					outstanding += len(ids)
-				}
-			}
-			// ComputeSec is client metadata the admit record does not carry;
-			// a resumed release reports 0 for it.
-			rs := RoundStats{Round: p.Round, CohortSize: len(p.Admitted)}
-			recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, dispatcher.wbuf, progress)
-			start = p.Round + 1
-		}
-	} else {
-		all := sched.Cohort(1)
-		if err := dispatch(all, 1); err != nil {
-			return fmt.Errorf("core: initial dispatch: %w", err)
-		}
-		outstanding = len(all)
-	}
-	for rel := start; rel <= cfg.Rounds; rel++ {
-		if jw.shouldKill(KillBetweenRounds, rel) {
-			return errServerKilled
-		}
-		relStart := time.Now()
-		if outstanding == 0 {
-			// Everyone in flight went silent at once (a stall longer than
-			// the deadline, or every upload lost in one window). Instead
-			// of dying, fast-forward to the earliest bench expiry or
-			// rejoin lease and re-dispatch there — a transient all-silent
-			// window costs a timeout, not the run. Only when no client
-			// can ever come back is the run truly starved.
-			r := mem.nextReturn()
-			if r == 0 {
-				return fmt.Errorf("core: release %d has no clients in flight and none can return: %w", rel, ErrQuorum)
-			}
-			round := rel
-			if r > round {
-				round = r
-			}
-			ids := append(mem.dueRejoins(r), mem.dueRetries(r, map[int]bool{})...)
-			ids = dropUnreachable(st, mem, ids, rel)
-			if len(ids) == 0 {
-				return fmt.Errorf("core: release %d starved: every returnable client is unreachable: %w", rel, ErrQuorum)
-			}
-			if err := dispatch(ids, round); err != nil {
-				return fmt.Errorf("core: retry dispatch at release %d: %w", rel, err)
-			}
-			outstanding += len(ids)
-		}
-		want := quorum
-		if want > outstanding {
-			want = outstanding
-		}
-		var batch []*wire.LocalUpdate
-		var err error
-		if cfg.RoundTimeout > 0 {
-			// Release on deadline with whatever arrived instead of
-			// blocking on K arrivals that will never come. Clients still
-			// silent after a whole deadline are forgiven and benched; the
-			// retry dispatch below re-admits them once their backoff
-			// lapses, so a lost upload costs a timeout, not the client's
-			// membership.
-			batch, err = st.GatherUntil(want, cfg.RoundTimeout)
-			if err != nil && !errors.Is(err, comm.ErrRoundTimeout) {
-				return fmt.Errorf("core: release %d: %w", rel, err)
-			}
-			if err != nil {
-				silent := st.Outstanding()
-				st.Forgive(silent)
-				for _, c := range silent {
-					// The silent client's dispatch obligation dies with the
-					// forgive; the journaled strike carries the in-flight flag
-					// so replay reconstructs the outstanding-arrival count.
-					mem.strikeInflight(c, rel)
-				}
-				outstanding -= len(silent)
-			}
+			batch, pending = pending.Admitted, nil
 		} else {
-			batch, err = st.GatherAny(want)
+			if s.jw.shouldKill(KillBetweenRounds, rel) {
+				return errServerKilled
+			}
+			if outstanding == 0 {
+				// Everyone in flight went silent at once (a stall longer than
+				// the deadline, or every upload lost in one window). Instead
+				// of dying, fast-forward to the earliest bench expiry or
+				// rejoin lease and re-dispatch there — a transient all-silent
+				// window costs a timeout, not the run. Only when no client
+				// can ever come back is the run truly starved.
+				r := s.mem.nextReturn()
+				if r == 0 {
+					return fmt.Errorf("core: release %d has no clients in flight and none can return: %w", rel, ErrQuorum)
+				}
+				ids := append(s.mem.dueRejoins(r), s.mem.dueRetries(r, map[int]bool{})...)
+				ids = dropUnreachable(s.st, s.mem, ids, rel)
+				if len(ids) == 0 {
+					return fmt.Errorf("core: release %d starved: every returnable client is unreachable: %w", rel, ErrQuorum)
+				}
+				if err := s.open(ids, max(rel, r)); err != nil {
+					return fmt.Errorf("core: retry dispatch at release %d: %w", rel, err)
+				}
+				outstanding += len(ids)
+			}
+			got, forgiven, err := s.gatherArrivals(min(quorum, outstanding), rel)
 			if err != nil {
 				return fmt.Errorf("core: release %d: %w", rel, err)
 			}
+			outstanding -= forgiven + len(got)
+			gathered = splitControl(got, s.mem)
+			batch = gathered
 		}
-		outstanding -= len(batch)
-		data := splitControl(batch, mem)
-		// The admission gate spans decode through fold, the contended
-		// server-side work on a multi-tenant host.
-		releaseGate := gateAcquire(gate, len(data))
-		if fused {
-			err = DecodeUpdatesFused(data, fusedStage, agg.Dim())
-		} else {
-			err = DecodeUpdates(data, serverPipe, agg.Dim(), cfg.AggWorkers)
+		// The contributors are read before release hands their updates back
+		// to the transports.
+		contributors := make([]int, 0, len(batch))
+		for _, u := range batch {
+			contributors = append(contributors, int(u.ClientID))
 		}
-		if err != nil {
-			releaseGate()
-			return fmt.Errorf("core: decode release %d: %w", rel, err)
-		}
-		jw.admitBatch(rel, data, nil)
-		if jw.shouldKill(KillBeforeCommit, rel) {
-			releaseGate()
-			return errServerKilled
-		}
-		maxCompute := 0.0
-		for _, u := range data {
-			if u.ComputeSec > maxCompute {
-				maxCompute = u.ComputeSec
-			}
-		}
-		// The aggregator is the authority on what was actually folded vs
-		// dropped; read its counters rather than re-deriving staleness here.
-		prevStale, prevDropped := 0, 0
-		if buffered != nil {
-			prevStale, prevDropped = buffered.StaleApplied, buffered.Dropped
-		}
-		if len(data) > 0 {
-			if err := agg.Aggregate(data); err != nil {
-				releaseGate()
-				return fmt.Errorf("core: aggregate release %d: %w", rel, err)
-			}
-		}
-		releaseGate()
-		if buffered != nil {
-			res.Stale += buffered.StaleApplied - prevStale
-			res.Dropped += buffered.Dropped - prevDropped
-		}
-		// Commit before the re-dispatch below: the re-dispatch opens new
-		// obligations, journaled as RoundStart records after this commit, so
-		// replay's outstanding count stays exact.
-		if err := jw.commit(rel, agg, mem, outstanding); err != nil {
+		// The commit precedes the re-dispatch below: the re-dispatch opens
+		// new obligations, journaled as RoundStart records after the commit,
+		// so replay's outstanding count stays exact.
+		if err := s.release(rel, batch, gathered, outstanding, relStart); err != nil {
 			return err
 		}
 		// Hand the contributors the fresh model so they keep training —
 		// unless the run is over, in which case they wait for Final.
-		// Arrivals drive buffered scheduling, so re-admissions take an
-		// explicit dispatch too: leased-out clients whose rejoin falls due
-		// and benched clients whose backoff lapsed ride along here.
-		if rel < cfg.Rounds {
-			ids := make([]int, 0, len(data)+1)
-			for _, u := range data {
-				ids = append(ids, int(u.ClientID))
+		if rel < s.cfg.Rounds {
+			n, err := s.redispatch(contributors, rel)
+			if err != nil {
+				return fmt.Errorf("core: re-dispatch after release %d: %w", rel, err)
 			}
-			ids = append(ids, mem.dueRejoins(rel+1)...)
-			if cfg.RoundTimeout > 0 {
-				inflight := make(map[int]bool)
-				for _, c := range st.Outstanding() {
-					inflight[c] = true
-				}
-				ids = append(ids, mem.dueRetries(rel+1, inflight)...)
-				ids = dropUnreachable(st, mem, ids, rel)
-			}
-			if len(ids) > 0 {
-				if err := dispatch(ids, rel+1); err != nil {
-					return fmt.Errorf("core: re-dispatch after release %d: %w", rel, err)
-				}
-				outstanding += len(ids)
-			}
+			outstanding += n
 		}
-		rs := RoundStats{Round: rel, ComputeSec: maxCompute, CohortSize: len(data)}
-		comm.ReleaseUpdates(data) // folded, committed, re-dispatched from: see runBarrierRounds
-		recordRound(res, rs, agg, evalModel, fed, cfg.Rounds, validateEvery, relStart, dispatcher.wbuf, progress)
 		// The after-dispatch window sits at the end of the iteration so the
 		// committed release's stats are recorded before the kill lands —
 		// recovery resumes at the next release, not by replaying this one.
-		if jw.shouldKill(KillAfterDispatch, rel) {
+		if s.jw.shouldKill(KillAfterDispatch, rel) {
 			return errServerKilled
 		}
 	}
@@ -1090,20 +989,57 @@ func runBufferedReleases(cfg Config, sched Scheduler, agg Aggregator, serverPipe
 	// under a deadline, clients that stay silent for a whole timeout are
 	// forgiven instead of blocking it forever.
 	if outstanding > 0 {
-		if cfg.RoundTimeout > 0 {
-			if _, err := st.GatherUntil(outstanding, cfg.RoundTimeout); err != nil {
-				if !errors.Is(err, comm.ErrRoundTimeout) {
-					return fmt.Errorf("core: draining %d stragglers: %w", outstanding, err)
-				}
-				silent := st.Outstanding()
-				st.Forgive(silent)
-				for _, c := range silent {
-					mem.strikeInflight(c, cfg.Rounds)
-				}
-			}
-		} else if _, err := st.GatherAny(outstanding); err != nil {
+		if _, _, err := s.gatherArrivals(outstanding, s.cfg.Rounds); err != nil {
 			return fmt.Errorf("core: draining %d stragglers: %w", outstanding, err)
 		}
 	}
 	return nil
+}
+
+// redispatch opens release rel+1 for ids, the contributors of release rel.
+// Arrivals drive buffered scheduling, so re-admissions take an explicit
+// dispatch too: leased-out clients whose rejoin falls due and, under a
+// RoundTimeout, benched clients whose backoff lapsed ride along, less the
+// clients the transport knows it cannot reach. It returns how many
+// obligations it opened.
+func (s *server) redispatch(ids []int, rel int) (int, error) {
+	ids = append(ids, s.mem.dueRejoins(rel+1)...)
+	if s.cfg.RoundTimeout > 0 {
+		inflight := make(map[int]bool)
+		for _, c := range s.st.Outstanding() {
+			inflight[c] = true
+		}
+		ids = append(ids, s.mem.dueRetries(rel+1, inflight)...)
+		ids = dropUnreachable(s.st, s.mem, ids, rel)
+	}
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	return len(ids), s.open(ids, rel+1)
+}
+
+// gatherArrivals takes up to want updates in arrival order. Under a
+// RoundTimeout it settles for whatever arrived by the deadline instead of
+// blocking on arrivals that will never come: clients still silent after a
+// whole deadline are forgiven and benched, and forgiven counts them. The
+// silent client's dispatch obligation dies with the forgive; the journaled
+// strike carries the in-flight flag so replay reconstructs the
+// outstanding-arrival count, and the retry dispatch re-admits the client
+// once its backoff lapses — a lost upload costs a timeout, not the
+// client's membership.
+func (s *server) gatherArrivals(want, round int) (got []*wire.LocalUpdate, forgiven int, err error) {
+	if s.cfg.RoundTimeout <= 0 {
+		got, err = s.st.GatherAny(want)
+		return got, 0, err
+	}
+	got, err = s.st.GatherUntil(want, s.cfg.RoundTimeout)
+	if !errors.Is(err, comm.ErrRoundTimeout) {
+		return got, 0, err
+	}
+	silent := s.st.Outstanding()
+	s.st.Forgive(silent)
+	for _, c := range silent {
+		s.mem.strikeInflight(c, round)
+	}
+	return got, len(silent), nil
 }

@@ -15,6 +15,11 @@ const gateDim = 1017610
 // appending a model-sized admit allocates nothing — the primal goes from
 // the caller's vector to the WAL, and the journal's own buffers hold only
 // the bytes around it.
+//
+// The window opens on a settled runtime (testutil.SettleRuntime): each 8 MB
+// write blocks long enough for the runtime to act around it, and what it
+// does there — start a thread, arm a timer, finish a collection — would
+// now and then book an allocation the journal never made.
 func TestAppendAllocationGate(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -30,6 +35,7 @@ func TestAppendAllocationGate(t *testing.T) {
 		}
 	}
 	appendOnce()
+	testutil.SettleRuntime()
 	mallocs, bytes := testutil.AllocsPer(3, appendOnce)
 	t.Logf("%.1f mallocs, %.0f bytes per steady-state Append of a %d-dim admit", mallocs, bytes, gateDim)
 	if mallocs != 0 || bytes != 0 {

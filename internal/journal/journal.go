@@ -364,14 +364,19 @@ func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 var zeroHeader [8]byte
 
 // writeFrames writes the batch at the WAL's end, each frame behind a zero
-// header.
+// header. The segments go through j.wal's own Write rather than writeAll:
+// converting the walFile to an io.Writer is a runtime itab lookup, whose
+// per-site cache is rebuilt — one small allocation — on a random ~1 in
+// 1024 calls.
 func (j *Journal) writeFrames(fs []frame) error {
 	for i := range fs {
 		if _, err := j.wal.Write(zeroHeader[:]); err != nil {
 			return err
 		}
-		if err := writeAll(j.wal, fs[i].segs); err != nil {
-			return err
+		for _, s := range fs[i].segs {
+			if _, err := j.wal.Write(s); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,5 +1,6 @@
 // Package testutil holds helpers shared by the repository's tests: the
-// race-detector switch and an allocation meter. Only test files import it.
+// race-detector switch, an allocation meter and the runtime settling the
+// allocation gates around blocking syscalls need. Only test files import it.
 package testutil
 
 import "runtime"
