@@ -34,7 +34,7 @@
 //	res, err := appfl.Run(appfl.Config{
 //		Algorithm: appfl.AlgoIIADMM,
 //		Rounds:    10,
-//		Epsilon:   10, // ε̄-differential privacy; math.Inf(1) disables
+//		Pipeline:  "clip:1,laplace:10", // ε̄-DP; "" = non-private "clip:1"
 //	}, fed, factory, appfl.RunOptions{})
 package appfl
 

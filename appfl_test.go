@@ -1,9 +1,6 @@
 package appfl
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestFacadeQuickstartPath(t *testing.T) {
 	fed := MNISTFederation(2, 128, 64, 1)
@@ -16,7 +13,6 @@ func TestFacadeQuickstartPath(t *testing.T) {
 		Rounds:     2,
 		LocalSteps: 1,
 		BatchSize:  32,
-		Epsilon:    math.Inf(1),
 	}, fed, factory, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -25,13 +25,18 @@ func main() {
 	id := flag.Int("id", 0, "client id in [0, clients of the federation)")
 	localSteps := flag.Int("local-steps", 10, "local steps L")
 	batch := flag.Int("batch", 64, "mini-batch size")
-	eps := flag.Float64("eps", 0, "privacy budget (0 = non-private; not with a server-side -pipeline)")
+	eps := flag.Float64("eps", 0, "privacy budget: composes clip:1,laplace:eps over the server's default stack (0 = non-private; not with a server-side -pipeline)")
 	name := flag.String("name", "", "client display name")
 	tenantID := flag.Int("tenant", 0, "tenant id on a multi-tenant server (0 = default tenant; -id is then local to the tenant)")
 	flag.Parse()
 
 	if *id < 0 || *tenantID < 0 {
 		fatal(fmt.Errorf("-id %d and -tenant %d must be non-negative", *id, *tenantID))
+	}
+	// A bad budget is refused before the join handshake, like a flag error.
+	if err := deploy.CheckEpsilon(*eps); err != nil {
+		fmt.Fprintln(os.Stderr, "appfl-client: -eps:", err)
+		os.Exit(2)
 	}
 	display := *name
 	if display == "" {
@@ -45,11 +50,11 @@ func main() {
 
 	// The server's plan is the one source of truth for what is shared.
 	ack := conn.Config()
-	cfg, err := deploy.ClientConfig(ack.Plan)
+	cfg, err := deploy.ClientConfig(ack.Plan, *eps)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.LocalSteps, cfg.BatchSize, cfg.Epsilon = *localSteps, *batch, *eps
+	cfg.LocalSteps, cfg.BatchSize = *localSteps, *batch
 	fed, factory := deploy.Workload(int(ack.NumClients), ack.Plan)
 	fmt.Printf("%s: joined %s (%s, %d clients, %d rounds, dim %d, local data %d samples)\n",
 		display, *addr, cfg.Algorithm, ack.NumClients, ack.Rounds, ack.ModelSize, fed.Clients[*id].Len())

@@ -82,7 +82,7 @@ func TestFlagDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wire.Plan{Algorithm: "iiadmm", Rho: 2, Zeta: 14, Seed: 1, Train: 960, Test: 240}
+	want := wire.Plan{Algorithm: "iiadmm", Rho: 2, Zeta: 14, Seed: 1, Pipeline: "clip:1", Train: 960, Test: 240}
 	if got := o.plan(); got != want {
 		t.Fatalf("default plan %+v, want %+v", got, want)
 	}

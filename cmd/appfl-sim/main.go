@@ -4,13 +4,12 @@
 //
 // Example:
 //
-//	appfl-sim -algorithm iiadmm -dataset mnist -clients 4 -rounds 10 -eps 10
+//	appfl-sim -algorithm iiadmm -dataset mnist -clients 4 -rounds 10 -pipeline clip:1,laplace:10
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	appfl "repro"
@@ -24,8 +23,7 @@ func main() {
 	rounds := flag.Int("rounds", 10, "communication rounds T")
 	localSteps := flag.Int("local-steps", 10, "local steps/epochs L")
 	batch := flag.Int("batch", 64, "local mini-batch size")
-	eps := flag.Float64("eps", 0, "privacy budget epsilon (0 = non-private)")
-	pipe := flag.String("pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (mutually exclusive with -eps)")
+	pipe := flag.String("pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (empty = non-private clip:1)")
 	downF16 := flag.Bool("downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
 	train := flag.Int("train", 960, "training samples")
 	test := flag.Int("test", 240, "test samples")
@@ -46,18 +44,6 @@ func main() {
 	chunk := flag.Int("chunk", 0, "stream uplinks as chunks of this many coordinates (0 = monolithic; FedAvg barrier schedulers only, bit-identical)")
 	subset := flag.Float64("subset", 0, "LoRA-style partial uploads: fraction of coordinates each client sends (0 = dense; FedAvg only)")
 	flag.Parse()
-
-	// Same rules Config.Validate enforces, surfaced before any dataset is
-	// generated so flag misuse fails fast.
-	epsVal, err := epsilonFromFlag(*eps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "appfl-sim:", err)
-		os.Exit(2)
-	}
-	if *pipe != "" && *eps > 0 {
-		fmt.Fprintln(os.Stderr, "appfl-sim: -pipeline and -eps both configure noise; set the budget in the pipeline spec only")
-		os.Exit(2)
-	}
 
 	var fed *appfl.Federated
 	var factory appfl.Factory
@@ -88,7 +74,6 @@ func main() {
 		Rounds:         *rounds,
 		LocalSteps:     *localSteps,
 		BatchSize:      *batch,
-		Epsilon:        epsVal,
 		Pipeline:       *pipe,
 		DownlinkF16:    *downF16,
 		Seed:           *seed,
@@ -111,14 +96,15 @@ func main() {
 	}
 	var inj *appfl.FaultInjector
 	if *faultPlan != "" {
+		var err error
 		inj, err = appfl.ParseFaultPlan(*faultPlan, fed.NumClients(), *faultSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "appfl-sim:", err)
 			os.Exit(2)
 		}
 	}
-	fmt.Printf("appfl-sim: %s on %s, %d clients, T=%d, L=%d, eps=%v, pipeline=%q, transport=%s, scheduler=%s\n",
-		*algorithm, *ds, fed.NumClients(), *rounds, *localSteps, *eps, *pipe, *transport, *scheduler)
+	fmt.Printf("appfl-sim: %s on %s, %d clients, T=%d, L=%d, pipeline=%q, transport=%s, scheduler=%s\n",
+		*algorithm, *ds, fed.NumClients(), *rounds, *localSteps, *pipe, *transport, *scheduler)
 	res, err := appfl.Run(cfg, fed, factory, appfl.RunOptions{
 		Transport: core.Transport(*transport),
 		Progress:  os.Stdout,
@@ -138,19 +124,5 @@ func main() {
 	if res.Crashed > 0 || res.Rejoined > 0 || res.TimedOut > 0 {
 		fmt.Printf("faults absorbed: %d presumed dead, %d rejoined, %d timed-out obligations\n",
 			res.Crashed, res.Rejoined, res.TimedOut)
-	}
-}
-
-// epsilonFromFlag maps -eps to Config.Epsilon: 0 selects the non-private
-// run (+Inf) and a positive value is the budget. A negative or NaN budget
-// is an error, as it is for appfl-client and Config.Validate.
-func epsilonFromFlag(eps float64) (float64, error) {
-	switch {
-	case eps == 0:
-		return math.Inf(1), nil
-	case eps > 0:
-		return eps, nil
-	default:
-		return 0, fmt.Errorf("-eps must be positive, or 0 for a non-private run; got %v", eps)
 	}
 }

@@ -23,7 +23,7 @@ func ExampleRun() {
 		Rounds:     2,
 		LocalSteps: 1,
 		BatchSize:  32,
-		Epsilon:    10,
+		Pipeline:   "clip:1,laplace:10",
 	}, fed, factory, appfl.RunOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ import (
 const numClients = 3
 
 func main() {
-	cfg := appfl.Config{Algorithm: appfl.AlgoIIADMM, Rounds: 4, LocalSteps: 2, Epsilon: 10, Seed: 2}
+	cfg := appfl.Config{Algorithm: appfl.AlgoIIADMM, Rounds: 4, LocalSteps: 2, Pipeline: "clip:1,laplace:10", Seed: 2}
 	fed := appfl.MNISTFederation(numClients, 480, 120, cfg.Seed)
 	factory := appfl.CNNFactory(appfl.CNNConfig{
 		InChannels: 1, Height: 28, Width: 28, Classes: 10,

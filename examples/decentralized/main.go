@@ -27,7 +27,7 @@ func main() {
 		Rounds:     6,
 		LocalSteps: 2,
 		BatchSize:  32,
-		Epsilon:    10, // every exchanged model is ε̄-DP perturbed
+		Pipeline:   "clip:1,laplace:10", // every exchanged model is ε̄-DP perturbed
 		Seed:       11,
 	}
 	topo := core.Ring(clients)

@@ -26,6 +26,7 @@ import (
 	"math"
 
 	appfl "repro"
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -46,7 +47,7 @@ func main() {
 			res, err := appfl.Run(appfl.Config{
 				Algorithm: algo,
 				Rounds:    6,
-				Epsilon:   eps,
+				Pipeline:  core.LaplacePipeline(eps), // clip:1,laplace:eps
 				Seed:      3,
 			}, fed, factory, appfl.RunOptions{})
 			if err != nil {

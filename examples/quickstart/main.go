@@ -25,7 +25,7 @@ func main() {
 	res, err := appfl.Run(appfl.Config{
 		Algorithm: appfl.AlgoIIADMM,
 		Rounds:    8,
-		Epsilon:   10, // ε̄-differential privacy on every upload
+		Pipeline:  "clip:1,laplace:10", // ε̄-differential privacy on every upload
 	}, fed, factory, appfl.RunOptions{Progress: os.Stdout})
 	if err != nil {
 		log.Fatal(err)

@@ -37,8 +37,8 @@ type ClientAlgorithm interface {
 // nn.ParamVector(Model), the gradient it reads nn.GradVector(Model), so a
 // step copies nothing into or out of the layers.
 //
-// The pipeline replaces the old inlined Clip/Mech fields: gradient
-// clipping and per-round objective noise enter through Pipe.GradHook
+// Pipe is the client's whole privacy path: gradient clipping and
+// per-round objective noise enter through Pipe.GradHook
 // during training, and every release passes through Pipe.Apply (output
 // noise, then compression) before it is installed in the LocalUpdate.
 type BaseClient struct {

@@ -50,8 +50,8 @@ var compositionRules = []struct {
 		"StreamChunk and RoundTimeout cannot combine"},
 	{"subset fold needs a barrier", func(c composition) bool { return c.subset > 0 && c.sched == SchedBuffered },
 		"SubsetFrac requires a barrier scheduler"},
-	{"subset is cut after the legacy clip", func(c composition) bool { return c.subset > 0 && c.pipe != "" },
-		"SubsetFrac and Pipeline cannot combine"},
+	{"subset is cut from a dense release", func(c composition) bool { return c.subset > 0 && c.pipe == "clip:1,f16" },
+		"SubsetFrac needs a dense release"},
 	{"subset is already sub-O(dim)", func(c composition) bool { return c.subset > 0 && c.chunk > 0 },
 		"SubsetFrac and StreamChunk cannot combine"},
 	{"chunk folds leave no admit primal", func(c composition) bool { return c.journal && c.chunk > 0 },
@@ -67,7 +67,7 @@ func compositions() []composition {
 	for _, sched := range []string{SchedSyncAll, SchedSampled, SchedBuffered} {
 		for _, chunk := range []int{0, 64} {
 			for _, subset := range []float64{0, 0.5} {
-				for _, pipe := range []string{"", "clip:1,f16"} {
+				for _, pipe := range []string{"", "clip:1,laplace:5", "clip:1,f16"} {
 					for _, timeout := range []time.Duration{0, time.Second} {
 						for _, j := range []bool{false, true} {
 							out = append(out, composition{sched, chunk, subset, pipe, timeout, j})

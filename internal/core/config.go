@@ -9,10 +9,9 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"strings"
 	"time"
 
-	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
 
@@ -48,13 +47,11 @@ type Config struct {
 	Rho  float64 // penalty ρ (default 2)
 	Zeta float64 // proximity ζ (default 14)
 
-	// Differential privacy.
-	Epsilon float64 // ε̄ per-round budget; +Inf disables noise (default +Inf)
-	Clip    float64 // gradient clip bound C (default 1)
-	// DPMode selects where the noise enters: "output" (default) perturbs
-	// the uploaded parameters, Eq. (6); "objective" perturbs the local
-	// objective with a random linear term instead (Chaudhuri et al., the
-	// paper's planned advanced scheme). Ignored when Epsilon is infinite.
+	// DPMode selects where the noise of the Pipeline's noise stages
+	// enters: "output" (default) perturbs the uploaded parameters,
+	// Eq. (6); "objective" perturbs the local objective with a random
+	// linear term instead (Chaudhuri et al., the paper's planned advanced
+	// scheme). Ignored when the stack has no noise stage.
 	DPMode string
 
 	// Pipeline is the ordered update-pipeline spec: the stack of privacy
@@ -64,11 +61,10 @@ type Config struct {
 	//
 	// Stages: clip:C, laplace:EPS, gaussian:EPS[:DELTA], topk:FRAC,
 	// quantize[:BITS], f16 (see pipeline.Parse for the grammar and
-	// ordering rules). When empty, the legacy fields above define the
-	// stack — clip:Clip plus laplace:Epsilon when Epsilon is finite — so
-	// existing configs reproduce their pre-pipeline trajectories bit for
-	// bit. When set, it replaces Clip/Epsilon entirely; combining it with
-	// a finite Epsilon is a validation error (one noise authority).
+	// ordering rules). It is the one description of the client update
+	// stack, differential privacy included: ε̄-DP Laplace output
+	// perturbation is "clip:1,laplace:EPS" (LaplacePipeline). Empty
+	// selects DefaultPipeline, the non-private "clip:1".
 	Pipeline string
 
 	// DownlinkF16 broadcasts every global model as a float16 payload
@@ -137,9 +133,9 @@ type Config struct {
 	// transient memory tracks the chunk size, not the model dimension.
 	// Chunking is invisible to the arithmetic — the streamed trajectory is
 	// bit-identical to the monolithic one. FedAvg behind a barrier
-	// scheduler (syncall or sampled) only, with Pipeline empty or the pure
-	// element-wise "f16"-suffixed stacks; not combinable with RoundTimeout
-	// or SubsetFrac.
+	// scheduler (syncall or sampled) only, with a dense release or an
+	// "f16"-suffixed stack (whose inverse is a per-coordinate decode); not
+	// combinable with RoundTimeout or SubsetFrac.
 	StreamChunk int
 
 	// SubsetFrac, when in (0,1), makes every client upload only the first
@@ -147,8 +143,9 @@ type Config struct {
 	// wire.EncSubset payload — the LoRA-style partial-parameter update.
 	// The server scatter-folds listed coordinates and every unlisted
 	// coordinate keeps its weighted share of the current global value (see
-	// subset.go). FedAvg behind a barrier scheduler only; not combinable
-	// with Pipeline or StreamChunk.
+	// subset.go). FedAvg behind a barrier scheduler only, with a Pipeline
+	// that has no compression stage (the subset is cut from the dense
+	// release); not combinable with StreamChunk.
 	SubsetFrac float64
 
 	// RoundTimeout bounds how long the server waits on a round's gather.
@@ -194,11 +191,8 @@ func (c Config) WithDefaults() Config {
 	if c.Momentum == 0 && c.Algorithm == AlgoFedAvg {
 		c.Momentum = 0.9
 	}
-	if c.Epsilon == 0 {
-		c.Epsilon = math.Inf(1)
-	}
-	if c.Clip == 0 {
-		c.Clip = 1
+	if strings.TrimSpace(c.Pipeline) == "" { // blank parses as empty too
+		c.Pipeline = DefaultPipeline
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -242,12 +236,6 @@ func (c Config) Validate() error {
 	if c.Rho <= 0 || c.Zeta < 0 {
 		return fmt.Errorf("core: need Rho > 0 and Zeta >= 0, got %v/%v", c.Rho, c.Zeta)
 	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("core: Epsilon must be positive (use +Inf to disable), got %v", c.Epsilon)
-	}
-	if c.Clip <= 0 {
-		return fmt.Errorf("core: Clip must be positive, got %v", c.Clip)
-	}
 	if c.AdaptiveRho && c.Algorithm == AlgoFedAvg {
 		return fmt.Errorf("core: AdaptiveRho applies only to the IADMM algorithms")
 	}
@@ -256,15 +244,9 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown DPMode %q", c.DPMode)
 	}
-	if c.Pipeline != "" {
-		// The earlier Epsilon check already rejected non-positive values,
-		// so a non-infinite Epsilon here is a real finite budget.
-		if !math.IsInf(c.Epsilon, 1) {
-			return fmt.Errorf("core: Pipeline and a finite Epsilon both configure noise; set the budget in the pipeline spec only")
-		}
-		if _, err := pipeline.Parse(c.Pipeline); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+	stack, err := c.stack(nil)
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.AggWorkers < 0 {
 		return fmt.Errorf("core: AggWorkers must be >= 0 (0 selects GOMAXPROCS), got %d", c.AggWorkers)
@@ -321,20 +303,10 @@ func (c Config) Validate() error {
 		if c.RoundTimeout > 0 {
 			return fmt.Errorf("core: StreamChunk and RoundTimeout cannot combine (the chunk gather has no forgive path)")
 		}
-		if c.Pipeline != "" {
-			// Only a pipeline whose whole inverse is a pure per-coordinate
-			// f16 decode can fold chunk-wise without changing a bit.
-			specs, err := pipeline.Parse(c.Pipeline)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			built, err := specs.Build(nil)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if fs, ok := built.Fused(); !ok || fs.FusedEnc() != wire.EncFloat16 {
-				return fmt.Errorf("core: StreamChunk supports only dense or f16 uplinks, not pipeline %q", c.Pipeline)
-			}
+		// Only a dense release, or one whose whole inverse is a pure
+		// per-coordinate f16 decode, folds chunk-wise without changing a bit.
+		if fs, ok := stack.Fused(); stack.Compresses() && (!ok || fs.FusedEnc() != wire.EncFloat16) {
+			return fmt.Errorf("core: StreamChunk supports only dense or f16 uplinks, not pipeline %q", c.Pipeline)
 		}
 	}
 	if c.SubsetFrac != 0 {
@@ -349,8 +321,8 @@ func (c Config) Validate() error {
 		default:
 			return fmt.Errorf("core: SubsetFrac requires a barrier scheduler (syncall or sampled), got %q", c.Scheduler)
 		}
-		if c.Pipeline != "" {
-			return fmt.Errorf("core: SubsetFrac and Pipeline cannot combine (the subset is cut after the legacy clip stage)")
+		if stack.Compresses() {
+			return fmt.Errorf("core: SubsetFrac needs a dense release, not pipeline %q (the subset is cut from the dense vector)", c.Pipeline)
 		}
 		if c.StreamChunk > 0 {
 			return fmt.Errorf("core: SubsetFrac and StreamChunk cannot combine (a subset upload is already sub-O(dim))")

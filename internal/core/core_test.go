@@ -23,8 +23,8 @@ func TestConfigDefaults(t *testing.T) {
 	if math.Abs(c.LR-1.0/16.0) > 1e-15 {
 		t.Fatalf("LR default %v, want 1/(rho+zeta)", c.LR)
 	}
-	if !math.IsInf(c.Epsilon, 1) {
-		t.Fatalf("epsilon default %v, want +Inf", c.Epsilon)
+	if c.Pipeline != DefaultPipeline {
+		t.Fatalf("pipeline default %q, want %q", c.Pipeline, DefaultPipeline)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -37,7 +37,7 @@ func TestConfigValidation(t *testing.T) {
 		{Algorithm: AlgoFedAvg, Rounds: -1},
 		{Algorithm: AlgoFedAvg, Momentum: 1.0},
 		{Algorithm: AlgoIIADMM, Rho: -1},
-		{Algorithm: AlgoIIADMM, Epsilon: -3},
+		{Algorithm: AlgoIIADMM, Pipeline: "clip:1,laplace:-3"},
 	}
 	for i, c := range bad {
 		c = c.WithDefaults()
@@ -52,7 +52,7 @@ func TestConfigValidation(t *testing.T) {
 		case 3:
 			c.Rho = -1
 		case 4:
-			c.Epsilon = -3
+			c.Pipeline = "clip:1,laplace:-3"
 		}
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: invalid config accepted: %+v", i, c)
@@ -266,7 +266,7 @@ func tinyFactory() nn.Factory {
 // dropping dual communication: after every round, the server's mirror λ_p
 // must equal the client's λ_p bit-for-bit, even with Laplace noise on.
 func TestIIADMMDualMirrorConsistencyUnderDP(t *testing.T) {
-	cfg := Config{Algorithm: AlgoIIADMM, Rounds: 1, LocalSteps: 2, BatchSize: 16, Epsilon: 5}.WithDefaults()
+	cfg := Config{Algorithm: AlgoIIADMM, Rounds: 1, LocalSteps: 2, BatchSize: 16, Pipeline: "clip:1,laplace:5"}.WithDefaults()
 	fed := tinyFed(t, 2, 64, 16)
 	factory := tinyFactory()
 	ref := factory()
@@ -316,9 +316,9 @@ func TestFedAvgEqualsICEADMMSpecialCase(t *testing.T) {
 	base := Config{
 		Rounds:     1,
 		LocalSteps: 1,
-		BatchSize:  1000, // full batch
-		Clip:       1e9,  // clipping never binds
-		Momentum:   0,    // plain SGD
+		BatchSize:  1000,       // full batch
+		Pipeline:   "clip:1e9", // clipping never binds
+		Momentum:   0,          // plain SGD
 		Seed:       1,
 	}
 	fa := base
@@ -372,7 +372,7 @@ func TestIIADMMSingleStepClosedForm(t *testing.T) {
 		BatchSize:  1000,
 		Rho:        2,
 		Zeta:       6,
-		Clip:       1e9,
+		Pipeline:   "clip:1e9",
 		Seed:       1,
 	}.WithDefaults()
 	factory := tinyFactory()
@@ -487,7 +487,7 @@ func TestCommunicationVolumeRatio(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	fed := tinyFed(t, 2, 96, 32)
-	cfg := Config{Algorithm: AlgoIIADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 42, Epsilon: 10}
+	cfg := Config{Algorithm: AlgoIIADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 42, Pipeline: "clip:1,laplace:10"}
 	a, err := Run(cfg, fed, tinyFactory(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -534,7 +534,7 @@ func TestRunRejectsEmptyFederation(t *testing.T) {
 func TestDPNoiseDegradesAccuracy(t *testing.T) {
 	fed := tinyFed(t, 2, 320, 120)
 	run := func(eps float64) float64 {
-		cfg := Config{Algorithm: AlgoIIADMM, Rounds: 4, LocalSteps: 2, BatchSize: 32, Seed: 3, Epsilon: eps}
+		cfg := Config{Algorithm: AlgoIIADMM, Rounds: 4, LocalSteps: 2, BatchSize: 32, Seed: 3, Pipeline: LaplacePipeline(eps)}
 		res, err := Run(cfg, fed, tinyFactory(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -563,7 +563,7 @@ func TestObjectivePerturbationMode(t *testing.T) {
 			DPMode:     mode,
 			Seed:       1,
 		}.WithDefaults()
-		cfg.Epsilon = eps
+		cfg.Pipeline = LaplacePipeline(eps)
 		factory := tinyFactory()
 		m := factory()
 		w0 := nn.FlattenParams(m, nil)

@@ -129,8 +129,8 @@ type DecentralResult struct {
 
 // RunDecentralized executes serverless federated learning on the given
 // topology. Each round every client performs cfg.LocalSteps epochs of
-// local SGD (FedAvg-style), releases its model to its neighbors — with
-// Laplace output perturbation when cfg.Epsilon is finite — and mixes with
+// local SGD (FedAvg-style), releases its model to its neighbors through
+// cfg.Pipeline — noised when the stack has a noise stage — and mixes with
 // Metropolis weights. Only FedAvg-style local training is supported; the
 // IADMM algorithms assume a central aggregator.
 func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, topo Topology) (*DecentralResult, error) {

@@ -158,7 +158,7 @@ func TestRunDecentralizedLearns(t *testing.T) {
 
 func TestRunDecentralizedWithDP(t *testing.T) {
 	fed := tinyFed(t, 4, 128, 32)
-	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Epsilon: 5, Seed: 5}
+	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Pipeline: "clip:1,laplace:5", Seed: 5}
 	res, err := RunDecentralized(cfg, fed, tinyFactory(), Ring(4))
 	if err != nil {
 		t.Fatal(err)

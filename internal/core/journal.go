@@ -165,12 +165,10 @@ func (jw *journalWriter) roundStart(round int, cohort []int, version uint64) {
 }
 
 // admitBatch journals the admitted updates with their dense decoded
-// primals in one Append — one fsync for the batch. skip lists client IDs
-// already journaled for this round (a resumed round's pre-crash admits),
-// which must not be double-counted. The records borrow the updates'
-// primals, which the append writes from the updates' own storage before
-// it returns.
-func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip map[int]bool) {
+// primals in one Append — one fsync for the batch. The records borrow the
+// updates' primals, which the append writes from the updates' own storage
+// before it returns.
+func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate) {
 	if jw == nil {
 		return
 	}
@@ -178,11 +176,8 @@ func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate, skip ma
 		jw.admits = make([]wire.JournalRecord, len(data))
 	}
 	jw.batch = jw.batch[:0]
-	for _, u := range data {
-		if skip[int(u.ClientID)] {
-			continue
-		}
-		rec := &jw.admits[len(jw.batch)]
+	for i, u := range data {
+		rec := &jw.admits[i]
 		rec.Reset()
 		rec.Op = wire.JournalAdmit
 		rec.Round = uint32(round)

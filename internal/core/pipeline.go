@@ -9,32 +9,37 @@ import (
 	"repro/internal/wire"
 )
 
-// PipelineSpecs resolves the effective update-pipeline specification of
-// cfg: the parsed Config.Pipeline when set, otherwise the legacy synthesis
-// clip:Clip (+ laplace:Epsilon when the budget is finite) — the stack that
-// reproduces the pre-pipeline client behavior bit for bit.
-func (c Config) PipelineSpecs() (pipeline.Specs, error) {
-	c = c.WithDefaults()
-	if c.Pipeline != "" {
-		return pipeline.Parse(c.Pipeline)
+// DefaultPipeline is the update stack WithDefaults gives a Config whose
+// Pipeline is empty: the gradient clip at C = 1, no noise, a dense release.
+const DefaultPipeline = "clip:1"
+
+// LaplacePipeline is the spec of the default stack with Laplace output
+// perturbation at budget eps > 0 appended. eps = +Inf is the non-private
+// default stack itself: no Laplace stage, so no RNG stream is split from
+// the client's and every later draw stays where it was.
+func LaplacePipeline(eps float64) string {
+	if math.IsInf(eps, 1) {
+		return DefaultPipeline
 	}
-	spec := fmt.Sprintf("clip:%g", c.Clip)
-	if !math.IsInf(c.Epsilon, 1) {
-		spec += fmt.Sprintf(",laplace:%g", c.Epsilon)
-	}
-	return pipeline.Parse(spec)
+	return fmt.Sprintf("%s,laplace:%g", DefaultPipeline, eps)
 }
 
-// NewClientPipeline builds one client's update pipeline from cfg. r is the
-// client's RNG: each randomized stage splits one child stream from it, in
-// stack order, so the stream consumption matches the legacy construction
-// exactly (one split for the Laplace mechanism, none when non-private).
-func NewClientPipeline(cfg Config, r *rng.RNG) (*pipeline.Pipeline, error) {
-	specs, err := cfg.PipelineSpecs()
+// stack builds cfg's update pipeline. r is the client's RNG: each
+// randomized stage splits one child stream from it, in stack order (one
+// split per noise stage, none for the non-private default stack). r ==
+// nil builds the server-side, inverse-only form.
+func (c Config) stack(r *rng.RNG) (*pipeline.Pipeline, error) {
+	specs, err := pipeline.Parse(c.WithDefaults().Pipeline)
 	if err != nil {
 		return nil, err
 	}
-	p, err := specs.Build(r)
+	return specs.Build(r)
+}
+
+// NewClientPipeline builds one client's update pipeline from cfg, drawing
+// its randomized stages' streams from the client RNG r.
+func NewClientPipeline(cfg Config, r *rng.RNG) (*pipeline.Pipeline, error) {
+	p, err := cfg.stack(r)
 	if err != nil {
 		return nil, err
 	}
@@ -45,11 +50,7 @@ func NewClientPipeline(cfg Config, r *rng.RNG) (*pipeline.Pipeline, error) {
 // NewServerPipeline builds the server-side (inverse-only) form of cfg's
 // pipeline: no RNG streams are consumed, and the result can only Invert.
 func NewServerPipeline(cfg Config) (*pipeline.Pipeline, error) {
-	specs, err := cfg.PipelineSpecs()
-	if err != nil {
-		return nil, err
-	}
-	return specs.Build(nil)
+	return cfg.stack(nil)
 }
 
 // EncodeDownlinkF16Into replaces gm's dense weights with a float16 payload

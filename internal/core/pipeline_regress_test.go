@@ -13,9 +13,9 @@ import (
 // patterns recorded from the pre-pipeline code (PR 1 tree) for four
 // representative configs. Test loss/accuracy are computed from the full
 // global weight vector every round, so bit equality here certifies the
-// weight trajectory itself: the pipeline refactor — with an identity
-// (legacy-synthesized) pipeline or the equivalent explicit spec — must
-// reproduce the old client/server path exactly.
+// weight trajectory itself: the pipeline — the default stack or its
+// explicit spec, with or without a Laplace stage — must reproduce the old
+// client/server path exactly.
 var seedTrajectories = map[string][][2]uint64{
 	"fedavg-nonprivate":  {{0x4003f890aa6925ae, 0x3fb0000000000000}, {0x400314240d311e76, 0x3fc0000000000000}},
 	"fedavg-laplace2":    {{0x4005ac35321eb0fb, 0x3fa0000000000000}, {0x400779226b2a3fa2, 0x3fa0000000000000}},
@@ -59,32 +59,28 @@ func checkTrajectory(t *testing.T, name string, cfg Config) {
 }
 
 // TestIdentityPipelineMatchesSeedTrajectory: with no Pipeline spec the
-// legacy-synthesized stack (clip only) must reproduce the pre-refactor
-// non-private trajectory bit for bit.
+// default stack (clip only) must reproduce the pre-refactor non-private
+// trajectory bit for bit.
 func TestIdentityPipelineMatchesSeedTrajectory(t *testing.T) {
 	checkTrajectory(t, "fedavg-nonprivate",
 		Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5})
 }
 
 // TestExplicitClipPipelineMatchesSeedTrajectory: the explicit "clip:1"
-// spec is the same stack as the legacy default and must match too.
+// spec is the same stack as the default and must match too.
 func TestExplicitClipPipelineMatchesSeedTrajectory(t *testing.T) {
 	checkTrajectory(t, "fedavg-nonprivate",
 		Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: "clip:1"})
 }
 
-// TestDPPipelineMatchesSeedTrajectory: clip+laplace stacks — legacy
-// Epsilon form and explicit spec form — must reproduce the recorded DP
+// TestDPPipelineMatchesSeedTrajectory: clip+laplace stacks — written out
+// and built by LaplacePipeline — must reproduce the recorded DP
 // trajectories exactly, including the noise stream.
 func TestDPPipelineMatchesSeedTrajectory(t *testing.T) {
-	legacy := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Epsilon: 2}
-	checkTrajectory(t, "fedavg-laplace2", legacy)
-
-	spec := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: "clip:1,laplace:2"}
-	checkTrajectory(t, "fedavg-laplace2", spec)
-
+	checkTrajectory(t, "fedavg-laplace2",
+		Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: "clip:1,laplace:2"})
 	checkTrajectory(t, "iiadmm-laplace3",
-		Config{Algorithm: AlgoIIADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Epsilon: 3})
+		Config{Algorithm: AlgoIIADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: LaplacePipeline(3)})
 	checkTrajectory(t, "iiadmm-laplace3",
 		Config{Algorithm: AlgoIIADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: "clip:1,laplace:3"})
 }
@@ -93,8 +89,6 @@ func TestDPPipelineMatchesSeedTrajectory(t *testing.T) {
 // routes the noise through the per-round gradient offset; it too must be
 // bit-identical to the recorded seed.
 func TestObjectivePipelineMatchesSeedTrajectory(t *testing.T) {
-	checkTrajectory(t, "iceadmm-objective3",
-		Config{Algorithm: AlgoICEADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Epsilon: 3, DPMode: DPModeObjective})
 	checkTrajectory(t, "iceadmm-objective3",
 		Config{Algorithm: AlgoICEADMM, Rounds: 2, LocalSteps: 1, BatchSize: 32, Seed: 5, Pipeline: "clip:1,laplace:3", DPMode: DPModeObjective})
 }

@@ -546,7 +546,7 @@ func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
 			return fmt.Errorf("core: decode round %d: %w", round, err)
 		}
 	}
-	s.jw.admitBatch(round, gathered, nil)
+	s.jw.admitBatch(round, gathered)
 	if s.jw.shouldKill(KillBeforeCommit, round) {
 		return errServerKilled
 	}

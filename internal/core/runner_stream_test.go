@@ -139,7 +139,7 @@ func TestRunStreamRejectsIncompatibleConfig(t *testing.T) {
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: 64, Pipeline: "topk:0.5"},
 		{Algorithm: AlgoFedAvg, Rounds: 1, StreamChunk: -1},
 		{Algorithm: AlgoFedAvg, Rounds: 1, SubsetFrac: 1.5},
-		{Algorithm: AlgoFedAvg, Rounds: 1, SubsetFrac: 0.5, Pipeline: "clip:1"},
+		{Algorithm: AlgoFedAvg, Rounds: 1, SubsetFrac: 0.5, Pipeline: "clip:1,quantize:8"},
 		{Algorithm: AlgoFedAvg, Rounds: 1, SubsetFrac: 0.5, StreamChunk: 64},
 		{Algorithm: AlgoIIADMM, Rounds: 1, SubsetFrac: 0.5},
 	}

@@ -156,7 +156,7 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 				u.BaseVersion = uint64(agg.Version())
 			}
 			jw.roundStart(round, cohort, uint64(agg.Version()))
-			jw.admitBatch(round, data, nil)
+			jw.admitBatch(round, data)
 			if err := agg.Aggregate(data); err != nil {
 				t.Fatal(err)
 			}

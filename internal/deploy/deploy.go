@@ -8,9 +8,11 @@ package deploy
 
 import (
 	"fmt"
+	"math"
 
 	appfl "repro"
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
 
@@ -30,14 +32,30 @@ func PlanOf(cfg core.Config, train, test int) wire.Plan {
 	}
 }
 
+// CheckEpsilon range-checks a client's own privacy budget: 0 and +Inf
+// select a non-private run, any other budget must be positive.
+func CheckEpsilon(eps float64) error {
+	if eps >= 0 { // false for NaN
+		return nil
+	}
+	return fmt.Errorf("deploy: privacy budget must be positive, or 0 for a non-private run; got %v", eps)
+}
+
 // ClientConfig is the configuration a client derives from its server's
-// plan. What only the client decides — LocalSteps, BatchSize, Epsilon —
-// is the caller's to set on the result before validating it.
-func ClientConfig(p wire.Plan) (core.Config, error) {
+// plan and its own privacy budget eps (see CheckEpsilon). A finite budget
+// composes core.LaplacePipeline(eps), "clip:1,laplace:eps", so it applies
+// only over the default stack — which a plan carries as "clip:1", or as
+// "" from an older server; a plan with any other stack configures the
+// noise itself. What else only the client decides — LocalSteps, BatchSize
+// — is the caller's to set on the result before validating it.
+func ClientConfig(p wire.Plan, eps float64) (core.Config, error) {
 	if p.Algorithm == "" {
 		return core.Config{}, fmt.Errorf("deploy: the server's JoinAck carries no federation plan")
 	}
-	return core.Config{
+	if err := CheckEpsilon(eps); err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.Config{
 		Algorithm:   p.Algorithm,
 		Rho:         p.Rho,
 		Zeta:        p.Zeta,
@@ -45,7 +63,20 @@ func ClientConfig(p wire.Plan) (core.Config, error) {
 		Pipeline:    p.Pipeline,
 		StreamChunk: int(p.Chunk),
 		SubsetFrac:  p.Subset,
-	}, nil
+	}
+	if eps == 0 || math.IsInf(eps, 1) {
+		return cfg, nil
+	}
+	specs, err := pipeline.Parse(p.Pipeline)
+	if err != nil {
+		return core.Config{}, fmt.Errorf("deploy: %w", err)
+	}
+	if len(specs) > 0 && specs.String() != core.DefaultPipeline {
+		return core.Config{}, fmt.Errorf("deploy: a client budget composes %q over the default stack, but the server's plan sets pipeline %q; set the budget there",
+			core.LaplacePipeline(eps), p.Pipeline)
+	}
+	cfg.Pipeline = core.LaplacePipeline(eps)
+	return cfg, nil
 }
 
 // Workload builds the federation a plan names: the synthetic-MNIST corpus

@@ -181,24 +181,3 @@ type FedAvgSensitivity struct {
 func (s FedAvgSensitivity) Sensitivity() float64 {
 	return 2 * s.Clip * s.LR
 }
-
-// Accountant tracks cumulative privacy loss for one client under basic
-// (sequential) composition: T rounds of an ε̄-DP release consume T·ε̄.
-type Accountant struct {
-	spent float64
-	steps int
-}
-
-// Spend records one release at eps. Infinite eps (non-private) is ignored.
-func (a *Accountant) Spend(eps Epsilon) {
-	if !math.IsInf(eps, 1) {
-		a.spent += eps
-	}
-	a.steps++
-}
-
-// Spent returns the cumulative ε̄ consumed.
-func (a *Accountant) Spent() float64 { return a.spent }
-
-// Steps returns the number of releases recorded.
-func (a *Accountant) Steps() int { return a.steps }

@@ -229,19 +229,6 @@ func TestSensitivityShrinksWithStrongerRegularization(t *testing.T) {
 	}
 }
 
-func TestAccountant(t *testing.T) {
-	var a Accountant
-	a.Spend(1)
-	a.Spend(2.5)
-	a.Spend(math.Inf(1)) // non-private round costs nothing
-	if a.Spent() != 3.5 {
-		t.Fatalf("spent %v, want 3.5", a.Spent())
-	}
-	if a.Steps() != 3 {
-		t.Fatalf("steps %d, want 3", a.Steps())
-	}
-}
-
 func TestMechanismNames(t *testing.T) {
 	if mustLaplace(t, 3, rng.New(1)).Name() != "laplace(eps=3)" {
 		t.Fatal("laplace name")

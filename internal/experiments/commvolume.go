@@ -13,7 +13,8 @@ import (
 // CommVolumeRow records one configuration's measured traffic.
 type CommVolumeRow struct {
 	Algorithm string
-	// Pipeline is the update-pipeline spec of the run ("" = dense legacy).
+	// Pipeline is the update-pipeline spec of the run ("" = the dense
+	// default stack).
 	Pipeline  string
 	UploadB   uint64 // client→server bytes over the whole run
 	DownloadB uint64 // server→client bytes

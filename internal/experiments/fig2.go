@@ -135,7 +135,7 @@ func Fig2(o Fig2Options) ([]Fig2Point, *metrics.Table, error) {
 					Rounds:     o.Rounds,
 					LocalSteps: o.LocalSteps,
 					BatchSize:  64, // "each batch ... at most 64 data points"
-					Epsilon:    eps,
+					Pipeline:   core.LaplacePipeline(eps),
 					Seed:       o.Seed,
 				}
 				res, err := core.Run(cfg, fed, factory, core.RunOptions{})

@@ -170,6 +170,18 @@ func (p *Pipeline) ClipBound() float64 {
 	return 0
 }
 
+// Compresses reports whether the stack has a compression stage (topk,
+// quantize or f16): whether its release leaves the dense encoding.
+func (p *Pipeline) Compresses() bool {
+	for _, s := range p.Stages() {
+		switch s.(type) {
+		case *TopKSparsify, *StochasticQuantize, *Float16Cast:
+			return true
+		}
+	}
+	return false
+}
+
 // Epsilon returns the total per-release privacy budget consumed by the
 // noise stages under sequential composition, or +Inf when the pipeline
 // adds no noise — the value reported in LocalUpdate.Epsilon.

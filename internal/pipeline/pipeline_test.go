@@ -106,6 +106,17 @@ func TestClipBoundAndEpsilon(t *testing.T) {
 	}
 }
 
+func TestCompresses(t *testing.T) {
+	for spec, want := range map[string]bool{
+		"": false, "clip:1": false, "clip:1,laplace:5": false, "clip:1,gaussian:1": false,
+		"topk:0.1": true, "clip:1,quantize:8": true, "clip:1,laplace:5,f16": true,
+	} {
+		if got := mustBuild(t, spec, nil).Compresses(); got != want {
+			t.Errorf("%q: Compresses() = %v, want %v", spec, got, want)
+		}
+	}
+}
+
 func TestGradHookClips(t *testing.T) {
 	p := mustBuild(t, "clip:1", nil)
 	g := []float64{3, 4} // norm 5

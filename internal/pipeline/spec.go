@@ -116,16 +116,6 @@ func (s Specs) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ClipBound returns the clip stage's bound C, or 0 when the spec has none.
-func (s Specs) ClipBound() float64 {
-	for _, ss := range s {
-		if ss.Kind == "clip" {
-			return ss.Args[0]
-		}
-	}
-	return 0
-}
-
 // Build assembles the pipeline. r is the owning client's RNG: each
 // randomized stage receives its own r.Split() stream, in stack order, so
 // runs are reproducible. Pass r == nil to build the server-side form,
