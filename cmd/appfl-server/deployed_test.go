@@ -523,3 +523,28 @@ func firstLine(s, containing string) string {
 	}
 	return ""
 }
+
+// TestUsageErrorsExitTwo: a federation without clients is refused at the
+// edge — the -clients flag and a tenants file alike — with exit status 2
+// and a message, not a panic further in.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	server, _ := binaries(t)
+	tenants := filepath.Join(t.TempDir(), "tenants.json")
+	if err := os.WriteFile(tenants, []byte(`{"tenants": [{"clients": -1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-clients", "0"},
+		{"-clients", "-1"},
+		{"-tenants", tenants, "-addr", "127.0.0.1:0"},
+	} {
+		out, err := exec.Command(server, args...).CombinedOutput()
+		code := -1
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		}
+		if code != 2 || !strings.Contains(string(out), "clients must be at least 1") {
+			t.Errorf("appfl-server %v: exit %d (%v), output %q; want exit 2 and the refusal", args, code, err, out)
+		}
+	}
+}

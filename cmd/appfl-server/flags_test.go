@@ -102,6 +102,8 @@ func TestFlagMisuse(t *testing.T) {
 		{[]string{"-journal", "j", "-algorithm", "fedavg", "-chunk", "64"}, "StreamChunk"},
 		{[]string{"-tenants", "t.json", "-rounds", "3"}, "does not apply in -tenants mode"},
 		{[]string{"-pipeline", "bogus:1"}, "pipeline"},
+		{[]string{"-clients", "0"}, "-clients must be at least 1"},
+		{[]string{"-clients", "-1"}, "-clients must be at least 1"},
 	} {
 		if _, err := parseFlags(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want one mentioning %q", c.args, err, c.want)
@@ -184,5 +186,8 @@ func TestTenantsFileMapping(t *testing.T) {
 	}
 	if _, err := file.Tenants[1].spec(1, true); err == nil || !strings.Contains(err.Error(), "tenant-1") {
 		t.Errorf("journaled iiadmm tenant: err = %v, want a refusal naming the tenant", err)
+	}
+	if _, err := (tenantSpecJSON{Name: "neg", Clients: -1}).spec(0, false); err == nil || !strings.Contains(err.Error(), "tenant neg: clients must be at least 1") {
+		t.Errorf(`"clients": -1: err = %v, want a refusal naming the tenant`, err)
 	}
 }

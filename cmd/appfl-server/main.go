@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,6 +81,11 @@ func flagSet(o *options) *flag.FlagSet {
 	return fs
 }
 
+// usageError is a refusal of the tenants file, made before anything
+// listens: main exits 2 for it, as for a refused command line, and 1 for a
+// failed run.
+type usageError struct{ error }
+
 // parseFlags turns the command line into validated options.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
@@ -98,6 +104,9 @@ func parseFlags(args []string) (*options, error) {
 		})
 		return o, stray
 	}
+	if o.clients < 1 {
+		return nil, fmt.Errorf("-clients must be at least 1, got %d", o.clients)
+	}
 	o.cfg = o.cfg.WithDefaults()
 	if err := o.cfg.Validate(); err != nil {
 		return nil, err
@@ -112,18 +121,22 @@ func parseFlags(args []string) (*options, error) {
 
 func main() {
 	o, err := parseFlags(os.Args[1:])
-	if err == flag.ErrHelp {
+	if err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintln(os.Stderr, "appfl-server:", err)
+		}
 		os.Exit(2)
 	}
-	if err == nil {
-		if o.tenantsPath != "" {
-			err = serveTenants(o, os.Stdout)
-		} else {
-			err = serveOne(o, os.Stdout)
-		}
+	if o.tenantsPath != "" {
+		err = serveTenants(o, os.Stdout)
+	} else {
+		err = serveOne(o, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "appfl-server:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }

@@ -61,6 +61,9 @@ func (s tenantSpecJSON) spec(i int, journaled bool) (tenant.Spec, error) {
 	if s.Name == "" {
 		s.Name = fmt.Sprintf("tenant-%d", i)
 	}
+	if s.Clients < 0 {
+		return tenant.Spec{}, fmt.Errorf("tenant %s: clients must be at least 1, got %d", s.Name, s.Clients)
+	}
 	if s.Clients == 0 {
 		s.Clients = 2
 	}
@@ -101,13 +104,13 @@ func serveTenants(o *options, out io.Writer) error {
 	}
 	file, err := parseTenants(raw)
 	if err != nil {
-		return fmt.Errorf("parsing %s: %w", o.tenantsPath, err)
+		return usageError{fmt.Errorf("parsing %s: %w", o.tenantsPath, err)}
 	}
 	specs := make([]tenant.Spec, len(file.Tenants))
 	total := 0
 	for i, s := range file.Tenants {
 		if specs[i], err = s.spec(i, o.journalDir != ""); err != nil {
-			return err
+			return usageError{err}
 		}
 		total += specs[i].Fed.NumClients()
 	}

@@ -9,29 +9,33 @@ import (
 	"repro/internal/wire"
 )
 
-// Aggregator is the state-update half of the split server: given a batch
-// of local updates released by a Scheduler, it produces the next global
-// iterate. It is deliberately ignorant of *when* and *from whom* a batch
-// is gathered — that is the Scheduler's job — which is the decomposition
-// that lets one set of aggregation rules (FedAvg, the ADMM family, the
-// staleness-weighted asynchronous rule) serve synchronous, sampled-cohort,
-// and buffered semi-asynchronous execution alike.
+// Aggregator is the server algorithm — the component a user swaps, as
+// APPFL users subclass BaseServer — and the state-update half of the split
+// server: given a batch of local updates released by a Scheduler, it
+// produces the next global iterate. It is deliberately ignorant of *when*
+// and *from whom* a batch is gathered — that is the Scheduler's job —
+// which is the decomposition that lets one set of aggregation rules
+// (FedAvg, the ADMM family, the staleness-weighted asynchronous rule)
+// serve synchronous, sampled-cohort, and buffered semi-asynchronous
+// execution alike.
 //
-// FedAvgServer, ICEADMMServer, IIADMMServer, and BufferedAggregator all
-// implement it; the first three keep their legacy ServerAlgorithm surface
-// so pre-refactor callers and tests are untouched.
+// FedAvgServer, ICEADMMServer, IIADMMServer, and BufferedAggregator
+// implement it by embedding BaseServer, the one owner of their model, and
+// adding Aggregate; a user-defined algorithm does the same.
 type Aggregator interface {
 	// Dim returns the model dimension.
 	Dim() int
 	// Version counts the aggregations applied so far — the global model's
 	// version number, which clients echo back as LocalUpdate.BaseVersion.
 	Version() int
+	// GlobalWeights lends the live global model: the aggregator's own
+	// vector, not a copy, valid until the aggregator's next call. The
+	// round engine dispatches, evaluates and journals from it; a caller
+	// must only read it, and must not hold it past the next Aggregate.
+	GlobalWeights() []float64
 	// Weights returns a defensive copy of the current global model.
 	// Mutating the returned slice cannot corrupt server state.
 	Weights() []float64
-	// WeightsInto copies the current global model into dst (grown as
-	// needed) and returns it, for callers that amortize the allocation.
-	WeightsInto(dst []float64) []float64
 	// Aggregate folds one released batch of local updates into the global
 	// model and advances the version.
 	Aggregate(batch []*wire.LocalUpdate) error
@@ -44,7 +48,8 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Scheduler == SchedBuffered {
+	switch {
+	case cfg.Scheduler == SchedBuffered:
 		// Alpha/gamma defaults come from Config.WithDefaults — the single
 		// defaulting source; a zero alpha here is a caller error.
 		b, err := NewBufferedAggregator(w0, cfg.AsyncAlpha, cfg.AsyncGamma, cfg.MaxStaleness)
@@ -53,16 +58,27 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 		}
 		b.Workers = cfg.AggWorkers
 		return b, nil
+	case cfg.Algorithm == AlgoFedAvg:
+		s := NewFedAvgServer(w0, numClients)
+		s.Workers = cfg.AggWorkers
+		return s, nil
+	case cfg.Algorithm == AlgoICEADMM:
+		s := NewICEADMMServer(w0, numClients, cfg.Rho)
+		s.Workers = cfg.AggWorkers
+		if cfg.AdaptiveRho {
+			s.Adaptive = NewAdaptiveRho(cfg.Rho)
+		}
+		return s, nil
+	case cfg.Algorithm == AlgoIIADMM:
+		s := NewIIADMMServer(w0, numClients, cfg.Rho)
+		s.Workers = cfg.AggWorkers
+		s.FreezeDual = cfg.FreezeDual
+		if cfg.AdaptiveRho {
+			s.Adaptive = NewAdaptiveRho(cfg.Rho)
+		}
+		return s, nil
 	}
-	srv, err := NewServer(cfg, w0, numClients)
-	if err != nil {
-		return nil, err
-	}
-	agg, ok := srv.(Aggregator)
-	if !ok {
-		return nil, fmt.Errorf("core: server for %q does not implement Aggregator", cfg.Algorithm)
-	}
-	return agg, nil
+	return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algorithm)
 }
 
 // StalenessWeight is the FedAsync mixing rate α_s = α·(1+staleness)^(−γ):
@@ -79,17 +95,13 @@ func StalenessWeight(alpha, gamma, staleness float64) float64 {
 // downloaded the model). Updates staler than MaxStaleness are dropped
 // entirely. One release advances the model version by one.
 type BufferedAggregator struct {
-	w       []float64
-	version int
-	alpha   float64
-	gamma   float64
+	BaseServer
+	alpha float64
+	gamma float64
 
 	// MaxStaleness drops updates whose base model is more than this many
 	// releases old (0 = keep everything, however stale).
 	MaxStaleness int
-	// Workers is the sharded-fold width (0 = GOMAXPROCS, 1 = serial).
-	// Results are bit-identical across widths; see parallel.go.
-	Workers int
 	// Applied and Dropped count folded and discarded updates;
 	// StaleApplied counts the folded updates that had staleness > 0.
 	Applied, Dropped, StaleApplied int
@@ -118,7 +130,7 @@ func NewBufferedAggregator(w0 []float64, alpha, gamma float64, maxStaleness int)
 		return nil, fmt.Errorf("core: MaxStaleness must be >= 0, got %d", maxStaleness)
 	}
 	b := &BufferedAggregator{
-		w:            append([]float64(nil), w0...),
+		BaseServer:   newBaseServer(w0, 0),
 		alpha:        alpha,
 		gamma:        gamma,
 		MaxStaleness: maxStaleness,
@@ -134,21 +146,7 @@ func (b *BufferedAggregator) setFusedStage(fs pipeline.FusedStage) { b.fused = f
 // sequential-convex kernel: within a block, update k fully folds before
 // update k+1, so per element the operation sequence is exactly the
 // pre-kernel one-update-at-a-time sweeps.
-func (b *BufferedAggregator) foldChunk(lo, hi int) { tensor.FoldKScaledSrc(b.w, lo, hi, b.srcs) }
-
-// Dim returns the model dimension.
-func (b *BufferedAggregator) Dim() int { return len(b.w) }
-
-// Version counts the releases applied so far.
-func (b *BufferedAggregator) Version() int { return b.version }
-
-// Weights returns a copy of the current global model.
-func (b *BufferedAggregator) Weights() []float64 { return b.WeightsInto(nil) }
-
-// WeightsInto copies the current global model into dst.
-func (b *BufferedAggregator) WeightsInto(dst []float64) []float64 {
-	return append(dst[:0], b.w...)
-}
+func (b *BufferedAggregator) foldChunk(lo, hi int) { tensor.FoldKScaledSrc(b.W, lo, hi, b.srcs) }
 
 // Aggregate folds one released batch, down-weighting each update by its
 // staleness relative to the current version, and advances the version.
@@ -158,20 +156,10 @@ func (b *BufferedAggregator) WeightsInto(dst []float64) []float64 {
 // against the pre-release version for every update, exactly as the
 // per-update path did (the version advances once per release, at the end).
 func (b *BufferedAggregator) Aggregate(batch []*wire.LocalUpdate) error {
-	if len(batch) == 0 {
-		return fmt.Errorf("core: buffered aggregate on an empty batch")
+	if err := b.checkBatch(batch, false, b.fused != nil); err != nil {
+		return err
 	}
 	for _, u := range batch {
-		if u == nil {
-			return fmt.Errorf("core: nil update in buffered batch")
-		}
-		if b.fused != nil && len(u.Primal) == 0 && u.PrimalP != nil {
-			if int(u.PrimalP.Dim) != len(b.w) {
-				return fmt.Errorf("core: client %d payload dimension %d, model is %d", u.ClientID, u.PrimalP.Dim, len(b.w))
-			}
-		} else if len(u.Primal) != len(b.w) {
-			return fmt.Errorf("core: client %d primal dimension %d, model is %d", u.ClientID, len(u.Primal), len(b.w))
-		}
 		if u.BaseVersion > uint64(b.version) {
 			return fmt.Errorf("core: client %d update from future version %d, server at %d", u.ClientID, u.BaseVersion, b.version)
 		}
@@ -199,7 +187,7 @@ func (b *BufferedAggregator) Aggregate(batch []*wire.LocalUpdate) error {
 	}
 	b.srcs = srcs
 	if len(srcs) > 0 {
-		shardRun(len(b.w), b.Workers, b.foldOp)
+		shardRun(len(b.W), b.Workers, b.foldOp)
 		clearSrcs(b.srcs)
 	}
 	b.Applied += applied

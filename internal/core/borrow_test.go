@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -14,12 +15,30 @@ import (
 	"repro/internal/wire"
 )
 
-// TestDispatchBorrowsTheLiveModel: the dispatcher hands the transport the
-// aggregator's own model vector, not a copy, and every transport has
-// serialized it by the time SendTo returns — rpc encodes and writes, mpi
-// packs a copy, pubsub encodes, and the fault layer passes the send
-// through. Overwritten right after the send, the model still reaches every
-// client with the bits it had before, dense and through the f16 downlink.
+// sendRecorder is a ServerTransport that keeps what the last SendTo was
+// handed: the dense weights or, on the f16 downlink, the codes.
+type sendRecorder struct {
+	comm.ServerTransport
+	weights []float64
+	codes   []byte
+}
+
+func (r *sendRecorder) SendTo(ids []int, m *wire.GlobalModel) error {
+	r.weights, r.codes = m.Weights, nil
+	if m.WeightsP != nil {
+		r.codes = m.WeightsP.Codes
+	}
+	return r.ServerTransport.SendTo(ids, m)
+}
+
+// TestDispatchBorrowsTheLiveModel: the dispatcher hands the transport
+// every aggregator's own model vector (GlobalWeights), not a copy — the
+// ADMM servers' as well as FedAvg's — and every transport has serialized
+// it by the time SendTo returns: rpc encodes and writes, mpi packs a
+// copy, pubsub encodes, and the fault layer passes the send through.
+// Overwritten right after the send, the model still reaches every client
+// with the bits it had before, dense and through the f16 downlink (whose
+// codes are the dispatcher's one kept buffer).
 func TestDispatchBorrowsTheLiveModel(t *testing.T) {
 	const P, dim = 3, 5000 // 40 KB: rpc sends the block from the vector itself
 	w0 := make([]float64, dim)
@@ -34,77 +53,85 @@ func TestDispatchBorrowsTheLiveModel(t *testing.T) {
 		{"rpc", TransportRPC, ""},
 		{"rpc+faults", TransportRPC, "delay:100%:2:1,reorder"},
 	} {
-		for _, f16 := range []bool{false, true} {
-			cfg := Config{Algorithm: AlgoFedAvg, DownlinkF16: f16}.WithDefaults()
-			want := append([]float64(nil), w0...)
-			if f16 {
-				gm := &wire.GlobalModel{Weights: want}
-				if _, err := EncodeDownlinkF16Into(gm, nil); err != nil {
-					t.Fatal(err)
+		for _, algo := range []string{AlgoFedAvg, AlgoIIADMM, AlgoICEADMM} {
+			for _, f16 := range []bool{false, true} {
+				name := fmt.Sprintf("%s %s f16=%v", tr.name, algo, f16)
+				cfg := Config{Algorithm: algo, DownlinkF16: f16}.WithDefaults()
+				want := append([]float64(nil), w0...)
+				if f16 {
+					gm := &wire.GlobalModel{Weights: want}
+					if _, err := EncodeDownlinkF16Into(gm, nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := DecodeGlobal(gm); err != nil {
+						t.Fatal(err)
+					}
+					want = gm.Weights
 				}
-				if err := DecodeGlobal(gm); err != nil {
-					t.Fatal(err)
-				}
-				want = gm.Weights
-			}
-			agg, err := NewAggregator(cfg, w0, P)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, cts, err := newServerTransport(tr.kind, P, dim, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr.plan != "" {
-				plan, err := faults.Parse(tr.plan)
+				agg, err := NewAggregator(cfg, w0, P)
 				if err != nil {
 					t.Fatal(err)
 				}
-				inj := faults.MustInjector(plan, P, 1)
-				st = inj.WrapServer(st)
+				st, cts, err := newServerTransport(tr.kind, P, dim, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.plan != "" {
+					plan, err := faults.Parse(tr.plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					inj := faults.MustInjector(plan, P, 1)
+					st = inj.WrapServer(st)
+					for i := range cts {
+						cts[i] = inj.WrapClient(i, cts[i])
+					}
+				}
+				rec := &sendRecorder{ServerTransport: st}
+				got := make([][]float64, P)
+				errs := make([]error, P)
+				var wg sync.WaitGroup
+				for i, ct := range cts {
+					wg.Add(1)
+					go func(i int, ct comm.ClientTransport) {
+						defer wg.Done()
+						gm, err := ct.RecvGlobal()
+						if err == nil {
+							err = DecodeGlobal(gm)
+						}
+						if err == nil {
+							got[i] = append([]float64(nil), gm.Weights...)
+						}
+						errs[i] = err
+					}(i, ct)
+				}
+				d := newDispatcher(cfg, agg, rec)
+				if _, err := d.send([]int{0, 1, 2}, 1, P); err != nil {
+					t.Fatal(err)
+				}
+				live := agg.GlobalWeights()
+				if f16 {
+					if rec.weights != nil || len(rec.codes) == 0 || &rec.codes[0] != &d.f16buf[0] {
+						t.Fatalf("%s: the dispatch did not carry the dispatcher's code buffer", name)
+					}
+				} else if len(rec.weights) == 0 || &rec.weights[0] != &live[0] {
+					t.Fatalf("%s: the dispatch carried a copy, not the live model", name)
+				}
+				for i := range live {
+					live[i] = math.NaN()
+				}
+				wg.Wait()
 				for i := range cts {
-					cts[i] = inj.WrapClient(i, cts[i])
-				}
-			}
-			got := make([][]float64, P)
-			errs := make([]error, P)
-			var wg sync.WaitGroup
-			for i, ct := range cts {
-				wg.Add(1)
-				go func(i int, ct comm.ClientTransport) {
-					defer wg.Done()
-					gm, err := ct.RecvGlobal()
-					if err == nil {
-						err = DecodeGlobal(gm)
+					if errs[i] != nil {
+						t.Fatalf("%s: client %d: %v", name, i, errs[i])
 					}
-					if err == nil {
-						got[i] = append([]float64(nil), gm.Weights...)
-					}
-					errs[i] = err
-				}(i, ct)
-			}
-			d := newDispatcher(cfg, agg, st)
-			if _, err := d.send([]int{0, 1, 2}, 1, P); err != nil {
-				t.Fatal(err)
-			}
-			live := agg.(*FedAvgServer).W
-			if &d.wbuf[0] != &live[0] {
-				t.Fatalf("%s f16=%v: the dispatch carried a copy, not the live model", tr.name, f16)
-			}
-			for i := range live {
-				live[i] = math.NaN()
-			}
-			wg.Wait()
-			for i := range cts {
-				if errs[i] != nil {
-					t.Fatalf("%s f16=%v: client %d: %v", tr.name, f16, i, errs[i])
+					requireBitEqual(t, name+" client model", want, got[i])
 				}
-				requireBitEqual(t, tr.name+" client model", want, got[i])
-			}
-			d.release()
-			st.Close()
-			for _, ct := range cts {
-				ct.Close()
+				d.release()
+				st.Close()
+				for _, ct := range cts {
+					ct.Close()
+				}
 			}
 		}
 	}

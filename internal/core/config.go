@@ -1,10 +1,13 @@
 // Package core implements the federated-learning engine of the APPFL
-// reproduction: the server/client algorithm interfaces (the analogs of
-// APPFL's BaseServer and BaseClient Python classes), the three algorithms
-// the paper evaluates — FedAvg, ICEADMM, and the paper's new IIADMM
-// (Algorithm 1) — and a synchronous round runner that orchestrates them
-// over any comm transport. Extensions from the paper's future-work list
-// (asynchronous aggregation, adaptive penalty) live here too.
+// reproduction: the server/client algorithm interfaces (Aggregator and
+// ClientAlgorithm, the analogs of APPFL's BaseServer and BaseClient Python
+// classes), the three algorithms the paper evaluates — FedAvg, ICEADMM,
+// and the paper's new IIADMM (Algorithm 1) — and the round engine that
+// orchestrates them over any comm transport under a Scheduler: barrier,
+// sampled-cohort or buffered semi-asynchronous rounds, with fault
+// tolerance and a crash-recoverable journal. Extensions from the paper's
+// future-work list (asynchronous aggregation, adaptive penalty) live here
+// too.
 package core
 
 import (
@@ -99,8 +102,6 @@ type Config struct {
 	CohortFraction float64
 	// CohortMin floors the sampled cohort size (default 1).
 	CohortMin int
-	// CohortSeed drives cohort selection (default Seed).
-	CohortSeed uint64
 
 	// BufferK is the buffer size of SchedBuffered: an aggregation is
 	// released after this many updates arrive (default: half the clients).
@@ -162,7 +163,7 @@ type Config struct {
 	// survivors abort the run with ErrQuorum. 0 defaults to 1.
 	MinCohort int
 
-	Seed uint64 // master seed (default 1)
+	Seed uint64 // master seed; also draws the sampled cohorts (default 1)
 }
 
 // WithDefaults returns a copy with zero fields replaced by defaults.

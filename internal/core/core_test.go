@@ -79,7 +79,7 @@ func upd(id int, n uint64, primal, dual []float64) *wire.LocalUpdate {
 func TestFedAvgServerWeightedAverage(t *testing.T) {
 	s := NewFedAvgServer([]float64{0, 0}, 2)
 	// Client 0 has 3x the samples of client 1.
-	err := s.Update([]*wire.LocalUpdate{
+	err := s.Aggregate([]*wire.LocalUpdate{
 		upd(0, 300, []float64{1, 2}, nil),
 		upd(1, 100, []float64{5, 6}, nil),
 	})
@@ -94,20 +94,17 @@ func TestFedAvgServerWeightedAverage(t *testing.T) {
 
 func TestFedAvgServerRejectsBadBatches(t *testing.T) {
 	s := NewFedAvgServer([]float64{0}, 2)
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 1, []float64{1}, nil)}); err == nil {
-		t.Fatal("short batch accepted")
-	}
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 1, []float64{1}, nil), nil}); err == nil {
+	if err := s.Aggregate([]*wire.LocalUpdate{upd(0, 1, []float64{1}, nil), nil}); err == nil {
 		t.Fatal("nil update accepted")
 	}
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 1, []float64{1, 2}, nil), upd(1, 1, []float64{1}, nil)}); err == nil {
+	if err := s.Aggregate([]*wire.LocalUpdate{upd(0, 1, []float64{1, 2}, nil), upd(1, 1, []float64{1}, nil)}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
 
 func TestFedAvgServerZeroSampleRoundIsNoop(t *testing.T) {
 	s := NewFedAvgServer([]float64{7}, 2)
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 0, []float64{1}, nil), upd(1, 0, []float64{2}, nil)}); err != nil {
+	if err := s.Aggregate([]*wire.LocalUpdate{upd(0, 0, []float64{1}, nil), upd(1, 0, []float64{2}, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if s.GlobalWeights()[0] != 7 {
@@ -117,7 +114,7 @@ func TestFedAvgServerZeroSampleRoundIsNoop(t *testing.T) {
 
 func TestFedAvgServerIgnoresZeroWeightEchoes(t *testing.T) {
 	s := NewFedAvgServer([]float64{0}, 2)
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 100, []float64{4}, nil), upd(1, 0, []float64{-999}, nil)}); err != nil {
+	if err := s.Aggregate([]*wire.LocalUpdate{upd(0, 100, []float64{4}, nil), upd(1, 0, []float64{-999}, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	if s.GlobalWeights()[0] != 4 {
@@ -142,11 +139,11 @@ func TestAdaptiveRhoKeepsDualMirrorExact(t *testing.T) {
 	ref := factory()
 	w0 := nn.FlattenParams(ref, nil)
 
-	srvAlgo, err := NewServer(cfg, w0, 2)
+	agg, err := NewAggregator(cfg, w0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := srvAlgo.(*IIADMMServer)
+	server := agg.(*IIADMMServer)
 	// Make the controller eager so rho actually moves during the test.
 	server.Adaptive.Mu = 1.01
 
@@ -172,7 +169,7 @@ func TestAdaptiveRhoKeepsDualMirrorExact(t *testing.T) {
 			}
 			ups[i] = u
 		}
-		if err := server.Update(ups); err != nil {
+		if err := server.Aggregate(ups); err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range clients {
@@ -204,7 +201,7 @@ func TestAdaptiveRhoEndToEndRun(t *testing.T) {
 func TestICEADMMServerClosedForm(t *testing.T) {
 	rho := 2.0
 	s := NewICEADMMServer([]float64{0}, 2, rho)
-	err := s.Update([]*wire.LocalUpdate{
+	err := s.Aggregate([]*wire.LocalUpdate{
 		upd(0, 1, []float64{4}, []float64{2}),  // z - λ/ρ = 4 - 1 = 3
 		upd(1, 1, []float64{2}, []float64{-2}), // 2 + 1 = 3
 	})
@@ -216,9 +213,27 @@ func TestICEADMMServerClosedForm(t *testing.T) {
 	}
 }
 
+// TestADMMServersRequireTheWholeFederation: the ADMM servers keep one dual
+// per client, so a batch that does not cover every client is refused
+// before anything folds.
+func TestADMMServersRequireTheWholeFederation(t *testing.T) {
+	short := []*wire.LocalUpdate{upd(0, 1, []float64{1}, []float64{0})}
+	for name, s := range map[string]Aggregator{
+		"iceadmm": NewICEADMMServer([]float64{5}, 2, 1),
+		"iiadmm":  NewIIADMMServer([]float64{5}, 2, 1),
+	} {
+		if err := s.Aggregate(short); err == nil {
+			t.Fatalf("%s accepted 1 update for 2 clients", name)
+		}
+		if s.Version() != 0 || s.GlobalWeights()[0] != 5 {
+			t.Fatalf("%s: the refused batch moved the model", name)
+		}
+	}
+}
+
 func TestICEADMMServerRequiresDual(t *testing.T) {
 	s := NewICEADMMServer([]float64{0}, 1, 1)
-	if err := s.Update([]*wire.LocalUpdate{upd(0, 1, []float64{1}, nil)}); err == nil {
+	if err := s.Aggregate([]*wire.LocalUpdate{upd(0, 1, []float64{1}, nil)}); err == nil {
 		t.Fatal("missing dual accepted")
 	}
 }
@@ -228,7 +243,7 @@ func TestIIADMMServerDualMirrorAndGlobalUpdate(t *testing.T) {
 	w0 := []float64{1}
 	s := NewIIADMMServer(w0, 2, rho)
 	// Round 1: w = 1, clients upload z = 3 and z = -1.
-	err := s.Update([]*wire.LocalUpdate{
+	err := s.Aggregate([]*wire.LocalUpdate{
 		upd(0, 1, []float64{3}, nil),
 		upd(1, 1, []float64{-1}, nil),
 	})
@@ -291,7 +306,7 @@ func TestIIADMMDualMirrorConsistencyUnderDP(t *testing.T) {
 			}
 			ups[i] = u
 		}
-		if err := server.Update(ups); err != nil {
+		if err := server.Aggregate(ups); err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range clients {

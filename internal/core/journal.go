@@ -222,7 +222,7 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 	if jw == nil {
 		return nil
 	}
-	w := liveModel(agg, nil)
+	w := agg.GlobalWeights()
 	rec := &jw.scratch
 	rec.Reset()
 	rec.Op = wire.JournalCommit
@@ -251,21 +251,6 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 	return nil
 }
 
-// liveModel returns the aggregator's own model vector, for a caller that
-// only reads it before the aggregator's next call: the dispatch, the
-// evaluation and the journal's commit and checkpoint. FedAvgServer and
-// BufferedAggregator (the journalable ones, see ValidateJournalConfig)
-// hand out their storage; the ADMM servers copy into buf (grown as needed).
-func liveModel(agg Aggregator, buf []float64) []float64 {
-	switch a := agg.(type) {
-	case *FedAvgServer:
-		return a.W
-	case *BufferedAggregator:
-		return a.w
-	}
-	return agg.WeightsInto(buf)
-}
-
 // ValidateJournalConfig rejects configurations the journal cannot make
 // crash-recoverable. Journaling needs every admitted update's dense primal
 // in hand at admit time (so a refold needs no client cooperation), which
@@ -283,30 +268,6 @@ func ValidateJournalConfig(cfg Config) error {
 		return fmt.Errorf("core: journaling and SubsetFrac cannot combine (subset admits are partial vectors)")
 	}
 	return nil
-}
-
-// restoreAggregator loads recovered weights and version into a freshly
-// constructed aggregator — the same-package escape hatch recovery uses to
-// put the "brain" back exactly where the crashed process left it.
-func restoreAggregator(agg Aggregator, w []float64, version int) error {
-	switch a := agg.(type) {
-	case *FedAvgServer:
-		if len(w) != len(a.W) {
-			return fmt.Errorf("core: recovered model has %d parameters, aggregator %d", len(w), len(a.W))
-		}
-		copy(a.W, w)
-		a.version = version
-		return nil
-	case *BufferedAggregator:
-		if len(w) != len(a.w) {
-			return fmt.Errorf("core: recovered model has %d parameters, aggregator %d", len(w), len(a.w))
-		}
-		copy(a.w, w)
-		a.version = version
-		return nil
-	default:
-		return fmt.Errorf("core: aggregator %T is not journal-recoverable", agg)
-	}
 }
 
 // goneForGood is the wire sentinel for a permanent departure; core uses

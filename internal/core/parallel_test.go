@@ -278,31 +278,6 @@ func TestShardedFoldZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestWeightsIntoReusesCapacity: WeightsInto must never reallocate when
-// the destination's capacity suffices — including when its *length*
-// differs, the trap the flatten helpers used to fall into.
-func TestWeightsIntoReusesCapacity(t *testing.T) {
-	const dim = 257
-	aggs := map[string]Aggregator{
-		"fedavg":   NewFedAvgServer(testVec(dim, 1), 2),
-		"iceadmm":  NewICEADMMServer(testVec(dim, 1), 2, 2),
-		"iiadmm":   NewIIADMMServer(testVec(dim, 1), 2, 2),
-		"buffered": mustBuffered(t, testVec(dim, 1)),
-	}
-	for name, agg := range aggs {
-		for _, length := range []int{0, 3, dim} {
-			dst := make([]float64, length, dim)
-			got := agg.WeightsInto(dst)
-			if len(got) != dim {
-				t.Fatalf("%s: WeightsInto returned length %d, want %d", name, len(got), dim)
-			}
-			if &got[0] != &dst[:1][0] {
-				t.Fatalf("%s: WeightsInto reallocated for dst len=%d cap=%d", name, length, dim)
-			}
-		}
-	}
-}
-
 func mustBuffered(t *testing.T, w0 []float64) *BufferedAggregator {
 	t.Helper()
 	b, err := NewBufferedAggregator(w0, 0.5, 0.5, 0)

@@ -54,11 +54,22 @@ type RecoveredServer struct {
 
 // Apply loads the recovered model into a freshly constructed aggregator.
 // A fresh recovery (no commits journaled) leaves the aggregator at w0.
+// Only the journalable aggregators qualify (see ValidateJournalConfig):
+// the ADMM servers' duals are in no checkpoint.
 func (r *RecoveredServer) Apply(agg Aggregator) error {
 	if r.Weights == nil {
 		return nil
 	}
-	return restoreAggregator(agg, r.Weights, r.Version)
+	var base *BaseServer
+	switch a := agg.(type) {
+	case *FedAvgServer:
+		base = &a.BaseServer
+	case *BufferedAggregator:
+		base = &a.BaseServer
+	default:
+		return fmt.Errorf("core: aggregator %T is not journal-recoverable", agg)
+	}
+	return base.restore(r.Weights, r.Version)
 }
 
 // RecoverServer replays a journal's checkpoint + WAL tail into the state

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/journal"
@@ -213,7 +214,7 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 		if agg.Version() != 7 {
 			t.Fatalf("%s: version %d, want 7", sched, agg.Version())
 		}
-		if w := agg.WeightsInto(nil); w[2] != 3 {
+		if w := agg.GlobalWeights(); w[2] != 3 {
 			t.Fatalf("%s: weights %v", sched, w)
 		}
 	}
@@ -224,5 +225,18 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 	}
 	if err := (&RecoveredServer{Weights: []float64{1}, Version: 1}).Apply(agg); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+	// An ADMM server embeds the same BaseServer, but its duals are in no
+	// checkpoint: restoring only its model would resume a different run.
+	admm, err := NewAggregator(Config{Algorithm: AlgoIIADMM, Rounds: 1}.WithDefaults(), w0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = (&RecoveredServer{Weights: []float64{1, 2, 3}, Version: 7}).Apply(admm)
+	if err == nil || !strings.Contains(err.Error(), "not journal-recoverable") {
+		t.Fatalf("IIADMM restore: err = %v, want a journal-recoverable refusal", err)
+	}
+	if admm.Version() != 0 || admm.GlobalWeights()[2] != 0 {
+		t.Fatalf("the refused restore still moved the IIADMM server: version %d, weights %v", admm.Version(), admm.GlobalWeights())
 	}
 }

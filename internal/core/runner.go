@@ -521,7 +521,7 @@ func (s *server) release(round int, batch, gathered []*wire.LocalUpdate, infligh
 	// Folded and committed: nothing reads the gathered updates again, so
 	// their storage goes back to the transports for the next decode.
 	comm.ReleaseUpdates(gathered)
-	recordRound(s.res, rs, s.agg, s.evalModel, s.fed, s.cfg.Rounds, s.validate, start, s.dispatch.wbuf, s.progress)
+	recordRound(s.res, rs, s.agg, s.evalModel, s.fed, s.cfg.Rounds, s.validate, start, s.progress)
 	return nil
 }
 
@@ -584,13 +584,12 @@ func (s *server) open(ids []int, round int) error {
 }
 
 // recordRound finalizes one round's statistics, validating on cadence. The
-// evaluation reads the aggregator's model through liveModel (wbuf is the
-// copy buffer of the aggregators that do not lend theirs) and loads it
-// into evalModel's own vector.
+// evaluation borrows the aggregator's live model (GlobalWeights) and loads
+// it into evalModel's own vector.
 func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module, fed *dataset.Federated,
-	rounds, validateEvery int, start time.Time, wbuf []float64, progress io.Writer) {
+	rounds, validateEvery int, start time.Time, progress io.Writer) {
 	if fed.Test != nil && (rs.Round%validateEvery == 0 || rs.Round == rounds) {
-		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, liveModel(agg, wbuf), fed.Test, 256)
+		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, agg.GlobalWeights(), fed.Test, 256)
 	}
 	rs.WallSec = time.Since(start).Seconds()
 	res.Rounds = append(res.Rounds, rs)
@@ -605,13 +604,12 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 // buffered releases and the re-dispatch of a resumed round. Every
 // transport serializes inside SendTo (rpc encodes and writes, mpi packs a
 // copy, pubsub encodes), so the GlobalModel borrows the aggregator's live
-// model (liveModel) and one kept code buffer serves every f16 round.
+// model (GlobalWeights) and one kept code buffer serves every f16 round.
 type dispatcher struct {
 	cfg    Config
 	agg    Aggregator
 	st     comm.ServerTransport
 	rho    interface{ CurrentRho() float64 }
-	wbuf   []float64 // liveModel's copy for the ADMM servers; the live model itself for the others
 	f16buf []byte
 }
 
@@ -637,12 +635,11 @@ func (d *dispatcher) release() {
 // the model version it carried. cohortSize is the size of the cohort the
 // round opened with, which a re-dispatch to the rest of it keeps.
 func (d *dispatcher) send(ids []int, round, cohortSize int) (uint64, error) {
-	d.wbuf = liveModel(d.agg, d.wbuf)
 	gm := &wire.GlobalModel{
 		Round:      uint32(round),
 		Version:    uint64(d.agg.Version()),
 		CohortSize: uint32(cohortSize),
-		Weights:    d.wbuf,
+		Weights:    d.agg.GlobalWeights(),
 	}
 	if d.rho != nil {
 		gm.Rho = d.rho.CurrentRho()

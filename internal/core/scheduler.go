@@ -60,15 +60,11 @@ func NewScheduler(cfg Config, numClients int) (Scheduler, error) {
 		if min > numClients {
 			return nil, fmt.Errorf("core: CohortMin %d exceeds %d clients", min, numClients)
 		}
-		seed := cfg.CohortSeed
-		if seed == 0 {
-			seed = cfg.Seed
-		}
 		return SampledCohort{
 			NumClients: numClients,
 			Fraction:   cfg.CohortFraction,
 			MinClients: min,
-			Seed:       seed,
+			Seed:       cfg.Seed,
 		}, nil
 	case SchedBuffered:
 		k := cfg.BufferK

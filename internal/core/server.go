@@ -8,22 +8,11 @@ import (
 	"repro/internal/wire"
 )
 
-// ServerAlgorithm is the analog of APPFL's BaseServer: it owns the global
-// model vector and defines how gathered local updates produce the next
-// global iterate. Implementations are FedAvgServer, ICEADMMServer, and
-// IIADMMServer; user-defined algorithms implement Update the same way
-// APPFL users override BaseServer.update().
-type ServerAlgorithm interface {
-	// GlobalWeights returns the current global model w (not a copy; callers
-	// must not mutate).
-	GlobalWeights() []float64
-	// Update consumes one gathered update per client (indexed by client)
-	// and recomputes the global model.
-	Update(updates []*wire.LocalUpdate) error
-}
-
-// BaseServer carries the state every server algorithm shares, mirroring
-// the Python BaseServer class.
+// BaseServer is the analog of APPFL's BaseServer class: the one owner of
+// a global model. Every Aggregator embeds it — FedAvgServer, the ADMM
+// servers and BufferedAggregator — and lends W to the round engine
+// (GlobalWeights) instead of copying it. Only the algorithm's fold
+// (Aggregate, or a StreamSession's chunks) and journal recovery write it.
 type BaseServer struct {
 	W          []float64 // global model parameters
 	NumClients int
@@ -36,20 +25,16 @@ type BaseServer struct {
 	version int // aggregations applied so far
 }
 
-// GlobalWeights returns the global parameter vector. This is the live
-// slice — mutating it corrupts server state; use Weights or WeightsInto
-// for a safe copy.
+// newBaseServer owns a copy of the initial weights w0.
+func newBaseServer(w0 []float64, numClients int) BaseServer {
+	return BaseServer{W: append([]float64(nil), w0...), NumClients: numClients}
+}
+
+// GlobalWeights lends the live global model W; see Aggregator.
 func (b *BaseServer) GlobalWeights() []float64 { return b.W }
 
 // Weights returns a defensive copy of the global parameter vector.
-func (b *BaseServer) Weights() []float64 { return b.WeightsInto(nil) }
-
-// WeightsInto copies the global parameter vector into dst (grown as
-// needed) and returns it.
-func (b *BaseServer) WeightsInto(dst []float64) []float64 {
-	dst = append(dst[:0], b.W...)
-	return dst
-}
+func (b *BaseServer) Weights() []float64 { return append([]float64(nil), b.W...) }
 
 // Dim returns the model dimension.
 func (b *BaseServer) Dim() int { return len(b.W) }
@@ -57,19 +42,22 @@ func (b *BaseServer) Dim() int { return len(b.W) }
 // Version counts the aggregations applied so far.
 func (b *BaseServer) Version() int { return b.version }
 
-// checkCount enforces the full-federation batch size of the strict
-// Update path.
-func (b *BaseServer) checkCount(n int) error {
-	if n != b.NumClients {
-		return fmt.Errorf("core: gathered %d updates for %d clients", n, b.NumClients)
+// restore loads a recovered model and version — how journal recovery puts
+// the "brain" back exactly where the crashed process left it.
+func (b *BaseServer) restore(w []float64, version int) error {
+	if len(w) != len(b.W) {
+		return fmt.Errorf("core: recovered model has %d parameters, aggregator %d", len(w), len(b.W))
 	}
+	copy(b.W, w)
+	b.version = version
 	return nil
 }
 
-// checkUpdates validates the gathered batch shape shared by all servers.
+// checkUpdates validates a full-federation batch, the only kind the ADMM
+// servers take: one update per client, ordered by client ID.
 func (b *BaseServer) checkUpdates(updates []*wire.LocalUpdate, needDual bool) error {
-	if err := b.checkCount(len(updates)); err != nil {
-		return err
+	if len(updates) != b.NumClients {
+		return fmt.Errorf("core: gathered %d updates for %d clients", len(updates), b.NumClients)
 	}
 	return b.checkBatch(updates, needDual, false)
 }
@@ -88,13 +76,13 @@ func (b *BaseServer) checkBatch(batch []*wire.LocalUpdate, needDual, allowEnc bo
 		}
 		if allowEnc && len(u.Primal) == 0 && u.PrimalP != nil {
 			if int(u.PrimalP.Dim) != len(b.W) {
-				return fmt.Errorf("core: client %d payload dimension %d, model is %d", i, u.PrimalP.Dim, len(b.W))
+				return fmt.Errorf("core: client %d payload dimension %d, model is %d", u.ClientID, u.PrimalP.Dim, len(b.W))
 			}
 		} else if len(u.Primal) != len(b.W) {
-			return fmt.Errorf("core: client %d primal dimension %d, model is %d", i, len(u.Primal), len(b.W))
+			return fmt.Errorf("core: client %d primal dimension %d, model is %d", u.ClientID, len(u.Primal), len(b.W))
 		}
 		if needDual && len(u.Dual) != len(b.W) {
-			return fmt.Errorf("core: client %d dual dimension %d, model is %d", i, len(u.Dual), len(b.W))
+			return fmt.Errorf("core: client %d dual dimension %d, model is %d", u.ClientID, len(u.Dual), len(b.W))
 		}
 	}
 	return nil
@@ -155,8 +143,7 @@ type FedAvgServer struct {
 
 // NewFedAvgServer builds the server with initial weights w0.
 func NewFedAvgServer(w0 []float64, numClients int) *FedAvgServer {
-	w := append([]float64(nil), w0...)
-	s := &FedAvgServer{BaseServer: BaseServer{W: w, NumClients: numClients}}
+	s := &FedAvgServer{BaseServer: newBaseServer(w0, numClients)}
 	s.foldOp = s.foldChunk
 	s.subOp = s.subsetChunk
 	return s
@@ -187,23 +174,12 @@ func (s *FedAvgServer) foldRange(lo, hi int, srcs []tensor.FoldSrc) {
 // foldChunk folds the staged batch over one chunk of the window.
 func (s *FedAvgServer) foldChunk(lo, hi int) { tensor.FoldKSrc(s.foldWin, lo, hi, s.srcs) }
 
-// Update averages the client primal vectors weighted by sample counts.
+// Aggregate averages a released batch of any size, weighting each primal
+// by its sample count: a sampled cohort's updates carry full weight.
 // Updates with NumSamples == 0 carry zero weight; a round in which nobody
-// trained leaves the global model unchanged. The batch must cover every
-// client; partial cohorts go through Aggregate.
-func (s *FedAvgServer) Update(updates []*wire.LocalUpdate) error {
-	if err := s.checkCount(len(updates)); err != nil {
-		return err
-	}
-	return s.Aggregate(updates)
-}
-
-// Aggregate averages a released batch of any size — the cohort form: a
-// sampled cohort's updates carry full weight, and the math over a full
-// cohort is identical to Update's, so the SyncAll schedule reproduces the
-// pre-refactor trajectory exactly. All contributing updates fold in one
-// batched K-way pass over [0, dim) (foldRange) instead of K separate
-// accumulator sweeps.
+// trained leaves the global model unchanged. All contributing updates fold
+// in one batched K-way pass over [0, dim) (foldRange) instead of K
+// separate accumulator sweeps.
 func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
 	if isSubsetBatch(batch) {
 		return s.aggregateSubset(batch)
@@ -245,7 +221,7 @@ type ICEADMMServer struct {
 	// every round (the paper's planned adaptive-penalty extension).
 	Adaptive *AdaptiveRho
 
-	wPrev []float64
+	wPrev []float64 // the pre-round model, kept only for Adaptive
 
 	// Per-batch primal/dual views and the pre-bound chunk op of the
 	// sharded consensus fold (reused scratch; no per-call allocation).
@@ -256,8 +232,7 @@ type ICEADMMServer struct {
 
 // NewICEADMMServer builds the server with initial weights w0.
 func NewICEADMMServer(w0 []float64, numClients int, rho float64) *ICEADMMServer {
-	w := append([]float64(nil), w0...)
-	s := &ICEADMMServer{BaseServer: BaseServer{W: w, NumClients: numClients}, Rho: rho}
+	s := &ICEADMMServer{BaseServer: newBaseServer(w0, numClients), Rho: rho}
 	s.aggOp = s.aggChunk
 	return s
 }
@@ -272,14 +247,19 @@ func (s *ICEADMMServer) aggChunk(lo, hi int) {
 // CurrentRho reports the penalty the next round must use.
 func (s *ICEADMMServer) CurrentRho() float64 { return s.Rho }
 
-// Update recomputes w from the uploaded primal and dual vectors, then
-// adapts ρ when the controller is attached.
-func (s *ICEADMMServer) Update(updates []*wire.LocalUpdate) error {
+// Aggregate recomputes w from the uploaded primal and dual vectors, then
+// adapts ρ when the controller is attached. The ADMM family keeps one dual
+// per client, so a valid batch covers the whole federation ordered by
+// client ID — partial cohorts are a configuration error caught by
+// Config.Validate.
+func (s *ICEADMMServer) Aggregate(updates []*wire.LocalUpdate) error {
 	if err := s.checkUpdates(updates, true); err != nil {
 		return err
 	}
 	s.version++
-	s.wPrev = append(s.wPrev[:0], s.W...)
+	if s.Adaptive != nil {
+		s.wPrev = append(s.wPrev[:0], s.W...)
+	}
 	s.aggZ, s.aggD = s.aggZ[:0], s.aggD[:0]
 	for _, u := range updates {
 		s.aggZ = append(s.aggZ, u.Primal)
@@ -317,7 +297,7 @@ type IIADMMServer struct {
 	Adaptive *AdaptiveRho
 
 	duals [][]float64 // mirror λ_p per client
-	wPrev []float64
+	wPrev []float64   // the pre-round model, kept only for Adaptive
 
 	aggZ  [][]float64 // per-batch primal views (reused scratch)
 	aggOp func(lo, hi int)
@@ -326,13 +306,12 @@ type IIADMMServer struct {
 // NewIIADMMServer builds the server; duals start at zero, the shared
 // initialization of Algorithm 1 line 1.
 func NewIIADMMServer(w0 []float64, numClients int, rho float64) *IIADMMServer {
-	w := append([]float64(nil), w0...)
 	duals := make([][]float64, numClients)
 	for i := range duals {
 		duals[i] = make([]float64, len(w0))
 	}
 	s := &IIADMMServer{
-		BaseServer: BaseServer{W: w, NumClients: numClients},
+		BaseServer: newBaseServer(w0, numClients),
 		Rho:        rho,
 		duals:      duals,
 	}
@@ -344,7 +323,7 @@ func NewIIADMMServer(w0 []float64, numClients int, rho float64) *IIADMMServer {
 // the cache-blocked kernels. The dual update reads the pre-zeroing w of
 // its own chunk only, so running chunks concurrently is exactly the
 // serial element order; the batch covers every client ordered by ID
-// (checkCount), so batch index p addresses mirror dual s.duals[p].
+// (checkUpdates), so batch index p addresses mirror dual s.duals[p].
 func (s *IIADMMServer) aggChunk(lo, hi int) {
 	if !s.FreezeDual {
 		tensor.DualStepK(s.duals, s.W, lo, hi, s.aggZ, s.Rho)
@@ -358,16 +337,19 @@ func (s *IIADMMServer) Dual(client int) []float64 { return s.duals[client] }
 // CurrentRho reports the penalty the next round must use.
 func (s *IIADMMServer) CurrentRho() float64 { return s.Rho }
 
-// Update implements lines 3 and 6 of Algorithm 1: first the mirror dual
-// update with the incoming primals against the w that produced them, then
-// the global update w ← (1/P) Σ_p (z_p − λ_p/ρ) for the next round, then
-// (optionally) the adaptive-ρ step for the round after.
-func (s *IIADMMServer) Update(updates []*wire.LocalUpdate) error {
+// Aggregate implements lines 3 and 6 of Algorithm 1: first the mirror
+// dual update with the incoming primals against the w that produced them,
+// then the global update w ← (1/P) Σ_p (z_p − λ_p/ρ) for the next round,
+// then (optionally) the adaptive-ρ step for the round after. Like
+// ICEADMM's, a valid batch covers the whole federation.
+func (s *IIADMMServer) Aggregate(updates []*wire.LocalUpdate) error {
 	if err := s.checkUpdates(updates, false); err != nil {
 		return err
 	}
 	s.version++
-	s.wPrev = append(s.wPrev[:0], s.W...)
+	if s.Adaptive != nil {
+		s.wPrev = append(s.wPrev[:0], s.W...)
+	}
 	// Line 6: λ_p ← λ_p + ρ(w^{t+1} − z_p^{t+1}); w is still the model that
 	// was broadcast this round, and ρ is the value that rode with it.
 	// Line 3 (for the next round): w ← (1/P) Σ (z_p − λ_p/ρ).
@@ -385,49 +367,9 @@ func (s *IIADMMServer) Update(updates []*wire.LocalUpdate) error {
 	return nil
 }
 
-// Aggregate consumes a released batch. The ADMM family maintains one dual
-// per client, so a valid batch always covers the whole federation ordered
-// by client ID — partial cohorts are a configuration error caught by
-// Config.Validate.
-func (s *ICEADMMServer) Aggregate(batch []*wire.LocalUpdate) error { return s.Update(batch) }
-
-// Aggregate consumes a released batch; see ICEADMMServer.Aggregate for why
-// the ADMM family requires full cohorts.
-func (s *IIADMMServer) Aggregate(batch []*wire.LocalUpdate) error { return s.Update(batch) }
-
-// Interface conformance checks: the legacy servers are Aggregators.
+// Interface conformance checks.
 var (
 	_ Aggregator = (*FedAvgServer)(nil)
 	_ Aggregator = (*ICEADMMServer)(nil)
 	_ Aggregator = (*IIADMMServer)(nil)
 )
-
-// NewServer constructs the server for cfg with initial weights w0.
-func NewServer(cfg Config, w0 []float64, numClients int) (ServerAlgorithm, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	switch cfg.Algorithm {
-	case AlgoFedAvg:
-		s := NewFedAvgServer(w0, numClients)
-		s.Workers = cfg.AggWorkers
-		return s, nil
-	case AlgoICEADMM:
-		s := NewICEADMMServer(w0, numClients, cfg.Rho)
-		s.Workers = cfg.AggWorkers
-		if cfg.AdaptiveRho {
-			s.Adaptive = NewAdaptiveRho(cfg.Rho)
-		}
-		return s, nil
-	case AlgoIIADMM:
-		s := NewIIADMMServer(w0, numClients, cfg.Rho)
-		s.Workers = cfg.AggWorkers
-		s.FreezeDual = cfg.FreezeDual
-		if cfg.AdaptiveRho {
-			s.Adaptive = NewAdaptiveRho(cfg.Rho)
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algorithm)
-	}
-}

@@ -163,7 +163,7 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 			if err := jw.commit(round, agg, mem, 0); err != nil {
 				t.Fatal(err)
 			}
-			recordRound(res, RoundStats{Round: round}, agg, evalModel, fed, 1<<20, 1, time.Now(), nil, nil)
+			recordRound(res, RoundStats{Round: round}, agg, evalModel, fed, 1<<20, 1, time.Now(), nil)
 		}
 		journaled()
 		journaled()

@@ -1,7 +1,8 @@
 // Package docscheck keeps the documentation tree honest: the CLI flag
 // reference is cross-checked against the flag.* declarations in cmd/*/,
-// every relative markdown link in README.md and docs/ must resolve, and
-// every test, benchmark and fuzz target they cite must exist. The checks
+// every relative markdown link in README.md and docs/ must resolve, every
+// test, benchmark and fuzz target they cite must exist, and so must every
+// `pkg.Name` or `Type.Member` identifier they cite. The checks
 // parse source — code via go/ast, docs via their markdown conventions —
 // so drift fails CI instead of rotting silently.
 package docscheck
@@ -388,4 +389,204 @@ func TestDocsCitedNamesExist(t *testing.T) {
 		}
 	}
 	t.Logf("%d cited names checked against %d test functions", cited, len(defined))
+}
+
+// declIndex is what the module's non-test Go sources declare: the
+// top-level names of each package (by package name; main is left out),
+// and the members of each type (by type name, across packages) — its
+// fields and methods, and the types it embeds or aliases, whose members
+// it promotes.
+type declIndex struct {
+	pkgs    map[string]map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+}
+
+// typeName is the name a type expression declares or embeds: T, *T,
+// pkg.T and T[P] all name T.
+func typeName(e ast.Expr) string {
+	switch v := e.(type) {
+	case *ast.Ident:
+		return v.Name
+	case *ast.StarExpr:
+		return typeName(v.X)
+	case *ast.SelectorExpr:
+		return v.Sel.Name
+	case *ast.IndexExpr:
+		return typeName(v.X)
+	case *ast.IndexListExpr:
+		return typeName(v.X)
+	}
+	return ""
+}
+
+func (d *declIndex) member(typ, name string) {
+	if d.members[typ] == nil {
+		d.members[typ] = make(map[string]bool)
+	}
+	d.members[typ][name] = true
+}
+
+// fields records a struct's or interface's members; an embedded one is
+// both a member (a.Base) and a source of promoted members (a.Field).
+func (d *declIndex) fields(typ string, list *ast.FieldList) {
+	for _, f := range list.List {
+		for _, n := range f.Names {
+			d.member(typ, n.Name)
+		}
+		if len(f.Names) == 0 {
+			if emb := typeName(f.Type); emb != "" {
+				d.member(typ, emb)
+				d.embeds[typ] = append(d.embeds[typ], emb)
+			}
+		}
+	}
+}
+
+// indexDecls parses every non-test .go file under the repo root.
+func indexDecls(t *testing.T) *declIndex {
+	t.Helper()
+	d := &declIndex{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(repoRoot, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != repoRoot && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		top := d.pkgs[pkg]
+		if top == nil && pkg != "main" {
+			top = make(map[string]bool)
+			d.pkgs[pkg] = top
+		}
+		declare := func(name string) {
+			if top != nil {
+				top[name] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					declare(decl.Name.Name)
+				} else if recv := typeName(decl.Recv.List[0].Type); recv != "" {
+					d.member(recv, decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						name := s.Name.Name
+						declare(name)
+						d.member(name, "") // a type with no members is still a type
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							d.fields(name, ty.Fields)
+						case *ast.InterfaceType:
+							d.fields(name, ty.Methods)
+						default:
+							if s.Assign != 0 {
+								d.embeds[name] = append(d.embeds[name], typeName(ty))
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							declare(n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// hasMember reports whether a type of that name declares or promotes name.
+func (d *declIndex) hasMember(typ, name string) bool {
+	seen := map[string]bool{}
+	var walk func(string) bool
+	walk = func(ty string) bool {
+		if seen[ty] {
+			return false
+		}
+		seen[ty] = true
+		if d.members[ty][name] {
+			return true
+		}
+		return slices.ContainsFunc(d.embeds[ty], walk)
+	}
+	return walk(typ)
+}
+
+// resolves reports whether a dotted citation names a declared identifier,
+// and whether it is a citation of this repo's code at all: the first part
+// must be a repo package (pkg.Name, pkg.Type.Member) or a repo type
+// (Type.Member).
+func (d *declIndex) resolves(parts []string) (ok, cited bool) {
+	if top, isPkg := d.pkgs[parts[0]]; isPkg {
+		cited = true
+		if top[parts[1]] && (len(parts) == 2 || d.hasMember(parts[1], parts[2])) {
+			return true, true
+		}
+	}
+	if _, isType := d.members[parts[0]]; isType {
+		cited = true
+		if d.hasMember(parts[0], parts[1]) {
+			return true, true
+		}
+	}
+	return false, cited
+}
+
+// citedIdent matches a code span holding nothing but a dotted Go
+// identifier chain of two or three parts, optionally called: `core.Serve`,
+// `wire.Decoder.ResetStream`, `FedAvgServer.W`, `Config.Validate()`.
+var citedIdent = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\(\\))?`")
+
+// TestDocsCitedIdentifiersExist fails on any `pkg.Name`, `pkg.Type.Member`
+// or `Type.Member` code span in README.md and docs/*.md that names no
+// declared identifier of this module — a field, method or top-level name
+// deleted or renamed under the docs. Members promoted through embedding
+// count as declared. Spans whose first part is neither a repo package nor
+// a repo type (`math.Log`, `tenants.json`) are not citations of this code.
+func TestDocsCitedIdentifiersExist(t *testing.T) {
+	d := indexDecls(t)
+	checked := 0
+	for _, file := range docFiles(t) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		seen := make(map[string]bool)
+		for _, m := range citedIdent.FindAllStringSubmatch(string(raw), -1) {
+			if seen[m[1]] {
+				continue
+			}
+			seen[m[1]] = true
+			ok, cited := d.resolves(strings.Split(m[1], "."))
+			if cited {
+				checked++
+			}
+			if cited && !ok {
+				t.Errorf("%s cites `%s`, which no non-test Go source declares", file, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no identifier citations found in the docs")
+	}
+	t.Logf("%d cited identifiers resolved against %d packages", checked, len(d.pkgs))
 }
