@@ -17,7 +17,7 @@
 //     applies the inverse stack before aggregation. Compression encodings
 //     (sparse top-k, stochastic quantization, float16) cut upload bytes
 //     4–8x on the real transports.
-//   - Communication: in-process MPI collectives, TCP RPC (the gRPC
+//   - Communication: an in-process MPI-style world, TCP RPC (the gRPC
 //     substitute, also usable across machines via cmd/appfl-server and
 //     cmd/appfl-client), and an MQTT-style pub/sub broker.
 //   - Models: a torch.nn-style layer library with the paper's CNN.

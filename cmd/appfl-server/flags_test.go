@@ -37,7 +37,6 @@ func TestFlagMapping(t *testing.T) {
 		"pipeline":         {value: "clip:1,quantize:8", got: func(o *options) any { return o.cfg.Pipeline }, want: "clip:1,quantize:8", plan: func(p wire.Plan) any { return p.Pipeline }},
 		"downlink-f16":     {value: "true", got: func(o *options) any { return o.cfg.DownlinkF16 }, want: true},
 		"accept-timeout":   {value: "45s", got: func(o *options) any { return o.acceptTimeout }, want: 45 * time.Second},
-		"agg-workers":      {value: "3", got: func(o *options) any { return o.cfg.AggWorkers }, want: 3},
 		"chunk":            {value: "4096", got: func(o *options) any { return uint32(o.cfg.StreamChunk) }, want: uint32(4096), plan: func(p wire.Plan) any { return p.Chunk }, with: fedavg},
 		"subset":           {value: "0.25", got: func(o *options) any { return o.cfg.SubsetFrac }, want: 0.25, plan: func(p wire.Plan) any { return p.Subset }, with: fedavg},
 		"journal":          {value: "/tmp/j", got: func(o *options) any { return o.journalDir }, want: "/tmp/j", with: fedavg},

@@ -71,7 +71,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (handed to the clients)")
 	fs.BoolVar(&c.DownlinkF16, "downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
 	fs.DurationVar(&o.acceptTimeout, "accept-timeout", 2*time.Minute, "join deadline")
-	fs.IntVar(&c.AggWorkers, "agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&c.StreamChunk, "chunk", 0, "gather uplinks as streamed chunks of this many coordinates (0 = monolithic; handed to the clients)")
 	fs.Float64Var(&c.SubsetFrac, "subset", 0, "accept LoRA-style partial uploads covering this coordinate fraction (0 = dense; handed to the clients)")
 	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset)")

@@ -53,7 +53,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 42, "seed driving the fault plan's random choices")
 	fs.DurationVar(&c.RoundTimeout, "round-timeout", 0, "server deadline per round (0 = wait forever; required to survive crash faults)")
 	fs.IntVar(&c.MinCohort, "min-cohort", 0, "quorum: minimum survivors a deadline-cut round may aggregate (0 = 1)")
-	fs.IntVar(&c.AggWorkers, "agg-workers", 0, "sharded aggregation width (0 = GOMAXPROCS, 1 = serial; bit-identical results at any width)")
 	fs.IntVar(&c.StreamChunk, "chunk", 0, "stream uplinks as chunks of this many coordinates (0 = monolithic; FedAvg barrier schedulers only, bit-identical)")
 	fs.Float64Var(&c.SubsetFrac, "subset", 0, "LoRA-style partial uploads: fraction of coordinates each client sends (0 = dense; FedAvg only)")
 	if err := fs.Parse(args); err != nil {

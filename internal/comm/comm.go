@@ -1,11 +1,12 @@
 // Package comm defines the communication abstraction of the APPFL
 // architecture (Section II-A.3): the server and clients exchange the global
 // model and local updates through a pluggable transport. Three backends
-// implement it — comm/mpi (in-process collectives standing in for
-// MPI+RDMA), comm/rpc (TCP remote procedure calls standing in for gRPC),
-// and comm/pubsub (a topic broker standing in for the paper's planned MQTT
-// support). All backends account bytes and messages so experiments can
-// compare algorithms by true communication volume.
+// implement it — comm/mpi (in-process ranks standing in for MPI+RDMA),
+// comm/rpc (TCP remote procedure calls standing in for gRPC), and
+// comm/pubsub (a topic broker standing in for the paper's planned MQTT
+// support). All three carry the same wire frames and count their bytes
+// and messages, so experiments compare algorithms and transports by true
+// communication volume.
 package comm
 
 import (
@@ -23,11 +24,12 @@ import (
 // survivors and Forgive the rest.
 var ErrRoundTimeout = errors.New("comm: round deadline exceeded")
 
-// ServerTransport is the server's side of the protocol. The classic
-// synchronous round is one Broadcast followed by one Gather; the
-// scheduler-driven rounds introduced with partial participation use the
-// cohort forms (SendTo/GatherFrom), and the buffered semi-asynchronous
-// scheduler consumes arrivals one batch at a time through GatherAny.
+// ServerTransport is the server's side of the protocol. A barrier round
+// is one SendTo to the cohort followed by one GatherFrom of the same
+// cohort (comm.AllClients for full participation); the buffered
+// semi-asynchronous scheduler consumes arrivals one batch at a time
+// through GatherAny, and deadline-driven rounds through GatherUntil.
+// Broadcast delivers the final model to everyone.
 //
 // Every non-final model delivered to a client obliges exactly one
 // LocalUpdate in return. The connection-oriented transports (mpi, rpc)
@@ -42,14 +44,11 @@ type ServerTransport interface {
 	// SendTo delivers the global model to the listed clients only. The
 	// model is serialized before SendTo returns.
 	SendTo(clients []int, m *wire.GlobalModel) error
-	// Gather collects exactly one local update from every client, in client
-	// order. Updates returned by any Gather* form belong to the caller
-	// until it passes them to ReleaseUpdates; never releasing them is
-	// merely slower (see recycle.go).
-	Gather() ([]*wire.LocalUpdate, error)
 	// GatherFrom collects exactly one local update from each listed client
 	// and returns them ordered as listed. An update from a client not in
-	// the list is an error.
+	// the list is an error. Updates returned by any Gather* form belong to
+	// the caller until it passes them to ReleaseUpdates; never releasing
+	// them is merely slower (see recycle.go).
 	GatherFrom(clients []int) ([]*wire.LocalUpdate, error)
 	// GatherAny blocks until n of the currently outstanding updates have
 	// arrived and returns them in arrival order — the primitive behind
@@ -117,8 +116,8 @@ type ClientTransport interface {
 	Close() error
 }
 
-// AllClients returns the identity cohort [0, 1, ..., n-1], the degenerate
-// schedule under which the cohort forms reduce to Broadcast/Gather.
+// AllClients returns the identity cohort [0, 1, ..., n-1]: the cohort of
+// full participation.
 func AllClients(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {

@@ -12,7 +12,7 @@ import (
 )
 
 // TestStreamOverMPI: a chunked upload over the MPI world reassembles
-// every client's vector bit for bit through the packed-bytes framing.
+// every client's vector bit for bit through its wire frames.
 // The stream follows the real protocol: the server dispatches a model
 // (opening the obligation whose reply receiver routes the chunks), the
 // cohort streams, and a slim update settles each obligation.
@@ -73,7 +73,7 @@ func TestStreamOverMPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Gather(); err != nil { // slim updates settle the obligations
+	if _, err := server.GatherFrom(comm.AllClients(P)); err != nil { // slim updates settle the obligations
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -362,12 +362,6 @@ func (s *ServerTransport) collect(n int, timer <-chan time.Time) ([]*wire.LocalU
 	return out, nil
 }
 
-// Gather reads numClients updates from the update topic and orders them by
-// client ID.
-func (s *ServerTransport) Gather() ([]*wire.LocalUpdate, error) {
-	return s.GatherFrom(comm.AllClients(s.numClients))
-}
-
 // GatherFrom reads one update per listed client, ordered as listed.
 func (s *ServerTransport) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
 	got, err := s.collect(len(clients), nil)
@@ -377,10 +371,10 @@ func (s *ServerTransport) GatherFrom(clients []int) ([]*wire.LocalUpdate, error)
 	return comm.OrderByClient(clients, got)
 }
 
-// GatherAny reads the next n updates in arrival order. Unlike Gather and
-// GatherFrom (which tolerate spontaneous publishes, QoS-0 style), it
-// checks the dispatch ledger so a scheduler overdraw fails fast instead
-// of blocking forever on an update that will never come.
+// GatherAny reads the next n updates in arrival order. Unlike GatherFrom
+// (which tolerates spontaneous publishes, QoS-0 style), it checks the
+// dispatch ledger so a scheduler overdraw fails fast instead of blocking
+// forever on an update that will never come.
 func (s *ServerTransport) GatherAny(n int) ([]*wire.LocalUpdate, error) {
 	if owed := s.ledger.Owed(); n > owed {
 		return nil, fmt.Errorf("pubsub: gathering %d updates with only %d outstanding", n, owed)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/wire"
 )
 
@@ -140,7 +141,7 @@ func TestFLBrokerRound(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{5}}); err != nil {
 		t.Fatal(err)
 	}
-	ups, err := srv.Gather()
+	ups, err := srv.GatherFrom(comm.AllClients(P))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +160,13 @@ func TestFLBrokerGatherOrdersOutOfOrderArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// Send updates in reverse client order; Gather must reindex by ID.
+	// Send updates in reverse client order; GatherFrom must reindex by ID.
 	for i := P - 1; i >= 0; i-- {
 		if err := clients[i].SendUpdate(&wire.LocalUpdate{ClientID: uint32(i), Primal: []float64{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ups, err := srv.Gather()
+	ups, err := srv.GatherFrom(comm.AllClients(P))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestFLBrokerRejectsDuplicateUpdates(t *testing.T) {
 	defer srv.Close()
 	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{1}})
 	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{2}})
-	if _, err := srv.Gather(); err == nil {
+	if _, err := srv.GatherFrom(comm.AllClients(2)); err == nil {
 		t.Fatal("duplicate update accepted")
 	}
 }
@@ -208,7 +209,7 @@ func TestFLBrokerStats(t *testing.T) {
 		}(i, c)
 	}
 	srv.Broadcast(&wire.GlobalModel{Weights: make([]float64, 10)})
-	if _, err := srv.Gather(); err != nil {
+	if _, err := srv.GatherFrom(comm.AllClients(2)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package pubsub
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/wire"
 )
 
@@ -37,7 +38,7 @@ func TestTenantBrokerDemux(t *testing.T) {
 	}
 	// Gather tenant 1 first: its updates must not be visible to tenant 0.
 	for _, tenant := range []int{1, 0} {
-		ups, err := servers[tenant].Gather()
+		ups, err := servers[tenant].GatherFrom(comm.AllClients(len(clients[tenant])))
 		if err != nil {
 			t.Fatalf("tenant %d gather: %v", tenant, err)
 		}

@@ -185,12 +185,15 @@ func (c ServerConfig) tenants() []TenantSpec {
 // into its session.
 //
 // One reader goroutine per connection pumps every incoming frame into its
-// tenant's arrival channel, which that tenant's Gather/GatherFrom/
-// GatherAny/GatherUntil drain; per-tenant obligation ledgers decide which
+// tenant's arrival channel, which that tenant's GatherFrom/GatherAny/
+// GatherUntil drain; per-tenant obligation ledgers decide which
 // arrivals settle obligations and which are stale replays of forgiven
-// rounds. A single-tenant server is the degenerate one-view case, and the
-// Server's own transport methods delegate to that default view.
+// rounds. A single-tenant server is the degenerate one-view case: the
+// Server embeds the default tenant's view, whose transport methods it
+// serves, and keeps only Stats (every tenant's traffic) and Close.
 type Server struct {
+	*TenantView // tenant 0
+
 	cfg   ServerConfig
 	specs []TenantSpec
 	table *comm.TenantTable
@@ -315,6 +318,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 			frames:   make([]frameWriter, sizes[t]),
 		}
 	}
+	s.TenantView = s.views[0]
 	return s, nil
 }
 
@@ -727,12 +731,6 @@ func (v *TenantView) collect(n int, timer <-chan time.Time) ([]*wire.LocalUpdate
 	return out, nil
 }
 
-// Gather reads one LocalUpdate from every client of this tenant and
-// returns them indexed by client ID.
-func (v *TenantView) Gather() ([]*wire.LocalUpdate, error) {
-	return v.GatherFrom(comm.AllClients(v.n))
-}
-
 // GatherFrom reads one LocalUpdate from each listed client, ordered as
 // listed.
 func (v *TenantView) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
@@ -777,41 +775,6 @@ func (v *TenantView) Stats() comm.Snapshot { return v.s.stats.Snapshot() }
 // one tenant finishing its run must not tear down its neighbors. Close
 // the Server itself to release resources.
 func (v *TenantView) Close() error { return nil }
-
-// Broadcast sends the global model to all clients of the default tenant.
-func (s *Server) Broadcast(m *wire.GlobalModel) error { return s.views[0].Broadcast(m) }
-
-// SendTo sends the global model to the listed default-tenant clients.
-func (s *Server) SendTo(clients []int, m *wire.GlobalModel) error {
-	return s.views[0].SendTo(clients, m)
-}
-
-// Gather reads one LocalUpdate from every default-tenant client.
-func (s *Server) Gather() ([]*wire.LocalUpdate, error) { return s.views[0].Gather() }
-
-// GatherFrom reads one LocalUpdate from each listed default-tenant client.
-func (s *Server) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
-	return s.views[0].GatherFrom(clients)
-}
-
-// GatherAny reads the next n outstanding default-tenant updates.
-func (s *Server) GatherAny(n int) ([]*wire.LocalUpdate, error) { return s.views[0].GatherAny(n) }
-
-// GatherUntil reads up to n outstanding default-tenant updates with a
-// deadline; see comm.ServerTransport.
-func (s *Server) GatherUntil(n int, timeout time.Duration) ([]*wire.LocalUpdate, error) {
-	return s.views[0].GatherUntil(n, timeout)
-}
-
-// Forgive closes the open obligations of the listed default-tenant
-// clients.
-func (s *Server) Forgive(clients []int) { s.views[0].Forgive(clients) }
-
-// Outstanding returns the default tenant's clients with open obligations.
-func (s *Server) Outstanding() []int { return s.views[0].Outstanding() }
-
-// Unreachable returns the default tenant's known-dead clients.
-func (s *Server) Unreachable() []int { return s.views[0].Unreachable() }
 
 // Stats returns the traffic snapshot.
 func (s *Server) Stats() comm.Snapshot { return s.stats.Snapshot() }

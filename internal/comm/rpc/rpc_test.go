@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/wire"
 )
 
@@ -123,7 +124,7 @@ func TestBroadcastGatherRound(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Round: 7, Weights: []float64{1, -2}}); err != nil {
 		t.Fatal(err)
 	}
-	ups, err := srv.Gather()
+	ups, err := srv.GatherFrom(comm.AllClients(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestMultipleRounds(t *testing.T) {
 		if err := srv.Broadcast(&wire.GlobalModel{Round: uint32(r), Weights: []float64{0}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.Gather(); err != nil {
+		if _, err := srv.GatherFrom(comm.AllClients(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +193,7 @@ func TestServerStatsAccumulate(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Weights: make([]float64, 100)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Gather(); err != nil {
+	if _, err := srv.GatherFrom(comm.AllClients(2)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -286,7 +287,7 @@ func TestHostileJoinLeavesAcceptRunning(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if ups, err := srv.Gather(); err != nil || len(ups) != 1 {
+	if ups, err := srv.GatherFrom(comm.AllClients(1)); err != nil || len(ups) != 1 {
 		t.Fatalf("round after hostile joins: %d updates, err %v", len(ups), err)
 	}
 }
@@ -350,7 +351,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 		if err := srv.Broadcast(&wire.GlobalModel{Round: uint32(i), Weights: weights}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := srv.Gather(); err != nil {
+		if _, err := srv.GatherFrom(comm.AllClients(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,7 +362,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 }
 
 // TestGatherFailsWhenClientDies injects a mid-round client failure: the
-// server must surface an error from Gather rather than hang.
+// server must surface an error from GatherFrom rather than hang.
 func TestGatherFailsWhenClientDies(t *testing.T) {
 	srv, clients := startCluster(t, 2)
 	// Client 1 participates; client 0 dies after receiving the broadcast.
@@ -383,7 +384,7 @@ func TestGatherFailsWhenClientDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	if _, err := srv.Gather(); err == nil {
+	if _, err := srv.GatherFrom(comm.AllClients(2)); err == nil {
 		t.Fatal("gather succeeded despite a dead client")
 	}
 }

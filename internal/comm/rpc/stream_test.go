@@ -70,7 +70,7 @@ func TestStreamOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The slim updates settle through the ordinary gather afterwards.
-	ups, err := srv.Gather()
+	ups, err := srv.GatherFrom(comm.AllClients(P))
 	if err != nil {
 		t.Fatal(err)
 	}

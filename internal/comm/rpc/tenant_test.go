@@ -99,7 +99,7 @@ func TestTenantDemux(t *testing.T) {
 	}
 	for _, tenant := range []int{1, 0} {
 		view := srv.Tenant(tenant)
-		ups, err := view.Gather()
+		ups, err := view.GatherFrom(comm.AllClients(len(clients[tenant])))
 		if err != nil {
 			t.Fatalf("tenant %d gather: %v", tenant, err)
 		}
@@ -253,7 +253,7 @@ func TestTenantViewCloseIsNoop(t *testing.T) {
 	if err := clients[1][0].SendUpdate(&wire.LocalUpdate{Round: 1, Primal: []float64{2}}); err != nil {
 		t.Fatalf("send after sibling close: %v", err)
 	}
-	if _, err := view.Gather(); err != nil {
+	if _, err := view.GatherFrom(comm.AllClients(1)); err != nil {
 		t.Fatalf("gather after sibling close: %v", err)
 	}
 }

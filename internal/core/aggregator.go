@@ -56,22 +56,18 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 		if err != nil {
 			return nil, err
 		}
-		b.Workers = cfg.AggWorkers
 		return b, nil
 	case cfg.Algorithm == AlgoFedAvg:
 		s := NewFedAvgServer(w0, numClients)
-		s.Workers = cfg.AggWorkers
 		return s, nil
 	case cfg.Algorithm == AlgoICEADMM:
 		s := NewICEADMMServer(w0, numClients, cfg.Rho)
-		s.Workers = cfg.AggWorkers
 		if cfg.AdaptiveRho {
 			s.Adaptive = NewAdaptiveRho(cfg.Rho)
 		}
 		return s, nil
 	case cfg.Algorithm == AlgoIIADMM:
 		s := NewIIADMMServer(w0, numClients, cfg.Rho)
-		s.Workers = cfg.AggWorkers
 		s.FreezeDual = cfg.FreezeDual
 		if cfg.AdaptiveRho {
 			s.Adaptive = NewAdaptiveRho(cfg.Rho)

@@ -34,8 +34,8 @@ func (r *sendRecorder) SendTo(ids []int, m *wire.GlobalModel) error {
 // TestDispatchBorrowsTheLiveModel: the dispatcher hands the transport
 // every aggregator's own model vector (GlobalWeights), not a copy — the
 // ADMM servers' as well as FedAvg's — and every transport has serialized
-// it by the time SendTo returns: rpc encodes and writes, mpi packs a
-// copy, pubsub encodes, and the fault layer passes the send through.
+// it by the time SendTo returns: rpc encodes and writes, mpi and pubsub
+// encode, and the fault layer passes the send through.
 // Overwritten right after the send, the model still reaches every client
 // with the bits it had before, dense and through the f16 downlink (whose
 // codes are the dispatcher's one kept buffer).

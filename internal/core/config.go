@@ -118,15 +118,6 @@ type Config struct {
 	// such as 1e-12).
 	AsyncGamma float64
 
-	// AggWorkers is the width of the sharded aggregation hot path: the
-	// server splits the weight vector into deterministic contiguous chunks
-	// and folds them on a worker pool, and the round decode
-	// (DecodeUpdates) fans out per update across the same pool. 0 (the
-	// default) selects GOMAXPROCS; 1 forces the serial path. Every
-	// aggregation rule is element-wise with a fixed per-element fold
-	// order, so results are bit-identical across widths.
-	AggWorkers int
-
 	// StreamChunk, when positive, streams every uplink as a sequence of
 	// fixed-size wire.ModelChunk messages of this many coordinates instead
 	// of one monolithic LocalUpdate: the server folds each chunk into an
@@ -248,9 +239,6 @@ func (c Config) Validate() error {
 	stack, err := c.stack(nil)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if c.AggWorkers < 0 {
-		return fmt.Errorf("core: AggWorkers must be >= 0 (0 selects GOMAXPROCS), got %d", c.AggWorkers)
 	}
 	if c.RoundTimeout < 0 {
 		return fmt.Errorf("core: RoundTimeout must be >= 0, got %v", c.RoundTimeout)

@@ -58,7 +58,6 @@ func TestFusedFoldBitIdenticalToTwoPass(t *testing.T) {
 				for _, workers := range aggWidths {
 					cfg := base
 					cfg.Pipeline = spec
-					cfg.AggWorkers = workers
 					cfg = cfg.WithDefaults()
 					inv, err := NewServerPipeline(cfg)
 					if err != nil {
@@ -66,13 +65,9 @@ func TestFusedFoldBitIdenticalToTwoPass(t *testing.T) {
 					}
 
 					twoPass, err := NewAggregator(cfg, testVec(dim, 1), clients)
-					if err != nil {
-						t.Fatal(err)
-					}
+					twoPass = pinWorkers(t, twoPass, err, workers)
 					fusedAgg, err := NewAggregator(cfg, testVec(dim, 1), clients)
-					if err != nil {
-						t.Fatal(err)
-					}
+					fusedAgg = pinWorkers(t, fusedAgg, err, workers)
 					fs, ok := EnableFusedFold(fusedAgg, inv)
 					if !ok {
 						t.Fatalf("pipeline %q did not fuse", spec)

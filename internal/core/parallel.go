@@ -14,7 +14,8 @@ import (
 // results to the serial loop — no floating-point reassociation happens,
 // because no cross-element reduction exists. Chunk boundaries are a pure
 // function of (n, workers), never of GOMAXPROCS or scheduling, so a run
-// with AggWorkers=8 on a laptop and on a cluster produces the same bytes.
+// at width 8 on a laptop and on a cluster produces the same bytes.
+// A run's width is GOMAXPROCS; tests pin one through BaseServer.Workers.
 
 // minShard is the smallest chunk worth shipping to a worker: below this,
 // the channel handoff costs more than the arithmetic it parallelizes.
@@ -40,8 +41,9 @@ type chunkPool struct {
 // aggPool is the shared pool used by all aggregators and DecodeUpdates.
 var aggPool chunkPool
 
-// resolveWorkers maps a Config.AggWorkers value to an effective width:
-// 0 selects GOMAXPROCS, anything else is taken literally.
+// resolveWorkers maps a Workers value (BaseServer.Workers, DecodeUpdates'
+// workers) to an effective width: 0 selects GOMAXPROCS, anything else is
+// taken literally.
 func resolveWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -47,12 +48,34 @@ func testBatch(clients, dim int, seed uint64) []*wire.LocalUpdate {
 	return batch
 }
 
-// aggWidths is the satellite's required sweep.
+// aggWidths is the sharded-aggregation width sweep.
 var aggWidths = []int{1, 2, 8}
+
+// pinWorkers sets the sharded-aggregation width of an aggregator built by
+// NewAggregator; a run's width is GOMAXPROCS.
+func pinWorkers(t *testing.T, a Aggregator, err error, workers int) Aggregator {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch s := a.(type) {
+	case *FedAvgServer:
+		s.Workers = workers
+	case *BufferedAggregator:
+		s.Workers = workers
+	case *ICEADMMServer:
+		s.Workers = workers
+	case *IIADMMServer:
+		s.Workers = workers
+	default:
+		t.Fatalf("no width to pin on %T", a)
+	}
+	return a
+}
 
 // TestShardedAggregationBitIdentical: for every scheduler's aggregator
 // (FedAvg behind syncall and sampled, the staleness-weighted rule behind
-// buffered) and every algorithm server, AggWorkers ∈ {1,2,8} produce
+// buffered) and every algorithm server, widths {1,2,8} produce
 // byte-for-byte identical weights over multiple rounds. The dimension is
 // chosen well above minShard so the parallel path really shards.
 func TestShardedAggregationBitIdentical(t *testing.T) {
@@ -65,28 +88,19 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 
 	cases := map[string]mk{
 		"syncall/fedavg": func(workers int) Aggregator {
-			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedSyncAll, AggWorkers: workers}.WithDefaults()
+			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedSyncAll}.WithDefaults()
 			a, err := NewAggregator(cfg, testVec(dim, 1), clients)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+			return pinWorkers(t, a, err, workers)
 		},
 		"sampled/fedavg": func(workers int) Aggregator {
-			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedSampled, CohortFraction: 0.5, AggWorkers: workers}.WithDefaults()
+			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedSampled, CohortFraction: 0.5}.WithDefaults()
 			a, err := NewAggregator(cfg, testVec(dim, 1), clients)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+			return pinWorkers(t, a, err, workers)
 		},
 		"buffered/staleness": func(workers int) Aggregator {
-			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedBuffered, BufferK: 2, AggWorkers: workers}.WithDefaults()
+			cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedBuffered, BufferK: 2}.WithDefaults()
 			a, err := NewAggregator(cfg, testVec(dim, 1), clients)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+			return pinWorkers(t, a, err, workers)
 		},
 		"iceadmm": func(workers int) Aggregator {
 			s := NewICEADMMServer(testVec(dim, 1), clients, 2)
@@ -126,8 +140,9 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 }
 
 // TestRunBitIdenticalAcrossAggWorkers runs full barrier-scheduled
-// federations (transport, training, pipeline, aggregation) at each width
-// and requires identical per-round losses. Buffered runs are excluded:
+// federations (transport, training, pipeline, aggregation) at each width —
+// a run aggregates GOMAXPROCS wide, so the sweep sets GOMAXPROCS — and
+// requires identical per-round losses. Buffered runs are excluded:
 // their arrival order is scheduling-dependent, so even two serial runs
 // are not comparable round-by-round.
 func TestRunBitIdenticalAcrossAggWorkers(t *testing.T) {
@@ -138,12 +153,14 @@ func TestRunBitIdenticalAcrossAggWorkers(t *testing.T) {
 			for _, workers := range aggWidths {
 				cfg := Config{
 					Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 32,
-					Seed: 5, Scheduler: sched, AggWorkers: workers,
+					Seed: 5, Scheduler: sched,
 				}
 				if sched == SchedSampled {
 					cfg.CohortFraction = 0.5
 				}
+				prev := runtime.GOMAXPROCS(workers)
 				res, err := Run(cfg, fed, parallelTestFactory(5), RunOptions{})
+				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatal(err)
 				}

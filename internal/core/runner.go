@@ -27,7 +27,7 @@ type Transport string
 
 // Supported transports.
 const (
-	TransportMPI    Transport = "mpi"    // in-process collectives (RDMA stand-in)
+	TransportMPI    Transport = "mpi"    // in-process ranks (RDMA stand-in)
 	TransportPubSub Transport = "pubsub" // topic broker (MQTT stand-in)
 	TransportRPC    Transport = "rpc"    // loopback TCP RPC (gRPC stand-in)
 )
@@ -540,7 +540,7 @@ func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
 		if s.fused != nil {
 			err = DecodeUpdatesFused(gathered, s.fused, s.agg.Dim())
 		} else {
-			err = DecodeUpdates(gathered, s.pipe, s.agg.Dim(), s.cfg.AggWorkers)
+			err = DecodeUpdates(gathered, s.pipe, s.agg.Dim(), 0) // GOMAXPROCS wide
 		}
 		if err != nil {
 			return fmt.Errorf("core: decode round %d: %w", round, err)
@@ -602,8 +602,8 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 // dispatcher sends the aggregator's current model to a set of clients: the
 // one place a GlobalModel is built, shared by the barrier rounds, the
 // buffered releases and the re-dispatch of a resumed round. Every
-// transport serializes inside SendTo (rpc encodes and writes, mpi packs a
-// copy, pubsub encodes), so the GlobalModel borrows the aggregator's live
+// transport serializes inside SendTo (rpc encodes and writes, mpi and
+// pubsub encode), so the GlobalModel borrows the aggregator's live
 // model (GlobalWeights) and one kept code buffer serves every f16 round.
 type dispatcher struct {
 	cfg    Config

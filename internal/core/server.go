@@ -159,7 +159,7 @@ func fedAvgWeight(n uint64, total float64) float64 { return float64(n) / total }
 
 // foldRange sets W[lo:hi) to Σ_k srcs[k].W·dec_k, where srcs index the
 // window from 0 (source coordinate i lands on model coordinate lo+i). The
-// window splits into AggWorkers chunks, each folded with the cache-blocked
+// window splits into Workers chunks, each folded with the cache-blocked
 // K-way kernel; per element the fold order (zero, then += in batch order)
 // matches the pre-kernel serial loop exactly, so neither the window, the
 // chunking nor the blocking can change a single bit.

@@ -90,7 +90,7 @@ func TestStreamBitIdenticalToMonolithic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, chunk := range sizes {
 				for _, workers := range widths {
-					cfg := Config{Algorithm: AlgoFedAvg, Pipeline: pipe, AggWorkers: workers}.WithDefaults()
+					cfg := Config{Algorithm: AlgoFedAvg, Pipeline: pipe}.WithDefaults()
 					mono := NewFedAvgServer(testVec(dim, 1), clients)
 					mono.Workers = workers
 					streamed := NewFedAvgServer(testVec(dim, 1), clients)

@@ -332,7 +332,6 @@ type nopServer struct{}
 
 func (nopServer) Broadcast(*wire.GlobalModel) error             { return nil }
 func (nopServer) SendTo([]int, *wire.GlobalModel) error         { return nil }
-func (nopServer) Gather() ([]*wire.LocalUpdate, error)          { return nil, nil }
 func (nopServer) GatherFrom([]int) ([]*wire.LocalUpdate, error) { return nil, nil }
 func (nopServer) GatherAny(int) ([]*wire.LocalUpdate, error)    { return nil, nil }
 func (nopServer) GatherUntil(int, time.Duration) ([]*wire.LocalUpdate, error) {

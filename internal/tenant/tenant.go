@@ -95,7 +95,7 @@ func NewHost(specs []Spec, opts Options) (*Host, error) {
 		return nil, errors.New("tenant: host needs at least one tenant")
 	}
 	if (opts.Transport == core.TransportMPI || opts.Transport == "") && len(specs) > 1 {
-		return nil, fmt.Errorf("tenant: the mpi transport is single-tenant (in-process ranks carry no TenantID header); "+
+		return nil, fmt.Errorf("tenant: the mpi transport is single-tenant (a world is one federation's ranks, with no per-tenant views); "+
 			"%d tenants need the rpc or pubsub transport", len(specs))
 	}
 	for t := range specs {

@@ -269,9 +269,9 @@ func TestTenantFaultIsolation(t *testing.T) {
 	assertBitIdentical(t, results[1], base, "healthy tenant")
 }
 
-// TestHostRejectsMultiTenantMPI pins the loud validation error: the mpi
-// transport's in-process ranks carry no TenantID header, so it stays
-// single-tenant.
+// TestHostRejectsMultiTenantMPI pins the loud validation error: an mpi
+// world is one federation's ranks, with no per-tenant views to route a
+// frame's TenantID to, so it stays single-tenant.
 func TestHostRejectsMultiTenantMPI(t *testing.T) {
 	specs := []Spec{
 		{Config: syncCfg(), Fed: ttFed(5), Factory: ttFactory},

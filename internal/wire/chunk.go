@@ -99,17 +99,17 @@ func (c *ModelChunk) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.ClientID = uint32(v)
+			c.ClientID = v
 		case 2:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Round = uint32(v)
+			c.Round = v
 		case 3:
 			v, err := d.Uint64()
 			if err != nil {
@@ -117,35 +117,35 @@ func (c *ModelChunk) Unmarshal(d *Decoder) error {
 			}
 			c.Version = v
 		case 4:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Index = uint32(v)
+			c.Index = v
 		case 5:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Count = uint32(v)
+			c.Count = v
 		case 6:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Lo = uint32(v)
+			c.Lo = v
 		case 7:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Hi = uint32(v)
+			c.Hi = v
 		case 8:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			c.Dim = uint32(v)
+			c.Dim = v
 		case 9:
 			v, err := d.Uint64()
 			if err != nil {
@@ -205,23 +205,23 @@ func (a *ChunkAck) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			a.ClientID = uint32(v)
+			a.ClientID = v
 		case 2:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			a.Round = uint32(v)
+			a.Round = v
 		case 3:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			a.Index = uint32(v)
+			a.Index = v
 		default:
 			if err := d.Skip(w); err != nil {
 				return err

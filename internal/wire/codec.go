@@ -415,6 +415,19 @@ func (d *Decoder) Tag() (field, wtype int, err error) {
 // Uint64 reads a varint payload.
 func (d *Decoder) Uint64() (uint64, error) { return d.varint() }
 
+// Uint32 reads a varint payload for a uint32 field, refusing a value that
+// does not fit instead of truncating it.
+func (d *Decoder) Uint32() (uint32, error) {
+	v, err := d.varint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("wire: value %d overflows a uint32 field", v)
+	}
+	return uint32(v), nil
+}
+
 // Int64 reads a zigzag varint payload.
 func (d *Decoder) Int64() (int64, error) {
 	u, err := d.varint()

@@ -141,15 +141,22 @@ func FuzzDecodeModelChunk(f *testing.F) {
 	})
 }
 
+// FuzzDecodeLocalUpdate: no update bytes may panic the decoder, and an
+// update that decodes carries a real ε (the transports hand it to the
+// aggregators unchecked).
 func FuzzDecodeLocalUpdate(f *testing.F) {
 	for _, b := range seedMessages() {
 		f.Add(b)
 	}
-	f.Add([]byte{0x08})       // lone tag, truncated payload
-	f.Add([]byte{0x22, 0xff}) // length-delimited field announcing too much
+	f.Add([]byte{0x08})                                  // lone tag, truncated payload
+	f.Add([]byte{0x22, 0xff})                            // length-delimited field announcing too much
+	f.Add([]byte{0x31, 0x01, 0, 0, 0, 0, 0, 0xf8, 0x7f}) // field 6, ε = NaN
+	f.Add([]byte{0x60, 0x80, 0x80, 0x80, 0x80, 0x10})    // field 12, RejoinRound = 2^32
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var u LocalUpdate
-		_ = u.Unmarshal(NewDecoder(data)) // must not panic
+		if err := u.Unmarshal(NewDecoder(data)); err == nil && math.IsNaN(u.Epsilon) {
+			t.Fatal("decoded an update with a NaN epsilon")
+		}
 	})
 }
 

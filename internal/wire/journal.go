@@ -136,11 +136,11 @@ func (m *JournalRecord) Unmarshal(d *Decoder) error {
 			}
 			m.Op = uint8(v)
 		case 3:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.Round = uint32(v)
+			m.Round = v
 		case 4:
 			if m.Version, err = d.Uint64(); err != nil {
 				return err
@@ -150,11 +150,11 @@ func (m *JournalRecord) Unmarshal(d *Decoder) error {
 				return err
 			}
 		case 6:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.ClientID = uint32(v)
+			m.ClientID = v
 		case 7:
 			if m.NumSamples, err = d.Uint64(); err != nil {
 				return err
@@ -181,11 +181,11 @@ func (m *JournalRecord) Unmarshal(d *Decoder) error {
 			}
 			m.LedgerOp = uint8(v)
 		case 12:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.Param = uint32(v)
+			m.Param = v
 		default:
 			if err := d.Skip(w); err != nil {
 				return err
@@ -287,11 +287,11 @@ func (m *JournalCheckpoint) Unmarshal(d *Decoder) error {
 				return err
 			}
 		case 2:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.NextRound = uint32(v)
+			m.NextRound = v
 		case 3:
 			if m.Version, err = d.Uint64(); err != nil {
 				return err

@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind discriminates the RPC message types exchanged between server and
 // clients, carried in the transport frame header.
@@ -83,11 +86,11 @@ func (m *Join) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.ClientID = uint32(v)
+			m.ClientID = v
 		case 2:
 			s, err := d.String()
 			if err != nil {
@@ -101,11 +104,11 @@ func (m *Join) Unmarshal(d *Decoder) error {
 			}
 			m.Resume = v
 		case 4:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.TenantID = uint32(v)
+			m.TenantID = v
 		default:
 			if err := d.Skip(w); err != nil {
 				return err
@@ -181,19 +184,13 @@ func (p *Plan) Unmarshal(d *Decoder) error {
 		case 5:
 			p.Pipeline, err = d.String()
 		case 6:
-			var v uint64
-			v, err = d.Uint64()
-			p.Chunk = uint32(v)
+			p.Chunk, err = d.Uint32()
 		case 7:
 			p.Subset, err = d.Float64()
 		case 8:
-			var v uint64
-			v, err = d.Uint64()
-			p.Train = uint32(v)
+			p.Train, err = d.Uint32()
 		case 9:
-			var v uint64
-			v, err = d.Uint64()
-			p.Test = uint32(v)
+			p.Test, err = d.Uint32()
 		default:
 			err = d.Skip(w)
 		}
@@ -233,17 +230,17 @@ func (m *JoinAck) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.NumClients = uint32(v)
+			m.NumClients = v
 		case 2:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.Rounds = uint32(v)
+			m.Rounds = v
 		case 3:
 			v, err := d.Uint64()
 			if err != nil {
@@ -336,11 +333,11 @@ func (m *GlobalModel) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.Round = uint32(v)
+			m.Round = v
 		case 2:
 			v, err := d.DoublesInto(m.Weights)
 			if err != nil {
@@ -366,11 +363,11 @@ func (m *GlobalModel) Unmarshal(d *Decoder) error {
 			}
 			m.Version = v
 		case 6:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.CohortSize = uint32(v)
+			m.CohortSize = v
 		case 7:
 			b, err := d.BytesField()
 			if err != nil {
@@ -404,7 +401,7 @@ type LocalUpdate struct {
 	NumSamples  uint64
 	Primal      []float64
 	Dual        []float64
-	Epsilon     float64 // privacy budget used for this release (+Inf = none)
+	Epsilon     float64 // privacy budget used for this release (+Inf = none; a NaN does not decode)
 	ComputeSec  float64 // client-side local update time, for instrumentation
 	BaseVersion uint64
 	InCohort    bool
@@ -509,17 +506,17 @@ func (m *LocalUpdate) Unmarshal(d *Decoder) error {
 		}
 		switch f {
 		case 1:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.ClientID = uint32(v)
+			m.ClientID = v
 		case 2:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.Round = uint32(v)
+			m.Round = v
 		case 3:
 			v, err := d.Uint64()
 			if err != nil {
@@ -542,6 +539,9 @@ func (m *LocalUpdate) Unmarshal(d *Decoder) error {
 			v, err := d.Float64()
 			if err != nil {
 				return err
+			}
+			if math.IsNaN(v) {
+				return fmt.Errorf("wire: update carries a NaN epsilon")
 			}
 			m.Epsilon = v
 		case 7:
@@ -580,17 +580,17 @@ func (m *LocalUpdate) Unmarshal(d *Decoder) error {
 			}
 			m.Control = uint8(v)
 		case 12:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.RejoinRound = uint32(v)
+			m.RejoinRound = v
 		case 13:
-			v, err := d.Uint64()
+			v, err := d.Uint32()
 			if err != nil {
 				return err
 			}
-			m.TenantID = uint32(v)
+			m.TenantID = v
 		default:
 			if err := d.Skip(w); err != nil {
 				return err

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -378,4 +379,68 @@ func BenchmarkUnmarshalLocalUpdate(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(buf)))
+}
+
+// TestDecodeRefusesOutOfRangeFields: every uint32 field of the schema
+// refuses a varint of 2^32 or more instead of truncating it, while the
+// largest uint32 still decodes; a LocalUpdate refuses a NaN ε. These
+// are the checks that keep a hostile frame from aliasing another
+// client, round or tenant on every transport.
+func TestDecodeRefusesOutOfRangeFields(t *testing.T) {
+	type msg = interface{ Unmarshal(*Decoder) error }
+	rows := []struct {
+		name  string
+		field int
+		fresh func() msg
+	}{
+		{"Join.ClientID", 1, func() msg { return &Join{} }},
+		{"Join.TenantID", 4, func() msg { return &Join{} }},
+		{"Plan.Chunk", 6, func() msg { return &Plan{} }},
+		{"Plan.Train", 8, func() msg { return &Plan{} }},
+		{"Plan.Test", 9, func() msg { return &Plan{} }},
+		{"JoinAck.NumClients", 1, func() msg { return &JoinAck{} }},
+		{"JoinAck.Rounds", 2, func() msg { return &JoinAck{} }},
+		{"GlobalModel.Round", 1, func() msg { return &GlobalModel{} }},
+		{"GlobalModel.CohortSize", 6, func() msg { return &GlobalModel{} }},
+		{"LocalUpdate.ClientID", 1, func() msg { return &LocalUpdate{} }},
+		{"LocalUpdate.Round", 2, func() msg { return &LocalUpdate{} }},
+		{"LocalUpdate.RejoinRound", 12, func() msg { return &LocalUpdate{} }},
+		{"LocalUpdate.TenantID", 13, func() msg { return &LocalUpdate{} }},
+		{"ModelChunk.ClientID", 1, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Round", 2, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Index", 4, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Count", 5, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Lo", 6, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Hi", 7, func() msg { return &ModelChunk{} }},
+		{"ModelChunk.Dim", 8, func() msg { return &ModelChunk{} }},
+		{"ChunkAck.ClientID", 1, func() msg { return &ChunkAck{} }},
+		{"ChunkAck.Round", 2, func() msg { return &ChunkAck{} }},
+		{"ChunkAck.Index", 3, func() msg { return &ChunkAck{} }},
+		{"JournalRecord.Round", 3, func() msg { return &JournalRecord{} }},
+		{"JournalRecord.ClientID", 6, func() msg { return &JournalRecord{} }},
+		{"JournalRecord.Param", 12, func() msg { return &JournalRecord{} }},
+		{"JournalCheckpoint.NextRound", 2, func() msg { return &JournalCheckpoint{} }},
+	}
+	overflows := func(err error) bool { return err != nil && strings.Contains(err.Error(), "overflows a uint32") }
+	for _, r := range rows {
+		for _, v := range []uint64{1 << 32, math.MaxUint64} {
+			e := NewEncoder(nil)
+			e.Uint64(r.field, v)
+			if err := r.fresh().Unmarshal(NewDecoder(e.Bytes())); !overflows(err) {
+				t.Errorf("%s = %d: got %v, want a uint32 overflow error", r.name, v, err)
+			}
+		}
+		// Other checks (a chunk's range, a journal record's op) may still
+		// refuse this message; the width check must not.
+		e := NewEncoder(nil)
+		e.Uint64(r.field, math.MaxUint32)
+		if err := r.fresh().Unmarshal(NewDecoder(e.Bytes())); overflows(err) {
+			t.Errorf("%s = MaxUint32 refused: %v", r.name, err)
+		}
+	}
+	e := NewEncoder(nil)
+	(&LocalUpdate{Primal: []float64{1}, Epsilon: math.NaN()}).Marshal(e)
+	if err := new(LocalUpdate).Unmarshal(NewDecoder(e.Bytes())); err == nil || !strings.Contains(err.Error(), "NaN epsilon") {
+		t.Errorf("NaN epsilon: got %v, want a refusal", err)
+	}
 }
