@@ -73,7 +73,6 @@ func GradientsOf(model *nn.Sequential, x *tensor.Tensor, label int) (gradW, grad
 	if last == nil {
 		return nil, nil, fmt.Errorf("attack: model has no Linear layer")
 	}
-	nn.ZeroGrad(model)
 	batch := x.Reshape(append([]int{1}, x.Shape()...)...)
 	logits := model.Forward(batch)
 	_, d := nn.CrossEntropy(logits, []int{label})

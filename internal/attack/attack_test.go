@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dp"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -129,7 +128,7 @@ func TestMembershipAttackOnOverfitModel(t *testing.T) {
 
 	fit := func(noiseEps float64) float64 {
 		model := nn.NewMLP(28*28, []int{32}, 10, rng.New(8))
-		opt := optim.NewSGD(model, 0.1, 0.9, false)
+		w, g, v := nn.ParamVector(model), nn.GradVector(model), make([]float64, nn.NumParams(model))
 		loader := dataset.NewLoader(train, 8, true, r.Split())
 		var mech dp.Mechanism = dp.None{}
 		if !math.IsInf(noiseEps, 1) {
@@ -146,7 +145,6 @@ func TestMembershipAttackOnOverfitModel(t *testing.T) {
 				if !ok {
 					break
 				}
-				nn.ZeroGrad(model)
 				logits := model.Forward(b.X)
 				_, d := nn.CrossEntropy(logits, b.Labels)
 				model.Backward(d)
@@ -154,7 +152,10 @@ func TestMembershipAttackOnOverfitModel(t *testing.T) {
 				for _, p := range model.Params() {
 					mech.Perturb(p.Grad.Data(), 0.05)
 				}
-				opt.Step()
+				for i := range w { // momentum SGD: lr 0.1, momentum 0.9
+					v[i] = 0.9*v[i] + g[i]
+					w[i] -= 0.1 * v[i]
+				}
 			}
 		}
 		memberX := make([]*tensor.Tensor, train.Len())

@@ -121,7 +121,6 @@ func (c *BaseClient) gradAt(b dataset.Batch) []float64 {
 // batchGrad returns the model's gradient vector holding the mean gradient
 // over batch b at its current parameters, before any pipeline stage.
 func (c *BaseClient) batchGrad(b dataset.Batch) []float64 {
-	nn.ZeroGrad(c.Model)
 	_, d := c.loss.Loss(c.Model.Forward(b.X), b.Labels)
 	nn.BackwardParams(c.Model, d)
 	return nn.GradVector(c.Model)
@@ -167,6 +166,9 @@ type FedAvgClient struct {
 	Momentum float64
 	L        int
 
+	// veloc is the momentum, held only between the steps of a round: it is
+	// allocated on the first round with two steps, and a round of one step
+	// never touches it.
 	veloc []float64
 }
 
@@ -190,14 +192,16 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	}
 	start := time.Now()
 	c.beginRound()
-	if cap(c.veloc) < c.dim {
-		c.veloc = make([]float64, c.dim)
-	}
 	z := nn.ParamVector(c.Model)
 	copy(z, w)
-	for i := range c.veloc {
-		c.veloc[i] = 0 // fresh optimizer per round, as APPFL instantiates one
+	// A fresh optimizer per round, as APPFL instantiates one: the first
+	// step's velocity is m·0 + g, the product hoisted — the operations a
+	// zeroed buffer would run — and it is stored only for a step to come.
+	steps, step := c.L*c.Loader.Batches(), 0
+	if steps > 1 && cap(c.veloc) < c.dim {
+		c.veloc = make([]float64, c.dim)
 	}
+	m0 := c.Momentum * 0
 	for l := 0; l < c.L; l++ {
 		c.Loader.Reset()
 		for {
@@ -206,9 +210,24 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 				break
 			}
 			g := c.gradAt(b)
-			for i := range z {
-				c.veloc[i] = c.Momentum*c.veloc[i] + g[i]
-				z[i] -= c.LR * c.veloc[i]
+			step++
+			switch {
+			case step > 1:
+				v := c.veloc[:len(z)]
+				for i := range z {
+					v[i] = c.Momentum*v[i] + g[i]
+					z[i] -= c.LR * v[i]
+				}
+			case steps > 1:
+				v := c.veloc[:len(z)]
+				for i := range z {
+					v[i] = m0 + g[i]
+					z[i] -= c.LR * v[i]
+				}
+			default:
+				for i := range z {
+					z[i] -= c.LR * (m0 + g[i])
+				}
 			}
 		}
 	}

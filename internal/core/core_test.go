@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -397,7 +398,6 @@ func TestIIADMMSingleStepClosedForm(t *testing.T) {
 	// Reference gradient at w0 over the full dataset (deterministic batch).
 	ref := factory()
 	nn.SetParams(ref, w0)
-	nn.ZeroGrad(ref)
 	all := dataset.Collate(train, seq(train.Len()))
 	logits := ref.Forward(all.X)
 	_, d := nn.CrossEntropy(logits, all.Labels)
@@ -415,6 +415,59 @@ func TestIIADMMSingleStepClosedForm(t *testing.T) {
 		if math.Abs(u.Primal[i]-want) > 1e-9 {
 			t.Fatalf("closed-form mismatch at %d: got %v want %v", i, u.Primal[i], want)
 		}
+	}
+}
+
+// TestFedAvgMomentumMatchesHandComputation: FedAvg's local solver is
+// v ← μv + g, z ← z − lr·v from v = 0. The batch is the whole dataset, so
+// each step's gradient is the full gradient at z (up to the loader's
+// sample order, hence the tolerance).
+func TestFedAvgMomentumMatchesHandComputation(t *testing.T) {
+	checkFedAvgMomentum(t, []int{3})
+}
+
+// TestFedAvgMomentumRestartsEachRound: velocity restarts from 0 at the
+// start of every round — what a previous round left behind is never read —
+// and a round of one step is plain z ← w − lr·g.
+func TestFedAvgMomentumRestartsEachRound(t *testing.T) {
+	checkFedAvgMomentum(t, []int{3, 1, 2, 3})
+}
+
+// checkFedAvgMomentum runs one FedAvg client through rounds of the given
+// step counts and compares each round's update with the momentum step
+// computed by hand from v = 0.
+func checkFedAvgMomentum(t *testing.T, rounds []int) {
+	t.Helper()
+	train, _ := dataset.MNIST(dataset.SynthConfig{Train: 12, Test: 4, Seed: 5})
+	cfg := Config{Algorithm: AlgoFedAvg, LocalSteps: 3, BatchSize: 1000, LR: 0.05, Momentum: 0.9, Pipeline: "clip:1e9", Seed: 1}.WithDefaults()
+	factory := tinyFactory()
+	w := nn.FlattenParams(factory(), nil)
+	ref := factory()
+	all := dataset.Collate(train, seq(train.Len()))
+	c := NewFedAvgClient(0, factory(), train, cfg, testPipe(t, cfg, nil), rng.New(4))
+	for round, steps := range rounds {
+		c.L = steps
+		z := slices.Clone(w)
+		v := make([]float64, len(z))
+		for s := 0; s < steps; s++ {
+			nn.SetParams(ref, z)
+			_, d := nn.CrossEntropy(ref.Forward(all.X), all.Labels)
+			nn.BackwardParams(ref, d)
+			for i, g := range nn.GradVector(ref) {
+				v[i] = cfg.Momentum*v[i] + g
+				z[i] -= cfg.LR * v[i]
+			}
+		}
+		u, err := c.LocalUpdate(round+1, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range z {
+			if math.Abs(u.Primal[i]-z[i]) > 1e-12 {
+				t.Fatalf("round %d (%d steps), coordinate %d: got %v, by hand %v", round+1, steps, i, u.Primal[i], z[i])
+			}
+		}
+		w = slices.Clone(u.Primal)
 	}
 }
 

@@ -187,14 +187,14 @@ func Run(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions
 	if P == 0 {
 		return nil, fmt.Errorf("core: no clients in federated dataset")
 	}
+	// The replica that sizes the transport goes on to define w0.
 	refModel := factory()
-	dim := len(nn.FlattenParams(refModel, nil))
-	st, cts, err := newServerTransport(opts.Transport, P, dim, cfg.Rounds)
+	st, cts, err := newServerTransport(opts.Transport, P, nn.NumParams(refModel), cfg.Rounds)
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
-	return RunWithTransport(cfg, fed, factory, opts, st, cts)
+	return runWithTransport(cfg, fed, factory, refModel, opts, st, cts)
 }
 
 // RunWithTransport is Run over caller-supplied transports: st serves the
@@ -205,6 +205,14 @@ func Run(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions
 // closed as their goroutines exit, or all at once when the server half
 // fails. opts.Transport is ignored.
 func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions,
+	st comm.ServerTransport, cts []comm.ClientTransport) (*Result, error) {
+	return runWithTransport(cfg, fed, factory, nil, opts, st, cts)
+}
+
+// runWithTransport is RunWithTransport with the reference replica — a
+// fresh model from factory — supplied by the caller, or built here when
+// refModel is nil.
+func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, refModel nn.Module, opts RunOptions,
 	st comm.ServerTransport, cts []comm.ClientTransport) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -222,7 +230,9 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 	// aggregator takes its copy before the P client replicas exist: made
 	// after them, a 1M-parameter model's allocation lands in a collection
 	// cycle and costs tens of milliseconds of set-up.
-	refModel := factory()
+	if refModel == nil {
+		refModel = factory()
+	}
 	w0 := nn.FlattenParams(refModel, nil)
 	agg, err := NewAggregator(cfg, w0, P)
 	if err != nil {

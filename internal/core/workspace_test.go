@@ -49,7 +49,8 @@ func TestEvaluateAllocationGate(t *testing.T) {
 // release under a compressing pipeline, not fullGrad's accumulator. The
 // model is wide and the dataset tiny so that one vector (dim·8 bytes)
 // dwarfs everything the loader allocates. The first LocalUpdate allocates
-// just the vectors the algorithm keeps besides the model's two (kept).
+// just the vectors the algorithm keeps besides the model's two (kept):
+// FedAvg's momentum only when a round has a second step to read it.
 func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -64,13 +65,15 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 	vector := float64(8 * len(w0))
 	for _, c := range []struct {
 		algo, pipe string
+		steps      int
 		kept       float64
 	}{
-		{AlgoFedAvg, "", 1}, {AlgoFedAvg, "quantize:8", 1}, // momentum
-		{AlgoIIADMM, "", 0}, {AlgoIIADMM, "quantize:8", 1}, // the densified release
-		{AlgoICEADMM, "", 3}, {AlgoICEADMM, "quantize:8", 3}, // fullGrad's sum, z and λ out
+		{AlgoFedAvg, "", 2, 1}, {AlgoFedAvg, "quantize:8", 2, 1}, // momentum
+		{AlgoFedAvg, "", 1, 0}, {AlgoFedAvg, "quantize:8", 1, 0}, // no step reads the momentum
+		{AlgoIIADMM, "", 2, 0}, {AlgoIIADMM, "quantize:8", 2, 1}, // the densified release
+		{AlgoICEADMM, "", 2, 3}, {AlgoICEADMM, "quantize:8", 2, 3}, // fullGrad's sum, z and λ out
 	} {
-		cfg := Config{Algorithm: c.algo, Rounds: 1, LocalSteps: 2, BatchSize: 8, Pipeline: c.pipe, Seed: 3}.WithDefaults()
+		cfg := Config{Algorithm: c.algo, Rounds: 1, LocalSteps: c.steps, BatchSize: 8, Pipeline: c.pipe, Seed: 3}.WithDefaults()
 		cr := rng.New(6)
 		model := factory()
 		// One step sizes the layers' workspaces, which the first update
@@ -91,8 +94,8 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 		}
 		_, cold := testutil.AllocsPer(1, update)
 		if cold > (c.kept+0.5)*vector {
-			t.Fatalf("%s %q: the first LocalUpdate allocated %.1f model-sized vectors; the algorithm keeps %v",
-				c.algo, c.pipe, cold/vector, c.kept)
+			t.Fatalf("%s %q, %d steps: the first LocalUpdate allocated %.1f model-sized vectors; the algorithm keeps %v",
+				c.algo, c.pipe, c.steps, cold/vector, c.kept)
 		}
 		update()
 		_, bytes := testutil.AllocsPer(5, update)

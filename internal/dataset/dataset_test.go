@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -327,7 +326,7 @@ func TestSyntheticIsLearnable(t *testing.T) {
 	train, test := MNIST(SynthConfig{Train: 400, Test: 200, Seed: 9})
 	r := rng.New(10)
 	m := nn.NewMLP(28*28, []int{32}, 10, r)
-	opt := optim.NewSGD(m, 0.1, 0.9, false)
+	w, g, v := nn.ParamVector(m), nn.GradVector(m), make([]float64, nn.NumParams(m))
 	loader := NewLoader(train, 32, true, r.Split())
 	for epoch := 0; epoch < 8; epoch++ {
 		loader.Reset()
@@ -336,11 +335,13 @@ func TestSyntheticIsLearnable(t *testing.T) {
 			if !ok {
 				break
 			}
-			nn.ZeroGrad(m)
 			logits := m.Forward(b.X)
 			_, d := nn.CrossEntropy(logits, b.Labels)
 			m.Backward(d)
-			opt.Step()
+			for i := range w { // momentum SGD: lr 0.1, momentum 0.9
+				v[i] = 0.9*v[i] + g[i]
+				w[i] -= 0.1 * v[i]
+			}
 		}
 	}
 	tb := Collate(test, rng.New(1).Perm(test.Len()))

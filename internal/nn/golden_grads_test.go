@@ -63,11 +63,19 @@ func goldenGradCases() []goldenGradCase {
 }
 
 // goldenGradHashes runs the case's steps at the current GOMAXPROCS and
-// returns one hash per step.
-func goldenGradHashes(c goldenGradCase) []uint64 {
+// returns one hash per step. With zeroed set, every gradient is cleared
+// before its step, as the fixture's generating tree had to; without it the
+// gradients hold NaN before the first step and the previous step's
+// gradient before every later one.
+func goldenGradHashes(c goldenGradCase, zeroed bool) []uint64 {
 	m := c.build()
 	r := rng.New(42)
 	w := FlattenParams(m, nil)
+	if !zeroed {
+		for _, p := range m.Params() {
+			p.Grad.Fill(math.NaN())
+		}
+	}
 	var grad []float64
 	hashes := make([]uint64, 0, len(c.batches))
 	for _, n := range c.batches {
@@ -78,7 +86,11 @@ func goldenGradHashes(c goldenGradCase) []uint64 {
 			labels[i] = r.Intn(10)
 		}
 		SetParams(m, w)
-		ZeroGrad(m)
+		if zeroed {
+			for _, p := range m.Params() {
+				p.Grad.Zero()
+			}
+		}
 		_, d := CrossEntropy(m.Forward(x), labels)
 		BackwardParams(m, d)
 		grad = FlattenGrads(m, grad)
@@ -98,12 +110,12 @@ func goldenGradHashes(c goldenGradCase) []uint64 {
 
 // goldenGradLines renders the whole fixture: every case at GOMAXPROCS 1
 // and 2.
-func goldenGradLines() []string {
+func goldenGradLines(zeroed bool) []string {
 	var lines []string
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, c := range goldenGradCases() {
-			for step, h := range goldenGradHashes(c) {
+			for step, h := range goldenGradHashes(c, zeroed) {
 				lines = append(lines, fmt.Sprintf("%s/procs=%d/step=%d/batch=%d %016x", c.name, procs, step, c.batches[step], h))
 			}
 		}
@@ -119,7 +131,7 @@ func TestWriteGoldenGrads(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenGradsFile, []byte(strings.Join(goldenGradLines(), "\n")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(goldenGradsFile, []byte(strings.Join(goldenGradLines(true), "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,13 +139,22 @@ func TestWriteGoldenGrads(t *testing.T) {
 // TestGoldenGradients: three consecutive training steps of the benchmark's
 // CNN and MLP produce, bit for bit, the gradients the pre-kernel code
 // produced at the same GOMAXPROCS.
-func TestGoldenGradients(t *testing.T) {
+func TestGoldenGradients(t *testing.T) { checkGoldenGrads(t, true) }
+
+// TestBackwardOverwritesParameterGradients: Backward writes every Linear
+// and Conv2D gradient rather than adding to it. With NaN in every gradient
+// before the first step and the previous step's gradient before each later
+// one, a single BackwardParams per step still gives the fixture's bits —
+// those of a gradient cleared first — at GOMAXPROCS 1 and 2.
+func TestBackwardOverwritesParameterGradients(t *testing.T) { checkGoldenGrads(t, false) }
+
+func checkGoldenGrads(t *testing.T, zeroed bool) {
 	raw, err := os.ReadFile(goldenGradsFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	got := goldenGradLines()
+	got := goldenGradLines(zeroed)
 	if len(got) != len(want) {
 		t.Fatalf("fixture has %d lines, the generator makes %d", len(want), len(got))
 	}

@@ -57,7 +57,7 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return l.y
 }
 
-// Backward accumulates dW = dyᵀ·x, db = Σ dy and returns dx = dy·W.
+// Backward writes dW = dyᵀ·x, db = Σ dy and returns dx = dy·W.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.backwardParams(dy)
 	l.dx = tensor.Reuse(l.dx, dy.Dim(0), l.In)
@@ -69,8 +69,9 @@ func (l *Linear) backwardParams(dy *tensor.Tensor) {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	l.Weight.Grad.AddMatMulTransA(dy, l.lastInput)
+	tensor.MatMulTransAInto(l.Weight.Grad, dy, l.lastInput)
 	db, g := l.Bias.Grad.Data(), dy.Data()
+	clear(db)
 	for i := 0; i < dy.Dim(0); i++ {
 		for j, v := range g[i*l.Out : (i+1)*l.Out] {
 			db[j] += v
@@ -88,9 +89,9 @@ type Conv2D struct {
 	Weight                  *Parameter // [Cout, Cin, K, K]
 	Bias                    *Parameter // [Cout]
 
-	lastInput     *tensor.Tensor
-	y, dx, dw, db *tensor.Tensor // workspaces, see Module
-	scratch       tensor.ConvWorkspace
+	lastInput *tensor.Tensor
+	y, dx     *tensor.Tensor // workspaces, see Module
+	scratch   tensor.ConvWorkspace
 }
 
 // NewConv2D constructs a Conv2D layer with Kaiming-uniform initialization.
@@ -129,7 +130,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return c.y
 }
 
-// Backward accumulates weight/bias gradients and returns dx.
+// Backward writes the weight and bias gradients and returns dx.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
 
 // backwardParams is Backward without the col2im scatter that forms dx.
@@ -144,11 +145,7 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		c.dx = tensor.Reuse(c.dx, c.lastInput.Shape()...)
 		dx = c.dx
 	}
-	c.dw = tensor.Reuse(c.dw, c.Weight.Value.Shape()...)
-	c.db = tensor.Reuse(c.db, c.OutChannels)
-	c.scratch.Backward(dx, c.dw, c.db, dy, c.lastInput, c.Weight.Value, c.Stride, c.Pad)
-	c.Weight.Grad.AddInPlace(c.dw)
-	c.Bias.Grad.AddInPlace(c.db)
+	c.scratch.Backward(dx, c.Weight.Grad, c.Bias.Grad, dy, c.lastInput, c.Weight.Value, c.Stride, c.Pad)
 	return dx
 }
 
@@ -273,8 +270,8 @@ type Sequential struct {
 	// both were built for (the zero values fit an empty model). A change of
 	// len(Layers) rebuilds both and re-adopts every parameter into fresh
 	// vectors; a layer replaced in place is caught by vectors instead. A
-	// training step asks for the list half a dozen times (ZeroGrad,
-	// NumParams, ParamVector, GradVector, ...).
+	// training step asks for the list several times (NumParams,
+	// ParamVector, GradVector, ...).
 	params     []*Parameter
 	firstParam int
 	cached     []Module

@@ -11,7 +11,6 @@ import (
 func numericalCheck(t *testing.T, m Module, x *tensor.Tensor, labels []int, samples int, tol float64) {
 	t.Helper()
 	r := rng.New(99)
-	ZeroGrad(m)
 	logits := m.Forward(x)
 	_, d := CrossEntropy(logits, labels)
 	dx := m.Backward(d).Clone() // kept across the Forward calls below

@@ -28,9 +28,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Parameter is one trainable tensor with its gradient accumulator. Inside
-// a Sequential both are views into the model's two flat vectors (see
-// ParamVector); a layer reads them through its Parameter on every call.
+// Parameter is one trainable tensor with its gradient. The layer's
+// Backward overwrites Grad with the gradient of its last call, so a
+// training step needs no clearing pass first. Inside a Sequential both are
+// views into the model's two flat vectors (see ParamVector); a layer reads
+// them through its Parameter on every call.
 type Parameter struct {
 	Name  string
 	Value *tensor.Tensor
@@ -79,26 +81,21 @@ func (st *paramStore) sequential(layers ...Module) *Sequential {
 
 // Module is the interface every layer and model implements. Backward takes
 // the gradient of the loss with respect to the module output and returns the
-// gradient with respect to the module input, accumulating parameter
-// gradients along the way.
+// gradient with respect to the module input, writing each parameter
+// gradient along the way: what a Parameter.Grad held before is overwritten,
+// not added to.
 //
 // A tensor returned by Forward or Backward belongs to the module and is
 // valid until that module's next Forward or Backward: read it, or copy it,
 // before calling the module again. The same "valid until the next call" rule governs
 // core.ClientAlgorithm.LocalUpdate and comm.ClientTransport.RecvGlobal.
 // Forgetting it costs a wrong read, not a crash. Parameter gradients
-// (Parameter.Grad) are not workspaces: they persist until ZeroGrad.
+// (Parameter.Grad) are not workspaces: they persist until the next
+// Backward overwrites them.
 type Module interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	Params() []*Parameter
-}
-
-// ZeroGrad clears every parameter gradient of m.
-func ZeroGrad(m Module) {
-	for _, p := range m.Params() {
-		p.Grad.Zero()
-	}
 }
 
 // NumParams returns the total number of trainable scalars in m. This is the
@@ -123,7 +120,7 @@ func ParamVector(m Module) []float64 {
 }
 
 // GradVector returns the live flat vector holding every parameter gradient
-// of m, laid out like ParamVector: what Backward accumulated, with no
+// of m, laid out like ParamVector: what the last Backward wrote, with no
 // FlattenGrads copy. The same conditions as ParamVector's apply.
 func GradVector(m Module) []float64 {
 	_, grads := sequential(m).vectors()

@@ -163,7 +163,6 @@ func TestFullCNNGradientNumerical(t *testing.T) {
 	x := randT(r, 2, 1, 8, 8)
 	labels := []int{0, 2}
 
-	ZeroGrad(m)
 	logits := m.Forward(x)
 	_, dlogits := CrossEntropy(logits, labels)
 	m.Backward(dlogits)
@@ -198,7 +197,6 @@ func TestMLPGradientNumerical(t *testing.T) {
 	m := NewMLP(10, []int{6, 5}, 4, r)
 	x := randT(r, 3, 10)
 	labels := []int{1, 0, 3}
-	ZeroGrad(m)
 	_, dlogits := CrossEntropy(m.Forward(x), labels)
 	m.Backward(dlogits)
 	const eps = 1e-6
@@ -248,29 +246,6 @@ func TestSetParamsLengthPanics(t *testing.T) {
 	SetParams(NewMLP(4, nil, 2, rng.New(1)), make([]float64, 3))
 }
 
-func TestZeroGrad(t *testing.T) {
-	r := rng.New(9)
-	m := NewMLP(4, []int{3}, 2, r)
-	x := randT(r, 2, 4)
-	_, d := CrossEntropy(m.Forward(x), []int{0, 1})
-	m.Backward(d)
-	nonzero := false
-	for _, p := range m.Params() {
-		if p.Grad.Norm2() > 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Fatal("backward produced no gradient")
-	}
-	ZeroGrad(m)
-	for _, p := range m.Params() {
-		if p.Grad.Norm2() != 0 {
-			t.Fatal("ZeroGrad left nonzero gradient")
-		}
-	}
-}
-
 func TestCloneInto(t *testing.T) {
 	r := rng.New(10)
 	a := NewMLP(4, []int{3}, 2, r)
@@ -309,7 +284,6 @@ func TestMLPLearnsXOR(t *testing.T) {
 	labels := []int{0, 1, 1, 0}
 	lr := 0.5
 	for step := 0; step < 500; step++ {
-		ZeroGrad(m)
 		logits := m.Forward(x)
 		_, d := CrossEntropy(logits, labels)
 		m.Backward(d)
@@ -323,7 +297,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 }
 
 // BenchmarkCNNForwardBackward times one training step as a client runs it
-// (ZeroGrad → Forward → CrossEntropy → BackwardParams, then an SGD update of
+// (Forward → CrossEntropy → BackwardParams, then an SGD update of
 // ParamVector from GradVector — no copy in or out) on a kept replica: the
 // historical 16-sample CNN, and the two models the repo's benchmark trains
 // at their real batch sizes. B/op and allocs/op are the steady-state
@@ -346,7 +320,6 @@ func BenchmarkCNNForwardBackward(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ZeroGrad(c.m)
 				_, d := ce.Loss(c.m.Forward(x), labels)
 				BackwardParams(c.m, d)
 				w := ParamVector(c.m)
@@ -377,7 +350,6 @@ func TestBackwardParamsBitIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		grads := func(backward func(dy *tensor.Tensor)) []float64 {
-			ZeroGrad(c.m)
 			_, d := CrossEntropy(c.m.Forward(c.x), c.labels)
 			backward(d)
 			return FlattenGrads(c.m, nil)

@@ -96,7 +96,6 @@ func TestParametersLiveInTheModelVectors(t *testing.T) {
 		requireBits(t, c.name+" FlattenParams", FlattenParams(m, nil), vals)
 
 		labels := make([]int, c.x.Dim(0))
-		ZeroGrad(m)
 		y := m.Forward(c.x).Clone()
 		_, d := CrossEntropy(m.Forward(c.x), labels)
 		BackwardParams(m, d)

@@ -13,8 +13,8 @@ import (
 
 // TestTrainingStepAllocationGate: once the first steps have sized every
 // layer's workspace, a training step of the benchmark's CNN as a client
-// runs it (ZeroGrad → Forward → CrossEntropy → BackwardParams, then an SGD
-// update of ParamVector from GradVector) allocates only what starting its
+// runs it (Forward → CrossEntropy → BackwardParams, then an SGD update of
+// ParamVector from GradVector) allocates only what starting its
 // worker goroutines costs — also when the batch alternates between 64 and
 // the epoch's trailing 48. Before the layers owned their tensors a step
 // made ~4 700 allocations totalling ~47 MB.
@@ -38,7 +38,6 @@ func TestTrainingStepAllocationGate(t *testing.T) {
 	step := func() {
 		b := batches[i%len(batches)]
 		i++
-		ZeroGrad(m)
 		_, d := ce.Loss(m.Forward(b.x), b.labels)
 		BackwardParams(m, d)
 		w := ParamVector(m)
@@ -72,7 +71,6 @@ func replicaRun(factory Factory, seed uint64) []float64 {
 		for i := range labels {
 			labels[i] = r.Intn(3)
 		}
-		ZeroGrad(m)
 		loss, d := ce.Loss(m.Forward(x), labels)
 		BackwardParams(m, d)
 		for i, g := range grad {

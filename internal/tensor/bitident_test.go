@@ -103,22 +103,19 @@ func TestMatMulKernelsBitIdentical(t *testing.T) {
 			sameBits(t, "MatMul "+name, MatMul(a, b).data, want)
 			sameBits(t, "MatMulInto "+name, MatMulInto(filled(r, fillSpecials, m, n), a, b).data, want)
 
-			// Aᵀ·B, and added to a non-zero accumulator.
+			// Aᵀ·B, fresh and into a dirty destination.
 			at := filled(r, mode, k, m)
-			sameBits(t, "MatMulTransA "+name, MatMulTransA(at, b).data, refMatMulTransA(at, b).data)
-			acc := filled(r, fillNormal, m, n)
-			wantAcc := acc.Clone()
-			acc.AddMatMulTransA(at, b)
-			refAddMatMulTransA(wantAcc, at, b)
-			sameBits(t, "AddMatMulTransA "+name, acc.data, wantAcc.data)
+			want = refMatMulTransA(at, b).data
+			sameBits(t, "MatMulTransA "+name, MatMulTransA(at, b).data, want)
+			sameBits(t, "MatMulTransAInto "+name, MatMulTransAInto(filled(r, fillSpecials, m, n), at, b).data, want)
 
 			// A·Bᵀ: fresh, into a dirty destination, and added.
 			bt := filled(r, mode, n, k)
 			want = refMatMulTransB(a, bt).data
 			sameBits(t, "MatMulTransB "+name, MatMulTransB(a, bt).data, want)
 			sameBits(t, "MatMulTransBInto "+name, MatMulTransBInto(filled(r, fillSpecials, m, n), a, bt).data, want)
-			acc = filled(r, fillNormal, m, n)
-			wantAcc = acc.Clone().AddInPlace(refMatMulTransB(a, bt))
+			acc := filled(r, fillNormal, m, n)
+			wantAcc := acc.Clone().AddInPlace(refMatMulTransB(a, bt))
 			matMulTransBInto(acc.data, a.data, bt.data, m, k, n, true)
 			sameBits(t, "matMulTransBInto(add) "+name, acc.data, wantAcc.data)
 		}

@@ -37,10 +37,9 @@ import "fmt"
 // saves.
 const parallelThreshold = 64 * 1024
 
-// transAColBlock is how many output columns AddMatMulTransA forms at a
-// time: its product row lives in a stack array this long, and the [k,
-// block] panel of B it multiplies stays cache-resident across every output
-// row.
+// transAColBlock is how many output columns MatMulTransAInto forms at a
+// time, so that the [k, block] panel of B it multiplies stays
+// cache-resident across every output row.
 const transAColBlock = 512
 
 // MatMul returns the matrix product A·B for rank-2 tensors A [m,k] and
@@ -80,40 +79,29 @@ func matMulRows(c, a, b []float64, lo, hi, k, n int) {
 // transpose.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	checkMatMul("MatMulTransA", a, b, 0, 0)
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
-	matMulTransAInto(out.data, a.data, b.data, k, m, n)
-	return out
+	return MatMulTransAInto(New(a.shape[1], b.shape[1]), a, b)
 }
 
-// matMulTransAInto overwrites c [m,n] with Aᵀ·B for A [k,m] and B [k,n].
+// MatMulTransAInto overwrites dst [m,n] with Aᵀ·B for A [k,m], B [k,n] and
+// returns it. A Linear layer's weight gradient is written this way: dst is
+// whatever the last step left there, and nothing of it is read.
+func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
+	checkMatMul("MatMulTransAInto", a, b, 0, 0)
+	k, m, n := a.shape[0], a.shape[1], b.shape[1]
+	checkDst("MatMulTransAInto", dst, m, n)
+	matMulTransAInto(dst.data, a.data, b.data, k, m, n)
+	return dst
+}
+
+// matMulTransAInto overwrites c [m,n] with Aᵀ·B for A [k,m] and B [k,n],
+// one transAColBlock-wide column segment of every output row at a time.
 func matMulTransAInto(c, a, b []float64, k, m, n int) {
-	for i := 0; i < m; i++ {
-		ci := c[i*n : (i+1)*n]
-		clear(ci)
-		axpyRow(ci, a, i, m, b, 0, n, k)
-	}
-}
-
-// AddMatMulTransA adds Aᵀ·B to t — bit for bit t.AddInPlace(MatMulTransA(a,
-// b)), but the product exists only one transAColBlock-wide row segment at
-// a time, in a stack array. A Linear layer's weight gradient is as large
-// as the layer: this way t crosses the cache once per call instead of once
-// per row of A (per sample), and no model-sized temporary is ever formed.
-func (t *Tensor) AddMatMulTransA(a, b *Tensor) {
-	checkMatMul("AddMatMulTransA", a, b, 0, 0)
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	checkDst("AddMatMulTransA", t, m, n)
-	var prod [transAColBlock]float64
 	for j0 := 0; j0 < n; j0 += transAColBlock {
-		p := prod[:min(transAColBlock, n-j0)]
+		w := min(transAColBlock, n-j0)
 		for i := 0; i < m; i++ {
-			clear(p)
-			axpyRow(p, a.data, i, m, b.data, j0, n, k)
-			ti := t.data[i*n+j0:]
-			for j, v := range p {
-				ti[j] += v
-			}
+			ci := c[i*n+j0 : i*n+j0+w]
+			clear(ci)
+			axpyRow(ci, a, i, m, b, j0, n, k)
 		}
 	}
 }

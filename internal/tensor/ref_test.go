@@ -86,17 +86,6 @@ func refMatMulTransAInto(out, a, b []float64, k, m, n int) {
 	}
 }
 
-// refAddMatMulTransA is the old Tensor.AddMatMulTransA: the product formed
-// in zeroed scratch, then added.
-func refAddMatMulTransA(t, a, b *Tensor) {
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	prod := make([]float64, m*n)
-	refMatMulTransAInto(prod, a.data, b.data, k, m, n)
-	for i, v := range prod {
-		t.data[i] += v
-	}
-}
-
 func refMatMulTransB(a, b *Tensor) *Tensor {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[0]

@@ -262,27 +262,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 5))
 }
 
-// TestAddMatMulTransABitIdentical: accumulating through pooled scratch is
-// exactly AddInPlace of the fresh product — into a non-zero accumulator,
-// with zeros in A (which the kernel skips), and twice in a row so the
-// second call runs on recycled, dirty scratch.
-func TestAddMatMulTransABitIdentical(t *testing.T) {
-	r := rng.New(17)
-	a, b := randTensor(r, 5, 7), randTensor(r, 5, 9)
-	a.Data()[3], a.Data()[20] = 0, 0
-	want, got := randTensor(r, 7, 9), New(7, 9)
-	copy(got.Data(), want.Data())
-	for rep := 0; rep < 2; rep++ {
-		want.AddInPlace(MatMulTransA(a, b))
-		got.AddMatMulTransA(a, b)
-		for i := range want.Data() {
-			if math.Float64bits(got.Data()[i]) != math.Float64bits(want.Data()[i]) {
-				t.Fatalf("rep %d element %d: %v via scratch, %v via a fresh product", rep, i, got.Data()[i], want.Data()[i])
-			}
-		}
-	}
-}
-
 func TestMatMulTransA(t *testing.T) {
 	r := rng.New(7)
 	a := randTensor(r, 6, 4) // Aᵀ is [4,6]
@@ -538,8 +517,7 @@ func BenchmarkMatMulShapes(b *testing.B) {
 	type product func(dst, a, b *Tensor)
 	ab := [2]product{func(d, x, y *Tensor) { MatMulInto(d, x, y) }, func(d, x, y *Tensor) { refMatMul(x, y) }}
 	abt := [2]product{func(d, x, y *Tensor) { MatMulTransBInto(d, x, y) }, func(d, x, y *Tensor) { refMatMulTransB(x, y) }}
-	atb := [2]product{func(d, x, y *Tensor) { matMulTransAInto(d.data, x.data, y.data, x.shape[0], x.shape[1], y.shape[1]) }, func(d, x, y *Tensor) { refMatMulTransA(x, y) }}
-	addAtb := [2]product{func(d, x, y *Tensor) { d.AddMatMulTransA(x, y) }, refAddMatMulTransA}
+	atb := [2]product{func(d, x, y *Tensor) { MatMulTransAInto(d, x, y) }, func(d, x, y *Tensor) { refMatMulTransA(x, y) }}
 	r := rng.New(1)
 	for _, c := range []struct {
 		name     string
@@ -555,8 +533,8 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		{"ABt/conv1_dW", 4, 784, 25, 0.5, abt},
 		{"ABt/conv2_dW", 8, 196, 100, 0.5, abt},
 		{"AtB/conv2_dcols", 100, 8, 196, 0, atb},
-		{"AtB/linear784x1280_dW", 1280, 16, 784, 1.0 / 3, addAtb},
-		{"AtB/linear1568x32_dW", 32, 64, 1568, 0.5, addAtb},
+		{"AtB/linear784x1280_dW", 1280, 16, 784, 1.0 / 3, atb},
+		{"AtB/linear1568x32_dW", 32, 64, 1568, 0.5, atb},
 	} {
 		var x, y *Tensor
 		switch c.name[:3] {
