@@ -332,12 +332,11 @@ func BenchmarkSchedulerStragglerCohort(b *testing.B) {
 // never changes results, only wall time.
 func BenchmarkShardedAggregate(b *testing.B) {
 	const dim = 1 << 20
-	w0 := make([]float64, dim)
 	z := make([]float64, dim)
 	rng.New(3).FillNormal(z, 0, 1)
 	batch := []*wire.LocalUpdate{{NumSamples: 64, Primal: z}}
 	fold := func(workers, n int) float64 {
-		agg, err := core.NewBufferedAggregator(w0, 0.5, 0.5, 0)
+		agg, err := core.NewBufferedAggregator(make([]float64, dim), 0.5, 0.5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

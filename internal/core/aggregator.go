@@ -41,9 +41,11 @@ type Aggregator interface {
 	Aggregate(batch []*wire.LocalUpdate) error
 }
 
-// NewAggregator constructs the aggregator for cfg with initial weights w0.
-// The buffered scheduler pairs with the staleness-weighted rule; every
-// barrier scheduler uses the algorithm's own server.
+// NewAggregator constructs the aggregator for cfg, which owns the initial
+// weights w0 from then on: a run hands it the evaluation replica's own
+// vector (nn.ParamVector), and a caller that reuses w0 passes a copy. The
+// buffered scheduler pairs with the staleness-weighted rule; every barrier
+// scheduler uses the algorithm's own server.
 func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,8 +115,9 @@ type BufferedAggregator struct {
 	foldOp func(lo, hi int)
 }
 
-// NewBufferedAggregator builds the aggregator. alpha in (0,1] is the base
-// mixing rate; gamma >= 0 is the staleness-decay exponent.
+// NewBufferedAggregator builds the aggregator, which owns w0 (see
+// NewAggregator). alpha in (0,1] is the base mixing rate; gamma >= 0 is
+// the staleness-decay exponent.
 func NewBufferedAggregator(w0 []float64, alpha, gamma float64, maxStaleness int) (*BufferedAggregator, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("core: buffered alpha must be in (0,1], got %v", alpha)

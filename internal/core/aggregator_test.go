@@ -12,13 +12,13 @@ import (
 // aggregator's one model, BaseServer.W — but Weights() must not: a caller
 // scribbling over the returned vector cannot corrupt server state.
 func TestWeightsAccessorsAreDefensiveCopies(t *testing.T) {
-	w0 := []float64{1, 2, 3}
+	w0 := func() []float64 { return []float64{1, 2, 3} } // each aggregator owns its own
 	aggs := map[string]Aggregator{
-		"fedavg":  NewFedAvgServer(w0, 2),
-		"iceadmm": NewICEADMMServer(w0, 2, 2),
-		"iiadmm":  NewIIADMMServer(w0, 2, 2),
+		"fedavg":  NewFedAvgServer(w0(), 2),
+		"iceadmm": NewICEADMMServer(w0(), 2, 2),
+		"iiadmm":  NewIIADMMServer(w0(), 2, 2),
 	}
-	buf, err := NewBufferedAggregator(w0, 0.5, 1, 0)
+	buf, err := NewBufferedAggregator(w0(), 0.5, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,8 @@ func TestBufferedAggregatorRejectsFutureAndMismatched(t *testing.T) {
 }
 
 func TestNewAggregatorDispatch(t *testing.T) {
-	w0 := []float64{0}
 	cfg := Config{Algorithm: AlgoFedAvg}.WithDefaults()
-	a, err := NewAggregator(cfg, w0, 3)
+	a, err := NewAggregator(cfg, []float64{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestNewAggregatorDispatch(t *testing.T) {
 		t.Fatalf("fedavg aggregator is %T", a)
 	}
 	cfg = Config{Algorithm: AlgoFedAvg, Scheduler: SchedBuffered}.WithDefaults()
-	a, err = NewAggregator(cfg, w0, 3)
+	a, err = NewAggregator(cfg, []float64{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestNewAggregatorDispatch(t *testing.T) {
 		t.Fatalf("buffered aggregator is %T", a)
 	}
 	cfg = Config{Algorithm: AlgoIIADMM}.WithDefaults()
-	a, err = NewAggregator(cfg, w0, 3)
+	a, err = NewAggregator(cfg, []float64{0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

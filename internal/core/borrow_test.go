@@ -68,7 +68,7 @@ func TestDispatchBorrowsTheLiveModel(t *testing.T) {
 					}
 					want = gm.Weights
 				}
-				agg, err := NewAggregator(cfg, w0, P)
+				agg, err := NewAggregator(cfg, append([]float64(nil), w0...), P)
 				if err != nil {
 					t.Fatal(err)
 				}

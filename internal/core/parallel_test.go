@@ -295,15 +295,6 @@ func TestShardedFoldZeroAllocs(t *testing.T) {
 	}
 }
 
-func mustBuffered(t *testing.T, w0 []float64) *BufferedAggregator {
-	t.Helper()
-	b, err := NewBufferedAggregator(w0, 0.5, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // requireBitEqual fails unless the two weight vectors match bit for bit.
 func requireBitEqual(t *testing.T, label string, want, got []float64) {
 	t.Helper()

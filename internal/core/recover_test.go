@@ -200,10 +200,10 @@ func TestRecoverServerCorruptShapes(t *testing.T) {
 }
 
 func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
-	w0 := []float64{0, 0, 0}
+	w0 := func() []float64 { return []float64{0, 0, 0} } // each aggregator owns its own
 	for _, sched := range []string{SchedSyncAll, SchedBuffered} {
 		cfg := Config{Algorithm: AlgoFedAvg, Rounds: 1, Scheduler: sched}.WithDefaults()
-		agg, err := NewAggregator(cfg, w0, 2)
+		agg, err := NewAggregator(cfg, w0(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 		}
 	}
 	// Dimension mismatch is an error, not a silent partial copy.
-	agg, err := NewAggregator(Config{Algorithm: AlgoFedAvg, Rounds: 1}.WithDefaults(), w0, 2)
+	agg, err := NewAggregator(Config{Algorithm: AlgoFedAvg, Rounds: 1}.WithDefaults(), w0(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRecoverServerApplyRestoresAggregators(t *testing.T) {
 	}
 	// An ADMM server embeds the same BaseServer, but its duals are in no
 	// checkpoint: restoring only its model would resume a different run.
-	admm, err := NewAggregator(Config{Algorithm: AlgoIIADMM, Rounds: 1}.WithDefaults(), w0, 2)
+	admm, err := NewAggregator(Config{Algorithm: AlgoIIADMM, Rounds: 1}.WithDefaults(), w0(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

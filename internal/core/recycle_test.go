@@ -49,7 +49,7 @@ func recycleFrames(t *testing.T, dim int) map[string][]byte {
 // taking the fused fold — that accepts a one-update batch of u.
 func rejectedByEveryAggregator(t *testing.T, u *wire.LocalUpdate, dim int) {
 	t.Helper()
-	w0 := make([]float64, dim)
+	w0 := func() []float64 { return make([]float64, dim) } // each aggregator owns its own
 	fused := func(agg Aggregator) Aggregator {
 		inv, err := NewServerPipeline(Config{Pipeline: "quantize:8"})
 		if err != nil {
@@ -61,19 +61,19 @@ func rejectedByEveryAggregator(t *testing.T, u *wire.LocalUpdate, dim int) {
 		return agg
 	}
 	buffered := func() *BufferedAggregator {
-		b, err := NewBufferedAggregator(w0, 0.5, 0.5, 0)
+		b, err := NewBufferedAggregator(w0(), 0.5, 0.5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
 	for name, agg := range map[string]Aggregator{
-		"fedavg":         NewFedAvgServer(w0, 1),
-		"fedavg/fused":   fused(NewFedAvgServer(w0, 1)),
+		"fedavg":         NewFedAvgServer(w0(), 1),
+		"fedavg/fused":   fused(NewFedAvgServer(w0(), 1)),
 		"buffered":       buffered(),
 		"buffered/fused": fused(buffered()),
-		"iceadmm":        NewICEADMMServer(w0, 1, 1),
-		"iiadmm":         NewIIADMMServer(w0, 1, 1),
+		"iceadmm":        NewICEADMMServer(w0(), 1, 1),
+		"iiadmm":         NewIIADMMServer(w0(), 1, 1),
 	} {
 		if err := agg.Aggregate([]*wire.LocalUpdate{u}); err == nil {
 			t.Errorf("%s folded an update that carries no vector", name)

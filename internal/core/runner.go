@@ -187,8 +187,8 @@ func Run(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptions
 	if P == 0 {
 		return nil, fmt.Errorf("core: no clients in federated dataset")
 	}
-	// The replica that sizes the transport goes on to define w0.
-	refModel := factory()
+	// The replica that sizes the transport goes on to hold the server's model.
+	refModel := sequentialOf(factory())
 	st, cts, err := newServerTransport(opts.Transport, P, nn.NumParams(refModel), cfg.Rounds)
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ func RunWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, op
 // runWithTransport is RunWithTransport with the reference replica — a
 // fresh model from factory — supplied by the caller, or built here when
 // refModel is nil.
-func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, refModel nn.Module, opts RunOptions,
+func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, refModel *nn.Sequential, opts RunOptions,
 	st comm.ServerTransport, cts []comm.ClientTransport) (*Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -226,18 +226,13 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 		return nil, fmt.Errorf("core: %d client transports for %d clients", len(cts), P)
 	}
 
-	// Shared initial model: one replica defines w0 for everyone. The
-	// aggregator takes its copy before the P client replicas exist: made
-	// after them, a 1M-parameter model's allocation lands in a collection
-	// cycle and costs tens of milliseconds of set-up.
+	// Shared initial model: the reference replica's vector is w0 for
+	// everyone. Each client loads it into a replica of its own; the server's
+	// aggregator holds the vector itself (see serve).
 	if refModel == nil {
-		refModel = factory()
+		refModel = sequentialOf(factory())
 	}
-	w0 := nn.FlattenParams(refModel, nil)
-	agg, err := NewAggregator(cfg, w0, P)
-	if err != nil {
-		return nil, err
-	}
+	w0 := nn.ParamVector(refModel)
 
 	// Clients: own replica, own RNG stream, own update pipeline.
 	master := rng.New(cfg.Seed)
@@ -279,7 +274,7 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 		}(i)
 	}
 
-	res, _, err := serve(cfg, fed, refModel, w0, agg, opts, st, false)
+	res, _, err := serve(cfg, fed, factory, refModel, opts, st, false)
 	if err != nil {
 		// Nobody will send these clients a Final: end their sessions so the
 		// loops exit instead of waiting on (or redialing) a dead run.
@@ -314,19 +309,16 @@ func Serve(cfg Config, fed *dataset.Federated, factory nn.Factory, opts RunOptio
 	if fed.NumClients() == 0 {
 		return nil, nil, fmt.Errorf("core: no clients in federated dataset")
 	}
-	refModel := factory()
-	w0 := nn.FlattenParams(refModel, nil)
-	agg, err := NewAggregator(cfg, w0, fed.NumClients())
-	if err != nil {
-		return nil, nil, err
-	}
-	return serve(cfg, fed, refModel, w0, agg, opts, st, true)
+	return serve(cfg, fed, factory, sequentialOf(factory()), opts, st, true)
 }
 
-// serve is Serve over a validated cfg, the shared initial model w0 =
-// params(refModel) and a fresh aggregator holding it, which serve owns
-// from here on; refModel doubles as the evaluation replica.
-func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64, agg Aggregator, opts RunOptions,
+// serve is Serve over a validated cfg and refModel, a fresh replica from
+// factory, which serve owns from here on. Each incarnation's aggregator
+// holds its replica's parameter vector as the global model, so the
+// replica evaluates that model with no copy; a scripted kill discards
+// both, and the next incarnation builds a fresh replica from factory, as
+// a restarted process does, before the journal restores the model.
+func serve(cfg Config, fed *dataset.Federated, factory nn.Factory, refModel *nn.Sequential, opts RunOptions,
 	st comm.ServerTransport, wantWeights bool) (*Result, []float64, error) {
 	P := fed.NumClients()
 	sched, err := NewScheduler(cfg, P)
@@ -344,7 +336,7 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		return nil, nil, err
 	}
 
-	res := &Result{Config: cfg, ModelDim: len(w0)}
+	res := &Result{Config: cfg, ModelDim: nn.NumParams(refModel)}
 	var jw *journalWriter
 	var recd *journal.Recovered // the journal state the next incarnation resumes from
 	if opts.Journal != nil {
@@ -369,6 +361,10 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 	var runErr error
 	var recoveryStart time.Time
 	for {
+		agg, err := NewAggregator(cfg, nn.ParamVector(refModel), P)
+		if err != nil {
+			return nil, nil, err
+		}
 		mem := newMembership(P)
 		var resume *RecoveredServer
 		if jw != nil {
@@ -401,9 +397,9 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 			break
 		}
 		// The scripted kill -9: everything the incarnation held is discarded
-		// with no flush or goodbye, the aggregator and membership are rebuilt
-		// from scratch, and the journal decides where to resume. Recover
-		// first joins a checkpoint the last commit left running: the
+		// with no flush or goodbye, the replica, aggregator and membership
+		// are rebuilt from scratch, and the journal decides where to resume.
+		// Recover first joins a checkpoint the last commit left running: the
 		// simulated crash lands after it, where a real one might land before
 		// its rename, and either leaves a checkpoint replay accepts.
 		res.Soak.Kills++
@@ -414,9 +410,7 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 		if recd, err = opts.Journal.Recover(); err != nil {
 			return nil, nil, fmt.Errorf("core: recovering journal after kill %d: %w", res.Soak.Kills, err)
 		}
-		if agg, err = NewAggregator(cfg, w0, P); err != nil {
-			return nil, nil, err
-		}
+		refModel = sequentialOf(factory())
 	}
 	if err := jw.finish(); err != nil && runErr == nil {
 		runErr = fmt.Errorf("core: last checkpoint: %w", err)
@@ -442,7 +436,7 @@ func serve(cfg Config, fed *dataset.Federated, refModel nn.Module, w0 []float64,
 	}
 	var final []float64
 	if wantWeights {
-		final = agg.Weights()
+		final = s.agg.Weights()
 	}
 	return res, final, nil
 }
@@ -594,8 +588,9 @@ func (s *server) open(ids []int, round int) error {
 }
 
 // recordRound finalizes one round's statistics, validating on cadence. The
-// evaluation borrows the aggregator's live model (GlobalWeights) and loads
-// it into evalModel's own vector.
+// evaluation reads the aggregator's live model (GlobalWeights), which in a
+// run is evalModel's own parameter vector, so EvaluateWeights copies
+// nothing.
 func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module, fed *dataset.Federated,
 	rounds, validateEvery int, start time.Time, progress io.Writer) {
 	if fed.Test != nil && (rs.Round%validateEvery == 0 || rs.Round == rounds) {

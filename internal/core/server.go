@@ -25,9 +25,9 @@ type BaseServer struct {
 	version int // aggregations applied so far
 }
 
-// newBaseServer owns a copy of the initial weights w0.
+// newBaseServer takes ownership of w0: W is w0 itself.
 func newBaseServer(w0 []float64, numClients int) BaseServer {
-	return BaseServer{W: append([]float64(nil), w0...), NumClients: numClients}
+	return BaseServer{W: w0, NumClients: numClients}
 }
 
 // GlobalWeights lends the live global model W; see Aggregator.
@@ -141,7 +141,7 @@ type FedAvgServer struct {
 	subOp   func(lo, hi int)
 }
 
-// NewFedAvgServer builds the server with initial weights w0.
+// NewFedAvgServer builds the server, which owns w0 (see NewAggregator).
 func NewFedAvgServer(w0 []float64, numClients int) *FedAvgServer {
 	s := &FedAvgServer{BaseServer: newBaseServer(w0, numClients)}
 	s.foldOp = s.foldChunk
@@ -230,7 +230,7 @@ type ICEADMMServer struct {
 	aggOp func(lo, hi int)
 }
 
-// NewICEADMMServer builds the server with initial weights w0.
+// NewICEADMMServer builds the server, which owns w0 (see NewAggregator).
 func NewICEADMMServer(w0 []float64, numClients int, rho float64) *ICEADMMServer {
 	s := &ICEADMMServer{BaseServer: newBaseServer(w0, numClients), Rho: rho}
 	s.aggOp = s.aggChunk
@@ -303,8 +303,8 @@ type IIADMMServer struct {
 	aggOp func(lo, hi int)
 }
 
-// NewIIADMMServer builds the server; duals start at zero, the shared
-// initialization of Algorithm 1 line 1.
+// NewIIADMMServer builds the server, which owns w0 (see NewAggregator);
+// duals start at zero, the shared initialization of Algorithm 1 line 1.
 func NewIIADMMServer(w0 []float64, numClients int, rho float64) *IIADMMServer {
 	duals := make([][]float64, numClients)
 	for i := range duals {

@@ -60,7 +60,7 @@ func TestSubsetFullCoverageMatchesFedAvg(t *testing.T) {
 func TestSubsetPartialCoverage(t *testing.T) {
 	const clients, dim, n = 3, 64, 16
 	w0 := testVec(dim, 11)
-	s := NewFedAvgServer(w0, clients)
+	s := NewFedAvgServer(append([]float64(nil), w0...), clients)
 	batch := subsetTestBatch(clients, dim, n, 21, func(i int) uint64 { return uint64(10 * (i + 1)) })
 	if err := s.Aggregate(batch); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,8 @@ func Evaluate(model nn.Module, ds dataset.Dataset, batchSize int) (loss, accurac
 }
 
 // EvaluateWeights loads the flat weight vector into the model and runs
-// Evaluate — the form the round runner uses on the global iterate.
+// Evaluate — the form the round runner uses on the global iterate, which is
+// the model's own parameter vector there, so the load copies nothing.
 func EvaluateWeights(model nn.Module, w []float64, ds dataset.Dataset, batchSize int) (loss, accuracy float64) {
 	nn.SetParams(model, w)
 	return Evaluate(model, ds, batchSize)

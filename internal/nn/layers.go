@@ -152,9 +152,12 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 // Params returns the layer's weight and bias.
 func (c *Conv2D) Params() []*Parameter { return []*Parameter{c.Weight, c.Bias} }
 
-// ReLU is the elementwise rectifier max(0, x).
+// ReLU is the elementwise rectifier max(0, x). Inside a Sequential it
+// writes into the tensor it is handed wherever that is a workspace no
+// layer reads again (see step); elsewhere into workspaces of its own.
 type ReLU struct {
-	out, dx *tensor.Tensor // workspaces, see Module
+	y       *tensor.Tensor // the last Forward's output: Backward's mask
+	out, dx *tensor.Tensor // workspaces, see Module; unused in place
 }
 
 // NewReLU constructs a ReLU activation.
@@ -171,29 +174,46 @@ func positiveMask(b uint64) uint64 {
 	return uint64((t-0x7ff0000000000000)>>63) &^ uint64(t>>63)
 }
 
-// Forward applies the rectifier.
-func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	a.out = tensor.Reuse(a.out, x.Shape()...)
-	out := a.out.Data()
-	for i, v := range x.Data() {
-		b := math.Float64bits(v)
-		out[i] = math.Float64frombits(b & positiveMask(b))
+// into returns t itself when inPlace, else the workspace *ws cut to t.
+func into(ws **tensor.Tensor, t *tensor.Tensor, inPlace bool) *tensor.Tensor {
+	if !inPlace {
+		*ws = tensor.Reuse(*ws, t.Shape()...)
+		t = *ws
 	}
-	return a.out
+	return t
+}
+
+// Forward applies the rectifier.
+func (a *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor { return a.forward(x, false) }
+
+// forward writes into x itself when inPlace. The output is positive
+// exactly where x is, so it serves as Backward's mask.
+func (a *ReLU) forward(x *tensor.Tensor, inPlace bool) *tensor.Tensor {
+	a.y = into(&a.out, x, inPlace)
+	rectify(a.y.Data(), x.Data(), x.Data())
+	return a.y
 }
 
 // Backward zeroes the gradient where the input was non-positive — which is
 // exactly where the retained output is not positive.
-func (a *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if a.out == nil || a.out.Size() != dy.Size() {
+func (a *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor { return a.backward(dy, false) }
+
+// backward writes into dy itself when inPlace.
+func (a *ReLU) backward(dy *tensor.Tensor, inPlace bool) *tensor.Tensor {
+	if a.y == nil || a.y.Size() != dy.Size() {
 		panic("nn: ReLU.Backward size mismatch with last Forward")
 	}
-	a.dx = tensor.Reuse(a.dx, dy.Shape()...)
-	dx, out := a.dx.Data(), a.out.Data()
-	for i, g := range dy.Data() {
-		dx[i] = math.Float64frombits(math.Float64bits(g) & positiveMask(math.Float64bits(out[i])))
+	dx := into(&a.dx, dy, inPlace)
+	rectify(dx.Data(), dy.Data(), a.y.Data())
+	return dx
+}
+
+// rectify writes src into dst where mask is positive and +0 elsewhere;
+// dst may be src.
+func rectify(dst, src, mask []float64) {
+	for i, v := range src {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(math.Float64bits(mask[i])))
 	}
-	return a.dx
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -291,18 +311,47 @@ func NewSequential(layers ...Module) *Sequential {
 
 // Forward applies the layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
+	owned := false // x is the caller's
 	for _, l := range s.Layers {
-		x = l.Forward(x)
+		x, owned = step(l, x, owned, true)
 	}
 	return x
 }
 
 // Backward applies the layers' backward passes in reverse order.
-func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(dy)
+func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor { return s.backward(dy, 0) }
+
+// backward applies the backward passes of Layers[stop:], last first.
+func (s *Sequential) backward(dy *tensor.Tensor, stop int) *tensor.Tensor {
+	owned := false // dy is the caller's
+	for i := len(s.Layers) - 1; i >= stop; i-- {
+		dy, owned = step(s.Layers[i], dy, owned, false)
 	}
 	return dy
+}
+
+// step applies l's Forward (fwd) or Backward to t; owned says whether t
+// is a workspace no layer reads again, which a ReLU then writes in place.
+// It reports the same of the result: true for a workspace of a layer that
+// never reads it back, owned for a view of t, false for a layer that reads
+// its output back (Tanh, Sigmoid, ReLU) or one this list does not know.
+func step(l Module, t *tensor.Tensor, owned, fwd bool) (*tensor.Tensor, bool) {
+	switch r := l.(type) {
+	case *ReLU:
+		if fwd {
+			return r.forward(t, owned), false
+		}
+		return r.backward(t, owned), false
+	case *Linear, *Conv2D, *MaxPool2D, *AvgPool2D:
+		owned = true
+	case *Flatten:
+	default:
+		owned = false
+	}
+	if fwd {
+		return l.Forward(t), owned
+	}
+	return l.Backward(t), owned
 }
 
 // BackwardParams is m.Backward(dy) for callers that read only the
@@ -320,12 +369,10 @@ func BackwardParams(m Module, dy *tensor.Tensor) {
 	}
 	s.Params()
 	first := s.firstParam
-	for i := len(s.Layers) - 1; i > first; i-- {
-		dy = s.Layers[i].Backward(dy)
-	}
 	if first == len(s.Layers) {
 		return
 	}
+	dy = s.backward(dy, first+1)
 	if l, ok := s.Layers[first].(interface{ backwardParams(*tensor.Tensor) }); ok {
 		l.backwardParams(dy)
 	} else {

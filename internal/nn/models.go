@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"repro/internal/rng"
-	"repro/internal/tensor"
-)
+import "repro/internal/rng"
 
 // CNNConfig describes the paper's convolutional model: two 2-D convolution
 // layers, one 2-D max-pooling layer, elementwise ReLU, and two linear
@@ -101,11 +98,4 @@ type Factory func() Module
 // must be a Sequential (see ParamVector).
 func CloneInto(dst, src Module) {
 	SetParams(dst, ParamVector(src))
-}
-
-// Predict runs a forward pass and returns the logits, which — like every
-// Forward result — belong to m and are valid until its next Forward or
-// Backward. Provided for readability at call sites.
-func Predict(m Module, x *tensor.Tensor) *tensor.Tensor {
-	return m.Forward(x)
 }

@@ -6,7 +6,8 @@
 // Layers are stateful twice over. Forward caches whatever Backward needs,
 // and every layer owns the tensors it hands out — its output, its input
 // gradient, its scratch — sized on first use and reused while the batch
-// shape holds, so a warmed training step allocates nothing. The price is
+// shape holds, so a warmed training step allocates nothing (a ReLU inside
+// a Sequential writes into its neighbours' tensors instead). The price is
 // one rule, stated on Module: a tensor returned by Forward or Backward is
 // valid until that module's next Forward or Backward. A module therefore
 // must not be shared across concurrent training loops, and a caller that

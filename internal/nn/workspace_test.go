@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -163,5 +164,102 @@ func TestForwardResultIsValidUntilNextCall(t *testing.T) {
 	}
 	if y1.EqualWithin(kept, 0) {
 		t.Fatal("the reused output still holds the first result; the test inputs are degenerate")
+	}
+}
+
+// TestTrainingStepWorkspaceBytes pins, to the byte, what a fresh replica of
+// the benchmark's CNN allocates over its first training step at batch 64
+// (Forward → CrossEntropy → BackwardParams, one worker): every layer's
+// workspaces, sized once. The three ReLUs rectify their producers' outputs
+// and mask their gradients in place, so none holds an out/dx pair; when
+// each did, the step allocated 11,251,696 bytes, 4,849,664 of them those
+// pairs. The minimum of three fresh replicas is taken: the runtime's own
+// background allocations can only add to one measurement.
+func TestTrainingStepWorkspaceBytes(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const want = 6_401_584
+	cfg := CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}
+	r := rng.New(2)
+	x, labels := randT(r, 64, 1, 28, 28), make([]int, 64)
+	least := math.Inf(1)
+	for k := 0; k < 4; k++ {
+		m := NewCNN(cfg, rng.New(1))
+		var ce CrossEntropyLoss
+		_, bytes := testutil.AllocsPer(1, func() {
+			_, d := ce.Loss(m.Forward(x), labels)
+			BackwardParams(m, d)
+		})
+		if k > 0 { // the first step also warms the runtime
+			least = min(least, bytes)
+		}
+	}
+	t.Logf("a fresh replica's first training step allocates %.0f bytes", least)
+	if least != want {
+		t.Fatalf("a fresh replica's first training step allocated %.0f bytes, pinned at %d", least, want)
+	}
+}
+
+// TestReLUNeverWritesCallerTensors: a ReLU inside a Sequential rectifies
+// its producer's output and masks its gradient in place, but never a
+// tensor the Sequential's caller passed in — not x when the ReLU comes
+// first or behind a Flatten view of x, not dy when it comes last or ahead
+// of a Flatten view of dy. Forward, Backward and BackwardParams leave x
+// and dy bit-equal to copies taken beforehand, and the outputs and
+// parameter gradients equal those of a reference that calls each layer's
+// own Forward and Backward, where every ReLU writes workspaces of its own.
+func TestReLUNeverWritesCallerTensors(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			r := rng.New(8)
+			for _, c := range []struct {
+				name string
+				m    *Sequential
+				x    *tensor.Tensor
+			}{
+				{"relu-first", NewSequential(NewReLU(), NewLinear(6, 5, r), NewReLU(), NewLinear(5, 3, r)), randT(r, 4, 6)},
+				{"flatten-relu-first", NewSequential(NewFlatten(), NewReLU(), NewLinear(12, 5, r), NewReLU(), NewLinear(5, 3, r)), randT(r, 4, 3, 2, 2)},
+				{"relu-last", NewSequential(NewLinear(6, 5, r), NewReLU(), NewLinear(5, 3, r), NewReLU()), randT(r, 4, 6)},
+				{"relu-flatten-last", NewSequential(NewConv2D(1, 2, 3, 1, 1, r), NewReLU(), NewFlatten()), randT(r, 4, 1, 3, 3)},
+			} {
+				name := fmt.Sprintf("%s GOMAXPROCS=%d", c.name, procs)
+				x0 := c.x.Clone()
+				dy := randT(r, c.m.Forward(c.x).Shape()...)
+				dy0 := dy.Clone()
+				requireBits(t, name+" x after the first Forward", c.x.Data(), x0.Data())
+
+				// The reference: each layer's own Forward and Backward.
+				y := c.x
+				for _, l := range c.m.Layers {
+					y = l.Forward(y)
+				}
+				wantOut := append([]float64(nil), y.Data()...)
+				d := dy
+				for i := len(c.m.Layers) - 1; i >= 0; i-- {
+					d = c.m.Layers[i].Backward(d)
+				}
+				wantDx := append([]float64(nil), d.Data()...)
+				wantGrad := append([]float64(nil), GradVector(c.m)...)
+				requireBits(t, name+" reference x", c.x.Data(), x0.Data())
+				requireBits(t, name+" reference dy", dy.Data(), dy0.Data())
+
+				requireBits(t, name+" Forward output", c.m.Forward(c.x).Data(), wantOut)
+				requireBits(t, name+" x after Forward", c.x.Data(), x0.Data())
+				requireBits(t, name+" Backward dx", c.m.Backward(dy).Data(), wantDx)
+				requireBits(t, name+" Backward gradients", GradVector(c.m), wantGrad)
+				requireBits(t, name+" x after Backward", c.x.Data(), x0.Data())
+				requireBits(t, name+" dy after Backward", dy.Data(), dy0.Data())
+
+				clear(GradVector(c.m))
+				c.m.Forward(c.x)
+				BackwardParams(c.m, dy)
+				requireBits(t, name+" BackwardParams gradients", GradVector(c.m), wantGrad)
+				requireBits(t, name+" x after BackwardParams", c.x.Data(), x0.Data())
+				requireBits(t, name+" dy after BackwardParams", dy.Data(), dy0.Data())
+			}
+		}()
 	}
 }
