@@ -106,6 +106,13 @@ type ClientTransport interface {
 	// be decoded into storage the transport reuses: it is valid until the
 	// next RecvGlobal.
 	RecvGlobal() (*wire.GlobalModel, error)
+	// ReceiveInto lends w as the storage every later dense
+	// GlobalModel.Weights is decoded into, while w has the capacity: the
+	// model RecvGlobal returns aliases w from then on, so the lender keeps
+	// nothing in w across a receive. A FedAvg client lends its gradient
+	// vector, which is dead between rounds, and holds no receive buffer of
+	// its own.
+	ReceiveInto(w []float64)
 	// SendUpdate uploads this client's local update. The update is
 	// serialized (or dropped) before SendUpdate returns, so the caller may
 	// reuse its storage.

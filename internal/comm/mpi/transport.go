@@ -204,6 +204,10 @@ func (t *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	return &t.model, nil
 }
 
+// ReceiveInto lends w to the kept model: every later dense broadcast is
+// decoded into it.
+func (t *ClientTransport) ReceiveInto(w []float64) { t.model.Weights = w[:0] }
+
 // SendUpdate uploads this client's update to the server rank.
 func (t *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	t.send(tagUpdate, m)

@@ -423,6 +423,10 @@ func (c *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	return &c.model, nil
 }
 
+// ReceiveInto lends w to the kept model: every later dense broadcast is
+// decoded into it.
+func (c *ClientTransport) ReceiveInto(w []float64) { c.model.Weights = w[:0] }
+
 // SendUpdate publishes the client's update to its tenant's update topic,
 // stamped with the tenant id.
 func (c *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {

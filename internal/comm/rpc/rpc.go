@@ -1000,6 +1000,10 @@ func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
 	return &c.global, nil
 }
 
+// ReceiveInto lends w to the kept model: every later dense broadcast,
+// salvaged ones included, is decoded into it.
+func (c *Client) ReceiveInto(w []float64) { c.global.Weights = w[:0] }
+
 // send frames m and writes it in one vectored call, its large vectors
 // straight from where they are.
 func (c *Client) send(kind wire.Kind, m wire.Marshaler) error {

@@ -7,8 +7,11 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
+	"repro/internal/comm/rpc"
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -155,7 +158,9 @@ func (e *encodingTransport) SendUpdate(u *wire.LocalUpdate) error {
 // client loop answers a repeated dispatch of the round it trained (a
 // restarted server re-opening it) by sending that update again. Nothing
 // between the two sends touches what it aliases, so the re-sent upload is
-// the first one byte for byte.
+// the first one byte for byte. That holds for FedAvg too, whose lent
+// gradient vector receives the repeated dispatch: over rpc the repeat is
+// salvaged off the old connection by a Resume, decoded into that vector.
 func TestRepeatedDispatchResendsBitEqualBytes(t *testing.T) {
 	fed := tinyFed(t, 1, 32, 8)
 	w0 := nn.FlattenParams(tinyFactory()(), nil)
@@ -182,5 +187,106 @@ func TestRepeatedDispatchResendsBitEqualBytes(t *testing.T) {
 				t.Fatalf("%s %q: the re-sent round-1 update differs from the one first uploaded", algo, pipe)
 			}
 		}
+	}
+	for _, pipe := range []string{"", "quantize:8"} {
+		resendSalvagedOverRPC(t, fed, pipe)
+	}
+}
+
+// salvagingClient is an rpc client whose second receive first resumes its
+// session, once the server has put a repeated dispatch on the old
+// connection, so that the Resume salvages it. It keeps the bytes of every
+// upload and whether each received model lay in grad.
+type salvagingClient struct {
+	*rpc.Client
+	repeated <-chan struct{}
+	grad     []float64
+	recvs    int
+	inGrad   []bool
+	uploads  [][]byte
+}
+
+func (c *salvagingClient) RecvGlobal() (*wire.GlobalModel, error) {
+	if c.recvs++; c.recvs == 2 {
+		<-c.repeated
+		if err := c.Resume(); err != nil {
+			return nil, err
+		}
+	}
+	gm, err := c.Client.RecvGlobal()
+	if err == nil && !gm.Final {
+		c.inGrad = append(c.inGrad, len(gm.Weights) > 0 && &gm.Weights[0] == &c.grad[0])
+	}
+	return gm, err
+}
+
+func (c *salvagingClient) SendUpdate(u *wire.LocalUpdate) error {
+	var enc wire.Encoder
+	c.uploads = append(c.uploads, append([]byte(nil), enc.Encode(u)...))
+	return c.Client.SendUpdate(u)
+}
+
+// resendSalvagedOverRPC is TestRepeatedDispatchResendsBitEqualBytes's
+// FedAvg row with a lent buffer: round 1, its repeat salvaged by a Resume
+// into the client's gradient vector, round 2. The model is small, so a
+// dispatch fits the socket buffers before anyone reads it.
+func resendSalvagedOverRPC(t *testing.T, fed *dataset.Federated, pipe string) {
+	t.Helper()
+	name := fmt.Sprintf("fedavg rpc resume %q", pipe)
+	model := sequentialOf(nn.NewMLP(28*28, []int{2}, 10, rng.New(99)))
+	w0 := append([]float64(nil), nn.ParamVector(model)...)
+	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 2, LocalSteps: 1, BatchSize: 16, Pipeline: pipe, Seed: 4}.WithDefaults()
+	c, err := newRunClient(cfg, 0, rng.New(7), model, w0, fed.Clients[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, cts, err := newServerTransport(TransportRPC, 1, len(w0), cfg.Rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	repeated := make(chan struct{})
+	ct := &salvagingClient{Client: cts[0].(*rpc.Client), repeated: repeated, grad: nn.GradVector(model)}
+	defer ct.Close()
+	done := make(chan error, 1)
+	go func() { done <- runClient(cfg, c, ct, ClientOptions{}) }()
+	dispatch := func(round, version int) {
+		t.Helper()
+		gm := &wire.GlobalModel{Round: uint32(round), Version: uint64(version), Weights: w0}
+		if err := st.SendTo([]int{0}, gm); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	gather := func() {
+		t.Helper()
+		ups, err := st.GatherUntil(1, 10*time.Second) // a lost repeat fails, not hangs
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		comm.ReleaseUpdates(ups)
+	}
+	dispatch(1, 0)
+	gather()
+	dispatch(1, 0) // the repeat, on the connection the client is leaving
+	close(repeated)
+	gather()
+	dispatch(2, 1)
+	gather()
+	if err := st.SendTo([]int{0}, &wire.GlobalModel{Final: true}); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(ct.uploads) != 3 || len(ct.inGrad) != 3 {
+		t.Fatalf("%s: %d uploads of %d models, want round 1, its re-send, round 2", name, len(ct.uploads), len(ct.inGrad))
+	}
+	for i, in := range ct.inGrad {
+		if !in {
+			t.Fatalf("%s: received model %d did not lie in the client's gradient vector", name, i+1)
+		}
+	}
+	if !bytes.Equal(ct.uploads[0], ct.uploads[1]) {
+		t.Fatalf("%s: the re-sent round-1 update differs from the one first uploaded", name)
 	}
 }

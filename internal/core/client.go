@@ -28,6 +28,15 @@ type ClientAlgorithm interface {
 	LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error)
 }
 
+// downlinkLender is a client algorithm that reads the w it is handed only
+// before its first gradient, so the client loop has every model decoded
+// straight into a vector the algorithm already holds (comm's ReceiveInto)
+// instead of a receive buffer of its own. FedAvg lends; the ADMM clients
+// read w all round and do not.
+type downlinkLender interface {
+	downlinkBuffer() []float64
+}
+
 // BaseClient carries the state every client algorithm shares: the model
 // replica, the private dataset, the configured update pipeline, and
 // scratch buffers. It mirrors the Python BaseClient class.
@@ -182,6 +191,15 @@ func NewFedAvgClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, pi
 		Momentum:   cfg.Momentum,
 		L:          cfg.LocalSteps,
 	}
+}
+
+// downlinkBuffer lends the model's gradient vector to the receive:
+// LocalUpdate reads w only to copy it into the parameters, before the
+// first Backward overwrites every gradient, and the update it releases
+// aliases the parameters, never the gradient.
+func (c *FedAvgClient) downlinkBuffer() []float64 {
+	g := nn.GradVector(c.Model)
+	return g[:len(g):len(g)]
 }
 
 // LocalUpdate trains locally and releases the parameters through the

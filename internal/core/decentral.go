@@ -169,9 +169,8 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		if err != nil {
 			return nil, err
 		}
-		m := factory()
-		nn.SetParams(m, w0)
-		clients[i] = NewFedAvgClient(i, m, fed.Clients[i], cfg, pipe, cr)
+		// LocalUpdate copies states[i] into the replica before training.
+		clients[i] = NewFedAvgClient(i, factory(), fed.Clients[i], cfg, pipe, cr)
 		states[i] = append([]float64(nil), w0...)
 	}
 
@@ -212,10 +211,11 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		}
 		// Gossip mixing: x_p ← w_pp·z_p + Σ_q w_pq·z̃_q. A client mixes its
 		// own *unperturbed* release only through released[p] to keep every
-		// exchanged quantity privatized uniformly.
-		next := make([][]float64, P)
+		// exchanged quantity privatized uniformly. The mix reads only the
+		// releases, and LocalUpdate has copied x_p into the client's
+		// replica, so x_p is written over states[p] in place.
 		for p := 0; p < P; p++ {
-			x := make([]float64, dim)
+			x := states[p]
 			for i := 0; i < dim; i++ {
 				x[i] = weights[p][p] * released[p][i]
 			}
@@ -226,9 +226,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 					x[i] += wq * zq[i]
 				}
 			}
-			next[p] = x
 		}
-		states = next
 
 		// Round statistics.
 		stats := DecentralRoundStats{Round: t}

@@ -1,0 +1,201 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/dataset"
+	"repro/internal/faults"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/tensor"
+	"repro/internal/testutil"
+	"repro/internal/wire"
+)
+
+// lendProbe is a FedAvg client (its lend is promoted) that counts the
+// models it trains from that lie in its own gradient vector.
+type lendProbe struct {
+	*FedAvgClient
+	trained, inGrad int
+}
+
+func (p *lendProbe) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error) {
+	p.trained++
+	if len(w) > 0 && &w[0] == &nn.GradVector(p.Model)[0] {
+		p.inGrad++
+	}
+	return p.FedAvgClient.LocalUpdate(round, w)
+}
+
+// trainMeter measures what the process allocates from the return of each
+// RecvGlobal to the next upload — the client's decode and training. One
+// lock spans that window and the upload, so two clients' windows never
+// overlap, nor does one client's window the other's upload.
+type trainMeter struct {
+	comm.ClientTransport
+	mu      *sync.Mutex
+	held    bool
+	start   uint64
+	windows []uint64
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+func (m *trainMeter) RecvGlobal() (*wire.GlobalModel, error) {
+	gm, err := m.ClientTransport.RecvGlobal()
+	if err == nil && !gm.Final {
+		m.mu.Lock()
+		m.held = true
+		m.start = totalAlloc()
+	}
+	return gm, err
+}
+
+func (m *trainMeter) SendUpdate(u *wire.LocalUpdate) error {
+	m.windows = append(m.windows, totalAlloc()-m.start)
+	defer m.unlock()
+	return m.ClientTransport.SendUpdate(u)
+}
+
+// unlock ends a window, also one a failed client loop left open.
+func (m *trainMeter) unlock() {
+	if m.held {
+		m.held = false
+		m.mu.Unlock()
+	}
+}
+
+// TestFedAvgClientReceivesIntoItsGradient: a FedAvg client lends its
+// gradient vector to the receive, so every model it trains from — a dense
+// downlink the transport decodes, an f16 one the client loop densifies —
+// lies in that vector, over rpc, mpi and pubsub, bare and behind the fault
+// layer. A warmed client round (decode and training) allocates no
+// model-sized vector, and the federation's losses and final model are bit
+// for bit those of the same clients with the lend hidden: the transport's
+// own receive buffer and the pooled densify scratch.
+func TestFedAvgClientReceivesIntoItsGradient(t *testing.T) {
+	const clients, rounds = 2, 5
+	images := func(n int, seed uint64) dataset.Dataset {
+		x := tensor.New(n, 1, 4, 4)
+		r := rng.New(seed)
+		r.FillNormal(x.Data(), 0, 1)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = r.Intn(4)
+		}
+		return dataset.NewInMemory(x, labels, 4)
+	}
+	fed := &dataset.Federated{Test: images(24, 1)}
+	for i := 0; i < clients; i++ {
+		fed.Clients = append(fed.Clients, images(32, uint64(10+i)))
+	}
+	factory := func() nn.Module { return nn.NewMLP(16, []int{4096}, 4, rng.New(3)) }
+	dim := nn.NumParams(factory())
+	vector := uint64(8 * dim)
+	for _, tr := range []Transport{TransportRPC, TransportMPI, TransportPubSub} {
+		for _, plan := range []string{"", "delay:100%:1"} {
+			for _, f16 := range []bool{false, true} {
+				name := fmt.Sprintf("%s faults=%q f16=%v", tr, plan, f16)
+				cfg := Config{Algorithm: AlgoFedAvg, Rounds: rounds, LocalSteps: 1, BatchSize: 8, Seed: 5, DownlinkF16: f16}.WithDefaults()
+				var want *Result
+				var wantFinal []float64
+				for _, lend := range []bool{false, true} {
+					res, final, probes, meters := runLendFederation(t, name, cfg, fed, factory, dim, tr, plan, lend)
+					if !lend {
+						want, wantFinal = res, final
+						continue
+					}
+					for i, p := range probes {
+						if p.trained != rounds || p.inGrad != rounds {
+							t.Fatalf("%s: client %d trained %d rounds, %d from its gradient vector; want %d of %d",
+								name, i, p.trained, p.inGrad, rounds, rounds)
+						}
+						for r, a := range meters[i].windows {
+							if r >= 2 && a > vector/2 && !testutil.RaceEnabled {
+								t.Fatalf("%s: client %d's round %d allocated %d bytes from receive to upload; one model-sized vector is %d",
+									name, i, r+1, a, vector)
+							}
+						}
+					}
+					for r, rs := range res.Rounds {
+						if math.Float64bits(rs.TestLoss) != math.Float64bits(want.Rounds[r].TestLoss) {
+							t.Fatalf("%s: round %d loss %v, with the lend hidden %v", name, rs.Round, rs.TestLoss, want.Rounds[r].TestLoss)
+						}
+					}
+					requireBitEqual(t, name+" final model", wantFinal, final)
+				}
+			}
+		}
+	}
+}
+
+// runLendFederation runs one federation over Serve with a client loop per
+// client, each client behind a trainMeter (and the plan's fault layer).
+// With lend false the clients' lend is hidden from the loop.
+func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Federated, factory nn.Factory, dim int,
+	tr Transport, plan string, lend bool) (*Result, []float64, []*lendProbe, []*trainMeter) {
+	t.Helper()
+	P := fed.NumClients()
+	st, cts, err := newServerTransport(tr, P, dim, cfg.Rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var opts RunOptions
+	if plan != "" {
+		p, err := faults.Parse(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Faults = faults.MustInjector(p, P, 1)
+	}
+	master := rng.New(cfg.Seed)
+	probes := make([]*lendProbe, P)
+	meters := make([]*trainMeter, P)
+	var window sync.Mutex
+	errs := make([]error, P)
+	var wg sync.WaitGroup
+	for i, ct := range cts {
+		model := sequentialOf(factory())
+		c, err := newRunClient(cfg, i, master.Split(), model, nn.ParamVector(model), fed.Clients[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes[i] = &lendProbe{FedAvgClient: c.(*FedAvgClient)}
+		var alg ClientAlgorithm = probes[i]
+		if !lend {
+			alg = struct{ ClientAlgorithm }{probes[i]}
+		}
+		if opts.Faults != nil {
+			ct = opts.Faults.WrapClient(i, ct)
+		}
+		meters[i] = &trainMeter{ClientTransport: ct, mu: &window}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer ct.Close()
+			errs[i] = runClient(cfg, alg, meters[i], ClientOptions{})
+			meters[i].unlock()
+		}()
+	}
+	res, final, err := Serve(cfg, fed, factory, opts, st)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: client %d: %v", name, i, err)
+		}
+	}
+	return res, final, probes, meters
+}

@@ -58,8 +58,7 @@ func RunClient(cfg Config, id int, data dataset.Dataset, factory nn.Factory, ct 
 	for i := 0; i < id; i++ {
 		master.Split()
 	}
-	// The replica's own vector is w0: no copy, and the SetParams loading it
-	// is a no-op.
+	// The replica's own vector is w0: no copy.
 	model := sequentialOf(factory())
 	c, err := newRunClient(cfg, id, master.Split(), model, nn.ParamVector(model), data)
 	if err != nil {
@@ -68,14 +67,15 @@ func RunClient(cfg Config, id int, data dataset.Dataset, factory nn.Factory, ct 
 	return runClient(cfg, c, ct, opts)
 }
 
-// newRunClient builds one client of a run: its replica starts at the
-// shared w0 and its update pipeline draws from its own stream cr.
+// newRunClient builds one client of a run over its update pipeline, which
+// draws from its own stream cr. Nothing loads w0 into the replica here:
+// FedAvg and IIADMM overwrite its parameters with the received model at
+// the start of every LocalUpdate, and ICEADMM loads w0 itself.
 func newRunClient(cfg Config, id int, cr *rng.RNG, model nn.Module, w0 []float64, data dataset.Dataset) (ClientAlgorithm, error) {
 	pipe, err := NewClientPipeline(cfg, cr)
 	if err != nil {
 		return nil, err
 	}
-	nn.SetParams(model, w0)
 	return NewClient(cfg, id, model, data, w0, pipe, cr)
 }
 
@@ -89,13 +89,22 @@ func newRunClient(cfg Config, id int, cr *rng.RNG, model nn.Module, w0 []float64
 // and the loop carries on; what the server still wants from this client it
 // will ask for again.
 func runClient(cfg Config, c ClientAlgorithm, ct comm.ClientTransport, opts ClientOptions) error {
-	// wscratch recycles the downlink densify buffer across rounds (gm is
-	// dropped at the end of each iteration, so the weights it aliases are
-	// dead by the next receive) and across runs via the shared scratch
-	// pool — clients copy w before returning from LocalUpdate, so nothing
-	// aliases it at exit.
-	wscratch := tensor.GetF64(0)
-	defer func() { tensor.PutF64(wscratch) }()
+	// wscratch is what an f16 downlink densifies into. A lending algorithm
+	// (FedAvg) supplies it, and the transport decodes a dense downlink
+	// into it too, so the client holds no receive buffer; the lend comes
+	// before the first receive, which would otherwise size one. Otherwise
+	// it is recycled across rounds (gm is dropped at the end of each
+	// iteration, so the weights it aliases are dead by the next receive)
+	// and across runs via the shared scratch pool — clients copy w before
+	// returning from LocalUpdate, so nothing aliases it at exit.
+	var wscratch []float64
+	if l, ok := c.(downlinkLender); ok {
+		wscratch = l.downlinkBuffer()
+		ct.ReceiveInto(wscratch)
+	} else {
+		wscratch = tensor.GetF64(0)
+		defer func() { tensor.PutF64(wscratch) }()
+	}
 	// last is the update most recently trained. It may alias the client's
 	// state, which stays put until the next LocalUpdate — exactly as long
 	// as a repeated dispatch of its round can arrive.

@@ -19,6 +19,7 @@ type scriptedTransport struct {
 	sent    []wire.LocalUpdate
 	resumes int
 	resume  func(attempt int) error // nil: every Resume splices
+	lent    []float64               // what the client loop lent the receive
 }
 
 func (s *scriptedTransport) RecvGlobal() (*wire.GlobalModel, error) {
@@ -32,6 +33,8 @@ func (s *scriptedTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	}
 	return next.(*wire.GlobalModel), nil
 }
+
+func (s *scriptedTransport) ReceiveInto(w []float64) { s.lent = w }
 
 func (s *scriptedTransport) SendUpdate(u *wire.LocalUpdate) error {
 	s.sent = append(s.sent, *u)

@@ -227,8 +227,9 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 	}
 
 	// Shared initial model: the reference replica's vector is w0 for
-	// everyone. Each client loads it into a replica of its own; the server's
-	// aggregator holds the vector itself (see serve).
+	// everyone. An ICEADMM client loads it into a replica of its own, FedAvg
+	// and IIADMM clients train from the first model they receive; the
+	// server's aggregator holds the vector itself (see serve).
 	if refModel == nil {
 		refModel = sequentialOf(factory())
 	}

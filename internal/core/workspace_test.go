@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/dataset"
 	"repro/internal/journal"
 	"repro/internal/nn"
@@ -51,6 +52,11 @@ func TestEvaluateAllocationGate(t *testing.T) {
 // dwarfs everything the loader allocates. The first LocalUpdate allocates
 // just the vectors the algorithm keeps besides the model's two (kept):
 // FedAvg's momentum only when a round has a second step to read it.
+// Through the client loop, a FedAvg client of one step per round holds the
+// model's two vectors and no other: the transport decodes every received
+// model into the gradient vector it lends. IIADMM, which reads the
+// received model all round, holds the transport's receive buffer and its
+// λ besides.
 func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -107,7 +113,56 @@ func TestLocalUpdateReusesModelSizedBuffers(t *testing.T) {
 			t.Fatalf("%s: the dense update's primal is not the model's parameter vector", c.algo)
 		}
 	}
+	var frames [][]byte
+	for round := 1; round <= 2; round++ {
+		var e wire.Encoder
+		frames = append(frames, append([]byte(nil), e.Encode(&wire.GlobalModel{Round: uint32(round), Version: uint64(round), Weights: w0})...))
+	}
+	for _, c := range []struct {
+		algo string
+		held float64
+	}{{AlgoFedAvg, 2}, {AlgoIIADMM, 4}} {
+		cfg := Config{Algorithm: c.algo, Rounds: 2, LocalSteps: 1, BatchSize: 8, Seed: 3}.WithDefaults()
+		model := factory()
+		_, d := nn.CrossEntropy(model.Forward(images), labels)
+		nn.BackwardParams(model, d)
+		ct := &frameTransport{frames: frames}
+		_, bytes := testutil.AllocsPer(1, func() {
+			client, err := newRunClient(cfg, 0, rng.New(6), model, w0, ds)
+			if err == nil {
+				err = runClient(cfg, client, ct, ClientOptions{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		held := 2 + bytes/vector
+		t.Logf("%s through the client loop: the model's two vectors and %.0f bytes (%.2f vectors)", c.algo, bytes, held)
+		if math.Abs(held-c.held) > 0.5 {
+			t.Fatalf("%s: a client run through the client loop holds %.2f model-sized vectors, want %v", c.algo, held, c.held)
+		}
+	}
 }
+
+// frameTransport plays encoded GlobalModel frames to the client loop,
+// decoding each into the one message it keeps, as the transports do.
+type frameTransport struct {
+	comm.ClientTransport
+	frames [][]byte
+	model  wire.GlobalModel
+}
+
+func (f *frameTransport) RecvGlobal() (*wire.GlobalModel, error) {
+	if len(f.frames) == 0 {
+		return &wire.GlobalModel{Final: true}, nil
+	}
+	frame := f.frames[0]
+	f.frames = f.frames[1:]
+	return &f.model, f.model.Unmarshal(wire.NewDecoder(frame))
+}
+
+func (f *frameTransport) ReceiveInto(w []float64)            { f.model.Weights = w[:0] }
+func (f *frameTransport) SendUpdate(*wire.LocalUpdate) error { return nil }
 
 // TestJournaledRoundAllocatesNoModelSizedBuffer: the server side of a
 // journaled round — round start, one admit per update, the fold, the

@@ -324,6 +324,7 @@ func TestReorderWrapperPermutesDeterministically(t *testing.T) {
 type nopClient struct{}
 
 func (nopClient) RecvGlobal() (*wire.GlobalModel, error) { return &wire.GlobalModel{Final: true}, nil }
+func (nopClient) ReceiveInto([]float64)                  {}
 func (nopClient) SendUpdate(*wire.LocalUpdate) error     { return nil }
 func (nopClient) Stats() comm.Snapshot                   { return comm.Snapshot{} }
 func (nopClient) Close() error                           { return nil }

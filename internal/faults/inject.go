@@ -247,6 +247,9 @@ func (t *clientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	return t.inner.SendUpdate(m)
 }
 
+// ReceiveInto lends w to the inner transport.
+func (t *clientTransport) ReceiveInto(w []float64) { t.inner.ReceiveInto(w) }
+
 // Stats returns the inner transport's traffic snapshot.
 func (t *clientTransport) Stats() comm.Snapshot { return t.inner.Stats() }
 

@@ -149,10 +149,17 @@ func (r *RNG) Laplace(loc, scale float64) float64 {
 	if scale <= 0 {
 		panic("rng: Laplace scale must be positive")
 	}
-	// Inverse CDF on u in (-1/2, 1/2].
-	u := r.Float64() - 0.5
+	return laplaceAt(r.Float64(), loc, scale)
+}
+
+// laplaceAt is Laplace's inverse CDF at the uniform draw f in [0, 1). The
+// draw 0 would put u = f − 1/2 on the endpoint −1/2, where log(1+2u) is
+// log 0; it maps to u = 0 (the variate loc) instead, which keeps the
+// variate finite at one draw per variate.
+func laplaceAt(f, loc, scale float64) float64 {
+	u := f - 0.5
 	if u == -0.5 {
-		u = 0.5 // avoid log(0) on the open endpoint
+		u = 0
 	}
 	if u < 0 {
 		return loc + scale*math.Log(1+2*u)
@@ -267,22 +274,28 @@ func (r *RNG) laplaces(dst []float64, loc, scale float64, add bool) {
 	for len(dst) > 0 {
 		m := min(len(dst), len(draws))
 		r.FillUniform(draws[:m], 0, 1)
-		for i, u := range draws[:m] {
-			u -= 0.5
-			if u == -0.5 {
-				u = 0.5
-			}
-			// Laplace's two branches on the sign of u are one expression:
-			// ±scale·log(1−2|u|) carrying u's sign, since 1+2u = 1−2|u|
-			// below zero and −x = |x| for the x ≤ 0 a logarithm of at most
-			// 1 gives. The sign of a uniform variate is a coin flip no
-			// predictor learns.
-			x := loc + math.Copysign(scale*math.Log(1-2*math.Abs(u)), u)
-			if add {
-				x += dst[i]
-			}
-			dst[i] = x
-		}
+		laplaceBlock(dst[:m], draws[:m], loc, scale, add)
 		dst = dst[m:]
+	}
+}
+
+// laplaceBlock sets (add: adds to) dst[i] the Laplace variate of the
+// uniform draw draws[i], as laplaceAt does, endpoint included.
+func laplaceBlock(dst, draws []float64, loc, scale float64, add bool) {
+	for i, u := range draws {
+		u -= 0.5
+		if u == -0.5 {
+			u = 0
+		}
+		// Laplace's two branches on the sign of u are one expression:
+		// ±scale·log(1−2|u|) carrying u's sign, since 1+2u = 1−2|u|
+		// below zero and −x = |x| for the x ≤ 0 a logarithm of at most
+		// 1 gives. The sign of a uniform variate is a coin flip no
+		// predictor learns.
+		x := loc + math.Copysign(scale*math.Log(1-2*math.Abs(u)), u)
+		if add {
+			x += dst[i]
+		}
+		dst[i] = x
 	}
 }

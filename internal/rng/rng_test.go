@@ -427,24 +427,49 @@ func TestBlockSamplersLeaveScalarState(t *testing.T) {
 	}
 }
 
-// TestLaplaceEndpointMatchesScalar: the one uniform draw that lands on the
-// open endpoint (u = −1/2, remapped to +1/2) takes the same value through
-// the block sampler's merged expression as through Laplace's branches.
+// laplaceDraws are uniform draws at and around the transform's special
+// points: the endpoint 0, either side of the sign flip at 1/2, the largest
+// draw, and two in between.
+var laplaceDraws = []float64{0, 0x1p-53, 0.25, 0.5 - 0x1p-53, 0.5, 0.5 + 0x1p-53, 0.75, 1 - 0x1p-53}
+
+// TestLaplaceEndpointMatchesScalar: every draw, the one that lands on the
+// endpoint (u = −1/2) included, takes the same value through the block
+// sampler's merged expression as through Laplace's branches.
 func TestLaplaceEndpointMatchesScalar(t *testing.T) {
-	for _, u := range []float64{-0.5, 0.5, 0, -0x1p-53, 0x1p-53, 0.25, -0.25} {
-		v := u
-		if v == -0.5 {
-			v = 0.5
+	for _, loc := range []float64{0, -1.5} {
+		got := make([]float64, len(laplaceDraws))
+		laplaceBlock(got, laplaceDraws, loc, 3, false)
+		for i, f := range laplaceDraws {
+			if want := laplaceAt(f, loc, 3); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("draw %v, loc %v: merged expression %v, branches %v", f, loc, got[i], want)
+			}
 		}
-		var want float64
-		if v < 0 {
-			want = 0 + 3*math.Log(1+2*v)
-		} else {
-			want = 0 - 3*math.Log(1-2*v)
-		}
-		got := 0 + math.Copysign(3*math.Log(1-2*math.Abs(v)), v)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("u=%v: merged expression %v, branches %v", u, got, want)
+	}
+}
+
+// TestLaplaceEndpointIsFinite: the draw 0 (probability 2⁻⁵³ per variate)
+// gives the variate loc, not the +Inf of log 0, through the scalar
+// transform and through both block forms — so an output-perturbed model
+// never carries an infinite coordinate, and every draw stays finite.
+func TestLaplaceEndpointIsFinite(t *testing.T) {
+	const loc, scale = 0.25, 5.0
+	if got := laplaceAt(0, loc, scale); got != loc {
+		t.Fatalf("Laplace at the draw 0 = %v, want loc %v", got, loc)
+	}
+	fill := make([]float64, len(laplaceDraws))
+	laplaceBlock(fill, laplaceDraws, loc, scale, false)
+	add := make([]float64, len(laplaceDraws))
+	for i := range add {
+		add[i] = 1
+	}
+	laplaceBlock(add, laplaceDraws, loc, scale, true)
+	if fill[0] != loc || add[0] != 1+loc {
+		t.Fatalf("block forms at the draw 0: fill %v, add to 1 %v; want %v and %v", fill[0], add[0], loc, 1+loc)
+	}
+	for i, f := range laplaceDraws {
+		if s := laplaceAt(f, loc, scale); math.IsInf(s, 0) || math.IsNaN(s) || math.IsInf(fill[i], 0) || math.IsNaN(fill[i]) ||
+			math.IsInf(add[i], 0) || math.IsNaN(add[i]) {
+			t.Fatalf("draw %v: scalar %v, fill %v, add %v — not finite", f, s, fill[i], add[i])
 		}
 	}
 }
