@@ -16,6 +16,7 @@ import (
 	"time"
 
 	appfl "repro"
+	"repro/internal/comm/mpi"
 	"repro/internal/comm/rpc"
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -291,18 +292,50 @@ func engineCheckpoint(t *testing.T, cfg appfl.Config, fed *appfl.Federated, fact
 	return checkpoint(t, factory, w)
 }
 
+// mpiCheckpoint is the checkpoint core.Serve produces for cfg over the
+// in-process mpi transport, whose server decodes every upload whole and
+// folds the batch with one Aggregate: the path a windowed rpc server must
+// reproduce byte for byte.
+func mpiCheckpoint(t *testing.T, cfg appfl.Config, fed *appfl.Federated, factory appfl.Factory) []byte {
+	t.Helper()
+	P := fed.NumClients()
+	srv, cts := mpi.NewFLWorld(P)
+	defer srv.Close()
+	errs := make(chan error, P)
+	for i := 0; i < P; i++ {
+		go func(i int) {
+			defer cts[i].Close()
+			errs <- core.RunClient(cfg, i, fed.Clients[i], factory, cts[i], core.ClientOptions{})
+		}(i)
+	}
+	_, w, err := core.Serve(cfg, fed, factory, core.RunOptions{}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < P; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("mpi reference client: %v", err)
+		}
+	}
+	return checkpoint(t, factory, w)
+}
+
 // federationArgs sizes every deployed federation: small enough that ten
 // default local steps per round stay quick, three clients, three rounds.
 var federationArgs = []string{"-clients", "3", "-rounds", "3", "-train", "48", "-test", "24", "-seed", "5"}
 
 // TestDeployedFederationMatchesEngine: appfl-server + three appfl-client
 // processes reproduce the engine's weights for the ADMM default, the DP +
-// quantized + f16-downlink pipeline, and streamed uploads.
+// quantized + f16-downlink pipeline, streamed uploads, and dense FedAvg
+// uploads sent whole, which the server folds window by window as it reads
+// them — for that row the engine's checkpoint must also equal the one mpi,
+// which decodes every upload whole, produces.
 func TestDeployedFederationMatchesEngine(t *testing.T) {
 	for name, extra := range map[string][]string{
 		"iiadmm":          {"-algorithm", "iiadmm"},
 		"fedavg-pipeline": {"-algorithm", "fedavg", "-pipeline", "clip:1,laplace:5,quantize:8", "-downlink-f16"},
 		"fedavg-chunk":    {"-algorithm", "fedavg", "-chunk", "4096"},
+		"fedavg-dense":    {"-algorithm", "fedavg"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			args := append(append([]string{}, federationArgs...), extra...)
@@ -324,9 +357,13 @@ func TestDeployedFederationMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			fed, factory := deploy.Workload(o.clients, o.plan())
-			if want := engineCheckpoint(t, o.cfg, fed, factory, true); !bytes.Equal(got, want) {
+			want := engineCheckpoint(t, o.cfg, fed, factory, true)
+			if !bytes.Equal(got, want) {
 				dump(t, append(clients, server)...)
 				t.Fatalf("deployed checkpoint (%d B) differs from the engine's (%d B)", len(got), len(want))
+			}
+			if name == "fedavg-dense" && !bytes.Equal(want, mpiCheckpoint(t, o.cfg, fed, factory)) {
+				t.Fatal("the windowed rpc engine's checkpoint differs from mpi's")
 			}
 		})
 	}

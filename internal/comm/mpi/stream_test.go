@@ -73,6 +73,9 @@ func TestStreamOverMPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := comm.AckStream(server, comm.AllClients(P), 2, dim, chunk); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := server.GatherFrom(comm.AllClients(P)); err != nil { // slim updates settle the obligations
 		t.Fatal(err)
 	}

@@ -62,6 +62,9 @@ func TestStreamOverPubSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := comm.AckStream(srv, comm.AllClients(P), 1, dim, chunk); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	for i := range rebuilt {
 		for k := range rebuilt[i] {

@@ -173,6 +173,9 @@ func TestStreamedRoundAllocationGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := comm.AckStream(srv, all, r, dim, chunk); err != nil {
+			t.Fatal(err)
+		}
 		for range clients {
 			if err := <-uploaded; err != nil {
 				t.Fatal(err)

@@ -29,7 +29,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -204,6 +206,9 @@ type Server struct {
 	views  []*TenantView
 	chunks []chan chunkArrival // per-global-slot streamed ModelChunks
 	done   chan struct{}
+	// window, when positive, is the width the readers cut every dense
+	// upload's primal into (WindowUploads).
+	window atomic.Int64
 
 	ackMu    sync.Mutex
 	ackEnc   wire.Encoder // chunk acks; under ackMu
@@ -247,11 +252,15 @@ type arrival struct {
 	bad    error // the frame arrived whole but did not decode
 }
 
-// chunkArrival is one streamed chunk, decoded by its connection's reader.
+// chunkArrival is one streamed chunk, decoded by its connection's reader
+// or cut from an upload's primal, or — with no chunk — the news that an
+// upload carries no primal (err and bad nil) or that its stream broke.
 type chunkArrival struct {
 	chunk *wire.ModelChunk
 	size  int
-	bad   error
+	gen   int   // connection generation, for err
+	err   error // connection-level failure
+	bad   error // the frame arrived whole but did not decode
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0") and returns it
@@ -500,26 +509,25 @@ func (s *Server) acceptResumes() {
 // the owning tenant's arrival channel. Each connection's reader decodes
 // its own frames straight off the socket into recycled messages (see
 // comm.NewUpdate), so a cohort's uploads deserialize side by side and a
-// dense vector is written exactly once, where the fold will read it. On
-// a connection error it posts one tagged failure event and exits; collect
-// decides whether that event matters (an open obligation on the current
-// connection) or is ordinary teardown noise.
+// dense vector is written exactly once, where the fold will read it —
+// or, in windowed mode, cut into chunk windows the fold reads one at a
+// time (readWindowed). On a connection error it posts one tagged failure
+// event and exits; collect decides whether that event matters (an open
+// obligation on the current connection) or is ordinary teardown noise.
 func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 	t, _ := s.table.Owner(slot)
+	r := &reader{s: s, slot: slot, gen: gen, conn: conn, dim: s.specs[t].ModelSize}
+	r.cut = r.cutPrimal
 	view := s.views[t]
 	limit := frameLimit(s.specs[t].ModelSize)
-	var hdr frameHeader
-	var dec wire.Decoder
 	for {
-		kind, n, err := hdr.read(conn, limit)
+		kind, n, err := r.hdr.read(conn, limit)
 		if err == nil && kind == wire.KindModelChunk {
 			// Streamed chunks bypass the arrival channel (and the
 			// obligation ledger): StreamGather drains them per client.
 			ca := chunkArrival{chunk: comm.NewChunk(), size: n}
-			if ca.bad, err = recvMessage(&dec, conn, n, ca.chunk); err == nil {
-				select {
-				case s.chunks[slot] <- ca:
-				case <-s.done:
+			if ca.bad, err = recvMessage(&r.dec, conn, n, ca.chunk); err == nil {
+				if !s.postChunk(slot, ca) {
 					return
 				}
 				continue
@@ -532,10 +540,25 @@ func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 		case kind != wire.KindLocalUpdate:
 			a.err = fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", slot, kind)
 		default:
+			if w := int(s.window.Load()); w > 0 {
+				var open bool
+				if a, open = r.readWindowed(n, w); !open {
+					return
+				}
+				if a.update == nil && a.err == nil {
+					continue // nothing for the gathers: the chunk channel has it
+				}
+				break
+			}
 			a.update, a.size = comm.NewUpdate(), n
-			if a.bad, err = recvMessage(&dec, conn, n, a.update); err != nil {
+			if a.bad, err = recvMessage(&r.dec, conn, n, a.update); err != nil {
 				a.err = fmt.Errorf("rpc: gather from client %d: %w", slot, err)
 			}
+		}
+		if a.err != nil && s.window.Load() > 0 {
+			// A chunk gather may be waiting on this client: it must not
+			// wait for ever.
+			s.postChunk(slot, chunkArrival{gen: gen, err: a.err})
 		}
 		select {
 		case view.arrivals <- a:
@@ -546,6 +569,130 @@ func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 			return
 		}
 	}
+}
+
+// postChunk hands one chunk arrival to slot's chunk channel, blocking
+// while the channel is full — so that a client runs at most its capacity
+// ahead of the gather, the rest waiting in the socket. It reports false
+// once the server is closed.
+func (s *Server) postChunk(slot int, ca chunkArrival) bool {
+	select {
+	case s.chunks[slot] <- ca:
+		return true
+	case <-s.done:
+		return false
+	}
+}
+
+// reader is one connection's read side: the frame header and decoder
+// scratch, and what a windowed upload needs while it is read.
+type reader struct {
+	s         *Server
+	slot, gen int
+	conn      net.Conn
+	dim       int // the negotiated model size, the only primal length a window may cut
+	hdr       frameHeader
+	dec       wire.Decoder
+
+	u      *wire.LocalUpdate // the upload being read
+	window int
+	posted int               // windows of its primal posted so far
+	cut    func(n int) error // cutPrimal, bound once
+}
+
+// readWindowed reads one n-byte LocalUpdate frame in windowed mode:
+// fields 1–3 into a pooled update, the dense primal straight into pooled
+// ModelChunks of window coordinates posted on the client's chunk channel
+// as it is read (so at most the channel's capacity of them exists at a
+// time), and the remaining fields into the same update, which it returns
+// — without its primal, carrying the frame's byte count — for the
+// gathers. An update without a primal (a goodbye) is announced on the
+// chunk channel by an empty arrival. A malformed frame is reported where
+// the gather will look next: on the chunk channel while the primal is
+// incomplete (the returned arrival is then empty), in the returned
+// arrival once it is not. open is false once the server is closed.
+func (r *reader) readWindowed(n, window int) (a arrival, open bool) {
+	a = arrival{client: r.slot, gen: r.gen}
+	r.u, r.window, r.posted = comm.NewUpdate(), window, 0
+	u := r.u
+	r.dec.ResetStream(r.conn, n)
+	bad := u.UnmarshalWindowed(&r.dec, r.cut)
+	if errors.Is(bad, errClosed) {
+		comm.ReleaseUpdate(u)
+		return a, false
+	}
+	err := r.dec.ReadErr()
+	if err == nil && bad == nil {
+		// Only a goodbye comes without a primal, and a goodbye folds
+		// nothing (splitControl), so it may not bring one.
+		switch goodbye := u.Control == wire.ControlGoodbye; {
+		case goodbye && r.posted > 0:
+			bad = errors.New("goodbye carries a primal")
+		case !goodbye && r.posted == 0:
+			bad = errors.New("update carries an empty primal")
+		}
+	}
+	if err == nil && bad != nil {
+		err = r.dec.Drain()
+	}
+	if err != nil {
+		comm.ReleaseUpdate(u)
+		a.err = fmt.Errorf("rpc: gather from client %d: %w", r.slot, err)
+		return a, true
+	}
+	switch {
+	case bad != nil && r.posted < wire.ChunkPlan(r.dim, window):
+		comm.ReleaseUpdate(u)
+		bad = fmt.Errorf("rpc: update decode from client %d: %w", r.slot, bad)
+		return a, r.s.postChunk(r.slot, chunkArrival{bad: bad})
+	case bad != nil:
+		a.bad = bad
+	case r.posted == 0 && !r.s.postChunk(r.slot, chunkArrival{}):
+		comm.ReleaseUpdate(u)
+		return a, false
+	}
+	a.update, a.size = u, n
+	return a, true
+}
+
+// errClosed is what cutting a primal meets once the server is closed.
+var errClosed = errors.New("rpc: server closed")
+
+// cutPrimal reads the current upload's n-value primal off the decoder
+// into consecutive windows, each posted on the client's chunk channel as
+// a ModelChunk of the stream StreamUpload would have sent. A primal of
+// any length but the model's is refused before a value is read.
+func (r *reader) cutPrimal(n int) error {
+	if n == 0 {
+		return nil // a goodbye's; readWindowed decides
+	}
+	if n != r.dim {
+		return fmt.Errorf("rpc: primal of %d coordinates, the model has %d", n, r.dim)
+	}
+	u, count := r.u, wire.ChunkPlan(r.dim, r.window)
+	for c := 0; c < count; c++ {
+		lo, hi := wire.ChunkRange(r.dim, r.window, c)
+		mc := comm.NewChunk()
+		p := mc.Payload
+		if p == nil {
+			p = new(wire.Payload)
+		}
+		*mc = wire.ModelChunk{
+			ClientID: u.ClientID, Round: u.Round, Index: uint32(c), Count: uint32(count),
+			Lo: uint32(lo), Hi: uint32(hi), Dim: uint32(r.dim), NumSamples: u.NumSamples, Payload: p,
+		}
+		p.Enc, p.Dim = wire.EncDense, uint32(hi-lo)
+		p.Dense = slices.Grow(p.Dense[:0], hi-lo)[:hi-lo]
+		if err := r.dec.ReadDoubles(p.Dense); err != nil {
+			comm.ReleaseChunk(mc)
+			return err
+		}
+		if !r.s.postChunk(r.slot, chunkArrival{chunk: mc}) {
+			return errClosed
+		}
+		r.posted++
+	}
+	return nil
 }
 
 // conn returns the current connection of global slot c.

@@ -16,22 +16,52 @@ import (
 // reads inline — safe because streaming is barrier-only, so the server
 // sends nothing else while a stream is in flight.
 
-// RecvChunkFrom blocks for the next streamed chunk from one client.
+// RecvChunkFrom blocks for the next streamed chunk from one client — in
+// windowed mode, the next window cut from its upload's primal, or nil for
+// an upload that carries none. A connection failure fails the receive,
+// unless the client has resumed on a new connection since: that is the
+// old connection's teardown.
 func (s *Server) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
 	if client < 0 || client >= s.cfg.NumClients {
 		return nil, fmt.Errorf("rpc: chunk receive from unknown client %d", client)
 	}
-	var ca chunkArrival
-	select {
-	case ca = <-s.chunks[client]:
-	case <-s.done:
-		return nil, fmt.Errorf("rpc: server closed while awaiting chunk from client %d", client)
+	for {
+		var ca chunkArrival
+		select {
+		case ca = <-s.chunks[client]:
+		case <-s.done:
+			return nil, fmt.Errorf("rpc: server closed while awaiting chunk from client %d", client)
+		}
+		if ca.err != nil {
+			s.mu.Lock()
+			stale := ca.gen != s.gens[client]
+			s.mu.Unlock()
+			if stale {
+				continue
+			}
+			return nil, ca.err
+		}
+		s.stats.AddRecv(ca.size)
+		if ca.bad != nil {
+			return nil, fmt.Errorf("rpc: chunk decode from client %d: %w", client, ca.bad)
+		}
+		return ca.chunk, nil
 	}
-	s.stats.AddRecv(ca.size)
-	if ca.bad != nil {
-		return nil, fmt.Errorf("rpc: chunk decode from client %d: %w", client, ca.bad)
+}
+
+// WindowUploads switches windowed mode (comm.UploadWindower): while window
+// is positive, every connection's reader cuts each LocalUpdate's dense
+// primal into ModelChunks of window coordinates as it reads the frame, and
+// the gathers receive the update without it. A client in a windowed
+// round waits for no ack, so the caller of StreamGather sends none. A
+// multi-tenant server, or one that negotiated no model size, cannot cut
+// windows and reports false.
+func (s *Server) WindowUploads(window int) bool {
+	if len(s.specs) != 1 || s.specs[0].ModelSize <= 0 {
+		return false
 	}
-	return ca.chunk, nil
+	s.window.Store(int64(max(window, 0)))
+	return true
 }
 
 // SendChunkAck tells a client that its stream is folded.
@@ -81,6 +111,7 @@ func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 
 // Interface conformance checks.
 var (
-	_ comm.ChunkSender   = (*Client)(nil)
-	_ comm.ChunkGatherer = (*Server)(nil)
+	_ comm.ChunkSender    = (*Client)(nil)
+	_ comm.ChunkGatherer  = (*Server)(nil)
+	_ comm.UploadWindower = (*Server)(nil)
 )

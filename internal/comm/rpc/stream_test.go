@@ -69,6 +69,9 @@ func TestStreamOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := comm.AckStream(srv, comm.AllClients(P), 1, dim, chunk); err != nil {
+		t.Fatal(err)
+	}
 	// The slim updates settle through the ordinary gather afterwards.
 	ups, err := srv.GatherFrom(comm.AllClients(P))
 	if err != nil {

@@ -18,8 +18,11 @@ import (
 // upload runs at the transport's pace: every transport queues a client's
 // chunks in order in a bounded per-client queue, so a client that runs
 // ahead of the gather blocks in SendChunk, and the server still holds
-// O(cohort × chunk). One ChunkAck per upload, sent once the stream's last
-// chunk is folded, tells the client its whole stream is in. Chunk transfer
+// O(cohort × chunk). One ChunkAck per upload (AckStream), sent once the
+// stream's last chunk is folded, tells the client its whole stream is in.
+// A server transport can also cut a monolithic dense upload into the same
+// windows as it reads it (UploadWindower), and a StreamGather then folds
+// uploads whose clients never streamed and wait for no ack. Chunk transfer
 // rides BELOW the obligation ledger: chunks settle nothing; the client
 // follows its stream with a slim (payload-less) LocalUpdate that settles
 // the round's obligation through the ordinary gather, keeping
@@ -45,10 +48,27 @@ type ChunkSender interface {
 type ChunkGatherer interface {
 	// RecvChunkFrom blocks for the next chunk from one client. The chunk
 	// is the caller's until it hands it to ReleaseChunk (see recycle.go).
+	// A nil chunk with a nil error, in place of a stream's first chunk,
+	// says the client's upload carries no vector this round (a goodbye
+	// settles its obligation instead).
 	RecvChunkFrom(client int) (*wire.ModelChunk, error)
 	// SendChunkAck tells a client that its stream is folded. The ack is
 	// serialized before returning, so the caller may reuse it.
 	SendChunkAck(client int, a *wire.ChunkAck) error
+}
+
+// UploadWindower is a ChunkGatherer that can cut each monolithic dense
+// upload into chunk windows as it reads it off the network, so that the
+// server never holds a decoded upload: while the mode is on, a
+// LocalUpdate's dense primal arrives through RecvChunkFrom as consecutive
+// windows of the given width, exactly as if its client had streamed it
+// (StreamUpload), and the update itself, without the primal, through the
+// ordinary gathers. The client sends its update whole and waits for no
+// ack. WindowUploads(0) switches the mode off. It reports whether the
+// transport can serve the mode at all.
+type UploadWindower interface {
+	ChunkGatherer
+	WindowUploads(window int) bool
 }
 
 // chunkablePayload views the uplink vector of u for chunk slicing:
@@ -134,12 +154,12 @@ func StreamUpload(s ChunkSender, u *wire.LocalUpdate, chunkSize int) error {
 	return nil
 }
 
-// gatherWindow is a StreamGather's scratch: the cohort's chunk window, its
-// payload view and the ack. It is pooled like outChunk.
+// gatherWindow is a StreamGather's scratch: the cohort's chunk window and
+// its payload view. It is pooled like outChunk.
 type gatherWindow struct {
 	chunks   []*wire.ModelChunk
 	payloads []*wire.Payload
-	ack      wire.ChunkAck
+	absent   []bool // clients whose upload carries no vector this round
 }
 
 var gatherPool = sync.Pool{New: func() any { return new(gatherWindow) }}
@@ -163,9 +183,13 @@ type StreamStats struct {
 // releases them before touching chunk c+1 — the server's resident state
 // is one cohort-wide chunk window, not a cohort of models. begin runs
 // once, after chunk 0 reveals every client's sample count and before the
-// first fold. Once the last chunk is folded, every client gets one ack
-// naming that chunk. A chunk out of order — an index repeated, rewound or
-// skipped — is a protocol error, like any other geometry mismatch.
+// first fold. A client whose upload carries no vector (RecvChunkFrom's
+// nil chunk) counts zero samples and hands fold a nil payload at every
+// chunk, which a sample-weighted fold skips as it skips a client that
+// trained on nothing. A chunk out of order — an index repeated, rewound or
+// skipped — is a protocol error, like any other geometry mismatch. The
+// gather acks nothing: a caller whose clients streamed follows it with
+// AckStream.
 func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize int,
 	begin func(samples []uint64) error,
 	fold func(lo, hi int, payloads []*wire.Payload) error) (*StreamStats, error) {
@@ -181,14 +205,23 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 	n := len(clients)
 	w.chunks = slices.Grow(w.chunks[:0], n)[:n]
 	w.payloads = slices.Grow(w.payloads[:0], n)[:n]
-	window, payloads := w.chunks, w.payloads
+	w.absent = slices.Grow(w.absent[:0], n)[:n]
+	clear(w.absent)
+	window, payloads, absent := w.chunks, w.payloads, w.absent
 	resident := 0
 	for c := 0; c < count; c++ {
 		lo, hi := wire.ChunkRange(dim, chunkSize, c)
 		for i, client := range clients {
+			if absent[i] {
+				continue
+			}
 			mc, err := recvExpected(g, client, round, c, count, dim, lo, hi)
 			if err != nil {
 				return st, err
+			}
+			if mc == nil {
+				absent[i] = true // no vector: zero samples, nil payloads
+				continue
 			}
 			if c == 0 {
 				st.Samples[i] = mc.NumSamples
@@ -210,8 +243,11 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 		if err := fold(lo, hi, payloads); err != nil {
 			return st, err
 		}
-		st.Chunks += len(clients)
 		for i := range clients {
+			if absent[i] {
+				continue
+			}
+			st.Chunks++
 			resident -= payloads[i].EncodedLen()
 			// Folded: the window rotates, and the chunk's storage goes back
 			// for the next one.
@@ -219,22 +255,40 @@ func StreamGather(g ChunkGatherer, clients []int, round uint32, dim, chunkSize i
 			window[i], payloads[i] = nil, nil
 		}
 	}
-	w.ack = wire.ChunkAck{Round: round, Index: uint32(count - 1)}
-	for _, client := range clients {
-		w.ack.ClientID = uint32(client)
-		if err := g.SendChunkAck(client, &w.ack); err != nil {
-			return st, err
-		}
-	}
 	return st, nil
 }
 
+var ackPool = sync.Pool{New: func() any { return new(wire.ChunkAck) }}
+
+// AckStream tells every listed client that the stream it uploaded for
+// round — dim coordinates in chunkSize chunks — is folded: one ack naming
+// the stream's last chunk, the one StreamUpload waits for.
+func AckStream(g ChunkGatherer, clients []int, round uint32, dim, chunkSize int) error {
+	ack := ackPool.Get().(*wire.ChunkAck)
+	defer ackPool.Put(ack)
+	*ack = wire.ChunkAck{Round: round, Index: uint32(wire.ChunkPlan(dim, chunkSize) - 1)}
+	for _, client := range clients {
+		ack.ClientID = uint32(client)
+		if err := g.SendChunkAck(client, ack); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // recvExpected is the gather's per-client receive: it validates the
-// chunk against the expected stream geometry.
+// chunk against the expected stream geometry. A nil chunk (no vector this
+// round) is passed on only in place of chunk 0.
 func recvExpected(g ChunkGatherer, client int, round uint32, c, count, dim, lo, hi int) (*wire.ModelChunk, error) {
 	mc, err := g.RecvChunkFrom(client)
 	if err != nil {
 		return nil, err
+	}
+	if mc == nil {
+		if c > 0 {
+			return nil, fmt.Errorf("comm: client %d's stream ended after %d of %d chunks", client, c, count)
+		}
+		return nil, nil
 	}
 	if int(mc.ClientID) != client {
 		return nil, fmt.Errorf("comm: chunk from client %d on client %d's stream", mc.ClientID, client)

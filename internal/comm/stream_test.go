@@ -60,6 +60,9 @@ func runStream(t *testing.T, pipe *ChunkPipe, clients, dim, chunk int) ([][]floa
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := AckStream(pipe, AllClients(clients), 1, dim, chunk); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	for id, err := range errs {
 		if err != nil {

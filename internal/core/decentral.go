@@ -176,6 +176,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 
 	res := &DecentralResult{}
 	released := make([][]float64, P)
+	mean := make([]float64, dim) // consensusDistance's, kept across rounds
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 1; t <= cfg.Rounds; t++ {
 		// Local training + DP release, in parallel.
@@ -238,7 +239,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 			}
 			stats.MeanTestAcc = accSum / float64(P)
 		}
-		stats.Consensus = consensusDistance(states)
+		stats.Consensus = consensusDistance(states, mean)
 		res.Rounds = append(res.Rounds, stats)
 	}
 	if n := len(res.Rounds); n > 0 {
@@ -248,14 +249,13 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 }
 
 // consensusDistance returns the mean Euclidean distance of the states from
-// their average.
-func consensusDistance(states [][]float64) float64 {
+// their average, which it computes in mean (len(mean) == len(states[i])).
+func consensusDistance(states [][]float64, mean []float64) float64 {
 	p := len(states)
 	if p == 0 {
 		return 0
 	}
-	dim := len(states[0])
-	mean := make([]float64, dim)
+	clear(mean)
 	for _, s := range states {
 		for i, v := range s {
 			mean[i] += v

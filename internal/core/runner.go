@@ -466,6 +466,9 @@ type server struct {
 	minCohort int
 	validate  int // evaluate every validate rounds
 	progress  io.Writer
+	// streamed marks rounds whose uplinks fold through a StreamSession
+	// window as they arrive: the gathered updates carry no primal.
+	streamed bool
 }
 
 func newServer(cfg Config, sched Scheduler, agg Aggregator, mem *membership, pipe *pipeline.Pipeline, st comm.ServerTransport,
@@ -533,13 +536,13 @@ func (s *server) release(round int, batch, gathered []*wire.LocalUpdate, infligh
 // fold is release's gated half. The admission gate spans decode through
 // fold — the expensive part of a round's server-side work, and the part
 // that contends for the shared aggregation workers on a multi-tenant
-// host — on every round, resumed ones included. In streaming mode the
-// session already folded the chunks and advanced the version, so the slim
-// updates have nothing to decode or fold.
+// host — on every round, resumed ones included. In a streamed or
+// windowed round the session already folded the windows and advanced the
+// version, so the slim updates have nothing to decode or fold.
 func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
 	releaseGate := gateAcquire(s.gate, len(batch))
 	defer releaseGate()
-	streamed := s.cfg.StreamChunk > 0
+	streamed := s.streamed
 	if !streamed {
 		var err error
 		if s.fused != nil {
@@ -692,6 +695,32 @@ func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []in
 	return splitControl(updates, mem), nil
 }
 
+// uploadWindow is the width, in coordinates, of the windows a windowed
+// round folds (see windowedUploads).
+const uploadWindow = 16384
+
+// windowedUploads switches the transport into windowed mode when the run
+// has the shape a StreamSession serves and nothing needs a gathered
+// update's primal: FedAvg rounds at a barrier with no RoundTimeout (the
+// stream gather has no forgive path), no journal (an admit record holds
+// the decoded primal), no subset or compressed uplink (their payloads are
+// not dense windows), no admission gate (it spans the decode and fold of
+// a gathered batch) and a transport that can cut uploads into windows.
+// Each client still sends its update whole; the server folds it
+// uploadWindow coordinates at a time as it is read, and holds no decoded
+// upload. Every other run keeps the Aggregate path.
+func (s *server) windowedUploads() (comm.UploadWindower, bool) {
+	if s.cfg.Algorithm != AlgoFedAvg || s.cfg.RoundTimeout > 0 || s.jw != nil ||
+		s.cfg.SubsetFrac > 0 || s.pipe.Compresses() || s.gate != nil {
+		return nil, false
+	}
+	w, ok := s.st.(comm.UploadWindower)
+	if !ok || !w.WindowUploads(uploadWindow) {
+		return nil, false
+	}
+	return w, true
+}
+
 // runBarrierRounds drives the classic synchronous structure: each round
 // the scheduler picks a cohort, the server sends the model to exactly that
 // cohort, blocks until the whole cohort reports, and aggregates.
@@ -706,19 +735,27 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
-	// (FedAvg, barrier scheduler, no RoundTimeout).
-	var stream *StreamSession
+	// (FedAvg, barrier scheduler, no RoundTimeout). Windowed mode folds
+	// monolithic uploads through the same window, cut by the transport.
 	var chunkSrc comm.ChunkGatherer
-	if s.cfg.StreamChunk > 0 {
+	chunk := s.cfg.StreamChunk
+	if chunk > 0 {
 		cg, ok := s.st.(comm.ChunkGatherer)
 		if !ok {
 			return fmt.Errorf("core: transport %T cannot gather streamed chunks", s.st)
 		}
+		chunkSrc = cg
+	} else if w, ok := s.windowedUploads(); ok {
+		defer w.WindowUploads(0)
+		chunkSrc, chunk = w, uploadWindow
+	}
+	var stream *StreamSession
+	if chunkSrc != nil {
 		ss, err := NewStreamSession(s.agg)
 		if err != nil {
 			return err
 		}
-		stream, chunkSrc = ss, cg
+		stream, s.streamed = ss, true
 	}
 	start := 1
 	var pending *PendingRound
@@ -758,12 +795,18 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 				return errServerKilled
 			}
 			if stream != nil {
-				// The cohort streams its vectors chunk by chunk into the
+				// The cohort's vectors arrive chunk by chunk into the
 				// session's O(chunk) window; the slim updates gathered below
-				// settle the obligations but carry no payload.
-				if _, err := comm.StreamGather(chunkSrc, ids, uint32(t), s.agg.Dim(), s.cfg.StreamChunk,
+				// settle the obligations but carry no payload. Only clients
+				// that streamed wait for an ack.
+				if _, err := comm.StreamGather(chunkSrc, ids, uint32(t), s.agg.Dim(), chunk,
 					stream.Begin, stream.FoldPayloads); err != nil {
 					return fmt.Errorf("core: stream round %d: %w", t, err)
+				}
+				if s.cfg.StreamChunk > 0 {
+					if err := comm.AckStream(chunkSrc, ids, uint32(t), s.agg.Dim(), chunk); err != nil {
+						return fmt.Errorf("core: stream round %d: %w", t, err)
+					}
 				}
 				if err := stream.Finish(); err != nil {
 					return fmt.Errorf("core: stream round %d: %w", t, err)

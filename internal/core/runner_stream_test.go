@@ -2,8 +2,15 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/comm/rpc"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // runLosses executes one run and returns its per-round test losses.
@@ -25,7 +32,8 @@ func runLosses(t *testing.T, cfg Config, opts RunOptions) []float64 {
 // stream as fixed-size chunks produces bit-for-bit the per-round losses
 // of the monolithic run, for dense and f16 uplinks, over every transport
 // that speaks the chunk protocol — and over rpc with a straggler, whose
-// cohort-mates stream ahead of the gather while it trains.
+// cohort-mates stream ahead of the gather while it trains. Over rpc a
+// monolithic run is windowed by the server, and it too must match.
 func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
 	straggler := func(client, round int) time.Duration {
 		if client == 2 {
@@ -72,6 +80,82 @@ func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("monolithic-rpc-windowed", windowedRow)
+}
+
+// windowCounter is the rpc server with a count of the windows its
+// readers cut: it embeds the server, so it keeps offering windowed mode.
+type windowCounter struct {
+	*rpc.Server
+	windows atomic.Int64
+}
+
+func (w *windowCounter) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
+	mc, err := w.Server.RecvChunkFrom(client)
+	if mc != nil {
+		w.windows.Add(1)
+	}
+	return mc, err
+}
+
+// windowedLosses runs cfg over rpc with monolithic uploads and returns the
+// per-round losses and how many primal windows the server folded.
+func windowedLosses(t *testing.T, cfg Config, factory nn.Factory) ([]float64, int64) {
+	t.Helper()
+	fed := parallelTestFed(3, 192, 48, 11)
+	st, cts, err := newServerTransport(TransportRPC, fed.NumClients(), nn.NumParams(factory()), cfg.Rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := &windowCounter{Server: st.(*rpc.Server)}
+	res, err := RunWithTransport(cfg, fed, factory, RunOptions{}, srv, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := make([]float64, len(res.Rounds))
+	for i, r := range res.Rounds {
+		losses[i] = r.TestLoss
+	}
+	return losses, srv.windows.Load()
+}
+
+// windowedRow is TestRunStreamBitIdenticalToMonolithic's monolithic-rpc
+// row: over rpc a FedAvg barrier run with a dense uplink uploads whole
+// updates, and the server cuts each primal into fold windows as it reads
+// it. The per-round losses must be those of the same run over mpi —
+// decoded uploads, one Aggregate — bit for bit, at aggregation widths 1
+// and 2, for the default stack and a private dense one, with a model of
+// three windows.
+func windowedRow(t *testing.T) {
+	factory := func() nn.Module { return nn.NewMLP(28*28, []int{48}, 10, rng.New(11)) }
+	dim := nn.NumParams(factory())
+	for _, pipe := range []string{"", "clip:1,laplace:5"} {
+		for _, procs := range []int{1, 2} {
+			cfg := Config{
+				Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 32,
+				Seed: 7, Scheduler: SchedSyncAll, Pipeline: pipe,
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			fed := parallelTestFed(3, 192, 48, 11)
+			ref, err := Run(cfg, fed, factory, RunOptions{Transport: TransportMPI})
+			if err != nil {
+				runtime.GOMAXPROCS(prev)
+				t.Fatal(err)
+			}
+			got, windows := windowedLosses(t, cfg, factory)
+			runtime.GOMAXPROCS(prev)
+			if want := int64(cfg.Rounds * fed.NumClients() * ((dim + uploadWindow - 1) / uploadWindow)); windows != want {
+				t.Fatalf("pipeline %q: the server folded %d windows, want %d: the run did not take the windowed path", pipe, windows, want)
+			}
+			for i, r := range ref.Rounds {
+				if math.Float64bits(got[i]) != math.Float64bits(r.TestLoss) {
+					t.Fatalf("pipeline %q, width %d: round %d loss %v, mpi %v — windowing changed the trajectory",
+						pipe, procs, i+1, got[i], r.TestLoss)
+				}
+			}
+		}
 	}
 }
 

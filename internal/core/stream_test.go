@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/wire"
@@ -213,5 +214,39 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	// Ineligible servers.
 	if _, err := NewStreamSession(NewIIADMMServer(testVec(8, 1), 2, 2)); err == nil {
 		t.Error("ADMM server accepted for streaming")
+	}
+}
+
+// TestStreamGoodbyeFoldsLikeSplitControl: in a windowed round a client
+// that says goodbye instead of uploading reaches the session as zero
+// samples with nil payloads. The fold must be the one Aggregate makes of
+// the batch splitControl leaves — the goodbye removed — bit for bit, model
+// and version alike.
+func TestStreamGoodbyeFoldsLikeSplitControl(t *testing.T) {
+	const dim = 3*16384 + 5
+	batch := testBatch(4, dim, 3)
+	for _, u := range batch {
+		u.Dual = nil
+	}
+	bye := wire.Goodbye(2, 1, 0)
+	withBye := []*wire.LocalUpdate{batch[0], batch[1], bye, batch[3]}
+
+	mono := NewFedAvgServer(make([]float64, dim), 4)
+	if err := mono.Aggregate(splitControl(append([]*wire.LocalUpdate(nil), withBye...), newMembership(4))); err != nil {
+		t.Fatal(err)
+	}
+	streamed := NewFedAvgServer(make([]float64, dim), 4)
+	ss, err := NewStreamSession(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamRound(t, ss, withBye, 16384)
+	if streamed.Version() != mono.Version() {
+		t.Fatalf("version %d, monolithic %d", streamed.Version(), mono.Version())
+	}
+	for i := range mono.W {
+		if math.Float64bits(streamed.W[i]) != math.Float64bits(mono.W[i]) {
+			t.Fatalf("coordinate %d: %v, monolithic %v", i, streamed.W[i], mono.W[i])
+		}
 	}
 }

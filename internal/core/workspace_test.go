@@ -42,6 +42,48 @@ func TestEvaluateAllocationGate(t *testing.T) {
 	}
 }
 
+// TestCNNLocalUpdateAllocationGate: a warmed LocalUpdate of the
+// benchmark's CNN client (IIADMM and FedAvg, two epochs of shuffled
+// 64-sample batches) allocates no batch: the loader collates every batch
+// into storage it keeps and copies each sample straight into it. The gate
+// is a quarter of one collated batch's input (64·28·28 doubles) and 256
+// allocations per update (the conv layers' worker closures); collating a
+// fresh batch per step allocated 3.07 MB and 1,209 objects per update.
+func TestCNNLocalUpdateAllocationGate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	train, _ := dataset.MNIST(dataset.SynthConfig{Train: 960, Test: 16, Seed: 7})
+	shard := dataset.PartitionIID(train, 4, rng.New(8))[0]
+	batch := float64(64 * 28 * 28 * 8)
+	for _, algo := range []string{AlgoIIADMM, AlgoFedAvg} {
+		cfg := Config{Algorithm: algo, Rounds: 1, LocalSteps: 2, Seed: 3}.WithDefaults()
+		model := nn.NewCNN(nn.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, rng.New(1))
+		w0 := nn.FlattenParams(model, nil)
+		cr := rng.New(6)
+		client, err := NewClient(cfg, 0, model, shard, w0, testPipe(t, cfg, cr), cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := 0
+		update := func() {
+			round++
+			if _, err := client.LocalUpdate(round, w0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		update()
+		update()
+		mallocs, bytes := testutil.AllocsPer(3, update)
+		t.Logf("%s: %.1f mallocs, %.0f bytes per warmed LocalUpdate (one batch is %.0f bytes)", algo, mallocs, bytes, batch)
+		if bytes > batch/4 || mallocs > 256 {
+			t.Errorf("%s: a warmed LocalUpdate made %.1f allocations totalling %.0f bytes; the gate is 256 and %.0f",
+				algo, mallocs, bytes, batch/4)
+		}
+	}
+}
+
 // TestLocalUpdateReusesModelSizedBuffers: after the first rounds a client
 // algorithm allocates no model-sized vector per round — not the iterate or
 // the gradient (every algorithm trains in the model's own vectors), not the

@@ -10,6 +10,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -62,6 +63,14 @@ func (d *InMemory) Sample(i int) (*tensor.Tensor, int) {
 	return d.images.Slice(i), d.labels[i]
 }
 
+// copySample copies sample i's values into dst, without the tensor header
+// Sample builds, and returns its label.
+func (d *InMemory) copySample(dst []float64, i int) int {
+	per := len(dst)
+	copy(dst, d.images.Data()[i*per:(i+1)*per])
+	return d.labels[i]
+}
+
 // batch returns samples [lo,hi) as a Batch that views the dataset's
 // storage.
 func (d *InMemory) batch(lo, hi int) Batch {
@@ -101,6 +110,9 @@ func (s *Subset) Len() int { return len(s.Indices) }
 // Sample maps through the index list.
 func (s *Subset) Sample(i int) (*tensor.Tensor, int) { return s.Parent.Sample(s.Indices[i]) }
 
+// copySample copies the parent's sample through the index list.
+func (s *Subset) copySample(dst []float64, i int) int { return copySample(s.Parent, dst, s.Indices[i]) }
+
 // Shape returns the parent's sample shape.
 func (s *Subset) Shape() []int { return s.Parent.Shape() }
 
@@ -113,19 +125,39 @@ type Batch struct {
 	Labels []int
 }
 
-// Collate stacks the given samples of ds into a Batch.
-func Collate(ds Dataset, indices []int) Batch {
-	shape := ds.Shape()
-	b := len(indices)
-	out := tensor.New(append([]int{b}, shape...)...)
-	labels := make([]int, b)
-	dst, per := out.Data(), out.Size()/max(b, 1)
-	for bi, i := range indices {
-		x, y := ds.Sample(i)
-		copy(dst[bi*per:(bi+1)*per], x.Data())
-		labels[bi] = y
+// sampleCopier is a dataset that copies a sample's values straight into
+// a batch, building no tensor for it.
+type sampleCopier interface {
+	copySample(dst []float64, i int) int
+}
+
+// copySample copies sample i of ds into dst and returns its label.
+func copySample(ds Dataset, dst []float64, i int) int {
+	if c, ok := ds.(sampleCopier); ok {
+		return c.copySample(dst, i)
 	}
-	return Batch{X: out, Labels: labels}
+	x, y := ds.Sample(i)
+	copy(dst, x.Data())
+	return y
+}
+
+// Collate stacks the given samples of ds into a new Batch.
+func Collate(ds Dataset, indices []int) Batch {
+	var b Batch
+	collateInto(&b, ds, indices, append([]int{len(indices)}, ds.Shape()...))
+	return b
+}
+
+// collateInto stacks the given samples of ds into b, whose input tensor
+// and label slice are reused when they are large enough; shape is the
+// batch's [B, C, H, W].
+func collateInto(b *Batch, ds Dataset, indices []int, shape []int) {
+	b.X = tensor.Reuse(b.X, shape...)
+	b.Labels = slices.Grow(b.Labels[:0], len(indices))[:len(indices)]
+	dst, per := b.X.Data(), b.X.Size()/max(len(indices), 1)
+	for bi, i := range indices {
+		b.Labels[bi] = copySample(ds, dst[bi*per:(bi+1)*per], i)
+	}
 }
 
 // Loader iterates a dataset in shuffled mini-batches, the analog of
@@ -138,6 +170,11 @@ type Loader struct {
 
 	order []int
 	pos   int
+
+	// batch is the storage every shuffled (or non-InMemory) batch is
+	// collated into, and shape its [B, C, H, W] scratch.
+	batch Batch
+	shape []int
 }
 
 // NewLoader builds a loader. batchSize must be positive; when shuffle is
@@ -168,7 +205,9 @@ func (l *Loader) Reset() {
 }
 
 // Next returns the next batch of the epoch; ok is false once exhausted.
-// The final batch of an epoch may be smaller than the batch size. Like a
+// The final batch of an epoch may be smaller than the batch size. A batch
+// is valid until the next Next or Reset: the loader collates every batch
+// into storage it keeps, so a training step allocates none. Like a
 // Sample, a batch must not be mutated: an unshuffled pass over an InMemory
 // dataset (evaluation) yields views of the dataset's own storage instead
 // of copies.
@@ -184,7 +223,9 @@ func (l *Loader) Next() (Batch, bool) {
 	if im, ok := l.ds.(*InMemory); ok && !l.shuffle {
 		b = im.batch(l.pos, end)
 	} else {
-		b = Collate(l.ds, l.order[l.pos:end])
+		l.shape = append(append(l.shape[:0], end-l.pos), l.ds.Shape()...)
+		collateInto(&l.batch, l.ds, l.order[l.pos:end], l.shape)
+		b = l.batch
 	}
 	l.pos = end
 	return b, true

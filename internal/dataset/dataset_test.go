@@ -112,11 +112,13 @@ func TestLoaderShuffleChangesOrder(t *testing.T) {
 	d := tinyDataset(32, 2)
 	l := NewLoader(d, 32, true, rng.New(7))
 	b1, _ := l.Next()
+	// A batch is valid until the next Next or Reset: keep a copy.
+	x1 := b1.X.Clone()
 	l.Reset()
 	b2, _ := l.Next()
 	diff := false
 	for i := 0; i < 32; i++ {
-		if b1.X.Slice(i).At(0, 0, 0) != b2.X.Slice(i).At(0, 0, 0) {
+		if x1.Slice(i).At(0, 0, 0) != b2.X.Slice(i).At(0, 0, 0) {
 			diff = true
 			break
 		}

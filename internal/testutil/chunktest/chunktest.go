@@ -72,6 +72,9 @@ func PushAhead(t *testing.T, g comm.ChunkGatherer, senders [2]comm.ChunkSender, 
 				}
 				return nil
 			})
+		if err == nil {
+			err = comm.AckStream(g, []int{0, 1}, round, dim, chunk)
+		}
 		gathered <- err
 	}()
 

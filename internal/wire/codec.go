@@ -492,32 +492,56 @@ func (d *Decoder) Doubles() ([]float64, error) { return d.DoublesInto(nil) }
 
 // DoublesInto reads a packed repeated double payload into dst, allocating
 // only when dst's capacity is insufficient — the steady-state decode path
-// of every model exchange reuses one buffer across rounds. The block moves
-// in bulk: what the decoder already holds is copied into dst's storage,
-// the rest is read there from the stream, and only a big-endian host then
-// rewrites the values in place.
+// of every model exchange reuses one buffer across rounds.
 func (d *Decoder) DoublesInto(dst []float64) ([]float64, error) {
-	size, err := d.length()
+	n, err := d.PackedDoubles()
 	if err != nil {
 		return nil, err
 	}
-	if size%8 != 0 {
-		return nil, fmt.Errorf("wire: packed doubles length %d not a multiple of 8", size)
-	}
-	n := size / 8
 	if cap(dst) < n || dst == nil {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
+	if err := d.ReadDoubles(dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// PackedDoubles reads the length prefix of a packed repeated double
+// payload and returns how many values follow, leaving them unread:
+// ReadDoubles then takes them piece by piece, so a reader can hand a long
+// vector on in windows of its own without ever holding the whole of it.
+// The caller reads exactly that many values before the next field.
+func (d *Decoder) PackedDoubles() (int, error) {
+	size, err := d.length()
+	if err != nil {
+		return 0, err
+	}
+	if size%8 != 0 {
+		return 0, fmt.Errorf("wire: packed doubles length %d not a multiple of 8", size)
+	}
+	return size / 8, nil
+}
+
+// ReadDoubles reads the next len(dst) values of the packed double payload
+// PackedDoubles opened into dst. The block moves in bulk: what the
+// decoder already holds is copied into dst's storage, the rest is read
+// there from the stream, and only a big-endian host then rewrites the
+// values in place.
+func (d *Decoder) ReadDoubles(dst []float64) error {
 	raw := float64Bytes(dst)
+	if len(raw) > len(d.buf)-d.pos+d.left {
+		return ErrTruncated
+	}
 	held := copy(raw, d.buf[d.pos:])
 	d.pos += held
-	if held < size {
+	if held < len(raw) {
 		got, err := io.ReadFull(d.src, raw[held:])
 		d.left -= got
 		if err != nil {
 			d.rerr = err
-			return nil, err
+			return err
 		}
 	}
 	if !hostLittleEndian {
@@ -525,7 +549,7 @@ func (d *Decoder) DoublesInto(dst []float64) ([]float64, error) {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	}
-	return dst, nil
+	return nil
 }
 
 // Skip discards a payload of the given wire type, allowing decoders to
@@ -542,9 +566,29 @@ func (d *Decoder) Skip(wtype int) error {
 		d.pos += 8
 		return nil
 	case typeBytes:
-		_, err := d.BytesField()
-		return err
+		n, err := d.length()
+		if err != nil {
+			return err
+		}
+		return d.discard(n)
 	default:
 		return ErrBadTag
 	}
+}
+
+// discard skips the next n bytes of the message: what the window holds,
+// then the rest straight off the stream, so a skipped field costs no
+// buffer of its size.
+func (d *Decoder) discard(n int) error {
+	held := min(n, len(d.buf)-d.pos)
+	d.pos += held
+	if rest := n - held; rest > 0 {
+		got, err := io.CopyN(io.Discard, d.src, int64(rest))
+		d.left -= int(got)
+		if err != nil {
+			d.rerr = err
+			return err
+		}
+	}
+	return nil
 }

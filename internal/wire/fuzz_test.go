@@ -143,7 +143,10 @@ func FuzzDecodeModelChunk(f *testing.F) {
 
 // FuzzDecodeLocalUpdate: no update bytes may panic the decoder, and an
 // update that decodes carries a real ε (the transports hand it to the
-// aggregators unchecked).
+// aggregators unchecked). The windowed decode of the same bytes, off a
+// stream that delivers one byte per read and its primal read three values
+// at a time, may not panic either, and what it accepts the whole decode
+// accepts too, with the same fields and primal.
 func FuzzDecodeLocalUpdate(f *testing.F) {
 	for _, b := range seedMessages() {
 		f.Add(b)
@@ -154,8 +157,43 @@ func FuzzDecodeLocalUpdate(f *testing.F) {
 	f.Add([]byte{0x60, 0x80, 0x80, 0x80, 0x80, 0x10})    // field 12, RejoinRound = 2^32
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var u LocalUpdate
-		if err := u.Unmarshal(NewDecoder(data)); err == nil && math.IsNaN(u.Epsilon) {
+		whole := u.Unmarshal(NewDecoder(data))
+		if whole == nil && math.IsNaN(u.Epsilon) {
 			t.Fatal("decoded an update with a NaN epsilon")
+		}
+		var w LocalUpdate
+		var primal []float64
+		var d Decoder
+		d.ResetStream(iotest.OneByteReader(bytes.NewReader(data)), len(data))
+		err := w.UnmarshalWindowed(&d, func(n int) error {
+			if n > len(data) {
+				t.Fatalf("a %d-byte message announced a %d-value primal", len(data), n)
+			}
+			for n > 0 {
+				k := min(n, 3)
+				window := make([]float64, k)
+				if err := d.ReadDoubles(window); err != nil {
+					return err
+				}
+				primal, n = append(primal, window...), n-k
+			}
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		if whole != nil {
+			t.Fatalf("the windowed decode accepted what Unmarshal refuses: %v", whole)
+		}
+		w.Primal = primal
+		if w.ClientID != u.ClientID || w.Round != u.Round || w.NumSamples != u.NumSamples || len(w.Primal) != len(u.Primal) ||
+			w.Control != u.Control || w.TenantID != u.TenantID || w.BaseVersion != u.BaseVersion {
+			t.Fatalf("windowed decode %+v, whole decode %+v", w, u)
+		}
+		for i := range u.Primal {
+			if math.Float64bits(w.Primal[i]) != math.Float64bits(u.Primal[i]) {
+				t.Fatalf("primal value %d: windowed %v, whole %v", i, w.Primal[i], u.Primal[i])
+			}
 		}
 	})
 }

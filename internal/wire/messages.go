@@ -504,98 +504,158 @@ func (m *LocalUpdate) Unmarshal(d *Decoder) error {
 		if err != nil {
 			return err
 		}
-		switch f {
-		case 1:
-			v, err := d.Uint32()
+		if err := m.field(d, f, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// field decodes one field of m, whose tag Unmarshal has read.
+func (m *LocalUpdate) field(d *Decoder, f, w int) error {
+	switch f {
+	case 1:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.ClientID = v
+	case 2:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.Round = v
+	case 3:
+		v, err := d.Uint64()
+		if err != nil {
+			return err
+		}
+		m.NumSamples = v
+	case 4:
+		v, err := d.DoublesInto(m.Primal)
+		if err != nil {
+			return err
+		}
+		m.Primal = v
+	case 5:
+		v, err := d.DoublesInto(m.Dual)
+		if err != nil {
+			return err
+		}
+		m.Dual = v
+	case 6:
+		v, err := d.Float64()
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(v) {
+			return fmt.Errorf("wire: update carries a NaN epsilon")
+		}
+		m.Epsilon = v
+	case 7:
+		v, err := d.Float64()
+		if err != nil {
+			return err
+		}
+		m.ComputeSec = v
+	case 8:
+		v, err := d.Uint64()
+		if err != nil {
+			return err
+		}
+		m.BaseVersion = v
+	case 9:
+		v, err := d.Bool()
+		if err != nil {
+			return err
+		}
+		m.InCohort = v
+	case 10:
+		b, err := d.BytesField()
+		if err != nil {
+			return err
+		}
+		if m.PrimalP, err = receivePayload(&m.received, b); err != nil {
+			return err
+		}
+	case 11:
+		v, err := d.Uint64()
+		if err != nil {
+			return err
+		}
+		if v > 255 {
+			return fmt.Errorf("wire: control value %d out of range", v)
+		}
+		m.Control = uint8(v)
+	case 12:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.RejoinRound = v
+	case 13:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.TenantID = v
+	default:
+		if err := d.Skip(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// UnmarshalWindowed decodes m like Unmarshal, except the dense primal: when
+// its field arrives, primal is called with the number of values it holds
+// and reads them off d itself (PackedDoubles' contract), so a server can
+// fold the vector window by window as it arrives and m never holds it.
+// Marshal writes ClientID, Round and NumSamples before the primal, and they
+// must come first, and stay: primal finds them in m, and a message that
+// repeats one after the primal is refused. So is one that lacks the dense
+// primal, repeats it, or carries a dual or a compressed primal, at that
+// field's tag, before any of its bytes are read.
+func (m *LocalUpdate) UnmarshalWindowed(d *Decoder, primal func(n int) error) error {
+	m.Reset()
+	const head = 1<<1 | 1<<2 | 1<<3 // ClientID, Round, NumSamples
+	seen := 0
+	for d.More() {
+		f, w, err := d.Tag()
+		if err != nil {
+			return err
+		}
+		switch {
+		case f == 4 && seen&(1<<4) != 0:
+			return fmt.Errorf("wire: update carries a second primal")
+		case f == 4 && seen&head != head:
+			return fmt.Errorf("wire: update's primal precedes its client, round or sample count")
+		case f < 4 && seen&(1<<4) != 0:
+			return fmt.Errorf("wire: update repeats field %d after its primal", f)
+		case f == 4:
+			n, err := d.PackedDoubles()
 			if err != nil {
 				return err
 			}
-			m.ClientID = v
-		case 2:
-			v, err := d.Uint32()
-			if err != nil {
+			if err := primal(n); err != nil {
 				return err
 			}
-			m.Round = v
-		case 3:
-			v, err := d.Uint64()
-			if err != nil {
-				return err
-			}
-			m.NumSamples = v
-		case 4:
-			v, err := d.DoublesInto(m.Primal)
-			if err != nil {
-				return err
-			}
-			m.Primal = v
-		case 5:
-			v, err := d.DoublesInto(m.Dual)
-			if err != nil {
-				return err
-			}
-			m.Dual = v
-		case 6:
-			v, err := d.Float64()
-			if err != nil {
-				return err
-			}
-			if math.IsNaN(v) {
-				return fmt.Errorf("wire: update carries a NaN epsilon")
-			}
-			m.Epsilon = v
-		case 7:
-			v, err := d.Float64()
-			if err != nil {
-				return err
-			}
-			m.ComputeSec = v
-		case 8:
-			v, err := d.Uint64()
-			if err != nil {
-				return err
-			}
-			m.BaseVersion = v
-		case 9:
-			v, err := d.Bool()
-			if err != nil {
-				return err
-			}
-			m.InCohort = v
-		case 10:
-			b, err := d.BytesField()
-			if err != nil {
-				return err
-			}
-			if m.PrimalP, err = receivePayload(&m.received, b); err != nil {
-				return err
-			}
-		case 11:
-			v, err := d.Uint64()
-			if err != nil {
-				return err
-			}
-			if v > 255 {
-				return fmt.Errorf("wire: control value %d out of range", v)
-			}
-			m.Control = uint8(v)
-		case 12:
-			v, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			m.RejoinRound = v
-		case 13:
-			v, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			m.TenantID = v
+		case f == 5:
+			return fmt.Errorf("wire: windowed update carries a dual")
+		case f == 10:
+			return fmt.Errorf("wire: windowed update carries a compressed primal, want a dense one")
 		default:
-			if err := d.Skip(w); err != nil {
+			if err := m.field(d, f, w); err != nil {
 				return err
 			}
 		}
+		if f < 5 {
+			seen |= 1 << f
+		}
+	}
+	if seen&(1<<4) == 0 {
+		return fmt.Errorf("wire: update carries no primal")
 	}
 	return nil
 }
