@@ -32,12 +32,14 @@ var ErrRoundTimeout = errors.New("comm: round deadline exceeded")
 // Broadcast delivers the final model to everyone.
 //
 // Every non-final model delivered to a client obliges exactly one
-// LocalUpdate in return. The connection-oriented transports (mpi, rpc)
-// track the obligation per client, so a duplicate dispatch or an update
-// from a client outside the awaited set is a protocol error; the pub/sub
-// broker is connectionless and only counts dispatches vs collections
-// (attribution there happens in GatherFrom via OrderByClient). All
-// transports fail fast when asked to gather more than is outstanding.
+// LocalUpdate in return. Every transport keeps that obligation per client
+// in the one receive side they share (Inbox), so they apply the same
+// rules: a duplicate dispatch, an update from a client outside the
+// awaited set, an update whose ClientID is off the roster, or not its
+// sender's where the transport knows the sender (an rpc connection, an
+// mpi rank; a pub/sub update topic is shared), or whose TenantID is not
+// the transport's is a protocol error, and a gather asking for more than
+// is outstanding fails fast.
 type ServerTransport interface {
 	// Broadcast delivers the global model to every client.
 	Broadcast(m *wire.GlobalModel) error

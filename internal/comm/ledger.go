@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
-
-	"repro/internal/wire"
 )
 
 // Ledger is the per-client update-obligation book shared by the server
@@ -34,24 +31,11 @@ func NewLedger(n int) *Ledger {
 	}
 }
 
-// Open registers a new obligation for client c created by dispatching the
-// round's model. A client with an obligation already open is a protocol
-// error (one model, one reply).
-func (l *Ledger) Open(c int, round uint32) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pending[c] {
-		return fmt.Errorf("client %d already owes an update", c)
-	}
-	l.pending[c] = true
-	l.expect[c] = round
-	l.nOwed++
-	return nil
-}
-
-// OpenAll registers obligations for every listed client, or none: a
-// duplicate dispatch anywhere in the cohort leaves the ledger untouched.
-func (l *Ledger) OpenAll(clients []int, round uint32) error {
+// Open registers an obligation for every listed client, created by
+// dispatching the round's model, or none: a client with an obligation
+// already open is a protocol error (one model, one reply) that leaves the
+// ledger untouched.
+func (l *Ledger) Open(clients []int, round uint32) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, c := range clients {
@@ -142,24 +126,4 @@ func (l *Ledger) Pending(c int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return c >= 0 && c < len(l.pending) && l.pending[c]
-}
-
-// GatherWithDeadline implements the GatherUntil contract shared by the
-// transports over their ledger and deadline-aware collect function:
-// nothing outstanding is an error, n clamps to what is outstanding, and
-// timeout <= 0 waits forever. Keeping the one copy here means the clamp
-// and zero-outstanding semantics cannot drift between transports.
-func GatherWithDeadline(l *Ledger, prefix string, n int, timeout time.Duration,
-	collect func(n int, timer <-chan time.Time) ([]*wire.LocalUpdate, error)) ([]*wire.LocalUpdate, error) {
-	if owed := l.Owed(); owed == 0 {
-		return nil, fmt.Errorf("%s: gathering %d updates with only 0 outstanding", prefix, n)
-	} else if n > owed {
-		n = owed
-	}
-	if timeout <= 0 {
-		return collect(n, nil)
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	return collect(n, t.C)
 }

@@ -106,39 +106,3 @@ func TestGatherAnyReleasesOnQuorum(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestGatherAnyRejectsOverdraw(t *testing.T) {
-	server, clients := NewFLWorld(3)
-	wg := echoClients(t, clients)
-	if err := server.SendTo([]int{0}, &wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.GatherAny(2); err == nil {
-		t.Fatal("gathering more than outstanding accepted")
-	}
-	if _, err := server.GatherAny(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-func TestDoubleDispatchToOneClientRejected(t *testing.T) {
-	server, clients := NewFLWorld(2)
-	wg := echoClients(t, clients)
-	if err := server.SendTo([]int{0}, &wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.SendTo([]int{0}, &wire.GlobalModel{Round: 2, Weights: []float64{0}}); err == nil {
-		t.Fatal("second dispatch before the reply accepted")
-	}
-	if _, err := server.GatherAny(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}

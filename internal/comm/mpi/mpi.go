@@ -97,14 +97,6 @@ func (c *Comm) RecvTimeout(from int, tag int, timeout time.Duration) ([]byte, bo
 	}
 }
 
-// recvAny blocks for the next message from rank `from`, whatever its
-// tag, and returns both. The FL server's reply receiver uses it to
-// demultiplex streamed chunks from the update that settles the round.
-func (c *Comm) recvAny(from int) (int, []byte) {
-	m := <-c.mailbox(from)
-	return m.tag, m.data
-}
-
 // mailbox returns the link from rank `from` to this rank.
 func (c *Comm) mailbox(from int) chan message {
 	if from < 0 || from >= c.world.size {

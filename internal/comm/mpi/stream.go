@@ -39,23 +39,6 @@ func (t *ClientTransport) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, e
 	return &a, nil
 }
 
-// RecvChunkFrom blocks for the next chunk from one client. Chunks are
-// routed here by the dispatch reply receiver, so a stream is only
-// receivable while the client has an open obligation (the runner's flow:
-// SendTo, stream, slim settling update).
-func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
-	if client < 0 || client >= s.numClients() {
-		return nil, fmt.Errorf("mpi: chunk receive from unknown client %d", client)
-	}
-	frame := <-s.chunks[client]
-	s.stats.AddRecv(len(frame))
-	mc := comm.NewChunk()
-	if err := mc.Unmarshal(wire.NewDecoder(frame)); err != nil {
-		return nil, fmt.Errorf("mpi: chunk decode from client %d: %w", client, err)
-	}
-	return mc, nil
-}
-
 // SendChunkAck tells a client's rank that its stream is folded.
 func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.numClients() {

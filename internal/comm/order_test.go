@@ -66,10 +66,10 @@ func TestMissingReportsAbsenteesInCohortOrder(t *testing.T) {
 
 func TestLedgerForgivenessIsRoundKeyed(t *testing.T) {
 	l := NewLedger(2)
-	if err := l.Open(0, 1); err != nil {
+	if err := l.Open([]int{0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Open(0, 2); err == nil {
+	if err := l.Open([]int{0}, 2); err == nil {
 		t.Fatal("double obligation accepted")
 	}
 	l.Forgive([]int{0, 1}) // client 1 has nothing open: ignored
@@ -81,7 +81,7 @@ func TestLedgerForgivenessIsRoundKeyed(t *testing.T) {
 	if l.Admit(0, 1) {
 		t.Fatal("forgiven round-1 update delivered")
 	}
-	if err := l.Open(0, 2); err != nil {
+	if err := l.Open([]int{0}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !l.Admit(0, 2) {
@@ -89,11 +89,11 @@ func TestLedgerForgivenessIsRoundKeyed(t *testing.T) {
 	}
 	// A lost message (forgiven round 3 that never arrives) must not eat a
 	// future legitimate update.
-	if err := l.Open(1, 3); err != nil {
+	if err := l.Open([]int{1}, 3); err != nil {
 		t.Fatal(err)
 	}
 	l.Forgive([]int{1})
-	if err := l.Open(1, 4); err != nil {
+	if err := l.Open([]int{1}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !l.Admit(1, 4) {

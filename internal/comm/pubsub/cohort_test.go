@@ -81,6 +81,9 @@ func TestGatherFromRejectsOutOfCohortUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.SendTo([]int{0, 1}, &wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
 	// Client 2 publishes although only {0, 1} are awaited.
 	if err := clients[2].SendUpdate(&wire.LocalUpdate{ClientID: 2, Primal: []float64{1}}); err != nil {
 		t.Fatal(err)

@@ -188,23 +188,22 @@ func TenantGlobalTopic(tenant, id int) string { return TenantPrefix(tenant) + Gl
 // TenantUpdateTopic returns tenant's shared local-update topic.
 func TenantUpdateTopic(tenant int) string { return TenantPrefix(tenant) + TopicUpdate }
 
-// ServerTransport adapts a broker to comm.ServerTransport.
+// ServerTransport adapts a broker to comm.ServerTransport. Its gathers,
+// Forgive, Outstanding and RecvChunkFrom are the embedded inbox's.
 //
-// A topic broker is connectionless, so spontaneous publishes are accepted
-// (QoS-0 style) and cohort attribution happens at GatherFrom via
-// comm.OrderByClient. The transport still keeps the shared obligation
-// ledger — models dispatched vs updates collected — so that GatherAny
-// fails fast on an overdraw instead of deadlocking, round timeouts can be
-// forgiven, and a forgiven round's late publish is discarded.
+// A topic broker is connectionless: updates share one topic, so the
+// inbox cannot know an update's sender and holds its ClientID to the
+// roster only; cohort attribution happens in GatherFrom via
+// comm.OrderByClient. The server transport is the only subscriber of its
+// update and chunk topics, and returns each payload to the pool its
+// publisher took it from once it is decoded.
 type ServerTransport struct {
+	*comm.Inbox
 	broker     *Broker
 	tenant     int // tenant this view serves (0 = default)
 	shared     bool
 	numClients int
-	updates    *Subscription
-	chunks     []*Subscription // per-client streamed chunk topics
 	stats      comm.Stats
-	ledger     *comm.Ledger
 }
 
 // ClientTransport adapts a broker to comm.ClientTransport.
@@ -215,6 +214,7 @@ type ClientTransport struct {
 	global *Subscription
 	acks   *Subscription // per-client chunk-ack topic
 	stats  comm.Stats
+	enc    wire.Encoder     // the payload being encoded, only while publish runs
 	model  wire.GlobalModel // what RecvGlobal returns; recycled per call
 }
 
@@ -264,29 +264,26 @@ func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*Serve
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &ServerTransport{
-		broker:     b,
-		tenant:     tenant,
-		shared:     shared,
-		numClients: numClients,
-		updates:    upd,
-		chunks:     make([]*Subscription, numClients),
-		ledger:     comm.NewLedger(numClients),
-	}
+	st := &ServerTransport{broker: b, tenant: tenant, shared: shared, numClients: numClients}
+	st.Inbox = comm.NewInbox(comm.InboxConfig{
+		Name: "pubsub", Clients: numClients, Tenant: tenant, Stats: &st.stats, Done: upd.done,
+	})
+	go st.pump(upd, -1)
 	clients := make([]*ClientTransport, numClients)
 	for i := range clients {
 		g, err := b.Subscribe(prefix+GlobalTopic(i), 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Chunk queues hold 4, matching comm.ChunkPipe: how far a client
-		// streams ahead of the gather before its Publish blocks. One ack
-		// comes back per upload.
-		mc, err := b.Subscribe(prefix+ChunkTopic(i), 4)
+		// The pump holds one chunk and the inbox queues the next few: the
+		// topic itself queues none, so that is how far a client streams
+		// ahead of the gather before its Publish blocks. One ack comes back
+		// per upload.
+		mc, err := b.Subscribe(prefix+ChunkTopic(i), 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		st.chunks[i] = mc
+		go st.pump(mc, i)
 		ack, err := b.Subscribe(prefix+ChunkAckTopic(i), 1)
 		if err != nil {
 			return nil, nil, err
@@ -294,6 +291,21 @@ func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*Serve
 		clients[i] = &ClientTransport{broker: b, tenant: tenant, id: i, global: g, acks: ack}
 	}
 	return st, clients, nil
+}
+
+// pump feeds every message of one of the server's subscriptions to the
+// inbox, which decodes it and returns the payload to the pool its
+// publisher took it from (comm.EncodeFrame): client's streamed chunks, or
+// — client -1 — the tenant's shared update topic, whose updates name their
+// own sender. It runs until the broker closes.
+func (s *ServerTransport) pump(sub *Subscription, client int) {
+	var dec wire.Decoder
+	for {
+		msg, ok := sub.Recv()
+		if !ok || !s.PostFrame(&dec, client, client >= 0, msg.Payload) {
+			return
+		}
+	}
 }
 
 // Broadcast publishes the global model to every client's topic.
@@ -307,18 +319,15 @@ func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
 	// the bytes and may hold them past this call.
 	var e wire.Encoder
 	e.Encode(m)
-	for _, c := range clients {
-		if c < 0 || c >= s.numClients {
-			return fmt.Errorf("pubsub: send to unknown client %d", c)
-		}
-		if !m.Final {
-			if err := s.ledger.Open(c, m.Round); err != nil {
-				return fmt.Errorf("pubsub: %w", err)
-			}
-		}
+	if err := s.Open(clients, m); err != nil {
+		return err
+	}
+	for i, c := range clients {
 		if err := s.broker.Publish(TenantGlobalTopic(s.tenant, c), e.Bytes()); err != nil {
 			if !m.Final {
-				s.ledger.Rollback(c)
+				for _, c := range clients[i:] {
+					s.Rollback(c) // no reply can come from a model that never left
+				}
 			}
 			return err
 		}
@@ -326,74 +335,6 @@ func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
 	}
 	return nil
 }
-
-// collect reads n updates from the shared update topic in arrival order.
-// A nil timer waits forever; otherwise the gather gives up when the timer
-// fires and returns the partial batch with ErrRoundTimeout.
-func (s *ServerTransport) collect(n int, timer <-chan time.Time) ([]*wire.LocalUpdate, error) {
-	out := make([]*wire.LocalUpdate, 0, n)
-	for len(out) < n {
-		msg, ok, timedOut := s.updates.RecvTimer(timer)
-		if timedOut {
-			return out, fmt.Errorf("pubsub: %d of %d updates after deadline: %w", len(out), n, comm.ErrRoundTimeout)
-		}
-		if !ok {
-			return nil, ErrClosed
-		}
-		s.stats.AddRecv(len(msg.Payload))
-		u := comm.NewUpdate()
-		if err := u.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
-			return nil, err
-		}
-		if id := int(u.ClientID); id < 0 || id >= s.numClients {
-			return nil, fmt.Errorf("pubsub: update from unknown client %d", id)
-		}
-		if int(u.TenantID) != s.tenant {
-			return nil, fmt.Errorf("pubsub: update from client %d carries tenant %d, topic belongs to tenant %d",
-				u.ClientID, u.TenantID, s.tenant)
-		}
-		if !s.ledger.Admit(int(u.ClientID), u.Round) {
-			// Late publish for a forgiven round: discard.
-			comm.ReleaseUpdate(u)
-			continue
-		}
-		out = append(out, u)
-	}
-	return out, nil
-}
-
-// GatherFrom reads one update per listed client, ordered as listed.
-func (s *ServerTransport) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
-	got, err := s.collect(len(clients), nil)
-	if err != nil {
-		return nil, err
-	}
-	return comm.OrderByClient(clients, got)
-}
-
-// GatherAny reads the next n updates in arrival order. Unlike GatherFrom
-// (which tolerates spontaneous publishes, QoS-0 style), it checks the
-// dispatch ledger so a scheduler overdraw fails fast instead of blocking
-// forever on an update that will never come.
-func (s *ServerTransport) GatherAny(n int) ([]*wire.LocalUpdate, error) {
-	if owed := s.ledger.Owed(); n > owed {
-		return nil, fmt.Errorf("pubsub: gathering %d updates with only %d outstanding", n, owed)
-	}
-	return s.collect(n, nil)
-}
-
-// GatherUntil reads up to n outstanding updates, giving up at the
-// deadline; see comm.ServerTransport.
-func (s *ServerTransport) GatherUntil(n int, timeout time.Duration) ([]*wire.LocalUpdate, error) {
-	return comm.GatherWithDeadline(s.ledger, "pubsub", n, timeout, s.collect)
-}
-
-// Forgive closes the open obligations of the listed clients; their late
-// publishes, if any ever arrive, are discarded.
-func (s *ServerTransport) Forgive(clients []int) { s.ledger.Forgive(clients) }
-
-// Outstanding returns the sorted clients with open update obligations.
-func (s *ServerTransport) Outstanding() []int { return s.ledger.Outstanding() }
 
 // Stats returns the traffic snapshot.
 func (s *ServerTransport) Stats() comm.Snapshot { return s.stats.Snapshot() }
@@ -431,11 +372,18 @@ func (c *ClientTransport) ReceiveInto(w []float64) { c.model.Weights = w[:0] }
 // stamped with the tenant id.
 func (c *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	m.TenantID = uint32(c.tenant)
-	var e wire.Encoder
-	if err := c.broker.Publish(TenantUpdateTopic(c.tenant), e.Encode(m)); err != nil {
+	return c.publish(TenantUpdateTopic(c.tenant), m)
+}
+
+// publish encodes m into a pooled payload (comm.EncodeFrame), which the
+// server returns to the pool once it has decoded it, and publishes it to
+// topic.
+func (c *ClientTransport) publish(topic string, m wire.Marshaler) error {
+	payload := comm.EncodeFrame(&c.enc, m)
+	if err := c.broker.Publish(topic, payload); err != nil {
 		return err
 	}
-	c.stats.AddSent(e.Len())
+	c.stats.AddSent(len(payload))
 	return nil
 }
 

@@ -160,6 +160,9 @@ func TestFLBrokerGatherOrdersOutOfOrderArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
 	// Send updates in reverse client order; GatherFrom must reindex by ID.
 	for i := P - 1; i >= 0; i-- {
 		if err := clients[i].SendUpdate(&wire.LocalUpdate{ClientID: uint32(i), Primal: []float64{float64(i)}}); err != nil {
@@ -183,6 +186,9 @@ func TestFLBrokerRejectsDuplicateUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
 	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{1}})
 	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{2}})
 	if _, err := srv.GatherFrom(comm.AllClients(2)); err == nil {

@@ -27,23 +27,6 @@ func ChunkTopic(id int) string { return fmt.Sprintf("%s/%d", TopicChunk, id) }
 // ChunkAckTopic returns the topic carrying client id's chunk acks.
 func ChunkAckTopic(id int) string { return fmt.Sprintf("%s/%d", TopicChunkAck, id) }
 
-// RecvChunkFrom blocks for the next streamed chunk from one client.
-func (s *ServerTransport) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
-	if client < 0 || client >= s.numClients {
-		return nil, fmt.Errorf("pubsub: chunk receive from unknown client %d", client)
-	}
-	msg, ok := s.chunks[client].Recv()
-	if !ok {
-		return nil, ErrClosed
-	}
-	s.stats.AddRecv(len(msg.Payload))
-	mc := comm.NewChunk()
-	if err := mc.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
-		return nil, fmt.Errorf("pubsub: chunk decode from client %d: %w", client, err)
-	}
-	return mc, nil
-}
-
 // SendChunkAck publishes a folded stream's ack to its sender's ack topic.
 func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 	if client < 0 || client >= s.numClients {
@@ -59,12 +42,7 @@ func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 
 // SendChunk publishes one model chunk to this client's chunk topic.
 func (c *ClientTransport) SendChunk(mc *wire.ModelChunk) error {
-	var e wire.Encoder
-	if err := c.broker.Publish(TenantPrefix(c.tenant)+ChunkTopic(c.id), e.Encode(mc)); err != nil {
-		return err
-	}
-	c.stats.AddSent(e.Len())
-	return nil
+	return c.publish(TenantPrefix(c.tenant)+ChunkTopic(c.id), mc)
 }
 
 // RecvChunkAck blocks for the next chunk ack; timeout <= 0 waits

@@ -93,14 +93,15 @@ func TestStreamAckTimeoutOverPubSub(t *testing.T) {
 }
 
 // TestStreamPushAheadOverPubSub: a client streaming while the gather waits
-// on a silent cohort member fills its chunk topic's queue of 4 and then
-// blocks in Publish; the round completes bit for bit once the silent
-// member streams.
+// on a silent cohort member fills the inbox's chunk queue (4) and the one
+// chunk the topic's pump holds, and then blocks in Publish (the topic
+// queues none); the round completes bit for bit once the silent member
+// streams.
 func TestStreamPushAheadOverPubSub(t *testing.T) {
 	srv, clients, err := NewFLBroker(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 20*64, 64, 4)
+	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 20*64, 64, 4+1)
 }

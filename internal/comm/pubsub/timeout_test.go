@@ -75,52 +75,3 @@ func TestGatherUntilTimesOutOnSilentClient(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestGatherUntilDiscardsForgivenLatePublish(t *testing.T) {
-	srv, clients, err := NewFLBroker(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := clients[0]
-		gm, _ := c.RecvGlobal()
-		<-release
-		c.SendUpdate(&wire.LocalUpdate{ClientID: 0, Round: gm.Round, NumSamples: 1, Primal: []float64{9}})
-		for {
-			gm, err := c.RecvGlobal()
-			if err != nil || gm.Final {
-				return
-			}
-			c.SendUpdate(&wire.LocalUpdate{ClientID: 0, Round: gm.Round, NumSamples: 1, Primal: []float64{7}})
-		}
-	}()
-
-	if err := srv.SendTo([]int{0}, &wire.GlobalModel{Round: 1, Weights: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.GatherUntil(1, 50*time.Millisecond); !errors.Is(err, comm.ErrRoundTimeout) {
-		t.Fatalf("want ErrRoundTimeout, got %v", err)
-	}
-	srv.Forgive([]int{0})
-	close(release)
-
-	if err := srv.SendTo([]int{0}, &wire.GlobalModel{Round: 2, Weights: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := srv.GatherFrom([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Round != 2 || got[0].Primal[0] != 7 {
-		t.Fatalf("gather returned %+v, want the fresh round-2 update", got[0])
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}

@@ -7,11 +7,12 @@ import (
 	"repro/internal/testutil/chunktest"
 )
 
-// TestStreamPushAheadIsBounded: over a ChunkPipe, a client streaming
-// while the gather waits on a silent cohort member gets at most the pipe's
-// queue of 4 chunks ahead, and the round completes bit for bit once the
+// TestStreamPushAheadIsBounded: over an mpi world, a client streaming
+// while the gather waits on a silent cohort member gets at most its
+// mailbox (8), the inbox's chunk queue (4) and the one chunk its reply
+// receiver holds ahead, and the round completes bit for bit once the
 // silent member streams.
 func TestStreamPushAheadIsBounded(t *testing.T) {
-	pipe := comm.NewChunkPipe(2)
-	chunktest.PushAhead(t, pipe, [2]comm.ChunkSender{pipe.Client(0), pipe.Client(1)}, 1, 20*64, 64, 4)
+	srv, clients := world(t, 2)
+	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
 }

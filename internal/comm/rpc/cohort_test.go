@@ -89,15 +89,3 @@ func TestGatherAnyQuorumOverTCP(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestGatherAnyRejectsOverdrawOverTCP(t *testing.T) {
-	srv, clients := startCluster(t, 2)
-	wg := echoClients(t, clients)
-	if _, err := srv.GatherAny(1); err == nil {
-		t.Fatal("gather with nothing outstanding accepted")
-	}
-	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}

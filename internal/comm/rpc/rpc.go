@@ -17,8 +17,9 @@
 //
 // One listening server can host many tenants (ServerConfig.Tenants): each
 // Join carries a wire.TenantID validated against the tenant table, every
-// incoming frame demuxes to its tenant's arrival channel and obligation
-// ledger, and Tenant(t) returns a per-tenant comm.ServerTransport view.
+// incoming frame demuxes to its tenant's comm.Inbox (arrival queue and
+// obligation ledger), and Tenant(t) returns a per-tenant
+// comm.ServerTransport view.
 // Tenant isolation is structural — a tenant's gathers, deadlines, and
 // forgiveness never observe another tenant's traffic.
 package rpc
@@ -186,11 +187,10 @@ func (c ServerConfig) tenants() []TenantSpec {
 // listener open for Resume joins that splice a reconnecting client back
 // into its session.
 //
-// One reader goroutine per connection pumps every incoming frame into its
-// tenant's arrival channel, which that tenant's GatherFrom/GatherAny/
-// GatherUntil drain; per-tenant obligation ledgers decide which
-// arrivals settle obligations and which are stale replays of forgiven
-// rounds. A single-tenant server is the degenerate one-view case: the
+// One reader goroutine per connection decodes every incoming frame and
+// feeds it to its tenant's comm.Inbox, whose gathers and chunk receive
+// apply the receive rules. A single-tenant server is the degenerate
+// one-view case: the
 // Server embeds the default tenant's view, whose transport methods it
 // serves, and keeps only Stats (every tenant's traffic) and Close.
 type Server struct {
@@ -203,9 +203,8 @@ type Server struct {
 	ln    net.Listener
 	stats comm.Stats
 
-	views  []*TenantView
-	chunks []chan chunkArrival // per-global-slot streamed ModelChunks
-	done   chan struct{}
+	views []*TenantView
+	done  chan struct{}
 	// window, when positive, is the width the readers cut every dense
 	// upload's primal into (WindowUploads).
 	window atomic.Int64
@@ -223,44 +222,22 @@ type Server struct {
 }
 
 // TenantView is one tenant's comm.ServerTransport over a shared Server:
-// its client ids are tenant-local, its obligation ledger and arrival
-// stream carry only this tenant's traffic, and Close is a no-op (the
-// shared Server owns the listener and sockets — close it instead).
+// its client ids are tenant-local, its inbox carries only this tenant's
+// traffic, and Close is a no-op (the shared Server owns the listener and
+// sockets — close it instead). Its gathers, Forgive, Outstanding and
+// RecvChunkFrom are the embedded inbox's; a connection's sender is known,
+// so the inbox holds each update's ClientID to its connection's slot.
 type TenantView struct {
-	s        *Server
-	tenant   int
-	off      int // global slot of local client 0
-	n        int // roster size
-	arrivals chan arrival
-	ledger   *comm.Ledger
+	*comm.Inbox
+	s      *Server
+	tenant int
+	off    int // global slot of local client 0
+	n      int // roster size
 
 	sendMu sync.Mutex    // one dispatch at a time: its encoded model is shared by the writers
 	enc    wire.Encoder  // the dispatch's model, encoded once; under sendMu
 	segs   [][]byte      // that encoding's slices; under sendMu
 	frames []frameWriter // per client, for that client's dispatch writer; under sendMu
-}
-
-// arrival is one incoming update, decoded by its connection's reader, or
-// a connection event, tagged by global client slot and connection
-// generation.
-type arrival struct {
-	client int // global slot
-	gen    int
-	update *wire.LocalUpdate
-	size   int   // frame payload bytes, for the traffic counters
-	err    error // connection-level failure (read error, bad frame kind)
-	bad    error // the frame arrived whole but did not decode
-}
-
-// chunkArrival is one streamed chunk, decoded by its connection's reader
-// or cut from an upload's primal, or — with no chunk — the news that an
-// upload carries no primal (err and bad nil) or that its stream broke.
-type chunkArrival struct {
-	chunk *wire.ModelChunk
-	size  int
-	gen   int   // connection generation, for err
-	err   error // connection-level failure
-	bad   error // the frame arrived whole but did not decode
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0") and returns it
@@ -295,13 +272,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	for i := range deadGen {
 		deadGen[i] = -1
 	}
-	chunks := make([]chan chunkArrival, total)
-	for i := range chunks {
-		// Capacity 4, matching comm.ChunkPipe: with the one chunk its
-		// reader holds and what TCP's window takes, this is how far a
-		// client streams ahead of the gather before its writes block.
-		chunks[i] = make(chan chunkArrival, 4)
-	}
 	s := &Server{
 		cfg:      cfg,
 		specs:    specs,
@@ -312,20 +282,15 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		gens:     make([]int, total),
 		deadGen:  deadGen,
 		resumeCh: make(chan struct{}),
-		chunks:   chunks,
 		done:     make(chan struct{}),
 	}
 	s.views = make([]*TenantView, len(specs))
 	for t := range specs {
-		s.views[t] = &TenantView{
-			s:        s,
-			tenant:   t,
-			off:      table.Global(t, 0),
-			n:        sizes[t],
-			arrivals: make(chan arrival, sizes[t]),
-			ledger:   comm.NewLedger(sizes[t]),
-			frames:   make([]frameWriter, sizes[t]),
-		}
+		v := &TenantView{s: s, tenant: t, off: table.Global(t, 0), n: sizes[t], frames: make([]frameWriter, sizes[t])}
+		v.Inbox = comm.NewInbox(comm.InboxConfig{
+			Name: "rpc", Clients: sizes[t], Tenant: t, Stats: &s.stats, Done: s.done, Current: v.current,
+		})
+		s.views[t] = v
 	}
 	s.TenantView = s.views[0]
 	return s, nil
@@ -505,94 +470,72 @@ func (s *Server) acceptResumes() {
 	}
 }
 
-// readLoop pumps every frame from one client connection, decoded, into
-// the owning tenant's arrival channel. Each connection's reader decodes
-// its own frames straight off the socket into recycled messages (see
+// readLoop decodes every frame from one client connection and feeds it to
+// the owning tenant's inbox. Each connection's reader decodes its own
+// frames straight off the socket into recycled messages (see
 // comm.NewUpdate), so a cohort's uploads deserialize side by side and a
-// dense vector is written exactly once, where the fold will read it —
-// or, in windowed mode, cut into chunk windows the fold reads one at a
-// time (readWindowed). On a connection error it posts one tagged failure
-// event and exits; collect decides whether that event matters (an open
-// obligation on the current connection) or is ordinary teardown noise.
+// dense vector is written exactly once, where the fold will read it — or,
+// in windowed mode, cut into chunk windows the fold reads one at a time
+// (readWindowed). On a connection error it posts one tagged failure and
+// exits; the inbox decides whether that failure matters (the client's
+// current connection) to a gather or a stream, or is ordinary teardown
+// noise.
 func (s *Server) readLoop(slot, gen int, conn net.Conn) {
-	t, _ := s.table.Owner(slot)
-	r := &reader{s: s, slot: slot, gen: gen, conn: conn, dim: s.specs[t].ModelSize}
-	r.cut = r.cutPrimal
+	t, local := s.table.Owner(slot)
 	view := s.views[t]
+	r := &reader{in: view.Inbox, client: local, gen: gen, conn: conn, dim: s.specs[t].ModelSize}
+	r.cut = r.cutPrimal
 	limit := frameLimit(s.specs[t].ModelSize)
 	for {
 		kind, n, err := r.hdr.read(conn, limit)
 		if err == nil && kind == wire.KindModelChunk {
-			// Streamed chunks bypass the arrival channel (and the
-			// obligation ledger): StreamGather drains them per client.
-			ca := chunkArrival{chunk: comm.NewChunk(), size: n}
-			if ca.bad, err = recvMessage(&r.dec, conn, n, ca.chunk); err == nil {
-				if !s.postChunk(slot, ca) {
+			// Streamed chunks bypass the gathers (and the obligation
+			// ledger): StreamGather drains them per client.
+			a := comm.Arrival{Client: local, Chunk: comm.NewChunk(), Size: n}
+			if a.Bad, err = recvMessage(&r.dec, conn, n, a.Chunk); err == nil {
+				if !view.PostChunk(a) {
 					return
 				}
 				continue
 			}
 		}
-		a := arrival{client: slot, gen: gen}
+		a := comm.Arrival{Client: local, Gen: gen}
 		switch {
 		case err != nil:
-			a.err = fmt.Errorf("rpc: gather from client %d: %w", slot, err)
+			a.Err = fmt.Errorf("rpc: gather from client %d: %w", local, err)
 		case kind != wire.KindLocalUpdate:
-			a.err = fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", slot, kind)
+			a.Err = fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", local, kind)
 		default:
 			if w := int(s.window.Load()); w > 0 {
 				var open bool
 				if a, open = r.readWindowed(n, w); !open {
 					return
 				}
-				if a.update == nil && a.err == nil {
-					continue // nothing for the gathers: the chunk channel has it
+				if a.Update == nil && a.Err == nil {
+					continue // nothing for the gathers: the chunk side has it
 				}
 				break
 			}
-			a.update, a.size = comm.NewUpdate(), n
-			if a.bad, err = recvMessage(&r.dec, conn, n, a.update); err != nil {
-				a.err = fmt.Errorf("rpc: gather from client %d: %w", slot, err)
+			a.Update, a.Size = comm.NewUpdate(), n
+			if a.Bad, err = recvMessage(&r.dec, conn, n, a.Update); err != nil {
+				a.Err = fmt.Errorf("rpc: gather from client %d: %w", local, err)
 			}
 		}
-		if a.err != nil && s.window.Load() > 0 {
-			// A chunk gather may be waiting on this client: it must not
-			// wait for ever.
-			s.postChunk(slot, chunkArrival{gen: gen, err: a.err})
-		}
-		select {
-		case view.arrivals <- a:
-		case <-s.done:
+		if !view.Post(a) || a.Err != nil {
 			return
 		}
-		if a.err != nil {
-			return
-		}
-	}
-}
-
-// postChunk hands one chunk arrival to slot's chunk channel, blocking
-// while the channel is full — so that a client runs at most its capacity
-// ahead of the gather, the rest waiting in the socket. It reports false
-// once the server is closed.
-func (s *Server) postChunk(slot int, ca chunkArrival) bool {
-	select {
-	case s.chunks[slot] <- ca:
-		return true
-	case <-s.done:
-		return false
 	}
 }
 
 // reader is one connection's read side: the frame header and decoder
 // scratch, and what a windowed upload needs while it is read.
 type reader struct {
-	s         *Server
-	slot, gen int
-	conn      net.Conn
-	dim       int // the negotiated model size, the only primal length a window may cut
-	hdr       frameHeader
-	dec       wire.Decoder
+	in          *comm.Inbox // the owning tenant's
+	client, gen int         // tenant-local client id, connection generation
+	conn        net.Conn
+	dim         int // the negotiated model size, the only primal length a window may cut
+	hdr         frameHeader
+	dec         wire.Decoder
 
 	u      *wire.LocalUpdate // the upload being read
 	window int
@@ -602,17 +545,17 @@ type reader struct {
 
 // readWindowed reads one n-byte LocalUpdate frame in windowed mode:
 // fields 1–3 into a pooled update, the dense primal straight into pooled
-// ModelChunks of window coordinates posted on the client's chunk channel
-// as it is read (so at most the channel's capacity of them exists at a
+// ModelChunks of window coordinates posted on the client's chunk side as
+// it is read (so at most the inbox's chunk queue of them exists at a
 // time), and the remaining fields into the same update, which it returns
 // — without its primal, carrying the frame's byte count — for the
 // gathers. An update without a primal (a goodbye) is announced on the
-// chunk channel by an empty arrival. A malformed frame is reported where
-// the gather will look next: on the chunk channel while the primal is
+// chunk side by an empty arrival. A malformed frame is reported where the
+// gather will look next: on the chunk side while the primal is
 // incomplete (the returned arrival is then empty), in the returned
 // arrival once it is not. open is false once the server is closed.
-func (r *reader) readWindowed(n, window int) (a arrival, open bool) {
-	a = arrival{client: r.slot, gen: r.gen}
+func (r *reader) readWindowed(n, window int) (a comm.Arrival, open bool) {
+	a = comm.Arrival{Client: r.client, Gen: r.gen}
 	r.u, r.window, r.posted = comm.NewUpdate(), window, 0
 	u := r.u
 	r.dec.ResetStream(r.conn, n)
@@ -637,21 +580,21 @@ func (r *reader) readWindowed(n, window int) (a arrival, open bool) {
 	}
 	if err != nil {
 		comm.ReleaseUpdate(u)
-		a.err = fmt.Errorf("rpc: gather from client %d: %w", r.slot, err)
+		a.Err = fmt.Errorf("rpc: gather from client %d: %w", r.client, err)
 		return a, true
 	}
 	switch {
 	case bad != nil && r.posted < wire.ChunkPlan(r.dim, window):
 		comm.ReleaseUpdate(u)
-		bad = fmt.Errorf("rpc: update decode from client %d: %w", r.slot, bad)
-		return a, r.s.postChunk(r.slot, chunkArrival{bad: bad})
+		bad = fmt.Errorf("rpc: update decode from client %d: %w", r.client, bad)
+		return a, r.in.PostChunk(comm.Arrival{Client: r.client, Bad: bad})
 	case bad != nil:
-		a.bad = bad
-	case r.posted == 0 && !r.s.postChunk(r.slot, chunkArrival{}):
+		a.Bad = bad
+	case r.posted == 0 && !r.in.PostChunk(comm.Arrival{Client: r.client}):
 		comm.ReleaseUpdate(u)
 		return a, false
 	}
-	a.update, a.size = u, n
+	a.Update, a.Size = u, n
 	return a, true
 }
 
@@ -659,9 +602,9 @@ func (r *reader) readWindowed(n, window int) (a arrival, open bool) {
 var errClosed = errors.New("rpc: server closed")
 
 // cutPrimal reads the current upload's n-value primal off the decoder
-// into consecutive windows, each posted on the client's chunk channel as
-// a ModelChunk of the stream StreamUpload would have sent. A primal of
-// any length but the model's is refused before a value is read.
+// into consecutive windows, each posted on the client's chunk side as a
+// ModelChunk of the stream StreamUpload would have sent. A primal of any
+// length but the model's is refused before a value is read.
 func (r *reader) cutPrimal(n int) error {
 	if n == 0 {
 		return nil // a goodbye's; readWindowed decides
@@ -687,7 +630,7 @@ func (r *reader) cutPrimal(n int) error {
 			comm.ReleaseChunk(mc)
 			return err
 		}
-		if !r.s.postChunk(r.slot, chunkArrival{chunk: mc}) {
+		if !r.in.PostChunk(comm.Arrival{Client: r.client, Chunk: mc}) {
 			return errClosed
 		}
 		r.posted++
@@ -744,6 +687,22 @@ func (v *TenantView) Unreachable() []int {
 	return out
 }
 
+// current is the inbox's judge of a connection failure (see
+// comm.InboxConfig): a failure on client c's current connection of an
+// open server marks c unreachable — Unreachable reports it until a resume
+// advances the generation; a failure on an older generation is the
+// teardown of a connection the client has already replaced.
+func (v *TenantView) current(c, gen int) bool {
+	s, g := v.s, v.off+c
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := gen == s.gens[g] && !s.closed
+	if cur {
+		s.deadGen[g] = gen
+	}
+	return cur
+}
+
 // Broadcast sends the global model to every client of this tenant
 // concurrently.
 func (v *TenantView) Broadcast(m *wire.GlobalModel) error {
@@ -773,12 +732,8 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 			return fmt.Errorf("rpc: send to client %d whose connection is down", c)
 		}
 	}
-	if !m.Final {
-		// All-or-nothing so a duplicate-dispatch error leaves the ledger
-		// untouched.
-		if err := v.ledger.OpenAll(clients, m.Round); err != nil {
-			return fmt.Errorf("rpc: %w", err)
-		}
+	if err := v.Open(clients, m); err != nil {
+		return err
 	}
 	// The model is serialized once, its weights left where they are; every
 	// per-client writer sends the same slices, which stay untouched until
@@ -813,7 +768,7 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 					// No reply can come from a model that never left:
 					// roll the obligation back so the ledger stays
 					// consistent for callers that recover from the error.
-					v.ledger.Rollback(c)
+					v.Rollback(c)
 				}
 				return
 			}
@@ -823,96 +778,6 @@ func (v *TenantView) SendTo(clients []int, m *wire.GlobalModel) error {
 	wg.Wait()
 	return errors.Join(errs...)
 }
-
-// collect drains n update arrivals of this tenant in arrival order. A nil
-// timer waits forever; otherwise the gather gives up when the timer fires
-// and returns the partial batch with ErrRoundTimeout.
-func (v *TenantView) collect(n int, timer <-chan time.Time) ([]*wire.LocalUpdate, error) {
-	s := v.s
-	out := make([]*wire.LocalUpdate, 0, n)
-	for len(out) < n {
-		var a arrival
-		select {
-		case a = <-v.arrivals:
-		case <-timer:
-			return out, fmt.Errorf("rpc: %d of %d updates after deadline: %w", len(out), n, comm.ErrRoundTimeout)
-		}
-		local := a.client - v.off
-		if a.err != nil {
-			// A connection event for the current generation marks the
-			// client unreachable (a stale generation means it already
-			// resumed: teardown noise). Whether it fails the gather
-			// depends on the mode: a blocking gather has no other way to
-			// stop waiting on a client that still owes an update, so it
-			// surfaces the error loudly; a deadline gather lets the
-			// deadline expire instead, feeding the caller's quorum
-			// machinery (forgive, bench, retry) — a process death is then
-			// one timed-out round, not the run.
-			s.mu.Lock()
-			current := a.gen == s.gens[a.client] && !s.closed
-			if current {
-				s.deadGen[a.client] = a.gen
-			}
-			s.mu.Unlock()
-			if current && timer == nil && v.ledger.Pending(local) {
-				return nil, a.err
-			}
-			continue
-		}
-		s.stats.AddRecv(a.size)
-		u := a.update
-		if a.bad != nil {
-			return nil, fmt.Errorf("rpc: update decode from client %d: %w", local, a.bad)
-		}
-		if int(u.TenantID) != v.tenant {
-			return nil, fmt.Errorf("rpc: update from client %d carries tenant %d, connection belongs to tenant %d",
-				local, u.TenantID, v.tenant)
-		}
-		if !v.ledger.Admit(local, u.Round) {
-			// Late update for a forgiven round: discard.
-			comm.ReleaseUpdate(u)
-			continue
-		}
-		out = append(out, u)
-	}
-	return out, nil
-}
-
-// GatherFrom reads one LocalUpdate from each listed client, ordered as
-// listed.
-func (v *TenantView) GatherFrom(clients []int) ([]*wire.LocalUpdate, error) {
-	got, err := v.gatherN(len(clients), nil)
-	if err != nil {
-		return nil, err
-	}
-	return comm.OrderByClient(clients, got)
-}
-
-// GatherAny reads the next n outstanding updates in arrival order.
-func (v *TenantView) GatherAny(n int) ([]*wire.LocalUpdate, error) {
-	return v.gatherN(n, nil)
-}
-
-// gatherN enforces the overdraw check shared by the blocking gathers.
-func (v *TenantView) gatherN(n int, timer <-chan time.Time) ([]*wire.LocalUpdate, error) {
-	if owed := v.ledger.Owed(); n > owed {
-		return nil, fmt.Errorf("rpc: gathering %d updates with only %d outstanding", n, owed)
-	}
-	return v.collect(n, timer)
-}
-
-// GatherUntil reads up to n outstanding updates, giving up at the
-// deadline; see comm.ServerTransport.
-func (v *TenantView) GatherUntil(n int, timeout time.Duration) ([]*wire.LocalUpdate, error) {
-	return comm.GatherWithDeadline(v.ledger, "rpc", n, timeout, v.collect)
-}
-
-// Forgive closes the open obligations of the listed clients; their late
-// updates, if any ever arrive, are discarded.
-func (v *TenantView) Forgive(clients []int) { v.ledger.Forgive(clients) }
-
-// Outstanding returns the sorted clients with open update obligations.
-func (v *TenantView) Outstanding() []int { return v.ledger.Outstanding() }
 
 // Stats returns the shared server's traffic snapshot (traffic accounting
 // is per process, not per tenant).

@@ -11,43 +11,10 @@ import (
 )
 
 // Chunk streaming over TCP frames. Chunks ride the same connection as
-// ordinary updates (the readLoop routes KindModelChunk frames into
-// per-client channels); acks come back as KindChunkAck frames the client
+// ordinary updates (the readLoop routes KindModelChunk frames to the
+// inbox's chunk side); acks come back as KindChunkAck frames the client
 // reads inline — safe because streaming is barrier-only, so the server
 // sends nothing else while a stream is in flight.
-
-// RecvChunkFrom blocks for the next streamed chunk from one client — in
-// windowed mode, the next window cut from its upload's primal, or nil for
-// an upload that carries none. A connection failure fails the receive,
-// unless the client has resumed on a new connection since: that is the
-// old connection's teardown.
-func (s *Server) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
-	if client < 0 || client >= s.cfg.NumClients {
-		return nil, fmt.Errorf("rpc: chunk receive from unknown client %d", client)
-	}
-	for {
-		var ca chunkArrival
-		select {
-		case ca = <-s.chunks[client]:
-		case <-s.done:
-			return nil, fmt.Errorf("rpc: server closed while awaiting chunk from client %d", client)
-		}
-		if ca.err != nil {
-			s.mu.Lock()
-			stale := ca.gen != s.gens[client]
-			s.mu.Unlock()
-			if stale {
-				continue
-			}
-			return nil, ca.err
-		}
-		s.stats.AddRecv(ca.size)
-		if ca.bad != nil {
-			return nil, fmt.Errorf("rpc: chunk decode from client %d: %w", client, ca.bad)
-		}
-		return ca.chunk, nil
-	}
-}
 
 // WindowUploads switches windowed mode (comm.UploadWindower): while window
 // is positive, every connection's reader cuts each LocalUpdate's dense

@@ -3,6 +3,7 @@ package rpc
 import (
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,4 +141,65 @@ func TestStreamPushAheadOverRPC(t *testing.T) {
 	}
 	inSockets := (4*sockBuf + 8*chunk - 1) / (8 * chunk)
 	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, dim, chunk, 4+1+inSockets)
+}
+
+// TestStreamGatherFailsWhenClientDies: in explicit stream mode a cohort
+// member whose connection closes after the dispatch, before its stream or
+// after its first chunk, fails the stream gather with an error naming it,
+// while its cohort-mate streams on — the gather must not wait for a
+// stream that can never come.
+func TestStreamGatherFailsWhenClientDies(t *testing.T) {
+	const dim, chunk = 3 * 4096, 4096
+	for name, sent := range map[string]int{"before its stream": 0, "during its stream": 1} {
+		t.Run(name, func(t *testing.T) {
+			srv, clients := dialCluster(t, 2, dim)
+			if err := srv.SendTo(comm.AllClients(2), &wire.GlobalModel{Round: 1, Weights: make([]float64, dim)}); err != nil {
+				t.Fatal(err)
+			}
+			up := func(i int) *wire.LocalUpdate {
+				return &wire.LocalUpdate{ClientID: uint32(i), Round: 1, NumSamples: 1, Primal: make([]float64, dim)}
+			}
+			go func() {
+				if _, err := clients[0].RecvGlobal(); err == nil {
+					_ = comm.StreamUpload(clients[0], up(0), chunk)
+				}
+			}()
+			go func() {
+				if _, err := clients[1].RecvGlobal(); err != nil {
+					return
+				}
+				_ = comm.StreamUpload(&closeAfter{clients[1], sent}, up(1), chunk)
+			}()
+			gathered := make(chan error, 1)
+			go func() {
+				_, err := comm.StreamGather(srv, comm.AllClients(2), 1, dim, chunk,
+					func([]uint64) error { return nil },
+					func(int, int, []*wire.Payload) error { return nil })
+				gathered <- err
+			}()
+			select {
+			case err := <-gathered:
+				if err == nil || !strings.Contains(err.Error(), "client 1") {
+					t.Fatalf("gather returned %v, want an error naming client 1", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the stream gather still waits on a closed connection after 10 s")
+			}
+		})
+	}
+}
+
+// closeAfter is a client that closes its connection in place of sending
+// its chunk number left.
+type closeAfter struct {
+	*Client
+	left int
+}
+
+func (c *closeAfter) SendChunk(mc *wire.ModelChunk) error {
+	if c.left == 0 {
+		return c.Client.Close()
+	}
+	c.left--
+	return c.Client.SendChunk(mc)
 }

@@ -1,4 +1,4 @@
-package comm
+package comm_test
 
 import (
 	"math"
@@ -6,8 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/comm/mpi"
 	"repro/internal/wire"
 )
+
+// world builds an mpi world of n clients, the transport these tests
+// stream over, whose reply receivers stop with the test.
+func world(t *testing.T, n int) (*mpi.ServerTransport, []*mpi.ClientTransport) {
+	srv, clients := mpi.NewFLWorld(n)
+	t.Cleanup(func() { srv.Close() })
+	return srv, clients
+}
 
 // streamVec builds a deterministic vector distinct per client.
 func streamVec(dim int, client int) []float64 {
@@ -18,11 +28,12 @@ func streamVec(dim int, client int) []float64 {
 	return v
 }
 
-// runStream drives one full streamed round over a pipe: every client
+// runStream drives one full streamed round over a world: every client
 // uploads concurrently, the gather reassembles each client's vector from
 // the chunk payloads. Returns the reassembled vectors and stats.
-func runStream(t *testing.T, pipe *ChunkPipe, clients, dim, chunk int) ([][]float64, *StreamStats) {
+func runStream(t *testing.T, clients, dim, chunk int) ([][]float64, *comm.StreamStats) {
 	t.Helper()
+	srv, cts := world(t, clients)
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for id := 0; id < clients; id++ {
@@ -35,14 +46,14 @@ func runStream(t *testing.T, pipe *ChunkPipe, clients, dim, chunk int) ([][]floa
 				NumSamples: uint64(10 + id),
 				Primal:     streamVec(dim, id),
 			}
-			errs[id] = StreamUpload(pipe.Client(id), u, chunk)
+			errs[id] = comm.StreamUpload(cts[id], u, chunk)
 		}(id)
 	}
 	rebuilt := make([][]float64, clients)
 	for i := range rebuilt {
 		rebuilt[i] = make([]float64, dim)
 	}
-	st, err := StreamGather(pipe, AllClients(clients), 1, dim, chunk,
+	st, err := comm.StreamGather(srv, comm.AllClients(clients), 1, dim, chunk,
 		func(samples []uint64) error {
 			for i, n := range samples {
 				if n != uint64(10+i) {
@@ -60,7 +71,7 @@ func runStream(t *testing.T, pipe *ChunkPipe, clients, dim, chunk int) ([][]floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AckStream(pipe, AllClients(clients), 1, dim, chunk); err != nil {
+	if err := comm.AckStream(srv, comm.AllClients(clients), 1, dim, chunk); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -77,8 +88,7 @@ func runStream(t *testing.T, pipe *ChunkPipe, clients, dim, chunk int) ([][]floa
 // O(cohort × chunk) — far below one full model.
 func TestStreamUploadGather(t *testing.T) {
 	const clients, dim, chunk = 3, 1000, 64
-	pipe := NewChunkPipe(clients)
-	rebuilt, st := runStream(t, pipe, clients, dim, chunk)
+	rebuilt, st := runStream(t, clients, dim, chunk)
 	for id := range rebuilt {
 		want := streamVec(dim, id)
 		for i := range want {
@@ -102,24 +112,24 @@ func TestStreamUploadGather(t *testing.T) {
 // TestStreamGatherRejectsBadGeometry: a stream disagreeing with the
 // expected round or tiling fails the gather instead of folding garbage.
 func TestStreamGatherRejectsBadGeometry(t *testing.T) {
-	pipe := NewChunkPipe(1)
+	srv, clients := world(t, 1)
 	go func() {
 		u := &wire.LocalUpdate{ClientID: 0, Round: 2, NumSamples: 3, Primal: streamVec(100, 0)}
-		_ = StreamUpload(pipe.Client(0), u, 32)
+		_ = comm.StreamUpload(clients[0], u, 32)
 	}()
-	_, err := StreamGather(pipe, AllClients(1), 1, 100, 32,
+	_, err := comm.StreamGather(srv, comm.AllClients(1), 1, 100, 32,
 		func([]uint64) error { return nil },
 		func(lo, hi int, payloads []*wire.Payload) error { return nil })
 	if err == nil {
 		t.Fatal("round mismatch accepted")
 	}
 
-	pipe2 := NewChunkPipe(1)
+	srv2, clients2 := world(t, 1)
 	go func() {
 		u := &wire.LocalUpdate{ClientID: 0, Round: 1, NumSamples: 3, Primal: streamVec(100, 0)}
-		_ = StreamUpload(pipe2.Client(0), u, 16) // wrong chunk size
+		_ = comm.StreamUpload(clients2[0], u, 16) // wrong chunk size
 	}()
-	_, err = StreamGather(pipe2, AllClients(1), 1, 100, 32,
+	_, err = comm.StreamGather(srv2, comm.AllClients(1), 1, 100, 32,
 		func([]uint64) error { return nil },
 		func(lo, hi int, payloads []*wire.Payload) error { return nil })
 	if err == nil {
@@ -135,16 +145,16 @@ func TestStreamF16Payloads(t *testing.T) {
 	for i := range codes {
 		codes[i] = byte(i * 7)
 	}
-	pipe := NewChunkPipe(1)
+	srv, clients := world(t, 1)
 	go func() {
 		u := &wire.LocalUpdate{
 			ClientID: 0, Round: 1, NumSamples: 3,
 			PrimalP: &wire.Payload{Enc: wire.EncFloat16, Dim: dim, Codes: codes},
 		}
-		_ = StreamUpload(pipe.Client(0), u, chunk)
+		_ = comm.StreamUpload(clients[0], u, chunk)
 	}()
 	got := make([]byte, 2*dim)
-	_, err := StreamGather(pipe, AllClients(1), 1, dim, chunk,
+	_, err := comm.StreamGather(srv, comm.AllClients(1), 1, dim, chunk,
 		func([]uint64) error { return nil },
 		func(lo, hi int, payloads []*wire.Payload) error {
 			copy(got[2*lo:2*hi], payloads[0].Codes)
@@ -180,15 +190,15 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 // stream before it acks anything lets the upload finish. An upload that
 // waited for an ack per chunk would deadlock here on chunk 0.
 func TestStreamUploadIsNotAckPaced(t *testing.T) {
-	const dim, chunk = 640, 32 // 20 chunks, five times the pipe's queue
-	pipe := NewChunkPipe(1)
+	const dim, chunk = 640, 32 // 20 chunks, more than the world queues
+	srv, clients := world(t, 1)
 	u := &wire.LocalUpdate{ClientID: 0, Round: 3, NumSamples: 4, Primal: streamVec(dim, 0)}
 	upload := make(chan error, 1)
-	go func() { upload <- StreamUpload(pipe.Client(0), u, chunk) }()
+	go func() { upload <- comm.StreamUpload(clients[0], u, chunk) }()
 	within(t, 10*time.Second, "the upload", func() {
 		count := wire.ChunkPlan(dim, chunk)
 		for i := 0; i < count; i++ {
-			mc, err := pipe.RecvChunkFrom(0)
+			mc, err := srv.RecvChunkFrom(0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -196,9 +206,9 @@ func TestStreamUploadIsNotAckPaced(t *testing.T) {
 			if int(mc.Index) != i {
 				t.Errorf("received chunk %d, want %d", mc.Index, i)
 			}
-			ReleaseChunk(mc)
+			comm.ReleaseChunk(mc)
 		}
-		if err := pipe.SendChunkAck(0, &wire.ChunkAck{ClientID: 0, Round: 3, Index: uint32(count - 1)}); err != nil {
+		if err := srv.SendChunkAck(0, &wire.ChunkAck{ClientID: 0, Round: 3, Index: uint32(count - 1)}); err != nil {
 			t.Error(err)
 		}
 		if err := <-upload; err != nil {
@@ -226,15 +236,15 @@ func TestStreamGatherRejectsOutOfOrderChunk(t *testing.T) {
 	v := streamVec(dim, 0)
 	for name, order := range map[string][]int{"repeated": {0, 1, 1}, "rewound": {0, 1, 2, 0}} {
 		t.Run(name, func(t *testing.T) {
-			pipe := NewChunkPipe(1)
+			srv, clients := world(t, 1)
 			go func() {
 				for _, i := range order {
-					_ = pipe.Client(0).SendChunk(chunkOf(v, chunk, i, 1))
+					_ = clients[0].SendChunk(chunkOf(v, chunk, i, 1))
 				}
 			}()
 			folds := 0
 			within(t, 10*time.Second, "the gather", func() {
-				_, err := StreamGather(pipe, AllClients(1), 1, dim, chunk,
+				_, err := comm.StreamGather(srv, comm.AllClients(1), 1, dim, chunk,
 					func([]uint64) error { return nil },
 					func(lo, hi int, payloads []*wire.Payload) error { folds++; return nil })
 				if err == nil {
@@ -257,20 +267,20 @@ func TestStreamUploadRejectsWrongFinalAck(t *testing.T) {
 		"index": {Round: 5, Index: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
-			pipe := NewChunkPipe(1)
+			srv, clients := world(t, 1)
 			u := &wire.LocalUpdate{ClientID: 0, Round: 5, NumSamples: 2, Primal: streamVec(dim, 0)}
 			upload := make(chan error, 1)
-			go func() { upload <- StreamUpload(pipe.Client(0), u, chunk) }()
+			go func() { upload <- comm.StreamUpload(clients[0], u, chunk) }()
 			within(t, 10*time.Second, "the upload", func() {
 				for i := 0; i < wire.ChunkPlan(dim, chunk); i++ {
-					mc, err := pipe.RecvChunkFrom(0)
+					mc, err := srv.RecvChunkFrom(0)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					ReleaseChunk(mc)
+					comm.ReleaseChunk(mc)
 				}
-				if err := pipe.SendChunkAck(0, &ack); err != nil {
+				if err := srv.SendChunkAck(0, &ack); err != nil {
 					t.Error(err)
 				}
 				if err := <-upload; err == nil {
