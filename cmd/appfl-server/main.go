@@ -73,7 +73,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.acceptTimeout, "accept-timeout", 2*time.Minute, "join deadline")
 	fs.IntVar(&c.StreamChunk, "chunk", 0, "clients stream uplinks as chunks of this many coordinates, acked once (0 = one frame each); the fedavg server folds either in windows (handed to the clients)")
 	fs.Float64Var(&c.SubsetFrac, "subset", 0, "accept LoRA-style partial uploads covering this coordinate fraction (0 = dense; handed to the clients)")
-	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk/-subset)")
+	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk)")
 	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 10, "compact the journal every k committed rounds (0 = never)")
 	fs.StringVar(&o.save, "save", "", "write the final model checkpoint here (atomic tmp+fsync+rename; <path>.tenant-<t> per tenant in -tenants mode)")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "multi-tenant host mode: JSON config listing the federations to serve (see docs/operations.md); incompatible with per-federation flags")

@@ -67,8 +67,8 @@ type InboxConfig struct {
 //   - an update's ClientID is in range, and equal to its sender where the
 //     backend knows the sender;
 //   - its TenantID is the inbox's tenant;
-//   - it settles its client's obligation, unless it belongs to a forgiven
-//     round, which it is discarded for;
+//   - it settles its client's obligation; it is discarded if it belongs
+//     to a forgiven round or its client owes nothing;
 //   - a current connection failure fails a blocking gather while its
 //     client owes an update, and a chunk receive from it; under a deadline
 //     it only lets the deadline expire.
@@ -277,7 +277,7 @@ func (b *Inbox) collect(n int, timer <-chan time.Time) ([]*wire.LocalUpdate, err
 			return nil, err
 		}
 		if !b.ledger.Admit(int(u.ClientID), u.Round) {
-			ReleaseUpdate(u) // late update for a forgiven round: discard
+			ReleaseUpdate(u) // forgiven late or unsolicited: discard
 			continue
 		}
 		out = append(out, u)

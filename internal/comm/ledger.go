@@ -63,10 +63,9 @@ func (l *Ledger) Rollback(c int) {
 }
 
 // Admit decides what to do with an arrived update from client c for the
-// given round: true settles the matching obligation (or tolerates a
-// spontaneous arrival, which attribution-level checks handle downstream);
-// false means the update belongs to a forgiven round and must be
-// discarded.
+// given round: true settles c's open obligation; false means the update
+// belongs to a forgiven round, or comes from a client that owes nothing,
+// and must be discarded.
 func (l *Ledger) Admit(c int, round uint32) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -74,10 +73,11 @@ func (l *Ledger) Admit(c int, round uint32) bool {
 		delete(f, round)
 		return false
 	}
-	if l.pending[c] {
-		l.pending[c] = false
-		l.nOwed--
+	if !l.pending[c] {
+		return false
 	}
+	l.pending[c] = false
+	l.nOwed--
 	return true
 }
 

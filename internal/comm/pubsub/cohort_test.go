@@ -84,15 +84,19 @@ func TestGatherFromRejectsOutOfCohortUpdate(t *testing.T) {
 	if err := srv.SendTo([]int{0, 1}, &wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	// Client 2 publishes although only {0, 1} are awaited.
-	if err := clients[2].SendUpdate(&wire.LocalUpdate{ClientID: 2, Primal: []float64{1}}); err != nil {
-		t.Fatal(err)
+	// Client 2 publishes although only {0, 1} are awaited: it owes
+	// nothing, so its update is discarded rather than gathered.
+	for _, id := range []int{2, 0, 1} {
+		if err := clients[id].SendUpdate(&wire.LocalUpdate{ClientID: uint32(id), Round: 1, Primal: []float64{float64(id)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{1}}); err != nil {
-		t.Fatal(err)
+	got, err := srv.GatherFrom([]int{0, 1})
+	if err != nil || len(got) != 2 || got[0].ClientID != 0 || got[1].ClientID != 1 {
+		t.Fatalf("gathered %v, %v; want the cohort's two updates", got, err)
 	}
-	if _, err := srv.GatherFrom([]int{0, 1}); err == nil {
-		t.Fatal("out-of-cohort update accepted")
+	if out := srv.Outstanding(); len(out) != 0 {
+		t.Fatalf("outstanding %v", out)
 	}
 }
 

@@ -189,10 +189,17 @@ func TestFLBrokerRejectsDuplicateUpdates(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{1}})
-	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Primal: []float64{2}})
-	if _, err := srv.GatherFrom(comm.AllClients(2)); err == nil {
-		t.Fatal("duplicate update accepted")
+	// Client 0's second update finds its obligation settled and is
+	// discarded.
+	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Round: 1, Primal: []float64{1}})
+	clients[0].SendUpdate(&wire.LocalUpdate{ClientID: 0, Round: 1, Primal: []float64{2}})
+	clients[1].SendUpdate(&wire.LocalUpdate{ClientID: 1, Round: 1, Primal: []float64{3}})
+	got, err := srv.GatherFrom(comm.AllClients(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Primal[0] != 1 || got[1].Primal[0] != 3 {
+		t.Fatalf("gathered primals %v and %v, want client 0's first update and client 1's", got[0].Primal, got[1].Primal)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 	"repro/internal/wire"
 )
 
-// A gatherRig is a server transport of three clients, each of which can
-// send an update exactly as the test writes it — whatever client or
-// tenant it claims to come from.
+// A gatherRig is a server transport of three clients. Each client sends
+// through its backend's own client transport, or, on a raw rig, exactly
+// as the test writes the update — whatever tenant it claims to come from
+// (the pubsub and rpc client transports stamp their own).
 type gatherRig struct {
 	server comm.ServerTransport
 	send   func(client int, u *wire.LocalUpdate) error
@@ -31,12 +32,13 @@ type gatherRig struct {
 const rigClients = 3
 
 // rigs builds each transport's rig: mpi, pubsub, rpc, and a view of one
-// tenant of a two-tenant rpc server.
+// tenant of a two-tenant rpc server. mpi's client transport sends an
+// update as written, so its rig is the same raw or not.
 var rigs = []struct {
 	name  string
-	build func(t *testing.T) *gatherRig
+	build func(t *testing.T, raw bool) *gatherRig
 }{
-	{"mpi", func(t *testing.T) *gatherRig {
+	{"mpi", func(t *testing.T, _ bool) *gatherRig {
 		srv, clients := mpi.NewFLWorld(rigClients)
 		t.Cleanup(func() { srv.Close() })
 		return &gatherRig{
@@ -45,7 +47,7 @@ var rigs = []struct {
 			sender: true,
 		}
 	}},
-	{"pubsub", func(t *testing.T) *gatherRig {
+	{"pubsub", func(t *testing.T, raw bool) *gatherRig {
 		// The tenant broker hands out the broker itself, which can
 		// publish an update without the client transport's tenant stamp.
 		b, servers, clients, err := pubsub.NewTenantFLBroker([]int{rigClients})
@@ -54,40 +56,37 @@ var rigs = []struct {
 		}
 		t.Cleanup(b.Close)
 		for _, c := range clients[0] {
-			go func() {
-				for _, err := c.RecvGlobal(); err == nil; _, err = c.RecvGlobal() {
-				}
-			}()
+			go drain(c)
 		}
-		return &gatherRig{
-			server: servers[0],
-			send: func(_ int, u *wire.LocalUpdate) error {
+		send := func(c int, u *wire.LocalUpdate) error { return clients[0][c].SendUpdate(u) }
+		if raw {
+			send = func(_ int, u *wire.LocalUpdate) error {
 				var e wire.Encoder
 				return b.Publish(pubsub.TenantUpdateTopic(0), append([]byte(nil), e.Encode(u)...))
-			},
+			}
 		}
+		return &gatherRig{server: servers[0], send: send}
 	}},
-	{"rpc", func(t *testing.T) *gatherRig {
-		srv := rpcRig(t, rpc.ServerConfig{NumClients: rigClients}, 0)
-		return &gatherRig{server: srv.rig, send: srv.send, sender: true}
+	{"rpc", func(t *testing.T, raw bool) *gatherRig {
+		return rpcRig(t, rpc.ServerConfig{NumClients: rigClients}, 0, raw)
 	}},
-	{"rpc-tenant", func(t *testing.T) *gatherRig {
-		srv := rpcRig(t, rpc.ServerConfig{Tenants: []rpc.TenantSpec{{NumClients: 2}, {NumClients: rigClients}}}, 1)
-		return &gatherRig{server: srv.rig, send: srv.send, sender: true, tenant: 1}
+	{"rpc-tenant", func(t *testing.T, raw bool) *gatherRig {
+		r := rpcRig(t, rpc.ServerConfig{Tenants: []rpc.TenantSpec{{NumClients: 2}, {NumClients: rigClients}}}, 1, raw)
+		r.tenant = 1
+		return r
 	}},
 }
 
-// rawServer is an rpc server whose clients in one tenant are bare
-// connections: rpc.Client stamps its own tenant on every update, so a
-// rule about a claimed tenant needs frames written by hand.
-type rawServer struct {
-	rig   comm.ServerTransport
-	conns []net.Conn
+// drain receives the models dispatched to c until its transport closes.
+func drain(c comm.ClientTransport) {
+	for _, err := c.RecvGlobal(); err == nil; _, err = c.RecvGlobal() {
+	}
 }
 
-// rpcRig listens with cfg, joins every client of every tenant over a bare
-// connection, and returns tenant's view with tenant's connections.
-func rpcRig(t *testing.T, cfg rpc.ServerConfig, tenant int) *rawServer {
+// rpcRig listens with cfg, joins every client of every tenant — through
+// rpc.Client, or raw over a bare connection — and returns tenant's view
+// with tenant's clients.
+func rpcRig(t *testing.T, cfg rpc.ServerConfig, tenant int, raw bool) *gatherRig {
 	t.Helper()
 	cfg.AcceptTimeout = 10 * time.Second
 	srv, err := rpc.Listen("127.0.0.1:0", cfg)
@@ -104,39 +103,57 @@ func rpcRig(t *testing.T, cfg rpc.ServerConfig, tenant int) *rawServer {
 			sizes = append(sizes, ts.NumClients)
 		}
 	}
-	r := &rawServer{rig: srv.Tenant(tenant)}
+	var sends []func(u *wire.LocalUpdate) error
 	for ti, n := range sizes {
 		for i := 0; i < n; i++ {
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
+			var send func(u *wire.LocalUpdate) error
+			if raw {
+				send = joinRaw(t, srv.Addr(), ti, i)
+			} else {
+				c, err := rpc.DialTenant(srv.Addr(), uint32(ti), uint32(i), "rig")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				go drain(c)
+				send = c.SendUpdate
 			}
-			t.Cleanup(func() { conn.Close() })
-			if err := writeFrame(conn, wire.KindJoin, &wire.Join{TenantID: uint32(ti), ClientID: uint32(i)}); err != nil {
-				t.Fatal(err)
-			}
-			var hdr [5]byte // the JoinAck
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[1:]))); err != nil {
-				t.Fatal(err)
-			}
-			go io.Copy(io.Discard, conn) // the models dispatched to it
 			if ti == tenant {
-				r.conns = append(r.conns, conn)
+				sends = append(sends, send)
 			}
 		}
 	}
 	if err := <-accepted; err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return &gatherRig{
+		server: srv.Tenant(tenant),
+		send:   func(c int, u *wire.LocalUpdate) error { return sends[c](u) },
+		sender: true,
+	}
 }
 
-// send writes u on client c's connection as one LocalUpdate frame.
-func (r *rawServer) send(c int, u *wire.LocalUpdate) error {
-	return writeFrame(r.conns[c], wire.KindLocalUpdate, u)
+// joinRaw joins client id of tenant over a bare connection and returns
+// what writes an update on it as one LocalUpdate frame.
+func joinRaw(t *testing.T, addr string, tenant, id int) func(u *wire.LocalUpdate) error {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := writeFrame(conn, wire.KindJoin, &wire.Join{TenantID: uint32(tenant), ClientID: uint32(id)}); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [5]byte // the JoinAck
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[1:]))); err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, conn) // the models dispatched to it
+	return func(u *wire.LocalUpdate) error { return writeFrame(conn, wire.KindLocalUpdate, u) }
 }
 
 // writeFrame writes m as one rpc frame: kind, big-endian length, payload.
@@ -207,9 +224,9 @@ func ids(batch []*wire.LocalUpdate) []int {
 var gatherRules = []struct {
 	name string
 	// needsSender marks rows about a transport that knows who sent an
-	// update.
-	needsSender bool
-	run         func(t *testing.T, r *gatherRig)
+	// update; raw rows run on a raw rig.
+	needsSender, raw bool
+	run              func(t *testing.T, r *gatherRig)
 }{
 	{name: "overdraw/GatherFrom", run: func(t *testing.T, r *gatherRig) {
 		r.dispatch(t, []int{0}, 1)
@@ -259,7 +276,7 @@ var gatherRules = []struct {
 		_, err := r.server.GatherAny(1)
 		wantErr(t, err, "client 0")
 	}},
-	{name: "tenant screen", run: func(t *testing.T, r *gatherRig) {
+	{name: "tenant screen", raw: true, run: func(t *testing.T, r *gatherRig) {
 		r.dispatch(t, []int{0}, 1)
 		r.claim(t, 0, &wire.LocalUpdate{ClientID: 0, Round: 1, TenantID: r.tenant + 1, Primal: []float64{1}})
 		_, err := r.server.GatherAny(1)
@@ -283,6 +300,20 @@ var gatherRules = []struct {
 		}
 		if got[0].Round != 2 || got[0].Primal[0] != 7 {
 			t.Fatalf("gathered round %d primal %v, want the round-2 update", got[0].Round, got[0].Primal)
+		}
+	}},
+	{name: "unsolicited update is not admitted", run: func(t *testing.T, r *gatherRig) {
+		r.dispatch(t, []int{0}, 1)
+		r.reply(t, 1, 1, 1) // client 1 owes nothing
+		// Let client 1's update reach the server before client 0's does.
+		time.Sleep(20 * time.Millisecond)
+		r.reply(t, 0, 1, 0)
+		got, err := r.server.GatherAny(1)
+		if err != nil || len(got) != 1 || got[0].ClientID != 0 {
+			t.Fatalf("gathered %v, %v; want client 0's update", ids(got), err)
+		}
+		if out := r.server.Outstanding(); len(out) != 0 {
+			t.Fatalf("outstanding %v, want none", out)
 		}
 	}},
 	{name: "deadline cuts a partial batch", run: func(t *testing.T, r *gatherRig) {
@@ -359,7 +390,7 @@ func TestGatherRules(t *testing.T) {
 		t.Run(rig.name, func(t *testing.T) {
 			for _, row := range gatherRules {
 				t.Run(row.name, func(t *testing.T) {
-					r := rig.build(t)
+					r := rig.build(t, row.raw)
 					if row.needsSender && !r.sender {
 						t.Skip("the transport cannot know an update's sender")
 					}

@@ -61,6 +61,7 @@ func NewAggregator(cfg Config, w0 []float64, numClients int) (Aggregator, error)
 		return b, nil
 	case cfg.Algorithm == AlgoFedAvg:
 		s := NewFedAvgServer(w0, numClients)
+		s.span = subsetSpan(len(w0), cfg.SubsetFrac)
 		return s, nil
 	case cfg.Algorithm == AlgoICEADMM:
 		s := NewICEADMMServer(w0, numClients, cfg.Rho)
@@ -155,7 +156,7 @@ func (b *BufferedAggregator) foldChunk(lo, hi int) { tensor.FoldKScaledSrc(b.W, 
 // against the pre-release version for every update, exactly as the
 // per-update path did (the version advances once per release, at the end).
 func (b *BufferedAggregator) Aggregate(batch []*wire.LocalUpdate) error {
-	if err := b.checkBatch(batch, false, b.fused != nil); err != nil {
+	if err := b.checkBatch(batch, len(b.W), false, b.fused != nil); err != nil {
 		return err
 	}
 	for _, u := range batch {

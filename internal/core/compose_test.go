@@ -56,8 +56,6 @@ var compositionRules = []struct {
 		"SubsetFrac and StreamChunk cannot combine"},
 	{"chunk folds leave no admit primal", func(c composition) bool { return c.journal && c.chunk > 0 },
 		"journaling and StreamChunk cannot combine"},
-	{"subset admits are partial", func(c composition) bool { return c.journal && c.subset > 0 },
-		"journaling and SubsetFrac cannot combine"},
 }
 
 // compositions generates the grid: schedulers × StreamChunk × SubsetFrac ×

@@ -131,13 +131,13 @@ type Config struct {
 	StreamChunk int
 
 	// SubsetFrac, when in (0,1), makes every client upload only the first
-	// ceil(SubsetFrac·dim) coordinates of its trained vector as a
-	// wire.EncSubset payload — the LoRA-style partial-parameter update.
-	// The server scatter-folds listed coordinates and every unlisted
-	// coordinate keeps its weighted share of the current global value (see
-	// subset.go). FedAvg behind a barrier scheduler only, with a Pipeline
-	// that has no compression stage (the subset is cut from the dense
-	// release); not combinable with StreamChunk.
+	// ⌊SubsetFrac·dim⌋ coordinates (at least 1) of its trained vector, as a
+	// plain dense primal — the LoRA-style partial-parameter update. The
+	// server folds that prefix as it folds a dense upload and leaves the
+	// other coordinates as they are (see subset.go). FedAvg behind a
+	// barrier scheduler only, with a Pipeline that has no compression stage
+	// (the prefix is cut from the dense release); not combinable with
+	// StreamChunk.
 	SubsetFrac float64
 
 	// RoundTimeout bounds how long the server waits on a round's gather.
@@ -303,7 +303,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: SubsetFrac must be in (0,1), got %v", c.SubsetFrac)
 		}
 		if c.Algorithm != AlgoFedAvg {
-			return fmt.Errorf("core: SubsetFrac requires FedAvg (the scatter-fold extends its weighting rule)")
+			return fmt.Errorf("core: SubsetFrac requires FedAvg (the prefix fold is FedAvg's)")
 		}
 		switch c.Scheduler {
 		case "", SchedSyncAll, SchedSampled:

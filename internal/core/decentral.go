@@ -176,6 +176,9 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 
 	res := &DecentralResult{}
 	released := make([][]float64, P)
+	// decoded[p] is what node p's compressed releases densify into, kept
+	// across rounds; a dense release is the node's own vector instead.
+	decoded := make([][]float64, P)
 	mean := make([]float64, dim) // consensusDistance's, kept across rounds
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 1; t <= cfg.Rounds; t++ {
@@ -197,9 +200,16 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 				// it receives (Invert is stateless, so sharing one is safe).
 				// Workers=1: the peers already decode concurrently, one
 				// goroutine each; nested fan-out would only contend.
+				compressed := up.PrimalP != nil
+				if compressed {
+					up.Primal = decoded[p]
+				}
 				if derr := DecodeUpdates([]*wire.LocalUpdate{up}, invPipe, dim, 1); derr != nil {
 					errs[p] = derr
 					return
+				}
+				if compressed {
+					decoded[p] = up.Primal
 				}
 				released[p] = up.Primal
 			}(p)

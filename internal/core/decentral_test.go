@@ -206,31 +206,35 @@ func TestDecentralizedCompleteBeatsRingMixing(t *testing.T) {
 // TestDecentralRoundAllocationGate: once its first rounds have sized every
 // buffer, a round of a 4-node ring over a 12,730-parameter MLP allocates
 // less than one model vector (101,840 bytes) — per-round allocation is the
-// difference between a 6-round and a 2-round run, over 4. The batch a
-// client trains on lives in its loader, the gossip mix writes each state
-// in place and the consensus mean lives in a buffer the run keeps. (With a
-// fresh batch per training step and a fresh mean per round it allocated
-// 985,598 bytes a round, 9.7 vectors.)
+// difference between a 6-round and a 2-round run, over 4 — with the
+// default stack and with a compressing one. The batch a client trains on
+// lives in its loader, the gossip mix writes each state in place, the
+// consensus mean lives in a buffer the run keeps, and so does each node's
+// densified release. (With a fresh batch per training step and a fresh
+// mean per round it allocated 985,598 bytes a round, 9.7 vectors; with a
+// fresh densified release, 441,258 bytes under the compressing stack.)
 func TestDecentralRoundAllocationGate(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	fed := tinyFed(t, 4, 128, 32)
 	dim := nn.NumParams(tinyFactory()())
-	run := func(rounds int) uint64 {
-		cfg := Config{Algorithm: AlgoFedAvg, Rounds: rounds, LocalSteps: 1, BatchSize: 16, Seed: 5}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := RunDecentralized(cfg, fed, tinyFactory(), Ring(4)); err != nil {
-			t.Fatal(err)
+	for _, pipe := range []string{"", "clip:1,laplace:5,quantize:8"} {
+		run := func(rounds int) uint64 {
+			cfg := Config{Algorithm: AlgoFedAvg, Rounds: rounds, LocalSteps: 1, BatchSize: 16, Seed: 5, Pipeline: pipe}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := RunDecentralized(cfg, fed, tinyFactory(), Ring(4)); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
-	}
-	long, short := run(6), run(2)
-	perRound := (float64(long) - float64(short)) / 4
-	t.Logf("%.0f bytes per round; a model vector is %d bytes", perRound, 8*dim)
-	if perRound >= float64(8*dim) {
-		t.Errorf("a warmed ring round allocates %.0f bytes, at least one %d-byte model vector", perRound, 8*dim)
+		long, short := run(6), run(2)
+		perRound := (float64(long) - float64(short)) / 4
+		t.Logf("pipeline %q: %.0f bytes per round; a model vector is %d bytes", pipe, perRound, 8*dim)
+		if perRound >= float64(8*dim) {
+			t.Errorf("pipeline %q: a warmed ring round allocates %.0f bytes, at least one %d-byte model vector", pipe, perRound, 8*dim)
+		}
 	}
 }

@@ -255,17 +255,15 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 // crash-recoverable. Journaling needs every admitted update's dense primal
 // in hand at admit time (so a refold needs no client cooperation), which
 // pins the FedAvg family: the ADMM servers carry per-client dual state no
-// admit record captures, the streamed-chunk path folds without ever
-// materializing a primal, and subset uploads admit partial vectors.
+// admit record captures, and the streamed-chunk path folds without ever
+// materializing a primal. A subset run admits its prefix primals, which
+// refold like any dense admit.
 func ValidateJournalConfig(cfg Config) error {
 	if cfg.Algorithm != AlgoFedAvg {
 		return fmt.Errorf("core: journaling requires FedAvg (ADMM dual state is not journaled)")
 	}
 	if cfg.StreamChunk > 0 {
 		return fmt.Errorf("core: journaling and StreamChunk cannot combine (chunk folds never materialize an admit primal)")
-	}
-	if cfg.SubsetFrac != 0 {
-		return fmt.Errorf("core: journaling and SubsetFrac cannot combine (subset admits are partial vectors)")
 	}
 	return nil
 }

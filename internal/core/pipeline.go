@@ -133,12 +133,6 @@ func DecodeUpdates(batch []*wire.LocalUpdate, inv *pipeline.Pipeline, dim, worke
 		if u == nil || u.PrimalP == nil {
 			return nil
 		}
-		if u.PrimalP.Enc == wire.EncSubset {
-			// Subset payloads never densify (their unlisted coordinates
-			// live only on the server); the scatter-fold consumes them
-			// still encoded. The dimension screen above already ran.
-			return nil
-		}
 		if u.PrimalP.Enc != wire.EncDense {
 			// The payload densifies into the vector the message kept from
 			// its previous life, which Primal then carries like a dense

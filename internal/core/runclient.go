@@ -169,11 +169,10 @@ func train(cfg Config, c ClientAlgorithm, gm *wire.GlobalModel, opts ClientOptio
 			time.Sleep(d)
 		}
 	}
-	if cfg.SubsetFrac > 0 && len(up.Primal) > 0 {
-		// LoRA-style partial upload: only the leading subset of the
-		// trained vector leaves the client.
-		up.PrimalP = BuildSubsetPayload(up.Primal, cfg.SubsetFrac)
-		up.Primal = nil
+	if cfg.SubsetFrac > 0 {
+		// LoRA-style partial upload: only the leading prefix of the
+		// trained vector leaves the client (subset.go).
+		up.Primal = up.Primal[:subsetSpan(len(up.Primal), cfg.SubsetFrac)]
 	}
 	return up, nil
 }

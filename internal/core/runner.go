@@ -703,9 +703,10 @@ const uploadWindow = 16384
 // has the shape a StreamSession serves and nothing needs a gathered
 // update's primal: FedAvg rounds at a barrier with no RoundTimeout (the
 // stream gather has no forgive path), no journal (an admit record holds
-// the decoded primal), no subset or compressed uplink (their payloads are
-// not dense windows), no admission gate (it spans the decode and fold of
-// a gathered batch) and a transport that can cut uploads into windows.
+// the decoded primal), no subset (its uploads span a prefix, not the
+// model) or compressed uplink (its payloads are not dense windows), no
+// admission gate (it spans the decode and fold of a gathered batch) and a
+// transport that can cut uploads into windows.
 // Each client still sends its update whole; the server folds it
 // uploadWindow coordinates at a time as it is read, and holds no decoded
 // upload. Every other run keeps the Aggregate path.

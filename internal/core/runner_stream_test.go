@@ -179,7 +179,8 @@ func TestRunStreamSampledCohort(t *testing.T) {
 }
 
 // TestRunSubsetUpload: a SubsetFrac run completes, learns on the shared
-// coordinate prefix, and uploads strictly fewer bytes than the dense run.
+// coordinate prefix, and uploads its prefix at the dense rate per
+// coordinate.
 func TestRunSubsetUpload(t *testing.T) {
 	fed := parallelTestFed(3, 192, 48, 13)
 	base := Config{
@@ -204,12 +205,12 @@ func TestRunSubsetUpload(t *testing.T) {
 			t.Fatalf("round %d loss %v", r.Round, r.TestLoss)
 		}
 	}
-	// A quarter of the coordinates at 12 bytes each (value + fixed32
-	// index) against 8 bytes per dense coordinate is a 0.375 ratio; MPI's
-	// 6-bytes-per-word packing inflates the subset side by 8/6, landing at
-	// one half. Assert comfortably under two thirds.
-	if got.UploadsB*3 >= dense.UploadsB*2 {
-		t.Fatalf("subset uploads %d bytes not sub-linear vs dense %d", got.UploadsB, dense.UploadsB)
+	// A quarter of the coordinates at 8 bytes each against 8 bytes per
+	// dense coordinate, plus the same per-message framing: 0.2502 at this
+	// geometry. Assert under 0.26.
+	t.Logf("subset uploads %d bytes, dense %d: %.4f", got.UploadsB, dense.UploadsB, float64(got.UploadsB)/float64(dense.UploadsB))
+	if got.UploadsB*100 >= dense.UploadsB*26 {
+		t.Fatalf("subset uploads %d bytes, 0.26 or more of the dense run's %d", got.UploadsB, dense.UploadsB)
 	}
 }
 

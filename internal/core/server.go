@@ -59,27 +59,30 @@ func (b *BaseServer) checkUpdates(updates []*wire.LocalUpdate, needDual bool) er
 	if len(updates) != b.NumClients {
 		return fmt.Errorf("core: gathered %d updates for %d clients", len(updates), b.NumClients)
 	}
-	return b.checkBatch(updates, needDual, false)
+	return b.checkBatch(updates, len(b.W), needDual, false)
 }
 
 // checkBatch validates a released batch of any size (the cohort form used
-// by the Scheduler × Aggregator path). With allowEnc, an update may carry
-// its primal as a still-encoded payload (the fused invert+fold path); the
-// payload's declared dimension is checked in Primal's stead.
-func (b *BaseServer) checkBatch(batch []*wire.LocalUpdate, needDual, allowEnc bool) error {
+// by the Scheduler × Aggregator path). Every primal spans span
+// coordinates: the model, or a subset run's prefix, where a zero-weight
+// update may carry none. With allowEnc, an update may carry its primal as
+// a still-encoded payload (the fused invert+fold path); the payload's
+// declared dimension is checked in Primal's stead.
+func (b *BaseServer) checkBatch(batch []*wire.LocalUpdate, span int, needDual, allowEnc bool) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("core: aggregate on an empty batch")
 	}
 	for i, u := range batch {
-		if u == nil {
+		switch {
+		case u == nil:
 			return fmt.Errorf("core: missing update from client %d", i)
-		}
-		if allowEnc && len(u.Primal) == 0 && u.PrimalP != nil {
-			if int(u.PrimalP.Dim) != len(b.W) {
-				return fmt.Errorf("core: client %d payload dimension %d, model is %d", u.ClientID, u.PrimalP.Dim, len(b.W))
+		case allowEnc && len(u.Primal) == 0 && u.PrimalP != nil:
+			if int(u.PrimalP.Dim) != span {
+				return fmt.Errorf("core: client %d payload dimension %d, want %d", u.ClientID, u.PrimalP.Dim, span)
 			}
-		} else if len(u.Primal) != len(b.W) {
-			return fmt.Errorf("core: client %d primal dimension %d, model is %d", u.ClientID, len(u.Primal), len(b.W))
+		case span < len(b.W) && u.NumSamples == 0 && len(u.Primal) == 0:
+		case len(u.Primal) != span:
+			return fmt.Errorf("core: client %d primal dimension %d, want %d", u.ClientID, len(u.Primal), span)
 		}
 		if needDual && len(u.Dual) != len(b.W) {
 			return fmt.Errorf("core: client %d dual dimension %d, model is %d", u.ClientID, len(u.Dual), len(b.W))
@@ -116,7 +119,7 @@ func clearSrcs(srcs []tensor.FoldSrc) {
 // w ← Σ_p (I_p/I) z_p, following Eq. (1)'s weighting.
 //
 // W is the one accumulator every FedAvg fold writes: Aggregate folds the
-// range [0, dim) and a StreamSession folds one chunk window at a time,
+// range [0, span) and a StreamSession folds one chunk window at a time,
 // both through fedAvgWeight and foldRange, so a streamed round and a
 // monolithic one perform the same operations on every coordinate.
 type FedAvgServer struct {
@@ -126,26 +129,23 @@ type FedAvgServer struct {
 	// quantized) straight into the accumulator; see EnableFusedFold.
 	fused pipeline.FusedStage
 
+	// span is how many leading coordinates every upload carries and
+	// Aggregate folds: the model's dimension, or a subset run's prefix
+	// (subset.go), whose tail Aggregate leaves as it is.
+	span int
+
 	// Fold scratch: the batch's weighted sources, the accumulator window
 	// under fold and the pre-bound range op (no per-call closure or slice
 	// allocation; see BufferedAggregator for the same pattern).
 	srcs    []tensor.FoldSrc
 	foldWin []float64
 	foldOp  func(lo, hi int)
-
-	// Scatter-fold scratch of the subset (partial-parameter) path: listed
-	// coordinate mass and weighted sums, plus the pre-bound sweep op. See
-	// subset.go.
-	subMass []float64
-	subAcc  []float64
-	subOp   func(lo, hi int)
 }
 
 // NewFedAvgServer builds the server, which owns w0 (see NewAggregator).
 func NewFedAvgServer(w0 []float64, numClients int) *FedAvgServer {
-	s := &FedAvgServer{BaseServer: newBaseServer(w0, numClients)}
+	s := &FedAvgServer{BaseServer: newBaseServer(w0, numClients), span: len(w0)}
 	s.foldOp = s.foldChunk
-	s.subOp = s.subsetChunk
 	return s
 }
 
@@ -178,13 +178,10 @@ func (s *FedAvgServer) foldChunk(lo, hi int) { tensor.FoldKSrc(s.foldWin, lo, hi
 // by its sample count: a sampled cohort's updates carry full weight.
 // Updates with NumSamples == 0 carry zero weight; a round in which nobody
 // trained leaves the global model unchanged. All contributing updates fold
-// in one batched K-way pass over [0, dim) (foldRange) instead of K
+// in one batched K-way pass over [0, span) (foldRange) instead of K
 // separate accumulator sweeps.
 func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
-	if isSubsetBatch(batch) {
-		return s.aggregateSubset(batch)
-	}
-	if err := s.checkBatch(batch, false, s.fused != nil); err != nil {
+	if err := s.checkBatch(batch, s.span, false, s.fused != nil); err != nil {
 		return err
 	}
 	total := 0.0
@@ -206,7 +203,7 @@ func (s *FedAvgServer) Aggregate(batch []*wire.LocalUpdate) error {
 	}
 	s.version++
 	if total > 0 {
-		s.foldRange(0, len(s.W), srcs)
+		s.foldRange(0, s.span, srcs)
 	}
 	return nil
 }

@@ -365,7 +365,6 @@ func TestSoakRejectsUnjournalableConfigs(t *testing.T) {
 	mutate := map[string]func(*Config){
 		"admm":   func(c *Config) { c.Algorithm = AlgoIIADMM },
 		"stream": func(c *Config) { c.StreamChunk = 512 },
-		"subset": func(c *Config) { c.SubsetFrac = 0.5 },
 	}
 	for name, mut := range mutate {
 		cfg := scenConfig(SchedSyncAll, "")

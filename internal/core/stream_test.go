@@ -203,12 +203,12 @@ func TestStreamSessionLifecycle(t *testing.T) {
 	if err := ss.FoldPayloads(0, 32, bad); err == nil {
 		t.Error("payload narrower than the window accepted")
 	}
-	sub := []*wire.Payload{
-		{Enc: wire.EncSubset, Dim: 32, Indices: []uint32{1}, Values: []float64{1}},
+	sparse := []*wire.Payload{
+		{Enc: wire.EncSparse, Dim: 32, Indices: []uint32{1}, Values: []float64{1}},
 		{Enc: wire.EncDense, Dim: 32, Dense: make([]float64, 32)},
 	}
-	if err := ss.FoldPayloads(0, 32, sub); err == nil {
-		t.Error("subset payload folded chunk-wise")
+	if err := ss.FoldPayloads(0, 32, sparse); err == nil {
+		t.Error("sparse payload folded chunk-wise")
 	}
 
 	// Ineligible servers.

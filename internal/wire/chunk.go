@@ -26,8 +26,6 @@ type ModelChunk struct {
 	// Payload holds the chunk's values over [Lo, Hi): Payload.Dim == Hi-Lo.
 	// Dense and element-wise encodings (float16, quantized) are valid —
 	// they decode coordinate-at-a-time, so chunking cannot change a bit.
-	// A subset payload is not: its indices are relative to the full model
-	// and it rides a whole LocalUpdate, never a chunk.
 	Payload *Payload
 }
 
@@ -45,9 +43,6 @@ func (c *ModelChunk) Validate() error {
 	}
 	if c.Payload == nil {
 		return fmt.Errorf("wire: chunk without a payload: %w", ErrBadPayload)
-	}
-	if c.Payload.Enc == EncSubset {
-		return fmt.Errorf("wire: subset payload cannot ride a chunk: %w", ErrBadPayload)
 	}
 	if c.Payload.Dim != c.Hi-c.Lo {
 		return fmt.Errorf("wire: chunk payload dimension %d for range [%d,%d): %w",

@@ -71,10 +71,7 @@ func TestModelChunkValidate(t *testing.T) {
 		"range past dim":   func(c *ModelChunk) { c.Hi = 9; c.Payload.Dim = 9 },
 		"missing payload":  func(c *ModelChunk) { c.Payload = nil },
 		"payload dim off":  func(c *ModelChunk) { c.Payload.Dim = 3 },
-		"subset payload": func(c *ModelChunk) {
-			c.Payload = &Payload{Enc: EncSubset, Dim: 4, Indices: []uint32{0}, Values: []float64{1}}
-		},
-		"invalid payload": func(c *ModelChunk) { c.Payload.Dense = c.Payload.Dense[:2] },
+		"invalid payload":  func(c *ModelChunk) { c.Payload.Dense = c.Payload.Dense[:2] },
 	}
 	for name, mutate := range cases {
 		c := ok()
@@ -128,39 +125,37 @@ func TestChunkPlanAndRange(t *testing.T) {
 	}
 }
 
-// TestSubsetPayloadWire pins the subset encoding's codec behavior: exact
-// EncodedLen, round-trip, Densify refusal, and validation of unsorted
-// indices.
+// TestSubsetPayloadWire: encoding 4, the retired subset payload (index +
+// value pairs; a subset run now uploads a plain dense prefix primal), is
+// an unknown encoding: a payload or an update carrying it decodes to
+// ErrBadPayload, as does a hand-built one asked to Validate or Densify.
 func TestSubsetPayloadWire(t *testing.T) {
-	p := Payload{Enc: EncSubset, Dim: 100, Indices: []uint32{3, 50, 99}, Values: []float64{1, -2, 0.5}}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("valid subset rejected: %v", err)
-	}
+	const retired = Encoding(4)
 	e := NewEncoder(nil)
-	p.EncodeInto(e, 1)
-	d := NewDecoder(e.Bytes())
-	if _, _, err := d.Tag(); err != nil {
-		t.Fatal(err)
+	e.Uint64(1, uint64(retired))
+	e.Uint64(2, 100)
+	e.Uint32s(4, []uint32{3, 50, 99})
+	e.Doubles(5, []float64{1, -2, 0.5})
+	body := append([]byte(nil), e.Bytes()...)
+	var p Payload
+	if err := p.Unmarshal(NewDecoder(body)); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("payload decode: got %v, want ErrBadPayload", err)
 	}
-	body, err := d.BytesField()
-	if err != nil {
-		t.Fatal(err)
+	u := NewEncoder(nil)
+	u.Uint64(1, 1)
+	u.BytesField(10, body) // LocalUpdate's PrimalP field
+	var m LocalUpdate
+	if err := m.Unmarshal(NewDecoder(u.Bytes())); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("update decode: got %v, want ErrBadPayload", err)
 	}
-	if len(body) != p.EncodedLen() {
-		t.Fatalf("body %d bytes, EncodedLen says %d", len(body), p.EncodedLen())
-	}
-	var q Payload
-	if err := q.Unmarshal(NewDecoder(body)); err != nil {
-		t.Fatal(err)
-	}
-	if q.Enc != EncSubset || q.Dim != 100 || len(q.Indices) != 3 {
-		t.Fatalf("round-trip mangled payload: %+v", q)
+	q := Payload{Enc: retired, Dim: 100, Indices: []uint32{3}, Values: []float64{1}}
+	if err := q.Validate(); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("Validate: got %v, want ErrBadPayload", err)
 	}
 	if _, err := q.Densify(nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("subset Densify must refuse with ErrBadPayload, got %v", err)
+		t.Fatalf("Densify: got %v, want ErrBadPayload", err)
 	}
-	bad := Payload{Enc: EncSubset, Dim: 10, Indices: []uint32{5, 2}, Values: []float64{1, 2}}
-	if err := bad.Validate(); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("unsorted subset indices accepted: %v", err)
+	if got := retired.String(); got != "Encoding(4)" {
+		t.Fatalf("String: %q", got)
 	}
 }

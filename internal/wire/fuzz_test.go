@@ -45,14 +45,14 @@ func seedMessages() [][]byte {
 	add(&Payload{Enc: EncSparse, Dim: 8, Indices: []uint32{1, 5}, Values: []float64{0.5, -4}})
 	add(&Payload{Enc: EncQuant, Dim: 3, Scale: 0.25, Offset: -1, Bits: 8, Codes: []byte{0, 128, 255}})
 	add(&Payload{Enc: EncFloat16, Dim: 2, Codes: []byte{0x00, 0x3c, 0x00, 0xc0}})
-	add(&Payload{Enc: EncSubset, Dim: 10, Indices: []uint32{2, 7}, Values: []float64{0.25, -1}})
+	add(&Payload{Enc: Encoding(4), Dim: 10}) // the retired subset encoding: refused
 	add(&LocalUpdate{
 		ClientID: 2, Round: 3, NumSamples: 32, Epsilon: 0.5, InCohort: true,
 		PrimalP: &Payload{Enc: EncSparse, Dim: 6, Indices: []uint32{0, 3}, Values: []float64{1, 2}},
 	})
 	add(&LocalUpdate{
 		ClientID: 5, Round: 1, NumSamples: 16, Epsilon: math.Inf(1), InCohort: true,
-		PrimalP: &Payload{Enc: EncSubset, Dim: 12, Indices: []uint32{0, 4, 11}, Values: []float64{1, 2, 3}},
+		PrimalP: &Payload{Enc: Encoding(4), Dim: 12},
 	})
 	add(&GlobalModel{
 		Round: 4, Version: 2,
@@ -100,17 +100,11 @@ func FuzzDecodePayload(f *testing.F) {
 			return
 		}
 		// Decoded OK ⇒ validated ⇒ densify must succeed without panicking
-		// (cap the dimension so the fuzzer cannot allocate gigabytes). The
-		// one exception is the subset encoding, which has no base vector to
-		// densify against: it must refuse with the typed sentinel, never
-		// panic or hand back garbage.
+		// (cap the dimension so the fuzzer cannot allocate gigabytes).
 		if p.Dim > 1<<20 {
 			return
 		}
 		if _, err := p.Densify(nil); err != nil {
-			if p.Enc == EncSubset && errors.Is(err, ErrBadPayload) {
-				return
-			}
 			t.Fatalf("validated payload failed to densify: %v", err)
 		}
 	})
@@ -131,9 +125,6 @@ func FuzzDecodeModelChunk(f *testing.F) {
 		if err := c.Unmarshal(NewDecoder(data)); err == nil {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("decoded chunk fails its own validation: %v", err)
-			}
-			if c.Payload.Enc == EncSubset {
-				t.Fatal("subset payload survived chunk validation")
 			}
 		}
 		var a ChunkAck

@@ -99,8 +99,6 @@ func goldenMessages() []goldenMessage {
 			PrimalP: &Payload{Enc: EncFloat16, Dim: dim, Codes: goldenCodes(2*dim, 11)}}, update},
 		{"update_sparse", &LocalUpdate{ClientID: 1, Round: 9, NumSamples: 64, Epsilon: math.Inf(1), InCohort: true,
 			PrimalP: &Payload{Enc: EncSparse, Dim: 1 << 20, Indices: []uint32{0, 5, 70000, 1<<20 - 1}, Values: goldenVector(4, 5)}}, update},
-		{"update_subset", &LocalUpdate{ClientID: 1, Round: 9, NumSamples: 64, Epsilon: math.Inf(1), InCohort: true,
-			PrimalP: &Payload{Enc: EncSubset, Dim: 100, Indices: []uint32{0, 1, 2}, Values: goldenVector(3, 6)}}, update},
 		{"update_goodbye", Goodbye(2, 9, 12), update},
 		{"chunk_dense", &ModelChunk{ClientID: 2, Round: 9, Version: 8, Index: 1, Count: 3, Lo: dim, Hi: 2 * dim, Dim: 100,
 			NumSamples: 64, Payload: &Payload{Enc: EncDense, Dim: dim, Dense: goldenVector(dim, 7)}}, chunk},

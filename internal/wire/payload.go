@@ -20,13 +20,6 @@ const (
 	EncSparse  Encoding = 1 // index+value pairs (top-k sparsification)
 	EncQuant   Encoding = 2 // affine-quantized integer codes
 	EncFloat16 Encoding = 3 // IEEE-754 half-precision floats
-	// EncSubset is the LoRA-style partial-parameter encoding: index+value
-	// pairs naming a small trainable slice of the model. It shares the
-	// sparse wire layout but not its semantics — unlisted coordinates KEEP
-	// their current global value instead of decoding to zero, so a subset
-	// payload cannot Densify on its own (it needs a base vector; the server
-	// scatter-folds it into the accumulator instead).
-	EncSubset Encoding = 4
 )
 
 // String names the encoding for logs and errors.
@@ -40,8 +33,6 @@ func (e Encoding) String() string {
 		return "quant"
 	case EncFloat16:
 		return "float16"
-	case EncSubset:
-		return "subset"
 	default:
 		return fmt.Sprintf("Encoding(%d)", uint8(e))
 	}
@@ -121,7 +112,7 @@ func (p *Payload) EncodedLen() int {
 	switch p.Enc {
 	case EncDense:
 		n += 1 + varintLen(uint64(8*len(p.Dense))) + 8*len(p.Dense)
-	case EncSparse, EncSubset:
+	case EncSparse:
 		n += 1 + varintLen(uint64(4*len(p.Indices))) + 4*len(p.Indices)
 		n += 1 + varintLen(uint64(8*len(p.Values))) + 8*len(p.Values)
 	case EncQuant:
@@ -158,7 +149,7 @@ func (p *Payload) Marshal(e *Encoder) {
 	switch p.Enc {
 	case EncDense:
 		e.Doubles(3, p.Dense)
-	case EncSparse, EncSubset:
+	case EncSparse:
 		e.Uint32s(4, p.Indices)
 		e.Doubles(5, p.Values)
 	case EncQuant:
@@ -268,17 +259,17 @@ func (p *Payload) Validate() error {
 		if len(p.Dense) != int(p.Dim) {
 			return fmt.Errorf("wire: dense payload has %d values for dim %d: %w", len(p.Dense), p.Dim, ErrBadPayload)
 		}
-	case EncSparse, EncSubset:
+	case EncSparse:
 		if len(p.Indices) != len(p.Values) {
-			return fmt.Errorf("wire: %s payload has %d indices, %d values: %w", p.Enc, len(p.Indices), len(p.Values), ErrBadPayload)
+			return fmt.Errorf("wire: sparse payload has %d indices, %d values: %w", len(p.Indices), len(p.Values), ErrBadPayload)
 		}
 		if len(p.Indices) > int(p.Dim) {
-			return fmt.Errorf("wire: %s payload has %d entries for dim %d: %w", p.Enc, len(p.Indices), p.Dim, ErrBadPayload)
+			return fmt.Errorf("wire: sparse payload has %d entries for dim %d: %w", len(p.Indices), p.Dim, ErrBadPayload)
 		}
 		prev := int64(-1)
 		for _, idx := range p.Indices {
 			if int64(idx) <= prev || idx >= p.Dim {
-				return fmt.Errorf("wire: %s index %d out of order or out of range [0,%d): %w", p.Enc, idx, p.Dim, ErrBadPayload)
+				return fmt.Errorf("wire: sparse index %d out of order or out of range [0,%d): %w", idx, p.Dim, ErrBadPayload)
 			}
 			prev = int64(idx)
 		}
@@ -312,11 +303,6 @@ func (p *Payload) Validate() error {
 func (p *Payload) Densify(dst []float64) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.Enc == EncSubset {
-		// A subset payload is a delta against the current global values of
-		// its unlisted coordinates; there is no base here to fill them from.
-		return nil, fmt.Errorf("wire: subset payload cannot densify without a base vector: %w", ErrBadPayload)
 	}
 	n := int(p.Dim)
 	if cap(dst) < n {
