@@ -15,11 +15,15 @@ import (
 // TestSteadyStateAllocationGate is rpc's gate of the same name on the
 // in-process transports: four clients exchange a 256k-parameter model with
 // the server, and once two warm-up rounds have sized every decode target,
-// a round allocates at most a quarter of the bytes it puts on the wire.
+// a round allocates at most a twentieth of the bytes it puts on the wire.
 // Each upload is encoded into a pooled frame that the server's feeder
-// returns once it has decoded it; the downlink frame is the one
-// allocation a dispatch keeps (an eighth of the wire bytes here), since
-// every scheduled client's queue shares it past SendTo.
+// returns once it has decoded it, and each dispatch into a pooled frame
+// that every scheduled client's queue shares and the last client to
+// decode it returns (comm.SharedFrame). Measured: 0.0001× (1 KB a
+// round), or 0.0157× when a GC empties the pool and one 2 MB frame is
+// made again over the 8 rounds (about 1 run in 12 with the package's
+// other tests alongside); with a fresh downlink frame per dispatch,
+// 0.1255×.
 func TestSteadyStateAllocationGate(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
@@ -93,8 +97,8 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 			if onWire < 2*n*8*dim {
 				t.Fatalf("round moved %.0f bytes, expected at least %d", onWire, 2*n*8*dim)
 			}
-			if alloc > 0.25*onWire {
-				t.Errorf("steady-state round allocates %.0f bytes for %.0f on the wire (%.2f×), gate is 0.25×", alloc, onWire, alloc/onWire)
+			if alloc > 0.05*onWire {
+				t.Errorf("steady-state round allocates %.0f bytes for %.0f on the wire (%.4f×), gate is 0.05×", alloc, onWire, alloc/onWire)
 			}
 			if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
 				t.Fatal(err)

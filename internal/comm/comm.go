@@ -106,9 +106,11 @@ type Unreachables interface {
 type ClientTransport interface {
 	// RecvGlobal blocks until the next global model arrives. The model may
 	// be decoded into storage the transport reuses: it is valid until the
-	// next RecvGlobal.
+	// next RecvGlobal. It arrives dense: a compressed (float16) downlink
+	// is densified into Weights as it is decoded
+	// (wire.GlobalModel.UnmarshalDense), and WeightsP is nil.
 	RecvGlobal() (*wire.GlobalModel, error)
-	// ReceiveInto lends w as the storage every later dense
+	// ReceiveInto lends w as the storage every later
 	// GlobalModel.Weights is decoded into, while w has the capacity: the
 	// model RecvGlobal returns aliases w from then on, so the lender keeps
 	// nothing in w across a receive. A FedAvg client lends its gradient

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/tensor"
@@ -184,6 +185,34 @@ func EncodeFrame(enc *wire.Encoder, m wire.Marshaler) []byte {
 	frame := enc.Encode(m)
 	*enc = wire.Encoder{}
 	return frame
+}
+
+// SharedFrame is a dispatch's downlink frame on an in-process transport:
+// encoded once into a frame from tensor's byte pool and queued for every
+// scheduled receiver, the last of whom returns it to the pool once it has
+// decoded it (Release). A receiver that never decodes it — a dropped or
+// crashed client — leaves the frame to the garbage collector.
+type SharedFrame struct {
+	Bytes   []byte
+	readers atomic.Int32
+}
+
+// EncodeShared encodes m into a SharedFrame that readers receivers will
+// each Release once.
+func EncodeShared(m wire.Marshaler, readers int) *SharedFrame {
+	var enc wire.Encoder
+	f := &SharedFrame{Bytes: EncodeFrame(&enc, m)}
+	f.readers.Store(int32(readers))
+	return f
+}
+
+// Release marks one receiver done with f; a nil f (a frame nobody shares)
+// is left alone. Nothing may read f.Bytes after its own Release: the last
+// one returns the bytes to the pool.
+func (f *SharedFrame) Release() {
+	if f != nil && f.readers.Add(-1) == 0 {
+		tensor.PutBytes(f.Bytes)
+	}
 }
 
 // PostFrame decodes an EncodeFrame frame with dec — a LocalUpdate, or

@@ -10,12 +10,16 @@ package mpi
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/comm"
 )
 
-// message is one point-to-point frame with its tag.
+// message is one point-to-point frame with its tag, and the shared frame
+// data belongs to when the sender queued one frame for several ranks.
 type message struct {
-	tag  int
-	data []byte
+	tag    int
+	data   []byte
+	shared *comm.SharedFrame
 }
 
 // World is a communicator spanning size ranks. Create it once and hand each
@@ -61,11 +65,13 @@ func (c *Comm) Size() int { return c.world.size }
 // Send delivers data to rank `to` with the given tag. The frame is
 // transferred by reference — like MPI with RDMA, no copy is made; the
 // sender must not mutate it afterwards.
-func (c *Comm) Send(to int, tag int, data []byte) {
+func (c *Comm) Send(to int, tag int, data []byte) { c.send(to, message{tag: tag, data: data}) }
+
+func (c *Comm) send(to int, m message) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d", to))
 	}
-	c.world.mailboxes[c.rank][to] <- message{tag: tag, data: data}
+	c.world.mailboxes[c.rank][to] <- m
 }
 
 // Recv blocks until a message with the given tag arrives from rank `from`.
@@ -80,6 +86,12 @@ func (c *Comm) Recv(from int, tag int) []byte {
 // message arrived before the timeout (timeout <= 0 waits forever). The
 // chunk-streaming ack receive uses it to honor its timeout.
 func (c *Comm) RecvTimeout(from int, tag int, timeout time.Duration) ([]byte, bool) {
+	m, ok := c.recv(from, tag, timeout)
+	return m.data, ok
+}
+
+// recv is RecvTimeout returning the whole message.
+func (c *Comm) recv(from int, tag int, timeout time.Duration) (message, bool) {
 	var timer <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -91,9 +103,9 @@ func (c *Comm) RecvTimeout(from int, tag int, timeout time.Duration) ([]byte, bo
 		if m.tag != tag {
 			panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, from, m.tag))
 		}
-		return m.data, true
+		return m, true
 	case <-timer:
-		return nil, false
+		return message{}, false
 	}
 }
 

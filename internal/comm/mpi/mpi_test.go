@@ -176,8 +176,8 @@ func TestUpdateCarriesCompressedPayload(t *testing.T) {
 	}
 }
 
-// TestGlobalCarriesCompressedPayload: an f16 downlink reaches the client
-// as its payload and densifies to the sent weights.
+// TestGlobalCarriesCompressedPayload: an f16 downlink crosses the world
+// as its codes and reaches the client densified to the sent weights.
 func TestGlobalCarriesCompressedPayload(t *testing.T) {
 	server, clients := NewFLWorld(1)
 	codes := make([]byte, 6)
@@ -194,14 +194,10 @@ func TestGlobalCarriesCompressedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.WeightsP == nil || got.Version != 3 {
-		t.Fatalf("weights payload lost through the world: %+v", got)
+	if got.WeightsP != nil || got.Version != 3 {
+		t.Fatalf("weights payload not densified through the world: %+v", got)
 	}
-	dense, err := got.WeightsP.Densify(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense[0] != 1 || dense[1] != -2 || dense[2] != 0.5 {
+	if dense := got.Weights; len(dense) != 3 || dense[0] != 1 || dense[1] != -2 || dense[2] != 0.5 {
 		t.Fatalf("weights corrupted: %v", dense)
 	}
 }

@@ -97,16 +97,15 @@ func (s *ServerTransport) Broadcast(m *wire.GlobalModel) error {
 // SendTo delivers the global model to the listed clients only. Each
 // non-final model opens an obligation for the client's reply.
 func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
-	// Encoded once into a buffer of its own: every scheduled rank's
-	// mailbox shares the frame and may hold it past this call, so it is
-	// the one allocation a dispatch makes.
-	var e wire.Encoder
-	frame := e.Encode(m)
+	// Encoded once into a pooled frame: every scheduled rank's mailbox
+	// shares it, and the last rank to decode it returns it to the pool.
+	f := comm.EncodeShared(m, len(clients))
 	if err := s.Open(clients, m); err != nil {
 		return err
 	}
+	frame := f.Bytes
 	for _, c := range clients {
-		s.c.Send(c+1, tagGlobal, frame)
+		s.c.send(c+1, message{tag: tagGlobal, data: frame, shared: f})
 		s.stats.AddSent(len(frame))
 	}
 	return nil
@@ -122,19 +121,22 @@ func (s *ServerTransport) Close() error {
 }
 
 // RecvGlobal blocks for the next global model addressed to this client,
-// decoded into storage the transport keeps: it is valid until the next
-// RecvGlobal.
+// decoded dense (wire.GlobalModel.UnmarshalDense) into storage the
+// transport keeps: it is valid until the next RecvGlobal. The shared frame
+// is released once decoded.
 func (t *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
-	frame := t.c.Recv(0, tagGlobal)
-	t.stats.AddRecv(len(frame))
-	if err := t.model.Unmarshal(wire.NewDecoder(frame)); err != nil {
+	m, _ := t.c.recv(0, tagGlobal, 0)
+	t.stats.AddRecv(len(m.data))
+	err := t.model.UnmarshalDense(wire.NewDecoder(m.data))
+	m.shared.Release()
+	if err != nil {
 		return nil, err
 	}
 	return &t.model, nil
 }
 
-// ReceiveInto lends w to the kept model: every later dense broadcast is
-// decoded into it.
+// ReceiveInto lends w to the kept model: every later broadcast, dense or
+// float16, is decoded into it.
 func (t *ClientTransport) ReceiveInto(w []float64) { t.model.Weights = w[:0] }
 
 // SendUpdate uploads this client's update to the server rank.

@@ -27,6 +27,8 @@ var ErrClosed = errors.New("pubsub: closed")
 type Message struct {
 	Topic   string
 	Payload []byte
+
+	shared *comm.SharedFrame // what Payload belongs to, when the publisher shares it
 }
 
 // Broker routes published messages to topic subscribers.
@@ -75,14 +77,18 @@ func (b *Broker) Subscribe(topic string, capacity int) (*Subscription, error) {
 // Publish delivers payload to every current subscriber of topic. A
 // subscriber that unsubscribes mid-delivery simply misses the message.
 func (b *Broker) Publish(topic string, payload []byte) error {
+	return b.publish(Message{Topic: topic, Payload: payload})
+}
+
+// publish delivers msg to every current subscriber of its topic.
+func (b *Broker) publish(msg Message) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	subs := append([]*Subscription(nil), b.subs[topic]...)
+	subs := append([]*Subscription(nil), b.subs[msg.Topic]...)
 	b.mu.Unlock()
-	msg := Message{Topic: topic, Payload: payload}
 	for _, s := range subs {
 		select {
 		case s.ch <- msg:
@@ -315,15 +321,16 @@ func (s *ServerTransport) Broadcast(m *wire.GlobalModel) error {
 
 // SendTo publishes the global model to the listed clients' topics only.
 func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
-	// Encoded once into a buffer of its own: the subscribers' queues share
-	// the bytes and may hold them past this call.
-	var e wire.Encoder
-	e.Encode(m)
+	// Encoded once into a pooled frame: the subscribers' queues share it,
+	// and the last client to decode it returns it to the pool.
+	f := comm.EncodeShared(m, len(clients))
 	if err := s.Open(clients, m); err != nil {
 		return err
 	}
+	frame := f.Bytes
 	for i, c := range clients {
-		if err := s.broker.Publish(TenantGlobalTopic(s.tenant, c), e.Bytes()); err != nil {
+		msg := Message{Topic: TenantGlobalTopic(s.tenant, c), Payload: frame, shared: f}
+		if err := s.broker.publish(msg); err != nil {
 			if !m.Final {
 				for _, c := range clients[i:] {
 					s.Rollback(c) // no reply can come from a model that never left
@@ -331,7 +338,7 @@ func (s *ServerTransport) SendTo(clients []int, m *wire.GlobalModel) error {
 			}
 			return err
 		}
-		s.stats.AddSent(e.Len())
+		s.stats.AddSent(len(frame))
 	}
 	return nil
 }
@@ -350,22 +357,26 @@ func (s *ServerTransport) Close() error {
 	return nil
 }
 
-// RecvGlobal blocks for the next published global model, decoded into
-// storage the transport keeps: it is valid until the next RecvGlobal.
+// RecvGlobal blocks for the next published global model, decoded dense
+// (wire.GlobalModel.UnmarshalDense) into storage the transport keeps: it
+// is valid until the next RecvGlobal. A shared frame is released once
+// decoded.
 func (c *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	msg, ok := c.global.Recv()
 	if !ok {
 		return nil, ErrClosed
 	}
 	c.stats.AddRecv(len(msg.Payload))
-	if err := c.model.Unmarshal(wire.NewDecoder(msg.Payload)); err != nil {
+	err := c.model.UnmarshalDense(wire.NewDecoder(msg.Payload))
+	msg.shared.Release()
+	if err != nil {
 		return nil, err
 	}
 	return &c.model, nil
 }
 
-// ReceiveInto lends w to the kept model: every later dense broadcast is
-// decoded into it.
+// ReceiveInto lends w to the kept model: every later broadcast, dense or
+// float16, is decoded into it.
 func (c *ClientTransport) ReceiveInto(w []float64) { c.model.Weights = w[:0] }
 
 // SendUpdate publishes the client's update to its tenant's update topic,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/f16"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/testutil"
@@ -215,13 +216,17 @@ func steadyState(srv *Server, warm, rounds int, round func(r int)) (onWire, allo
 
 // TestCompressedRoundAllocationGate is the dense gate for the private,
 // compressed path (the wide_dp_q8 shape): the server broadcasts the model
-// as float16, four clients densify it, perturb and quantize a
+// as float16, four clients receive it densified, perturb and quantize a
 // 256k-parameter release through clip:1,laplace:5,quantize:8 and upload
 // one byte a coordinate. Once warm, a round allocates at most a quarter of
-// the bytes it puts on the wire: the received payloads decode into the
-// code buffers their messages kept, the quantizer releases into its own.
-// (Before, every message built a fresh Payload and Codes and every release
-// a fresh code buffer: 1.3× the wire bytes.)
+// the bytes it puts on the wire: each client densifies the downlink into
+// the weights its kept message holds as the codes come off the socket, the
+// server decodes every upload into the code buffer its message kept, the
+// quantizer releases into its own. (Before, every message built a fresh
+// Payload and Codes and every release a fresh code buffer: 1.3× the wire
+// bytes.) The received weights are bit for bit f16.Decode of the codes the
+// server sent, and no decoder — client or server reader — holds more than
+// its StreamWindow: nested payloads stream through it.
 func TestCompressedRoundAllocationGate(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool sheds a quarter of its puts under the race detector")
@@ -231,6 +236,18 @@ func TestCompressedRoundAllocationGate(t *testing.T) {
 	specs, err := pipeline.Parse("clip:1,laplace:5,quantize:8")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// roundCodes is the float16 model of round r: what the server sends,
+	// and what each client decodes for itself to check what it received.
+	roundCodes := func(r int, w []float64, codes []byte) []byte {
+		for i := range w {
+			w[i] = float64(r) + float64(i%64)/64
+		}
+		codes, err := pipeline.EncodeFloat16(w, codes)
+		if err != nil {
+			panic(err)
+		}
+		return codes
 	}
 	var wg sync.WaitGroup
 	clientErrs := make([]error, n)
@@ -242,23 +259,32 @@ func TestCompressedRoundAllocationGate(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			var weights []float64
+			want := make([]float64, dim)
+			var codes []byte
 			for {
 				gm, err := c.RecvGlobal()
 				if err != nil || gm.Final {
 					return
 				}
-				if gm.WeightsP == nil || gm.WeightsP.Enc != wire.EncFloat16 {
-					clientErrs[i] = errors.New("model did not arrive as a float16 payload")
+				codes = roundCodes(int(gm.Round), want, codes)
+				f16.Decode(want, codes)
+				if gm.WeightsP != nil || len(gm.Weights) != dim {
+					clientErrs[i] = fmt.Errorf("round %d: model arrived with payload %v and %d dense weights", gm.Round, gm.WeightsP != nil, len(gm.Weights))
+				}
+				for j, v := range gm.Weights {
+					if math.Float64bits(v) != math.Float64bits(want[j]) {
+						clientErrs[i] = fmt.Errorf("round %d: weight %d is %v, the codes sent decode to %v", gm.Round, j, v, want[j])
+						break
+					}
+				}
+				if clientErrs[i] != nil {
+					c.Close()
 					return
 				}
-				if weights, err = gm.WeightsP.Densify(weights); err != nil {
-					clientErrs[i] = err
-					return
-				}
-				u := pipeline.NewDense(weights) // released in place, like FedAvg's z
+				u := pipeline.NewDense(gm.Weights) // released in place, like FedAvg's z
 				if err := pipe.Apply(u, 0.02); err != nil {
 					clientErrs[i] = err
+					c.Close()
 					return
 				}
 				if c.SendUpdate(&wire.LocalUpdate{ClientID: uint32(i), Round: gm.Round, NumSamples: 1, PrimalP: u}) != nil {
@@ -271,13 +297,7 @@ func TestCompressedRoundAllocationGate(t *testing.T) {
 	var codes []byte
 	all := comm.AllClients(n)
 	round := func(r int) {
-		for i := range weights {
-			weights[i] = float64(r) + float64(i%64)/64
-		}
-		var err error
-		if codes, err = pipeline.EncodeFloat16(weights, codes); err != nil {
-			t.Fatal(err)
-		}
+		codes = roundCodes(r, weights, codes)
 		gm := &wire.GlobalModel{Round: uint32(r), WeightsP: &wire.Payload{Enc: wire.EncFloat16, Dim: dim, Codes: codes}}
 		if err := srv.SendTo(all, gm); err != nil {
 			t.Fatal(err)
@@ -307,6 +327,20 @@ func TestCompressedRoundAllocationGate(t *testing.T) {
 	if alloc > 0.25*onWire {
 		t.Errorf("steady-state round allocates %.0f bytes for %.0f on the wire (%.2f×), gate is 0.25×", alloc, onWire, alloc/onWire)
 	}
+	// Each client is parked in its next RecvGlobal and each reader in its
+	// next frame header: neither touches its decoder until the next send.
+	for i, c := range clients {
+		if w := c.dec.Window(); w > wire.StreamWindow {
+			t.Errorf("client %d: decoder window grew to %d bytes, StreamWindow is %d", i, w, wire.StreamWindow)
+		}
+	}
+	srv.mu.Lock()
+	for slot, r := range srv.readers {
+		if w := r.dec.Window(); w > wire.StreamWindow {
+			t.Errorf("server reader %d: decoder window grew to %d bytes, StreamWindow is %d", slot, w, wire.StreamWindow)
+		}
+	}
+	srv.mu.Unlock()
 	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
 		t.Fatal(err)
 	}

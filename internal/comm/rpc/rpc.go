@@ -215,6 +215,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	conns    []net.Conn    // indexed by global slot, swapped on resume
+	readers  []*reader     // indexed by global slot: the latest connection's read side
 	gens     []int         // connection generation per slot
 	deadGen  []int         // generation whose connection died (-1 = alive)
 	resumeCh chan struct{} // closed (and replaced) on every resume splice
@@ -279,6 +280,7 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		total:    total,
 		ln:       ln,
 		conns:    make([]net.Conn, total),
+		readers:  make([]*reader, total),
 		gens:     make([]int, total),
 		deadGen:  deadGen,
 		resumeCh: make(chan struct{}),
@@ -485,6 +487,9 @@ func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 	view := s.views[t]
 	r := &reader{in: view.Inbox, client: local, gen: gen, conn: conn, dim: s.specs[t].ModelSize}
 	r.cut = r.cutPrimal
+	s.mu.Lock()
+	s.readers[slot] = r
+	s.mu.Unlock()
 	limit := frameLimit(s.specs[t].ModelSize)
 	for {
 		kind, n, err := r.hdr.read(conn, limit)
@@ -955,7 +960,7 @@ func (c *Client) salvage(old net.Conn) {
 		return
 	}
 	_ = old.SetReadDeadline(time.Now().Add(joinTimeout))
-	if bad, err := recvMessage(&c.dec, old, n, &c.global); bad == nil && err == nil {
+	if bad, err := recvMessage(&c.dec, old, n, (*denseGlobal)(&c.global)); bad == nil && err == nil {
 		c.stats.AddRecv(n)
 		c.salvaged = true
 	}
@@ -992,14 +997,14 @@ func (c *Client) recv(conn net.Conn, want wire.Kind, m interface{ Unmarshal(*wir
 }
 
 // RecvGlobal blocks for the next global model. The returned model is
-// decoded into storage the client keeps, and is valid until the next
-// RecvGlobal.
+// decoded dense (wire.GlobalModel.UnmarshalDense) off the connection into
+// storage the client keeps, and is valid until the next RecvGlobal.
 func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
 	if c.salvaged {
 		c.salvaged = false
 		return &c.global, nil
 	}
-	kind, err := c.recv(c.current(), wire.KindGlobalModel, &c.global)
+	kind, err := c.recv(c.current(), wire.KindGlobalModel, (*denseGlobal)(&c.global))
 	if err != nil {
 		return nil, err
 	}
@@ -1012,9 +1017,17 @@ func (c *Client) RecvGlobal() (*wire.GlobalModel, error) {
 	return &c.global, nil
 }
 
-// ReceiveInto lends w to the kept model: every later dense broadcast,
-// salvaged ones included, is decoded into it.
+// ReceiveInto lends w to the kept model: every later broadcast, dense or
+// float16, salvaged ones included, is decoded into it.
 func (c *Client) ReceiveInto(w []float64) { c.global.Weights = w[:0] }
+
+// denseGlobal is a GlobalModel decoded in its receive form: a float16
+// payload densifies into Weights as it comes off the connection.
+type denseGlobal wire.GlobalModel
+
+func (g *denseGlobal) Unmarshal(d *wire.Decoder) error {
+	return (*wire.GlobalModel)(g).UnmarshalDense(d)
+}
 
 // send frames m and writes it in one vectored call, its large vectors
 // straight from where they are.

@@ -150,9 +150,14 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 	}
 	weights := MetropolisWeights(topo)
 
-	ref := factory()
-	w0 := nn.FlattenParams(ref, nil)
-	dim := len(w0)
+	// Each node's state x_p is the parameter vector of an evaluation
+	// replica of its own, so evaluating a node loads nothing. The factory
+	// initializes deterministically: every state starts at the same w0.
+	replicas := make([]nn.Module, P)
+	for i := range replicas {
+		replicas[i] = sequentialOf(factory())
+	}
+	dim := nn.NumParams(replicas[0])
 
 	master := rng.New(cfg.Seed)
 	// Peers invert each other's compressed releases with the shared
@@ -171,7 +176,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		}
 		// LocalUpdate copies states[i] into the replica before training.
 		clients[i] = NewFedAvgClient(i, factory(), fed.Clients[i], cfg, pipe, cr)
-		states[i] = append([]float64(nil), w0...)
+		states[i] = nn.ParamVector(replicas[i])
 	}
 
 	res := &DecentralResult{}
@@ -244,7 +249,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		if fed.Test != nil {
 			accSum := 0.0
 			for p := 0; p < P; p++ {
-				_, acc := EvaluateWeights(ref, states[p], fed.Test, 256)
+				_, acc := Evaluate(replicas[p], fed.Test, 256)
 				accSum += acc
 			}
 			stats.MeanTestAcc = accSum / float64(P)

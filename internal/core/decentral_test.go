@@ -238,3 +238,38 @@ func TestDecentralRoundAllocationGate(t *testing.T) {
 		}
 	}
 }
+
+// TestDecentralEvaluatesEachNodeInPlace: each node is evaluated in the
+// replica whose parameter vector is its state, not through a copy into a
+// shared one, and a 6-round 4-node ring reports the accuracy and consensus
+// bits it reported when it evaluated through that copy (values generated
+// by the copying implementation), with the default stack and a
+// compressing private one.
+func TestDecentralEvaluatesEachNodeInPlace(t *testing.T) {
+	fed := tinyFed(t, 4, 128, 32)
+	want := map[string][][2]float64{
+		"": {
+			{0.1953125, 0.026702761749054515}, {0.2734375, 0.031941630049955268},
+			{0.3203125, 0.034730542595142938}, {0.453125, 0.036317739758132683},
+			{0.5625, 0.035803107775209377}, {0.59375, 0.036655541887427895},
+		},
+		"clip:1,laplace:5,quantize:8": {
+			{0.1875, 1.1575014038734424}, {0.265625, 1.2245530530498905},
+			{0.2109375, 1.2294548847912985}, {0.3203125, 1.227208703348281},
+			{0.3359375, 1.2145869883069511}, {0.375, 1.2132030901768602},
+		},
+	}
+	for pipe, rounds := range want {
+		cfg := Config{Algorithm: AlgoFedAvg, Rounds: 6, LocalSteps: 1, BatchSize: 16, Seed: 5, Pipeline: pipe}
+		res, err := RunDecentralized(cfg, fed, tinyFactory(), Ring(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res.Rounds {
+			if r.MeanTestAcc != rounds[i][0] || r.Consensus != rounds[i][1] {
+				t.Errorf("pipeline %q round %d: accuracy %.17g consensus %.17g, want %.17g %.17g",
+					pipe, r.Round, r.MeanTestAcc, r.Consensus, rounds[i][0], rounds[i][1])
+			}
+		}
+	}
+}

@@ -72,32 +72,21 @@ func EncodeDownlinkF16Into(gm *wire.GlobalModel, codes []byte) ([]byte, error) {
 	return codes, nil
 }
 
-// DecodeGlobal is the client half of the downlink path: when a received
-// GlobalModel carries a compressed weights payload, it is densified back
-// into Weights. Dense broadcasts pass through untouched. Every receiver
-// must call this (or DecodeGlobalInto, as the client loop does) before
-// training on gm.Weights.
+// DecodeGlobal densifies a compressed weights payload back into Weights,
+// for a GlobalModel decoded with Unmarshal. Dense models pass through
+// untouched. A transport's RecvGlobal needs none of this: it decodes the
+// downlink in its receive form (wire.GlobalModel.UnmarshalDense), which
+// densifies a float16 payload into Weights as it is read.
 func DecodeGlobal(gm *wire.GlobalModel) error {
-	_, err := DecodeGlobalInto(gm, nil)
-	return err
-}
-
-// DecodeGlobalInto is DecodeGlobal with a caller-owned scratch buffer:
-// the payload densifies into scratch when its capacity suffices, and the
-// (possibly grown) buffer — which gm.Weights aliases afterwards — is
-// returned for reuse. Callers that drop gm after each round (the client
-// loops) amortize the O(dim) densify allocation to zero.
-func DecodeGlobalInto(gm *wire.GlobalModel, scratch []float64) ([]float64, error) {
 	if gm.WeightsP == nil {
-		return scratch, nil
+		return nil
 	}
-	w, err := gm.WeightsP.Densify(scratch)
+	w, err := gm.WeightsP.Densify(nil)
 	if err != nil {
-		return scratch, err
+		return err
 	}
-	gm.Weights = w
-	gm.WeightsP = nil
-	return w, nil
+	gm.Weights, gm.WeightsP = w, nil
+	return nil
 }
 
 // DecodeUpdates runs the server half of the pipeline over a gathered

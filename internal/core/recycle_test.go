@@ -180,7 +180,9 @@ func TestRecycledPayloadCarriesNothingOver(t *testing.T) {
 }
 
 // TestRecycledGlobalModelCarriesNothingOver: the client side of the same
-// contract — RecvGlobal decodes every model into one kept GlobalModel.
+// contract — RecvGlobal decodes every model, in its receive form, into one
+// kept GlobalModel: an f16 broadcast densifies into the same weight buffer
+// a dense one decodes into, and neither leaves a payload behind.
 func TestRecycledGlobalModelCarriesNothingOver(t *testing.T) {
 	w := []float64{1, -2, 0.5, 1024}
 	f16 := &wire.GlobalModel{Round: 1, Weights: slices.Clone(w)}
@@ -192,27 +194,17 @@ func TestRecycledGlobalModelCarriesNothingOver(t *testing.T) {
 		slices.Clone(new(wire.Encoder).Encode(&wire.GlobalModel{Round: 2, Weights: w})),
 	}
 	var gm wire.GlobalModel
-	var scratch []float64
-	var codes *byte
+	var kept *float64
 	for i := 0; i < 6; i++ {
-		if err := gm.Unmarshal(wire.NewDecoder(frames[i%2])); err != nil {
+		if err := gm.UnmarshalDense(wire.NewDecoder(frames[i%2])); err != nil {
 			t.Fatal(err)
 		}
-		if compressed := i%2 == 0; compressed != (gm.WeightsP != nil) {
-			t.Fatalf("decode %d: payload presence %v", i, gm.WeightsP != nil)
+		if !slices.Equal(gm.Weights, w) || gm.WeightsP != nil || gm.Round != uint32(1+i%2) {
+			t.Fatalf("decode %d: round %d, weights %v, payload %v", i, gm.Round, gm.Weights, gm.WeightsP)
 		}
-		if gm.WeightsP != nil {
-			if codes != nil && codes != &gm.WeightsP.Codes[0] {
-				t.Errorf("decode %d: the kept code buffer was reallocated", i)
-			}
-			codes = &gm.WeightsP.Codes[0]
+		if kept != nil && kept != &gm.Weights[0] {
+			t.Errorf("decode %d: the kept weight buffer was reallocated", i)
 		}
-		var err error
-		if scratch, err = DecodeGlobalInto(&gm, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(gm.Weights, w) || gm.WeightsP != nil {
-			t.Fatalf("decode %d: weights %v, payload %v", i, gm.Weights, gm.WeightsP)
-		}
+		kept = &gm.Weights[0]
 	}
 }

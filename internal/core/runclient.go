@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -89,21 +88,13 @@ func newRunClient(cfg Config, id int, cr *rng.RNG, model nn.Module, w0 []float64
 // and the loop carries on; what the server still wants from this client it
 // will ask for again.
 func runClient(cfg Config, c ClientAlgorithm, ct comm.ClientTransport, opts ClientOptions) error {
-	// wscratch is what an f16 downlink densifies into. A lending algorithm
-	// (FedAvg) supplies it, and the transport decodes a dense downlink
-	// into it too, so the client holds no receive buffer; the lend comes
-	// before the first receive, which would otherwise size one. Otherwise
-	// it is recycled across rounds (gm is dropped at the end of each
-	// iteration, so the weights it aliases are dead by the next receive)
-	// and across runs via the shared scratch pool — clients copy w before
-	// returning from LocalUpdate, so nothing aliases it at exit.
-	var wscratch []float64
+	// The transport decodes every downlink dense, a float16 one included,
+	// into the vector a lending algorithm (FedAvg) supplies, so the client
+	// holds no receive buffer; the lend comes before the first receive,
+	// which would otherwise size one. Otherwise the transport keeps the
+	// buffer.
 	if l, ok := c.(downlinkLender); ok {
-		wscratch = l.downlinkBuffer()
-		ct.ReceiveInto(wscratch)
-	} else {
-		wscratch = tensor.GetF64(0)
-		defer func() { tensor.PutF64(wscratch) }()
+		ct.ReceiveInto(l.downlinkBuffer())
 	}
 	// last is the update most recently trained. It may alias the client's
 	// state, which stays put until the next LocalUpdate — exactly as long
@@ -117,9 +108,6 @@ func runClient(cfg Config, c ClientAlgorithm, ct comm.ClientTransport, opts Clie
 		if err == nil {
 			repeat := last != nil && gm.Round == last.Round && gm.Version == last.BaseVersion
 			if !repeat {
-				if wscratch, err = DecodeGlobalInto(gm, wscratch); err != nil {
-					return err
-				}
 				if last, err = train(cfg, c, gm, opts); err != nil {
 					return err
 				}

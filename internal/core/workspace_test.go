@@ -200,7 +200,7 @@ func (f *frameTransport) RecvGlobal() (*wire.GlobalModel, error) {
 	}
 	frame := f.frames[0]
 	f.frames = f.frames[1:]
-	return &f.model, f.model.Unmarshal(wire.NewDecoder(frame))
+	return &f.model, f.model.UnmarshalDense(wire.NewDecoder(frame))
 }
 
 func (f *frameTransport) ReceiveInto(w []float64)            { f.model.Weights = w[:0] }

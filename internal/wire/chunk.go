@@ -148,14 +148,7 @@ func (c *ModelChunk) Unmarshal(d *Decoder) error {
 			}
 			c.NumSamples = v
 		case 10:
-			b, err := d.BytesField()
-			if err != nil {
-				return err
-			}
-			if c.Payload == nil {
-				c.Payload = &Payload{}
-			}
-			if err := c.Payload.Unmarshal(NewDecoder(b)); err != nil {
+			if _, err := receivePayload(&c.Payload, d); err != nil {
 				return err
 			}
 			seenPayload = true

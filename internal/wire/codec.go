@@ -295,10 +295,11 @@ type Decoder struct {
 	rerr error  // the read error that cut the message short, if any
 }
 
-// streamWindow is how far a streaming decoder reads ahead for scalar
-// fields; a packed float64 block beyond it is read straight into its
-// destination.
-const streamWindow = 4 << 10
+// StreamWindow is how far a streaming decoder reads ahead, and all it
+// ever holds of a message: scalar fields are parsed out of the window, a
+// nested message field by field through it, and a packed block or byte
+// string is read past it straight into its destination.
+const StreamWindow = 4 << 10
 
 // NewDecoder wraps buf for reading.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
@@ -312,11 +313,14 @@ func (d *Decoder) Reset(buf []byte) {
 
 // ResetStream points the decoder at a message of n bytes that r is about
 // to deliver. Fields are parsed out of a small window the decoder keeps
-// and refills; a packed float64 block is read from r straight into the
-// slice it decodes to, so a model crosses from the socket to its []float64
-// in one pass and no frame-sized buffer exists. A nested message or byte
-// string is buffered whole, so the window grows to the largest such field
-// the stream has carried. Decoding consumes exactly n bytes of r when it
+// and refills; a packed float64 block, a packed uint32 block or a byte
+// string is read from r straight into the slice it decodes to, so a model
+// crosses from the socket to its []float64 (or a payload's codes to its
+// kept buffer) in one pass and no frame-sized buffer exists. A nested
+// message is decoded field by field through the same window, so the
+// window stays StreamWindow bytes whatever the stream carries; only
+// BytesField (and String), which return a view of the window, grow it to
+// the field they are asked for. Decoding consumes exactly n bytes of r when it
 // succeeds; after a failure Drain skips the rest, unless the failure was
 // r's own (ReadErr).
 func (d *Decoder) ResetStream(r io.Reader, n int) {
@@ -327,6 +331,10 @@ func (d *Decoder) ResetStream(r io.Reader, n int) {
 // ReadErr returns the stream error that ended decoding early: the message
 // was cut short by its transport, not malformed.
 func (d *Decoder) ReadErr() error { return d.rerr }
+
+// Window returns the capacity of the window a streaming decoder keeps
+// across messages: at most StreamWindow unless BytesField asked for more.
+func (d *Decoder) Window() int { return cap(d.own) }
 
 // Drain discards what the stream still holds of the current message, so
 // the next message can be read after a decode error.
@@ -354,7 +362,7 @@ func (d *Decoder) need(k int) error {
 	}
 	// Slide the unread tail to the front of the window and read on: up to
 	// a window's worth ahead, never past the message.
-	size := max(k, streamWindow)
+	size := max(k, StreamWindow)
 	if cap(d.own) < size {
 		grown := make([]byte, size)
 		copy(grown, d.buf[d.pos:])
@@ -467,7 +475,8 @@ func (d *Decoder) length() (int, error) {
 }
 
 // BytesField reads a length-delimited payload without copying. On a
-// stream the slice is valid until the next field is read.
+// stream the slice is a view of the window, which grows to hold it, and
+// is valid until the next field is read; BytesInto reads past the window.
 func (d *Decoder) BytesField() ([]byte, error) {
 	n, err := d.length()
 	if err != nil {
@@ -481,10 +490,67 @@ func (d *Decoder) BytesField() ([]byte, error) {
 	return out, nil
 }
 
+// BytesInto reads a length-delimited payload into dst, allocating only
+// when dst's capacity falls short: on a stream the bytes go from the
+// source straight into dst, so a byte string of any length passes the
+// window by.
+func (d *Decoder) BytesInto(dst []byte) ([]byte, error) {
+	n, err := d.length()
+	if err != nil {
+		return nil, err
+	}
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
+	if err := d.readRaw(dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // String reads a length-delimited payload as a string.
 func (d *Decoder) String() (string, error) {
 	b, err := d.BytesField()
 	return string(b), err
+}
+
+// nest reads the length prefix of a nested message and narrows d to its
+// body: until unnest, More, every read and the window's refills stop at
+// the body's end, so the nested message decodes through d itself, field
+// by field, as if it were the whole message. The returned outer is what
+// unnest needs to restore the rest of the message, whether or not the
+// body was decoded in full.
+func (d *Decoder) nest() (outer, error) {
+	n, err := d.length()
+	if err != nil {
+		return outer{}, err
+	}
+	if unread := len(d.buf) - d.pos; n <= unread {
+		// The window holds the whole body (always so without a stream):
+		// cut the window at its end, and read nothing more.
+		o := outer{end: len(d.buf), rest: d.left}
+		d.buf, d.left = d.buf[:d.pos+n], 0
+		return o, nil
+	}
+	// The body runs on into the stream: refills stop at its end.
+	beyond := n - (len(d.buf) - d.pos)
+	o := outer{end: -1, rest: d.left - beyond}
+	d.left = beyond
+	return o, nil
+}
+
+// outer is the part of a message a nest left out: the window's length
+// where the body ended inside it (-1 when it ran on into the stream), and
+// the bytes of the stream after the body.
+type outer struct{ end, rest int }
+
+// unnest widens d back to the message that held the nested body.
+func (d *Decoder) unnest(o outer) {
+	if o.end >= 0 {
+		d.buf = d.buf[:o.end] // the narrowed window never refilled
+	}
+	d.left += o.rest
 }
 
 // Doubles reads a packed repeated double payload into a fresh slice.
@@ -531,22 +597,31 @@ func (d *Decoder) PackedDoubles() (int, error) {
 // values in place.
 func (d *Decoder) ReadDoubles(dst []float64) error {
 	raw := float64Bytes(dst)
-	if len(raw) > len(d.buf)-d.pos+d.left {
-		return ErrTruncated
-	}
-	held := copy(raw, d.buf[d.pos:])
-	d.pos += held
-	if held < len(raw) {
-		got, err := io.ReadFull(d.src, raw[held:])
-		d.left -= got
-		if err != nil {
-			d.rerr = err
-			return err
-		}
+	if err := d.readRaw(raw); err != nil {
+		return err
 	}
 	if !hostLittleEndian {
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	return nil
+}
+
+// readRaw fills dst with the message's next len(dst) bytes: what the
+// window holds, then the rest read from the stream straight into dst.
+func (d *Decoder) readRaw(dst []byte) error {
+	if len(dst) > len(d.buf)-d.pos+d.left {
+		return ErrTruncated
+	}
+	held := copy(dst, d.buf[d.pos:])
+	d.pos += held
+	if held < len(dst) {
+		got, err := io.ReadFull(d.src, dst[held:])
+		d.left -= got
+		if err != nil {
+			d.rerr = err
+			return err
 		}
 	}
 	return nil

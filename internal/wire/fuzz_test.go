@@ -440,38 +440,141 @@ func TestTruncatedKnownMessagesReturnTypedErrors(t *testing.T) {
 	}
 }
 
-// FuzzStreamDecode: decoding a LocalUpdate while its bytes are still
-// arriving (a byte per read, a 64-byte window would not matter — the
-// decoder refills as it goes) agrees with decoding the buffered bytes on
-// every input: both fail or both succeed, and a success re-encodes to the
-// same bytes. Arbitrary input must never panic the refill logic or read
-// past the announced message.
+// FuzzStreamDecode: decoding a LocalUpdate or a GlobalModel — in either
+// form, Unmarshal's and the client's UnmarshalDense — while its bytes are
+// still arriving (a byte per read, a 64-byte window would not matter — the
+// decoder refills as it goes, nested payloads included) agrees with
+// decoding the buffered bytes on every input: both fail or both succeed,
+// and a success re-encodes to the same bytes. Arbitrary input must never
+// panic the refill logic or read past the announced message.
 func FuzzStreamDecode(f *testing.F) {
 	for _, b := range seedMessages() {
 		f.Add(b)
 	}
 	f.Add([]byte{0x22, 0xff})
+	type message interface {
+		Marshal(*Encoder)
+	}
+	bodies := []struct {
+		name   string
+		decode func(d *Decoder) (message, error)
+	}{
+		{"LocalUpdate", func(d *Decoder) (message, error) {
+			var m LocalUpdate
+			return &m, m.Unmarshal(d)
+		}},
+		{"GlobalModel", func(d *Decoder) (message, error) {
+			var m GlobalModel
+			return &m, m.Unmarshal(d)
+		}},
+		{"GlobalModel dense", func(d *Decoder) (message, error) {
+			var m GlobalModel
+			return &m, m.UnmarshalDense(d)
+		}},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var buffered, streamed LocalUpdate
-		errB := buffered.Unmarshal(NewDecoder(data))
-		src := bytes.NewReader(append(append([]byte(nil), data...), 0xee))
-		var d Decoder
-		d.ResetStream(iotest.OneByteReader(src), len(data))
-		errS := streamed.Unmarshal(&d)
-		if (errB == nil) != (errS == nil) {
-			t.Fatalf("buffered decode: %v, streamed decode: %v", errB, errS)
-		}
-		if d.ReadErr() != nil {
-			t.Fatalf("an intact stream reported %v", d.ReadErr())
-		}
-		if err := d.Drain(); err != nil || src.Len() != 1 {
-			t.Fatalf("after decode+drain %d bytes remain (err %v), want the next frame's 1", src.Len(), err)
-		}
-		if errB == nil {
-			var e1, e2 Encoder
-			if !bytes.Equal(e1.Encode(&buffered), e2.Encode(&streamed)) {
-				t.Fatal("streamed decode differs from buffered decode")
+		for _, body := range bodies {
+			buffered, errB := body.decode(NewDecoder(data))
+			src := bytes.NewReader(append(append([]byte(nil), data...), 0xee))
+			var d Decoder
+			d.ResetStream(iotest.OneByteReader(src), len(data))
+			streamed, errS := body.decode(&d)
+			if (errB == nil) != (errS == nil) {
+				t.Fatalf("%s: buffered decode: %v, streamed decode: %v", body.name, errB, errS)
+			}
+			if d.ReadErr() != nil {
+				t.Fatalf("%s: an intact stream reported %v", body.name, d.ReadErr())
+			}
+			if err := d.Drain(); err != nil || src.Len() != 1 {
+				t.Fatalf("%s: after decode+drain %d bytes remain (err %v), want the next frame's 1", body.name, src.Len(), err)
+			}
+			if errB == nil {
+				var e1, e2 Encoder
+				if !bytes.Equal(e1.Encode(buffered), e2.Encode(streamed)) {
+					t.Fatalf("%s: streamed decode differs from buffered decode", body.name)
+				}
 			}
 		}
 	})
+}
+
+// FuzzUnmarshalDense: the client's receive form of a GlobalModel is
+// Unmarshal followed by Payload.Densify, bit for bit, for every valid
+// float16 model — whatever its codes (NaN payloads, infinities,
+// subnormals) — and streamed as well as buffered. On arbitrary bytes it
+// never panics, and whatever it accepts Unmarshal accepts too, with the
+// same model. Codes that come before the payload's encoding or dimension
+// are refused with an error wrapping ErrBadPayload.
+func FuzzUnmarshalDense(f *testing.F) {
+	for _, b := range seedMessages() {
+		f.Add(b, []byte{0x00, 0x3c, 0xff, 0x7f, 0x01, 0x80}, uint32(3))
+	}
+	f.Add([]byte{}, bytes.Repeat([]byte{0x55, 0x3a}, 3000), uint32(0))
+	f.Fuzz(func(t *testing.T, data, codes []byte, round uint32) {
+		// Arbitrary bytes.
+		var dense, coded GlobalModel
+		if err := dense.UnmarshalDense(NewDecoder(data)); err == nil {
+			if err := coded.Unmarshal(NewDecoder(data)); err != nil {
+				t.Fatalf("the receive form accepted what Unmarshal refuses: %v", err)
+			}
+			sameModel(t, &dense, &coded)
+		}
+
+		// A valid float16 model.
+		codes = codes[:len(codes)&^1]
+		sent := &GlobalModel{Round: round, Version: 7, CohortSize: 2, Rho: 0.5,
+			WeightsP: &Payload{Enc: EncFloat16, Dim: uint32(len(codes) / 2), Codes: codes}}
+		var e Encoder
+		frame := append([]byte(nil), e.Encode(sent)...)
+		if err := coded.Unmarshal(NewDecoder(frame)); err != nil {
+			t.Fatal(err)
+		}
+		for _, stream := range []bool{false, true} {
+			d := NewDecoder(frame)
+			if stream {
+				d.ResetStream(iotest.HalfReader(bytes.NewReader(frame)), len(frame))
+			}
+			if err := dense.UnmarshalDense(d); err != nil {
+				t.Fatalf("stream %v: %v", stream, err)
+			}
+			sameModel(t, &dense, &coded)
+		}
+
+		// The same codes ahead of the payload's encoding and dimension.
+		var body Encoder
+		body.BytesField(9, codes)
+		body.Uint64(1, uint64(EncFloat16))
+		body.Uint64(2, uint64(len(codes)/2))
+		var early Encoder
+		early.Uint64(1, uint64(round))
+		early.BytesField(7, body.Bytes())
+		if err := dense.UnmarshalDense(NewDecoder(early.Bytes())); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("codes before the encoding and dimension: %v, want ErrBadPayload", err)
+		}
+	})
+}
+
+// sameModel fails t unless dense, a receive-form decode, is coded — an
+// Unmarshal decode of the same bytes — with its payload densified.
+func sameModel(t *testing.T, dense, coded *GlobalModel) {
+	t.Helper()
+	want := coded.Weights
+	if coded.WeightsP != nil {
+		var err error
+		if want, err = coded.WeightsP.Densify(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dense.WeightsP != nil || len(dense.Weights) != len(want) {
+		t.Fatalf("receive form: payload %v, %d weights; want none and %d", dense.WeightsP != nil, len(dense.Weights), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(dense.Weights[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("weight %d: receive form %v, Unmarshal+Densify %v", i, dense.Weights[i], want[i])
+		}
+	}
+	if dense.Round != coded.Round || dense.Final != coded.Final || dense.Version != coded.Version ||
+		dense.CohortSize != coded.CohortSize || math.Float64bits(dense.Rho) != math.Float64bits(coded.Rho) {
+		t.Fatalf("receive form %+v differs from Unmarshal %+v", dense, coded)
+	}
 }

@@ -82,7 +82,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// bigUpdate carries vectors well past gatherMin and streamWindow, so the
+// bigUpdate carries vectors well past gatherMin and StreamWindow, so the
 // referenced-block and read-into-place paths run, salted with the special
 // values of goldenVector.
 func bigUpdate() *LocalUpdate {
@@ -204,16 +204,34 @@ func TestStreamDecodeMatchesBufferDecode(t *testing.T) {
 }
 
 // TestStreamDecodeKeepsItsWindowSmall: a dense model streams past the
-// decoder; only nested fields are ever buffered.
+// decoder, and so do a 1 MB quantize:8 upload and a 1 MB float16 model
+// (their nested payloads are decoded through the window, their codes read
+// past it): the window never grows beyond StreamWindow.
 func TestStreamDecodeKeepsItsWindowSmall(t *testing.T) {
-	var e Encoder
-	b := e.Encode(bigUpdate())
-	var d Decoder
-	d.ResetStream(bytes.NewReader(b), len(b))
-	if err := (&LocalUpdate{}).Unmarshal(&d); err != nil {
-		t.Fatal(err)
-	}
-	if cap(d.own) > streamWindow {
-		t.Errorf("decoder buffered %d bytes of an %d-byte dense update, window is %d", cap(d.own), len(b), streamWindow)
+	const dim = 1 << 20
+	quant := &LocalUpdate{ClientID: 1, Round: 2, NumSamples: 3, Epsilon: 5, InCohort: true,
+		PrimalP: &Payload{Enc: EncQuant, Dim: dim, Scale: 0.5, Offset: -1, Bits: 8, Codes: goldenCodes(dim, 3)}}
+	f16 := &GlobalModel{Round: 4, Version: 3,
+		WeightsP: &Payload{Enc: EncFloat16, Dim: dim / 2, Codes: goldenCodes(dim, 4)}}
+	for _, c := range []struct {
+		name   string
+		m      Marshaler
+		decode func(*Decoder) error
+	}{
+		{"dense update", bigUpdate(), (&LocalUpdate{}).Unmarshal},
+		{"quantize:8 update", quant, (&LocalUpdate{}).Unmarshal},
+		{"f16 model", f16, (&GlobalModel{}).Unmarshal},
+		{"f16 model, receive form", f16, (&GlobalModel{}).UnmarshalDense},
+	} {
+		var e Encoder
+		b := e.Encode(c.m)
+		var d Decoder
+		d.ResetStream(bytes.NewReader(b), len(b))
+		if err := c.decode(&d); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if cap(d.own) > StreamWindow {
+			t.Errorf("%s: decoder buffered %d bytes of a %d-byte message, window is %d", c.name, cap(d.own), len(b), StreamWindow)
+		}
 	}
 }

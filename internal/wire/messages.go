@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/f16"
 )
 
 // Kind discriminates the RPC message types exchanged between server and
@@ -248,11 +250,13 @@ func (m *JoinAck) Unmarshal(d *Decoder) error {
 			}
 			m.ModelSize = v
 		case 4:
-			b, err := d.BytesField()
+			o, err := d.nest()
 			if err != nil {
 				return err
 			}
-			if err := m.Plan.Unmarshal(NewDecoder(b)); err != nil {
+			err = m.Plan.Unmarshal(d)
+			d.unnest(o)
+			if err != nil {
 				return err
 			}
 		default:
@@ -323,7 +327,9 @@ func (m *GlobalModel) Marshal(e *Encoder) {
 
 // Unmarshal decodes m, ignoring unknown fields. m is Reset first, so a
 // struct reused across messages cannot carry a field the new message
-// omits; buffers present in both messages reuse their capacity.
+// omits; buffers present in both messages reuse their capacity. A
+// compressed payload arrives as WeightsP, in its encoding (UnmarshalDense
+// densifies it instead).
 func (m *GlobalModel) Unmarshal(d *Decoder) error {
 	m.Reset()
 	for d.More() {
@@ -331,56 +337,176 @@ func (m *GlobalModel) Unmarshal(d *Decoder) error {
 		if err != nil {
 			return err
 		}
+		if f == 7 {
+			m.WeightsP, err = receivePayload(&m.received, d)
+		} else {
+			err = m.field(d, f, w)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// UnmarshalDense is the receive form of Unmarshal: a client's decode. A
+// float16 payload (field 7, the downlink compression a server sends) is
+// densified into Weights as it is read — its codes land in Weights' own
+// storage and expand there — so the model arrives dense and m holds no
+// code buffer; WeightsP stays nil. Weights reuse their capacity as in
+// Unmarshal: a lent vector, or the buffer the message keeps. The values
+// are bit for bit those of Unmarshal followed by WeightsP.Densify. The payload must declare its encoding and
+// dimension before its codes (Marshal writes them first); a payload in
+// another encoding, codes before that declaration or of the wrong length,
+// and a message carrying both dense and compressed weights decode to an
+// error wrapping ErrBadPayload.
+func (m *GlobalModel) UnmarshalDense(d *Decoder) error {
+	m.Reset()
+	var dense, coded bool
+	for d.More() {
+		f, w, err := d.Tag()
+		if err != nil {
+			return err
+		}
+		dense, coded = dense || f == 2, coded || f == 7
+		switch {
+		case dense && coded:
+			return fmt.Errorf("wire: model carries both dense and compressed weights: %w", ErrBadPayload)
+		case f == 7:
+			err = m.densify(d)
+		default:
+			err = m.field(d, f, w)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// densify reads the float16 payload field d is at into Weights.
+func (m *GlobalModel) densify(d *Decoder) error {
+	o, err := d.nest()
+	if err != nil {
+		return err
+	}
+	err = m.densifyBody(d)
+	d.unnest(o)
+	return err
+}
+
+// densifyBody is densify within the payload's body. It accepts what
+// Payload.Unmarshal accepts of a valid float16 payload, in Marshal's
+// order, and refuses the fields of other encodings rather than skip them.
+func (m *GlobalModel) densifyBody(d *Decoder) error {
+	enc, dim, declared, decoded := EncDense, 0, 0, 0
+	m.Weights = m.Weights[:0]
+	for d.More() {
+		f, w, err := d.Tag()
+		if err != nil {
+			return err
+		}
 		switch f {
 		case 1:
-			v, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			m.Round = v
-		case 2:
-			v, err := d.DoublesInto(m.Weights)
-			if err != nil {
-				return err
-			}
-			m.Weights = v
-		case 3:
-			v, err := d.Bool()
-			if err != nil {
-				return err
-			}
-			m.Final = v
-		case 4:
-			v, err := d.Float64()
-			if err != nil {
-				return err
-			}
-			m.Rho = v
-		case 5:
 			v, err := d.Uint64()
 			if err != nil {
 				return err
 			}
-			m.Version = v
-		case 6:
-			v, err := d.Uint32()
+			enc, declared = Encoding(v), declared|1
+		case 2:
+			v, err := d.Uint64()
 			if err != nil {
 				return err
 			}
-			m.CohortSize = v
-		case 7:
-			b, err := d.BytesField()
+			if v > math.MaxUint32 {
+				return fmt.Errorf("wire: payload dimension %d overflows: %w", v, ErrBadPayload)
+			}
+			dim, declared = int(v), declared|2
+		case 9:
+			if declared != 3 || enc != EncFloat16 {
+				return fmt.Errorf("wire: model codes precede a float16 encoding and dimension: %w", ErrBadPayload)
+			}
+			n, err := d.length()
 			if err != nil {
 				return err
 			}
-			if m.WeightsP, err = receivePayload(&m.received, b); err != nil {
+			if n != 2*dim {
+				return fmt.Errorf("wire: float16 payload has %d code bytes for dim %d: %w", n, dim, ErrBadPayload)
+			}
+			if cap(m.Weights) < dim {
+				m.Weights = make([]float64, dim)
+			}
+			m.Weights = m.Weights[:dim]
+			// The codes are read past the window into the last quarter of
+			// Weights' own bytes and expanded front to back in place:
+			// value i covers bytes [8i, 8i+8), which end at or before code
+			// i+1 (at 6·dim + 2i + 2) for every i < dim, so each code is
+			// read before anything overwrites it.
+			codes := float64Bytes(m.Weights)[6*dim:]
+			if err := d.readRaw(codes); err != nil {
 				return err
 			}
+			f16.Decode(m.Weights, codes)
+			decoded = dim
+		case 3, 4, 5, 6, 7, 8:
+			return fmt.Errorf("wire: model payload carries field %d of another encoding: %w", f, ErrBadPayload)
 		default:
 			if err := d.Skip(w); err != nil {
 				return err
 			}
 		}
+	}
+	if enc != EncFloat16 {
+		return fmt.Errorf("wire: model payload encoding %v, want float16: %w", enc, ErrBadPayload)
+	}
+	if decoded != dim {
+		return fmt.Errorf("wire: float16 payload has %d values for dim %d: %w", decoded, dim, ErrBadPayload)
+	}
+	return nil
+}
+
+// field decodes one field of m other than its payload (7), whose tag the
+// caller has read.
+func (m *GlobalModel) field(d *Decoder, f, w int) error {
+	switch f {
+	case 1:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.Round = v
+	case 2:
+		v, err := d.DoublesInto(m.Weights)
+		if err != nil {
+			return err
+		}
+		m.Weights = v
+	case 3:
+		v, err := d.Bool()
+		if err != nil {
+			return err
+		}
+		m.Final = v
+	case 4:
+		v, err := d.Float64()
+		if err != nil {
+			return err
+		}
+		m.Rho = v
+	case 5:
+		v, err := d.Uint64()
+		if err != nil {
+			return err
+		}
+		m.Version = v
+	case 6:
+		v, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		m.CohortSize = v
+	default:
+		return d.Skip(w)
 	}
 	return nil
 }
@@ -572,13 +698,11 @@ func (m *LocalUpdate) field(d *Decoder, f, w int) error {
 		}
 		m.InCohort = v
 	case 10:
-		b, err := d.BytesField()
+		p, err := receivePayload(&m.received, d)
 		if err != nil {
 			return err
 		}
-		if m.PrimalP, err = receivePayload(&m.received, b); err != nil {
-			return err
-		}
+		m.PrimalP = p
 	case 11:
 		v, err := d.Uint64()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/f16"
 )
@@ -89,18 +90,24 @@ func (p *Payload) recycled() *Payload {
 	return p
 }
 
-// receivePayload decodes a nested payload body into the payload a message
-// keeps for the purpose (*kept, made on first use and emptied of whatever
-// an earlier message left in it) and returns it.
-func receivePayload(kept **Payload, body []byte) (*Payload, error) {
+// receivePayload decodes the nested payload field d is at into the
+// payload a message keeps for the purpose (*kept, made on first use and
+// emptied of whatever an earlier message left in it) and returns it. The
+// body is read through d itself (nest), so on a stream its vectors and
+// codes go straight into the payload's kept buffers.
+func receivePayload(kept **Payload, d *Decoder) (*Payload, error) {
 	if *kept == nil {
 		*kept = new(Payload)
 	}
 	p := *kept
 	p.Reset()
-	var d Decoder
-	d.Reset(body)
-	return p, p.Unmarshal(&d)
+	o, err := d.nest()
+	if err != nil {
+		return nil, err
+	}
+	err = p.Unmarshal(d)
+	d.unnest(o)
+	return p, err
 }
 
 // EncodedLen returns the exact size of the body Marshal produces, so a
@@ -229,11 +236,11 @@ func (p *Payload) Unmarshal(d *Decoder) error {
 			}
 			p.Bits = uint8(v)
 		case 9:
-			v, err := d.BytesField()
+			v, err := d.BytesInto(p.Codes)
 			if err != nil {
 				return err
 			}
-			p.Codes = append(p.Codes[:0], v...)
+			p.Codes = v
 		default:
 			if err := d.Skip(w); err != nil {
 				return err
@@ -361,21 +368,32 @@ func (d *Decoder) Uint32s() ([]uint32, error) { return d.Uint32sInto(nil) }
 
 // Uint32sInto reads a packed block of little-endian fixed32 values into
 // dst, allocating only when its capacity is insufficient.
+// The block moves like ReadDoubles': straight into dst's storage, then
+// rewritten in place only on a big-endian host.
 func (d *Decoder) Uint32sInto(dst []uint32) ([]uint32, error) {
-	b, err := d.BytesField()
+	size, err := d.length()
 	if err != nil {
 		return nil, err
 	}
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("wire: packed uint32 length %d not a multiple of 4", len(b))
+	if size%4 != 0 {
+		return nil, fmt.Errorf("wire: packed uint32 length %d not a multiple of 4", size)
 	}
-	n := len(b) / 4
+	n := size / 4
 	if cap(dst) < n || dst == nil {
 		dst = make([]uint32, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+	var raw []byte
+	if n > 0 {
+		raw = unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), size)
+	}
+	if err := d.readRaw(raw); err != nil {
+		return nil, err
+	}
+	if !hostLittleEndian {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		}
 	}
 	return dst, nil
 }
