@@ -1,14 +1,15 @@
 package comm_test
 
 import (
+	"errors"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/comm/mpi"
 	"repro/internal/comm/pubsub"
 	"repro/internal/testutil"
+	"repro/internal/testutil/commtest"
 	"repro/internal/wire"
 )
 
@@ -55,11 +56,7 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 	for name, build := range rigs {
 		t.Run(name, func(t *testing.T) {
 			srv, clients := build(t)
-			var wg sync.WaitGroup
-			for i, c := range clients {
-				wg.Add(1)
-				go echoLoop(c, i, dim, &wg)
-			}
+			echo := commtest.StartEcho(clients, dim, func() { srv.Close() })
 			weights := make([]float64, dim)
 			all := comm.AllClients(n)
 			round := func(r int) {
@@ -71,7 +68,7 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 				}
 				ups, err := srv.GatherFrom(all)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatal(errors.Join(err, echo.Err()))
 				}
 				for i, u := range ups {
 					if want := float64(i) + float64(r)/1024 + float64(r); len(u.Primal) != dim || u.Primal[dim-1] != want {
@@ -103,26 +100,9 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 			if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
 				t.Fatal(err)
 			}
-			wg.Wait()
+			if err := echo.Wait(); err != nil {
+				t.Fatal(err)
+			}
 		})
-	}
-}
-
-// echoLoop answers every model with a dim-sized update whose values name
-// the client and the round, until the final model or a failed receive.
-func echoLoop(c comm.ClientTransport, id, dim int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	primal := make([]float64, dim)
-	for {
-		gm, err := c.RecvGlobal()
-		if err != nil || gm.Final {
-			return
-		}
-		for i := range primal {
-			primal[i] = float64(id) + float64(gm.Round)/1024 + gm.Weights[i%len(gm.Weights)]
-		}
-		if c.SendUpdate(&wire.LocalUpdate{ClientID: uint32(id), Round: gm.Round, NumSamples: 1, Primal: primal}) != nil {
-			return
-		}
 	}
 }

@@ -35,11 +35,10 @@ var ErrRoundTimeout = errors.New("comm: round deadline exceeded")
 // LocalUpdate in return. Every transport keeps that obligation per client
 // in the one receive side they share (Inbox), so they apply the same
 // rules: a duplicate dispatch, an update from a client outside the
-// awaited set, an update whose ClientID is off the roster, or not its
-// sender's where the transport knows the sender (an rpc connection, an
-// mpi rank; a pub/sub update topic is shared), or whose TenantID is not
-// the transport's is a protocol error, and a gather asking for more than
-// is outstanding fails fast.
+// awaited set, an update whose ClientID is not its sender's (an rpc
+// connection, an mpi rank, a pub/sub client's update topic), or whose
+// TenantID is not the transport's is a protocol error, and a gather
+// asking for more than is outstanding fails fast.
 type ServerTransport interface {
 	// Broadcast delivers the global model to every client.
 	Broadcast(m *wire.GlobalModel) error

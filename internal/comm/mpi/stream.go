@@ -14,8 +14,8 @@ import (
 
 // Message tags of the streaming path.
 const (
-	tagChunk    = -12 // client → server: ModelChunk frame
-	tagChunkAck = -13 // server → client: ChunkAck frame
+	tagChunk    = int(wire.KindModelChunk) // client → server
+	tagChunkAck = int(wire.KindChunkAck)   // server → client
 )
 
 // SendChunk uploads one model chunk to the server rank.

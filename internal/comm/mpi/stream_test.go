@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/testutil/chunktest"
+	"repro/internal/testutil/commtest"
 	"repro/internal/wire"
 )
 
@@ -116,5 +116,5 @@ func TestStreamPushAheadOverMPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	chunktest.PushAhead(t, server, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
+	commtest.PushAhead(t, server, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
 }

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/comm"
@@ -17,13 +16,14 @@ import (
 // block on ranks that are not scheduled this round), so the adapter uses
 // tagged point-to-point sends: one tagGlobal message per scheduled client,
 // one tagUpdate reply per delivered model. One reply receiver per client
-// rank decodes everything that rank sends the server and feeds the
-// server's comm.Inbox, which the gathers drain.
+// rank hands everything that rank sends the server to the server's
+// comm.Inbox, which decodes it and which the gathers drain.
 
-// Message tags of the FL protocol.
+// Message tags of the FL protocol: each is the wire.Kind of the frame it
+// carries.
 const (
-	tagGlobal = -10 // server → client: GlobalModel frame
-	tagUpdate = -11 // client → server: LocalUpdate frame
+	tagGlobal = int(wire.KindGlobalModel) // server → client
+	tagUpdate = int(wire.KindLocalUpdate) // client → server
 )
 
 // ServerTransport adapts the server rank to comm.ServerTransport. Its
@@ -63,12 +63,11 @@ func NewFLWorld(numClients int) (*ServerTransport, []*ClientTransport) {
 // numClients is the number of client ranks.
 func (s *ServerTransport) numClients() int { return s.c.Size() - 1 }
 
-// receive is client's reply receiver. It decodes every frame the client's
-// rank sends the server — streamed chunks for the stream gather, updates
-// for the gathers — and feeds it to the inbox, which returns the frame to
-// the pool the client took it from (comm.EncodeFrame). The rank's sender
-// is known, so the inbox holds each update's ClientID to it. It runs until
-// Close.
+// receive is client's reply receiver. It hands every frame the client's
+// rank sends the server — streamed chunks, updates — to the inbox, which
+// decodes it and returns the frame to the pool the client took it from
+// (comm.EncodeFrame). The rank is the sender, so the inbox holds each
+// update's ClientID to it. It runs until Close.
 func (s *ServerTransport) receive(client int) {
 	from := s.c.mailbox(client + 1)
 	var dec wire.Decoder
@@ -79,11 +78,8 @@ func (s *ServerTransport) receive(client int) {
 		case <-s.done:
 			return
 		}
-		if m.tag != tagChunk && m.tag != tagUpdate {
-			panic(fmt.Sprintf("mpi: rank 0 expected tag %d or %d from %d, got %d",
-				tagChunk, tagUpdate, client+1, m.tag))
-		}
-		if !s.PostFrame(&dec, client, m.tag == tagChunk, m.data) {
+		dec.Reset(m.data)
+		if !s.Receive(&dec, wire.Kind(m.tag), client, 0, len(m.data), m.data) {
 			return
 		}
 	}
@@ -143,6 +139,15 @@ func (t *ClientTransport) ReceiveInto(w []float64) { t.model.Weights = w[:0] }
 func (t *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	t.send(tagUpdate, m)
 	return nil
+}
+
+// SendFrame hands the server rank frame as this client's next update,
+// exactly as it is: the raw form of SendUpdate, for a peer that encodes
+// its own messages. The frame is the server's from then on; it returns
+// the frame to tensor's byte pool once decoded.
+func (t *ClientTransport) SendFrame(frame []byte) {
+	t.c.Send(0, tagUpdate, frame)
+	t.stats.AddSent(len(frame))
 }
 
 // send encodes m into a pooled frame (comm.EncodeFrame), which the server

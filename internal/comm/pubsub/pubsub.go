@@ -4,15 +4,17 @@
 // published to string topics and fanned out to all subscribers, with
 // per-subscriber FIFO ordering — the QoS-0 semantics of MQTT.
 //
-// A transport adapter maps the FL protocol onto two topics: the server
-// publishes global models to "fl/global"; clients publish local updates to
-// "fl/update". Payloads are encoded with the internal/wire codec, so the
-// pub/sub path pays the same serialization cost as RPC.
+// A transport adapter maps the FL protocol onto per-client topics: the
+// server publishes client i's global models to "fl/global/i"; client i
+// publishes its local updates to "fl/update/i". Payloads are encoded with
+// the internal/wire codec, so the pub/sub path pays the same
+// serialization cost as RPC.
 package pubsub
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,11 +38,12 @@ type Broker struct {
 	mu     sync.Mutex
 	subs   map[string][]*Subscription
 	closed bool
+	done   chan struct{} // closed by Close
 }
 
 // NewBroker creates an empty broker.
 func NewBroker() *Broker {
-	return &Broker{subs: map[string][]*Subscription{}}
+	return &Broker{subs: map[string][]*Subscription{}, done: make(chan struct{})}
 }
 
 // Subscription is one subscriber's ordered message queue. Teardown is
@@ -87,7 +90,9 @@ func (b *Broker) publish(msg Message) error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	subs := append([]*Subscription(nil), b.subs[msg.Topic]...)
+	// A topic's list is never changed below its length (Subscribe appends,
+	// Unsubscribe copies), so it is read here without a copy.
+	subs := b.subs[msg.Topic]
 	b.mu.Unlock()
 	for _, s := range subs {
 		select {
@@ -133,11 +138,9 @@ func (s *Subscription) Unsubscribe() {
 		b := s.broker
 		b.mu.Lock()
 		list := b.subs[s.topic]
-		for i, x := range list {
-			if x == s {
-				b.subs[s.topic] = append(list[:i], list[i+1:]...)
-				break
-			}
+		if i := slices.Index(list, s); i >= 0 {
+			// A new list: publishers may still be delivering to the old one.
+			b.subs[s.topic] = slices.Delete(slices.Clone(list), i, i+1)
 		}
 		b.mu.Unlock()
 		close(s.done)
@@ -152,6 +155,7 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
+	close(b.done)
 	var all []*Subscription
 	for _, list := range b.subs {
 		all = append(all, list...)
@@ -165,8 +169,8 @@ func (b *Broker) Close() {
 
 // Topic names of the FL protocol mapping. Global models are published to
 // per-client topics (TopicGlobal/<id>) so a scheduler can address a cohort
-// rather than the whole federation; updates flow back over one shared
-// topic whose arrival order the buffered scheduler consumes directly.
+// rather than the whole federation; updates flow back over per-client
+// topics too (TopicUpdate/<id>), so the server knows who sent each one.
 //
 // On a multi-tenant broker each tenant's topics are namespaced under a
 // "t<id>/" prefix; tenant 0 keeps the unprefixed names, so a pre-tenancy
@@ -191,18 +195,16 @@ func GlobalTopic(id int) string { return fmt.Sprintf("%s/%d", TopicGlobal, id) }
 // TenantGlobalTopic returns tenant's per-client global-model topic.
 func TenantGlobalTopic(tenant, id int) string { return TenantPrefix(tenant) + GlobalTopic(id) }
 
-// TenantUpdateTopic returns tenant's shared local-update topic.
-func TenantUpdateTopic(tenant int) string { return TenantPrefix(tenant) + TopicUpdate }
+// UpdateTopic returns the topic carrying client id's local updates.
+func UpdateTopic(id int) string { return fmt.Sprintf("%s/%d", TopicUpdate, id) }
 
 // ServerTransport adapts a broker to comm.ServerTransport. Its gathers,
 // Forgive, Outstanding and RecvChunkFrom are the embedded inbox's.
 //
-// A topic broker is connectionless: updates share one topic, so the
-// inbox cannot know an update's sender and holds its ClientID to the
-// roster only; cohort attribution happens in GatherFrom via
-// comm.OrderByClient. The server transport is the only subscriber of its
-// update and chunk topics, and returns each payload to the pool its
-// publisher took it from once it is decoded.
+// Each client publishes on topics of its own, so the inbox knows an
+// update's sender and holds its ClientID to it. The server transport is
+// the only subscriber of its update and chunk topics, and returns each
+// payload to the pool its publisher took it from once it is decoded.
 type ServerTransport struct {
 	*comm.Inbox
 	broker     *Broker
@@ -214,14 +216,15 @@ type ServerTransport struct {
 
 // ClientTransport adapts a broker to comm.ClientTransport.
 type ClientTransport struct {
-	broker *Broker
-	tenant int
-	id     int
-	global *Subscription
-	acks   *Subscription // per-client chunk-ack topic
-	stats  comm.Stats
-	enc    wire.Encoder     // the payload being encoded, only while publish runs
-	model  wire.GlobalModel // what RecvGlobal returns; recycled per call
+	broker  *Broker
+	tenant  int
+	updates string // the client's update topic
+	chunks  string // the client's chunk topic
+	global  *Subscription
+	acks    *Subscription // per-client chunk-ack topic
+	stats   comm.Stats
+	enc     wire.Encoder     // the payload being encoded, only while publish runs
+	model   wire.GlobalModel // what RecvGlobal returns; recycled per call
 }
 
 // NewFLBroker wires a broker for one server and numClients clients and
@@ -266,49 +269,53 @@ func NewTenantFLBroker(clientsPerTenant []int) (*Broker, []*ServerTransport, [][
 // must not tear down the broker under its neighbors.
 func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*ServerTransport, []*ClientTransport, error) {
 	prefix := TenantPrefix(tenant)
-	upd, err := b.Subscribe(prefix+TopicUpdate, numClients)
-	if err != nil {
-		return nil, nil, err
-	}
 	st := &ServerTransport{broker: b, tenant: tenant, shared: shared, numClients: numClients}
 	st.Inbox = comm.NewInbox(comm.InboxConfig{
-		Name: "pubsub", Clients: numClients, Tenant: tenant, Stats: &st.stats, Done: upd.done,
+		Name: "pubsub", Clients: numClients, Tenant: tenant, Stats: &st.stats, Done: b.done,
 	})
-	go st.pump(upd, -1)
 	clients := make([]*ClientTransport, numClients)
 	for i := range clients {
-		g, err := b.Subscribe(prefix+GlobalTopic(i), 1)
+		// The pumps hold one message each and the inbox queues the next
+		// few chunks: a topic queues one update and no chunk, so that is
+		// how far a client streams ahead of the gather before its Publish
+		// blocks. One ack comes back per upload.
+		upd, err := b.Subscribe(prefix+UpdateTopic(i), 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		// The pump holds one chunk and the inbox queues the next few: the
-		// topic itself queues none, so that is how far a client streams
-		// ahead of the gather before its Publish blocks. One ack comes back
-		// per upload.
 		mc, err := b.Subscribe(prefix+ChunkTopic(i), 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		go st.pump(mc, i)
+		g, err := b.Subscribe(prefix+GlobalTopic(i), 1)
+		if err != nil {
+			return nil, nil, err
+		}
 		ack, err := b.Subscribe(prefix+ChunkAckTopic(i), 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		clients[i] = &ClientTransport{broker: b, tenant: tenant, id: i, global: g, acks: ack}
+		go st.pump(upd, i, wire.KindLocalUpdate)
+		go st.pump(mc, i, wire.KindModelChunk)
+		clients[i] = &ClientTransport{broker: b, tenant: tenant, global: g, acks: ack,
+			updates: upd.topic, chunks: mc.topic}
 	}
 	return st, clients, nil
 }
 
-// pump feeds every message of one of the server's subscriptions to the
-// inbox, which decodes it and returns the payload to the pool its
-// publisher took it from (comm.EncodeFrame): client's streamed chunks, or
-// — client -1 — the tenant's shared update topic, whose updates name their
-// own sender. It runs until the broker closes.
-func (s *ServerTransport) pump(sub *Subscription, client int) {
+// pump hands every message of one of the server's subscriptions — client's
+// updates or its streamed chunks, of the given kind — to the inbox, which
+// decodes it and returns the payload to the pool its publisher took it
+// from (comm.EncodeFrame). It runs until the broker closes.
+func (s *ServerTransport) pump(sub *Subscription, client int, kind wire.Kind) {
 	var dec wire.Decoder
 	for {
 		msg, ok := sub.Recv()
-		if !ok || !s.PostFrame(&dec, client, client >= 0, msg.Payload) {
+		if !ok {
+			return
+		}
+		dec.Reset(msg.Payload)
+		if !s.Receive(&dec, kind, client, 0, len(msg.Payload), msg.Payload) {
 			return
 		}
 	}
@@ -379,11 +386,11 @@ func (c *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 // float16, is decoded into it.
 func (c *ClientTransport) ReceiveInto(w []float64) { c.model.Weights = w[:0] }
 
-// SendUpdate publishes the client's update to its tenant's update topic,
-// stamped with the tenant id.
+// SendUpdate publishes the client's update to its update topic, stamped
+// with the tenant id.
 func (c *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	m.TenantID = uint32(c.tenant)
-	return c.publish(TenantUpdateTopic(c.tenant), m)
+	return c.publish(c.updates, m)
 }
 
 // publish encodes m into a pooled payload (comm.EncodeFrame), which the

@@ -42,7 +42,7 @@ func (s *ServerTransport) SendChunkAck(client int, a *wire.ChunkAck) error {
 
 // SendChunk publishes one model chunk to this client's chunk topic.
 func (c *ClientTransport) SendChunk(mc *wire.ModelChunk) error {
-	return c.publish(TenantPrefix(c.tenant)+ChunkTopic(c.id), mc)
+	return c.publish(c.chunks, mc)
 }
 
 // RecvChunkAck blocks for the next chunk ack; timeout <= 0 waits

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/testutil/chunktest"
+	"repro/internal/testutil/commtest"
 	"repro/internal/wire"
 )
 
@@ -103,5 +103,5 @@ func TestStreamPushAheadOverPubSub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 20*64, 64, 4+1)
+	commtest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 20*64, 64, 4+1)
 }

@@ -77,7 +77,7 @@ func TestTenantPrefix(t *testing.T) {
 	if got := TenantGlobalTopic(2, 3); got != "t2/fl/global/3" {
 		t.Fatalf("TenantGlobalTopic(2,3) = %q", got)
 	}
-	if got := TenantUpdateTopic(1); got != "t1/fl/update" {
-		t.Fatalf("TenantUpdateTopic(1) = %q", got)
+	if got := TenantPrefix(1) + UpdateTopic(4); got != "t1/fl/update/4" {
+		t.Fatalf("tenant 1's update topic of client 4 = %q", got)
 	}
 }

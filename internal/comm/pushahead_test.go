@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/testutil/chunktest"
+	"repro/internal/testutil/commtest"
 )
 
 // TestStreamPushAheadIsBounded: over an mpi world, a client streaming
@@ -14,5 +14,5 @@ import (
 // silent member streams.
 func TestStreamPushAheadIsBounded(t *testing.T) {
 	srv, clients := world(t, 2)
-	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
+	commtest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, 30*64, 64, 8+4+1)
 }

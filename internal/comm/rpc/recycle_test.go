@@ -17,6 +17,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/testutil"
+	"repro/internal/testutil/commtest"
 	"repro/internal/wire"
 )
 
@@ -56,25 +57,6 @@ func dialCluster(t *testing.T, n, modelSize int) (*Server, []*Client) {
 	return srv, clients
 }
 
-// echoLoop answers every model with a dim-sized update whose values name
-// the client and the round, until the final model or a closed connection.
-func echoLoop(c *Client, id, dim int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	primal := make([]float64, dim)
-	for {
-		gm, err := c.RecvGlobal()
-		if err != nil || gm.Final {
-			return
-		}
-		for i := range primal {
-			primal[i] = float64(id) + float64(gm.Round)/1024 + gm.Weights[i%len(gm.Weights)]
-		}
-		if c.SendUpdate(&wire.LocalUpdate{ClientID: uint32(id), Round: gm.Round, NumSamples: 1, Primal: primal}) != nil {
-			return
-		}
-	}
-}
-
 // TestSteadyStateAllocationGate pins the dense path's buffer recycling:
 // four clients exchange a 256k-parameter model with the server over
 // loopback TCP, and once two warm-up rounds have sized every encoder,
@@ -86,11 +68,11 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 	}
 	const n, dim, warm, rounds = 4, 256 << 10, 2, 8
 	srv, clients := dialCluster(t, n, dim)
-	var wg sync.WaitGroup
+	transports := make([]comm.ClientTransport, n)
 	for i, c := range clients {
-		wg.Add(1)
-		go echoLoop(c, i, dim, &wg)
+		transports[i] = c
 	}
+	echo := commtest.StartEcho(transports, dim, func() { srv.Close() })
 	weights := make([]float64, dim)
 	all := comm.AllClients(n)
 	round := func(r int) {
@@ -102,7 +84,7 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 		}
 		ups, err := srv.GatherFrom(all)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatal(errors.Join(err, echo.Err()))
 		}
 		for i, u := range ups {
 			if want := float64(i) + float64(r)/1024 + float64(r); len(u.Primal) != dim || u.Primal[dim-1] != want {
@@ -122,7 +104,9 @@ func TestSteadyStateAllocationGate(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	if err := echo.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStreamedRoundAllocationGate is the gate of the streamed path: four

@@ -30,9 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -187,9 +185,9 @@ func (c ServerConfig) tenants() []TenantSpec {
 // listener open for Resume joins that splice a reconnecting client back
 // into its session.
 //
-// One reader goroutine per connection decodes every incoming frame and
-// feeds it to its tenant's comm.Inbox, whose gathers and chunk receive
-// apply the receive rules. A single-tenant server is the degenerate
+// One reader goroutine per connection hands every incoming frame to its
+// tenant's comm.Inbox, which decodes it and whose gathers and chunk
+// receive apply the receive rules. A single-tenant server is the degenerate
 // one-view case: the
 // Server embeds the default tenant's view, whose transport methods it
 // serves, and keeps only Stats (every tenant's traffic) and Close.
@@ -205,9 +203,6 @@ type Server struct {
 
 	views []*TenantView
 	done  chan struct{}
-	// window, when positive, is the width the readers cut every dense
-	// upload's primal into (WindowUploads).
-	window atomic.Int64
 
 	ackMu    sync.Mutex
 	ackEnc   wire.Encoder // chunk acks; under ackMu
@@ -472,175 +467,39 @@ func (s *Server) acceptResumes() {
 	}
 }
 
-// readLoop decodes every frame from one client connection and feeds it to
-// the owning tenant's inbox. Each connection's reader decodes its own
-// frames straight off the socket into recycled messages (see
-// comm.NewUpdate), so a cohort's uploads deserialize side by side and a
-// dense vector is written exactly once, where the fold will read it — or,
-// in windowed mode, cut into chunk windows the fold reads one at a time
-// (readWindowed). On a connection error it posts one tagged failure and
-// exits; the inbox decides whether that failure matters (the client's
-// current connection) to a gather or a stream, or is ordinary teardown
-// noise.
+// readLoop reads every frame from one client connection and hands it to
+// the owning tenant's inbox, which decodes it straight off the socket
+// (comm.Inbox.Receive): each connection's reader decodes its own frames,
+// so a cohort's uploads deserialize side by side. On a connection error
+// it reports one tagged failure and exits; the inbox decides whether that
+// failure matters (the client's current connection) to a gather or a
+// stream, or is ordinary teardown noise.
 func (s *Server) readLoop(slot, gen int, conn net.Conn) {
 	t, local := s.table.Owner(slot)
 	view := s.views[t]
-	r := &reader{in: view.Inbox, client: local, gen: gen, conn: conn, dim: s.specs[t].ModelSize}
-	r.cut = r.cutPrimal
+	r := new(reader)
 	s.mu.Lock()
 	s.readers[slot] = r
 	s.mu.Unlock()
 	limit := frameLimit(s.specs[t].ModelSize)
 	for {
 		kind, n, err := r.hdr.read(conn, limit)
-		if err == nil && kind == wire.KindModelChunk {
-			// Streamed chunks bypass the gathers (and the obligation
-			// ledger): StreamGather drains them per client.
-			a := comm.Arrival{Client: local, Chunk: comm.NewChunk(), Size: n}
-			if a.Bad, err = recvMessage(&r.dec, conn, n, a.Chunk); err == nil {
-				if !view.PostChunk(a) {
-					return
-				}
-				continue
-			}
+		if err != nil {
+			view.Fail(local, gen, err)
+			return
 		}
-		a := comm.Arrival{Client: local, Gen: gen}
-		switch {
-		case err != nil:
-			a.Err = fmt.Errorf("rpc: gather from client %d: %w", local, err)
-		case kind != wire.KindLocalUpdate:
-			a.Err = fmt.Errorf("rpc: client %d sent %v, want LocalUpdate", local, kind)
-		default:
-			if w := int(s.window.Load()); w > 0 {
-				var open bool
-				if a, open = r.readWindowed(n, w); !open {
-					return
-				}
-				if a.Update == nil && a.Err == nil {
-					continue // nothing for the gathers: the chunk side has it
-				}
-				break
-			}
-			a.Update, a.Size = comm.NewUpdate(), n
-			if a.Bad, err = recvMessage(&r.dec, conn, n, a.Update); err != nil {
-				a.Err = fmt.Errorf("rpc: gather from client %d: %w", local, err)
-			}
-		}
-		if !view.Post(a) || a.Err != nil {
+		r.dec.ResetStream(conn, n)
+		if !view.Receive(&r.dec, kind, local, gen, n, nil) {
 			return
 		}
 	}
 }
 
 // reader is one connection's read side: the frame header and decoder
-// scratch, and what a windowed upload needs while it is read.
+// scratch.
 type reader struct {
-	in          *comm.Inbox // the owning tenant's
-	client, gen int         // tenant-local client id, connection generation
-	conn        net.Conn
-	dim         int // the negotiated model size, the only primal length a window may cut
-	hdr         frameHeader
-	dec         wire.Decoder
-
-	u      *wire.LocalUpdate // the upload being read
-	window int
-	posted int               // windows of its primal posted so far
-	cut    func(n int) error // cutPrimal, bound once
-}
-
-// readWindowed reads one n-byte LocalUpdate frame in windowed mode:
-// fields 1–3 into a pooled update, the dense primal straight into pooled
-// ModelChunks of window coordinates posted on the client's chunk side as
-// it is read (so at most the inbox's chunk queue of them exists at a
-// time), and the remaining fields into the same update, which it returns
-// — without its primal, carrying the frame's byte count — for the
-// gathers. An update without a primal (a goodbye) is announced on the
-// chunk side by an empty arrival. A malformed frame is reported where the
-// gather will look next: on the chunk side while the primal is
-// incomplete (the returned arrival is then empty), in the returned
-// arrival once it is not. open is false once the server is closed.
-func (r *reader) readWindowed(n, window int) (a comm.Arrival, open bool) {
-	a = comm.Arrival{Client: r.client, Gen: r.gen}
-	r.u, r.window, r.posted = comm.NewUpdate(), window, 0
-	u := r.u
-	r.dec.ResetStream(r.conn, n)
-	bad := u.UnmarshalWindowed(&r.dec, r.cut)
-	if errors.Is(bad, errClosed) {
-		comm.ReleaseUpdate(u)
-		return a, false
-	}
-	err := r.dec.ReadErr()
-	if err == nil && bad == nil {
-		// Only a goodbye comes without a primal, and a goodbye folds
-		// nothing (splitControl), so it may not bring one.
-		switch goodbye := u.Control == wire.ControlGoodbye; {
-		case goodbye && r.posted > 0:
-			bad = errors.New("goodbye carries a primal")
-		case !goodbye && r.posted == 0:
-			bad = errors.New("update carries an empty primal")
-		}
-	}
-	if err == nil && bad != nil {
-		err = r.dec.Drain()
-	}
-	if err != nil {
-		comm.ReleaseUpdate(u)
-		a.Err = fmt.Errorf("rpc: gather from client %d: %w", r.client, err)
-		return a, true
-	}
-	switch {
-	case bad != nil && r.posted < wire.ChunkPlan(r.dim, window):
-		comm.ReleaseUpdate(u)
-		bad = fmt.Errorf("rpc: update decode from client %d: %w", r.client, bad)
-		return a, r.in.PostChunk(comm.Arrival{Client: r.client, Bad: bad})
-	case bad != nil:
-		a.Bad = bad
-	case r.posted == 0 && !r.in.PostChunk(comm.Arrival{Client: r.client}):
-		comm.ReleaseUpdate(u)
-		return a, false
-	}
-	a.Update, a.Size = u, n
-	return a, true
-}
-
-// errClosed is what cutting a primal meets once the server is closed.
-var errClosed = errors.New("rpc: server closed")
-
-// cutPrimal reads the current upload's n-value primal off the decoder
-// into consecutive windows, each posted on the client's chunk side as a
-// ModelChunk of the stream StreamUpload would have sent. A primal of any
-// length but the model's is refused before a value is read.
-func (r *reader) cutPrimal(n int) error {
-	if n == 0 {
-		return nil // a goodbye's; readWindowed decides
-	}
-	if n != r.dim {
-		return fmt.Errorf("rpc: primal of %d coordinates, the model has %d", n, r.dim)
-	}
-	u, count := r.u, wire.ChunkPlan(r.dim, r.window)
-	for c := 0; c < count; c++ {
-		lo, hi := wire.ChunkRange(r.dim, r.window, c)
-		mc := comm.NewChunk()
-		p := mc.Payload
-		if p == nil {
-			p = new(wire.Payload)
-		}
-		*mc = wire.ModelChunk{
-			ClientID: u.ClientID, Round: u.Round, Index: uint32(c), Count: uint32(count),
-			Lo: uint32(lo), Hi: uint32(hi), Dim: uint32(r.dim), NumSamples: u.NumSamples, Payload: p,
-		}
-		p.Enc, p.Dim = wire.EncDense, uint32(hi-lo)
-		p.Dense = slices.Grow(p.Dense[:0], hi-lo)[:hi-lo]
-		if err := r.dec.ReadDoubles(p.Dense); err != nil {
-			comm.ReleaseChunk(mc)
-			return err
-		}
-		if !r.in.PostChunk(comm.Arrival{Client: r.client, Chunk: mc}) {
-			return errClosed
-		}
-		r.posted++
-	}
-	return nil
+	hdr frameHeader
+	dec wire.Decoder
 }
 
 // conn returns the current connection of global slot c.

@@ -11,34 +11,20 @@ import (
 )
 
 // Chunk streaming over TCP frames. Chunks ride the same connection as
-// ordinary updates (the readLoop routes KindModelChunk frames to the
-// inbox's chunk side); acks come back as KindChunkAck frames the client
-// reads inline — safe because streaming is barrier-only, so the server
-// sends nothing else while a stream is in flight.
+// ordinary updates (the inbox queues KindModelChunk frames on its chunk
+// side); acks come back as KindChunkAck frames the client reads inline —
+// safe because streaming is barrier-only, so the server sends nothing
+// else while a stream is in flight.
 
-// WindowUploads switches windowed mode (comm.UploadWindower): while window
-// is positive, every connection's reader cuts each LocalUpdate's dense
-// primal into ModelChunks of window coordinates as it reads the frame, and
-// the gathers receive the update without it. A client in a windowed
-// round waits for no ack, so the caller of StreamGather sends none. A
-// multi-tenant server, or one that negotiated no model size, cannot cut
-// windows and reports false.
-func (s *Server) WindowUploads(window int) bool {
-	if len(s.specs) != 1 || s.specs[0].ModelSize <= 0 {
-		return false
-	}
-	s.window.Store(int64(max(window, 0)))
-	return true
-}
-
-// SendChunkAck tells a client that its stream is folded.
-func (s *Server) SendChunkAck(client int, a *wire.ChunkAck) error {
-	if client < 0 || client >= s.cfg.NumClients {
+// SendChunkAck tells a client of this tenant that its stream is folded.
+func (v *TenantView) SendChunkAck(client int, a *wire.ChunkAck) error {
+	if client < 0 || client >= v.n {
 		return fmt.Errorf("rpc: chunk ack to unknown client %d", client)
 	}
+	s := v.s
 	s.ackMu.Lock()
 	defer s.ackMu.Unlock()
-	if err := s.ackFrame.write(s.conn(client), wire.KindChunkAck, len(s.ackEnc.Encode(a)), s.ackEnc.Bytes()); err != nil {
+	if err := s.ackFrame.write(s.conn(v.off+client), wire.KindChunkAck, len(s.ackEnc.Encode(a)), s.ackEnc.Bytes()); err != nil {
 		return fmt.Errorf("rpc: chunk ack to client %d: %w", client, err)
 	}
 	s.stats.AddSent(s.ackEnc.Len())
@@ -79,6 +65,6 @@ func (c *Client) RecvChunkAck(timeout time.Duration) (*wire.ChunkAck, error) {
 // Interface conformance checks.
 var (
 	_ comm.ChunkSender    = (*Client)(nil)
-	_ comm.ChunkGatherer  = (*Server)(nil)
 	_ comm.UploadWindower = (*Server)(nil)
+	_ comm.UploadWindower = (*TenantView)(nil)
 )

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/testutil/chunktest"
+	"repro/internal/testutil/commtest"
 	"repro/internal/wire"
 )
 
@@ -140,7 +140,7 @@ func TestStreamPushAheadOverRPC(t *testing.T) {
 		}
 	}
 	inSockets := (4*sockBuf + 8*chunk - 1) / (8 * chunk)
-	chunktest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, dim, chunk, 4+1+inSockets)
+	commtest.PushAhead(t, srv, [2]comm.ChunkSender{clients[0], clients[1]}, 1, dim, chunk, 4+1+inSockets)
 }
 
 // TestStreamGatherFailsWhenClientDies: in explicit stream mode a cohort

@@ -20,13 +20,14 @@ import (
 // ahead of the gather blocks in SendChunk, and the server still holds
 // O(cohort × chunk). One ChunkAck per upload (AckStream), sent once the
 // stream's last chunk is folded, tells the client its whole stream is in.
-// A server transport can also cut a monolithic dense upload into the same
-// windows as it reads it (UploadWindower), and a StreamGather then folds
-// uploads whose clients never streamed and wait for no ack. Chunk transfer
-// rides BELOW the obligation ledger: chunks settle nothing; the client
-// follows its stream with a slim (payload-less) LocalUpdate that settles
-// the round's obligation through the ordinary gather, keeping
-// Forgive/quorum semantics untouched.
+// Every server transport's Inbox can also cut a monolithic dense upload
+// into the same windows as it decodes it (UploadWindower), on every
+// transport alike, and a StreamGather then folds uploads whose clients
+// never streamed and wait for no ack. Chunk transfer rides BELOW the
+// obligation ledger: chunks settle nothing; the client follows its stream
+// with a slim (payload-less) LocalUpdate that settles the round's
+// obligation through the ordinary gather, keeping Forgive/quorum
+// semantics untouched.
 
 // ErrAckTimeout reports that a chunk ack did not arrive within the timeout
 // passed to RecvChunkAck.
@@ -58,17 +59,18 @@ type ChunkGatherer interface {
 }
 
 // UploadWindower is a ChunkGatherer that can cut each monolithic dense
-// upload into chunk windows as it reads it off the network, so that the
-// server never holds a decoded upload: while the mode is on, a
-// LocalUpdate's dense primal arrives through RecvChunkFrom as consecutive
+// upload into chunk windows as it decodes it, so that the server never
+// holds a decoded upload: while the mode is on, a LocalUpdate's dense
+// primal of dim values arrives through RecvChunkFrom as consecutive
 // windows of the given width, exactly as if its client had streamed it
 // (StreamUpload), and the update itself, without the primal, through the
 // ordinary gathers. The client sends its update whole and waits for no
-// ack. WindowUploads(0) switches the mode off. It reports whether the
-// transport can serve the mode at all.
+// ack. WindowUploads(0, 0) switches the mode off. Every transport's Inbox
+// offers it; a wrapper that does not forward it keeps its runs on the
+// gathered path.
 type UploadWindower interface {
 	ChunkGatherer
-	WindowUploads(window int) bool
+	WindowUploads(window, dim int)
 }
 
 // chunkablePayload views the uplink vector of u for chunk slicing:

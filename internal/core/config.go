@@ -60,8 +60,11 @@ type Config struct {
 	// Pipeline is the ordered update-pipeline spec: the stack of privacy
 	// and compression stages every client release passes through, e.g.
 	//
-	//	"clip:1.0,laplace:0.5,topk:0.1"
+	//	"clip:1,laplace:5,quantize:8"
 	//
+	// (ε̄ = 5 Laplace output perturbation, then 8-bit stochastic
+	// quantization: a FedAvg round uploads 8× fewer bytes and still
+	// trains.)
 	// Stages: clip:C, laplace:EPS, gaussian:EPS[:DELTA], topk:FRAC,
 	// quantize[:BITS], f16 (see pipeline.Parse for the grammar and
 	// ordering rules). It is the one description of the client update

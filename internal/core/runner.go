@@ -706,20 +706,21 @@ const uploadWindow = 16384
 // the decoded primal), no subset (its uploads span a prefix, not the
 // model) or compressed uplink (its payloads are not dense windows), no
 // admission gate (it spans the decode and fold of a gathered batch) and a
-// transport that can cut uploads into windows.
+// transport that offers the mode — every transport's own server does; a
+// wrapper that does not forward it keeps the Aggregate path.
 // Each client still sends its update whole; the server folds it
-// uploadWindow coordinates at a time as it is read, and holds no decoded
-// upload. Every other run keeps the Aggregate path.
+// uploadWindow coordinates at a time as it is decoded, and holds no
+// decoded upload.
 func (s *server) windowedUploads() (comm.UploadWindower, bool) {
 	if s.cfg.Algorithm != AlgoFedAvg || s.cfg.RoundTimeout > 0 || s.jw != nil ||
 		s.cfg.SubsetFrac > 0 || s.pipe.Compresses() || s.gate != nil {
 		return nil, false
 	}
 	w, ok := s.st.(comm.UploadWindower)
-	if !ok || !w.WindowUploads(uploadWindow) {
-		return nil, false
+	if ok {
+		w.WindowUploads(uploadWindow, s.agg.Dim())
 	}
-	return w, true
+	return w, ok
 }
 
 // runBarrierRounds drives the classic synchronous structure: each round
@@ -737,7 +738,8 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
 	// (FedAvg, barrier scheduler, no RoundTimeout). Windowed mode folds
-	// monolithic uploads through the same window, cut by the transport.
+	// monolithic uploads through the same window, cut by the transport's
+	// inbox.
 	var chunkSrc comm.ChunkGatherer
 	chunk := s.cfg.StreamChunk
 	if chunk > 0 {
@@ -747,7 +749,7 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 		}
 		chunkSrc = cg
 	} else if w, ok := s.windowedUploads(); ok {
-		defer w.WindowUploads(0)
+		defer w.WindowUploads(0, 0)
 		chunkSrc, chunk = w, uploadWindow
 	}
 	var stream *StreamSession

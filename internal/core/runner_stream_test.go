@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/comm/rpc"
+	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/wire"
@@ -32,8 +32,9 @@ func runLosses(t *testing.T, cfg Config, opts RunOptions) []float64 {
 // stream as fixed-size chunks produces bit-for-bit the per-round losses
 // of the monolithic run, for dense and f16 uplinks, over every transport
 // that speaks the chunk protocol — and over rpc with a straggler, whose
-// cohort-mates stream ahead of the gather while it trains. Over rpc a
-// monolithic run is windowed by the server, and it too must match.
+// cohort-mates stream ahead of the gather while it trains. On every
+// transport a monolithic run is windowed by the server, and it too must
+// match.
 func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
 	straggler := func(client, round int) time.Duration {
 		if client == 2 {
@@ -81,36 +82,50 @@ func TestRunStreamBitIdenticalToMonolithic(t *testing.T) {
 			}
 		})
 	}
-	t.Run("monolithic-rpc-windowed", windowedRow)
+	for _, tr := range []Transport{TransportMPI, TransportPubSub, TransportRPC} {
+		t.Run("monolithic-"+string(tr)+"-windowed", func(t *testing.T) { windowedRow(t, tr) })
+	}
 }
 
-// windowCounter is the rpc server with a count of the windows its
-// readers cut: it embeds the server, so it keeps offering windowed mode.
+// windowedServer is a transport's own server: every one offers windowed
+// mode.
+type windowedServer interface {
+	comm.ServerTransport
+	comm.UploadWindower
+}
+
+// windowCounter is a transport's server with a count of the windows its
+// inbox cut: it forwards windowed mode.
 type windowCounter struct {
-	*rpc.Server
+	windowedServer
 	windows atomic.Int64
 }
 
 func (w *windowCounter) RecvChunkFrom(client int) (*wire.ModelChunk, error) {
-	mc, err := w.Server.RecvChunkFrom(client)
+	mc, err := w.windowedServer.RecvChunkFrom(client)
 	if mc != nil {
 		w.windows.Add(1)
 	}
 	return mc, err
 }
 
-// windowedLosses runs cfg over rpc with monolithic uploads and returns the
-// per-round losses and how many primal windows the server folded.
-func windowedLosses(t *testing.T, cfg Config, factory nn.Factory) ([]float64, int64) {
+// gatheredOnly is a transport's server seen through a wrapper that does
+// not forward windowed mode: its runs decode every upload whole and fold
+// the gathered batch (Aggregate).
+type gatheredOnly struct{ comm.ServerTransport }
+
+// transportLosses runs cfg over tr with monolithic uploads, the server
+// wrapped by wrap, and returns the per-round losses.
+func transportLosses(t *testing.T, cfg Config, factory nn.Factory, tr Transport,
+	wrap func(comm.ServerTransport) comm.ServerTransport) []float64 {
 	t.Helper()
 	fed := parallelTestFed(3, 192, 48, 11)
-	st, cts, err := newServerTransport(TransportRPC, fed.NumClients(), nn.NumParams(factory()), cfg.Rounds)
+	st, cts, err := newServerTransport(tr, fed.NumClients(), nn.NumParams(factory()), cfg.Rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	srv := &windowCounter{Server: st.(*rpc.Server)}
-	res, err := RunWithTransport(cfg, fed, factory, RunOptions{}, srv, cts)
+	res, err := RunWithTransport(cfg, fed, factory, RunOptions{}, wrap(st), cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,19 +133,20 @@ func windowedLosses(t *testing.T, cfg Config, factory nn.Factory) ([]float64, in
 	for i, r := range res.Rounds {
 		losses[i] = r.TestLoss
 	}
-	return losses, srv.windows.Load()
+	return losses
 }
 
-// windowedRow is TestRunStreamBitIdenticalToMonolithic's monolithic-rpc
-// row: over rpc a FedAvg barrier run with a dense uplink uploads whole
-// updates, and the server cuts each primal into fold windows as it reads
-// it. The per-round losses must be those of the same run over mpi —
-// decoded uploads, one Aggregate — bit for bit, at aggregation widths 1
-// and 2, for the default stack and a private dense one, with a model of
-// three windows.
-func windowedRow(t *testing.T) {
+// windowedRow is TestRunStreamBitIdenticalToMonolithic's monolithic row
+// over tr: a FedAvg barrier run with a dense uplink uploads whole updates,
+// and the server's inbox cuts each primal into fold windows as it decodes
+// it. The per-round losses must be those of the same run over mpi with
+// windowed mode hidden — decoded uploads, one Aggregate — bit for bit, at
+// aggregation widths 1 and 2, for the default stack and a private dense
+// one, with a model of three windows.
+func windowedRow(t *testing.T, tr Transport) {
 	factory := func() nn.Module { return nn.NewMLP(28*28, []int{48}, 10, rng.New(11)) }
 	dim := nn.NumParams(factory())
+	gathered := func(st comm.ServerTransport) comm.ServerTransport { return gatheredOnly{st} }
 	for _, pipe := range []string{"", "clip:1,laplace:5"} {
 		for _, procs := range []int{1, 2} {
 			cfg := Config{
@@ -138,21 +154,21 @@ func windowedRow(t *testing.T) {
 				Seed: 7, Scheduler: SchedSyncAll, Pipeline: pipe,
 			}
 			prev := runtime.GOMAXPROCS(procs)
-			fed := parallelTestFed(3, 192, 48, 11)
-			ref, err := Run(cfg, fed, factory, RunOptions{Transport: TransportMPI})
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				t.Fatal(err)
-			}
-			got, windows := windowedLosses(t, cfg, factory)
+			ref := transportLosses(t, cfg, factory, TransportMPI, gathered)
+			var counter *windowCounter
+			got := transportLosses(t, cfg, factory, tr, func(st comm.ServerTransport) comm.ServerTransport {
+				counter = &windowCounter{windowedServer: st.(windowedServer)}
+				return counter
+			})
 			runtime.GOMAXPROCS(prev)
-			if want := int64(cfg.Rounds * fed.NumClients() * ((dim + uploadWindow - 1) / uploadWindow)); windows != want {
-				t.Fatalf("pipeline %q: the server folded %d windows, want %d: the run did not take the windowed path", pipe, windows, want)
+			if want := int64(cfg.Rounds * 3 * ((dim + uploadWindow - 1) / uploadWindow)); counter.windows.Load() != want {
+				t.Fatalf("pipeline %q: the server folded %d windows, want %d: the run did not take the windowed path",
+					pipe, counter.windows.Load(), want)
 			}
-			for i, r := range ref.Rounds {
-				if math.Float64bits(got[i]) != math.Float64bits(r.TestLoss) {
-					t.Fatalf("pipeline %q, width %d: round %d loss %v, mpi %v — windowing changed the trajectory",
-						pipe, procs, i+1, got[i], r.TestLoss)
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("pipeline %q, width %d: round %d loss %.17g, gathered %.17g — windowing changed the trajectory",
+						pipe, procs, i+1, got[i], ref[i])
 				}
 			}
 		}

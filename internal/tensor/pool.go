@@ -19,6 +19,10 @@ import (
 var (
 	f64Pool  sync.Pool // of *[]float64
 	bytePool sync.Pool // of *[]byte
+	// byteBoxes holds the emptied holders GetBytes took out of bytePool,
+	// for PutBytes to fill again: a recycled byte buffer costs no
+	// allocation of its own.
+	byteBoxes sync.Pool // of *[]byte, nil
 )
 
 // GetF64 returns a scratch []float64 of length n with undefined contents.
@@ -43,7 +47,11 @@ func PutF64(s []float64) {
 // GetBytes returns a scratch []byte of length n with undefined contents.
 func GetBytes(n int) []byte {
 	if v := bytePool.Get(); v != nil {
-		if s := *v.(*[]byte); cap(s) >= n {
+		box := v.(*[]byte)
+		s := *box
+		*box = nil
+		byteBoxes.Put(box)
+		if cap(s) >= n {
 			return s[:n]
 		}
 	}
@@ -55,7 +63,12 @@ func PutBytes(s []byte) {
 	if cap(s) == 0 {
 		return
 	}
-	bytePool.Put(&s)
+	box, _ := byteBoxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = s
+	bytePool.Put(box)
 }
 
 // MaxPool2DForward applies max pooling with a square kernel and stride to a

@@ -1,6 +1,8 @@
-// Package chunktest holds the flow-control check every chunk-streaming
-// transport's tests run. Only test files import it.
-package chunktest
+// Package commtest holds what every transport's own tests share: the
+// chunk flow-control check and the echo clients the allocation gates
+// drive. It imports no transport, so each transport's tests can import
+// it. Only test files import it.
+package commtest
 
 import (
 	"math"
