@@ -3,6 +3,7 @@ package pubsub
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -97,5 +98,48 @@ func TestGatherFromRejectsOutOfCohortUpdate(t *testing.T) {
 	}
 	if out := srv.Outstanding(); len(out) != 0 {
 		t.Fatalf("outstanding %v", out)
+	}
+}
+
+func TestGatherAnyArrivalOrder(t *testing.T) {
+	srv, clients, err := NewFLBroker(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	// Clients reply in the order 2, 0, 1; GatherAny keeps the order in
+	// which the updates reach the inbox. Each client publishes on a topic
+	// of its own with a pump of its own, so each reply is given time to
+	// land before the next client sends.
+	for _, id := range []int{2, 0, 1} {
+		if _, err := clients[id].RecvGlobal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := clients[id].SendUpdate(&wire.LocalUpdate{ClientID: uint32(id), Primal: []float64{1}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	batch, err := srv.GatherAny(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch[0].ClientID != 2 || batch[1].ClientID != 0 {
+		t.Fatalf("arrival order lost: %d, %d", batch[0].ClientID, batch[1].ClientID)
+	}
+	rest, err := srv.GatherAny(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rest[0].ClientID != 1 {
+		t.Fatalf("last arrival %d", rest[0].ClientID)
+	}
+	// The ledger is empty now: a further GatherAny is an overdraw and must
+	// fail fast instead of blocking on an update that will never come.
+	if _, err := srv.GatherAny(1); err == nil {
+		t.Fatal("overdrawn GatherAny accepted")
 	}
 }

@@ -62,3 +62,30 @@ func TestSendToGatherFromCohortOverTCP(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestGatherAnyQuorumOverTCP(t *testing.T) {
+	srv, clients := startCluster(t, 3)
+	wg := echoClients(t, clients)
+	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := srv.GatherAny(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 2 {
+		t.Fatalf("quorum batch %d", len(batch))
+	}
+	// Re-dispatch to the two contributors only, then collect everything.
+	ids := []int{int(batch[0].ClientID), int(batch[1].ClientID)}
+	if err := srv.SendTo(ids, &wire.GlobalModel{Round: 2, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.GatherAny(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Broadcast(&wire.GlobalModel{Final: true}); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+}
