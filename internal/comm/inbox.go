@@ -73,8 +73,11 @@ type InboxConfig struct {
 //
 // One goroutine gathers at a time.
 type Inbox struct {
-	cfg      InboxConfig
-	ledger   *Ledger
+	cfg    InboxConfig
+	ledger *Ledger
+	// arrivals holds two messages per client: the update it owes, and one
+	// that the ledger will discard (late, repeated or unsolicited), so
+	// that a client sending one too many does not wait for the gather.
 	arrivals chan arrival
 	chunks   []chan arrival
 	timer    *time.Timer // GatherUntil's deadline, reused
@@ -93,7 +96,7 @@ func NewInbox(cfg InboxConfig) *Inbox {
 	b := &Inbox{
 		cfg:      cfg,
 		ledger:   NewLedger(cfg.Clients),
-		arrivals: make(chan arrival, cfg.Clients),
+		arrivals: make(chan arrival, 2*cfg.Clients),
 		chunks:   make([]chan arrival, cfg.Clients),
 		failed:   make([]arrival, cfg.Clients),
 		broken:   make([]chan struct{}, cfg.Clients),
@@ -154,9 +157,10 @@ func (b *Inbox) WindowUploads(window, dim int) {
 // Receive decodes the message of the given kind that dec has been pointed
 // at — size bytes from client, over its connection generation gen — and
 // queues it: every backend's one decode entry. rpc's readers point dec at
-// the socket (ResetStream); mpi's reply receivers and pubsub's pumps point
-// it at an in-process frame (Reset) and pass the frame along, to go back
-// to tensor's byte pool once decoded (EncodeFrame). A chunk goes to
+// the socket (ResetStream); mpi's reply receivers and pubsub's topic
+// handlers point it at an in-process frame (Reset) and pass the frame
+// along, to go back to tensor's byte pool once decoded (EncodeFrame).
+// Receive blocks while the queue it feeds is full. A chunk goes to
 // client's chunk queue, an update to the gathers: decoded whole, or in
 // windowed mode (WindowUploads) with its dense primal cut into windows on
 // client's chunk queue as it is read. A message that arrived whole but

@@ -142,9 +142,10 @@ func (t *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 }
 
 // SendFrame hands the server rank frame as this client's next update,
-// exactly as it is: the raw form of SendUpdate, for a peer that encodes
-// its own messages. The frame is the server's from then on; it returns
-// the frame to tensor's byte pool once decoded.
+// exactly as it is: the raw form of SendUpdate. It exists for the tests
+// that play a malformed or hostile peer (internal/testutil/rigs); no
+// production path calls it. The frame is the server's from then on; it
+// returns the frame to tensor's byte pool once decoded.
 func (t *ClientTransport) SendFrame(frame []byte) {
 	t.c.Send(0, tagUpdate, frame)
 	t.stats.AddSent(len(frame))

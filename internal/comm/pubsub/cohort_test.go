@@ -3,7 +3,6 @@ package pubsub
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -110,10 +109,7 @@ func TestGatherAnyArrivalOrder(t *testing.T) {
 	if err := srv.Broadcast(&wire.GlobalModel{Round: 1, Weights: []float64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	// Clients reply in the order 2, 0, 1; GatherAny keeps the order in
-	// which the updates reach the inbox. Each client publishes on a topic
-	// of its own with a pump of its own, so each reply is given time to
-	// land before the next client sends.
+	// Clients reply in reverse order; arrivals keep that order.
 	for _, id := range []int{2, 0, 1} {
 		if _, err := clients[id].RecvGlobal(); err != nil {
 			t.Fatal(err)
@@ -121,7 +117,6 @@ func TestGatherAnyArrivalOrder(t *testing.T) {
 		if err := clients[id].SendUpdate(&wire.LocalUpdate{ClientID: uint32(id), Primal: []float64{1}}); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	batch, err := srv.GatherAny(2)
 	if err != nil {

@@ -46,7 +46,8 @@ func NewBroker() *Broker {
 	return &Broker{subs: map[string][]*Subscription{}, done: make(chan struct{})}
 }
 
-// Subscription is one subscriber's ordered message queue. Teardown is
+// Subscription is one subscriber's ordered message queue, or a handler
+// that takes each message in its publisher's goroutine. Teardown is
 // signalled through done rather than by closing the message channel, so a
 // publisher mid-send to a departing subscriber backs off cleanly instead
 // of panicking on a closed channel.
@@ -56,6 +57,9 @@ type Subscription struct {
 	ch     chan Message
 	done   chan struct{}
 	once   sync.Once
+
+	handler func(Message) // called one message at a time (mu) instead of queueing
+	mu      sync.Mutex
 }
 
 // Subscribe registers a new subscription on topic with the given queue
@@ -67,14 +71,19 @@ func (b *Broker) Subscribe(topic string, capacity int) (*Subscription, error) {
 	if b.closed {
 		return nil, ErrClosed
 	}
-	s := &Subscription{
-		broker: b,
-		topic:  topic,
-		ch:     make(chan Message, capacity),
-		done:   make(chan struct{}),
-	}
+	return b.add(topic, capacity, nil), nil
+}
+
+// add registers a subscription on topic, with b.mu held: a queue of the
+// given capacity or, given a handler, a synchronous subscriber. A publish
+// calls the handler in the publishing goroutine, one message at a time,
+// and returns once it has, so messages published one after another are
+// handled in that order, and a blocked handler holds back only its
+// topic's publishers.
+func (b *Broker) add(topic string, capacity int, handler func(Message)) *Subscription {
+	s := &Subscription{broker: b, topic: topic, ch: make(chan Message, capacity), done: make(chan struct{}), handler: handler}
 	b.subs[topic] = append(b.subs[topic], s)
-	return s, nil
+	return s
 }
 
 // Publish delivers payload to every current subscriber of topic. A
@@ -90,11 +99,17 @@ func (b *Broker) publish(msg Message) error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	// A topic's list is never changed below its length (Subscribe appends,
+	// A topic's list is never changed below its length (add appends,
 	// Unsubscribe copies), so it is read here without a copy.
 	subs := b.subs[msg.Topic]
 	b.mu.Unlock()
 	for _, s := range subs {
+		if s.handler != nil {
+			s.mu.Lock()
+			s.handler(msg)
+			s.mu.Unlock()
+			continue
+		}
 		select {
 		case s.ch <- msg:
 		case <-s.done:
@@ -203,8 +218,10 @@ func UpdateTopic(id int) string { return fmt.Sprintf("%s/%d", TopicUpdate, id) }
 //
 // Each client publishes on topics of its own, so the inbox knows an
 // update's sender and holds its ClientID to it. The server transport is
-// the only subscriber of its update and chunk topics, and returns each
-// payload to the pool its publisher took it from once it is decoded.
+// the only subscriber of its update and chunk topics, and a synchronous
+// one (receiver): a client's publish returns once the inbox has queued
+// its message, so an update whose SendUpdate has returned is gathered
+// ahead of any update sent after it.
 type ServerTransport struct {
 	*comm.Inbox
 	broker     *Broker
@@ -230,11 +247,7 @@ type ClientTransport struct {
 // NewFLBroker wires a broker for one server and numClients clients and
 // returns the transports.
 func NewFLBroker(numClients int) (*ServerTransport, []*ClientTransport, error) {
-	b := NewBroker()
-	st, clients, err := newTenantTransports(b, 0, numClients, false)
-	if err != nil {
-		return nil, nil, err
-	}
+	st, clients := newTenantTransports(NewBroker(), 0, numClients, false)
 	return st, clients, nil
 }
 
@@ -255,69 +268,45 @@ func NewTenantFLBroker(clientsPerTenant []int) (*Broker, []*ServerTransport, [][
 		if n <= 0 {
 			return nil, nil, nil, fmt.Errorf("pubsub: tenant %d has %d clients, need at least 1", t, n)
 		}
-		st, cts, err := newTenantTransports(b, t, n, true)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		servers[t], clients[t] = st, cts
+		servers[t], clients[t] = newTenantTransports(b, t, n, true)
 	}
 	return b, servers, clients, nil
 }
 
 // newTenantTransports wires one tenant's transports on a (possibly shared)
-// broker. shared marks the server transport as a tenant view whose Close
-// must not tear down the broker under its neighbors.
-func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*ServerTransport, []*ClientTransport, error) {
+// broker that has not been handed out yet, so is open. shared marks the
+// server transport as a tenant view whose Close must not tear down the
+// broker under its neighbors.
+func newTenantTransports(b *Broker, tenant, numClients int, shared bool) (*ServerTransport, []*ClientTransport) {
 	prefix := TenantPrefix(tenant)
 	st := &ServerTransport{broker: b, tenant: tenant, shared: shared, numClients: numClients}
 	st.Inbox = comm.NewInbox(comm.InboxConfig{
 		Name: "pubsub", Clients: numClients, Tenant: tenant, Stats: &st.stats, Done: b.done,
 	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	clients := make([]*ClientTransport, numClients)
 	for i := range clients {
-		// The pumps hold one message each and the inbox queues the next
-		// few chunks: a topic queues one update and no chunk, so that is
-		// how far a client streams ahead of the gather before its Publish
-		// blocks. One ack comes back per upload.
-		upd, err := b.Subscribe(prefix+UpdateTopic(i), 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		mc, err := b.Subscribe(prefix+ChunkTopic(i), 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := b.Subscribe(prefix+GlobalTopic(i), 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		ack, err := b.Subscribe(prefix+ChunkAckTopic(i), 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		go st.pump(upd, i, wire.KindLocalUpdate)
-		go st.pump(mc, i, wire.KindModelChunk)
-		clients[i] = &ClientTransport{broker: b, tenant: tenant, global: g, acks: ack,
-			updates: upd.topic, chunks: mc.topic}
+		// The server takes the client's updates and chunks as they are
+		// published; one global model and one ack wait for the client.
+		updates, chunks := prefix+UpdateTopic(i), prefix+ChunkTopic(i)
+		b.add(updates, 0, st.receiver(i, wire.KindLocalUpdate))
+		b.add(chunks, 0, st.receiver(i, wire.KindModelChunk))
+		clients[i] = &ClientTransport{broker: b, tenant: tenant, updates: updates, chunks: chunks,
+			global: b.add(prefix+GlobalTopic(i), 1, nil), acks: b.add(prefix+ChunkAckTopic(i), 1, nil)}
 	}
-	return st, clients, nil
+	return st, clients
 }
 
-// pump hands every message of one of the server's subscriptions — client's
-// updates or its streamed chunks, of the given kind — to the inbox, which
-// decodes it and returns the payload to the pool its publisher took it
-// from (comm.EncodeFrame). It runs until the broker closes.
-func (s *ServerTransport) pump(sub *Subscription, client int, kind wire.Kind) {
+// receiver is the handler of client's update or chunk topic (kind): the
+// inbox decodes each message in the publishing goroutine, queues it and
+// returns the payload to the pool its publisher took it from
+// (comm.EncodeFrame).
+func (s *ServerTransport) receiver(client int, kind wire.Kind) func(Message) {
 	var dec wire.Decoder
-	for {
-		msg, ok := sub.Recv()
-		if !ok {
-			return
-		}
+	return func(msg Message) {
 		dec.Reset(msg.Payload)
-		if !s.Receive(&dec, kind, client, 0, len(msg.Payload), msg.Payload) {
-			return
-		}
+		s.Receive(&dec, kind, client, 0, len(msg.Payload), msg.Payload)
 	}
 }
 
@@ -387,7 +376,9 @@ func (c *ClientTransport) RecvGlobal() (*wire.GlobalModel, error) {
 func (c *ClientTransport) ReceiveInto(w []float64) { c.model.Weights = w[:0] }
 
 // SendUpdate publishes the client's update to its update topic, stamped
-// with the tenant id.
+// with the tenant id. It returns once the server has queued the update
+// for its gathers — in a windowed round, once the gather has taken all
+// but the chunk queue's last windows of its primal.
 func (c *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	m.TenantID = uint32(c.tenant)
 	return c.publish(c.updates, m)

@@ -177,10 +177,12 @@ func TestWindowedUploadHostilePeers(t *testing.T) {
 					var before, after runtime.MemStats
 					runtime.GC()
 					runtime.ReadMemStats(&before)
-					if err := r.SendFrame(0, honest, 0); err != nil {
-						t.Fatal(err)
-					}
-					sent := make(chan error, 1)
+					// The clients send side by side: a send may return only
+					// once the gather has taken most of its windows, so
+					// client 0's may wait until the session ends when the
+					// gathers fail.
+					honestSent, sent := make(chan error, 1), make(chan error, 1)
+					go func() { honestSent <- r.SendFrame(0, honest, 0) }()
 					go func() { sent <- r.SendFrame(1, body, row.cut) }()
 					rebuilt, samples, folds, err := gatherWindowed(t, r.Server, 2, dim, 1)
 					runtime.ReadMemStats(&after)
@@ -215,6 +217,9 @@ func TestWindowedUploadHostilePeers(t *testing.T) {
 					}
 					if err != nil {
 						t.Fatal(err)
+					}
+					if err := <-honestSent; err != nil {
+						t.Fatalf("honest send: %v", err)
 					}
 					if len(samples) != 2 || samples[0] != 5 || samples[1] != 0 {
 						t.Fatalf("samples %v, want [5 0]: a goodbye counts no samples", samples)

@@ -2,6 +2,7 @@ package comm_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -173,8 +174,9 @@ var gatherRules = []struct {
 	{name: "unsolicited update is not admitted", run: func(t *testing.T, r *gatherRig) {
 		r.dispatch(t, []int{0}, 1)
 		r.reply(t, 1, 1, 1) // client 1 owes nothing
-		// Let client 1's update reach the server before client 0's does.
-		time.Sleep(20 * time.Millisecond)
+		if got, err := r.Server.GatherUntil(1, 100*time.Millisecond); !errors.Is(err, comm.ErrRoundTimeout) || len(got) != 0 {
+			t.Fatalf("before client 0 replies: %v, %v; want nothing and ErrRoundTimeout", ids(got), err)
+		}
 		r.reply(t, 0, 1, 0)
 		got, err := r.Server.GatherAny(1)
 		if err != nil || len(got) != 1 || got[0].ClientID != 0 {
@@ -226,29 +228,38 @@ var gatherRules = []struct {
 		}
 	}},
 	{name: "GatherAny releases on quorum", run: func(t *testing.T, r *gatherRig) {
-		// Replies land one at a time, in the order 2, 0, 1: arrival order.
 		r.dispatch(t, comm.AllClients(rigClients), 1)
-		for _, c := range []int{2, 0, 1} {
+		for c := 0; c < rigClients; c++ {
 			r.reply(t, c, 1, float64(c))
-			time.Sleep(20 * time.Millisecond)
 		}
 		first, err := r.Server.GatherAny(2)
-		if err != nil || len(first) != 2 || first[0].ClientID != 2 || first[1].ClientID != 0 {
-			t.Fatalf("quorum of 2: %v, %v; want [2 0], the first two arrivals", ids(first), err)
+		if err != nil || len(first) != 2 || first[0].ClientID == first[1].ClientID {
+			t.Fatalf("quorum of 2: %v, %v; want two clients' updates", ids(first), err)
 		}
-		// The quorum is dispatched again while client 1's round-1 update
-		// still waits: one gather takes the three in arrival order.
-		r.dispatch(t, []int{2, 0}, 2)
-		r.reply(t, 2, 2, 2)
-		time.Sleep(20 * time.Millisecond)
-		r.reply(t, 0, 2, 0)
+		// The quorum is dispatched again while the third client's round-1
+		// update still waits: one gather takes all three.
+		quorum := ids(first)
+		r.dispatch(t, quorum, 2)
+		for _, c := range quorum {
+			r.reply(t, c, 2, float64(c))
+		}
 		rest, err := r.Server.GatherAny(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ids(rest); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 ||
-			rest[0].Round != 1 || rest[1].Round != 2 || rest[2].Round != 2 {
-			t.Fatalf("after the second dispatch: clients %v, want [1 2 0] of rounds 1, 2, 2", got)
+		seen := map[int]bool{}
+		for _, u := range rest {
+			c, want := int(u.ClientID), uint32(1)
+			if slices.Contains(quorum, c) {
+				want = 2
+			}
+			if seen[c] || u.Round != want {
+				t.Fatalf("after the second dispatch: clients %v; want the third client's round-1 update and the quorum's round-2 ones", ids(rest))
+			}
+			seen[c] = true
+		}
+		if len(seen) != rigClients {
+			t.Fatalf("after the second dispatch: clients %v, want each once", ids(rest))
 		}
 		_, err = r.Server.GatherAny(1)
 		wantErr(t, err, "outstanding")

@@ -34,14 +34,54 @@ func (p *lendProbe) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, erro
 
 // trainMeter measures what the process allocates from the return of each
 // RecvGlobal to the next upload — the client's decode and training. One
-// lock spans that window and the upload, so two clients' windows never
-// overlap, nor does one client's window the other's upload.
+// lock spans that window, so two clients' windows never overlap, and each
+// upload waits at the gate until every client has closed its window of
+// the round, so no window overlaps an upload either. (An upload cannot
+// run under the lock: it may return only once the gather has every
+// client's upload, as over pubsub, which decodes in the sending
+// goroutine.)
 type trainMeter struct {
 	comm.ClientTransport
 	mu      *sync.Mutex
+	gate    *roundGate
 	held    bool
 	start   uint64
 	windows []uint64
+}
+
+// roundGate lets the uploads of a round go once each of its n clients
+// has arrived, or left.
+type roundGate struct {
+	mu      sync.Mutex
+	n, in   int
+	release chan struct{}
+}
+
+// wait blocks until every client still in the federation has called it
+// this round.
+func (g *roundGate) wait() {
+	g.mu.Lock()
+	ch := g.release
+	g.in++
+	g.open()
+	g.mu.Unlock()
+	<-ch
+}
+
+// leave takes a client whose loop has ended out of the count.
+func (g *roundGate) leave() {
+	g.mu.Lock()
+	g.n--
+	g.open()
+	g.mu.Unlock()
+}
+
+// open releases the round once everybody is in; g.mu is held.
+func (g *roundGate) open() {
+	if g.in > 0 && g.in >= g.n {
+		close(g.release)
+		g.in, g.release = 0, make(chan struct{})
+	}
 }
 
 func totalAlloc() uint64 {
@@ -62,7 +102,8 @@ func (m *trainMeter) RecvGlobal() (*wire.GlobalModel, error) {
 
 func (m *trainMeter) SendUpdate(u *wire.LocalUpdate) error {
 	m.windows = append(m.windows, totalAlloc()-m.start)
-	defer m.unlock()
+	m.unlock()
+	m.gate.wait()
 	return m.ClientTransport.SendUpdate(u)
 }
 
@@ -162,6 +203,7 @@ func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Feder
 	probes := make([]*lendProbe, P)
 	meters := make([]*trainMeter, P)
 	var window sync.Mutex
+	gate := &roundGate{n: P, release: make(chan struct{})}
 	errs := make([]error, P)
 	var wg sync.WaitGroup
 	for i, ct := range cts {
@@ -178,13 +220,14 @@ func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Feder
 		if opts.Faults != nil {
 			ct = opts.Faults.WrapClient(i, ct)
 		}
-		meters[i] = &trainMeter{ClientTransport: ct, mu: &window}
+		meters[i] = &trainMeter{ClientTransport: ct, mu: &window, gate: gate}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer ct.Close()
 			errs[i] = runClient(cfg, alg, meters[i], ClientOptions{})
 			meters[i].unlock()
+			gate.leave()
 		}()
 	}
 	res, final, err := Serve(cfg, fed, factory, opts, st)
