@@ -68,7 +68,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.train, "train", 960, "total training samples of the shared corpus")
 	fs.IntVar(&o.test, "test", 240, "server-side validation samples")
 	fs.Uint64Var(&c.Seed, "seed", 1, "federation seed: data split and initial model (handed to the clients)")
-	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (handed to the clients)")
+	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:5,quantize:8 (handed to the clients)")
 	fs.BoolVar(&c.DownlinkF16, "downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
 	fs.DurationVar(&o.acceptTimeout, "accept-timeout", 2*time.Minute, "join deadline")
 	fs.IntVar(&c.StreamChunk, "chunk", 0, "clients stream uplinks as chunks of this many coordinates, acked once (0 = one frame each); the fedavg server folds either in windows (handed to the clients)")

@@ -36,7 +36,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&c.Rounds, "rounds", 10, "communication rounds T")
 	fs.IntVar(&c.LocalSteps, "local-steps", 10, "local steps/epochs L")
 	fs.IntVar(&c.BatchSize, "batch", 64, "local mini-batch size")
-	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:0.5,topk:0.1 (empty = non-private clip:1)")
+	fs.StringVar(&c.Pipeline, "pipeline", "", "update-pipeline spec, e.g. clip:1,laplace:5,quantize:8 (empty = non-private clip:1)")
 	fs.BoolVar(&c.DownlinkF16, "downlink-f16", false, "broadcast the global model as float16 (~4x downlink cut)")
 	fs.IntVar(&o.train, "train", 960, "training samples")
 	fs.IntVar(&o.test, "test", 240, "test samples")

@@ -72,7 +72,9 @@ type SoakStats struct {
 }
 
 // journalWriter is the round loops' write-ahead hook: every recovery-
-// relevant transition is appended to the journal before it takes effect.
+// relevant transition is journaled before it takes effect — a windowed
+// round's admits before the round commits, each window written before it
+// folds into the in-memory model, which a crash discards.
 // A nil *journalWriter is valid and inert, so the unjournaled path pays
 // only nil checks. Append failures stick: the first error poisons the
 // writer and surfaces at the next commit barrier, so a half-journaled
@@ -84,7 +86,8 @@ type SoakStats struct {
 // err is nil, so that append reaches the journal), or the kill path's
 // Recover — and serve joins it before returning. Until then the checkpoint
 // reads the aggregator's model, which nothing folds into or restores
-// before the join: every fold follows an admit append, every restore a
+// before the join: every fold follows the round start's append (and a
+// window fold the reservation of its admits), every restore a
 // Recover.
 type journalWriter struct {
 	j   *journal.Journal
@@ -101,6 +104,9 @@ type journalWriter struct {
 	scratch wire.JournalRecord
 	admits  []wire.JournalRecord
 	batch   []*wire.JournalRecord
+	// reserved reports that batch is a windowed round's admits, reserved
+	// in the journal and not yet committed (see reserveAdmits).
+	reserved bool
 }
 
 func newJournalWriter(j *journal.Journal, checkpointEvery int, kills []ServerKill) *journalWriter {
@@ -164,10 +170,12 @@ func (jw *journalWriter) roundStart(round int, cohort []int, version uint64) {
 	jw.append(rec)
 }
 
-// admitBatch journals the admitted updates with their dense decoded
-// primals in one Append — one fsync for the batch. The records borrow the
-// updates' primals, which the append writes from the updates' own storage
-// before it returns.
+// admitBatch journals a gathered round's admitted updates with their
+// dense decoded primals in one Append — one fsync for the batch — before
+// the batch folds. The records borrow the updates' primals, which the
+// append writes from the updates' own storage before it returns. A
+// windowed round journals its admits as it gathers them instead
+// (reserveAdmits, fillAdmits, commitAdmits): its updates carry no primal.
 func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate) {
 	if jw == nil {
 		return
@@ -193,6 +201,124 @@ func (jw *journalWriter) admitBatch(round int, data []*wire.LocalUpdate) {
 	for _, rec := range jw.batch {
 		rec.Primal = nil
 	}
+}
+
+// reserveAdmits opens a windowed round's admit batch once its first
+// window is in: one frame for each client of ids whose upload carries a
+// primal (payloads[i] non-nil), in ids order, each withholding a primal of
+// dim values that fillAdmits writes window by window. A record carries the
+// client's sample count and the version the round dispatched;
+// commitAdmits holds each slim update to it. The batch is reserved back to
+// back at the WAL's end, after the checkpoint in flight is joined, so no
+// window folds into a model the checkpoint still reads.
+func (jw *journalWriter) reserveAdmits(round int, ids []int, samples []uint64, payloads []*wire.Payload,
+	version uint64, dim int) error {
+	if jw == nil || jw.err != nil {
+		return jw.error()
+	}
+	if cap(jw.admits) < len(ids) {
+		jw.admits = make([]wire.JournalRecord, len(ids))
+	}
+	jw.batch = jw.batch[:0]
+	for i, p := range payloads {
+		if p == nil {
+			continue // a goodbye: nothing to admit
+		}
+		rec := &jw.admits[len(jw.batch)]
+		rec.Reset()
+		rec.Op = wire.JournalAdmit
+		rec.Round = uint32(round)
+		rec.ClientID = uint32(ids[i])
+		rec.NumSamples = samples[i]
+		rec.BaseVersion = version
+		jw.batch = append(jw.batch, rec)
+	}
+	if len(jw.batch) == 0 {
+		return nil
+	}
+	jw.err = jw.j.Reserve(jw.batch, dim)
+	jw.reserved = jw.err == nil
+	return jw.err
+}
+
+// fillAdmits writes one window of every reserved admit, starting at
+// coordinate lo, from the window's dense payloads in ids order (nil for a
+// goodbye). It runs before the window folds, so no window is folded that
+// was not written.
+func (jw *journalWriter) fillAdmits(lo int, payloads []*wire.Payload) error {
+	if jw == nil || !jw.reserved {
+		return jw.error()
+	}
+	k := 0
+	for _, p := range payloads {
+		if p == nil {
+			continue
+		}
+		if jw.err = jw.j.Fill(k, lo, p.Dense); jw.err != nil {
+			jw.reserved = false
+			return jw.err
+		}
+		k++
+	}
+	return nil
+}
+
+// commitAdmits lands the windowed round's reserved admits — headers in
+// order, one fsync — once the gather has brought the slim updates, ids
+// order with goodbyes among them. Each data update must be the record
+// reserved for it: same client, same sample count, and a BaseVersion that
+// is the version the round dispatched (the cutter reads field 8 only after
+// the primal). A mismatch fails the round and rewinds the WAL before any
+// header lands. Without a reserved batch it does nothing.
+func (jw *journalWriter) commitAdmits(updates []*wire.LocalUpdate) error {
+	if jw == nil || !jw.reserved {
+		return nil
+	}
+	k := 0
+	for _, u := range updates {
+		if u.Control == wire.ControlGoodbye {
+			continue
+		}
+		if k == len(jw.batch) {
+			jw.abandonAdmits()
+			return fmt.Errorf("client %d's update has no admit reserved", u.ClientID)
+		}
+		rec := jw.batch[k]
+		if u.ClientID != rec.ClientID || u.NumSamples != rec.NumSamples || u.BaseVersion != rec.BaseVersion {
+			jw.abandonAdmits()
+			return fmt.Errorf("client %d's update (%d samples, base version %d) is not the admit reserved for client %d (%d samples, version %d)",
+				u.ClientID, u.NumSamples, u.BaseVersion, rec.ClientID, rec.NumSamples, rec.BaseVersion)
+		}
+		k++
+	}
+	if k != len(jw.batch) {
+		jw.abandonAdmits()
+		return fmt.Errorf("%d admits reserved, %d updates gathered", len(jw.batch), k)
+	}
+	jw.reserved = false
+	jw.err = jw.j.Commit()
+	return jw.err
+}
+
+// abandonAdmits closes a windowed round's reserved admits without
+// committing them — its gather failed — cutting the WAL back to its last
+// whole frame.
+func (jw *journalWriter) abandonAdmits() {
+	if jw == nil || !jw.reserved {
+		return
+	}
+	jw.reserved = false
+	if err := jw.j.Abandon(); err != nil && jw.err == nil {
+		jw.err = err
+	}
+}
+
+// error is the writer's sticky error; nil for a nil writer.
+func (jw *journalWriter) error() error {
+	if jw == nil {
+		return nil
+	}
+	return jw.err
 }
 
 // ledger journals one membership mutation — wired as the membership's
@@ -252,12 +378,15 @@ func (jw *journalWriter) commit(round int, agg Aggregator, mem *membership, infl
 }
 
 // ValidateJournalConfig rejects configurations the journal cannot make
-// crash-recoverable. Journaling needs every admitted update's dense primal
-// in hand at admit time (so a refold needs no client cooperation), which
-// pins the FedAvg family: the ADMM servers carry per-client dual state no
-// admit record captures, and the streamed-chunk path folds without ever
-// materializing a primal. A subset run admits its prefix primals, which
-// refold like any dense admit.
+// crash-recoverable. Journaling writes every admitted update's dense
+// primal before the round commits (so a refold needs no client
+// cooperation) — from the decoded update in a gathered round, window by
+// window as the inbox cuts it in a windowed one — which pins the FedAvg
+// family: the ADMM servers carry per-client dual state no admit record
+// captures. The streamed-chunk path (Config.StreamChunk) is not
+// journaled: its chunks may be float16, and no admit is written from
+// them. A subset run admits its prefix primals, which refold like any
+// dense admit.
 func ValidateJournalConfig(cfg Config) error {
 	if cfg.Algorithm != AlgoFedAvg {
 		return fmt.Errorf("core: journaling requires FedAvg (ADMM dual state is not journaled)")

@@ -5,13 +5,17 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/journal"
+	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // TestJournaledRoundFsyncsThreeTimes: with fsync on, a healthy barrier
 // round of four clients reaches the disk three times — the round start,
-// the admitted batch, the commit — however many clients it admits. At the
-// parent each admit was fsynced on its own: six per round.
+// the admitted batch, the commit — however many clients it admits. The
+// round is windowed: its admits are written window by window as the inbox
+// cuts the uploads, and committed with one fsync. At the parent each
+// admit was fsynced on its own: six per round.
 func TestJournaledRoundFsyncsThreeTimes(t *testing.T) {
 	const clients, rounds = 4, 3
 	tr, te := dataset.MNIST(dataset.SynthConfig{Train: 48, Test: 16, Seed: 5})
@@ -23,8 +27,18 @@ func TestJournaledRoundFsyncsThreeTimes(t *testing.T) {
 	defer j.Close()
 	cfg := scenConfig(SchedSyncAll, "")
 	cfg.Rounds = rounds
-	if _, err := Run(cfg, fed, scenFactory, RunOptions{Transport: TransportMPI, Journal: j}); err != nil {
+	dim := nn.NumParams(scenFactory())
+	st, cts, err := newServerTransport(TransportMPI, clients, dim, rounds)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer st.Close()
+	counter := &windowCounter{windowedServer: st.(windowedServer)}
+	if _, err := RunWithTransport(cfg, fed, scenFactory, RunOptions{Journal: j}, counter, cts); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(rounds * clients * wire.ChunkPlan(dim, uploadWindow)); counter.windows.Load() != want {
+		t.Fatalf("the server folded %d windows, want %d: the journaled rounds did not window", counter.windows.Load(), want)
 	}
 	s := j.Stats()
 	t.Logf("%d rounds: %+v", rounds, s)

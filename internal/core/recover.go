@@ -20,16 +20,6 @@ type PendingRound struct {
 	Admitted []*wire.LocalUpdate
 }
 
-// AdmittedSet returns the admitted client IDs for dedup: a client in this
-// set must not be re-gathered or re-journaled for this round.
-func (p *PendingRound) AdmittedSet() map[int]bool {
-	set := make(map[int]bool, len(p.Admitted))
-	for _, u := range p.Admitted {
-		set[int(u.ClientID)] = true
-	}
-	return set
-}
-
 // RecoveredServer is the replayed state of a journaled server: everything
 // a restarted process needs to resume the run where the crashed one died.
 type RecoveredServer struct {

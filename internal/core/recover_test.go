@@ -59,8 +59,8 @@ func TestRecoverServerBarrierPendingRound(t *testing.T) {
 	if p == nil || p.Round != 1 || len(p.Cohort) != 3 || len(p.Admitted) != 2 {
 		t.Fatalf("pending round %+v", p)
 	}
-	if got := p.AdmittedSet(); !got[0] || !got[2] || got[1] {
-		t.Fatalf("admitted set %v", got)
+	if p.Admitted[0].ClientID != 0 || p.Admitted[1].ClientID != 2 {
+		t.Fatalf("admitted clients %d and %d, want 0 and 2", p.Admitted[0].ClientID, p.Admitted[1].ClientID)
 	}
 	if p.Admitted[1].ClientID != 2 || p.Admitted[1].Primal[1] != 6 || !p.Admitted[1].InCohort {
 		t.Fatalf("admit reconstruction %+v", p.Admitted[1])

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -466,9 +467,10 @@ type server struct {
 	minCohort int
 	validate  int // evaluate every validate rounds
 	progress  io.Writer
-	// streamed marks rounds whose uplinks fold through a StreamSession
-	// window as they arrive: the gathered updates carry no primal.
-	streamed bool
+	// win, when non-nil, folds every round of this incarnation through a
+	// StreamSession window as the uplinks arrive: the gathered updates
+	// carry no primal.
+	win *windowFold
 }
 
 func newServer(cfg Config, sched Scheduler, agg Aggregator, mem *membership, pipe *pipeline.Pipeline, st comm.ServerTransport,
@@ -485,9 +487,11 @@ func newServer(cfg Config, sched Scheduler, agg Aggregator, mem *membership, pip
 	s.buffered, _ = agg.(*BufferedAggregator)
 	// Fast path of the kernel layer: fold still-encoded payloads when the
 	// stack's inverse fuses — bit-identical to decoding first and folding
-	// after. Journaled runs skip the fused fold: an admit record needs
-	// the dense decoded primal in hand before anything folds, so the
-	// inverse must run as its own pass.
+	// after. Journaled runs skip the fused fold: a compressed uplink is
+	// never windowed, so its admit records are journaled from the dense
+	// decoded primals, and the inverse must run as its own pass before
+	// anything folds. A windowed journaled round has no inverse to fuse:
+	// its admits are written window by window ahead of the fold.
 	if jw == nil {
 		s.fused, _ = EnableFusedFold(agg, pipe)
 	}
@@ -537,13 +541,14 @@ func (s *server) release(round int, batch, gathered []*wire.LocalUpdate, infligh
 // fold — the expensive part of a round's server-side work, and the part
 // that contends for the shared aggregation workers on a multi-tenant
 // host — on every round, resumed ones included. In a streamed or
-// windowed round the session already folded the windows and advanced the
-// version, so the slim updates have nothing to decode or fold.
+// windowed incarnation the window fold already folded every round —
+// a resumed one's replayed admits included — and advanced the version,
+// and a journaled one landed its admits as it gathered, so the slim
+// updates have nothing to decode, journal or fold.
 func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
 	releaseGate := gateAcquire(s.gate, len(batch))
 	defer releaseGate()
-	streamed := s.streamed
-	if !streamed {
+	if s.win == nil {
 		var err error
 		if s.fused != nil {
 			err = DecodeUpdatesFused(gathered, s.fused, s.agg.Dim())
@@ -553,12 +558,12 @@ func (s *server) fold(round int, batch, gathered []*wire.LocalUpdate) error {
 		if err != nil {
 			return fmt.Errorf("core: decode round %d: %w", round, err)
 		}
+		s.jw.admitBatch(round, gathered)
 	}
-	s.jw.admitBatch(round, gathered)
 	if s.jw.shouldKill(KillBeforeCommit, round) {
 		return errServerKilled
 	}
-	if streamed || len(batch) == 0 {
+	if s.win != nil || len(batch) == 0 {
 		return nil
 	}
 	// The aggregator is the authority on what was actually folded vs
@@ -665,11 +670,26 @@ func (d *dispatcher) send(ids []int, round, cohortSize int) (uint64, error) {
 	return gm.Version, nil
 }
 
+// gather collects the round's update from each listed client, in list
+// order, with goodbyes split off into the roster. In a windowed journaled
+// round the admits the window fold reserved land first, held to the slim
+// updates, so that a goodbye's LedgerDepart record follows them.
+func (s *server) gather(ids []int, round int) ([]*wire.LocalUpdate, error) {
+	updates, err := gatherCohort(s.cfg, s.st, s.mem, ids, round)
+	if err != nil {
+		s.jw.abandonAdmits()
+		return nil, err
+	}
+	if err := s.jw.commitAdmits(updates); err != nil {
+		return nil, fmt.Errorf("core: journal round %d: %w", round, err)
+	}
+	return splitControl(updates, s.mem), nil
+}
+
 // gatherCohort collects the round's update from each listed client, in
-// list order, with goodbyes split off into the roster. Without a
-// RoundTimeout it blocks for all of them; with one it takes whoever
-// reports by the deadline, and the silent clients are forgiven and benched
-// — the survivors carry the round.
+// list order. Without a RoundTimeout it blocks for all of them; with one
+// it takes whoever reports by the deadline, and the silent clients are
+// forgiven and benched — the survivors carry the round.
 func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []int, round int) ([]*wire.LocalUpdate, error) {
 	var updates []*wire.LocalUpdate
 	var err error
@@ -692,7 +712,7 @@ func gatherCohort(cfg Config, st comm.ServerTransport, mem *membership, ids []in
 	if err != nil {
 		return nil, fmt.Errorf("core: gather round %d: %w", round, err)
 	}
-	return splitControl(updates, mem), nil
+	return updates, nil
 }
 
 // uploadWindow is the width, in coordinates, of the windows a windowed
@@ -702,17 +722,17 @@ const uploadWindow = 16384
 // windowedUploads switches the transport into windowed mode when the run
 // has the shape a StreamSession serves and nothing needs a gathered
 // update's primal: FedAvg rounds at a barrier with no RoundTimeout (the
-// stream gather has no forgive path), no journal (an admit record holds
-// the decoded primal), no subset (its uploads span a prefix, not the
-// model) or compressed uplink (its payloads are not dense windows), no
-// admission gate (it spans the decode and fold of a gathered batch) and a
-// transport that offers the mode — every transport's own server does; a
-// wrapper that does not forward it keeps the Aggregate path.
-// Each client still sends its update whole; the server folds it
+// stream gather has no forgive path), no subset (its uploads span a
+// prefix, not the model) or compressed uplink (its payloads are not dense
+// windows), no admission gate (it spans the decode and fold of a gathered
+// batch) and a transport that offers the mode — every transport's own
+// server does; a wrapper that does not forward it keeps the Aggregate
+// path. Each client still sends its update whole; the server folds it
 // uploadWindow coordinates at a time as it is decoded, and holds no
-// decoded upload.
+// decoded upload. A journaled run windows too: each window is written
+// into its client's admit record before it folds (see windowFold).
 func (s *server) windowedUploads() (comm.UploadWindower, bool) {
-	if s.cfg.Algorithm != AlgoFedAvg || s.cfg.RoundTimeout > 0 || s.jw != nil ||
+	if s.cfg.Algorithm != AlgoFedAvg || s.cfg.RoundTimeout > 0 ||
 		s.cfg.SubsetFrac > 0 || s.pipe.Compresses() || s.gate != nil {
 		return nil, false
 	}
@@ -733,32 +753,38 @@ func (s *server) windowedUploads() (comm.UploadWindower, bool) {
 // the silent clients are forgiven and benched with backoff, and goodbye
 // announcements are honored by excluding the client until its rejoin
 // lease expires.
-func (s *server) runBarrierRounds(resume *RecoveredServer) error {
+func (s *server) runBarrierRounds(resume *RecoveredServer) (err error) {
 	// Streaming mode: chunked uplinks fold through a StreamSession window
 	// instead of a gathered batch; the transport must speak the chunk
 	// protocol. Config.Validate has already pinned the compatible shape
 	// (FedAvg, barrier scheduler, no RoundTimeout). Windowed mode folds
 	// monolithic uploads through the same window, cut by the transport's
 	// inbox.
-	var chunkSrc comm.ChunkGatherer
+	var src comm.ChunkGatherer
 	chunk := s.cfg.StreamChunk
 	if chunk > 0 {
 		cg, ok := s.st.(comm.ChunkGatherer)
 		if !ok {
 			return fmt.Errorf("core: transport %T cannot gather streamed chunks", s.st)
 		}
-		chunkSrc = cg
+		src = cg
 	} else if w, ok := s.windowedUploads(); ok {
-		defer w.WindowUploads(0, 0)
-		chunkSrc, chunk = w, uploadWindow
+		// A scripted kill leaves the mode on: uploads that arrive before
+		// the next incarnation gathers them are cut into windows all the
+		// same, as that incarnation expects.
+		defer func() {
+			if !errors.Is(err, errServerKilled) {
+				w.WindowUploads(0, 0)
+			}
+		}()
+		src, chunk = w, uploadWindow
 	}
-	var stream *StreamSession
-	if chunkSrc != nil {
+	if src != nil {
 		ss, err := NewStreamSession(s.agg)
 		if err != nil {
 			return err
 		}
-		stream, s.streamed = ss, true
+		s.win = &windowFold{src: src, width: chunk, acks: s.cfg.StreamChunk > 0, ss: ss}
 	}
 	start := 1
 	var pending *PendingRound
@@ -797,25 +823,15 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 			if s.jw.shouldKill(KillAfterDispatch, t) {
 				return errServerKilled
 			}
-			if stream != nil {
-				// The cohort's vectors arrive chunk by chunk into the
+			if s.win != nil {
+				// The cohort's vectors arrive window by window into the
 				// session's O(chunk) window; the slim updates gathered below
-				// settle the obligations but carry no payload. Only clients
-				// that streamed wait for an ack.
-				if _, err := comm.StreamGather(chunkSrc, ids, uint32(t), s.agg.Dim(), chunk,
-					stream.Begin, stream.FoldPayloads); err != nil {
-					return fmt.Errorf("core: stream round %d: %w", t, err)
-				}
-				if s.cfg.StreamChunk > 0 {
-					if err := comm.AckStream(chunkSrc, ids, uint32(t), s.agg.Dim(), chunk); err != nil {
-						return fmt.Errorf("core: stream round %d: %w", t, err)
-					}
-				}
-				if err := stream.Finish(); err != nil {
-					return fmt.Errorf("core: stream round %d: %w", t, err)
+				// settle the obligations but carry no payload.
+				if err := s.win.fold(s, t, ids, nil, ids); err != nil {
+					return err
 				}
 			}
-			gathered, err = gatherCohort(s.cfg, s.st, s.mem, ids, t)
+			gathered, err = s.gather(ids, t)
 			batch, cohort = gathered, len(ids)
 		}
 		if err != nil {
@@ -832,6 +848,99 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 	return nil
 }
 
+// windowFold is a barrier incarnation's window fold: the session that
+// folds, where the windows come from, and the scratch that merges a
+// resumed round's replayed admits into them.
+type windowFold struct {
+	src   comm.ChunkGatherer
+	width int  // coordinates a window
+	acks  bool // the clients streamed (Config.StreamChunk) and wait for an ack
+	ss    *StreamSession
+
+	// Per fold position: the sample count, a replayed admit's window view
+	// and the window's payloads as the session folds them.
+	samples  []uint64
+	views    []wire.Payload
+	payloads []*wire.Payload
+}
+
+// fold folds round's uploads window by window: order is the fold order,
+// the clients of gather — order less the replayed admits — upload through
+// the window source, and replayed[k], when replayed is non-nil, is a
+// journaled admit that takes fold position k in place of an upload. The
+// replayed primals are folded as dense window views beside the gathered
+// windows, so a resumed round folds in the order the uncrashed one would
+// have. In a journaled round each window of the gathered clients is
+// written into their reserved admit records before it folds; gather lands
+// the records.
+func (f *windowFold) fold(s *server, round int, order []int, replayed []*wire.LocalUpdate, gather []int) error {
+	n, dim := len(order), s.agg.Dim()
+	if n == 0 {
+		return nil
+	}
+	replay := func(k int) *wire.LocalUpdate {
+		if replayed == nil {
+			return nil
+		}
+		return replayed[k]
+	}
+	for k := range order {
+		if u := replay(k); u != nil && len(u.Primal) != dim {
+			return fmt.Errorf("core: round %d: client %d's journaled primal has %d values, the model %d",
+				round, u.ClientID, len(u.Primal), dim)
+		}
+	}
+	f.samples = slices.Grow(f.samples[:0], n)[:n]
+	f.views = slices.Grow(f.views[:0], n)[:n]
+	f.payloads = slices.Grow(f.payloads[:0], n)[:n]
+	version := uint64(s.agg.Version()) // the version the round dispatched: the fold bumps it at Finish
+	var gathered []uint64
+	begin := func(samples []uint64) error {
+		gathered = samples
+		for k, g := 0, 0; k < n; k++ {
+			if u := replay(k); u != nil {
+				f.samples[k] = u.NumSamples
+			} else {
+				f.samples[k], g = samples[g], g+1
+			}
+		}
+		return f.ss.Begin(f.samples)
+	}
+	fold := func(lo, hi int, payloads []*wire.Payload) error {
+		if lo == 0 {
+			if err := s.jw.reserveAdmits(round, gather, gathered, payloads, version, dim); err != nil {
+				return err
+			}
+		}
+		if err := s.jw.fillAdmits(lo, payloads); err != nil {
+			return err
+		}
+		for k, g := 0, 0; k < n; k++ {
+			if u := replay(k); u != nil {
+				f.views[k] = wire.Payload{Enc: wire.EncDense, Dim: uint32(hi - lo), Dense: u.Primal[lo:hi]}
+				f.payloads[k] = &f.views[k]
+			} else {
+				f.payloads[k], g = payloads[g], g+1
+			}
+		}
+		return f.ss.FoldPayloads(lo, hi, f.payloads)
+	}
+	_, err := comm.StreamGather(f.src, gather, uint32(round), dim, f.width, begin, fold)
+	clear(f.views) // they must not keep the replayed primals
+	clear(f.payloads)
+	if err == nil && f.acks {
+		err = comm.AckStream(f.src, gather, uint32(round), dim, f.width)
+	}
+	if err == nil {
+		err = f.ss.Finish()
+	}
+	if err != nil {
+		s.jw.abandonAdmits()
+		return fmt.Errorf("core: stream round %d: %w", round, err)
+	}
+	return nil
+}
+
 // regather collects the round a crashed server left in flight: the
 // journaled admits are taken as-is (their primals were written before the
 // crash), the rest of the cohort is gathered again, and the merged batch
@@ -843,16 +952,29 @@ func (s *server) runBarrierRounds(resume *RecoveredServer) error {
 // the original dispatch; one with none (a restarted process starts with an
 // empty ledger) gets the round's model again and answers by re-sending the
 // update it already trained, or by training if the model never reached it.
+// A windowed incarnation folds the round here, through the window fold:
+// the replayed admits as window views, the re-gathered clients' uploads as
+// they are cut — journaled, like any windowed round's.
 func (s *server) regather(p *PendingRound) (batch, gathered []*wire.LocalUpdate, err error) {
-	admitted := p.AdmittedSet()
+	admitted := make(map[int]*wire.LocalUpdate, len(p.Admitted))
+	for _, u := range p.Admitted {
+		admitted[int(u.ClientID)] = u
+	}
 	remaining := make([]int, 0, len(p.Cohort))
+	var order []int                  // the fold order: cohort order
+	var replayed []*wire.LocalUpdate // per fold position: the journaled admit, or nil
 	for _, c := range p.Cohort {
 		// Skip journaled admits (dedup by client × round: re-gathering one
 		// would double-count it) and clients the replayed ledger knows left
 		// or went silent during the crashed attempt.
-		if !admitted[c] && s.mem.eligible(c, p.Round) {
+		u := admitted[c]
+		if u == nil && !s.mem.eligible(c, p.Round) {
+			continue
+		}
+		if u == nil {
 			remaining = append(remaining, c)
 		}
+		order, replayed = append(order, c), append(replayed, u)
 	}
 	if len(remaining) > 0 {
 		owing := make(map[int]bool)
@@ -870,20 +992,26 @@ func (s *server) regather(p *PendingRound) (batch, gathered []*wire.LocalUpdate,
 				return nil, nil, err
 			}
 		}
-		if gathered, err = gatherCohort(s.cfg, s.st, s.mem, remaining, p.Round); err != nil {
+	}
+	if s.win != nil {
+		if err := s.win.fold(s, p.Round, order, replayed, remaining); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(remaining) > 0 {
+		if gathered, err = s.gather(remaining, p.Round); err != nil {
 			return nil, nil, err
 		}
 	}
 	byID := make(map[int]*wire.LocalUpdate, len(p.Admitted)+len(gathered))
-	for _, u := range p.Admitted {
-		byID[int(u.ClientID)] = u
-	}
 	for _, u := range gathered {
 		byID[int(u.ClientID)] = u
 	}
-	batch = make([]*wire.LocalUpdate, 0, len(byID))
-	for _, c := range p.Cohort {
-		if u, ok := byID[c]; ok {
+	batch = make([]*wire.LocalUpdate, 0, len(order))
+	for k, c := range order {
+		if u := replayed[k]; u != nil {
+			batch = append(batch, u)
+		} else if u, ok := byID[c]; ok {
 			batch = append(batch, u)
 		}
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -206,15 +209,82 @@ func (f *frameTransport) RecvGlobal() (*wire.GlobalModel, error) {
 func (f *frameTransport) ReceiveInto(w []float64)            { f.model.Weights = w[:0] }
 func (f *frameTransport) SendUpdate(*wire.LocalUpdate) error { return nil }
 
+// windowFeed is a server transport that feeds windowed rounds by hand,
+// as a transport's inbox would: RecvChunkFrom hands out each client's
+// primal in uploadWindow windows, copied into pooled chunks, and GatherFrom
+// the slim updates, which carry no primal. With failAt > 0 the receive of
+// that window from the last client fails, as a connection lost mid-upload
+// does.
+type windowFeed struct {
+	comm.ServerTransport // nil: only the methods below are called
+	data                 []*wire.LocalUpdate
+	next                 []int
+	windows              int
+	failAt               int
+}
+
+var errFeedLost = errors.New("feed: connection lost")
+
+func (f *windowFeed) RecvChunkFrom(c int) (*wire.ModelChunk, error) {
+	u, i := f.data[c], f.next[c]
+	if f.failAt > 0 && c == len(f.data)-1 && i == f.failAt {
+		return nil, errFeedLost
+	}
+	f.next[c]++
+	dim := len(u.Primal)
+	lo, hi := wire.ChunkRange(dim, uploadWindow, i)
+	mc := comm.NewChunk()
+	p := mc.Payload
+	if p == nil {
+		p = new(wire.Payload)
+	}
+	*mc = wire.ModelChunk{ClientID: u.ClientID, Round: u.Round, Index: uint32(i), Count: uint32(wire.ChunkPlan(dim, uploadWindow)),
+		Lo: uint32(lo), Hi: uint32(hi), Dim: uint32(dim), NumSamples: u.NumSamples, Payload: p}
+	p.Enc, p.Dim = wire.EncDense, uint32(hi-lo)
+	p.Dense = append(p.Dense[:0], u.Primal[lo:hi]...)
+	f.windows++
+	return mc, nil
+}
+
+func (f *windowFeed) SendChunkAck(int, *wire.ChunkAck) error { return nil }
+
+func (f *windowFeed) GatherFrom(ids []int) ([]*wire.LocalUpdate, error) {
+	out := make([]*wire.LocalUpdate, len(ids))
+	for k, c := range ids {
+		d, u := f.data[c], comm.NewUpdate()
+		u.ClientID, u.Round, u.NumSamples, u.BaseVersion, u.InCohort = d.ClientID, d.Round, d.NumSamples, d.BaseVersion, true
+		out[k] = u
+		f.next[c] = 0
+	}
+	return out, nil
+}
+
+// feedServer is a barrier server over a windowFeed of data, journaled
+// through jw into agg: the windowed round's pieces, with no round loop or
+// transport around them.
+func feedServer(cfg Config, agg Aggregator, mem *membership, jw *journalWriter, data []*wire.LocalUpdate) (*server, *windowFeed, error) {
+	feed := &windowFeed{data: data, next: make([]int, len(data))}
+	ss, err := NewStreamSession(agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := &server{cfg: cfg, agg: agg, st: feed, mem: mem, jw: jw,
+		win: &windowFold{src: feed, width: uploadWindow, ss: ss}}
+	return s, feed, nil
+}
+
 // TestJournaledRoundAllocatesNoModelSizedBuffer: the server side of a
 // journaled round — round start, one admit per update, the fold, the
 // commit, (every round here) a checkpoint, and the round's record with
 // ValidateEvery 1 — allocates no vector the size of the model once warmed.
-// The admits are written from the updates' primals, the commit and
-// checkpoint from the aggregator's own model, and the evaluation loads
-// that model straight into the evaluation replica's vector; the journal
-// keeps no encoded copy of either. What was written is the model: the
-// checkpoint replays bit-equal to the aggregator.
+// The barrier round is windowed: each admit is reserved once the first
+// window is in and written window by window from the cut uploads, each
+// window folded after it is written. The buffered release journals its
+// gathered primals with one Append and folds them. The commit and
+// checkpoint are written from the aggregator's own model, and the
+// evaluation loads that model straight into the evaluation replica's
+// vector; the journal keeps no encoded copy of either. What was written
+// is the model: the checkpoint replays bit-equal to the aggregator.
 func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -248,17 +318,35 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 			data[c] = &wire.LocalUpdate{ClientID: uint32(c), NumSamples: uint64(10 + c), Primal: make([]float64, dim)}
 			rng.New(uint64(c+2)).FillNormal(data[c].Primal, 0, 0.01)
 		}
+		var s *server
+		var feed *windowFeed
+		if sched == SchedSyncAll {
+			if s, feed, err = feedServer(cfg, agg, mem, jw, data); err != nil {
+				t.Fatal(err)
+			}
+		}
 		res := &Result{}
 		round := 0
 		journaled := func() {
 			round++
 			for _, u := range data {
-				u.BaseVersion = uint64(agg.Version())
+				u.Round, u.BaseVersion = uint32(round), uint64(agg.Version())
 			}
 			jw.roundStart(round, cohort, uint64(agg.Version()))
-			jw.admitBatch(round, data)
-			if err := agg.Aggregate(data); err != nil {
-				t.Fatal(err)
+			if sched == SchedSyncAll {
+				if err := s.win.fold(s, round, cohort, nil, cohort); err != nil {
+					t.Fatal(err)
+				}
+				gathered, err := s.gather(cohort, round)
+				if err != nil {
+					t.Fatal(err)
+				}
+				comm.ReleaseUpdates(gathered)
+			} else {
+				jw.admitBatch(round, data)
+				if err := agg.Aggregate(data); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := jw.commit(round, agg, mem, 0); err != nil {
 				t.Fatal(err)
@@ -272,8 +360,17 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 		if bytes > vector/2 {
 			t.Fatalf("%s: a warmed journaled round allocated %.0f bytes; one model-sized vector is %.0f", sched, bytes, vector)
 		}
+		if want := 0; sched == SchedSyncAll {
+			want = round * clients * wire.ChunkPlan(dim, uploadWindow)
+			if feed.windows != want {
+				t.Fatalf("%d windows folded in %d rounds, want %d: the barrier round did not window", feed.windows, round, want)
+			}
+		}
 		if last := res.Rounds[len(res.Rounds)-1]; last.TestLoss == 0 || math.IsNaN(last.TestLoss) {
 			t.Fatalf("%s: round %d was not evaluated: %+v", sched, round, last)
+		}
+		if s := j.Stats(); s.Frames != uint64(round*(clients+2)) {
+			t.Fatalf("%s: %d frames in %d rounds, want %d", sched, s.Frames, round, round*(clients+2))
 		}
 		recd, err := j.Recover()
 		if err != nil {
@@ -290,5 +387,79 @@ func TestJournaledRoundAllocatesNoModelSizedBuffer(t *testing.T) {
 				t.Fatalf("%s: checkpointed weight %d is %v, the aggregator holds %v", sched, i, cp.Weights[i], w[i])
 			}
 		}
+	}
+}
+
+// TestWindowedJournalAbandonsAFailedGather: a windowed journaled round
+// whose gather fails mid-round — the last client's connection lost after
+// the admits were reserved and their first windows written — fails the
+// round and cuts the WAL back to its last whole frame, the round start;
+// so does a slim update whose BaseVersion is not the version the round
+// dispatched, before any admit header lands.
+func TestWindowedJournalAbandonsAFailedGather(t *testing.T) {
+	const clients, dim = 3, 3*uploadWindow + 10
+	cfg := Config{Algorithm: AlgoFedAvg, Scheduler: SchedSyncAll}.WithDefaults()
+	for _, c := range []struct {
+		name   string
+		failAt int  // window whose receive fails
+		stale  bool // the last update echoes another version
+	}{
+		{"connection lost", 2, false},
+		{"stale base version", 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			agg, err := NewAggregator(cfg, make([]float64, dim), clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			j, err := journal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.NoSync = true
+			defer j.Close()
+			jw := newJournalWriter(j, 0, nil)
+			data := make([]*wire.LocalUpdate, clients)
+			for i := range data {
+				data[i] = &wire.LocalUpdate{ClientID: uint32(i), Round: 1, NumSamples: 5, Primal: make([]float64, dim)}
+			}
+			if c.stale {
+				data[clients-1].BaseVersion = 7
+			}
+			s, feed, err := feedServer(cfg, agg, newMembership(clients), jw, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed.failAt = c.failAt
+			cohort := []int{0, 1, 2}
+			jw.roundStart(1, cohort, 0)
+			end := j.Stats().Bytes
+			err = s.win.fold(s, 1, cohort, nil, cohort)
+			if err == nil {
+				_, err = s.gather(cohort, 1)
+			}
+			if err == nil {
+				t.Fatal("the round did not fail")
+			}
+			t.Log(err)
+			if c.failAt > 0 && !errors.Is(err, errFeedLost) {
+				t.Fatalf("failed with %v, want the lost connection", err)
+			}
+			info, err := os.Stat(filepath.Join(dir, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint64(info.Size()) != end {
+				t.Fatalf("the WAL holds %d bytes after the failed round; its last whole frame ends at %d", info.Size(), end)
+			}
+			if jw.reserved {
+				t.Fatal("the failed round left its admits reserved")
+			}
+			jw.roundStart(1, cohort, 0)
+			if jw.err != nil {
+				t.Fatalf("the journal took no append after the failed round: %v", jw.err)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -13,31 +12,29 @@ import (
 	"repro/internal/wire"
 )
 
-// recordingWAL logs every write the journal makes to its WAL, in order,
+// recordingWAL logs every write the journal j makes to its WAL, in order,
 // so a test can rebuild the file as a crash at any point would leave it.
 type recordingWAL struct {
 	*os.File
+	j   *Journal
 	ops []walWrite
 }
 
 type walWrite struct {
 	off    int64
 	b      []byte
-	header bool // a WriteAt: a frame's header over its placeholder
-}
-
-func (r *recordingWAL) Write(p []byte) (int, error) {
-	off, err := r.File.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	r.ops = append(r.ops, walWrite{off: off, b: bytes.Clone(p)})
-	return r.File.Write(p)
+	header bool // a frame's header over its placeholder
 }
 
 func (r *recordingWAL) WriteAt(p []byte, off int64) (int, error) {
-	r.ops = append(r.ops, walWrite{off: off, b: bytes.Clone(p), header: true})
+	r.ops = append(r.ops, walWrite{off: off, b: bytes.Clone(p), header: isHeader(r.j, p)})
 	return r.File.WriteAt(p, off)
+}
+
+// isHeader reports whether p, a write j makes, is a frame's real header:
+// the journal writes every header from its one header buffer.
+func isHeader(j *Journal, p []byte) bool {
+	return len(p) == len(j.hdr) && &p[0] == &j.hdr[0]
 }
 
 // image is the WAL after base, the first n writes of ops and the first
@@ -66,8 +63,23 @@ func image(base []byte, ops []walWrite, n, part int) []byte {
 // between two header writes. Every cut opens as a torn tail whose records
 // are exactly those before the batch plus the batch frames whose header
 // had landed — always a prefix of the batch — and an append after the
-// reopen replays.
+// reopen replays. The batch is written by one Append, and as three admits
+// reserved and filled window by window in interleaved order, where a cut
+// also lands inside a window or between two.
 func TestBatchCutAnywhereReplaysAsTornTail(t *testing.T) {
+	t.Run("append", func(t *testing.T) {
+		batch := []*wire.JournalRecord{vectorRecord(2), rec(wire.JournalLedger, 2), vectorRecord(3)}
+		cutBatchAnywhere(t, batch, func(j *Journal) error { return j.Append(batch...) })
+	})
+	t.Run("reserved", func(t *testing.T) {
+		batch := admitBatch(3, 600, 2)
+		cutBatchAnywhere(t, batch, func(j *Journal) error { return fillWindows(j, batch, 256) })
+	})
+}
+
+// cutBatchAnywhere is TestBatchCutAnywhereReplaysAsTornTail for the batch
+// write writes.
+func cutBatchAnywhere(t *testing.T, batch []*wire.JournalRecord, write func(*Journal) error) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir)
 	j.NoSync = true
@@ -79,11 +91,13 @@ func TestBatchCutAnywhereReplaysAsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw := &recordingWAL{File: j.wal.(*os.File)}
+	rw := &recordingWAL{File: j.wal.(*os.File), j: j}
 	j.wal = rw
-	batch := []*wire.JournalRecord{vectorRecord(2), rec(wire.JournalLedger, 2), vectorRecord(3)}
-	if err := j.Append(batch...); err != nil {
+	if err := write(j); err != nil {
 		t.Fatal(err)
+	}
+	for i, r := range batch {
+		r.Seq = uint64(len(earlier) + 1 + i)
 	}
 	j.wal = rw.File
 	if err := j.Close(); err != nil {

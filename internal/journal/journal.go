@@ -10,15 +10,19 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -64,11 +68,17 @@ func (r *Recovered) Empty() bool {
 // goroutine that every later call joins first, and Stats, which may be
 // read while a write is in progress.
 //
-// A Journal holds no copy of what it writes: Append and Checkpoint encode
-// with wire.Encoder.EncodeVectored, so a record's (or a checkpoint's)
+// A Journal holds no copy of what it writes: a batch's frames and a
+// checkpoint are encoded with wire.Encoder.EncodeVectored, so their
 // float64 blocks go from the caller's vectors to the file, and the journal
 // keeps only the few encoded bytes around them. The caller's vectors are
-// read during the call and must not change until it returns.
+// read during the call that hands them over and must not change until it
+// returns.
+//
+// Every WAL frame is written by one path: Reserve places a batch of frames
+// at the WAL's end, Fill writes the primal a frame withholds, and Commit
+// lands the headers and fsyncs. Append is Reserve and Commit with nothing
+// withheld.
 type Journal struct {
 	// NoSync skips the per-batch fsync. The in-process soak harness (and
 	// the append microbench) set it: they simulate process death, not
@@ -84,10 +94,14 @@ type Journal struct {
 	recovered *Recovered
 	stats     *counters // kept across Recover
 
-	frames []frame       // the batch Append is writing
-	sums   chan []frame  // to the helper that sums a batch's frames; nil until the first Append
-	summed chan struct{} // from the helper: the batch's sums are in
-	hdr    [8]byte       // one WAL frame header
+	frames   []frame       // frames[:batch] is the reserved batch
+	batch    int           // frames reserved and not yet committed; 0 when none
+	batchEnd int64         // WAL offset after the reserved batch
+	batchNs  time.Duration // time spent in the batch's Reserve, Fill and Commit calls
+	sums     chan []frame  // to the helper that sums a batch's frames; nil until the first Reserve
+	summed   chan struct{} // from the helper: the batch's sums are in
+	hdr      [8]byte       // one WAL frame header
+	le       []byte        // a window's little-endian bytes, on a big-endian host only
 
 	ckpt     frame
 	ckptHdr  [len(checkpointMagic) + 8]byte
@@ -97,20 +111,54 @@ type Journal struct {
 
 // frame is one encoded message: the encoder's bytes interleaved with views
 // of the message's vectors, their total length and their CRC-32 (IEEE),
-// chained over the segments.
+// chained over the segments. A reserved frame may withhold a primal: its
+// last tail bytes are not among the segments but written by Fill, in
+// order, the CRC chained over each window as it is written.
 type frame struct {
-	enc  wire.Encoder
-	segs [][]byte
-	n    int
-	sum  uint32
+	enc    wire.Encoder
+	segs   [][]byte
+	n      int    // the frame's length, its header excluded
+	sum    uint32 // CRC-32 of the bytes written so far
+	off    int64  // where its header goes in the WAL
+	tail   int    // withheld primal bytes, at the frame's end
+	filled int    // of them, written so far
+	field  []byte // the withheld primal's field header, the last segment
 }
 
 func (f *frame) encode(m wire.Marshaler) {
 	f.segs = f.enc.EncodeVectored(m, f.segs)
-	f.n = 0
+	f.n, f.tail, f.filled = 0, 0, 0
 	for _, s := range f.segs {
 		f.n += len(s)
 	}
+}
+
+// primalTag is the tag wire.JournalRecord.Marshal writes before a
+// record's primal, its last field: what a one-value primal adds to a
+// record's encoding, less the one-byte length and the value.
+var primalTag = func() []byte {
+	var e wire.Encoder
+	bare := len(e.Encode(&wire.JournalRecord{Op: wire.JournalAdmit}))
+	with := e.Encode(&wire.JournalRecord{Op: wire.JournalAdmit, Primal: []float64{0}})
+	return bytes.Clone(with[bare : len(with)-9])
+}()
+
+// withhold frames rec followed by a primal of dim values, which are left
+// for Fill to write: the segments end with the field's tag and byte
+// length, exactly what wire.Encoder.Doubles writes before the values, so
+// the filled frame is byte for byte what encoding rec with its primal
+// writes. Primal must be the record's last field: a record that carries
+// any field after it, or a primal of its own, cannot withhold one.
+func (f *frame) withhold(rec *wire.JournalRecord, dim int) error {
+	if len(rec.Primal) > 0 || len(rec.Weights) > 0 || rec.LedgerOp != 0 || rec.Param != 0 {
+		return errors.New("journal: only a record whose primal would be its last field can withhold one")
+	}
+	f.encode(rec)
+	f.field = binary.AppendUvarint(append(f.field[:0], primalTag...), uint64(8*dim))
+	f.segs = append(f.segs, f.field)
+	f.tail = 8 * dim
+	f.n += len(f.field) + f.tail
+	return nil
 }
 
 func (f *frame) checksum() {
@@ -120,8 +168,8 @@ func (f *frame) checksum() {
 	}
 }
 
-// sumFrames is the helper goroutine of a journal's appends: it sums each
-// batch it is handed while the appending goroutine writes the same frames,
+// sumFrames is the helper goroutine of a journal's batches: it sums each
+// batch it is handed while the reserving goroutine writes the same frames,
 // and reports back when the sums are in. It exits when in is closed.
 func sumFrames(in <-chan []frame, out chan<- struct{}) {
 	for fs := range in {
@@ -135,11 +183,10 @@ func sumFrames(in <-chan []frame, out chan<- struct{}) {
 // walFile is what the journal needs of its open WAL; *os.File is the one
 // implementation outside tests, which substitute a file that fails
 // partway through a write.
+// Every write is a WriteAt: the journal keeps its own offsets.
 type walFile interface {
-	io.Writer
 	io.WriterAt
 	Truncate(size int64) error
-	Seek(offset int64, whence int) (int64, error)
 	Sync() error
 	Close() error
 }
@@ -278,19 +325,12 @@ func (j *Journal) Dir() string { return j.dir }
 // Append assigns recs the next sequence numbers and writes each as one
 // framed entry, fsyncing the batch once before returning (unless NoSync) —
 // the write-ahead barrier callers rely on: when Append returns, every
-// transition in the batch is durable and may take effect in memory.
-//
-// Each frame goes to the WAL as a zero header and its segments while the
-// journal's helper goroutine computes its CRC (a lone frame's is computed
-// after its write, on the calling goroutine); the real headers are then
-// written in order over the placeholders. A header that lands is its
-// frame's commit point: a crash before it leaves a zero header, which
-// replay treats as a torn tail, so only a prefix of the batch can ever
-// survive, and only frames whose header landed.
+// transition in the batch is durable and may take effect in memory. It is
+// Reserve with nothing withheld, then Commit.
 //
 // A failed Append leaves no part of its batch in the WAL, so it can never
 // hide the records appended after it; if the WAL cannot be cut back, every
-// later Append and Checkpoint fails with the same error.
+// later write fails with the same error.
 func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 	if err := j.writable("append"); err != nil {
 		return err
@@ -298,19 +338,59 @@ func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	if err := j.reserve("append", recs, 0); err != nil {
+		return err
+	}
+	return j.commit("append")
+}
+
+// Reserve assigns recs the next sequence numbers and places one frame for
+// each, back to back, at the WAL's end: a zero header, then the record's
+// bytes. With primal > 0 each record withholds a primal of that many
+// values (see frame.withhold), which Fill writes window by window while
+// the batch is open; nothing else may write to the journal until Commit
+// or Abandon closes it. recs must not be empty. A checkpoint in flight is
+// joined first.
+//
+// Each frame is summed as it is written — on the journal's helper
+// goroutine when the batch holds several — and a withheld primal's CRC is
+// chained over its windows as Fill writes them, so that Commit has every
+// frame's sum.
+//
+// A failed Reserve, Fill or Commit cuts the WAL back to its last whole
+// frame and closes the batch.
+func (j *Journal) Reserve(recs []*wire.JournalRecord, primal int) error {
+	if err := j.writable("reserve"); err != nil {
+		return err
+	}
+	if len(recs) == 0 {
+		return errors.New("journal: reserve of an empty batch")
+	}
+	return j.reserve("reserve", recs, primal)
+}
+
+func (j *Journal) reserve(op string, recs []*wire.JournalRecord, primal int) error {
 	start := time.Now()
 	if len(recs) > len(j.frames) {
 		j.frames = append(j.frames, make([]frame, len(recs)-len(j.frames))...)
 	}
 	fs := j.frames[:len(recs)]
-	size := int64(0)
+	off := j.end
 	for i, rec := range recs {
 		rec.Seq = j.seq + 1 + uint64(i)
-		fs[i].encode(rec)
-		if fs[i].n > maxFrame {
-			return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", fs[i].n)
+		f := &fs[i]
+		if primal > 0 {
+			if err := f.withhold(rec, primal); err != nil {
+				return err
+			}
+		} else {
+			f.encode(rec)
 		}
-		size += 8 + int64(fs[i].n)
+		if f.n > maxFrame {
+			return fmt.Errorf("journal: record of %d bytes exceeds the frame bound", f.n)
+		}
+		f.off = off
+		off += 8 + int64(f.n)
 	}
 	// A batch of several frames is summed on the helper while it is
 	// written. A lone frame is summed here: handing one frame over buys
@@ -331,9 +411,59 @@ func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 	} else {
 		fs[0].checksum()
 	}
-	if err == nil {
-		err = j.writeHeaders(fs)
+	if err != nil {
+		return j.fail(op, err)
 	}
+	j.batch, j.batchEnd = len(fs), off
+	j.batchNs = time.Since(start)
+	return nil
+}
+
+// Fill writes vals as the primal values [lo, lo+len(vals)) that frame i of
+// the open batch withholds. A frame's windows are written in order: lo
+// must be where the previous Fill of frame i ended. The frames of a batch
+// may be filled in any interleaving. vals is read during the call only.
+func (j *Journal) Fill(i, lo int, vals []float64) error {
+	start := time.Now()
+	if i < 0 || i >= j.batch {
+		return j.fail("fill", fmt.Errorf("frame %d of a batch of %d", i, j.batch))
+	}
+	f := &j.frames[i]
+	b := j.littleEndian(vals)
+	if 8*lo != f.filled || f.filled+len(b) > f.tail {
+		return j.fail("fill", fmt.Errorf("frame %d: values [%d,%d) after %d of its %d",
+			i, lo, lo+len(vals), f.filled/8, f.tail/8))
+	}
+	if _, err := j.wal.WriteAt(b, f.off+8+int64(f.n-f.tail+f.filled)); err != nil {
+		return j.fail("fill", err)
+	}
+	f.sum = crc32.Update(f.sum, crc32.IEEETable, b)
+	f.filled += len(b)
+	j.batchNs += time.Since(start)
+	return nil
+}
+
+// Commit closes the open batch: every frame's header is written over its
+// placeholder, in order, and the batch is fsynced once (unless NoSync).
+// A header that lands is its frame's commit point: a crash before it
+// leaves a zero header, which replay treats as a torn tail, so only a
+// prefix of the batch can ever survive, and only frames whose header
+// landed. A frame whose withheld primal is not all written fails the
+// Commit.
+func (j *Journal) Commit() error { return j.commit("commit") }
+
+func (j *Journal) commit(op string) error {
+	start := time.Now()
+	if j.batch == 0 {
+		return fmt.Errorf("journal: %s with no batch reserved", op)
+	}
+	fs := j.frames[:j.batch]
+	for i := range fs {
+		if fs[i].filled != fs[i].tail {
+			return j.fail(op, fmt.Errorf("frame %d holds %d of its %d primal values", i, fs[i].filled/8, fs[i].tail/8))
+		}
+	}
+	err := j.writeHeaders(fs)
 	var synced time.Duration
 	if err == nil && !j.NoSync {
 		t := time.Now()
@@ -341,42 +471,85 @@ func (j *Journal) Append(recs ...*wire.JournalRecord) error {
 		synced = time.Since(t)
 	}
 	if err != nil {
-		err = fmt.Errorf("journal: append: %w", err)
-		if j.rewind(j.end) != nil {
-			// The WAL's tail is unknown: take no further writes.
-			j.err = err
-		}
-		return err
+		return j.fail(op, err)
 	}
-	j.end += size
-	j.seq += uint64(len(recs))
-	j.stats.frames.Add(uint64(len(recs)))
-	j.stats.bytes.Add(uint64(size))
+	size := uint64(j.batchEnd - j.end)
+	j.end, j.seq = j.batchEnd, j.seq+uint64(len(fs))
+	j.batch = 0
+	j.stats.frames.Add(uint64(len(fs)))
+	j.stats.bytes.Add(size)
 	if !j.NoSync {
 		j.stats.fsyncs.Add(1)
 		j.stats.fsyncNs.Add(uint64(synced))
 	}
-	j.stats.appendNs.Add(uint64(time.Since(start)))
+	j.stats.appendNs.Add(uint64(j.batchNs + time.Since(start)))
 	return nil
 }
+
+// Abandon closes the open batch without committing it, cutting the WAL
+// back to its last whole frame. With no batch open it does nothing.
+func (j *Journal) Abandon() error {
+	if j.batch == 0 {
+		return nil
+	}
+	j.batch = 0
+	if err := j.rewind(j.end); err != nil {
+		j.err = fmt.Errorf("journal: abandon: %w", err)
+		return j.err
+	}
+	return nil
+}
+
+// fail closes the open batch after a failed write and cuts the WAL back
+// to its last whole frame; if it cannot, the WAL's tail is unknown and the
+// journal takes no further writes.
+func (j *Journal) fail(op string, err error) error {
+	err = fmt.Errorf("journal: %s: %w", op, err)
+	j.batch = 0
+	if j.rewind(j.end) != nil {
+		j.err = err
+	}
+	return err
+}
+
+// littleEndian returns vals' wire bytes: a view of their storage on a
+// little-endian host, a conversion into the journal's window buffer
+// elsewhere.
+func (j *Journal) littleEndian(vals []float64) []byte {
+	if len(vals) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), 8*len(vals))
+	}
+	j.le = slices.Grow(j.le[:0], 8*len(vals))[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(j.le[8*i:], math.Float64bits(v))
+	}
+	return j.le
+}
+
+// hostLittleEndian reports whether a float64's bytes in memory are its
+// wire form.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // zeroHeader is every frame's placeholder header until its CRC is known.
 var zeroHeader [8]byte
 
-// writeFrames writes the batch at the WAL's end, each frame behind a zero
-// header. The segments go through j.wal's own Write rather than writeAll:
-// converting the walFile to an io.Writer is a runtime itab lookup, whose
-// per-site cache is rebuilt — one small allocation — on a random ~1 in
-// 1024 calls.
+// writeFrames writes each frame of the batch at its offset: a zero header,
+// then its segments. A withheld primal's bytes are left for Fill.
 func (j *Journal) writeFrames(fs []frame) error {
 	for i := range fs {
-		if _, err := j.wal.Write(zeroHeader[:]); err != nil {
+		off := fs[i].off
+		if _, err := j.wal.WriteAt(zeroHeader[:], off); err != nil {
 			return err
 		}
+		off += 8
 		for _, s := range fs[i].segs {
-			if _, err := j.wal.Write(s); err != nil {
+			if _, err := j.wal.WriteAt(s, off); err != nil {
 				return err
 			}
+			off += int64(len(s))
 		}
 	}
 	return nil
@@ -386,14 +559,12 @@ func (j *Journal) writeFrames(fs []frame) error {
 // order, so the frames whose headers have landed are always a prefix of
 // the batch.
 func (j *Journal) writeHeaders(fs []frame) error {
-	off := j.end
 	for i := range fs {
 		binary.BigEndian.PutUint32(j.hdr[:4], uint32(fs[i].n))
 		binary.BigEndian.PutUint32(j.hdr[4:], fs[i].sum)
-		if _, err := j.wal.WriteAt(j.hdr[:], off); err != nil {
+		if _, err := j.wal.WriteAt(j.hdr[:], fs[i].off); err != nil {
 			return err
 		}
-		off += 8 + int64(fs[i].n)
 	}
 	return nil
 }
@@ -462,7 +633,8 @@ func (j *Journal) checkpoint(cp *wire.JournalCheckpoint) error {
 }
 
 // writable joins any checkpoint in flight and reports why the journal
-// cannot take a write, if it cannot.
+// cannot take a write, if it cannot: it is closed, a write left its tail
+// unknown, or a reserved batch is still open.
 func (j *Journal) writable(op string) error {
 	if err := j.WaitCheckpoint(); err != nil {
 		return err
@@ -470,15 +642,15 @@ func (j *Journal) writable(op string) error {
 	if j.wal == nil {
 		return fmt.Errorf("journal: %s on a closed journal", op)
 	}
+	if j.err == nil && j.batch > 0 {
+		return fmt.Errorf("journal: %s with a batch of %d frames still open", op, j.batch)
+	}
 	return j.err
 }
 
-// rewind cuts the WAL back to off and puts the next append there.
+// rewind cuts the WAL back to off, where the next frame goes.
 func (j *Journal) rewind(off int64) error {
 	if err := j.wal.Truncate(off); err != nil {
-		return err
-	}
-	if _, err := j.wal.Seek(off, io.SeekStart); err != nil {
 		return err
 	}
 	j.end = off
@@ -590,11 +762,11 @@ func (j *Journal) stopHelper() {
 // They are what an operator watches the journal by: the write volume, how
 // often it reached the disk, and the time each kind of write took.
 type Stats struct {
-	Frames        uint64  // WAL frames appended
-	Bytes         uint64  // WAL bytes appended, frame headers included
-	Fsyncs        uint64  // WAL fsyncs: one per appended batch unless NoSync
+	Frames        uint64  // WAL frames committed
+	Bytes         uint64  // WAL bytes committed, frame headers included
+	Fsyncs        uint64  // WAL fsyncs: one per committed batch unless NoSync
 	Checkpoints   uint64  // checkpoints written
-	AppendSec     float64 // wall time in Append, its fsyncs included
+	AppendSec     float64 // wall time in Append, or a batch's Reserve, Fill and Commit calls, fsyncs included
 	FsyncSec      float64 // wall time in the WAL fsyncs
 	CheckpointSec float64 // wall time writing checkpoints, on whichever goroutine wrote them
 }

@@ -17,15 +17,15 @@ import (
 
 var errInjected = errors.New("injected I/O failure")
 
-// failingWAL is a WAL whose writes fail once budget bytes have gone
-// through: the write that crosses the budget lands its first bytes and
-// then fails, as ENOSPC or EIO partway through a frame does. With
-// failHeader the frames are written whole and the header written over a
-// placeholder lands half and fails; with failSync everything is written
-// and the fsync fails; with failTruncate the journal cannot cut the
-// partial frame back out.
+// failingWAL is journal j's WAL, whose writes other than headers fail
+// once budget bytes have gone through: the write that crosses the budget
+// lands its first bytes and then fails, as ENOSPC or EIO partway through a
+// frame does. With failHeader the header written over a placeholder lands
+// half and fails; with failSync everything is written and the fsync fails;
+// with failTruncate the journal cannot cut the partial frame back out.
 type failingWAL struct {
 	*os.File
+	j            *Journal
 	budget       int
 	failHeader   bool
 	failSync     bool
@@ -33,19 +33,17 @@ type failingWAL struct {
 }
 
 func (f *failingWAL) WriteAt(p []byte, off int64) (int, error) {
-	if f.failHeader {
+	switch {
+	case isHeader(f.j, p) && f.failHeader:
 		n, _ := f.File.WriteAt(p[:len(p)/2], off)
 		return n, errInjected
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *failingWAL) Write(p []byte) (int, error) {
-	if len(p) <= f.budget {
+	case isHeader(f.j, p):
+		return f.File.WriteAt(p, off)
+	case len(p) <= f.budget:
 		f.budget -= len(p)
-		return f.File.Write(p)
+		return f.File.WriteAt(p, off)
 	}
-	n, _ := f.File.Write(p[:f.budget])
+	n, _ := f.File.WriteAt(p[:f.budget], off)
 	f.budget = 0
 	return n, errInjected
 }
@@ -97,24 +95,38 @@ func vectorRecord(round uint32) *wire.JournalRecord {
 // frame), leaves the WAL as it was — the next Append lands where the
 // failed one started and everything appended survives a reopen with no
 // torn tail. At the parent the partial frame stayed, and replay truncated
-// the later, acknowledged record as part of a torn tail.
+// the later, acknowledged record as part of a torn tail. The same holds
+// for a batch of two admits reserved and filled window by window: a write
+// failing at any byte of any window (or of a placeholder or a frame's
+// encoded bytes), a failed header and a failed fsync.
 func TestFailedAppendLeavesNoPartialFrame(t *testing.T) {
-	first := rec(wire.JournalRoundStart, 1)
 	failed := vectorRecord(1)
 	var e wire.Encoder
-	frameLen := 8 + len(e.Encode(failed))
+	failWrites(t, 8+len(e.Encode(failed)), func(j *Journal) error { return j.Append(failed) })
+	admits := admitBatch(2, 40, 1)
+	size := 0
+	for _, r := range admits {
+		size += 8 + len(e.Encode(r))
+	}
+	failWrites(t, size, func(j *Journal) error { return fillWindows(j, admits, 16) })
+}
+
+// failWrites is TestFailedAppendLeavesNoPartialFrame for write, a batch
+// whose frames are size bytes, headers included.
+func failWrites(t *testing.T, size int, write func(*Journal) error) {
+	first := rec(wire.JournalRoundStart, 1)
 	root := t.TempDir()
-	for k := 0; k <= frameLen+1; k++ {
+	for k := 0; k <= size+1; k++ {
 		dir := filepath.Join(root, fmt.Sprint(k))
 		j := mustOpen(t, dir)
-		j.NoSync = k < frameLen
+		j.NoSync = k < size
 		if err := j.Append(first); err != nil {
 			t.Fatal(err)
 		}
 		file := j.wal.(*os.File)
-		j.wal = &failingWAL{File: file, budget: min(k, frameLen), failHeader: k == frameLen, failSync: k > frameLen}
-		if err := j.Append(failed); !errors.Is(err, errInjected) {
-			t.Fatalf("k=%d: append through a failing write returned %v", k, err)
+		j.wal = &failingWAL{File: file, j: j, budget: min(k, size), failHeader: k == size, failSync: k > size}
+		if err := write(j); !errors.Is(err, errInjected) {
+			t.Fatalf("k=%d: a batch through a failing write returned %v", k, err)
 		}
 		j.wal = file
 		later := rec(wire.JournalCommit, 1)
@@ -158,7 +170,7 @@ func TestUnrecoverableAppendFailureSticks(t *testing.T) {
 			}
 			file := j.wal.(*os.File)
 			fw := c.wal
-			fw.File = file
+			fw.File, fw.j = file, j
 			j.wal = &fw
 			err := j.Append(vectorRecord(1))
 			if !errors.Is(err, errInjected) {
