@@ -45,6 +45,31 @@ func TestEvaluateAllocationGate(t *testing.T) {
 	}
 }
 
+// TestEvaluateFootprintGate: a cold Evaluate of the benchmark's CNN at
+// batchSize 256 sizes the model's workspaces for one sub-batch, so it
+// allocates the same bytes over 240 test samples as over 600. What grows
+// is each forward pass's worker closures, ~0.7 KiB a sub-batch (six more
+// here); the bound is 16 KiB. A one-pass evaluation sized the workspaces by
+// its batch: 12.82 MB cold over 240 samples and 13.62 MB over 600.
+func TestEvaluateFootprintGate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, test := dataset.MNIST(dataset.SynthConfig{Train: 16, Test: 600, Seed: 7})
+	cold := func(n int) float64 {
+		ds := prefix(test, n)
+		m := nn.NewCNN(nn.CNNConfig{InChannels: 1, Height: 28, Width: 28, Classes: 10, Conv1: 4, Conv2: 8, Hidden: 32}, rng.New(1))
+		_, bytes := testutil.AllocsPer(1, func() { Evaluate(m, ds, 256) })
+		return bytes
+	}
+	small, large := cold(240), cold(600)
+	t.Logf("a cold Evaluate allocates %.0f bytes over 240 test samples and %.0f over 600", small, large)
+	if math.Abs(large-small) > 16<<10 {
+		t.Fatalf("a cold Evaluate's bytes grow with the test set: %.0f over 240 samples, %.0f over 600; the bound is 16 KiB", small, large)
+	}
+}
+
 // TestCNNLocalUpdateAllocationGate: a warmed LocalUpdate of the
 // benchmark's CNN client (IIADMM and FedAvg, two epochs of shuffled
 // 64-sample batches) allocates no batch: the loader collates every batch

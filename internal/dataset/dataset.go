@@ -71,12 +71,12 @@ func (d *InMemory) copySample(dst []float64, i int) int {
 	return d.labels[i]
 }
 
-// batch returns samples [lo,hi) as a Batch that views the dataset's
-// storage.
-func (d *InMemory) batch(lo, hi int) Batch {
+// view points b at samples [lo,hi) of the dataset's storage, through
+// b's kept input header; shape is the batch's [B, C, H, W].
+func (d *InMemory) view(b *Batch, lo, hi int, shape []int) {
 	per := d.images.Size() / max(d.Len(), 1)
-	x := tensor.FromSlice(d.images.Data()[lo*per:hi*per], append([]int{hi - lo}, d.shape...)...)
-	return Batch{X: x, Labels: d.labels[lo:hi]}
+	b.X = tensor.FromSliceInto(b.X, d.images.Data()[lo*per:hi*per], shape...)
+	b.Labels = d.labels[lo:hi]
 }
 
 // Shape returns the per-sample [C, H, W] shape.
@@ -168,11 +168,15 @@ type Loader struct {
 	shuffle   bool
 	r         *rng.RNG
 
+	// view is an unshuffled pass over an InMemory dataset (evaluation):
+	// its batches view the dataset's storage, and it keeps no order.
+	view  bool
 	order []int
 	pos   int
 
 	// batch is the storage every shuffled (or non-InMemory) batch is
-	// collated into, and shape its [B, C, H, W] scratch.
+	// collated into, or the header a view batch is cut through, and shape
+	// its [B, C, H, W] scratch.
 	batch Batch
 	shape []int
 }
@@ -184,12 +188,18 @@ func NewLoader(ds Dataset, batchSize int, shuffle bool, r *rng.RNG) *Loader {
 		panic("dataset: batch size must be positive")
 	}
 	l := &Loader{ds: ds, batchSize: batchSize, shuffle: shuffle, r: r}
+	_, inMemory := ds.(*InMemory)
+	l.view = inMemory && !shuffle
 	l.Reset()
 	return l
 }
 
 // Reset starts a new epoch (reshuffling when enabled).
 func (l *Loader) Reset() {
+	l.pos = 0
+	if l.view {
+		return
+	}
 	n := l.ds.Len()
 	if cap(l.order) < n {
 		l.order = make([]int, n)
@@ -201,7 +211,6 @@ func (l *Loader) Reset() {
 	if l.shuffle && l.r != nil {
 		l.r.Shuffle(l.order)
 	}
-	l.pos = 0
 }
 
 // Next returns the next batch of the epoch; ok is false once exhausted.
@@ -212,23 +221,19 @@ func (l *Loader) Reset() {
 // dataset (evaluation) yields views of the dataset's own storage instead
 // of copies.
 func (l *Loader) Next() (Batch, bool) {
-	if l.pos >= len(l.order) {
+	n := l.ds.Len()
+	if l.pos >= n {
 		return Batch{}, false
 	}
-	end := l.pos + l.batchSize
-	if end > len(l.order) {
-		end = len(l.order)
-	}
-	var b Batch
-	if im, ok := l.ds.(*InMemory); ok && !l.shuffle {
-		b = im.batch(l.pos, end)
+	end := min(l.pos+l.batchSize, n)
+	l.shape = append(append(l.shape[:0], end-l.pos), l.ds.Shape()...)
+	if l.view {
+		l.ds.(*InMemory).view(&l.batch, l.pos, end, l.shape)
 	} else {
-		l.shape = append(append(l.shape[:0], end-l.pos), l.ds.Shape()...)
 		collateInto(&l.batch, l.ds, l.order[l.pos:end], l.shape)
-		b = l.batch
 	}
 	l.pos = end
-	return b, true
+	return l.batch, true
 }
 
 // Batches returns the number of batches per epoch.

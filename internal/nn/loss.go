@@ -35,33 +35,42 @@ func (c *CrossEntropyLoss) Loss(logits *tensor.Tensor, labels []int) (loss float
 	}
 	c.dlogits = tensor.Reuse(c.dlogits, n, k)
 	invN := 1.0 / float64(n)
-	for i := 0; i < n; i++ {
-		y := labels[i]
-		if y < 0 || y >= k {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, k))
-		}
-		row := logits.Data()[i*k : (i+1)*k]
-		// Numerically stable softmax: subtract the row max.
-		m := row[0]
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-		sum := 0.0
+	for i, y := range labels {
 		drow := c.dlogits.Data()[i*k : (i+1)*k]
-		for j, v := range row {
-			e := math.Exp(v - m)
-			drow[j] = e
-			sum += e
-		}
-		loss += -(row[y] - m - math.Log(sum))
+		term, sum := CrossEntropyTerm(logits.Data()[i*k:(i+1)*k], y, drow)
+		loss += term
 		for j := range drow {
 			drow[j] = drow[j] / sum * invN
 		}
 		drow[y] -= invN
 	}
 	return loss * invN, c.dlogits
+}
+
+// CrossEntropyTerm returns one row's softmax cross-entropy term
+// −log softmax(row)[y], computed against the row max for stability, and
+// sum = Σ_j exp(row[j] − max). When exps is non-nil it receives the
+// exp(row[j] − max) values, which Loss turns into the gradient. This is
+// the one place the term is formed: Loss sums it over a batch in row
+// order, and core.Evaluate over a batch's sub-batches in the same order.
+func CrossEntropyTerm(row []float64, y int, exps []float64) (term, sum float64) {
+	if y < 0 || y >= len(row) {
+		panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, len(row)))
+	}
+	m := row[0]
+	for _, v := range row {
+		if v > m {
+			m = v
+		}
+	}
+	for j, v := range row {
+		e := math.Exp(v - m)
+		if exps != nil {
+			exps[j] = e
+		}
+		sum += e
+	}
+	return -(row[y] - m - math.Log(sum)), sum
 }
 
 // Softmax returns row-wise softmax probabilities for logits [N, K].

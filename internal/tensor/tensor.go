@@ -41,7 +41,12 @@ func New(shape ...int) *Tensor {
 
 // FromSlice wraps data in a tensor of the given shape. The tensor takes
 // ownership of data; it must have exactly the product of the dimensions.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice(data []float64, shape ...int) *Tensor { return FromSliceInto(nil, data, shape...) }
+
+// FromSliceInto is FromSlice for a caller that hands out a view on every
+// call and keeps the header: it points dst (allocated when nil) at data
+// under the given shape and returns it.
+func FromSliceInto(dst *Tensor, data []float64, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		n *= d
@@ -49,9 +54,12 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if n != len(data) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %s (=%d)", len(data), shapeString(shape), n))
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: data}
+	if dst == nil {
+		dst = &Tensor{}
+	}
+	dst.shape = append(dst.shape[:0], shape...)
+	dst.data = data
+	return dst
 }
 
 // Reuse returns a tensor of the given shape for a caller that overwrites
@@ -78,21 +86,7 @@ func Reuse(t *Tensor, shape ...int) *Tensor {
 // ViewInto points dst (allocated when nil) at src's storage under a new
 // shape and returns it: Reshape for a caller that hands out a view on
 // every call and keeps the header. The element count must be preserved.
-func ViewInto(dst, src *Tensor, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(src.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %s (%d elems)", src.shape, len(src.data), shapeString(shape), n))
-	}
-	if dst == nil {
-		dst = &Tensor{}
-	}
-	dst.shape = append(dst.shape[:0], shape...)
-	dst.data = src.data
-	return dst
-}
+func ViewInto(dst, src *Tensor, shape ...int) *Tensor { return FromSliceInto(dst, src.data, shape...) }
 
 // shapeString formats a shape for a panic message from a copy, so that a
 // constructor's variadic shape argument does not escape to the heap on
