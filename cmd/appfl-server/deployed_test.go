@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math"
 	"net"
 	"os"
@@ -550,43 +549,6 @@ func TestDeployedHostileJoins(t *testing.T) {
 	if want := engineCheckpoint(t, o.cfg, fed, factory, false); !bytes.Equal(got, want) {
 		dump(t, append(clients, server)...)
 		t.Fatal("checkpoint after hostile joins differs from the engine's")
-	}
-}
-
-// TestDeployedValidateEvery: a 3-round federation at -validate-every 2
-// reports the test loss and accuracy of rounds 2 and 3 (the last round
-// always validates) and none for round 1, and its weights are the engine's,
-// which validates every round: evaluation never moves the model.
-func TestDeployedValidateEvery(t *testing.T) {
-	args := append(append([]string{}, federationArgs...), "-validate-every", "2")
-	o, err := parseFlags(args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.validateEvery != 2 || o.cfg.Rounds != 3 {
-		t.Fatalf("parsed -validate-every %d over %d rounds, want 2 over 3", o.validateEvery, o.cfg.Rounds)
-	}
-	save := filepath.Join(t.TempDir(), "final.ckpt")
-	addr := freeAddr(t)
-	server := startServer(t, addr, append(args, "-save", save)...)
-	clients := startClients(t, addr, 0, o.clients)
-	server.wait(t, clients...)
-	roundLine := regexp.MustCompile(`(?m)^round +(\d+)  cohort +\d+  acc (\S+)  loss (\S+)`)
-	validated := map[string]bool{}
-	for _, m := range roundLine.FindAllStringSubmatch(server.out.String(), -1) {
-		validated[m[1]] = m[2] != "0.0000" || m[3] != "0.0000"
-	}
-	if want := map[string]bool{"1": false, "2": true, "3": true}; !maps.Equal(validated, want) {
-		dump(t, server)
-		t.Fatalf("rounds validated %v, want %v", validated, want)
-	}
-	got, err := os.ReadFile(save)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, factory := deploy.Workload(o.clients, o.plan())
-	if !bytes.Equal(got, engineCheckpoint(t, o.cfg, fed, factory, true)) {
-		t.Fatal("the -validate-every 2 checkpoint differs from the engine's, which validates every round")
 	}
 }
 

@@ -43,7 +43,6 @@ func TestFlagMapping(t *testing.T) {
 		"checkpoint-every": {value: "2", got: func(o *options) any { return o.checkpointEvery }, want: 2},
 		"save":             {value: "m.ckpt", got: func(o *options) any { return o.save }, want: "m.ckpt"},
 		"tenants":          {value: "t.json", got: func(o *options) any { return o.tenantsPath }, want: "t.json"},
-		"validate-every":   {value: "4", got: func(o *options) any { return o.validateEvery }, want: 4},
 	}
 	flagSet(&options{}).VisitAll(func(f *flag.Flag) {
 		c, ok := cases[f.Name]
@@ -86,7 +85,7 @@ func TestFlagDefaults(t *testing.T) {
 	if got := o.plan(); got != want {
 		t.Fatalf("default plan %+v, want %+v", got, want)
 	}
-	if o.clients != 2 || o.cfg.Rounds != 5 || o.checkpointEvery != 10 || o.acceptTimeout != 2*time.Minute || o.validateEvery != 1 {
+	if o.clients != 2 || o.cfg.Rounds != 5 || o.checkpointEvery != 10 || o.acceptTimeout != 2*time.Minute {
 		t.Fatalf("defaults drifted: %+v", o)
 	}
 }
@@ -101,8 +100,6 @@ func TestFlagMisuse(t *testing.T) {
 		{[]string{"-journal", "j"}, "journaling requires FedAvg"},
 		{[]string{"-journal", "j", "-algorithm", "fedavg", "-chunk", "64"}, "StreamChunk"},
 		{[]string{"-tenants", "t.json", "-rounds", "3"}, "does not apply in -tenants mode"},
-		{[]string{"-tenants", "t.json", "-validate-every", "2"}, "-validate-every does not apply in -tenants mode"},
-		{[]string{"-validate-every", "-1"}, "-validate-every must be at least 0"},
 		{[]string{"-pipeline", "bogus:1"}, "pipeline"},
 		{[]string{"-clients", "0"}, "-clients must be at least 1"},
 		{[]string{"-clients", "-1"}, "-clients must be at least 1"},

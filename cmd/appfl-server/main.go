@@ -41,7 +41,6 @@ type options struct {
 	checkpointEvery int
 	save            string
 	tenantsPath     string
-	validateEvery   int
 
 	// The single federation of the flag-configured mode.
 	clients, train, test int
@@ -77,7 +76,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.journalDir, "journal", "", "write-ahead round journal directory: crash-recoverable rounds (fedavg only, no -chunk)")
 	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 10, "compact the journal every k committed rounds (0 = never)")
 	fs.StringVar(&o.save, "save", "", "write the final model checkpoint here (atomic tmp+fsync+rename; <path>.tenant-<t> per tenant in -tenants mode)")
-	fs.IntVar(&o.validateEvery, "validate-every", 1, "validate the global model on the test set every k rounds (0 and 1 = every round; the last round always validates)")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "multi-tenant host mode: JSON config listing the federations to serve (see docs/operations.md); incompatible with per-federation flags")
 	return fs
 }
@@ -107,9 +105,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.clients < 1 {
 		return nil, fmt.Errorf("-clients must be at least 1, got %d", o.clients)
-	}
-	if o.validateEvery < 0 {
-		return nil, fmt.Errorf("-validate-every must be at least 0, got %d", o.validateEvery)
 	}
 	o.cfg = o.cfg.WithDefaults()
 	if err := o.cfg.Validate(); err != nil {
@@ -149,7 +144,7 @@ func main() {
 func serveOne(o *options, out io.Writer) error {
 	plan := o.plan()
 	fed, factory := deploy.Workload(o.clients, plan)
-	ropts := core.RunOptions{Progress: out, CheckpointEvery: o.checkpointEvery, ValidateEvery: o.validateEvery}
+	ropts := core.RunOptions{Progress: out, CheckpointEvery: o.checkpointEvery}
 	if o.journalDir != "" {
 		// Durable state: a non-empty journal means this process is a
 		// restart, and Serve resumes the run where the last one died.
