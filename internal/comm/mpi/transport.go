@@ -141,16 +141,6 @@ func (t *ClientTransport) SendUpdate(m *wire.LocalUpdate) error {
 	return nil
 }
 
-// SendFrame hands the server rank frame as this client's next update,
-// exactly as it is: the raw form of SendUpdate. It exists for the tests
-// that play a malformed or hostile peer (internal/testutil/rigs); no
-// production path calls it. The frame is the server's from then on; it
-// returns the frame to tensor's byte pool once decoded.
-func (t *ClientTransport) SendFrame(frame []byte) {
-	t.c.Send(0, tagUpdate, frame)
-	t.stats.AddSent(len(frame))
-}
-
 // send encodes m into a pooled frame (comm.EncodeFrame), which the server
 // returns to the pool once it has decoded it, and hands it over.
 func (t *ClientTransport) send(tag int, m wire.Marshaler) {

@@ -154,43 +154,119 @@ func (e *encodingTransport) SendUpdate(u *wire.LocalUpdate) error {
 }
 
 // TestRepeatedDispatchResendsBitEqualBytes: an update aliases the client's
-// state — for FedAvg and IIADMM the model's own parameter vector — and the
-// client loop answers a repeated dispatch of the round it trained (a
+// state — for FedAvg and IIADMM the client's own parameter vector — and
+// the client loop answers a repeated dispatch of the round it trained (a
 // restarted server re-opening it) by sending that update again. Nothing
 // between the two sends touches what it aliases, so the re-sent upload is
 // the first one byte for byte. That holds for FedAvg too, whose lent
 // gradient vector receives the repeated dispatch: over rpc the repeat is
 // salvaged off the old connection by a Resume, decoded into that vector.
+// It holds on a shared slot too: with P = 3 at MaxParallel 1, clients 1
+// and 2 train both rounds on the one slot between client 0's round 1 and
+// its repeat, and every upload of client 0 is the one it sends training
+// alone on a slot of its own — the update aliases the client's vectors
+// and pipeline, never the slot.
 func TestRepeatedDispatchResendsBitEqualBytes(t *testing.T) {
-	fed := tinyFed(t, 1, 32, 8)
+	fed := tinyFed(t, 3, 96, 8)
 	w0 := nn.FlattenParams(tinyFactory()(), nil)
 	global := func(round, version int) *wire.GlobalModel {
 		return &wire.GlobalModel{Round: uint32(round), Version: uint64(version), Weights: append([]float64(nil), w0...)}
 	}
+	script := func(repeat bool) []any {
+		if repeat {
+			return []any{global(1, 0), io.ErrUnexpectedEOF, global(1, 0), global(2, 1)}
+		}
+		return []any{global(1, 0), global(2, 1)}
+	}
 	for _, algo := range []string{AlgoFedAvg, AlgoIIADMM, AlgoICEADMM} {
 		for _, pipe := range []string{"", "quantize:8"} {
+			name := fmt.Sprintf("%s %q", algo, pipe)
 			cfg := Config{Algorithm: algo, Rounds: 2, LocalSteps: 1, BatchSize: 16, Pipeline: pipe, Seed: 4}.WithDefaults()
-			c, err := newRunClient(cfg, 0, rng.New(7), tinyFactory()(), w0, fed.Clients[0])
+			newClient := func(id int) ClientAlgorithm {
+				c, err := newRunClient(cfg, id, rng.New(uint64(7+id)), tinyFactory()(), w0, fed.Clients[id])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			alone := &encodingTransport{scriptedTransport: scriptedTransport{script: script(true)}}
+			if err := runClient(cfg, newClient(0), alone, ClientOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			requireResent(t, name, alone.uploads)
+
+			clients := []ClientAlgorithm{newClient(0), newClient(1), newClient(2)}
+			bases := []*BaseClient{clients[0].(slotted).base(), clients[1].(slotted).base(), clients[2].(slotted).base()}
+			slots, err := newSlotPool(bases, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct := &encodingTransport{scriptedTransport: scriptedTransport{script: []any{
-				global(1, 0), io.ErrUnexpectedEOF, global(1, 0), global(2, 1),
-			}}}
-			if err := runClient(cfg, c, ct, ClientOptions{}); err != nil {
+			opts := ClientOptions{slots: slots}
+			shared := &interleavedTransport{encodingTransport: encodingTransport{scriptedTransport: scriptedTransport{script: script(true)}}}
+			// Ahead of client 0's second receive — the lost connection —
+			// the other two run their whole loops on the slot it gave back.
+			shared.before = map[int]func(){2: func() {
+				for _, i := range []int{1, 2} {
+					ct := &encodingTransport{scriptedTransport: scriptedTransport{script: script(false)}}
+					if err := runClient(cfg, clients[i], ct, opts); err != nil {
+						t.Errorf("%s: client %d: %v", name, i, err)
+					}
+				}
+			}}
+			if err := runClient(cfg, clients[0], shared, opts); err != nil {
 				t.Fatal(err)
 			}
-			if len(ct.uploads) != 3 {
-				t.Fatalf("%s %q: %d uploads, want round 1, its re-send, round 2", algo, pipe, len(ct.uploads))
-			}
-			if !bytes.Equal(ct.uploads[0], ct.uploads[1]) {
-				t.Fatalf("%s %q: the re-sent round-1 update differs from the one first uploaded", algo, pipe)
+			requireResent(t, name+" on a shared slot", shared.uploads)
+			for i := range shared.uploads {
+				if !bytes.Equal(untimed(t, shared.uploads[i]), untimed(t, alone.uploads[i])) {
+					t.Fatalf("%s: upload %d on the shared slot differs from the client's on a slot of its own", name, i)
+				}
 			}
 		}
 	}
 	for _, pipe := range []string{"", "quantize:8"} {
 		resendSalvagedOverRPC(t, fed, pipe)
 	}
+}
+
+// requireResent fails unless uploads are round 1, its re-send byte for
+// byte, and round 2.
+func requireResent(t *testing.T, name string, uploads [][]byte) {
+	t.Helper()
+	if len(uploads) != 3 {
+		t.Fatalf("%s: %d uploads, want round 1, its re-send, round 2", name, len(uploads))
+	}
+	if !bytes.Equal(uploads[0], uploads[1]) {
+		t.Fatalf("%s: the re-sent round-1 update differs from the one first uploaded", name)
+	}
+}
+
+// untimed re-encodes an uploaded update without its ComputeSec, the one
+// field two runs of the same training do not share.
+func untimed(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	var u wire.LocalUpdate
+	if err := u.Unmarshal(wire.NewDecoder(frame)); err != nil {
+		t.Fatal(err)
+	}
+	u.ComputeSec = 0
+	var enc wire.Encoder
+	return append([]byte(nil), enc.Encode(&u)...)
+}
+
+// interleavedTransport runs before[n] ahead of its n-th receive.
+type interleavedTransport struct {
+	encodingTransport
+	before map[int]func()
+	recvs  int
+}
+
+func (it *interleavedTransport) RecvGlobal() (*wire.GlobalModel, error) {
+	it.recvs++
+	if f := it.before[it.recvs]; f != nil {
+		f()
+	}
+	return it.encodingTransport.RecvGlobal()
 }
 
 // salvagingClient is an rpc client whose second receive first resumes its

@@ -37,14 +37,17 @@ type downlinkLender interface {
 	downlinkBuffer() []float64
 }
 
-// BaseClient carries the state every client algorithm shares: the model
-// replica, the private dataset, the configured update pipeline, and
-// scratch buffers. It mirrors the Python BaseClient class.
+// BaseClient carries the state every client algorithm shares: the
+// client's model vectors, the private dataset, the configured update
+// pipeline. It mirrors the Python BaseClient class.
 //
-// The model is an nn.Sequential (any other Module is wrapped in one), and
-// training happens in its vectors: the iterate an algorithm updates is
-// nn.ParamVector(Model), the gradient it reads nn.GradVector(Model), so a
-// step copies nothing into or out of the layers.
+// A client owns its model's two flat vectors and trains in them: the
+// iterate an algorithm updates is the parameter vector, the gradient it
+// reads the gradient vector, so a step copies nothing into or out of the
+// layers. The layers themselves, with their workspaces, are a training
+// slot's (see slot): a client built over a model keeps that model as its
+// own slot, while the clients of an in-process run share a pool of
+// MaxParallel slots and hold one only for the LocalUpdate it serves.
 //
 // Pipe is the client's whole privacy path: gradient clipping and
 // per-round objective noise enter through Pipe.GradHook
@@ -52,7 +55,6 @@ type downlinkLender interface {
 // noise, then compression) before it is installed in the LocalUpdate.
 type BaseClient struct {
 	ID     int
-	Model  nn.Module
 	Data   dataset.Dataset
 	Loader *dataset.Loader
 	// Pipe is the ordered privacy + compression stack of this client.
@@ -61,27 +63,56 @@ type BaseClient struct {
 	// recomputed when hyperparameters change (e.g. adaptive ρ).
 	Sens dp.SensitivityRule
 
-	dim    int
-	loss   nn.CrossEntropyLoss
-	sumBuf []float64 // fullGrad's accumulator
+	dim int
+	// params and grads are the client's model, laid out like
+	// nn.ParamVector; the slot it trains on is bound to them.
+	params, grads []float64
+	slot          *slot // nil while a pooled client waits for one
 }
 
-// newBaseClient wires the shared client state.
+// slot is a training slot: a model replica — its layers and their
+// workspaces, the loss's logit gradient — and the scratch a LocalUpdate
+// uses only while it runs. A slot is bound to one client's vectors at a
+// time (nn.Sequential.Bind), so any client may train on it: nothing a
+// slot holds outlives the LocalUpdate that used it.
+type slot struct {
+	model *nn.Sequential
+	loss  nn.CrossEntropyLoss
+	// scratch is one model-sized buffer: FedAvg's momentum, fullGrad's
+	// accumulator, IIADMM's densified release.
+	scratch []float64
+}
+
+// scratchFor returns the slot's scratch, n long, allocating it on first use.
+func (s *slot) scratchFor(n int) []float64 {
+	if cap(s.scratch) < n {
+		s.scratch = make([]float64, n)
+	}
+	return s.scratch[:n]
+}
+
+// newBaseClient wires the shared client state over model, which becomes
+// the client's own slot and whose vectors become the client's.
 func newBaseClient(id int, model nn.Module, ds dataset.Dataset, batch int, pipe *pipeline.Pipeline, sens dp.SensitivityRule, r *rng.RNG) BaseClient {
 	if pipe == nil {
 		pipe, _ = pipeline.New() // identity
 	}
-	model = sequentialOf(model)
+	seq := sequentialOf(model)
 	return BaseClient{
 		ID:     id,
-		Model:  model,
 		Data:   ds,
 		Loader: dataset.NewLoader(ds, batch, true, r),
 		Pipe:   pipe,
 		Sens:   sens,
-		dim:    nn.NumParams(model),
+		dim:    nn.NumParams(seq),
+		params: nn.ParamVector(seq),
+		grads:  nn.GradVector(seq),
+		slot:   &slot{model: seq},
 	}
 }
+
+// base exposes the shared state to the slot pool (see trainOnSlot).
+func (c *BaseClient) base() *BaseClient { return c }
 
 // sequentialOf returns m as the nn.Sequential whose vectors a client
 // trains in, wrapping any other Module in one.
@@ -117,9 +148,9 @@ func (c *BaseClient) releasePrimal(v []float64, m *wire.LocalUpdate) error {
 }
 
 // gradAt computes the mean gradient of the loss over batch b at the
-// model's parameters — the vector the caller trains in place — post-
+// client's parameters — the vector the caller trains in place — post-
 // processed by the pipeline's training-time stages (L2 clipping, objective
-// noise). The returned slice is the model's gradient vector, overwritten
+// noise). The returned slice is the client's gradient vector, overwritten
 // by the next step.
 func (c *BaseClient) gradAt(b dataset.Batch) []float64 {
 	g := c.batchGrad(b)
@@ -127,23 +158,23 @@ func (c *BaseClient) gradAt(b dataset.Batch) []float64 {
 	return g
 }
 
-// batchGrad returns the model's gradient vector holding the mean gradient
-// over batch b at its current parameters, before any pipeline stage.
+// batchGrad returns the client's gradient vector holding the mean
+// gradient over batch b at its current parameters, before any pipeline
+// stage.
 func (c *BaseClient) batchGrad(b dataset.Batch) []float64 {
-	_, d := c.loss.Loss(c.Model.Forward(b.X), b.Labels)
-	nn.BackwardParams(c.Model, d)
-	return nn.GradVector(c.Model)
+	s := c.slot
+	_, d := s.loss.Loss(s.model.Forward(b.X), b.Labels)
+	nn.BackwardParams(s.model, d)
+	return c.grads
 }
 
-// fullGrad computes the clipped full-dataset mean gradient at the model's
+// fullGrad computes the clipped full-dataset mean gradient at the client's
 // parameters by accumulating batch gradients weighted by batch size
 // (ICEADMM evaluates gradients on all local data points, Section IV-B).
-// The returned slice is a kept accumulator, reused across calls.
+// The returned slice is the slot's scratch, valid while the LocalUpdate
+// runs.
 func (c *BaseClient) fullGrad() []float64 {
-	if cap(c.sumBuf) < c.dim {
-		c.sumBuf = make([]float64, c.dim)
-	}
-	sum := c.sumBuf[:c.dim]
+	sum := c.slot.scratchFor(c.dim)
 	clear(sum)
 	n := 0
 	c.Loader.Reset()
@@ -174,11 +205,6 @@ type FedAvgClient struct {
 	LR       float64
 	Momentum float64
 	L        int
-
-	// veloc is the momentum, held only between the steps of a round: it is
-	// allocated on the first round with two steps, and a round of one step
-	// never touches it.
-	veloc []float64
 }
 
 // NewFedAvgClient constructs the client over its update pipeline.
@@ -193,13 +219,13 @@ func NewFedAvgClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, pi
 	}
 }
 
-// downlinkBuffer lends the model's gradient vector to the receive:
+// downlinkBuffer lends the client's gradient vector to the receive:
 // LocalUpdate reads w only to copy it into the parameters, before the
 // first Backward overwrites every gradient, and the update it releases
-// aliases the parameters, never the gradient.
+// aliases the parameters, never the gradient. The vector is the client's,
+// not a slot's, so the lend holds while the client waits for a slot.
 func (c *FedAvgClient) downlinkBuffer() []float64 {
-	g := nn.GradVector(c.Model)
-	return g[:len(g):len(g)]
+	return c.grads[:c.dim:c.dim]
 }
 
 // LocalUpdate trains locally and releases the parameters through the
@@ -210,14 +236,16 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	}
 	start := time.Now()
 	c.beginRound()
-	z := nn.ParamVector(c.Model)
+	z := c.params
 	copy(z, w)
 	// A fresh optimizer per round, as APPFL instantiates one: the first
 	// step's velocity is m·0 + g, the product hoisted — the operations a
-	// zeroed buffer would run — and it is stored only for a step to come.
+	// zeroed buffer would run — and it is stored only for a step to come,
+	// in the slot's scratch: a round of one step never touches it.
 	steps, step := c.L*c.Loader.Batches(), 0
-	if steps > 1 && cap(c.veloc) < c.dim {
-		c.veloc = make([]float64, c.dim)
+	var veloc []float64
+	if steps > 1 {
+		veloc = c.slot.scratchFor(c.dim)
 	}
 	m0 := c.Momentum * 0
 	for l := 0; l < c.L; l++ {
@@ -231,13 +259,13 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 			step++
 			switch {
 			case step > 1:
-				v := c.veloc[:len(z)]
+				v := veloc[:len(z)]
 				for i := range z {
 					v[i] = c.Momentum*v[i] + g[i]
 					z[i] -= c.LR * v[i]
 				}
 			case steps > 1:
-				v := c.veloc[:len(z)]
+				v := veloc[:len(z)]
 				for i := range z {
 					v[i] = m0 + g[i]
 					z[i] -= c.LR * v[i]
@@ -293,7 +321,7 @@ func NewICEADMMClient(id int, model nn.Module, ds dataset.Dataset, cfg Config, w
 		L:          cfg.LocalSteps,
 		FreezeDual: cfg.FreezeDual,
 	}
-	nn.SetParams(c.Model, w0)
+	copy(c.params, w0)
 	c.lambda = make([]float64, len(w0))
 	return c
 }
@@ -314,7 +342,7 @@ func (c *ICEADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, 
 	start := time.Now()
 	c.beginRound()
 	step := 1.0 / (c.Rho + c.Zeta)
-	z := nn.ParamVector(c.Model)
+	z := c.params
 	for l := 0; l < c.L; l++ {
 		g := c.fullGrad()
 		for i := range z {
@@ -356,7 +384,6 @@ type IIADMMClient struct {
 	FreezeDual bool
 
 	lambda []float64
-	rel    []float64 // the released primal, densified, under a compressing pipeline
 }
 
 // NewIIADMMClient constructs the client with λ initialized to zero.
@@ -392,7 +419,7 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	}
 	start := time.Now()
 	c.beginRound()
-	z := nn.ParamVector(c.Model)
+	z := c.params
 	copy(z, w) // line 11: z^{1,1} ← w^{t+1}
 	step := 1.0 / (c.Rho + c.Zeta)
 	for l := 0; l < c.L; l++ { // lines 13–19
@@ -422,14 +449,14 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 	if !c.FreezeDual {
 		// Line 21 uses the *released* primal so the server mirror stays
 		// bit-identical. With a compression stage the release is the
-		// server-side reconstruction of the payload.
+		// server-side reconstruction of the payload, densified into the
+		// slot's scratch.
 		rel := m.Primal
 		if m.PrimalP != nil {
 			var err error
-			if c.rel, err = m.PrimalP.Densify(c.rel); err != nil {
+			if rel, err = m.PrimalP.Densify(c.slot.scratchFor(c.dim)); err != nil {
 				return nil, fmt.Errorf("core: client %d released payload: %w", c.ID, err)
 			}
-			rel = c.rel
 		}
 		for i := range c.lambda { // line 21, with the released primal
 			c.lambda[i] += c.Rho * (w[i] - rel[i])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/dataset"
@@ -150,15 +151,6 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 	}
 	weights := MetropolisWeights(topo)
 
-	// Each node's state x_p is the parameter vector of an evaluation
-	// replica of its own, so evaluating a node loads nothing. The factory
-	// initializes deterministically: every state starts at the same w0.
-	replicas := make([]nn.Module, P)
-	for i := range replicas {
-		replicas[i] = sequentialOf(factory())
-	}
-	dim := nn.NumParams(replicas[0])
-
 	master := rng.New(cfg.Seed)
 	// Peers invert each other's compressed releases with the shared
 	// inverse-only pipeline (stateless and deterministic, so one suffices).
@@ -167,6 +159,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		return nil, err
 	}
 	clients := make([]*FedAvgClient, P)
+	bases := make([]*BaseClient, P)
 	states := make([][]float64, P) // x_p, each client's current model
 	for i := 0; i < P; i++ {
 		cr := master.Split()
@@ -174,9 +167,19 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		if err != nil {
 			return nil, err
 		}
-		// LocalUpdate copies states[i] into the replica before training.
+		// LocalUpdate copies states[i] into the client's parameters before
+		// training. The factory initializes deterministically, so every
+		// state starts at the same w0: the client's initial parameters.
 		clients[i] = NewFedAvgClient(i, factory(), fed.Clients[i], cfg, pipe, cr)
-		states[i] = nn.ParamVector(replicas[i])
+		bases[i] = &clients[i].BaseClient
+		states[i] = slices.Clone(clients[i].params)
+	}
+	dim := len(states[0])
+	// The nodes train on a pool of GOMAXPROCS slots, which then evaluate
+	// every node's state in turn.
+	slots, err := newSlotPool(bases, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
 	}
 
 	res := &DecentralResult{}
@@ -185,7 +188,6 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 	// across rounds; a dense release is the node's own vector instead.
 	decoded := make([][]float64, P)
 	mean := make([]float64, dim) // consensusDistance's, kept across rounds
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for t := 1; t <= cfg.Rounds; t++ {
 		// Local training + DP release, in parallel.
 		var wg sync.WaitGroup
@@ -194,9 +196,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				up, err := clients[p].LocalUpdate(t, states[p])
+				up, err := trainOnSlot(clients[p], t, states[p], slots)
 				if err != nil {
 					errs[p] = err
 					return
@@ -229,7 +229,7 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		// own *unperturbed* release only through released[p] to keep every
 		// exchanged quantity privatized uniformly. The mix reads only the
 		// releases, and LocalUpdate has copied x_p into the client's
-		// replica, so x_p is written over states[p] in place.
+		// parameters, so x_p is written over states[p] in place.
 		for p := 0; p < P; p++ {
 			x := states[p]
 			for i := 0; i < dim; i++ {
@@ -247,11 +247,17 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		// Round statistics.
 		stats := DecentralRoundStats{Round: t}
 		if fed.Test != nil {
+			// Every slot is back in the pool: one evaluates each node's
+			// state where it lies. The gradient vector it is bound with is
+			// the node's client's, which a forward pass does not touch.
+			s := <-slots
 			accSum := 0.0
 			for p := 0; p < P; p++ {
-				_, acc := Evaluate(replicas[p], fed.Test, 256)
+				s.model.Bind(states[p], clients[p].grads)
+				_, acc := Evaluate(s.model, fed.Test, 256)
 				accSum += acc
 			}
+			slots <- s
 			stats.MeanTestAcc = accSum / float64(P)
 		}
 		stats.Consensus = consensusDistance(states, mean)

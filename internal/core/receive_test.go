@@ -26,7 +26,7 @@ type lendProbe struct {
 
 func (p *lendProbe) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, error) {
 	p.trained++
-	if len(w) > 0 && &w[0] == &nn.GradVector(p.Model)[0] {
+	if len(w) > 0 && &w[0] == &p.grads[0] {
 		p.inGrad++
 	}
 	return p.FedAvgClient.LocalUpdate(round, w)
@@ -122,7 +122,10 @@ func (m *trainMeter) unlock() {
 // layer. A warmed client round (decode and training) allocates no
 // model-sized vector, and the federation's losses and final model are bit
 // for bit those of the same clients with the lend hidden: the transport's
-// own receive buffer and the pooled densify scratch.
+// own receive buffer and the pooled densify scratch. All of it holds with
+// the clients taking turns on one shared slot: the vector lent is the
+// client's own, which no other client's training touches, also while the
+// client waits for the slot.
 func TestFedAvgClientReceivesIntoItsGradient(t *testing.T) {
 	const clients, rounds = 2, 5
 	images := func(n int, seed uint64) dataset.Dataset {
@@ -149,12 +152,13 @@ func TestFedAvgClientReceivesIntoItsGradient(t *testing.T) {
 				cfg := Config{Algorithm: AlgoFedAvg, Rounds: rounds, LocalSteps: 1, BatchSize: 8, Seed: 5, DownlinkF16: f16}.WithDefaults()
 				var want *Result
 				var wantFinal []float64
-				for _, lend := range []bool{false, true} {
-					res, final, probes, meters := runLendFederation(t, name, cfg, fed, factory, dim, tr, plan, lend)
-					if !lend {
+				for _, run := range []struct{ lend, shared bool }{{false, false}, {true, false}, {true, true}} {
+					res, final, probes, meters := runLendFederation(t, name, cfg, fed, factory, dim, tr, plan, run.lend, run.shared)
+					if !run.lend {
 						want, wantFinal = res, final
 						continue
 					}
+					name := fmt.Sprintf("%s shared slot=%v", name, run.shared)
 					for i, p := range probes {
 						if p.trained != rounds || p.inGrad != rounds {
 							t.Fatalf("%s: client %d trained %d rounds, %d from its gradient vector; want %d of %d",
@@ -181,9 +185,10 @@ func TestFedAvgClientReceivesIntoItsGradient(t *testing.T) {
 
 // runLendFederation runs one federation over Serve with a client loop per
 // client, each client behind a trainMeter (and the plan's fault layer).
-// With lend false the clients' lend is hidden from the loop.
+// With lend false the clients' lend is hidden from the loop; with shared
+// the clients train on one slot from a pool, as in-process runs do.
 func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Federated, factory nn.Factory, dim int,
-	tr Transport, plan string, lend bool) (*Result, []float64, []*lendProbe, []*trainMeter) {
+	tr Transport, plan string, lend, shared bool) (*Result, []float64, []*lendProbe, []*trainMeter) {
 	t.Helper()
 	P := fed.NumClients()
 	st, cts, err := newServerTransport(tr, P, dim, cfg.Rounds)
@@ -205,6 +210,7 @@ func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Feder
 	var window sync.Mutex
 	gate := &roundGate{n: P, release: make(chan struct{})}
 	errs := make([]error, P)
+	bases := make([]*BaseClient, P)
 	var wg sync.WaitGroup
 	for i, ct := range cts {
 		model := sequentialOf(factory())
@@ -213,20 +219,29 @@ func runLendFederation(t *testing.T, name string, cfg Config, fed *dataset.Feder
 			t.Fatal(err)
 		}
 		probes[i] = &lendProbe{FedAvgClient: c.(*FedAvgClient)}
-		var alg ClientAlgorithm = probes[i]
-		if !lend {
-			alg = struct{ ClientAlgorithm }{probes[i]}
-		}
+		bases[i] = &probes[i].BaseClient
 		if opts.Faults != nil {
 			ct = opts.Faults.WrapClient(i, ct)
 		}
 		meters[i] = &trainMeter{ClientTransport: ct, mu: &window, gate: gate}
+	}
+	var copts ClientOptions
+	if shared {
+		if copts.slots, err = newSlotPool(bases, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range meters {
+		var alg ClientAlgorithm = probes[i]
+		if !lend {
+			alg = struct{ ClientAlgorithm }{probes[i]}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer ct.Close()
-			errs[i] = runClient(cfg, alg, meters[i], ClientOptions{})
-			meters[i].unlock()
+			defer m.ClientTransport.Close()
+			errs[i] = runClient(cfg, alg, m, copts)
+			m.unlock()
 			gate.leave()
 		}()
 	}

@@ -26,7 +26,10 @@ type ClientOptions struct {
 	// slow device or link, without burning CPU).
 	Delay func(round int) time.Duration
 
-	sem chan struct{} // bounds concurrent training among in-process clients
+	// slots, when non-nil, is the pool of training slots in-process
+	// clients share: a client trains only on a slot taken from it, so the
+	// pool's size bounds concurrent training (see trainOnSlot).
+	slots chan *slot
 }
 
 // Resume pacing: a client whose connection drops redials with doubling
@@ -141,13 +144,7 @@ func train(cfg Config, c ClientAlgorithm, gm *wire.GlobalModel, opts ClientOptio
 			rs.SetRho(gm.Rho)
 		}
 	}
-	if opts.sem != nil {
-		opts.sem <- struct{}{}
-	}
-	up, err := c.LocalUpdate(int(gm.Round), gm.Weights)
-	if opts.sem != nil {
-		<-opts.sem
-	}
+	up, err := trainOnSlot(c, int(gm.Round), gm.Weights, opts.slots)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +160,51 @@ func train(cfg Config, c ClientAlgorithm, gm *wire.GlobalModel, opts ClientOptio
 		up.Primal = up.Primal[:subsetSpan(len(up.Primal), cfg.SubsetFrac)]
 	}
 	return up, nil
+}
+
+// slotted is a client whose model vectors a pooled slot can be bound to:
+// every algorithm built on BaseClient.
+type slotted interface{ base() *BaseClient }
+
+// trainOnSlot runs c's LocalUpdate, on a slot from slots when the clients
+// share a pool: the slot is bound to the client's vectors for the call
+// and goes back to the pool after it. A client that is not slotted holds
+// a slot for the call as it would a semaphore.
+func trainOnSlot(c ClientAlgorithm, round int, w []float64, slots chan *slot) (*wire.LocalUpdate, error) {
+	if slots == nil {
+		return c.LocalUpdate(round, w)
+	}
+	s := <-slots
+	defer func() { slots <- s }()
+	if sc, ok := c.(slotted); ok {
+		b := sc.base()
+		s.model.Bind(b.params, b.grads)
+		b.slot = s
+		defer func() { b.slot = nil }()
+	}
+	return c.LocalUpdate(round, w)
+}
+
+// newSlotPool takes the own slots of the first min(n, len(clients))
+// clients as the run's pool and leaves every client without one, so that
+// each trains only on a slot it takes from the pool. The other clients'
+// replicas, never trained, held nothing but layer headers: their vectors
+// stay the clients'. It refuses a model with a layer that keeps state
+// from one step to the next (nn.StatefulLayer), which a shared slot would
+// pass from client to client.
+func newSlotPool(clients []*BaseClient, n int) (chan *slot, error) {
+	n = min(n, len(clients))
+	slots := make(chan *slot, n)
+	for i, c := range clients {
+		if l := nn.StatefulLayer(c.slot.model); l != nil {
+			return nil, fmt.Errorf("core: model layer %T keeps state between training steps, which in-process clients sharing %d training slots would pass on to each other; run each client in its own process (RunClient)", l, n)
+		}
+		if i < n {
+			slots <- c.slot
+		}
+		c.slot = nil
+	}
+	return slots, nil
 }
 
 // upload sends up, leaving it intact for a possible re-send. In streaming

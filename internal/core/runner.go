@@ -36,7 +36,12 @@ const (
 // RoundStats records one communication round of a run. Under the buffered
 // scheduler a "round" is one buffer release (K arrivals aggregated).
 type RoundStats struct {
-	Round      int
+	Round int
+	// Validated reports that TestLoss and TestAcc hold the validation of
+	// this round's model. A round that skipped validation
+	// (RunOptions.ValidateEvery) or a run with no test set leaves it false
+	// and both at zero, which then mean nothing.
+	Validated  bool
 	TestLoss   float64
 	TestAcc    float64
 	ComputeSec float64 // slowest client's local update time (wall clock)
@@ -73,7 +78,10 @@ type RunOptions struct {
 	Transport     Transport
 	ValidateEvery int       // validate every k rounds (0 = every round)
 	Progress      io.Writer // optional per-round progress lines
-	MaxParallel   int       // cap on concurrently training clients (0 = NumCPU)
+	// MaxParallel caps the clients training at once (0 = GOMAXPROCS), and
+	// so the model replicas, with their layer workspaces, that the
+	// in-process clients share as training slots.
+	MaxParallel int
 	// ClientDelay, when non-nil, injects a per-update artificial delay for
 	// the given client before its upload — the straggler model used by the
 	// scheduler benchmarks (a slow device or link, without burning CPU).
@@ -236,24 +244,30 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 	}
 	w0 := nn.ParamVector(refModel)
 
-	// Clients: own replica, own RNG stream, own update pipeline.
+	// Clients: own model vectors, own RNG stream, own update pipeline.
 	master := rng.New(cfg.Seed)
 	clients := make([]ClientAlgorithm, P)
+	bases := make([]*BaseClient, P)
 	for i := range clients {
 		c, err := newRunClient(cfg, i, master.Split(), factory(), w0, fed.Clients[i])
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
+		clients[i], bases[i] = c, c.(slotted).base()
 	}
 
-	// Client loop goroutines. A semaphore bounds concurrent training to the
-	// machine's parallelism so 203-client runs don't thrash.
+	// Client loop goroutines. They share one pool of training slots, as
+	// many as may train at once — the machine's parallelism, so 203-client
+	// runs don't thrash — and so hold layer workspaces for that many
+	// replicas, not for every client.
 	maxPar := opts.MaxParallel
 	if maxPar <= 0 {
 		maxPar = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, maxPar)
+	slots, err := newSlotPool(bases, maxPar)
+	if err != nil {
+		return nil, err
+	}
 	var wg sync.WaitGroup
 	clientErrs := make([]error, P)
 	live := make([]comm.ClientTransport, P)
@@ -264,7 +278,7 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 		if opts.Faults != nil {
 			live[i] = opts.Faults.WrapClient(i, cts[i])
 		}
-		copts := ClientOptions{sem: sem}
+		copts := ClientOptions{slots: slots}
 		if opts.ClientDelay != nil {
 			copts.Delay = func(round int) time.Duration { return opts.ClientDelay(i, round) }
 		}
@@ -604,12 +618,18 @@ func recordRound(res *Result, rs RoundStats, agg Aggregator, evalModel nn.Module
 	rounds, validateEvery int, start time.Time, progress io.Writer) {
 	if fed.Test != nil && (rs.Round%validateEvery == 0 || rs.Round == rounds) {
 		rs.TestLoss, rs.TestAcc = EvaluateWeights(evalModel, agg.GlobalWeights(), fed.Test, 256)
+		rs.Validated = true
 	}
 	rs.WallSec = time.Since(start).Seconds()
 	res.Rounds = append(res.Rounds, rs)
 	if progress != nil {
-		fmt.Fprintf(progress, "round %3d  cohort %3d  acc %.4f  loss %.4f  compute %.3fs  wall %.3fs\n",
-			rs.Round, rs.CohortSize, rs.TestAcc, rs.TestLoss, rs.ComputeSec, rs.WallSec)
+		// One line per round, validated or not: a reader may count them.
+		acc, loss := "-", "-"
+		if rs.Validated {
+			acc, loss = fmt.Sprintf("%.4f", rs.TestAcc), fmt.Sprintf("%.4f", rs.TestLoss)
+		}
+		fmt.Fprintf(progress, "round %3d  cohort %3d  acc %s  loss %s  compute %.3fs  wall %.3fs\n",
+			rs.Round, rs.CohortSize, acc, loss, rs.ComputeSec, rs.WallSec)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -67,6 +68,34 @@ func TestEvaluateSubBatchesBitIdentical(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestSkippedValidationReadsAbsent: a round that skips validation
+// (ValidateEvery 2 over 3 rounds: round 1) is kept with Validated false
+// and printed as "acc -  loss -", never as a model at zero accuracy and
+// zero loss; rounds 2 and 3 (the last always validates) carry their
+// figures. The progress writer still gets exactly one line per round.
+func TestSkippedValidationReadsAbsent(t *testing.T) {
+	var progress strings.Builder
+	cfg := Config{Algorithm: AlgoFedAvg, Rounds: 3, LocalSteps: 1, BatchSize: 16, Seed: 2}
+	res, err := Run(cfg, tinyFed(t, 2, 64, 16), tinyFactory(), RunOptions{ValidateEvery: 2, Progress: &progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n")
+	if len(lines) != 3 || len(res.Rounds) != 3 {
+		t.Fatalf("%d progress lines and %d rounds for 3 rounds:\n%s", len(lines), len(res.Rounds), progress.String())
+	}
+	for i, rs := range res.Rounds {
+		validated := rs.Round != 1
+		absent := strings.Contains(lines[i], "acc -  loss -")
+		if rs.Validated != validated || absent == validated {
+			t.Fatalf("round %d: Validated %v, line %q; want validated %v", rs.Round, rs.Validated, lines[i], validated)
+		}
+		if validated && (rs.TestAcc == 0 || !strings.Contains(lines[i], fmt.Sprintf("acc %.4f  loss %.4f", rs.TestAcc, rs.TestLoss))) {
+			t.Fatalf("round %d: acc %v loss %v, line %q", rs.Round, rs.TestAcc, rs.TestLoss, lines[i])
 		}
 	}
 }

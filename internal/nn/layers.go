@@ -295,6 +295,9 @@ type Sequential struct {
 	params     []*Parameter
 	firstParam int
 	cached     []Module
+	// offsets[i] is where layer i's parameters start in the vectors,
+	// offsets[len(Layers)] their length; bind cuts nested vectors by it.
+	offsets []int
 
 	vals, grads []float64
 }
@@ -394,31 +397,39 @@ func (s *Sequential) Params() []*Parameter {
 // collect rebuilds the Params() cache.
 func (s *Sequential) collect() {
 	s.params, s.firstParam = nil, len(s.Layers)
+	s.offsets = append(s.offsets[:0], 0)
 	for i, l := range s.Layers {
 		ps := l.Params()
 		if len(ps) > 0 && s.firstParam == len(s.Layers) {
 			s.firstParam = i
 		}
 		s.params = append(s.params, ps...)
+		n := s.offsets[i]
+		for _, p := range ps {
+			n += p.Value.Size()
+		}
+		s.offsets = append(s.offsets, n)
 	}
 	s.cached = append(s.cached[:0], s.Layers...)
 }
 
 // adopt rebuilds the cache and moves every parameter into fresh vectors:
-// values and gradients are copied once and each Parameter re-pointed.
+// values and gradients are copied once and each Parameter re-pointed
+// through new headers of its own.
 func (s *Sequential) adopt() {
 	s.collect()
-	n := 0
-	for _, p := range s.params {
-		n += p.Value.Size()
-	}
+	n := s.offsets[len(s.Layers)]
 	vals, grads := make([]float64, n), make([]float64, n)
 	off := 0
 	for _, p := range s.params {
-		copy(vals[off:], p.Value.Data())
-		off += copy(grads[off:], p.Grad.Data())
+		end := off + p.Value.Size()
+		copy(vals[off:end], p.Value.Data())
+		copy(grads[off:end], p.Grad.Data())
+		p.Value = tensor.FromSlice(vals[off:end:end], p.Value.Shape()...)
+		p.Grad = tensor.FromSlice(grads[off:end:end], p.Grad.Shape()...)
+		off = end
 	}
-	s.bind(vals, grads)
+	s.setVectors(vals, grads)
 	// A module whose Params() hands out fresh Parameter structs goes on
 	// reading its own storage; asking again exposes it here, not as a model
 	// that silently never trains.
@@ -426,23 +437,38 @@ func (s *Sequential) adopt() {
 	s.vectors()
 }
 
-// bind makes vals and grads the vectors of s and of every parameter
-// beneath it, in Params() order.
-func (s *Sequential) bind(vals, grads []float64) {
-	s.vals, s.grads = vals, grads
+// Bind points the model at another pair of vectors, laid out like
+// ParamVector: every Parameter's Value and Grad become views of vals and
+// grads at its Params() offset, and ParamVector and GradVector return
+// them. The layers and their workspaces stay, so one replica trains for
+// several owners of vectors in turn, each bound for as long as it trains
+// (a training slot in core). Bind re-points the parameters' existing
+// tensor headers and allocates nothing. It panics when a vector's length
+// is not NumParams(s), and, like ParamVector, when a layer was replaced in
+// place.
+func (s *Sequential) Bind(vals, grads []float64) {
+	s.vectors()
+	if len(vals) != len(s.vals) || len(grads) != len(s.grads) {
+		panic(fmt.Sprintf("nn: Bind to vectors of %d and %d values; the model has %d", len(vals), len(grads), len(s.vals)))
+	}
 	off := 0
-	for _, l := range s.Layers {
+	for _, p := range s.params {
+		end := off + p.Value.Size()
+		tensor.FromSliceInto(p.Value, vals[off:end:end], p.Value.Shape()...)
+		tensor.FromSliceInto(p.Grad, grads[off:end:end], p.Grad.Shape()...)
+		off = end
+	}
+	s.setVectors(vals, grads)
+}
+
+// setVectors records vals and grads as the vectors of s and hands each
+// nested Sequential its slice of them.
+func (s *Sequential) setVectors(vals, grads []float64) {
+	s.vals, s.grads = vals, grads
+	for i, l := range s.Layers {
 		if inner, ok := l.(*Sequential); ok {
-			end := off + NumParams(inner)
-			inner.bind(vals[off:end:end], grads[off:end:end])
-			off = end
-			continue
-		}
-		for _, p := range l.Params() {
-			end := off + p.Value.Size()
-			p.Value = tensor.FromSlice(vals[off:end:end], p.Value.Shape()...)
-			p.Grad = tensor.FromSlice(grads[off:end:end], p.Grad.Shape()...)
-			off = end
+			lo, hi := s.offsets[i], s.offsets[i+1]
+			inner.setVectors(vals[lo:hi:hi], grads[lo:hi:hi])
 		}
 	}
 }

@@ -218,6 +218,29 @@ func (p *AvgPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; pooling has no parameters.
 func (p *AvgPool2D) Params() []*Parameter { return nil }
 
+// StatefulLayer returns the first layer of m that carries state from one
+// training step to the next, or nil when none does. A Dropout in training
+// mode with P > 0 is one: it draws its masks from an RNG of its own, so a
+// replica that trains for several owners of vectors in turn (see
+// Sequential.Bind) would hand each the stream the last one left, and the
+// masks a client trains with would depend on the order the clients
+// trained in.
+func StatefulLayer(m Module) Module {
+	switch x := m.(type) {
+	case *Dropout:
+		if x.Train && x.P > 0 {
+			return x
+		}
+	case *Sequential:
+		for _, l := range x.Layers {
+			if s := StatefulLayer(l); s != nil {
+				return s
+			}
+		}
+	}
+	return nil
+}
+
 // EvalMode recursively switches every Dropout in m to evaluation mode;
 // TrainMode re-enables training behavior. Call EvalMode before validation.
 func EvalMode(m Module) { setTrain(m, false) }

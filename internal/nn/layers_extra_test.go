@@ -147,6 +147,9 @@ func TestDropoutValidation(t *testing.T) {
 	NewDropout(1, rng.New(1))
 }
 
+// TestEvalTrainModeRecursion: EvalMode and TrainMode reach every Dropout,
+// nested ones included, and StatefulLayer finds the first that keeps
+// state between steps — in training mode, at P > 0 — wherever it sits.
 func TestEvalTrainModeRecursion(t *testing.T) {
 	r := rng.New(6)
 	m := NewSequential(
@@ -161,9 +164,19 @@ func TestEvalTrainModeRecursion(t *testing.T) {
 	if d1.Train || d2.Train {
 		t.Fatal("EvalMode did not reach all dropouts")
 	}
+	if l := StatefulLayer(m); l != nil {
+		t.Fatalf("StatefulLayer in evaluation mode: %T, want none", l)
+	}
 	TrainMode(m)
 	if !d1.Train || !d2.Train {
 		t.Fatal("TrainMode did not reach all dropouts")
+	}
+	if l := StatefulLayer(m); l != d1 {
+		t.Fatalf("StatefulLayer in training mode: %v, want the first dropout", l)
+	}
+	d1.P = 0
+	if l := StatefulLayer(m); l != d2 {
+		t.Fatalf("StatefulLayer past a dropout at P = 0: %v, want the nested one", l)
 	}
 }
 

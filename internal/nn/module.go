@@ -11,16 +11,21 @@
 // one rule, stated on Module: a tensor returned by Forward or Backward is
 // valid until that module's next Forward or Backward. A module therefore
 // must not be shared across concurrent training loops, and a caller that
-// wants two results of one model side by side copies the first. Every
-// federated client owns its own model replica (see nn.CloneInto), exactly
-// as each APPFL client process owns its own torch module; replicas share
-// nothing, so they train and evaluate concurrently.
+// wants two results of one model side by side copies the first. Replicas
+// share nothing, so they train and evaluate concurrently.
 //
-// A Sequential owns its parameters' storage: one flat vector of values and
-// one of gradients, each Parameter's Value and Grad a view into them at its
-// Params() offset. That is the flat weight vector federated learning
-// exchanges, so a client trains in ParamVector(m) and reads GradVector(m)
-// with no copy in or out of the layers.
+// A Sequential holds its parameters' storage as two flat vectors, one of
+// values and one of gradients, each Parameter's Value and Grad a view into
+// them at its Params() offset. That is the flat weight vector federated
+// learning exchanges, so a client trains in ParamVector(m) and reads
+// GradVector(m) with no copy in or out of the layers. The vectors are the
+// federated client's state; the layers and their workspaces are not, since
+// nothing in them outlives a training step (StatefulLayer names the
+// exception, a training Dropout's RNG). Sequential.Bind therefore points a
+// replica at another pair of vectors without allocating: a process that
+// runs many clients keeps one replica per client training at once, each
+// bound to a client's vectors for as long as it trains, where each APPFL
+// client process owns a torch module of its own.
 package nn
 
 import (

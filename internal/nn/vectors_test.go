@@ -162,3 +162,57 @@ type freshParams struct{ *Linear }
 func (f freshParams) Params() []*Parameter {
 	return []*Parameter{{Name: "w", Value: f.Weight.Value, Grad: f.Weight.Grad}, {Name: "b", Value: f.Bias.Value, Grad: f.Bias.Grad}}
 }
+
+// TestBindMovesTheModelWithoutAllocating: Bind points a model — a
+// factory CNN, and a Sequential with a nested one — at another pair of
+// vectors. Every parameter, the nested Sequential's included, is then a
+// view of them; Forward reads them, Backward writes them, and the vectors
+// bound before are left as they were. Binding allocates nothing, back and
+// forth, and refuses vectors of the wrong length.
+func TestBindMovesTheModelWithoutAllocating(t *testing.T) {
+	r := rng.New(8)
+	for _, c := range []struct {
+		name string
+		m    *Sequential
+		x    *tensor.Tensor
+	}{
+		{"cnn", NewCNN(CNNConfig{InChannels: 1, Height: 8, Width: 8, Classes: 3, Conv1: 2, Conv2: 3, Kernel: 3, Hidden: 8}, rng.New(2)), randT(r, 2, 1, 8, 8)},
+		{"nested", NewSequential(NewLinear(6, 5, r), NewReLU(), NewSequential(NewLinear(5, 4, r), NewReLU()), NewLinear(4, 3, r)), randT(r, 4, 6)},
+	} {
+		m := c.m
+		n := NumParams(m)
+		ownVals, ownGrads := ParamVector(m), GradVector(m)
+		keptVals := append([]float64(nil), ownVals...)
+		wantOwn := m.Forward(c.x).Clone().Data()
+		// The other owner's vectors, and what the model computes with its
+		// values loaded the old way.
+		vals, grads := make([]float64, n), make([]float64, n)
+		r.FillNormal(vals, 0, 0.3)
+		SetParams(m, vals)
+		wantOther := m.Forward(c.x).Clone().Data()
+		SetParams(m, keptVals)
+
+		m.Bind(vals, grads)
+		requireLiveInVectors(t, c.name+" bound", m)
+		if &ParamVector(m)[0] != &vals[0] || &GradVector(m)[0] != &grads[0] {
+			t.Fatalf("%s: ParamVector/GradVector are not the bound vectors", c.name)
+		}
+		if inner, ok := m.Layers[2].(*Sequential); ok {
+			requireLiveInVectors(t, c.name+" nested, bound", inner)
+		}
+		requireBits(t, c.name+" forward on the bound vectors", m.Forward(c.x).Data(), wantOther)
+		_, d := CrossEntropy(m.Forward(c.x), make([]int, c.x.Dim(0)))
+		BackwardParams(m, d)
+		if tensor.FromSlice(grads, n).Norm2() == 0 {
+			t.Fatalf("%s: backward did not write the bound gradient vector", c.name)
+		}
+		requireBits(t, c.name+" the vectors bound before", ownVals, keptVals)
+
+		if a := testing.AllocsPerRun(10, func() { m.Bind(ownVals, ownGrads); m.Bind(vals, grads) }); a != 0 {
+			t.Fatalf("%s: Bind allocates %v times a call pair", c.name, a)
+		}
+		m.Bind(ownVals, ownGrads)
+		requireBits(t, c.name+" forward back on its own vectors", m.Forward(c.x).Data(), wantOwn)
+		mustPanic(t, c.name+" Bind to a short vector", "Bind to vectors", func() { m.Bind(vals[:n-1], grads) })
+	}
+}

@@ -7,8 +7,10 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/comm"
 	"repro/internal/comm/mpi"
@@ -93,7 +95,8 @@ var All = []Builder{
 	}},
 }
 
-// buildMPI builds an mpi world. A raw client leaves its models in its
+// buildMPI builds an mpi world. A raw client sends on its transport's
+// rank (see rank), tagged as a LocalUpdate, and leaves its models in its
 // mailbox, which holds more than a test dispatches.
 func buildMPI(t testing.TB, o Options) *Rig {
 	srv, clients := mpi.NewFLWorld(o.Clients)
@@ -101,12 +104,27 @@ func buildMPI(t testing.TB, o Options) *Rig {
 	t.Cleanup(r.Shutdown)
 	for _, c := range clients {
 		if o.Raw {
-			r.raw = append(r.raw, func(body []byte, cut int) error { c.SendFrame(prefix(body, cut)); return nil })
+			rc := rank(c)
+			r.raw = append(r.raw, func(body []byte, cut int) error {
+				rc.Send(0, int(wire.KindLocalUpdate), prefix(body, cut))
+				return nil
+			})
 		} else {
 			r.Clients = append(r.Clients, c)
 		}
 	}
 	return r
+}
+
+// rank returns the rank an mpi client transport sends on. The transport
+// keeps it unexported — no production sender writes a frame it did not
+// encode — so a raw client reaches it by reflection.
+func rank(c *mpi.ClientTransport) *mpi.Comm {
+	f := reflect.ValueOf(c).Elem().FieldByName("c")
+	if f.Type() != reflect.TypeOf((*mpi.Comm)(nil)) {
+		panic("rigs: mpi.ClientTransport no longer keeps its rank in field c")
+	}
+	return *(**mpi.Comm)(unsafe.Pointer(f.UnsafeAddr()))
 }
 
 // buildPubSub builds a broker through the tenant constructor, which hands
