@@ -18,7 +18,7 @@ import (
 // way APPFL users override BaseClient.update().
 //
 // The returned update aliases the client's own state (FedAvg and IIADMM
-// release the model's own parameter vector, which they train in place;
+// release the client's own parameter vector, which they train in place;
 // ICEADMM hands out copies of z and λ in buffers it reuses), so it is
 // valid until the next LocalUpdate:
 // upload or copy it before training again. Every transport has serialized
@@ -283,8 +283,8 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	// z is the model's vector and restarts from w every round, so it is
-	// released in place: no copy.
+	// z is the client's parameter vector and restarts from w every round,
+	// so it is released in place: no copy.
 	if err := c.releasePrimal(z, m); err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func (c *FedAvgClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 // ICEADMMClient implements the baseline of Zhou & Li (2021): L joint
 // primal+dual local iterations using full-batch gradients, uploading both
 // z_p and λ_p every round. Its persistent primal, which does not reset to
-// w, is the model's parameter vector.
+// w, is the client's parameter vector.
 type ICEADMMClient struct {
 	BaseClient
 	Rho, Zeta  float64
@@ -441,8 +441,9 @@ func (c *IIADMMClient) LocalUpdate(round int, w []float64) (*wire.LocalUpdate, e
 		NumSamples: uint64(c.Data.Len()),
 		InCohort:   true,
 	}
-	// Line 20. z is the model's vector and restarts from w every round, so
-	// it is released in place, as FedAvgClient's is: no copy.
+	// Line 20. z is the client's parameter vector and restarts from w
+	// every round, so it is released in place, as FedAvgClient's is: no
+	// copy.
 	if err := c.releasePrimal(z, m); err != nil {
 		return nil, err
 	}

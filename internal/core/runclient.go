@@ -70,9 +70,11 @@ func RunClient(cfg Config, id int, data dataset.Dataset, factory nn.Factory, ct 
 }
 
 // newRunClient builds one client of a run over its update pipeline, which
-// draws from its own stream cr. Nothing loads w0 into the replica here:
-// FedAvg and IIADMM overwrite its parameters with the received model at
-// the start of every LocalUpdate, and ICEADMM loads w0 itself.
+// draws from its own stream cr. The client's vectors are model's, and
+// model is its own slot until a pool takes it (newSlotPool). Nothing
+// loads w0 into the parameters here: FedAvg and IIADMM overwrite them
+// with the received model at the start of every LocalUpdate, and ICEADMM
+// loads w0 itself.
 func newRunClient(cfg Config, id int, cr *rng.RNG, model nn.Module, w0 []float64, data dataset.Dataset) (ClientAlgorithm, error) {
 	pipe, err := NewClientPipeline(cfg, cr)
 	if err != nil {
@@ -167,21 +169,20 @@ func train(cfg Config, c ClientAlgorithm, gm *wire.GlobalModel, opts ClientOptio
 type slotted interface{ base() *BaseClient }
 
 // trainOnSlot runs c's LocalUpdate, on a slot from slots when the clients
-// share a pool: the slot is bound to the client's vectors for the call
-// and goes back to the pool after it. A client that is not slotted holds
-// a slot for the call as it would a semaphore.
+// share a pool (every client of one is slotted): the slot is bound to the
+// client's vectors for the call and goes back to the pool after it.
 func trainOnSlot(c ClientAlgorithm, round int, w []float64, slots chan *slot) (*wire.LocalUpdate, error) {
 	if slots == nil {
 		return c.LocalUpdate(round, w)
 	}
+	b := c.(slotted).base()
 	s := <-slots
-	defer func() { slots <- s }()
-	if sc, ok := c.(slotted); ok {
-		b := sc.base()
-		s.model.Bind(b.params, b.grads)
-		b.slot = s
-		defer func() { b.slot = nil }()
-	}
+	s.model.Bind(b.params, b.grads)
+	b.slot = s
+	defer func() {
+		b.slot = nil
+		slots <- s
+	}()
 	return c.LocalUpdate(round, w)
 }
 

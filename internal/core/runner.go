@@ -236,7 +236,7 @@ func runWithTransport(cfg Config, fed *dataset.Federated, factory nn.Factory, re
 	}
 
 	// Shared initial model: the reference replica's vector is w0 for
-	// everyone. An ICEADMM client loads it into a replica of its own, FedAvg
+	// everyone. An ICEADMM client loads it into its parameter vector, FedAvg
 	// and IIADMM clients train from the first model they receive; the
 	// server's aggregator holds the vector itself (see serve).
 	if refModel == nil {
