@@ -143,6 +143,9 @@ func RunDecentralized(cfg Config, fed *dataset.Federated, factory nn.Factory, to
 		return nil, err
 	}
 	P := fed.NumClients()
+	if P == 0 {
+		return nil, fmt.Errorf("core: no clients in federated dataset")
+	}
 	if len(topo.Neighbors) != P {
 		return nil, fmt.Errorf("core: topology covers %d clients, federation has %d", len(topo.Neighbors), P)
 	}

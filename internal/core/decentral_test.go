@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/testutil"
 )
@@ -181,6 +182,9 @@ func TestRunDecentralizedValidation(t *testing.T) {
 	if _, err := RunDecentralized(Config{Algorithm: AlgoFedAvg}, fed, tinyFactory(), Ring(5)); err == nil {
 		t.Fatal("topology size mismatch accepted")
 	}
+	if _, err := RunDecentralized(Config{Algorithm: AlgoFedAvg}, &dataset.Federated{Test: fed.Test}, tinyFactory(), Ring(0)); err == nil {
+		t.Fatal("a federation with no clients accepted")
+	}
 }
 
 // TestDecentralizedCompleteBeatsRingMixing: on a complete graph the mixing
@@ -239,9 +243,9 @@ func TestDecentralRoundAllocationGate(t *testing.T) {
 	}
 }
 
-// TestDecentralEvaluatesEachNodeInPlace: each node is evaluated in the
-// replica whose parameter vector is its state, not through a copy into a
-// shared one, and a 6-round 4-node ring reports the accuracy and consensus
+// TestDecentralEvaluatesEachNodeInPlace: each node is evaluated on a
+// training slot bound to its state, not through a copy into a shared
+// replica, and a 6-round 4-node ring reports the accuracy and consensus
 // bits it reported when it evaluated through that copy (values generated
 // by the copying implementation), with the default stack and a
 // compressing private one.
