@@ -296,7 +296,8 @@ type Sequential struct {
 	firstParam int
 	cached     []Module
 	// offsets[i] is where layer i's parameters start in the vectors,
-	// offsets[len(Layers)] their length; bind cuts nested vectors by it.
+	// offsets[len(Layers)] their length; setVectors cuts a nested
+	// Sequential's vectors by it.
 	offsets []int
 
 	vals, grads []float64
